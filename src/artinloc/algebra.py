@@ -38,6 +38,7 @@ from .linalg import (
     ModulusMismatch,
     Subspace,
     all_vectors,
+    batch_member_mask,
     batch_rank,
     check_prime,
     express_in_rows,
@@ -266,7 +267,12 @@ class Ideal:
     """A one- or two-sided ideal held as a canonical subspace.
 
     Closure under the declared side's basis multiplication is checked at
-    construction, so an Ideal value is trustworthy by type.
+    construction, so an Ideal value is trustworthy by type.  The check is
+    one batched pass: every product ``b_i * v`` (left) and ``v * b_i``
+    (right) of a basis element ``b_i`` with a basis vector ``v`` of the
+    space comes from one contraction with the structure constants, and all
+    of them are reduced against the RREF basis together.  A failure names
+    the side of the first failing ``(v, b_i)`` pair, left before right.
     """
 
     algebra: Algebra
@@ -279,13 +285,18 @@ class Ideal:
         a, sp = self.algebra, self.space
         if sp.ambient_dim != a.dim or sp.p != a.p:
             raise InputError("ideal subspace does not match its algebra")
-        for v in sp.basis:
-            for i in range(a.dim):
-                b = tuple(1 if j == i else 0 for j in range(a.dim))
-                if self.side in ("left", "twosided") and not sp.contains_vector(a.mul_coeffs(b, v)):
-                    raise InputError("subspace is not closed under left multiplication")
-                if self.side in ("right", "twosided") and not sp.contains_vector(a.mul_coeffs(v, b)):
-                    raise InputError("subspace is not closed under right multiplication")
+        if sp.dim == 0:
+            return
+        sides = [side for side in ("left", "right") if self.side in (side, "twosided")]
+        # b_i * v on the left and v * b_i on the right, for each basis vector v
+        spec = {"left": "vj,ijl->vil", "right": "vj,jil->vil"}
+        products = [np.einsum(spec[side], sp.array, a.np_table) for side in sides]
+        # rows ordered (v, b_i, side): the order of the definitional loop
+        rows = np.stack(products, axis=2).reshape(-1, a.dim) % a.p
+        member = batch_member_mask(rows, sp)
+        if not member.all():
+            side = sides[int(np.argmin(member)) % len(sides)]
+            raise InputError(f"subspace is not closed under {side} multiplication")
 
     @property
     def dim(self) -> int:
@@ -641,8 +652,13 @@ def ideal_combine(x: Ideal, y: Ideal, op: str) -> Ideal:
     if op == "product":
         if x.side != "twosided" or y.side != "twosided":
             raise InputError("ideal product requires two-sided operands")
-        vecs = [a.mul_coeffs(u, v) for u in x.space.basis for v in y.space.basis]
-        return Ideal(a, Subspace.from_vectors(a.p, a.dim, vecs), "twosided")
+        # u*v = sum_ij u_i v_j (b_i b_j), in two stages reduced mod p after
+        # each: a stage sums dim terms below p**2, far inside int64
+        u_times_basis = np.einsum("ui,ijl->ujl", x.space.array, a.np_table) % a.p
+        products = np.einsum("ujl,vj->uvl", u_times_basis, y.space.array) % a.p
+        # RREF is canonical, so zero and repeated rows can go first
+        rows = {row for row in map(tuple, products.reshape(-1, a.dim).tolist()) if any(row)}
+        return Ideal(a, Subspace.from_vectors(a.p, a.dim, rows), "twosided")
     if x.side != y.side:
         raise InputError("ideal sum/intersection requires matching sides")
     if op == "intersection":
@@ -683,47 +699,30 @@ class Quotient:
         return self.parent.element(v)
 
     def batch_project(self, coeffs: np.ndarray) -> np.ndarray:
-        p = self.parent.p
-        red = coeffs % p
-        red = red.copy()
-        for row, piv in zip(self.ideal.space.basis, self.ideal.space.pivots):
-            c = red[:, piv].copy()
-            nz = c != 0
-            if nz.any():
-                red[nz] = (red[nz] - c[nz, None] * np.array(row, dtype=np.int64)[None, :]) % p
-        return red[:, list(self.keep)]
+        return self.ideal.space.residues(coeffs)
 
 
 def quotient_algebra(a: Algebra, ideal: Ideal) -> Quotient:
-    """Quotient by a proper two-sided ideal on the pivot-complement basis."""
+    """Quotient by a proper two-sided ideal on the pivot-complement basis.
+
+    The quotient basis is the image of the basis vectors ``b_j`` of R whose
+    index ``j`` is not a pivot of the ideal's RREF basis, and the section
+    sends quotient basis vector ``t`` to ``b_keep[t]``.  So the quotient's
+    structure constants are the rows ``table[keep][:, keep]`` of R, reduced
+    by the ideal basis and read at the kept coordinates, which is
+    :meth:`Quotient.batch_project` on those rows.  The quotient
+    :class:`Algebra` validates its associativity and unit as usual.
+    """
     if ideal.algebra is not a:
         raise InputError("ideal does not belong to the algebra")
     if ideal.side != "twosided":
         raise InputError("quotient requires a two-sided ideal")
     if ideal.dim == a.dim:
         raise InputError("cannot quotient by the whole algebra")
-    piv = set(ideal.space.pivots)
-    keep = tuple(j for j in range(a.dim) if j not in piv)
+    keep = ideal.space.free_columns
     qdim = len(keep)
-
-    def proj(coeffs: Sequence[int]) -> tuple[int, ...]:
-        red = ideal.space.reduce(coeffs)
-        return tuple(red[j] for j in keep)
-
-    def sect(qcoeffs: Sequence[int]) -> tuple[int, ...]:
-        v = [0] * a.dim
-        for idx, j in enumerate(keep):
-            v[j] = qcoeffs[idx]
-        return tuple(v)
-
-    table = []
-    for i in range(qdim):
-        ei = sect(tuple(1 if t == i else 0 for t in range(qdim)))
-        row = []
-        for j in range(qdim):
-            ej = sect(tuple(1 if t == j else 0 for t in range(qdim)))
-            row.append(list(proj(a.mul_coeffs(ei, ej))))
-        table.append(row)
-    one_q = proj(a.one_coeffs)
+    sections = a.np_table[np.ix_(keep, keep)].reshape(-1, a.dim)
+    table = ideal.space.residues(sections).reshape(qdim, qdim, qdim)
+    one_q = ideal.space.residues(np.array([a.one_coeffs], dtype=np.int64))[0]
     q = Algebra(a.p, table, one_q, f"{a.label}/(dim {ideal.dim} ideal)")
     return Quotient(q, a, ideal, keep)

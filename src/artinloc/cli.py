@@ -334,3 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         sys.exit(code)
     return code
+
+
+if __name__ == "__main__":
+    main()

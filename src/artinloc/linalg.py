@@ -7,14 +7,15 @@ matrices acting on coefficient rows.
 
 All values are immutable after construction, all operations are pure
 functions, and nothing here uses floating point.  Batched numpy kernels
-for sweeping large element sets live at the bottom of the module; they are
-plain GF(p) arithmetic, vectorized.
+for sweeping large element sets live at the bottom of the module, and
+:meth:`Subspace.residues` reduces many vectors against a subspace at once;
+they are plain GF(p) arithmetic, vectorized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,7 +33,16 @@ class InputError(ValueError):
 
 
 class ResourceGuardError(RuntimeError):
-    """An enumeration would exceed the configured guard."""
+    """An enumeration would exceed the configured guard.
+
+    ``size`` is the enumeration that was refused and ``guard`` the bound it
+    exceeded, so a caller can report the refusal without parsing the message.
+    """
+
+    def __init__(self, message: str, size: int, guard: int):
+        super().__init__(message)
+        self.size = size
+        self.guard = guard
 
 
 class InternalCheckError(RuntimeError):
@@ -305,6 +315,19 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The basis as a read-only ``(dim, ambient_dim)`` int64 array."""
+        arr = np.array(self.basis, dtype=np.int64).reshape(self.dim, self.ambient_dim)
+        arr.flags.writeable = False
+        return arr
+
+    @cached_property
+    def free_columns(self) -> tuple[int, ...]:
+        """The non-pivot coordinates, in increasing order."""
+        pivots = set(self.pivots)
+        return tuple(j for j in range(self.ambient_dim) if j not in pivots)
+
     def _check_compatible(self, other: "Subspace") -> None:
         if self.p != other.p:
             raise ModulusMismatch(f"mixed moduli {self.p} and {other.p}")
@@ -322,6 +345,23 @@ class Subspace:
                     if b:
                         v[j] = (v[j] - c * b) % p
         return tuple(v)
+
+    def residues(self, vecs: np.ndarray) -> np.ndarray:
+        """:meth:`reduce` on every row of ``vecs``, read at :attr:`free_columns`.
+
+        A reduced vector vanishes at the pivots, so these columns are all of
+        it: a row is a member iff its residue is zero, and the residue is
+        the row's image in the quotient space.  An RREF basis row vanishes
+        at every other pivot, so eliminating the pivots one after another
+        subtracts exactly ``vecs[:, pivots] @ basis``.  Each entry of that
+        product sums ``dim`` terms below ``p**2``, well inside int64 for
+        ``p <= 2**16``.
+        """
+        red = vecs % self.p
+        free = list(self.free_columns)
+        if not self.basis:
+            return red[:, free]
+        return (red[:, free] - red[:, list(self.pivots)] @ self.array[:, free]) % self.p
 
     def contains_vector(self, vec: Sequence[int]) -> bool:
         return all(x == 0 for x in self.reduce(vec))
@@ -485,12 +525,4 @@ def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
 
 def batch_member_mask(vecs: np.ndarray, space: Subspace) -> np.ndarray:
     """Boolean mask of which rows of ``vecs`` lie in ``space``."""
-    p = space.p
-    red = vecs % p
-    red = red.copy()
-    for row, piv in zip(space.basis, space.pivots):
-        c = red[:, piv].copy()
-        nz = c != 0
-        if nz.any():
-            red[nz] = (red[nz] - c[nz, None] * np.array(row, dtype=np.int64)[None, :]) % p
-    return (red == 0).all(axis=1)
+    return (space.residues(vecs) == 0).all(axis=1)

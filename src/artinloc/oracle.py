@@ -82,7 +82,8 @@ def monoid_closure(a: Algebra, gens: Sequence[Element], guard: int = DEFAULT_GUA
                     seen.add(prod)
                     new.append(prod)
                     if len(seen) > guard:
-                        raise ResourceGuardError(f"monoid closure exceeded the guard {guard}")
+                        raise ResourceGuardError(f"monoid closure exceeded the guard {guard}",
+                                                 len(seen), guard)
         frontier = new
     return FiniteSetOfElements.from_elements(a, [Element(a, c) for c in seen])
 
@@ -138,7 +139,8 @@ def _ore_holds_for(a: Algebra, s: Element, members: Sequence[Element],
         return False, _first_uncovered(a, spaces, guard)
     total = a.p ** a.dim
     if total > guard:
-        raise ResourceGuardError(f"Ore fallback sweep of {total} elements exceeds the guard")
+        raise ResourceGuardError(f"Ore fallback sweep of {total} elements exceeds the guard",
+                                 total, guard)
     covered = np.zeros(total, dtype=bool)
     coeffs = a.enumerate_coeffs()
     for sp in spaces:
@@ -152,7 +154,7 @@ def _ore_holds_for(a: Algebra, s: Element, members: Sequence[Element],
 def _first_uncovered(a: Algebra, spaces: list[Subspace], guard: int) -> Element:
     total = a.p ** a.dim
     if total > guard:
-        raise ResourceGuardError("counterexample search exceeds the guard")
+        raise ResourceGuardError("counterexample search exceeds the guard", total, guard)
     for r in a.iter_elements():
         if not any(sp.contains_vector(r.coeffs) for sp in spaces):
             return r
@@ -291,7 +293,7 @@ def brute_radical(a: Algebra, guard: int = DEFAULT_GUARD) -> Ideal:
     p, d = a.p, a.dim
     total = p ** d
     if total > guard:
-        raise ResourceGuardError(f"{total} elements exceed the guard {guard}")
+        raise ResourceGuardError(f"{total} elements exceed the guard {guard}", total, guard)
     coeffs = a.enumerate_coeffs()
     one = np.array(a.one_coeffs, dtype=np.int64)
     unit_mask = a.batch_unit_mask(coeffs)
@@ -341,7 +343,7 @@ def brute_idempotents(a: Algebra, guard: int = DEFAULT_GUARD) -> FiniteSetOfElem
     """All solutions of e*e = e by full enumeration."""
     total = a.p ** a.dim
     if total > guard:
-        raise ResourceGuardError(f"{total} elements exceed the guard {guard}")
+        raise ResourceGuardError(f"{total} elements exceed the guard {guard}", total, guard)
     coeffs = a.enumerate_coeffs()
     squares = a.batch_mul(coeffs, coeffs)
     mask = (squares == coeffs).all(axis=1)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from artinloc.algebra import (
     Algebra,
@@ -19,8 +20,9 @@ from artinloc.algebra import (
     truncated_poly,
     upper_triangular,
 )
-from artinloc.linalg import InputError, Subspace
+from artinloc.linalg import InputError, Subspace, express_in_rows
 from artinloc.oracle import brute_idempotents
+from artinloc.structure import block_decomposition, radical
 
 
 def closure_oracle(a, gens, side):
@@ -197,6 +199,144 @@ class TestIdeals:
     def test_unclosed_subspace_rejected(self, M2_7):
         with pytest.raises(InputError):
             Ideal(M2_7, Subspace.from_vectors(7, 4, [[1, 0, 0, 0]]), "twosided")
+
+
+def closed_by_definition(a, space, side):
+    """Reference closure check: the per-basis-element loop, left before right.
+
+    Returns None when closed, else the side named by the first failure."""
+    for v in space.basis:
+        for i in range(a.dim):
+            b = tuple(1 if j == i else 0 for j in range(a.dim))
+            if side in ("left", "twosided") and not space.contains_vector(a.mul_coeffs(b, v)):
+                return "left"
+            if side in ("right", "twosided") and not space.contains_vector(a.mul_coeffs(v, b)):
+                return "right"
+    return None
+
+
+def product_by_definition(x, y):
+    """Reference ideal product: the span of all pairwise basis products."""
+    a = x.algebra
+    vecs = [a.mul_coeffs(u, v) for u in x.space.basis for v in y.space.basis]
+    return Subspace.from_vectors(a.p, a.dim, vecs)
+
+
+def quotient_table_by_definition(a, ideal, keep):
+    """Reference quotient table: project the product of each pair of sections."""
+    table = []
+    for i in keep:
+        row = []
+        for j in keep:
+            bi = tuple(1 if t == i else 0 for t in range(a.dim))
+            bj = tuple(1 if t == j else 0 for t in range(a.dim))
+            red = ideal.space.reduce(a.mul_coeffs(bi, bj))
+            row.append(tuple(red[t] for t in keep))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def rebased(a, rng):
+    """The same algebra on a random basis, so its structure constants are
+    dense residues rather than the 0/1 entries of the constructors."""
+    p, d = a.p, a.dim
+    while True:
+        change = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
+        if Subspace.from_vectors(p, d, change).dim == d:
+            break
+    table = [[express_in_rows(change, a.mul_coeffs(change[i], change[j]), p) for j in range(d)]
+             for i in range(d)]
+    return Algebra(p, table, express_in_rows(change, a.one_coeffs, p), f"rebased({a.label})")
+
+
+SMALL_ALGEBRAS = [lower_triangular(7, 2), upper_triangular(7, 3), full_matrix(7, 2),
+                  truncated_poly(7, 3), direct_product([lower_triangular(7, 2), full_matrix(7, 1)])[0]]
+
+
+@st.composite
+def algebra_and_vectors(draw, lists=1):
+    """A small algebra and ``lists`` lists of up to three coefficient vectors."""
+    a = draw(st.sampled_from(SMALL_ALGEBRAS))
+    vec = st.lists(st.integers(0, a.p - 1), min_size=a.dim, max_size=a.dim)
+    return (a, *(draw(st.lists(vec, min_size=0, max_size=3)) for _ in range(lists)))
+
+
+class TestBatchedKernels:
+    def test_one_sided_ideal_by_side(self, M2_7):
+        # span(E11, E21): the matrices with zero second column, the left ideal M2 E11
+        sp = Subspace.from_vectors(7, 4, [[1, 0, 0, 0], [0, 0, 1, 0]])
+        assert Ideal(M2_7, sp, "left").dim == 2
+        for side in ("right", "twosided"):
+            with pytest.raises(InputError, match="not closed under right multiplication"):
+                Ideal(M2_7, sp, side)
+
+    def test_left_failure_reported_before_right(self, M2_7):
+        # span(E12): E21 * E12 = E22 fails on the left at the same pair as
+        # E12 * E21 = E11 fails on the right
+        sp = Subspace.from_vectors(7, 4, [[0, 1, 0, 0]])
+        with pytest.raises(InputError, match="not closed under left multiplication"):
+            Ideal(M2_7, sp, "twosided")
+
+    @settings(max_examples=120, deadline=None)
+    @given(algebra_and_vectors(), st.sampled_from(["left", "right", "twosided"]), st.booleans())
+    def test_ideal_check_matches_definition(self, drawn, side, close):
+        a, vecs = drawn
+        if close:
+            space = closure_oracle(a, [a.element(v) for v in vecs], side)
+        else:
+            space = Subspace.from_vectors(a.p, a.dim, vecs)
+        failing = closed_by_definition(a, space, side)
+        if failing is None:
+            assert Ideal(a, space, side).space == space
+        else:
+            with pytest.raises(InputError, match=f"not closed under {failing} multiplication"):
+                Ideal(a, space, side)
+
+    @settings(max_examples=80, deadline=None)
+    @given(algebra_and_vectors(lists=2))
+    def test_ideal_product_matches_definition(self, drawn):
+        a, first, second = drawn
+        x = ideal_generated(a, [a.element(v) for v in first], "twosided")
+        y = ideal_generated(a, [a.element(v) for v in second], "twosided")
+        assert ideal_combine(x, y, "product").space == product_by_definition(x, y)
+
+    def test_large_prime_kernels_match_definition(self):
+        # p = 65521 is the largest prime below the 2^16 bound.  Dense
+        # structure constants make the terms of each stage's sums reach
+        # near p^2 > 2^31, which a narrower intermediate than int64 wraps.
+        rng = random.Random(65521)
+        b = rebased(lower_triangular(65521, 3), rng)
+        assert max(v for plane in b.table for row in plane for v in row) > b.p // 2
+        rad = [b.element(v) for v in radical(b).space.basis]
+
+        def random_element():
+            return b.element([rng.randrange(b.p) for _ in range(b.dim)])
+
+        # R e for the lifted block idempotents e: the columns of L3, of which
+        # only the first is also a right ideal
+        verdicts = []
+        for e in block_decomposition(b).idempotents:
+            left = ideal_generated(b, [random_element() * e], "left")
+            for side in ("right", "twosided"):
+                failing = closed_by_definition(b, left.space, side)
+                verdicts.append(failing)
+                if failing is None:
+                    assert Ideal(b, left.space, side).space == left.space
+                else:
+                    with pytest.raises(InputError, match=f"{failing} multiplication"):
+                        Ideal(b, left.space, side)
+        assert None in verdicts and "right" in verdicts
+        for _ in range(4):
+            # generated inside the radical, so proper; their square is smaller
+            x = ideal_generated(b, [random_element() * rng.choice(rad)], "twosided")
+            y = ideal_generated(b, [random_element() * rng.choice(rad) * random_element()],
+                                "twosided")
+            for first, second in ((x, y), (x, x), (y, radical(b))):
+                assert ideal_combine(first, second, "product").space == \
+                    product_by_definition(first, second)
+            for ideal in (x, ideal_combine(x, y, "product")):
+                quo = quotient_algebra(b, ideal)
+                assert quo.algebra.table == quotient_table_by_definition(b, ideal, quo.keep)
 
 
 class TestQuotient:

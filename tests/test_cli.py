@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +12,8 @@ L2_DOC = '{"scalar": {"prime": 7}, "kind": "constructor", "name": "lower_triangu
 L3_DOC = '{"scalar": {"prime": 7}, "kind": "constructor", "name": "lower_triangular", "n": 3}'
 T7_DOC = ('{"scalar": {"prime": 7}, "kind": "structure_constants", "dim": 2, '
           '"one": [1, 0], "mul_table": [[[1,0],[0,1]],[[0,1],[0,0]]]}')
+L3_11_DOC = '{"scalar": {"prime": 11}, "kind": "constructor", "name": "lower_triangular", "n": 3}'
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 P1_DOC = ('{"scalar": {"prime": 7}, "kind": "constructor", "name": "product", "factors": '
           '[{"kind": "constructor", "name": "full_matrix", "n": 2}, '
           '{"kind": "constructor", "name": "full_matrix", "n": 1}]}')
@@ -197,6 +202,17 @@ class TestVerifyAndErrors:
         assert out["all_ok"] is True
         assert all(c["ok"] for c in out["checks"])
 
+    def test_verify_above_guard_skips_instead_of_failing(self, docfile, capsys):
+        # 11^6 elements exceed the guard: the powers oracle's counterexample
+        # search is refused, which is a skipped check, not a violation
+        code = main(["verify", "--input", docfile(L3_11_DOC), "--guard", str(1 << 20)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["all_ok"] is True
+        powers = next(c for c in out["checks"] if c["name"] == "powers_oracle")
+        assert powers == {"name": "powers_oracle", "ok": True,
+                          "detail": f"skipped (guard: {11 ** 6} > {1 << 20})"}
+
     def test_bad_prime_exit_code(self, docfile, capsys):
         code = main(["report", "--input",
                      docfile('{"scalar": {"prime": 4}, "kind": "constructor", '
@@ -223,3 +239,12 @@ class TestVerifyAndErrors:
         code = main(["check-monoid", "--input", docfile(L2_DOC),
                      "--element", "[3,0,1]", "--guard", "1000000"])
         assert code == 0
+
+
+@pytest.mark.parametrize("module", ["artinloc", "artinloc.cli"])
+def test_python_dash_m_runs_the_cli(module, docfile):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-m", module, "verify", "--input", docfile(T7_DOC)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_ok"] is True

@@ -225,5 +225,17 @@ def test_batch_member_mask():
         assert sp.contains_vector(row) == bool(ok)
 
 
+@settings(max_examples=150, deadline=None)
+@given(subspace_pairs())
+def test_residues_match_sequential_reduce(pair):
+    # the batched reduction against the one-vector elimination loop
+    space, other = pair
+    vecs = all_vectors(space.p, space.ambient_dim)
+    vecs = np.concatenate([vecs, vecs + space.p * 3])  # unreduced representatives too
+    expected = [[v[j] for j in space.free_columns] for v in map(space.reduce, vecs.tolist())]
+    assert space.residues(vecs).tolist() == expected
+    assert batch_member_mask(vecs, other).tolist() == [other.contains_vector(v) for v in vecs.tolist()]
+
+
 def test_express_in_rows_unsolvable():
     assert express_in_rows([[1, 0]], [0, 1], 5) is None
