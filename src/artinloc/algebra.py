@@ -43,6 +43,7 @@ from .linalg import (
     check_prime,
     express_in_rows,
     kernel,
+    row_chunks,
     solve_row,
     vectors_to_indices,
 )
@@ -148,13 +149,13 @@ class Algebra:
 
     # -- bulk kernels (numpy) ----------------------------------------------
 
-    def enumerate_coeffs(self) -> np.ndarray:
-        """All p**dim coefficient vectors in canonical (lexicographic) order."""
-        if "all_coeffs" not in self._cache:
-            arr = all_vectors(self.p, self.dim)
-            arr.flags.writeable = False
-            self._cache["all_coeffs"] = arr
-        return self._cache["all_coeffs"]
+    def enumerate_coeffs(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Coefficient vectors ``start:stop`` in canonical (lexicographic) order.
+
+        The default range is all p**dim of them.  Nothing is cached: sweeps
+        take the enumeration a chunk at a time (:func:`row_chunks`).
+        """
+        return all_vectors(self.p, self.dim, start, stop)
 
     def coeffs_to_indices(self, arr: np.ndarray) -> np.ndarray:
         return vectors_to_indices(arr % self.p, self.p)
@@ -190,8 +191,9 @@ class Algebra:
         return (ys == 0).all(axis=1)
 
     def iter_elements(self) -> Iterable["Element"]:
-        for row in self.enumerate_coeffs():
-            yield Element(self, tuple(int(v) for v in row))
+        for start, stop in row_chunks(self.p ** self.dim):
+            for row in self.enumerate_coeffs(start, stop):
+                yield Element(self, tuple(int(v) for v in row))
 
     def __repr__(self) -> str:
         return f"Algebra({self.label}, p={self.p}, dim={self.dim})"

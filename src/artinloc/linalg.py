@@ -22,6 +22,9 @@ import numpy as np
 
 DEFAULT_GUARD = 1 << 20
 MAX_PRIME = 1 << 16
+# rows per piece of an enumeration sweep: peak memory of a sweep is set by
+# this, not by p**dim
+CHUNK_ROWS = 1 << 12
 
 
 class ModulusMismatch(ValueError):
@@ -390,17 +393,14 @@ class Subspace:
         vecs = [r[n:] for r in red if all(x == 0 for x in r[:n])]
         return Subspace.from_vectors(self.p, n, vecs)
 
-    def elements(self) -> Iterable[tuple[int, ...]]:
-        """All member vectors; p**dim of them."""
-        p, n = self.p, self.ambient_dim
-        coeffs = all_vectors(p, self.dim)
-        if self.dim == 0:
-            yield (0,) * n
-            return
-        basis = np.array(self.basis, dtype=np.int64)
-        members = (coeffs @ basis) % p
-        for row in members:
-            yield tuple(int(v) for v in row)
+    def member_chunks(self) -> Iterable[np.ndarray]:
+        """All p**dim members, CHUNK_ROWS rows at a time.
+
+        Member i is the combination of the basis rows whose coefficients are
+        row i of :func:`all_vectors`, so the order is fixed by the basis.
+        """
+        for start, stop in row_chunks(self.p ** self.dim):
+            yield (all_vectors(self.p, self.dim, start, stop) @ self.array) % self.p
 
 
 def subspace_ops(a: Subspace, b: Subspace) -> dict:
@@ -469,19 +469,27 @@ def inverse_table(p: int) -> np.ndarray:
     return inv
 
 
-def all_vectors(p: int, dim: int) -> np.ndarray:
-    """All of GF(p)^dim as a (p**dim, dim) array in lexicographic order.
+def all_vectors(p: int, dim: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Rows ``start:stop`` of GF(p)^dim listed in lexicographic order.
 
     Row index i equals the base-p integer with the first coordinate most
-    significant, so index order and lexicographic order coincide.
+    significant, so index order and lexicographic order coincide.  The
+    default range is all p**dim rows.
     """
-    count = p ** dim
-    out = np.empty((count, dim), dtype=np.int64)
-    idx = np.arange(count, dtype=np.int64)
+    if stop is None:
+        stop = p ** dim
+    out = np.empty((stop - start, dim), dtype=np.int64)
+    idx = np.arange(start, stop, dtype=np.int64)
     for j in range(dim - 1, -1, -1):
         out[:, j] = idx % p
         idx //= p
     return out
+
+
+def row_chunks(total: int) -> Iterable[tuple[int, int]]:
+    """``(start, stop)`` bounds cutting ``range(total)`` into CHUNK_ROWS pieces."""
+    for start in range(0, total, CHUNK_ROWS):
+        yield start, min(start + CHUNK_ROWS, total)
 
 
 def vectors_to_indices(vecs: np.ndarray, p: int) -> np.ndarray:

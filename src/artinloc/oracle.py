@@ -12,19 +12,37 @@ concessions to speed are logical rewritings, not theory:
   one of them being everything;
 * {r*x : r in R} IS the row space of the right-multiplication matrix of x,
   so universally quantified products over the ring reduce to subspace
-  sweeps.
+  sweeps;
+* ass(S) = {r : s*r = 0 for some s in S} is held as its distinct kernels
+  K_s, never as a list of members: r is in ass iff r lies in some K_s.
+  The span of ass is the sum of the kernels, one RREF over their basis
+  rows, and ass is a subspace iff every member of that span lies in some
+  K_s.  That holds at once when the span is itself one of the K_s, and by
+  the covering rule above it fails at once when there are at most p
+  kernels and none of them is the span;
+* reversibility (r*s = 0 forces r into ass) tests the members of each
+  right kernel {r : r*s = 0} against the K_s in one batch per chunk, in
+  enumeration order, so the first failing member is the counterexample;
+* the core condition p**dim(K_s) = |ass| with K_s inside ass holds iff
+  K_s equals the span of ass (K_s = ass then makes ass a subspace, and
+  conversely).
 
-Enumerations respect a guard on p**dim (default 2**20).
+Every sweep over p**k vectors runs ``CHUNK_ROWS`` rows at a time in the
+enumeration order, so its memory is set by the chunk size rather than by
+p**k, and a search for a first counterexample stops at the chunk that
+holds it.  Enumerations of the whole ring respect a guard on p**dim
+(default 2**20).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, Element, Ideal, regular_matrix
+from .algebra import Algebra, Element, Ideal, ideal_combine, opposite_algebra, regular_matrix
 from .linalg import (
     DEFAULT_GUARD,
     InputError,
@@ -32,9 +50,10 @@ from .linalg import (
     Mat,
     ResourceGuardError,
     Subspace,
-    all_vectors,
     batch_member_mask,
+    batch_rank,
     kernel,
+    row_chunks,
 )
 
 __all__ = ["FiniteSetOfElements", "monoid_closure", "brute_denominator_check",
@@ -55,8 +74,12 @@ class FiniteSetOfElements:
     def __iter__(self):
         return iter(self.members)
 
+    @cached_property
+    def _member_set(self) -> frozenset[Element]:
+        return frozenset(self.members)
+
     def __contains__(self, x: Element) -> bool:
-        return x in set(self.members)
+        return x in self._member_set
 
     @staticmethod
     def from_elements(a: Algebra, elements: Iterable[Element]) -> "FiniteSetOfElements":
@@ -90,9 +113,17 @@ def monoid_closure(a: Algebra, gens: Sequence[Element], guard: int = DEFAULT_GUA
 
 @dataclass(frozen=True)
 class BruteDenResult:
+    """Outcome of :func:`brute_denominator_check`.
+
+    ``ass_members`` is the kernel union ass(S) when it is a subspace (held
+    as that subspace, which is then also its span), and ``None`` when the
+    union is not closed under addition.  On a denominator set it is never
+    ``None``, and ``ass`` is the same subspace as a two-sided ideal.
+    """
+
     is_ore: bool
     is_den: bool
-    ass_members: frozenset[tuple[int, ...]]
+    ass_members: Subspace | None
     ass: Ideal | None
     core: "FiniteSetOfElements"
     counterexample: tuple[Element, Element] | None
@@ -112,18 +143,36 @@ def _preimage_space(a: Algebra, left_rows: Sequence[Sequence[int]], target: Subs
     return Subspace.from_vectors(a.p, d, vecs)
 
 
-def _ore_holds_for(a: Algebra, s: Element, members: Sequence[Element],
-                   left_mats: np.ndarray, guard: int) -> tuple[bool, Element | None]:
+def _in_union(vecs: np.ndarray, spaces: Sequence[Subspace]) -> np.ndarray:
+    """Mask of the rows of ``vecs`` that lie in at least one of ``spaces``."""
+    hit = np.zeros(len(vecs), dtype=bool)
+    for sp in spaces:
+        hit |= batch_member_mask(vecs, sp)
+    return hit
+
+
+def _first_outside(space: Subspace, spaces: Sequence[Subspace]) -> tuple[int, ...] | None:
+    """The first member of ``space``, in :meth:`Subspace.member_chunks` order,
+    that lies in none of ``spaces``; None when the union covers ``space``."""
+    for chunk in space.member_chunks():
+        hit = _in_union(chunk, spaces)
+        if not hit.all():
+            return tuple(int(v) for v in chunk[int(np.argmin(hit))])
+    return None
+
+
+def _ore_holds_for(a: Algebra, right_mat: np.ndarray, left_mats: np.ndarray,
+                   guard: int) -> tuple[bool, Element | None]:
     """Left Ore at s: every r admits s' in S with s'*r in R*s.
 
-    Returns (ok, first failing r in canonical order if not ok)."""
-    rs = Subspace.from_vectors(a.p, a.dim, regular_matrix(a, s, "right").data)
-    if rs.dim == a.dim:
-        return True, None
+    ``right_mat`` is the right-multiplication matrix of s, whose row space
+    is R*s, and ``left_mats`` holds the left-multiplication matrices of the
+    members s'.  Returns (ok, first failing r in canonical order if not ok)."""
+    rs = Subspace.from_vectors(a.p, a.dim, right_mat.tolist())
     spaces: list[Subspace] = []
     seen: set = set()
     seen_lm: set[bytes] = set()
-    for i in range(len(members)):
+    for i in range(len(left_mats)):
         lm_key = left_mats[i].tobytes()
         if lm_key in seen_lm:
             continue
@@ -134,31 +183,26 @@ def _ore_holds_for(a: Algebra, s: Element, members: Sequence[Element],
         if v.basis not in seen:
             seen.add(v.basis)
             spaces.append(v)
-    if len(spaces) <= a.p:
-        # p or fewer proper subspaces can never cover the space
-        return False, _first_uncovered(a, spaces, guard)
+    # p or fewer proper subspaces can never cover the space
+    few = len(spaces) <= a.p
     total = a.p ** a.dim
-    if total > guard:
+    if not few and total > guard:
         raise ResourceGuardError(f"Ore fallback sweep of {total} elements exceeds the guard",
                                  total, guard)
-    covered = np.zeros(total, dtype=bool)
-    coeffs = a.enumerate_coeffs()
-    for sp in spaces:
-        covered |= batch_member_mask(coeffs, sp)
-        if covered.all():
-            return True, None
-    idx = int(np.flatnonzero(~covered)[0])
-    return False, Element(a, tuple(int(v) for v in coeffs[idx]))
+    bad = _first_uncovered(a, spaces, guard)
+    if bad is None and few:
+        raise InternalCheckError("claimed non-covering union covered everything")
+    return bad is None, bad
 
 
-def _first_uncovered(a: Algebra, spaces: list[Subspace], guard: int) -> Element:
+def _first_uncovered(a: Algebra, spaces: list[Subspace], guard: int) -> Element | None:
+    """The first element of R in canonical order that lies in none of
+    ``spaces``, or None when they cover R."""
     total = a.p ** a.dim
     if total > guard:
         raise ResourceGuardError("counterexample search exceeds the guard", total, guard)
-    for r in a.iter_elements():
-        if not any(sp.contains_vector(r.coeffs) for sp in spaces):
-            return r
-    raise InternalCheckError("claimed non-covering union covered everything")
+    bad = _first_outside(Subspace.full(a.p, a.dim), spaces)
+    return None if bad is None else Element(a, bad)
 
 
 def brute_denominator_check(a: Algebra, S: FiniteSetOfElements, side: str = "left",
@@ -167,16 +211,15 @@ def brute_denominator_check(a: Algebra, S: FiniteSetOfElements, side: str = "lef
 
     Left: the Ore condition for every (s, r), then reversibility
     (r*s = 0 implies r is annihilated by some member), with
-    ass = {r : s*r = 0 for some s} computed exactly as a union of kernels
-    and, on success, verified to be a two-sided ideal.  The core is the
-    set of members whose left-multiplication kernel equals ass.  Right is
-    the left check in the opposite algebra; two-sided runs both and
-    requires the two kernels to coincide.
+    ass = {r : s*r = 0 for some s} held exactly as a union of kernels
+    and, on success, verified to be a subspace and a two-sided ideal.  The
+    core is the set of members whose left-multiplication kernel equals ass.
+    Right is the left check in the opposite algebra; two-sided runs both
+    and requires the two kernels to coincide.
     """
     if S.contains_zero:
         raise InputError("a multiplicative set may not contain 0")
     if side == "right":
-        from .algebra import opposite_algebra
         op = a._cache.get("opposite")
         if op is None:
             op = opposite_algebra(a)
@@ -188,9 +231,10 @@ def brute_denominator_check(a: Algebra, S: FiniteSetOfElements, side: str = "lef
         left = brute_denominator_check(a, S, "left", guard)
         right = brute_denominator_check(a, S, "right", guard)
         is_den = left.is_den and right.is_den
+        # both unions are subspaces here, so equal spans mean equal sets
         if is_den and left.ass_members != right.ass_members:
             raise InternalCheckError("two-sided denominator set with asymmetric kernels")
-        core_members = [m for m in left.core if m in set(right.core.members)]
+        core_members = [m for m in left.core if m in right.core]
         return BruteDenResult(left.is_ore and right.is_ore, is_den,
                               left.ass_members, left.ass if is_den else None,
                               FiniteSetOfElements.from_elements(a, core_members),
@@ -199,7 +243,7 @@ def brute_denominator_check(a: Algebra, S: FiniteSetOfElements, side: str = "lef
         raise InputError(f"bad side {side!r}")
 
     members = S.members
-    if a.one not in set(members):
+    if a.one not in S:
         raise InputError("a multiplicative set must contain 1")
 
     # One batched pass builds every member's multiplication matrices.
@@ -207,28 +251,43 @@ def brute_denominator_check(a: Algebra, S: FiniteSetOfElements, side: str = "lef
     left_mats = a.batch_left_matrices(coeff_arr)
     right_mats = a.batch_right_matrices(coeff_arr)
 
-    # ass(S) = union of the left-multiplication kernels, exactly.
-    ass_set: set[tuple[int, ...]] = {(0,) * a.dim}
+    # A matrix of full rank has the zero kernel (rank-nullity), so only the
+    # rank-deficient ones are solved one at a time.
+    left_full = batch_rank(left_mats, a.p) == a.dim
+    right_full = batch_rank(right_mats, a.p) == a.dim
+
+    # ass(S) = union of the left-multiplication kernels, held as the kernels.
+    zero = Subspace.zero(a.p, a.dim)
     kernels: list[Subspace] = []
     kernel_cache: dict[bytes, Subspace] = {}
     for i in range(len(members)):
+        if left_full[i]:
+            kernels.append(zero)
+            continue
         key = left_mats[i].tobytes()
         ker = kernel_cache.get(key)
         if ker is None:
-            ker = kernel(Mat.from_rows(a.p, left_mats[i].tolist()))
-            kernel_cache[key] = ker
-            if ker.dim > 0:
-                ass_set.update(ker.elements())
+            ker = kernel_cache[key] = kernel(Mat.from_rows(a.p, left_mats[i].tolist()))
         kernels.append(ker)
+    distinct = list(dict.fromkeys(kernels))
+    span = Subspace.from_vectors(a.p, a.dim, [row for ker in distinct for row in ker.basis])
+    if span in distinct:
+        ass_space = span
+    elif len(distinct) <= a.p:
+        ass_space = None
+    else:
+        ass_space = span if _first_outside(span, distinct) is None else None
 
     # Ore condition.
     is_ore = True
     counterexample = None
     ore_cache: dict[bytes, tuple[bool, Element | None]] = {}
     for i, s in enumerate(members):
+        if right_full[i]:
+            continue  # R*s = R
         key = right_mats[i].tobytes()
         if key not in ore_cache:
-            ore_cache[key] = _ore_holds_for(a, s, members, left_mats, guard)
+            ore_cache[key] = _ore_holds_for(a, right_mats[i], left_mats, guard)
         ok, bad_r = ore_cache[key]
         if not ok:
             is_ore = False
@@ -241,30 +300,24 @@ def brute_denominator_check(a: Algebra, S: FiniteSetOfElements, side: str = "lef
         rev_cache: set[bytes] = set()
         for i, s in enumerate(members):
             key = right_mats[i].tobytes()
-            if key in rev_cache:
-                continue
+            if right_full[i] or key in rev_cache:
+                continue  # a zero right kernel holds only 0, which is in ass
             rev_cache.add(key)
             right_ker = kernel(Mat.from_rows(a.p, right_mats[i].tolist()))
-            for vec in right_ker.elements():
-                if vec not in ass_set:
-                    reversible = False
-                    counterexample = (s, Element(a, vec))
-                    break
-            if not reversible:
+            bad = _first_outside(right_ker, distinct)
+            if bad is not None:
+                reversible = False
+                counterexample = (s, Element(a, bad))
                 break
 
     is_den = is_ore and reversible
     ass_ideal = None
     if is_den:
-        span = Subspace.from_vectors(a.p, a.dim, list(ass_set))
-        if a.p ** span.dim != len(ass_set):
+        if ass_space is None:
             raise InternalCheckError("kernel union of a denominator set is not a subspace")
-        ass_ideal = Ideal(a, span, "twosided")
-    ass_frozen = frozenset(ass_set)
-    ass_size = len(ass_set)
-    core = [s for s, ker in zip(members, kernels)
-            if a.p ** ker.dim == ass_size and all(v in ass_set for v in ker.elements())]
-    return BruteDenResult(is_ore, is_den, ass_frozen, ass_ideal,
+        ass_ideal = Ideal(a, ass_space, "twosided")
+    core = [s for s, ker in zip(members, kernels) if ker == span]
+    return BruteDenResult(is_ore, is_den, ass_space, ass_ideal,
                           FiniteSetOfElements.from_elements(a, core), counterexample)
 
 
@@ -288,39 +341,42 @@ def brute_radical(a: Algebra, guard: int = DEFAULT_GUARD) -> Ideal:
     matrix of x, the universal condition for x is a sweep over that
     subspace.  Cheap instances (r a basis element, r = 1) filter candidates
     first; every surviving candidate gets the complete subspace sweep.
-    The result is checked to be a nilpotent two-sided ideal.
+    The unit and candidate masks are built chunk by chunk.  The result is
+    checked to be a nilpotent two-sided ideal.
     """
     p, d = a.p, a.dim
     total = p ** d
     if total > guard:
         raise ResourceGuardError(f"{total} elements exceed the guard {guard}", total, guard)
-    coeffs = a.enumerate_coeffs()
+    unit_mask = np.concatenate([a.batch_unit_mask(a.enumerate_coeffs(start, stop))
+                                for start, stop in row_chunks(total)])
     one = np.array(a.one_coeffs, dtype=np.int64)
-    unit_mask = a.batch_unit_mask(coeffs)
-    # qr_mask[i] == True iff 1 - element_i is a unit
-    qr_mask = unit_mask[a.coeffs_to_indices((one[None, :] - coeffs) % p)]
-    cand = np.ones(total, dtype=bool)
+
+    def quasi_regular(xs: np.ndarray) -> np.ndarray:
+        """Mask of the rows x of ``xs`` for which 1 - x is a unit."""
+        return unit_mask[a.coeffs_to_indices(one - xs)]
+
     probes = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)] + [a.one_coeffs]
-    for r in probes:
-        prods = a.batch_mul_left(r, coeffs)
-        for c in range(1, p):
-            cand &= qr_mask[a.coeffs_to_indices((c * prods) % p)]
+    survivors = []
+    for start, stop in row_chunks(total):
+        # candidates that fail a probe are dropped before the next one
+        cand = a.enumerate_coeffs(start, stop)
+        for r in probes:
+            prods = a.batch_mul_left(r, cand)
+            for c in range(1, p):
+                keep = quasi_regular(c * prods)
+                cand, prods = cand[keep], prods[keep]
+        survivors.extend(tuple(int(v) for v in row) for row in cand)
     # Exact check for survivors.  The condition depends only on the left
     # ideal {r*x : r in R} = row space of the right-multiplication matrix,
     # so answers are memoized per distinct row space.
     members = []
     verdicts: dict[tuple, bool] = {}
-    for idx in np.flatnonzero(cand):
-        x = tuple(int(v) for v in coeffs[idx])
+    for x in survivors:
         rx = Subspace.from_vectors(p, d, regular_matrix(a, a.element(x), "right").data)
         verdict = verdicts.get(rx.basis)
         if verdict is None:
-            if rx.dim == 0:
-                verdict = True
-            else:
-                combos = all_vectors(p, rx.dim)
-                pts = (combos @ np.array(rx.basis, dtype=np.int64)) % p
-                verdict = bool(qr_mask[a.coeffs_to_indices(pts)].all())
+            verdict = all(quasi_regular(chunk).all() for chunk in rx.member_chunks())
             verdicts[rx.basis] = verdict
         if verdict:
             members.append(x)
@@ -328,7 +384,6 @@ def brute_radical(a: Algebra, guard: int = DEFAULT_GUARD) -> Ideal:
     if p ** span.dim != len(members):
         raise InternalCheckError("quasi-regular set is not a subspace")
     rad = Ideal(a, span, "twosided")
-    from .algebra import ideal_combine
     power = rad
     for _ in range(d):
         if power.dim == 0:
@@ -344,8 +399,9 @@ def brute_idempotents(a: Algebra, guard: int = DEFAULT_GUARD) -> FiniteSetOfElem
     total = a.p ** a.dim
     if total > guard:
         raise ResourceGuardError(f"{total} elements exceed the guard {guard}", total, guard)
-    coeffs = a.enumerate_coeffs()
-    squares = a.batch_mul(coeffs, coeffs)
-    mask = (squares == coeffs).all(axis=1)
-    return FiniteSetOfElements.from_elements(
-        a, [Element(a, tuple(int(v) for v in row)) for row in coeffs[mask]])
+    found = []
+    for start, stop in row_chunks(total):
+        coeffs = a.enumerate_coeffs(start, stop)
+        mask = (a.batch_mul(coeffs, coeffs) == coeffs).all(axis=1)
+        found.extend(Element(a, tuple(int(v) for v in row)) for row in coeffs[mask])
+    return FiniteSetOfElements.from_elements(a, found)

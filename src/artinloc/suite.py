@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, Element, regular_matrix
-from .linalg import DEFAULT_GUARD, ResourceGuardError, Subspace, kernel
+from .linalg import DEFAULT_GUARD, ResourceGuardError, Subspace, batch_rank, kernel, row_chunks
 from .localization import (
     classify_element,
     duality_report,
@@ -195,19 +195,26 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
     def _left_regular_units():
         # vectorized, so the full enumeration bound applies rather than the
         # per-element sweep limit
+        def left_regular_non_units(xs: np.ndarray) -> np.ndarray:
+            left_regular = batch_rank(a.batch_right_matrices(xs), a.p) == a.dim
+            return left_regular & ~a.batch_unit_mask(xs)
+
         if total <= guard:
-            coeffs = a.enumerate_coeffs()
-            unit = a.batch_unit_mask(coeffs)
-            from .linalg import batch_rank
-            left_regular = batch_rank(a.batch_right_matrices(coeffs), a.p) == a.dim
-            if (left_regular & ~unit).any():
-                return False, "a left regular element is not a unit"
+            for start, stop in row_chunks(total):
+                if left_regular_non_units(a.enumerate_coeffs(start, stop)).any():
+                    return False, "a left regular element is not a unit"
             return True, f"exhaustive over {total}"
-        for _ in range(max(samples, 10_000)):
-            x = _random_element(a, rng)
-            if kernel(regular_matrix(a, x, "right")).dim == 0:
-                if regular_matrix(a, x, "left").rank() != a.dim:
-                    return False, f"left regular non-unit {x!r}"
+        for start, stop in row_chunks(max(samples, 10_000)):
+            state = rng.getstate()
+            xs = np.array([_random_element(a, rng).coeffs for _ in range(stop - start)],
+                          dtype=np.int64)
+            bad = left_regular_non_units(xs)
+            if bad.any():
+                # redraw up to the first failure, so the stream stops where a
+                # one-sample-at-a-time loop would have stopped
+                rng.setstate(state)
+                drawn = [_random_element(a, rng) for _ in range(int(np.argmax(bad)) + 1)]
+                return False, f"left regular non-unit {drawn[-1]!r}"
         return True, "sampled 10000"
     check("left_regular_implies_unit", _left_regular_units)
 

@@ -216,6 +216,24 @@ def test_all_vectors_order_and_indexing():
     assert (vectors_to_indices(vecs, 3) == np.arange(27)).all()
 
 
+def test_all_vectors_row_range():
+    whole = all_vectors(5, 3)
+    assert (all_vectors(5, 3, 7, 60) == whole[7:60]).all()
+    assert all_vectors(5, 3, 125, 125).shape == (0, 3)
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 1 << 12])
+def test_member_chunks_in_basis_order(chunk, monkeypatch):
+    from artinloc import linalg
+    monkeypatch.setattr(linalg, "CHUNK_ROWS", chunk)
+    sp = Subspace.from_vectors(5, 3, [[1, 0, 2], [0, 1, 3]])
+    members = np.concatenate(list(sp.member_chunks()))
+    expected = [[(c0 * 1) % 5, c1, (c0 * 2 + c1 * 3) % 5]
+                for c0, c1 in itertools.product(range(5), repeat=2)]
+    assert members.tolist() == expected
+    assert np.concatenate(list(Subspace.zero(5, 3).member_chunks())).tolist() == [[0, 0, 0]]
+
+
 def test_batch_member_mask():
     sp = Subspace.from_vectors(5, 3, [[1, 0, 2], [0, 1, 3]])
     vecs = all_vectors(5, 3)

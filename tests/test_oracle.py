@@ -1,9 +1,35 @@
-import pytest
+import itertools
+import tracemalloc
+from unittest import mock
 
-from artinloc.algebra import direct_product, full_matrix, lower_triangular
-from artinloc.linalg import InputError, ResourceGuardError
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from artinloc import linalg
+from artinloc.algebra import (
+    Algebra,
+    direct_product,
+    full_matrix,
+    lower_triangular,
+    opposite_algebra,
+    regular_matrix,
+    truncated_poly,
+    upper_triangular,
+)
+from artinloc.linalg import (
+    CHUNK_ROWS,
+    DEFAULT_GUARD,
+    InputError,
+    InternalCheckError,
+    ResourceGuardError,
+    Subspace,
+    batch_member_mask,
+    kernel,
+)
 from artinloc.oracle import (
     FiniteSetOfElements,
+    _first_uncovered,
     brute_denominator_check,
     brute_idempotents,
     brute_radical,
@@ -129,3 +155,215 @@ class TestBruteIdempotents:
     def test_guard(self, L2_5):
         with pytest.raises(ResourceGuardError):
             brute_idempotents(L2_5, guard=10)
+
+
+# ---------------------------------------------------------------------------
+# The batched check against the tuple-set loops it replaced
+# ---------------------------------------------------------------------------
+
+def _members(sp):
+    """Members of ``sp`` in the order of their coefficients over the basis,
+    first coefficient most significant."""
+    for c in itertools.product(range(sp.p), repeat=sp.dim):
+        yield tuple(sum(ci * row[j] for ci, row in zip(c, sp.basis)) % sp.p
+                    for j in range(sp.ambient_dim))
+
+
+def reference_left(a, S):
+    """The left check with ass(S) built as a set of member tuples."""
+    p, d = a.p, a.dim
+    members = S.members
+    ring = np.array(list(itertools.product(range(p), repeat=d)), dtype=np.int64)
+    kernels = [kernel(regular_matrix(a, s, "left")) for s in members]
+    ass_set = {(0,) * d}
+    for ker in set(kernels):
+        ass_set.update(_members(ker))
+    counterexample = None
+    # Ore by definition: every r has some member t with t*r in R*s
+    products = np.concatenate([ring @ np.array(regular_matrix(a, t, "left").data) % p
+                               for t in members])
+    for s in members:
+        rs = Subspace.from_vectors(p, d, regular_matrix(a, s, "right").data)
+        ok = batch_member_mask(products, rs).reshape(len(members), len(ring)).any(axis=0)
+        if not ok.all():
+            counterexample = (s.coeffs, tuple(int(v) for v in ring[np.argmin(ok)]))
+            break
+    is_ore = counterexample is None
+    if is_ore:
+        for s in members:
+            right_ker = kernel(regular_matrix(a, s, "right"))
+            bad = next((v for v in _members(right_ker) if v not in ass_set), None)
+            if bad is not None:
+                counterexample = (s.coeffs, bad)
+                break
+    span = Subspace.from_vectors(p, d, list(ass_set))
+    subspace = p ** span.dim == len(ass_set)
+    if counterexample is None and not subspace:
+        # only a set that is not closed under multiplication gets here
+        raise InternalCheckError("kernel union of a denominator set is not a subspace")
+    core = [s.coeffs for s, ker in zip(members, kernels)
+            if p ** ker.dim == len(ass_set) and all(v in ass_set for v in _members(ker))]
+    return {"is_ore": is_ore, "is_den": counterexample is None,
+            "ass": span if subspace else None, "core": core, "counterexample": counterexample}
+
+
+def reference_check(a, S, side):
+    if side == "left":
+        return reference_left(a, S)
+    op = opposite_algebra(a)
+    right = reference_left(op, FiniteSetOfElements.from_elements(
+        op, [op.element(m.coeffs) for m in S]))
+    if side == "right":
+        return right
+    left = reference_left(a, S)
+    if left["is_den"] and right["is_den"] and left["ass"] != right["ass"]:
+        raise InternalCheckError("two-sided denominator set with asymmetric kernels")
+    return {"is_ore": left["is_ore"] and right["is_ore"],
+            "is_den": left["is_den"] and right["is_den"], "ass": left["ass"],
+            "core": [c for c in left["core"] if c in right["core"]],
+            "counterexample": left["counterexample"] or right["counterexample"]}
+
+
+def assert_matches_reference(a, S, side):
+    try:
+        ref = reference_check(a, S, side)
+    except InternalCheckError as exc:
+        with pytest.raises(InternalCheckError, match=str(exc)):
+            brute_denominator_check(a, S, side)
+        return None
+    res = brute_denominator_check(a, S, side)
+    assert (res.is_ore, res.is_den) == (ref["is_ore"], ref["is_den"])
+    assert res.ass_members == ref["ass"]
+    assert (res.ass.space if res.ass is not None else None) == (ref["ass"] if ref["is_den"] else None)
+    assert [m.coeffs for m in res.core] == ref["core"]
+    ce = res.counterexample
+    assert (None if ce is None else (ce[0].coeffs, ce[1].coeffs)) == ref["counterexample"]
+    return res
+
+
+def exterior_2(p):
+    """GF(p)[x, y]/(x^2, y^2) on the basis 1, x, y, xy: the kernels of the
+    left multiplications by x + c*y are p + 1 planes through xy, one per
+    direction of the (x, y) part, and together they cover the maximal ideal."""
+    exps = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    table = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    for i, (a1, b1) in enumerate(exps):
+        for j, (a2, b2) in enumerate(exps):
+            if a1 + a2 <= 1 and b1 + b2 <= 1:
+                table[i][j][exps.index((a1 + a2, b1 + b2))] = 1
+    return Algebra(p, table, [1, 0, 0, 0], "E2")
+
+
+DIFF_ALGEBRAS = [lower_triangular(7, 2), upper_triangular(5, 2), full_matrix(5, 2),
+                 full_matrix(7, 2), truncated_poly(7, 3),
+                 direct_product([full_matrix(5, 1)] * 3)[0],
+                 direct_product([lower_triangular(5, 2), full_matrix(5, 1)])[0], exterior_2(5)]
+IDEMPOTENTS = {id(a): [e for e in brute_idempotents(a) if not e.is_zero()] for a in DIFF_ALGEBRAS}
+
+
+@st.composite
+def multiplicative_sets(draw):
+    """A small algebra (p**dim <= 2**12) with {1, e}, a monoid closure of one
+    or two random generators, or an arbitrary set of nonzero elements and 1."""
+    a = draw(st.sampled_from(DIFF_ALGEBRAS))
+    vec = st.lists(st.integers(0, a.p - 1), min_size=a.dim, max_size=a.dim)
+    kind = draw(st.sampled_from(["idempotent", "closure", "arbitrary"]))
+    if kind == "idempotent":
+        e = draw(st.sampled_from(IDEMPOTENTS[id(a)]))
+        return a, FiniteSetOfElements.from_elements(a, [a.one, e])
+    gens = [a.element(v) for v in draw(st.lists(vec, min_size=1, max_size=2 if kind == "closure" else 8))]
+    if kind == "closure":
+        try:
+            S = monoid_closure(a, gens, guard=96)
+        except ResourceGuardError:
+            assume(False)
+    else:
+        S = FiniteSetOfElements.from_elements(a, [a.one, *gens])
+    assume(not S.contains_zero)
+    return a, S
+
+
+class TestBatchedDenominatorCheck:
+    @settings(max_examples=200, deadline=None)
+    @given(multiplicative_sets(), st.sampled_from(["left", "right", "twosided"]),
+           st.sampled_from([5, 64, CHUNK_ROWS]))
+    def test_matches_tuple_set_reference(self, drawn, side, chunk):
+        a, S = drawn
+        with mock.patch.object(linalg, "CHUNK_ROWS", chunk):
+            assert_matches_reference(a, S, side)
+
+    @pytest.mark.parametrize("directions", [4, 5, 6])
+    @pytest.mark.parametrize("with_xy", [False, True])
+    def test_kernel_union_covering_its_span(self, directions, with_xy):
+        # directions <= p: a union of at most p proper subspaces; p + 1: the
+        # planes cover the maximal ideal although none of them is all of it
+        a = exterior_2(5)
+        slopes = [a.element([0, 1, c, 0]) for c in range(5)] + [a.element([0, 0, 1, 0])]
+        extra = [a.element([0, 0, 0, 1])] if with_xy else []
+        S = FiniteSetOfElements.from_elements(a, [a.one, *slopes[:directions], *extra])
+        res = assert_matches_reference(a, S, "left")
+        # the ring is commutative, so every such set passes the Ore condition
+        # and reversibility, and a kernel union that is not a subspace is an
+        # internal error
+        if with_xy or directions == 6:
+            maximal = Subspace.from_vectors(5, 4, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+            assert res.is_den and res.ass_members == maximal
+        else:
+            assert res is None
+
+    def test_reversibility_failing_at_a_later_member(self):
+        # Ore holds, and reversibility first fails at the third member:
+        # E22 * (4 E12) = 0, yet s * E22 != 0 for every member s
+        a = upper_triangular(5, 2)
+        S = FiniteSetOfElements.from_elements(a, [a.element(v) for v in
+                                                  [(0, 0, 3), (0, 3, 4), (0, 4, 0), (1, 0, 1)]])
+        res = assert_matches_reference(a, S, "left")
+        assert res.is_ore and not res.is_den
+        assert (res.counterexample[0].coeffs, res.counterexample[1].coeffs) == ((0, 4, 0), (0, 0, 1))
+
+    def test_membership_of_a_set(self, L2_7):
+        S = monoid_closure(L2_7, [L2_7.from_matrix([[2, 0], [1, 0]])])
+        assert all(m in S for m in S.members)
+        assert L2_7.zero not in S
+
+
+# ---------------------------------------------------------------------------
+# Chunked sweeps
+# ---------------------------------------------------------------------------
+
+class TestChunkedSweeps:
+    def test_first_uncovered_past_the_first_chunk(self, L3_7):
+        # every vector with first coordinate 0 is covered, so the answer is
+        # e_1 = (1, 0, ..., 0), at canonical index 7**5
+        assert CHUNK_ROWS < 7 ** 5
+        hyperplane = Subspace.from_vectors(7, 6, [[0] * i + [1] + [0] * (5 - i) for i in range(1, 6)])
+        diagonal = Subspace.from_vectors(7, 6, [[1, 1, 0, 0, 0, 0]])
+        r = _first_uncovered(L3_7, [diagonal, hyperplane], DEFAULT_GUARD)
+        assert r.coeffs == (1, 0, 0, 0, 0, 0)
+        assert _first_uncovered(L3_7, [hyperplane, Subspace.full(7, 6)], DEFAULT_GUARD) is None
+
+    def test_brute_radical_over_several_chunks(self, L3_7):
+        assert L3_7.p ** L3_7.dim > 4 * CHUNK_ROWS
+        assert brute_radical(L3_7).space == radical(L3_7).space
+
+    @pytest.mark.parametrize("fixture_name", ["L2_7", "U2_7", "T7xF7", "M2_7"])
+    def test_sweeps_do_not_depend_on_the_chunk_size(self, fixture_name, request):
+        a = request.getfixturevalue(fixture_name)
+        whole_rad, whole_ids = brute_radical(a), brute_idempotents(a)
+        with mock.patch.object(linalg, "CHUNK_ROWS", 7):
+            assert brute_radical(a).space == whole_rad.space
+            assert [e.coeffs for e in brute_idempotents(a)] == [e.coeffs for e in whole_ids]
+
+    def test_brute_radical_memory_is_set_by_the_chunk(self):
+        a = full_matrix(17, 2)
+        assert a.p ** a.dim > 4 * CHUNK_ROWS
+        tracemalloc.start()
+        try:
+            brute_radical(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a chunk of dim x dim int64 matrices takes CHUNK_ROWS * dim**2 * 8
+        # bytes and the rank elimination holds a few of them; the unit mask
+        # takes one byte per element
+        assert peak < 8 * (CHUNK_ROWS * a.dim ** 2 * 8) + a.p ** a.dim

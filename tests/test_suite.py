@@ -5,8 +5,14 @@ sampled paths.  The remaining fixtures run through the same battery inside
 the acceptance module and the CLI verify tests.
 """
 
+import random
+
+import numpy as np
 import pytest
 
+from artinloc import suite
+from artinloc.algebra import lower_triangular, regular_matrix
+from artinloc.linalg import CHUNK_ROWS, kernel
 from artinloc.suite import run_invariants
 
 
@@ -25,3 +31,31 @@ def test_battery_sampled_fixture(P1):
     by_name = {r.name: r for r in results}
     assert "sampled" in by_name["powers_oracle"].detail
     assert "exhaustive" in by_name["left_regular_implies_unit"].detail
+
+
+def test_sampled_left_regular_check_reports_the_first_failing_sample(monkeypatch):
+    # with every element declared a non-unit, the first left regular sample
+    # fails; the report and the random stream left for the next check must
+    # be those of a loop that draws and tests one sample at a time
+    a = lower_triangular(7, 2)
+    monkeypatch.setattr(a, "batch_unit_mask", lambda xs: np.zeros(len(xs), dtype=bool))
+    states = []
+
+    def recording_draw(alg, rng):
+        states.append(rng.getstate())
+        return draw(alg, rng)
+
+    draw = suite._random_element
+    monkeypatch.setattr(suite, "_random_element", recording_draw)
+    rng = random.Random(0)
+    for drawn in range(1, 10_001):
+        x = draw(a, rng)
+        if kernel(regular_matrix(a, x, "right")).dim == 0:
+            break
+    by_name = {r.name: r for r in run_invariants(a, guard=a.p ** a.dim - 1, samples=4)}
+    check = by_name["left_regular_implies_unit"]
+    assert not check.ok and check.detail == f"left regular non-unit {x!r}"
+    # one chunk of draws, then the redraw up to the failing sample; the next
+    # draw belongs to the following check
+    assert drawn <= CHUNK_ROWS
+    assert states[CHUNK_ROWS + drawn] == rng.getstate()
