@@ -49,6 +49,9 @@ from .linalg import (
 )
 
 MAX_CLOSURE_DIM = 64
+# entries per temporary of the blocked associativity check in Algebra._validate;
+# larger blocks save little time and raise the peak memory of every build
+ASSOC_BLOCK = 1 << 14
 
 
 class Algebra:
@@ -88,10 +91,20 @@ class Algebra:
             raise InputError("identity fails one*b_i = b_i")
         if not (np.einsum("j,ijk->ik", np.array(self.one_coeffs), t) % p == eye).all():
             raise InputError("identity fails b_i*one = b_i")
-        for i in range(d):
-            lhs = np.einsum("jm,mkl->jkl", t[i], t, optimize=True) % p
-            rhs = np.einsum("jkm,ml->jkl", t, t[i], optimize=True) % p
-            if not (lhs == rhs).all():
+        # (b_i b_j) b_k = b_i (b_j b_k) for a block of first indices i at a
+        # time: two matmuls, with temporaries of ASSOC_BLOCK entries or, when
+        # one index needs more, of d**3
+        block = max(1, ASSOC_BLOCK // d ** 3)
+        flat = t.reshape(d * d, d)
+        for start in range(0, d, block):
+            rows = t[start:start + block]
+            lhs = rows.reshape(-1, d) @ t.reshape(d, d * d)
+            lhs %= p
+            rhs = flat @ rows
+            rhs %= p
+            bad = (lhs.reshape(len(rows), -1) != rhs.reshape(len(rows), -1)).any(axis=1)
+            if bad.any():
+                i = start + int(np.argmax(bad))
                 raise InputError(f"associativity fails on basis triples with first index {i}")
 
     # -- element plumbing ---------------------------------------------------
@@ -160,25 +173,27 @@ class Algebra:
     def coeffs_to_indices(self, arr: np.ndarray) -> np.ndarray:
         return vectors_to_indices(arr % self.p, self.p)
 
+    # The batch kernels take rows of residues.  Each is a plain matmul
+    # against the table flattened to (dim, dim*dim): a sum of dim terms below
+    # p**2, reduced mod p after every stage.
+
     def batch_mul(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return np.einsum("ni,nj,ijk->nk", xs, ys, self.np_table, optimize=True) % self.p
+        return (ys[:, None, :] @ self.batch_left_matrices(xs))[:, 0, :] % self.p
 
     def batch_mul_left(self, x: Sequence[int], ys: np.ndarray) -> np.ndarray:
         """x * y for fixed x over a batch of y."""
-        return np.einsum("i,nj,ijk->nk", np.array(x, dtype=np.int64), ys, self.np_table,
-                         optimize=True) % self.p
-
-    def batch_mul_right(self, xs: np.ndarray, y: Sequence[int]) -> np.ndarray:
-        """x * y for a batch of x and fixed y."""
-        return np.einsum("ni,j,ijk->nk", xs, np.array(y, dtype=np.int64), self.np_table,
-                         optimize=True) % self.p
+        return ys @ self.batch_left_matrices(np.array([x], dtype=np.int64))[0] % self.p
 
     def batch_left_matrices(self, xs: np.ndarray) -> np.ndarray:
         """Matrices of y -> x*y acting on coefficient rows, one per batch row."""
-        return np.einsum("nj,jik->nik", xs, self.np_table, optimize=True) % self.p
+        d = self.dim
+        return (xs @ self.np_table.reshape(d, d * d)).reshape(-1, d, d) % self.p
 
     def batch_right_matrices(self, xs: np.ndarray) -> np.ndarray:
-        return np.einsum("nj,ijk->nik", xs, self.np_table, optimize=True) % self.p
+        """Matrices of y -> y*x acting on coefficient rows, one per batch row."""
+        d = self.dim
+        # row j of the flattened table holds b_i * b_j for every i
+        return (xs @ self.np_table.transpose(1, 0, 2).reshape(d, d * d)).reshape(-1, d, d) % self.p
 
     def batch_unit_mask(self, xs: np.ndarray) -> np.ndarray:
         return batch_rank(self.batch_left_matrices(xs), self.p) == self.dim

@@ -499,36 +499,71 @@ def vectors_to_indices(vecs: np.ndarray, p: int) -> np.ndarray:
     return vecs @ weights
 
 
-def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of a batch of matrices over GF(p); mats has shape (N, r, c)."""
+def _batch_rref(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jordan on a batch: the reduced row echelon forms and the ranks.
+
+    ``mats`` has shape (N, r, c).  Each reduced matrix keeps its r rows,
+    the nonzero ones first, with unit pivots cleared above and below.
+    """
     a = np.ascontiguousarray(mats % p).copy()
     n, r, c = a.shape
     if n == 0:
-        return np.zeros(0, dtype=np.int64)
+        return a, np.zeros(0, dtype=np.int64)
     inv = inverse_table(p)
     cur = np.zeros(n, dtype=np.int64)
-    rows_idx = np.arange(r)[None, :]
-    batch = np.arange(n)
+    free = np.ones((n, r), dtype=bool)      # rows not yet holding a pivot
     for col in range(c):
-        ok = (a[:, :, col] != 0) & (rows_idx >= cur[:, None])
+        ok = (a[:, :, col] != 0) & free
         has = ok.any(axis=1)
-        if not has.any():
+        count = int(np.count_nonzero(has))
+        if not count:
             continue
-        piv = ok.argmax(axis=1)
-        idx = batch[has]
-        pr = piv[has]
-        cr = cur[has]
-        tmp = a[idx, pr, :].copy()
-        a[idx, pr, :] = a[idx, cr, :]
-        a[idx, cr, :] = tmp
-        pivvals = a[idx, cr, col]
-        a[idx, cr, :] = (a[idx, cr, :] * inv[pivvals][:, None]) % p
-        colv = a[idx, :, col].copy()
-        colv[np.arange(len(idx)), cr] = 0
-        pivrows = a[idx, cr, :]
-        a[idx] = (a[idx] - colv[:, :, None] * pivrows[:, None, :]) % p
-        cur = cur + has
-    return cur
+        # the members with a pivot in this column, in place when that is all
+        whole = count == n
+        sub = a if whole else a[has]
+        piv = ok.argmax(axis=1) if whole else ok.argmax(axis=1)[has]
+        cr = cur if whole else cur[has]
+        at = np.arange(count)
+        pivrows = sub[at, piv]
+        sub[at, piv] = sub[at, cr]
+        pivrows = pivrows * inv[pivrows[:, col]][:, None] % p
+        sub[at, cr] = pivrows
+        colv = sub[:, :, col].copy()
+        colv[at, cr] = 0
+        sub -= colv[:, :, None] * pivrows[:, None, :]
+        sub %= p
+        if not whole:
+            a[has] = sub
+        free[np.flatnonzero(has), cr] = False
+        cur += has
+    return a, cur
+
+
+def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
+    """Ranks of a batch of matrices over GF(p); mats has shape (N, r, c)."""
+    return _batch_rref(mats, p)[1]
+
+
+def batch_solve(mats: np.ndarray, targets: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve ``x @ mats[n] = targets[n]`` for row vectors, over a batch.
+
+    ``mats`` has shape (N, r, c) and ``targets`` (N, c).  One elimination
+    of the augmented systems ``[mats[n]^T | targets[n]^T]`` gives, per
+    system, a solution with the free coordinates set to 0, whether the
+    system is consistent (no pivot in the target column), and the rank of
+    ``mats[n]``.  Rows of an inconsistent system are left at 0.
+    """
+    n, r, c = mats.shape
+    aug = np.concatenate([np.swapaxes(mats, 1, 2), targets[:, :, None]], axis=2)
+    red = _batch_rref(aug, p)[0]
+    nonzero = red[:, :, :r] != 0
+    pivoted = nonzero.any(axis=2)           # reduced rows with a pivot left of the target
+    consistent = ~((red[:, :, r] != 0) & ~pivoted).any(axis=1)
+    sol = np.zeros((n, r), dtype=np.int64)
+    which, row = np.nonzero(pivoted)
+    sol[which, nonzero.argmax(axis=2)[which, row]] = red[which, row, r]
+    sol[~consistent] = 0
+    return sol, consistent, pivoted.sum(axis=1)
 
 
 def batch_member_mask(vecs: np.ndarray, space: Subspace) -> np.ndarray:

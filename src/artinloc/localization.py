@@ -26,8 +26,11 @@ and all underlying idempotents come from the deterministic lift in
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .algebra import (
     Algebra,
@@ -43,12 +46,14 @@ from .linalg import (
     DEFAULT_GUARD,
     InputError,
     InternalCheckError,
-    Mat,
     ResourceGuardError,
     Subspace,
-    kernel,
+    batch_rank,
+    batch_solve,
+    row_chunks,
 )
-from .structure import IdempotentFamily, block_decomposition
+from .oracle import monoid_closure
+from .structure import IdempotentFamily, _center_subspace, block_decomposition
 
 MAX_SUBSET_ENUM = 1 << 20
 
@@ -224,16 +229,19 @@ class DenSetDescriptor:
         return (om * x * om).is_zero()
 
     def members_within(self, guard: int = DEFAULT_GUARD) -> list[Element]:
-        """Materialize the unit-preimage set explicitly (guarded enumeration)."""
+        """Materialize the unit-preimage set explicitly (guarded enumeration,
+        swept CHUNK_ROWS elements at a time in canonical order)."""
         a = self.witness_idempotent.algebra
         total = a.p ** a.dim
         if total > guard:
             raise ResourceGuardError(f"{total} elements exceed the guard {guard}", total, guard)
-        coeffs = a.enumerate_coeffs()
-        imgs = self.quotient.batch_project(coeffs)
-        qa = self.quotient.algebra
-        mask = qa.batch_unit_mask(imgs)
-        return [a.element(tuple(int(v) for v in row)) for row in coeffs[mask]]
+        quo = self.quotient
+        members = []
+        for start, stop in row_chunks(total):
+            coeffs = a.enumerate_coeffs(start, stop)
+            mask = quo.algebra.batch_unit_mask(quo.batch_project(coeffs))
+            members.extend(a.element(row) for row in coeffs[mask].tolist())
+        return members
 
 
 @dataclass(frozen=True)
@@ -445,46 +453,129 @@ class AssociatedIdempotent:
     is_nilpotent: bool
 
 
+def _associated_idempotents(a: Algebra, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The associated idempotent of every row of ``xs``, in one batched pass.
+
+    Returns a nilpotent mask and the idempotents (0 on nilpotent rows).  P,
+    the right multiplication by s raised to a power 2^k >= dim, is past the
+    stabilization power n <= dim, so im P is the stabilized R s^n, ker P is
+    ker(.s^n), and R = im P (+) ker P.  s is nilpotent iff P = 0.
+    Otherwise e is the component of 1 in im P: e = r P for any r with
+    r P^2 = 1 P, since P is invertible on its image.  The checks of the
+    one-element split are made on the whole batch: rank P^2 = rank P (the
+    image meets the kernel in 0), the solve is consistent, and e, 1 - e are
+    orthogonal idempotents.
+    """
+    p, d = a.p, a.dim
+    power = a.batch_right_matrices(xs)
+    for _ in range((d - 1).bit_length()):
+        power = power @ power % p
+    nilpotent = ~power.any(axis=(1, 2))
+    es = np.zeros((len(xs), d), dtype=np.int64)
+    live = power[~nilpotent]
+    m = len(live)
+    if m == 0:
+        return nilpotent, es
+    one = np.array(a.one_coeffs, dtype=np.int64)
+    # one elimination: r P^2 = 1 P for the first m systems, and beside them
+    # P with a zero target, which only contributes its rank
+    sol, consistent, ranks = batch_solve(
+        np.concatenate([live @ live % p, live]),
+        np.concatenate([one @ live % p, np.zeros((m, d), dtype=np.int64)]), p)
+    if (ranks[:m] != ranks[m:]).any():
+        raise InternalCheckError("R s^n and ker(.s^n) do not decompose the algebra")
+    if not consistent[:m].all():
+        raise InternalCheckError("identity is not reachable from the direct decomposition")
+    e = np.einsum("ni,nij->nj", sol[:m], live) % p
+    e_prime = (one - e) % p
+    if (a.batch_mul(e, e) != e).any() or (a.batch_mul(e_prime, e_prime) != e_prime).any():
+        raise InternalCheckError("decomposition of 1 is not by idempotents")
+    if a.batch_mul(e, e_prime).any() or a.batch_mul(e_prime, e).any():
+        raise InternalCheckError("decomposition idempotents are not orthogonal")
+    es[~nilpotent] = e
+    return nilpotent, es
+
+
 def associated_idempotent(a: Algebra, s: Element) -> AssociatedIdempotent:
     """Split 1 = e + e' along R*s^n (+) ker(.s^n) at the stabilization power n.
 
     For nilpotent s the split degenerates: e = 0 is returned with the flag
-    set.  For a unit, n = 0 and e = 1.
+    set.  For a unit, n = 0 and e = 1.  The split is
+    :func:`_associated_idempotents` on one row; n is the first power whose
+    right multiplication has the rank of the stabilized one.
     """
-    rm = regular_matrix(a, s, "right")
-    prev = Subspace.full(a.p, a.dim)
-    power = Mat.identity(a.p, a.dim)
-    n = 0
-    while True:
-        nxt_mat = power * rm
-        nxt = Subspace.from_vectors(a.p, a.dim, nxt_mat.data)
-        if nxt == prev:
-            break
-        prev, power = nxt, nxt_mat
-        n += 1
-    space = prev
-    if space.dim == 0:
+    nilpotent, es = _associated_idempotents(a, np.array([s.coeffs], dtype=np.int64))
+    rm = a.batch_right_matrices(np.array([s.coeffs], dtype=np.int64))[0]
+    powers = [np.eye(a.dim, dtype=np.int64)]
+    for _ in range(a.dim):
+        powers.append(powers[-1] @ rm % a.p)
+    ranks = batch_rank(np.stack(powers), a.p).tolist()
+    n = ranks.index(ranks[-1])
+    if nilpotent[0]:
         return AssociatedIdempotent(n, a.zero, a.one, True)
-    ker = kernel(power)
-    if space.dim + ker.dim != a.dim or space.intersect(ker).dim != 0:
-        raise InternalCheckError("R s^n and ker(.s^n) do not decompose the algebra")
-    from .linalg import express_in_rows
-    rows = list(space.basis) + list(ker.basis)
-    combo = express_in_rows(rows, a.one_coeffs, a.p)
-    if combo is None:
-        raise InternalCheckError("identity is not reachable from the direct decomposition")
-    k1 = space.dim
-    e_vec = [0] * a.dim
-    for c, row in zip(combo[:k1], space.basis):
-        for j, v in enumerate(row):
-            e_vec[j] = (e_vec[j] + c * v) % a.p
-    e = a.element(e_vec)
-    e_prime = a.one - e
-    if (e * e) != e or (e_prime * e_prime) != e_prime:
-        raise InternalCheckError("decomposition of 1 is not by idempotents")
-    if not (e * e_prime).is_zero() or not (e_prime * e).is_zero():
-        raise InternalCheckError("decomposition idempotents are not orthogonal")
-    return AssociatedIdempotent(n, e, e_prime, False)
+    e = a.element(es[0])
+    return AssociatedIdempotent(n, e, a.one - e, False)
+
+
+@dataclass(frozen=True)
+class _PowersRows:
+    """The powers criterion on each row of a batch (:func:`_powers_rows`).
+
+    ``group`` numbers the distinct associated idempotents in order of first
+    appearance; ``classes`` maps each group that some row qualifies with to
+    its idempotent, kernel ideal (1 - e)R and quotient.  ``min_exp`` is the
+    minimal core exponent on qualifying rows.
+    """
+
+    ok: np.ndarray
+    group: np.ndarray
+    min_exp: np.ndarray
+    classes: dict[int, tuple[Element, Ideal, Quotient]]
+
+
+def _powers_rows(a: Algebra, xs: np.ndarray) -> _PowersRows:
+    """:func:`powers_denominator_criterion` on every row of ``xs``.
+
+    Apart from nilpotency of (1 - e) s (1 - e) and the core exponent, the
+    criterion depends on s only through its associated idempotent e, so
+    the triangularity test and the kernel ideal and quotient are built once
+    per distinct e, and only for an e that some row qualifies with.
+    """
+    p, d = a.p, a.dim
+    n = len(xs)
+    nilpotent, es = _associated_idempotents(a, xs)
+    index: dict[tuple[int, ...], int] = {}
+    group = np.array([index.setdefault(e, len(index)) for e in map(tuple, es.tolist())],
+                     dtype=np.int64)
+    triangular = np.array([any(e) and _is_left_triangular(a, a.element(e)) for e in index])
+    cand = ~nilpotent & triangular[group]
+    one = np.array(a.one_coeffs, dtype=np.int64)
+    om = (one - es[cand]) % p
+    ok = np.zeros(n, dtype=bool)
+    ok[cand] = a.batch_nilpotent_mask(a.batch_mul(a.batch_mul(om, xs[cand]), om))
+    # (1 - e) s^i (1 - e) = 0 first at i = min_exp; a unit (e = 1) has 0
+    unit = ok & (es == one).all(axis=1)
+    min_exp = np.where(unit, 0, -1)
+    rows = np.flatnonzero(ok & ~unit)
+    om = (one - es[rows]) % p
+    power = xs[rows] % p
+    for i in range(1, d + 1):
+        if not len(rows):
+            break
+        hit = ~a.batch_mul(a.batch_mul(om, power), om).any(axis=1)
+        min_exp[rows[hit]] = i
+        rows, om, power = rows[~hit], om[~hit], a.batch_mul(power[~hit], xs[rows[~hit]])
+    if len(rows):
+        raise InternalCheckError("no core exponent found below the dimension bound")
+    reps = list(index)
+    classes = {}
+    for g in dict.fromkeys(group[ok].tolist()):
+        e = a.element(reps[g])
+        ass = Ideal(a, _right_ideal_of(a, a.one - e), "twosided")
+        if ass.dim == a.dim:
+            raise InternalCheckError("triangular kernel ideal cannot be the whole algebra")
+        classes[g] = (e, ass, quotient_algebra(a, ass))
+    return _PowersRows(ok, group, min_exp, classes)
 
 
 def powers_denominator_criterion(a: Algebra, s: Element) -> tuple[bool, DenSetDescriptor | None]:
@@ -498,34 +589,11 @@ def powers_denominator_criterion(a: Algebra, s: Element) -> tuple[bool, DenSetDe
     (1 - e) s^i (1 - e) = 0 (every i once one qualifies); for a unit the
     kernel ideal is zero and every power, including s^0, is in the core.
     """
-    assoc = associated_idempotent(a, s)
-    if assoc.is_nilpotent:
+    rows = _powers_rows(a, np.array([s.coeffs], dtype=np.int64))
+    if not rows.ok[0]:
         return False, None
-    e = assoc.e
-    if not _is_left_triangular(a, e):
-        return False, None
-    om = a.one - e
-    w = om * s * om
-    lw = regular_matrix(a, w, "left")
-    if not (lw ** a.dim).is_zero():
-        return False, None
-    ass = Ideal(a, _right_ideal_of(a, om), "twosided")
-    quo = quotient_algebra(a, ass) if ass.dim < a.dim else None
-    if quo is None:
-        raise InternalCheckError("triangular kernel ideal cannot be the whole algebra")
-    if ass.dim == 0:
-        min_exp = 0
-    else:
-        min_exp = None
-        power = s
-        for i in range(1, a.dim + 1):
-            if (om * power * om).is_zero():
-                min_exp = i
-                break
-            power = power * s
-        if min_exp is None:
-            raise InternalCheckError("no core exponent found below the dimension bound")
-    return True, DenSetDescriptor("powers", e, ass, quo, min_core_exponent=min_exp)
+    e, ass, quo = rows.classes[int(rows.group[0])]
+    return True, DenSetDescriptor("powers", e, ass, quo, min_core_exponent=int(rows.min_exp[0]))
 
 
 @dataclass(frozen=True)
@@ -572,35 +640,41 @@ def monoid_denominator_decision(a: Algebra, gens: Sequence[Element],
     generator becomes a unit.  The kernel ideal is witness-independent;
     this is asserted across all witnesses, and a witness whose
     left-multiplication kernel equals the whole ideal (a core element) must
-    exist and is used for the descriptor.
+    exist; the first one in closure order gives the descriptor.
+
+    The search is one batched pass over the closure.  Apart from
+    nilpotency (of s and of (1 - e) s (1 - e)) and core membership
+    (ker(s.) = ass), the outcome for a member s depends only on its
+    associated idempotent e: triangularity of e, the kernel ideal
+    (1 - e)R, the quotient and whether the generators become units in it
+    are all functions of e.  So the members are grouped by e, that work is
+    done once per distinct e, and the per-member tests run batched; this
+    gives the same witnesses, the same first core witness and so the same
+    descriptor as running the powers criterion member by member.
     """
-    from .oracle import monoid_closure
     closure = monoid_closure(a, gens, guard)
     if closure.contains_zero:
         return False, None
-    witnesses: list[tuple[Element, DenSetDescriptor]] = []
-    for s in closure.members:
-        ok, desc = powers_denominator_criterion(a, s)
-        if not ok:
-            continue
-        if all(desc.image_is_unit(g) for g in gens):
-            witnesses.append((s, desc))
-    if not witnesses:
+    xs = np.array([m.coeffs for m in closure.members], dtype=np.int64)
+    rows = _powers_rows(a, xs)
+    descriptors = {g: DenSetDescriptor("monoid", e, ass, quo)
+                   for g, (e, ass, quo) in rows.classes.items()}
+    witness_groups = [g for g, desc in descriptors.items()
+                      if all(desc.image_is_unit(x) for x in gens)]
+    if not witness_groups:
         return False, None
-    spaces = {desc.ass.space for _, desc in witnesses}
+    witnesses = np.flatnonzero(rows.ok & np.isin(rows.group, witness_groups))
+    spaces = {descriptors[g].ass.space for g in witness_groups}
     if len(spaces) != 1:
         raise InternalCheckError("witnesses disagree about the kernel ideal")
-    ass_space = witnesses[0][1].ass.space
-    core_witness = None
-    for s, desc in witnesses:
-        ker_s = kernel(regular_matrix(a, s, "left"))
-        if ker_s == ass_space:
-            core_witness = (s, desc)
-            break
-    if core_witness is None:
+    ass_space = spaces.pop()
+    # ker(s.) = ass iff s kills the basis of ass and s. has rank dim - dim ass
+    left = a.batch_left_matrices(xs[witnesses])
+    core = ((batch_rank(left, a.p) == a.dim - ass_space.dim)
+            & ~(ass_space.array @ left % a.p).any(axis=(1, 2)))
+    if not core.any():
         raise InternalCheckError("no witness with full left-multiplication kernel")
-    desc = core_witness[1]
-    return True, DenSetDescriptor("monoid", desc.witness_idempotent, desc.ass, desc.quotient)
+    return True, descriptors[int(rows.group[witnesses[np.argmax(core)]])]
 
 
 def classify_element(a: Algebra, r: Element, report: LocalizationReport) -> dict:
@@ -627,7 +701,6 @@ def nl_ideal_test(a: Algebra, report: LocalizationReport, samples: int = 50, see
     a minimal class is a division ring (over GF(p): semisimple, one block,
     commutative).  The two-sided absorption of the non-localizable set is
     spot-checked by sampling."""
-    import random
     by_subset = {en.subset: en for en in report.entries}
     result = True
     for sub in report.minima:
@@ -734,7 +807,6 @@ def duality_report(a: Algebra) -> DualityReport:
 
 def _center_algebra(a: Algebra) -> tuple[Algebra, list[Element]]:
     """The center as an algebra together with its basis inside a."""
-    from .structure import _center_subspace
     center = _center_subspace(a)
     basis = [a.element(v) for v in center.basis]
     table = []

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, Element, Ideal, Quotient, ideal_combine, left_matrix, quotient_algebra
-from .linalg import InternalCheckError, Mat, Subspace
+from .linalg import InternalCheckError, Mat, Subspace, express_in_rows, kernel
 
 __all__ = ["IdempotentFamily", "radical", "block_decomposition", "ideal_block_support"]
 
@@ -42,8 +42,7 @@ def radical(a: Algebra) -> Ideal:
     traces = np.array([left_matrix(a, tuple(1 if j == k else 0 for j in range(d))).trace()
                        for k in range(d)], dtype=np.int64)
     gram = np.einsum("ijk,k->ij", a.np_table, traces) % p
-    from .linalg import kernel as _kernel
-    rad_space = _kernel(Mat.from_rows(p, gram.tolist()))
+    rad_space = kernel(Mat.from_rows(p, gram.tolist()))
     rad = Ideal(a, rad_space, "twosided")
     power = rad
     for _ in range(d):
@@ -65,8 +64,7 @@ def _trace_form_kernel_dim(a: Algebra) -> int:
     traces = np.array([left_matrix(a, tuple(1 if j == k else 0 for j in range(d))).trace()
                        for k in range(d)], dtype=np.int64)
     gram = np.einsum("ijk,k->ij", a.np_table, traces) % a.p
-    from .linalg import kernel as _kernel
-    return _kernel(Mat.from_rows(a.p, gram.tolist())).dim
+    return kernel(Mat.from_rows(a.p, gram.tolist())).dim
 
 
 @dataclass(frozen=True)
@@ -122,8 +120,7 @@ def _center_subspace(a: Algebra) -> Subspace:
     # row z satisfies, for all k: sum_j z_j (t[j,k,:] - t[k,j,:]) = 0
     comm = (t.transpose(0, 1, 2) - t.transpose(1, 0, 2)) % p  # comm[j,k,:] = t[j,k]-t[k,j]
     stacked = comm.reshape(d, d * d)
-    from .linalg import kernel as _kernel
-    return _kernel(Mat.from_rows(p, stacked.tolist()))
+    return kernel(Mat.from_rows(p, stacked.tolist()))
 
 
 def _element_power(a: Algebra, coeffs: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -148,7 +145,6 @@ def _minimal_polynomial(a: Algebra, x: tuple[int, ...], unit: tuple[int, ...]) -
     while True:
         rows = [list(v) for v in powers]
         nxt = a.mul_coeffs(powers[-1], x)
-        from .linalg import express_in_rows
         combo = express_in_rows(rows, nxt, p)
         if combo is not None:
             k = len(powers)
@@ -196,9 +192,8 @@ def block_decomposition(a: Algebra) -> IdempotentFamily:
         zp = _element_power(abar, tuple(z), p)
         diff = tuple((u - v) % p for u, v in zip(zp, z))
         frob_rows.append(diff)
-    from .linalg import express_in_rows, kernel as _kernel
     # Solve sum_i c_i (z_i^p - z_i) = 0 for c over the center basis.
-    fixed_coords = _kernel(Mat.from_rows(p, [list(r) for r in frob_rows]))
+    fixed_coords = kernel(Mat.from_rows(p, [list(r) for r in frob_rows]))
     f_basis = []
     center_mat = np.array(center.basis, dtype=np.int64) if center.dim else np.zeros((0, abar.dim), dtype=np.int64)
     for c in fixed_coords.basis:

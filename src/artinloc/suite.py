@@ -41,7 +41,7 @@ from .oracle import (
     brute_radical,
     monoid_closure,
 )
-from .structure import block_decomposition, radical
+from .structure import block_decomposition, ideal_block_support, radical
 
 DEFAULT_SWEEP_LIMIT = 2048
 
@@ -119,14 +119,16 @@ def bundle_conditions(a: Algebra, sweep_limit: int = DEFAULT_SWEEP_LIMIT,
     ts = two_sided_report(a)
     c4 = all(localization_report(quo.algebra).loc_count == 1 for quo in ts.factor_quotients)
     if total <= vector_limit:
-        coeffs = a.enumerate_coeffs()
-        unit = a.batch_unit_mask(coeffs)
-        complete = np.ones(total, dtype=bool)
-        for sub in rep.minima:
-            en = rep.entry(sub)
-            imgs = en.quotient.batch_project(coeffs)
-            complete &= en.quotient.algebra.batch_unit_mask(imgs)
-        c1 = bool((complete == unit).all())
+        quotients = [rep.entry(sub).quotient for sub in rep.minima]
+        c1 = True
+        for start, stop in row_chunks(total):
+            coeffs = a.enumerate_coeffs(start, stop)
+            complete = np.ones(len(coeffs), dtype=bool)
+            for quo in quotients:
+                complete &= quo.algebra.batch_unit_mask(quo.batch_project(coeffs))
+            if (complete != a.batch_unit_mask(coeffs)).any():
+                c1 = False
+                break
     else:
         c1 = True
         for _ in range(samples):
@@ -385,7 +387,6 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
         rep = localization_report(a)
         fam = rep.tri.family
         full = frozenset(range(1, fam.s + 1))
-        from .structure import ideal_block_support
         for en in rep.entries:
             if en.ass.dim == 0:
                 continue

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from artinloc import algebra
 from artinloc.algebra import (
     Algebra,
     Ideal,
@@ -70,6 +71,20 @@ class TestConstructors:
         table = [[[1, 0], [0, 1]], [[1, 0], [1, 0]]]
         with pytest.raises(InputError):
             Algebra(5, table, [1, 0])
+
+    @pytest.mark.parametrize("block", [1, algebra.ASSOC_BLOCK])
+    def test_associativity_failure_names_its_first_index(self, block, monkeypatch):
+        # basis 1, u, v, w with v*v = w and w*v = w, every other product of
+        # u, v, w zero: the unit laws hold and every triple starting with 1
+        # or u associates, while (v v) v = w differs from v (v v) = 0
+        table = [[[int(k == j) for k in range(4)] for j in range(4)]]
+        table += [[[int(k == i) if j == 0 else 0 for k in range(4)] for j in range(4)]
+                  for i in range(1, 4)]
+        table[2][2] = [0, 0, 0, 1]
+        table[3][2] = [0, 0, 0, 1]
+        monkeypatch.setattr(algebra, "ASSOC_BLOCK", block)
+        with pytest.raises(InputError, match="associativity fails on basis triples with first index 2$"):
+            Algebra(5, table, [1, 0, 0, 0])
 
     def test_missing_identity_rejected(self):
         table = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]

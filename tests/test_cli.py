@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -248,3 +251,88 @@ def test_python_dash_m_runs_the_cli(module, docfile):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["all_ok"] is True
+
+
+# ---------------------------------------------------------------------------
+# Golden outputs of the decision commands
+# ---------------------------------------------------------------------------
+
+GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
+M2_13_DOC = '{"scalar": {"prime": 13}, "kind": "constructor", "name": "full_matrix", "n": 2}'
+T2xL2_DOC = ('{"scalar": {"prime": 7}, "kind": "constructor", "name": "product", "factors": '
+             '[{"kind": "constructor", "name": "truncated_poly", "k": 2}, '
+             '{"kind": "constructor", "name": "lower_triangular", "n": 2}]}')
+# Per algebra: a unit, a nilpotent, a pair of generators whose closure has
+# at least two distinct associated idempotents among its non-units, and the
+# associated idempotents of the two generators.  The L3 and T2xL2 pairs
+# generate denominator sets, the M2 and P1 pairs do not.
+GOLDEN_ALGEBRAS = {
+    "L3_7": (L3_DOC, [2, 1, 3, 0, 5, 4], [0, 3, 0, 1, 2, 0],
+             [[4, 0, 0, 5, 2, 0], [6, 1, 0, 3, 0, 4]], [[1, 0, 0, 3, 0, 0], [1, 6, 0, 0, 0, 1]]),
+    "M2_13": (M2_13_DOC, [1, 2, 3, 4], [0, 5, 0, 0],
+              [[5, 11, 0, 0], [7, 0, 10, 0]], [[1, 10, 0, 0], [1, 0, 7, 0]]),
+    "P1": (P1_DOC, [1, 2, 3, 4, 5], [0, 0, 3, 0, 0],
+           [[0, 0, 0, 6, 0], [4, 0, 2, 6, 0]], [[0, 0, 0, 1, 0], [1, 0, 0, 1, 0]]),
+    "T2xL2_7": (T2xL2_DOC, [3, 1, 2, 5, 4], [0, 2, 0, 6, 0],
+                [[6, 3, 0, 6, 4], [2, 0, 2, 0, 0]], [[1, 0, 0, 5, 1], [1, 0, 1, 0, 0]]),
+}
+
+
+def golden_cases():
+    """(key, algebra document, argv after --input, generators or None)."""
+    for name, (doc, unit, nilpotent, pair, idempotents) in GOLDEN_ALGEBRAS.items():
+        elements = {"unit": unit, "nilpotent": nilpotent, "g1": pair[0], "g2": pair[1]}
+        for label, elem in elements.items():
+            for cmd in ("check-powers", "check-monoid"):
+                yield f"{cmd}-{name}-{label}", doc, [cmd, "--element", json.dumps(elem)], None
+        yield f"check-monoid-{name}-pair", doc, ["check-monoid"], pair
+        one = list(parse_input(doc).one_coeffs)
+        for label, elem in (("one", one), ("e1", idempotents[0]), ("e2", idempotents[1])):
+            yield (f"check-idempotent-{name}-{label}", doc,
+                   ["check-idempotent", "--element", json.dumps(elem)], None)
+
+
+def run_golden_case(doc, argv, gens, tmp_dir):
+    path = os.path.join(tmp_dir, "algebra.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(doc)
+    extra = []
+    if gens is not None:
+        gens_path = os.path.join(tmp_dir, "gens.json")
+        with open(gens_path, "w", encoding="utf-8") as fh:
+            json.dump(gens, fh)
+        extra = ["--generators", gens_path]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([argv[0], "--input", path, *argv[1:], *extra, "--oracle"])
+    return {"code": code, "stdout": out.getvalue()}
+
+
+def record_golden(target: str = GOLDEN_PATH) -> None:
+    """Write the outputs of :func:`golden_cases` to ``target``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        recorded = {key: run_golden_case(doc, argv, gens, tmp)
+                    for key, doc, argv, gens in golden_cases()}
+    with open(target, "w", encoding="utf-8") as fh:
+        json.dump(recorded, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+GOLDEN_CASES = list(golden_cases())
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=[case[0] for case in GOLDEN_CASES])
+def test_decision_commands_match_recorded_output(case, golden, tmp_path):
+    key, doc, argv, gens = case
+    assert run_golden_case(doc, argv, gens, str(tmp_path)) == golden[key]
+
+
+if __name__ == "__main__":
+    # python tests/test_cli.py  (with artinloc importable) re-records the file
+    record_golden()

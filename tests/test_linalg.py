@@ -13,7 +13,9 @@ from artinloc.linalg import (
     Subspace,
     all_vectors,
     batch_member_mask,
+    _batch_rref,
     batch_rank,
+    batch_solve,
     express_in_rows,
     kernel,
     rref,
@@ -204,6 +206,44 @@ def test_batch_rank_matches_scalar_rank():
     ranks = batch_rank(mats, 5)
     for i in range(64):
         assert ranks[i] == rref(Mat.from_rows(5, mats[i].tolist()))[1]
+
+
+@st.composite
+def solve_batches(draw):
+    """Same-shape systems x * m = t, half of them with t in the row space."""
+    p = draw(small_primes)
+    rows, cols, n = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    entries = st.integers(0, p - 1)
+    mats = np.array(draw(st.lists(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                                           min_size=rows, max_size=rows),
+                                  min_size=n, max_size=n)), dtype=np.int64).reshape(n, rows, cols)
+    targets = np.array(draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                                     min_size=n, max_size=n)), dtype=np.int64).reshape(n, cols)
+    coeffs = np.array(draw(st.lists(st.lists(entries, min_size=rows, max_size=rows),
+                                    min_size=n, max_size=n)), dtype=np.int64).reshape(n, rows)
+    reachable = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    targets[reachable] = np.einsum("nr,nrc->nc", coeffs, mats)[reachable] % p
+    return p, mats, targets
+
+
+@settings(max_examples=150, deadline=None)
+@given(solve_batches())
+def test_batch_solve_matches_solve_row(batch):
+    p, mats, targets = batch
+    sol, consistent, ranks = batch_solve(mats, targets, p)
+    red, red_ranks = _batch_rref(mats, p)
+    for i in range(len(mats)):
+        m = Mat.from_rows(p, mats[i].tolist())
+        expected = solve_row(m, targets[i].tolist())
+        assert bool(consistent[i]) == (expected is not None)
+        if expected is not None:
+            assert tuple(sol[i].tolist()) == expected
+        else:
+            assert not sol[i].any()
+        reduced, rank = rref(m)
+        assert ranks[i] == red_ranks[i] == rank
+        assert [tuple(row) for row in red[i, :rank].tolist()] == list(reduced.data)
+        assert not red[i, rank:].any()
 
 
 def test_all_vectors_order_and_indexing():

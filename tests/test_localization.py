@@ -1,10 +1,33 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from artinloc.algebra import ideal_generated, regular_matrix
-from artinloc.linalg import InputError, Subspace, kernel
+from artinloc import localization
+from artinloc.algebra import (
+    Ideal,
+    direct_product,
+    full_matrix,
+    ideal_generated,
+    lower_triangular,
+    quotient_algebra,
+    regular_matrix,
+    truncated_poly,
+    upper_triangular,
+)
+from artinloc.linalg import (
+    InputError,
+    InternalCheckError,
+    Mat,
+    ResourceGuardError,
+    Subspace,
+    express_in_rows,
+    kernel,
+)
 from artinloc.localization import (
+    _associated_idempotents,
+    _is_left_triangular,
     associated_idempotent,
     classify_element,
     duality_report,
@@ -397,3 +420,175 @@ class TestClassRepresentatives:
             union = tuple(sorted(set().union(*[set(m) for m in rep.minima])))
             assert union in [en.subset for en in rep.entries]
             assert rep.entry(union).ass.space == rep.l_rad.space
+
+
+# ---------------------------------------------------------------------------
+# The batched decision against the per-member loops it replaced
+# ---------------------------------------------------------------------------
+
+def reference_associated_idempotent(a, s):
+    """(n, e) by the one-element loop: Mat powers of the right
+    multiplication until R s^n stops shrinking, then 1 split along
+    R s^n (+) ker(.s^n)."""
+    rm = regular_matrix(a, s, "right")
+    prev = Subspace.full(a.p, a.dim)
+    power = Mat.identity(a.p, a.dim)
+    n = 0
+    while True:
+        nxt_mat = power * rm
+        nxt = Subspace.from_vectors(a.p, a.dim, nxt_mat.data)
+        if nxt == prev:
+            break
+        prev, power = nxt, nxt_mat
+        n += 1
+    if prev.dim == 0:
+        return n, a.zero
+    ker = kernel(power)
+    assert prev.dim + ker.dim == a.dim and prev.intersect(ker).dim == 0
+    combo = express_in_rows(list(prev.basis) + list(ker.basis), a.one_coeffs, a.p)
+    e = a.zero
+    for c, row in zip(combo, prev.basis):
+        e = e + a.element(row) * c
+    return n, e
+
+
+def reference_powers(a, s):
+    """The powers criterion on one element: (e, kernel ideal, quotient,
+    minimal core exponent), or None when the powers do not qualify."""
+    _, e = reference_associated_idempotent(a, s)
+    if e.is_zero() or not _is_left_triangular(a, e):
+        return None
+    om = a.one - e
+    if not (regular_matrix(a, om * s * om, "left") ** a.dim).is_zero():
+        return None
+    ass = Ideal(a, Subspace.from_vectors(a.p, a.dim, regular_matrix(a, om, "left").data), "twosided")
+    min_exp = 0 if ass.dim == 0 else next(i for i in range(1, a.dim + 1)
+                                          if (om * s ** i * om).is_zero())
+    return e, ass, quotient_algebra(a, ass), min_exp
+
+
+def reference_monoid(a, gens):
+    """The witness search member by member, in closure order."""
+    closure = monoid_closure(a, gens)
+    if closure.contains_zero:
+        return False, None
+    witnesses = []
+    for s in closure.members:
+        out = reference_powers(a, s)
+        if out is None:
+            continue
+        e, ass, quo, _ = out
+        if all(regular_matrix(quo.algebra, quo.project(g), "left").rank() == quo.algebra.dim
+               for g in gens):
+            witnesses.append((s, e, ass, quo))
+    if not witnesses:
+        return False, None
+    assert len({ass.space for _, _, ass, _ in witnesses}) == 1
+    s, e, ass, quo = next(w for w in witnesses if kernel(regular_matrix(a, w[0], "left")) == w[2].space)
+    return True, ("monoid", e.coeffs, ass.space, quo.algebra.dim, None)
+
+
+def summary(verdict, desc):
+    if desc is None:
+        return verdict, None
+    return verdict, (desc.kind, desc.witness_idempotent.coeffs, desc.ass.space,
+                     desc.quotient.algebra.dim, desc.min_core_exponent)
+
+
+def assert_idempotents_match(a, members):
+    xs = np.array([m.coeffs for m in members], dtype=np.int64)
+    nilpotent, es = _associated_idempotents(a, xs)
+    for m, nil, e in zip(members, nilpotent, es.tolist()):
+        _, ref = reference_associated_idempotent(a, m)
+        assert tuple(e) == ref.coeffs and bool(nil) == ref.is_zero()
+
+
+DECISION_ALGEBRAS = [lower_triangular(7, 2), upper_triangular(5, 2), full_matrix(5, 2),
+                     full_matrix(7, 2), truncated_poly(7, 3), truncated_poly(7, 4),
+                     direct_product([full_matrix(5, 1)] * 3)[0],
+                     direct_product([lower_triangular(5, 2), full_matrix(5, 1)])[0],
+                     direct_product([truncated_poly(7, 2), full_matrix(7, 1)])[0]]
+
+
+@st.composite
+def generator_sets(draw):
+    """A small algebra (p**dim <= 2**12) with one or two generators whose
+    closure stays below 128 members."""
+    a = draw(st.sampled_from(DECISION_ALGEBRAS))
+    vec = st.lists(st.integers(0, a.p - 1), min_size=a.dim, max_size=a.dim)
+    gens = [a.element(v) for v in draw(st.lists(vec, min_size=1, max_size=2))]
+    try:
+        closure = monoid_closure(a, gens, guard=128)
+    except ResourceGuardError:
+        assume(False)
+    return a, gens, closure
+
+
+class TestBatchedDecision:
+    @settings(max_examples=150, deadline=None)
+    @given(generator_sets())
+    def test_matches_the_per_member_loop(self, drawn):
+        a, gens, closure = drawn
+        assert_idempotents_match(a, closure.members)
+        assert summary(*monoid_denominator_decision(a, gens)) == reference_monoid(a, gens)
+        out = reference_powers(a, gens[0])
+        expected = (False, None) if out is None else (
+            True, ("powers", out[0].coeffs, out[1].space, out[2].algebra.dim, out[3]))
+        assert summary(*powers_denominator_criterion(a, gens[0])) == expected
+        n, e = reference_associated_idempotent(a, gens[0])
+        single = associated_idempotent(a, gens[0])
+        assert (single.n, single.e, single.is_nilpotent) == (n, e, e.is_zero())
+
+    @pytest.mark.parametrize("kind", ["nilpotent", "unit", "several idempotents"])
+    def test_closures_against_the_loop(self, kind):
+        if kind == "nilpotent":
+            # x in GF(7)[x]/(x^4) stabilizes only at the fourth power
+            a = truncated_poly(7, 4)
+            gens = [a.element([0, 1, 0, 0])]
+        elif kind == "unit":
+            a = lower_triangular(7, 2)
+            gens = [a.from_matrix([[2, 0], [1, 1]])]
+        else:
+            a = lower_triangular(7, 3)
+            gens = [a.element([4, 0, 0, 5, 2, 0]), a.element([6, 1, 0, 3, 0, 4])]
+        closure = monoid_closure(a, gens)
+        assert_idempotents_match(a, closure.members)
+        distinct = {e for e in map(tuple, _associated_idempotents(
+            a, np.array([m.coeffs for m in closure.members]))[1].tolist())}
+        assert len(distinct) == {"nilpotent": 2, "unit": 1, "several idempotents": 10}[kind]
+        assert summary(*monoid_denominator_decision(a, gens)) == reference_monoid(a, gens)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("rank", "do not decompose the algebra"),
+        ("consistency", "identity is not reachable"),
+        ("solution", "decomposition of 1 is not by idempotents"),
+    ])
+    def test_each_decomposition_check_fires(self, fault, message, L2_7, monkeypatch):
+        solve = localization.batch_solve
+
+        def faulty(mats, targets, p):
+            sol, consistent, ranks = solve(mats, targets, p)
+            if fault == "rank":
+                ranks = ranks + np.arange(len(ranks))
+            elif fault == "consistency":
+                consistent = np.zeros_like(consistent)
+            else:
+                sol = 2 * sol % p
+            return sol, consistent, ranks
+
+        monkeypatch.setattr(localization, "batch_solve", faulty)
+        with pytest.raises(InternalCheckError, match=message):
+            monoid_denominator_decision(L2_7, [L2_7.from_matrix([[2, 0], [1, 0]])])
+
+    def test_large_two_generator_closure(self):
+        # 3,756 members and 13 distinct associated idempotents; the
+        # descriptor is the one the per-member loop returned
+        a = lower_triangular(13, 3)
+        gens = [a.element([9, 3, 12, 10, 2, 0]), a.element([6, 8, 8, 9, 2, 10])]
+        assert len(monoid_closure(a, gens)) == 3756
+        ok, desc = monoid_denominator_decision(a, gens)
+        assert summary(ok, desc) == (True, ("monoid", (1, 0, 1, 0, 1, 0),
+                                            Subspace.from_vectors(13, 6, [[0, 0, 0, 1, 0, 0],
+                                                                          [0, 0, 0, 0, 1, 0],
+                                                                          [0, 0, 0, 0, 0, 1]]),
+                                            3, None))

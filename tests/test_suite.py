@@ -6,14 +6,15 @@ the acceptance module and the CLI verify tests.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from artinloc import suite
-from artinloc.algebra import lower_triangular, regular_matrix
+from artinloc.algebra import full_matrix, lower_triangular, regular_matrix
 from artinloc.linalg import CHUNK_ROWS, kernel
-from artinloc.suite import run_invariants
+from artinloc.suite import bundle_conditions, run_invariants
 
 
 @pytest.mark.parametrize("fixture_name", ["L2_7", "U2_7", "T7", "F7F7", "L2_5", "T5"])
@@ -59,3 +60,19 @@ def test_sampled_left_regular_check_reports_the_first_failing_sample(monkeypatch
     # draw belongs to the following check
     assert drawn <= CHUNK_ROWS
     assert states[CHUNK_ROWS + drawn] == rng.getstate()
+
+
+def test_bundle_unit_sweep_memory_is_set_by_the_chunk():
+    a = full_matrix(17, 2)
+    assert a.p ** a.dim > 4 * CHUNK_ROWS
+    tracemalloc.start()
+    try:
+        conditions = bundle_conditions(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert conditions == (True,) * 5
+    # a chunk of dim x dim int64 matrices takes CHUNK_ROWS * dim**2 * 8
+    # bytes and the rank elimination holds a few of them; the masks take a
+    # byte per element
+    assert peak < 8 * (CHUNK_ROWS * a.dim ** 2 * 8) + a.p ** a.dim
