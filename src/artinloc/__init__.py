@@ -7,7 +7,6 @@ from .algebra import (
     Ideal,
     Quotient,
     build_algebra,
-    classify_element_basic,
     direct_product,
     full_matrix,
     ideal_combine,
@@ -24,14 +23,11 @@ from .linalg import (
     DEFAULT_GUARD,
     InputError,
     InternalCheckError,
-    Mat,
     ModulusMismatch,
     ResourceGuardError,
-    Scalar,
     Subspace,
     kernel,
-    rref,
-    subspace_ops,
+    rank,
 )
 from .localization import (
     DenSetDescriptor,
@@ -46,7 +42,6 @@ from .localization import (
     left_triangular_idempotents,
     localization_report,
     monoid_denominator_decision,
-    nl_ideal_test,
     powers_denominator_criterion,
     two_sided_report,
 )

@@ -34,7 +34,6 @@ import numpy as np
 from .linalg import (
     InputError,
     InternalCheckError,
-    Mat,
     ModulusMismatch,
     Subspace,
     all_vectors,
@@ -42,9 +41,7 @@ from .linalg import (
     batch_rank,
     check_prime,
     express_in_rows,
-    kernel,
     row_chunks,
-    solve_row,
     vectors_to_indices,
 )
 
@@ -122,12 +119,6 @@ class Algebra:
     @property
     def zero(self) -> "Element":
         return Element(self, (0,) * self.dim)
-
-    def basis_element(self, i: int) -> "Element":
-        return Element(self, tuple(1 if j == i else 0 for j in range(self.dim)))
-
-    def basis(self) -> list["Element"]:
-        return [self.basis_element(i) for i in range(self.dim)]
 
     def from_matrix(self, literal: Sequence[Sequence[int]]) -> "Element":
         """Desugar an ambient-matrix literal for matrix-modelled algebras."""
@@ -319,14 +310,8 @@ class Ideal:
     def dim(self) -> int:
         return self.space.dim
 
-    def contains(self, x: Element) -> bool:
-        return self.space.contains_vector(x.coeffs)
-
     def is_zero(self) -> bool:
         return self.space.dim == 0
-
-    def basis_elements(self) -> list[Element]:
-        return [Element(self.algebra, row) for row in self.space.basis]
 
     def __repr__(self) -> str:
         return f"Ideal(side={self.side}, dim={self.dim})"
@@ -565,76 +550,24 @@ def _int_param(desc: dict, key: str) -> int:
 # Operations
 # ---------------------------------------------------------------------------
 
-def regular_matrix(a: Algebra, x: Element, side: str) -> Mat:
+def regular_matrix(a: Algebra, x: Element, side: str) -> np.ndarray:
     """Matrix of y -> x*y (side="left") or y -> y*x (side="right") on rows.
 
-    With rows acting on the right, composition reverses for the left maps:
-    regular_matrix(x, left) * regular_matrix(y, left) equals
-    regular_matrix(y*x, left), while the right maps compose covariantly.
+    It is row 0 of :meth:`Algebra.batch_left_matrices` or
+    :meth:`Algebra.batch_right_matrices`.  With rows acting on the right,
+    composition reverses for the left maps: regular_matrix(x, left) @
+    regular_matrix(y, left) equals regular_matrix(y*x, left), while the
+    right maps compose covariantly.
     """
     if x.algebra is not a:
         raise InputError("element does not belong to the algebra")
     if side == "left":
-        rows = [a.mul_coeffs(x.coeffs, b.coeffs) for b in a.basis()]
+        build = a.batch_left_matrices
     elif side == "right":
-        rows = [a.mul_coeffs(b.coeffs, x.coeffs) for b in a.basis()]
+        build = a.batch_right_matrices
     else:
         raise InputError(f"bad side {side!r}")
-    return Mat.from_rows(a.p, rows)
-
-
-def left_matrix(a: Algebra, coeffs: Sequence[int]) -> Mat:
-    rows = [a.mul_coeffs(coeffs, tuple(1 if j == i else 0 for j in range(a.dim)))
-            for i in range(a.dim)]
-    return Mat.from_rows(a.p, rows)
-
-
-def right_matrix(a: Algebra, coeffs: Sequence[int]) -> Mat:
-    rows = [a.mul_coeffs(tuple(1 if j == i else 0 for j in range(a.dim)), coeffs)
-            for i in range(a.dim)]
-    return Mat.from_rows(a.p, rows)
-
-
-@dataclass(frozen=True)
-class ElementProfile:
-    is_unit: bool
-    inverse: Element | None
-    is_nilpotent: bool
-    is_idempotent: bool
-    is_left_regular: bool
-
-
-def classify_element_basic(a: Algebra, x: Element) -> ElementProfile:
-    """Unit/nilpotent/idempotent/left-regular tests from the regular representation.
-
-    In a finite-dimensional algebra a left regular element (injective right
-    multiplication) is a unit; the implication is asserted.
-    """
-    lm = regular_matrix(a, x, "left")
-    is_unit = lm.rank() == a.dim
-    inverse = None
-    if is_unit:
-        sol = solve_row(lm, a.one_coeffs)
-        if sol is None:
-            raise InternalCheckError("invertible map with no solution for the inverse")
-        inverse = a.element(sol)
-        if (x * inverse) != a.one or (inverse * x) != a.one:
-            raise InternalCheckError("inverse failed verification by multiplication")
-    is_nilpotent = (lm ** a.dim).is_zero()
-    is_idempotent = (x * x) == x
-    rm = regular_matrix(a, x, "right")
-    is_left_regular = kernel(rm).dim == 0
-    if is_left_regular and not is_unit:
-        raise InternalCheckError("left regular element is not a unit")
-    return ElementProfile(is_unit, inverse, is_nilpotent, is_idempotent, is_left_regular)
-
-
-def is_unit(a: Algebra, x: Element) -> bool:
-    return regular_matrix(a, x, "left").rank() == a.dim
-
-
-def is_nilpotent(a: Algebra, x: Element) -> bool:
-    return (regular_matrix(a, x, "left") ** a.dim).is_zero()
+    return build(np.array([x.coeffs], dtype=np.int64))[0]
 
 
 def ideal_generated(a: Algebra, gens: Iterable[Element], side: str) -> Ideal:
@@ -655,10 +588,6 @@ def ideal_generated(a: Algebra, gens: Iterable[Element], side: str) -> Ideal:
         if bigger.dim == span.dim:
             return Ideal(a, span, side)
         span = bigger
-
-
-def principal_right_ideal(a: Algebra, x: Element) -> Ideal:
-    return ideal_generated(a, [x], "right")
 
 
 def ideal_combine(x: Ideal, y: Ideal, op: str) -> Ideal:

@@ -1,15 +1,18 @@
-"""Exact dense linear algebra over prime fields GF(p).
+"""Linear algebra over prime fields GF(p).
 
-Row-vector convention: vectors are rows and matrices act on the right, so
-the image of ``x`` under the map represented by ``m`` is ``x * m``.  This
-makes the left and right multiplication maps of an algebra both plain
-matrices acting on coefficient rows.
+A matrix is a 2-D int64 numpy array of residues, and a batch of matrices
+a 3-D one.  Row-vector convention: vectors are rows and matrices act on
+the right, so the image of ``x`` under the map represented by ``m`` is
+``x @ m``.  This makes the left and right multiplication maps of an
+algebra both plain matrices acting on coefficient rows.
 
-All values are immutable after construction, all operations are pure
-functions, and nothing here uses floating point.  Batched numpy kernels
-for sweeping large element sets live at the bottom of the module, and
-:meth:`Subspace.residues` reduces many vectors against a subspace at once;
-they are plain GF(p) arithmetic, vectorized.
+Single matrices (:func:`rank`, :func:`kernel`, the canonical RREF basis
+of a :class:`Subspace`) are eliminated by ``_rref_rows``, a scalar
+Gauss-Jordan loop over Python lists: on the small matrices of a single
+decision it measured faster than elimination in numpy.  Batches of matrices and long
+sweeps over element sets use the numpy kernels at the bottom of the
+module, and :meth:`Subspace.residues` reduces many vectors against a
+subspace at once.  Nothing here uses floating point.
 """
 
 from __future__ import annotations
@@ -82,173 +85,6 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-@dataclass(frozen=True)
-class Scalar:
-    """A residue in GF(p).  Arithmetic rejects mixed moduli and division by zero."""
-
-    value: int
-    p: int
-
-    def __post_init__(self) -> None:
-        check_prime(self.p)
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _other(self, other: "Scalar | int") -> int:
-        if isinstance(other, Scalar):
-            if other.p != self.p:
-                raise ModulusMismatch(f"mixed moduli {self.p} and {other.p}")
-            return other.value
-        return int(other) % self.p
-
-    def __add__(self, other):
-        return Scalar(self.value + self._other(other), self.p)
-
-    def __sub__(self, other):
-        return Scalar(self.value - self._other(other), self.p)
-
-    def __neg__(self):
-        return Scalar(-self.value, self.p)
-
-    def __mul__(self, other):
-        return Scalar(self.value * self._other(other), self.p)
-
-    def __truediv__(self, other):
-        return Scalar(self.value * inv_mod(self._other(other), self.p), self.p)
-
-    def __pow__(self, n: int):
-        return Scalar(pow(self.value, n, self.p), self.p)
-
-    def inverse(self) -> "Scalar":
-        return Scalar(inv_mod(self.value, self.p), self.p)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.p})"
-
-
-def _check_same_p(a: "Mat", b: "Mat") -> None:
-    if a.p != b.p:
-        raise ModulusMismatch(f"mixed moduli {a.p} and {b.p}")
-
-
-@dataclass(frozen=True)
-class Mat:
-    """Dense matrix over GF(p); rows are tuples of reduced ints."""
-
-    p: int
-    data: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def from_rows(p: int, rows: Iterable[Sequence[int]]) -> "Mat":
-        data = tuple(tuple(int(v) % p for v in row) for row in rows)
-        widths = {len(r) for r in data}
-        if len(widths) > 1:
-            raise InputError("ragged matrix rows")
-        return Mat(p, data)
-
-    @staticmethod
-    def identity(p: int, n: int) -> "Mat":
-        return Mat(p, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @staticmethod
-    def zeros(p: int, rows: int, cols: int) -> "Mat":
-        return Mat(p, tuple((0,) * cols for _ in range(rows)))
-
-    @property
-    def rows(self) -> int:
-        return len(self.data)
-
-    @property
-    def cols(self) -> int:
-        return len(self.data[0]) if self.data else 0
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.data[i]
-
-    def transpose(self) -> "Mat":
-        return Mat(self.p, tuple(zip(*self.data)) if self.data else ())
-
-    def __add__(self, other: "Mat") -> "Mat":
-        _check_same_p(self, other)
-        return Mat(self.p, tuple(tuple((a + b) % self.p for a, b in zip(r1, r2))
-                                 for r1, r2 in zip(self.data, other.data)))
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        _check_same_p(self, other)
-        return Mat(self.p, tuple(tuple((a - b) % self.p for a, b in zip(r1, r2))
-                                 for r1, r2 in zip(self.data, other.data)))
-
-    def __mul__(self, other: "Mat") -> "Mat":
-        _check_same_p(self, other)
-        if self.cols != other.rows:
-            raise InputError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        p = self.p
-        bt = other.transpose().data
-        return Mat(p, tuple(tuple(sum(a * b for a, b in zip(row, col)) % p for col in bt)
-                            for row in self.data))
-
-    def scale(self, c: int) -> "Mat":
-        c %= self.p
-        return Mat(self.p, tuple(tuple((c * v) % self.p for v in row) for row in self.data))
-
-    def __pow__(self, n: int) -> "Mat":
-        if self.rows != self.cols:
-            raise InputError("power of a non-square matrix")
-        result = Mat.identity(self.p, self.rows)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def trace(self) -> int:
-        return sum(self.data[i][i] for i in range(min(self.rows, self.cols))) % self.p
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.data for v in row)
-
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Row vector times matrix: the image of ``vec`` under this map."""
-        if len(vec) != self.rows:
-            raise InputError("vector length does not match matrix rows")
-        p = self.p
-        out = [0] * self.cols
-        for xi, row in zip(vec, self.data):
-            if xi:
-                for j, v in enumerate(row):
-                    out[j] = (out[j] + xi * v) % p
-        return tuple(out)
-
-    def rank(self) -> int:
-        return rref(self)[1]
-
-    def inverse(self) -> "Mat | None":
-        """Gauss-Jordan inverse, or None if singular."""
-        n = self.rows
-        if n != self.cols:
-            raise InputError("inverse of a non-square matrix")
-        p = self.p
-        aug = [list(self.data[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-        row = 0
-        for col in range(n):
-            piv = next((r for r in range(row, n) if aug[r][col] % p), None)
-            if piv is None:
-                return None
-            aug[row], aug[piv] = aug[piv], aug[row]
-            inv = inv_mod(aug[row][col], p)
-            aug[row] = [(v * inv) % p for v in aug[row]]
-            for r in range(n):
-                if r != row and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [(a - f * b) % p for a, b in zip(aug[r], aug[row])]
-            row += 1
-        return Mat(p, tuple(tuple(r[n:]) for r in aug))
-
-
 def _rref_rows(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """In-place reduced row echelon form; returns (nonzero rows, pivot columns)."""
     if not rows:
@@ -274,13 +110,9 @@ def _rref_rows(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int
     return rows[:r], pivots
 
 
-def rref(m: Mat) -> tuple[Mat, int]:
-    """Canonical reduced row echelon form with zero rows dropped, plus rank.
-
-    Idempotent: rref(rref(m)) == rref(m).
-    """
-    rows, pivots = _rref_rows([list(r) for r in m.data], m.p)
-    return Mat(m.p, tuple(tuple(r) for r in rows)), len(pivots)
+def rank(m: np.ndarray, p: int) -> int:
+    """Rank of one matrix over GF(p), by the scalar elimination."""
+    return len(_rref_rows((m % p).tolist(), p)[1])
 
 
 @dataclass(frozen=True)
@@ -403,24 +235,10 @@ class Subspace:
             yield (all_vectors(self.p, self.dim, start, stop) @ self.array) % self.p
 
 
-def subspace_ops(a: Subspace, b: Subspace) -> dict:
-    """Sum, intersection, containment and equality of two subspaces.
-
-    The modular dimension identity dim a + dim b = dim(a+b) + dim(a&b) is
-    asserted on every call.
-    """
-    s = a.sum(b)
-    i = a.intersect(b)
-    if a.dim + b.dim != s.dim + i.dim:
-        raise InternalCheckError("dimension formula violated in subspace_ops")
-    return {"sum": s, "intersection": i, "contains": a.contains(b), "equal": a == b}
-
-
-def kernel(m: Mat) -> Subspace:
-    """Left kernel {x : x*m = 0} over the row convention; dim = rows - rank."""
-    p = m.p
-    nvars = m.rows
-    red, pivots = _rref_rows([list(r) for r in m.transpose().data], p)
+def kernel(m: np.ndarray, p: int) -> Subspace:
+    """Left kernel {x : x @ m = 0} over the row convention; dim = rows - rank."""
+    nvars = len(m)
+    red, pivots = _rref_rows((m.T % p).tolist(), p)
     pivset = set(pivots)
     free = [j for j in range(nvars) if j not in pivset]
     vecs = []
@@ -431,7 +249,7 @@ def kernel(m: Mat) -> Subspace:
             v[piv] = (-row[f]) % p
         vecs.append(v)
     ker = Subspace.from_vectors(p, nvars, vecs)
-    if ker.dim + rref(m)[1] != m.rows:
+    if ker.dim + rank(m, p) != nvars:
         raise InternalCheckError("rank-nullity violated in kernel")
     return ker
 
@@ -450,11 +268,6 @@ def express_in_rows(rows: Sequence[Sequence[int]], target: Sequence[int], p: int
             return None
         x[piv] = row[k]
     return tuple(x)
-
-
-def solve_row(m: Mat, target: Sequence[int]) -> tuple[int, ...] | None:
-    """Solve x * m = target for a row vector x, or None."""
-    return express_in_rows(m.data, target, m.p)
 
 
 # ---------------------------------------------------------------------------

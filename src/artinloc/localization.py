@@ -26,9 +26,8 @@ and all underlying idempotents come from the deterministic lift in
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,10 +49,11 @@ from .linalg import (
     Subspace,
     batch_rank,
     batch_solve,
+    rank,
     row_chunks,
 )
 from .oracle import monoid_closure
-from .structure import IdempotentFamily, _center_subspace, block_decomposition
+from .structure import IdempotentFamily, _center_subspace, _pivot, block_decomposition
 
 MAX_SUBSET_ENUM = 1 << 20
 
@@ -66,25 +66,32 @@ def subset_str(subset: Subset) -> str:
 
 def _left_ideal_of(a: Algebra, x: Element) -> Subspace:
     """Row space of the right-multiplication matrix: the left ideal R*x."""
-    return Subspace.from_vectors(a.p, a.dim, regular_matrix(a, x, "right").data)
+    return Subspace.from_vectors(a.p, a.dim, regular_matrix(a, x, "right").tolist())
 
 
 def _right_ideal_of(a: Algebra, x: Element) -> Subspace:
     """Row space of the left-multiplication matrix: the right ideal x*R."""
-    return Subspace.from_vectors(a.p, a.dim, regular_matrix(a, x, "left").data)
+    return Subspace.from_vectors(a.p, a.dim, regular_matrix(a, x, "left").tolist())
+
+
+def _corner(a: Algebra, e: Element, f: Element) -> np.ndarray:
+    """Matrix of y -> e*y*f on coefficient rows, L_e @ R_f; its row space is e R f."""
+    return regular_matrix(a, e, "left") @ regular_matrix(a, f, "right") % a.p
+
+
+def _corner_is_zero(a: Algebra, e: Element, f: Element) -> bool:
+    """e R f = 0."""
+    return not _corner(a, e, f).any()
 
 
 def _is_left_triangular(a: Algebra, e: Element) -> bool:
-    """e * R * (1 - e) = 0, tested on basis elements."""
-    om = a.one - e
-    for b in a.basis():
-        if not (e * b * om).is_zero():
-            return False
-    return True
+    """e * R * (1 - e) = 0."""
+    return _corner_is_zero(a, e, a.one - e)
 
 
 def _is_central(a: Algebra, e: Element) -> bool:
-    return all((e * b) == (b * e) for b in a.basis())
+    """e*y = y*e for every y: the left and right multiplications by e agree."""
+    return np.array_equal(regular_matrix(a, e, "left"), regular_matrix(a, e, "right"))
 
 
 # ---------------------------------------------------------------------------
@@ -103,18 +110,6 @@ class TriangularIdempotentSet:
     family: IdempotentFamily
     entries: tuple[tuple[Subset, Element], ...]
     minima: tuple[Subset, ...]
-
-    def subsets(self) -> list[Subset]:
-        return [s for s, _ in self.entries]
-
-    def idempotent(self, subset: Subset) -> Element:
-        for s, e in self.entries:
-            if s == subset:
-                return e
-        raise KeyError(subset)
-
-    def ge(self, bigger: Subset, smaller: Subset) -> bool:
-        return set(bigger) >= set(smaller)
 
 
 def left_triangular_idempotents(a: Algebra, fam: IdempotentFamily | None = None) -> TriangularIdempotentSet:
@@ -174,10 +169,8 @@ def left_triangular_idempotents(a: Algebra, fam: IdempotentFamily | None = None)
         for j_sub in minima:
             if i_sub == j_sub:
                 continue
-            e_i, e_j = fam.sum_over(i_sub), fam.sum_over(j_sub)
-            for b in a.basis():
-                if not (e_i * b * e_j).is_zero():
-                    raise InternalCheckError("distinct minima do not annihilate through the ring")
+            if not _corner_is_zero(a, fam.sum_over(i_sub), fam.sum_over(j_sub)):
+                raise InternalCheckError("distinct minima do not annihilate through the ring")
     return TriangularIdempotentSet(a, fam, tuple(entries), tuple(minima))
 
 
@@ -214,14 +207,9 @@ class DenSetDescriptor:
         if self.quotient.algebra.dim != a.dim - self.ass.dim:
             raise InternalCheckError("quotient dimension mismatch")
 
-    @property
-    def quotient_algebra(self) -> Algebra:
-        return self.quotient.algebra
-
     def image_is_unit(self, r: Element) -> bool:
         q = self.quotient
-        img = q.project(r)
-        return regular_matrix(q.algebra, img, "left").rank() == q.algebra.dim
+        return rank(regular_matrix(q.algebra, q.project(r), "left"), q.algebra.p) == q.algebra.dim
 
     def core_member(self, x: Element) -> bool:
         a = self.witness_idempotent.algebra
@@ -616,8 +604,8 @@ def idempotent_denominator_check(a: Algebra, e: Element) -> IdempotentCheck:
     if (e * e) != e:
         raise InputError("element is not idempotent")
     om = a.one - e
-    left = all((e * b * om).is_zero() for b in a.basis())
-    right = all((om * b * e).is_zero() for b in a.basis())
+    left = _corner_is_zero(a, e, om)
+    right = _corner_is_zero(a, om, e)
     central = _is_central(a, e)
     if (left and right) != central:
         raise InternalCheckError("two-sided triangularity must coincide with centrality")
@@ -685,43 +673,15 @@ def classify_element(a: Algebra, r: Element, report: LocalizationReport) -> dict
     by_subset = {en.subset: en for en in report.entries}
     for sub in report.minima:
         en = by_subset[sub]
-        img = en.quotient.project(r)
-        if regular_matrix(en.quotient.algebra, img, "left").rank() == en.quotient.algebra.dim:
+        q = en.quotient.algebra
+        if rank(regular_matrix(q, en.quotient.project(r), "left"), q.p) == q.dim:
             witnesses.append(sub)
     left_localizable = bool(witnesses)
     completely = len(witnesses) == len(report.minima)
-    if regular_matrix(a, r, "left").rank() == a.dim and not completely:
+    if rank(regular_matrix(a, r, "left"), a.p) == a.dim and not completely:
         raise InternalCheckError("a unit must be completely localizable")
     return {"left_localizable": left_localizable, "completely": completely,
             "witnesses": tuple(witnesses)}
-
-
-def nl_ideal_test(a: Algebra, report: LocalizationReport, samples: int = 50, seed: int = 0) -> bool:
-    """True iff the non-localizable elements form an ideal: every quotient at
-    a minimal class is a division ring (over GF(p): semisimple, one block,
-    commutative).  The two-sided absorption of the non-localizable set is
-    spot-checked by sampling."""
-    by_subset = {en.subset: en for en in report.entries}
-    result = True
-    for sub in report.minima:
-        q = by_subset[sub].quotient.algebra
-        fam = block_decomposition(q)
-        if not (fam.rad.dim == 0 and fam.s == 1 and fam.block_commutative[0]):
-            result = False
-            break
-    rng = random.Random(seed)
-    nl_pool = [a.zero]
-    for _ in range(samples):
-        x = rng.choice(nl_pool)
-        r = a.element([rng.randrange(a.p) for _ in range(a.dim)])
-        y = a.element([rng.randrange(a.p) for _ in range(a.dim)])
-        prod = r * x * y
-        if classify_element(a, prod, report)["left_localizable"]:
-            raise InternalCheckError("the non-localizable set absorbed into a localizable element")
-        cand = a.element([rng.randrange(a.p) for _ in range(a.dim)])
-        if not classify_element(a, cand, report)["left_localizable"]:
-            nl_pool.append(cand)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -843,34 +803,20 @@ class TwoSidedReport:
     def loc_count(self) -> int:
         return (1 << self.factors) - 1
 
-    def component(self, r: Element, i: int) -> Element:
-        """Image of r in factor i (0-based)."""
-        return self.factor_quotients[i].project(r)
-
     def powers_criterion(self, r: Element) -> bool:
         """Powers of r form a two-sided denominator set iff r is not
         nilpotent and each factor component is a unit or nilpotent."""
-        a = self.algebra
-        if (regular_matrix(a, r, "left") ** a.dim).is_zero():
+        if self.algebra.batch_nilpotent_mask(np.array([r.coeffs], dtype=np.int64))[0]:
             return False
         for quo in self.factor_quotients:
             img = quo.project(r)
             qa = quo.algebra
-            if regular_matrix(qa, img, "left").rank() == qa.dim:
+            if rank(regular_matrix(qa, img, "left"), qa.p) == qa.dim:
                 continue
-            if (regular_matrix(qa, img, "left") ** qa.dim).is_zero():
+            if qa.batch_nilpotent_mask(np.array([img.coeffs], dtype=np.int64))[0]:
                 continue
             return False
         return True
-
-    def core_rule(self, members: Iterable[Element], subset: Subset) -> list[Element]:
-        """Core of a two-sided denominator set with kernel ideal R(1-e_I):
-        the members annihilated by 1 - e_I on the left."""
-        e = self.algebra.zero
-        for i in subset:
-            e = e + self.central_idempotents[i - 1]
-        om = self.algebra.one - e
-        return [s for s in members if (om * s).is_zero()]
 
     def to_dict(self) -> dict:
         return {
@@ -903,7 +849,7 @@ def two_sided_report(a: Algebra) -> TwoSidedReport:
                 for j, v in enumerate(zb.coeffs):
                     vec[j] = (vec[j] + c * v) % a.p
         cents.append(a.element(vec))
-    cents.sort(key=lambda e: (_pivot_of(e.coeffs), e.coeffs))
+    cents.sort(key=lambda e: (_pivot(e.coeffs), e.coeffs))
     total = a.zero
     for e in cents:
         if (e * e) != e or not _is_central(a, e):
@@ -926,9 +872,8 @@ def two_sided_report(a: Algebra) -> TwoSidedReport:
             for i in combo:
                 e = e + cents[i]
             om = a.one - e
-            for b in a.basis():
-                if not (e * b * om).is_zero() or not (om * b * e).is_zero():
-                    raise InternalCheckError("central subset sum is not two-sided triangular")
+            if not (_corner_is_zero(a, e, om) and _corner_is_zero(a, om, e)):
+                raise InternalCheckError("central subset sum is not two-sided triangular")
             count += 1
     if count != (1 << t) - 1:
         raise InternalCheckError("central subset enumeration miscounted")
@@ -951,9 +896,3 @@ def two_sided_report(a: Algebra) -> TwoSidedReport:
     a._cache["two_sided"] = report
     return report
 
-
-def _pivot_of(vec: tuple[int, ...]) -> int:
-    for i, v in enumerate(vec):
-        if v:
-            return i
-    return len(vec)

@@ -47,7 +47,6 @@ from .linalg import (
     DEFAULT_GUARD,
     InputError,
     InternalCheckError,
-    Mat,
     ResourceGuardError,
     Subspace,
     batch_member_mask,
@@ -133,12 +132,10 @@ class BruteDenResult:
         return self.ass.dim if self.ass is not None else -1
 
 
-def _preimage_space(a: Algebra, left_rows: Sequence[Sequence[int]], target: Subspace) -> Subspace:
+def _preimage_space(a: Algebra, left_mat: np.ndarray, target: Subspace) -> Subspace:
     """{r : s'*r in target} as a subspace (solve through the stacked system)."""
     d = a.dim
-    rows = [list(r) for r in left_rows]
-    rows += [[(-v) % a.p for v in b] for b in target.basis]
-    big = kernel(Mat.from_rows(a.p, rows))
+    big = kernel(np.concatenate([left_mat, -target.array % a.p]), a.p)
     vecs = [row[:d] for row in big.basis]
     return Subspace.from_vectors(a.p, d, vecs)
 
@@ -177,7 +174,7 @@ def _ore_holds_for(a: Algebra, right_mat: np.ndarray, left_mats: np.ndarray,
         if lm_key in seen_lm:
             continue
         seen_lm.add(lm_key)
-        v = _preimage_space(a, left_mats[i].tolist(), rs)
+        v = _preimage_space(a, left_mats[i], rs)
         if v.dim == a.dim:
             return True, None
         if v.basis not in seen:
@@ -267,7 +264,7 @@ def brute_denominator_check(a: Algebra, S: FiniteSetOfElements, side: str = "lef
         key = left_mats[i].tobytes()
         ker = kernel_cache.get(key)
         if ker is None:
-            ker = kernel_cache[key] = kernel(Mat.from_rows(a.p, left_mats[i].tolist()))
+            ker = kernel_cache[key] = kernel(left_mats[i], a.p)
         kernels.append(ker)
     distinct = list(dict.fromkeys(kernels))
     span = Subspace.from_vectors(a.p, a.dim, [row for ker in distinct for row in ker.basis])
@@ -303,7 +300,7 @@ def brute_denominator_check(a: Algebra, S: FiniteSetOfElements, side: str = "lef
             if right_full[i] or key in rev_cache:
                 continue  # a zero right kernel holds only 0, which is in ass
             rev_cache.add(key)
-            right_ker = kernel(Mat.from_rows(a.p, right_mats[i].tolist()))
+            right_ker = kernel(right_mats[i], a.p)
             bad = _first_outside(right_ker, distinct)
             if bad is not None:
                 reversible = False
@@ -373,7 +370,7 @@ def brute_radical(a: Algebra, guard: int = DEFAULT_GUARD) -> Ideal:
     members = []
     verdicts: dict[tuple, bool] = {}
     for x in survivors:
-        rx = Subspace.from_vectors(p, d, regular_matrix(a, a.element(x), "right").data)
+        rx = Subspace.from_vectors(p, d, regular_matrix(a, a.element(x), "right").tolist())
         verdict = verdicts.get(rx.basis)
         if verdict is None:
             verdict = all(quasi_regular(chunk).all() for chunk in rx.member_chunks())

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, Element, Ideal, Quotient, ideal_combine, left_matrix, quotient_algebra
-from .linalg import InternalCheckError, Mat, Subspace, express_in_rows, kernel
+from .algebra import Algebra, Element, Ideal, Quotient, ideal_combine, quotient_algebra, regular_matrix
+from .linalg import InternalCheckError, Subspace, express_in_rows, kernel
 
 __all__ = ["IdempotentFamily", "radical", "block_decomposition", "ideal_block_support"]
 
@@ -38,14 +38,9 @@ def radical(a: Algebra) -> Ideal:
     """
     if "radical" in a._cache:
         return a._cache["radical"]
-    p, d = a.p, a.dim
-    traces = np.array([left_matrix(a, tuple(1 if j == k else 0 for j in range(d))).trace()
-                       for k in range(d)], dtype=np.int64)
-    gram = np.einsum("ijk,k->ij", a.np_table, traces) % p
-    rad_space = kernel(Mat.from_rows(p, gram.tolist()))
-    rad = Ideal(a, rad_space, "twosided")
+    rad = Ideal(a, _trace_form_kernel(a), "twosided")
     power = rad
-    for _ in range(d):
+    for _ in range(a.dim):
         if power.dim == 0:
             break
         power = ideal_combine(power, rad, "product")
@@ -53,18 +48,20 @@ def radical(a: Algebra) -> Ideal:
         raise InternalCheckError("radical candidate is not nilpotent")
     if rad.dim > 0:
         q = quotient_algebra(a, rad)
-        if _trace_form_kernel_dim(q.algebra) != 0:
+        if _trace_form_kernel(q.algebra).dim != 0:
             raise InternalCheckError("trace form of the semisimple quotient is degenerate")
     a._cache["radical"] = rad
     return rad
 
 
-def _trace_form_kernel_dim(a: Algebra) -> int:
-    d = a.dim
-    traces = np.array([left_matrix(a, tuple(1 if j == k else 0 for j in range(d))).trace()
-                       for k in range(d)], dtype=np.int64)
-    gram = np.einsum("ijk,k->ij", a.np_table, traces) % a.p
-    return kernel(Mat.from_rows(a.p, gram.tolist())).dim
+def _trace_form_kernel(a: Algebra) -> Subspace:
+    """Kernel of the Gram matrix (b_i, b_j) -> trace of left multiplication by b_i*b_j.
+
+    Left multiplication by b_k has entry (j, l) equal to table[k, j, l], so
+    its trace is the sum of table[k, j, j] over j.
+    """
+    traces = np.einsum("kjj->k", a.np_table) % a.p
+    return kernel(a.np_table @ traces % a.p, a.p)
 
 
 @dataclass(frozen=True)
@@ -120,18 +117,7 @@ def _center_subspace(a: Algebra) -> Subspace:
     # row z satisfies, for all k: sum_j z_j (t[j,k,:] - t[k,j,:]) = 0
     comm = (t.transpose(0, 1, 2) - t.transpose(1, 0, 2)) % p  # comm[j,k,:] = t[j,k]-t[k,j]
     stacked = comm.reshape(d, d * d)
-    return kernel(Mat.from_rows(p, stacked.tolist()))
-
-
-def _element_power(a: Algebra, coeffs: tuple[int, ...], n: int) -> tuple[int, ...]:
-    result = a.one_coeffs
-    base = coeffs
-    while n:
-        if n & 1:
-            result = a.mul_coeffs(result, base)
-        base = a.mul_coeffs(base, base)
-        n >>= 1
-    return result
+    return kernel(stacked, p)
 
 
 def _minimal_polynomial(a: Algebra, x: tuple[int, ...], unit: tuple[int, ...]) -> list[int]:
@@ -189,11 +175,11 @@ def block_decomposition(a: Algebra) -> IdempotentFamily:
     # Frobenius-fixed subspace of the center.
     frob_rows = []
     for z in center.basis:
-        zp = _element_power(abar, tuple(z), p)
+        zp = (abar.element(z) ** p).coeffs
         diff = tuple((u - v) % p for u, v in zip(zp, z))
         frob_rows.append(diff)
     # Solve sum_i c_i (z_i^p - z_i) = 0 for c over the center basis.
-    fixed_coords = kernel(Mat.from_rows(p, [list(r) for r in frob_rows]))
+    fixed_coords = kernel(np.array(frob_rows, dtype=np.int64), p)
     f_basis = []
     center_mat = np.array(center.basis, dtype=np.int64) if center.dim else np.zeros((0, abar.dim), dtype=np.int64)
     for c in fixed_coords.basis:
@@ -249,9 +235,7 @@ def block_decomposition(a: Algebra) -> IdempotentFamily:
     dims = []
     comm = []
     for ebar in central:
-        rm = np.array([abar.mul_coeffs(tuple(1 if j == i else 0 for j in range(abar.dim)), ebar.coeffs)
-                       for i in range(abar.dim)], dtype=np.int64)
-        block_space = Subspace.from_vectors(p, abar.dim, rm.tolist())
+        block_space = Subspace.from_vectors(p, abar.dim, regular_matrix(abar, ebar, "right").tolist())
         dims.append(block_space.dim)
         is_comm = True
         for u in block_space.basis:

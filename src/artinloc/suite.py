@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, Element, regular_matrix
-from .linalg import DEFAULT_GUARD, ResourceGuardError, Subspace, batch_rank, kernel, row_chunks
+from .linalg import DEFAULT_GUARD, ResourceGuardError, Subspace, batch_rank, kernel, rank, row_chunks
 from .localization import (
+    _corner,
     classify_element,
     duality_report,
     idempotent_denominator_check,
@@ -95,10 +96,10 @@ def bundle_conditions(a: Algebra, sweep_limit: int = DEFAULT_SWEEP_LIMIT,
     4. every finest central factor is localization maximal;
     5. the localization radical vanishes.
 
-    Condition 1 is swept exhaustively up to ``sweep_limit`` ring elements
-    and sampled above that (plus the deterministic witness: the sum of the
-    minima idempotents is completely localizable but is a unit only when
-    the radical vanishes).
+    Condition 1 is swept exhaustively, one batched unit test per chunk, up
+    to ``max(sweep_limit, 2**20)`` ring elements and sampled above that
+    (plus the deterministic witness: the sum of the minima idempotents is
+    completely localizable but is a unit only when the radical vanishes).
     """
     rng = rng or random.Random(0)
     total = a.p ** a.dim
@@ -113,8 +114,7 @@ def bundle_conditions(a: Algebra, sweep_limit: int = DEFAULT_SWEEP_LIMIT,
     for sub in rep.minima:
         e = rep.entry(sub).idempotent
         e_sum = e_sum + e
-        corner = [a.mul_coeffs(a.mul_coeffs(e.coeffs, b.coeffs), e.coeffs) for b in a.basis()]
-        corner_dims += Subspace.from_vectors(a.p, a.dim, corner).dim
+        corner_dims += rank(_corner(a, e, e), a.p)
     c3 = (e_sum == a.one) and corner_dims == a.dim
     ts = two_sided_report(a)
     c4 = all(localization_report(quo.algebra).loc_count == 1 for quo in ts.factor_quotients)
@@ -133,8 +133,8 @@ def bundle_conditions(a: Algebra, sweep_limit: int = DEFAULT_SWEEP_LIMIT,
         c1 = True
         for _ in range(samples):
             r = _random_element(a, rng)
-            is_unit = regular_matrix(a, r, "left").rank() == a.dim
-            if classify_element(a, r, rep)["completely"] != is_unit:
+            unit = rank(regular_matrix(a, r, "left"), a.p) == a.dim
+            if classify_element(a, r, rep)["completely"] != unit:
                 c1 = False
                 break
         if not c5 and c1:
@@ -224,8 +224,8 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
         for _ in range(samples):
             s = _random_element(a, rng)
             rm = regular_matrix(a, s, "right")
-            rs = Subspace.from_vectors(a.p, a.dim, rm.data)
-            ker = kernel(rm)
+            rs = Subspace.from_vectors(a.p, a.dim, rm.tolist())
+            ker = kernel(rm, a.p)
             if rs.dim + ker.dim != a.dim:
                 return False, f"rank-nullity broken at {s!r}"
             trivial_meet = rs.intersect(ker).dim == 0
@@ -267,7 +267,7 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
     # -- oracle agreement ----------------------------------------------------
     def _idempotent_oracle():
         if total > guard:
-            return True, "skipped (guard)"
+            return True, f"skipped (guard: {total} > {guard})"
         rep = localization_report(a)
         class_spaces = {en.ass.space for en in rep.entries}
         ids = brute_idempotents(a, guard)
@@ -317,7 +317,7 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
 
     def _maximal_den_oracle():
         if total > sweep_limit:
-            return True, "skipped (sweep limit)"
+            return True, f"skipped (sweep limit: {total} > {sweep_limit})"
         rep = localization_report(a)
         for desc in rep.max_den:
             members = desc.members_within(guard)
@@ -336,7 +336,7 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
 
     def _two_sided_powers_oracle():
         if total > guard:
-            return True, "skipped (guard)"
+            return True, f"skipped (guard: {total} > {guard})"
         ts = two_sided_report(a)
         for _ in range(samples):
             r = _random_element(a, rng)
@@ -353,7 +353,7 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
 
     def _monoid_oracle():
         if total > guard:
-            return True, "skipped (guard)"
+            return True, f"skipped (guard: {total} > {guard})"
         closure_cap = min(guard, max(sweep_limit // 2, 256))
         tested = skipped = 0
         while tested < samples and skipped < 10 * samples:

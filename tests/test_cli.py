@@ -215,6 +215,15 @@ class TestVerifyAndErrors:
         powers = next(c for c in out["checks"] if c["name"] == "powers_oracle")
         assert powers == {"name": "powers_oracle", "ok": True,
                           "detail": f"skipped (guard: {11 ** 6} > {1 << 20})"}
+        # every skip names the refused size and the bound it exceeded
+        skipped = {c["name"]: c["detail"] for c in out["checks"] if c["detail"].startswith("skipped")}
+        assert skipped == {
+            "idempotent_oracle": f"skipped (guard: {11 ** 6} > {1 << 20})",
+            "powers_oracle": f"skipped (guard: {11 ** 6} > {1 << 20})",
+            "maximal_den_oracle": f"skipped (sweep limit: {11 ** 6} > 2048)",
+            "two_sided_powers_oracle": f"skipped (guard: {11 ** 6} > {1 << 20})",
+            "monoid_oracle": f"skipped (guard: {11 ** 6} > {1 << 20})",
+        }
 
     def test_bad_prime_exit_code(self, docfile, capsys):
         code = main(["report", "--input",
@@ -283,7 +292,7 @@ def golden_cases():
     for name, (doc, unit, nilpotent, pair, idempotents) in GOLDEN_ALGEBRAS.items():
         elements = {"unit": unit, "nilpotent": nilpotent, "g1": pair[0], "g2": pair[1]}
         for label, elem in elements.items():
-            for cmd in ("check-powers", "check-monoid"):
+            for cmd in ("check-powers", "check-monoid", "classify-element", "twosided"):
                 yield f"{cmd}-{name}-{label}", doc, [cmd, "--element", json.dumps(elem)], None
         yield f"check-monoid-{name}-pair", doc, ["check-monoid"], pair
         one = list(parse_input(doc).one_coeffs)

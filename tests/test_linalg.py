@@ -6,100 +6,87 @@ from hypothesis import given, settings, strategies as st
 
 from artinloc.linalg import (
     InputError,
-    InternalCheckError,
-    Mat,
     ModulusMismatch,
-    Scalar,
     Subspace,
     all_vectors,
     batch_member_mask,
     _batch_rref,
+    _rref_rows,
     batch_rank,
     batch_solve,
+    check_prime,
     express_in_rows,
+    inv_mod,
     kernel,
-    rref,
-    solve_row,
-    subspace_ops,
+    rank,
     vectors_to_indices,
 )
 
 
-def enumerate_left_kernel(m: Mat):
-    """Oracle: all x with x*m = 0 by full enumeration over GF(p)^rows."""
-    out = []
-    for combo in itertools.product(range(m.p), repeat=m.rows):
-        if all(v == 0 for v in m.apply(combo)):
-            out.append(combo)
-    return out
+def enumerate_left_kernel(m: np.ndarray, p: int):
+    """Oracle: all x with x @ m = 0 mod p, by full enumeration over GF(p)^rows."""
+    return [x for x in itertools.product(range(p), repeat=len(m))
+            if not (np.array(x) @ m % p).any()]
 
 
 class TestScalar:
+    """GF(p) scalars are ints reduced mod p: inversion and the prime check."""
+
     def test_arithmetic(self):
-        a = Scalar(3, 7)
-        b = Scalar(5, 7)
-        assert (a + b).value == 1
-        assert (a - b).value == 5
-        assert (a * b).value == 1
-        assert (a / b).value == (3 * pow(5, 5, 7)) % 7
-        assert (-a).value == 4
-        assert (b ** 2).value == 4
-        assert b.inverse().value == 3
+        assert inv_mod(5, 7) == 3
+        assert (3 * inv_mod(5, 7)) % 7 == (3 * pow(5, 5, 7)) % 7
+        assert inv_mod(-2, 7) == 3
+        assert all(a * inv_mod(a, 13) % 13 == 1 for a in range(1, 13))
 
     def test_division_by_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            Scalar(3, 7) / Scalar(0, 7)
+            inv_mod(7, 7)
 
     def test_mixed_moduli_rejected(self):
         with pytest.raises(ModulusMismatch):
-            Scalar(1, 5) + Scalar(1, 7)
+            Subspace.from_vectors(5, 1, [[1]]).sum(Subspace.from_vectors(7, 1, [[1]]))
 
     def test_nonprime_rejected(self):
         with pytest.raises(InputError):
-            Scalar(1, 6)
+            check_prime(6)
 
 
 class TestRref:
     def test_rank_one_example(self):
-        m = Mat.from_rows(7, [[2, 4], [1, 2]])
-        red, rank = rref(m)
-        assert red.data == ((1, 2),)
-        assert rank == 1
+        assert _rref_rows([[2, 4], [1, 2]], 7) == ([[1, 2]], [0])
+        assert rank(np.array([[2, 4], [1, 2]]), 7) == 1
 
     def test_identity_fixed(self):
-        m = Mat.identity(5, 3)
-        red, rank = rref(m)
-        assert red == m
-        assert rank == 3
+        eye = np.eye(3, dtype=np.int64)
+        assert _rref_rows(eye.tolist(), 5) == (eye.tolist(), [0, 1, 2])
+        assert rank(eye, 5) == 3
 
     def test_zero_matrix(self):
-        red, rank = rref(Mat.zeros(7, 2, 2))
-        assert red.data == ()
-        assert rank == 0
+        assert _rref_rows([[0, 0], [0, 0]], 7) == ([], [])
+        assert rank(np.zeros((2, 2), dtype=np.int64), 7) == 0
 
     def test_idempotent(self):
-        m = Mat.from_rows(5, [[1, 2, 3], [2, 4, 1], [0, 1, 1]])
-        once, r1 = rref(m)
-        twice, r2 = rref(once)
-        assert once == twice and r1 == r2
+        once, pivots = _rref_rows([[1, 2, 3], [2, 4, 1], [0, 1, 1]], 5)
+        twice, pivots2 = _rref_rows([list(r) for r in once], 5)
+        assert once == twice and pivots == pivots2
 
     def test_mixed_moduli_rejected(self):
         with pytest.raises(ModulusMismatch):
-            Mat.from_rows(5, [[1]]) * Mat.from_rows(7, [[1]])
+            Subspace.from_vectors(5, 1, [[1]]).intersect(Subspace.from_vectors(7, 1, [[1]]))
 
 
 class TestKernel:
     def test_projection_example(self):
-        ker = kernel(Mat.from_rows(7, [[1, 0], [0, 0]]))
+        ker = kernel(np.array([[1, 0], [0, 0]]), 7)
         assert ker.basis == ((0, 1),)
 
     def test_invertible_matrix(self):
-        assert kernel(Mat.from_rows(7, [[1, 1], [0, 1]])).dim == 0
+        assert kernel(np.array([[1, 1], [0, 1]]), 7).dim == 0
 
     def test_rank_deficient_example_against_enumeration(self):
-        m = Mat.from_rows(7, [[2, 4], [1, 2]])
-        ker = kernel(m)
-        oracle = enumerate_left_kernel(m)
+        m = np.array([[2, 4], [1, 2]])
+        ker = kernel(m, 7)
+        oracle = enumerate_left_kernel(m, 7)
         assert len(oracle) == 7 ** ker.dim
         for vec in oracle:
             assert ker.contains_vector(vec)
@@ -110,16 +97,14 @@ class TestSubspace:
     def test_axis_spans(self):
         a = Subspace.from_vectors(7, 3, [[1, 0, 0]])
         b = Subspace.from_vectors(7, 3, [[0, 1, 0]])
-        ops = subspace_ops(a, b)
-        assert ops["sum"].dim == 2
-        assert ops["intersection"].dim == 0
-        assert not ops["contains"] and not ops["equal"]
+        assert a.sum(b).dim == 2
+        assert a.intersect(b).dim == 0
+        assert not a.contains(b) and a != b
 
     def test_idempotence(self):
         a = Subspace.from_vectors(7, 3, [[1, 2, 3], [0, 1, 1]])
-        ops = subspace_ops(a, a)
-        assert ops["sum"] == a and ops["intersection"] == a
-        assert ops["contains"] and ops["equal"]
+        assert a.sum(a) == a and a.intersect(a) == a
+        assert a.contains(a)
 
     def test_containment_example_against_enumeration(self):
         a = Subspace.from_vectors(7, 3, [[1, 1, 0]])
@@ -147,12 +132,13 @@ small_primes = st.sampled_from([2, 3, 5, 7])
 
 @st.composite
 def matrices(draw, max_dim=4):
+    """(p, m) with m a rows x cols int64 array of residues."""
     p = draw(small_primes)
     rows = draw(st.integers(1, max_dim))
     cols = draw(st.integers(1, max_dim))
     data = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols),
                          min_size=rows, max_size=rows))
-    return Mat.from_rows(p, data)
+    return p, np.array(data, dtype=np.int64)
 
 
 @st.composite
@@ -167,37 +153,35 @@ def subspace_pairs(draw, max_dim=4):
 
 @settings(max_examples=150, deadline=None)
 @given(matrices())
-def test_rank_nullity(m):
-    assert kernel(m).dim + rref(m)[1] == m.rows
+def test_rank_nullity(pm):
+    p, m = pm
+    assert kernel(m, p).dim + rank(m, p) == len(m)
 
 
 @settings(max_examples=150, deadline=None)
 @given(matrices())
-def test_rref_idempotent(m):
-    once, _ = rref(m)
-    assert rref(once)[0] == once
+def test_rref_idempotent(pm):
+    p, m = pm
+    once, pivots = _rref_rows(m.tolist(), p)
+    assert _rref_rows([list(r) for r in once], p) == (once, pivots)
 
 
 @settings(max_examples=150, deadline=None)
 @given(subspace_pairs())
 def test_dimension_formula(pair):
     a, b = pair
-    ops = subspace_ops(a, b)
-    assert a.dim + b.dim == ops["sum"].dim + ops["intersection"].dim
+    assert a.dim + b.dim == a.sum(b).dim + a.intersect(b).dim
 
 
 @settings(max_examples=100, deadline=None)
 @given(matrices(max_dim=3))
-def test_solve_row_consistency(m):
+def test_solve_row_consistency(pm):
     # any row in the row space must be expressible, and the found
     # combination must reproduce it
-    target = m.data[0]
-    x = solve_row(m, target)
+    p, m = pm
+    x = express_in_rows(m.tolist(), m[0].tolist(), p)
     assert x is not None
-    combo = [0] * m.cols
-    for xi, row in zip(x, m.data):
-        combo = [(c + xi * v) % m.p for c, v in zip(combo, row)]
-    assert tuple(combo) == target
+    assert (np.array(x) @ m % p).tolist() == m[0].tolist()
 
 
 def test_batch_rank_matches_scalar_rank():
@@ -205,7 +189,7 @@ def test_batch_rank_matches_scalar_rank():
     mats = rng.integers(0, 5, size=(64, 4, 4))
     ranks = batch_rank(mats, 5)
     for i in range(64):
-        assert ranks[i] == rref(Mat.from_rows(5, mats[i].tolist()))[1]
+        assert ranks[i] == rank(mats[i], 5)
 
 
 @st.composite
@@ -229,21 +213,22 @@ def solve_batches(draw):
 @settings(max_examples=150, deadline=None)
 @given(solve_batches())
 def test_batch_solve_matches_solve_row(batch):
+    # against the scalar elimination: express_in_rows and _rref_rows
     p, mats, targets = batch
     sol, consistent, ranks = batch_solve(mats, targets, p)
     red, red_ranks = _batch_rref(mats, p)
     for i in range(len(mats)):
-        m = Mat.from_rows(p, mats[i].tolist())
-        expected = solve_row(m, targets[i].tolist())
+        expected = express_in_rows(mats[i].tolist(), targets[i].tolist(), p)
         assert bool(consistent[i]) == (expected is not None)
         if expected is not None:
             assert tuple(sol[i].tolist()) == expected
         else:
             assert not sol[i].any()
-        reduced, rank = rref(m)
-        assert ranks[i] == red_ranks[i] == rank
-        assert [tuple(row) for row in red[i, :rank].tolist()] == list(reduced.data)
-        assert not red[i, rank:].any()
+        reduced, pivots = _rref_rows(mats[i].tolist(), p)
+        r = len(pivots)
+        assert ranks[i] == red_ranks[i] == rank(mats[i], p) == r
+        assert red[i, :r].tolist() == reduced
+        assert not red[i, r:].any()
 
 
 def test_all_vectors_order_and_indexing():

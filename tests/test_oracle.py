@@ -174,16 +174,16 @@ def reference_left(a, S):
     p, d = a.p, a.dim
     members = S.members
     ring = np.array(list(itertools.product(range(p), repeat=d)), dtype=np.int64)
-    kernels = [kernel(regular_matrix(a, s, "left")) for s in members]
+    kernels = [kernel(regular_matrix(a, s, "left"), p) for s in members]
     ass_set = {(0,) * d}
     for ker in set(kernels):
         ass_set.update(_members(ker))
     counterexample = None
     # Ore by definition: every r has some member t with t*r in R*s
-    products = np.concatenate([ring @ np.array(regular_matrix(a, t, "left").data) % p
+    products = np.concatenate([ring @ regular_matrix(a, t, "left") % p
                                for t in members])
     for s in members:
-        rs = Subspace.from_vectors(p, d, regular_matrix(a, s, "right").data)
+        rs = Subspace.from_vectors(p, d, regular_matrix(a, s, "right").tolist())
         ok = batch_member_mask(products, rs).reshape(len(members), len(ring)).any(axis=0)
         if not ok.all():
             counterexample = (s.coeffs, tuple(int(v) for v in ring[np.argmin(ok)]))
@@ -191,7 +191,7 @@ def reference_left(a, S):
     is_ore = counterexample is None
     if is_ore:
         for s in members:
-            right_ker = kernel(regular_matrix(a, s, "right"))
+            right_ker = kernel(regular_matrix(a, s, "right"), p)
             bad = next((v for v in _members(right_ker) if v not in ass_set), None)
             if bad is not None:
                 counterexample = (s.coeffs, bad)

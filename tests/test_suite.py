@@ -51,7 +51,7 @@ def test_sampled_left_regular_check_reports_the_first_failing_sample(monkeypatch
     rng = random.Random(0)
     for drawn in range(1, 10_001):
         x = draw(a, rng)
-        if kernel(regular_matrix(a, x, "right")).dim == 0:
+        if kernel(regular_matrix(a, x, "right"), a.p).dim == 0:
             break
     by_name = {r.name: r for r in run_invariants(a, guard=a.p ** a.dim - 1, samples=4)}
     check = by_name["left_regular_implies_unit"]
