@@ -1,7 +1,10 @@
 """Finite-dimensional associative unital algebras over GF(p).
 
-An :class:`Algebra` is given by structure constants: ``table[i][j]`` holds
-the coefficient vector of the basis product ``b_i * b_j``.  Construction
+An :class:`Algebra` is given by structure constants: ``np_table[i, j]``,
+a C-contiguous int64 array, holds the coefficient vector of ``b_i * b_j``.
+Every constructor writes it by array assignment or contraction, and a
+subalgebra's table is its RREF basis products read at the basis pivots.
+``Algebra.table`` is a nested-tuple view built on first use.  Construction
 validates associativity on all basis triples, the two unit laws, primality
 of ``p`` and the global precondition ``p > dim`` (required by the trace
 form radical criterion downstream, and enforced here to fail fast).
@@ -27,6 +30,7 @@ operations are pure functions; concurrent reads are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,7 +67,9 @@ class Algebra:
             raise InputError("algebra dimension must be positive")
         if p <= dim:
             raise InputError(f"p = {p} must exceed dim = {dim}")
-        tab = np.array(table, dtype=np.int64) % p
+        # C order even for a transposed view, so the reshapes of the batch
+        # kernels stay views of the stored table
+        tab = np.array(table, dtype=np.int64, order="C") % p
         if tab.shape != (dim, dim, dim):
             raise InputError(f"structure constant table must be {dim}x{dim}x{dim}")
         one_vec = np.array([int(v) % p for v in one], dtype=np.int64)
@@ -74,7 +80,6 @@ class Algebra:
         self.label = label
         tab.flags.writeable = False
         self.np_table = tab
-        self.table = tuple(tuple(tuple(int(v) for v in tab[i, j]) for j in range(dim)) for i in range(dim))
         self.one_coeffs = tuple(int(v) for v in one_vec)
         self.matrix_model = matrix_model
         self._cache: dict = {}
@@ -103,6 +108,11 @@ class Algebra:
             if bad.any():
                 i = start + int(np.argmax(bad))
                 raise InputError(f"associativity fails on basis triples with first index {i}")
+
+    @cached_property
+    def table(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The structure constants as nested tuples, for the scalar product."""
+        return tuple(tuple(map(tuple, plane)) for plane in self.np_table.tolist())
 
     # -- element plumbing ---------------------------------------------------
 
@@ -174,6 +184,13 @@ class Algebra:
     def batch_mul_left(self, x: Sequence[int], ys: np.ndarray) -> np.ndarray:
         """x * y for fixed x over a batch of y."""
         return ys @ self.batch_left_matrices(np.array([x], dtype=np.int64))[0] % self.p
+
+    def pair_products(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """x*y for every row x of xs and row y of ys, shape (len(xs), len(ys), dim).
+
+        Two stages, as one three-operand contraction would cost O(dim**5).
+        """
+        return ys @ self.batch_left_matrices(xs) % self.p
 
     def batch_left_matrices(self, xs: np.ndarray) -> np.ndarray:
         """Matrices of y -> x*y acting on coefficient rows, one per batch row."""
@@ -324,12 +341,12 @@ class Ideal:
 def _matrix_unit_algebra(p: int, pairs: list[tuple[int, int]], n: int, label: str) -> Algebra:
     index = {pair: k for k, pair in enumerate(pairs)}
     dim = len(pairs)
-    table = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    table = np.zeros((dim, dim, dim), dtype=np.int64)
     for k1, (a, b) in enumerate(pairs):
         for k2, (c, d) in enumerate(pairs):
             if b == c and (a, d) in index:
-                table[k1][k2][index[(a, d)]] = 1
-    one = [0] * dim
+                table[k1, k2, index[(a, d)]] = 1
+    one = np.zeros(dim, dtype=np.int64)
     for i in range(1, n + 1):
         if (i, i) in index:
             one[index[(i, i)]] = 1
@@ -367,11 +384,9 @@ def truncated_poly(p: int, k: int) -> Algebra:
     """GF(p)[x]/(x^k); basis 1, x, ..., x^(k-1)."""
     if k < 1:
         raise InputError("k must be positive")
-    table = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            if i + j < k:
-                table[i][j][i + j] = 1
+    table = np.zeros((k, k, k), dtype=np.int64)
+    i, j = np.nonzero(np.add.outer(np.arange(k), np.arange(k)) < k)
+    table[i, j, i + j] = 1
     one = [1] + [0] * (k - 1)
     return Algebra(p, table, one, f"GF({p})[x]/(x^{k})")
 
@@ -388,27 +403,31 @@ def direct_product(factors: Sequence[Algebra]) -> tuple[Algebra, list[tuple[int,
         if f.p != p:
             raise ModulusMismatch("direct product factors over different primes")
     dim = sum(f.dim for f in factors)
-    table = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-    one = [0] * dim
+    table = np.zeros((dim, dim, dim), dtype=np.int64)
+    one = np.zeros(dim, dtype=np.int64)
     embeddings: list[tuple[int, int]] = []
-    offset = 0
+    lo = 0
     for f in factors:
-        embeddings.append((offset, offset + f.dim))
-        for i in range(f.dim):
-            one[offset + i] = f.one_coeffs[i]
-            for j in range(f.dim):
-                for k in range(f.dim):
-                    table[offset + i][offset + j][offset + k] = f.table[i][j][k]
-        offset += f.dim
+        hi = lo + f.dim
+        embeddings.append((lo, hi))
+        table[lo:hi, lo:hi, lo:hi] = f.np_table
+        one[lo:hi] = f.one_coeffs
+        lo = hi
     label = " x ".join(f.label for f in factors)
     return Algebra(p, table, one, label), embeddings
 
 
 def opposite_algebra(a: Algebra) -> Algebra:
     """Same basis, transposed multiplication: mul_op(i, j) = mul(j, i)."""
-    d = a.dim
-    table = [[a.table[j][i] for j in range(d)] for i in range(d)]
-    return Algebra(a.p, table, a.one_coeffs, f"op({a.label})", matrix_model=a.matrix_model)
+    return Algebra(a.p, a.np_table.transpose(1, 0, 2), a.one_coeffs, f"op({a.label})",
+                   matrix_model=a.matrix_model)
+
+
+def cached_opposite(a: Algebra) -> Algebra:
+    """:func:`opposite_algebra` of ``a``, built once per algebra."""
+    if "opposite" not in a._cache:
+        a._cache["opposite"] = opposite_algebra(a)
+    return a._cache["opposite"]
 
 
 def matrix_subalgebra(p: int, n: int, generators: Sequence[Sequence[Sequence[int]]]) -> Algebra:
@@ -422,50 +441,34 @@ def matrix_subalgebra(p: int, n: int, generators: Sequence[Sequence[Sequence[int
     if n < 1:
         raise InputError("ambient size must be positive")
     amb = n * n
-    eye = [1 if i % (n + 1) == 0 else 0 for i in range(amb)]
-    vecs = [eye] + [[int(v) % p for row in g for v in row] for g in generators]
+    eye = np.eye(n, dtype=np.int64).reshape(1, amb)
+    vecs = [eye[0].tolist()] + [[int(v) % p for row in g for v in row] for g in generators]
     for v in vecs:
         if len(v) != amb:
             raise InputError(f"generator is not an {n}x{n} matrix")
     span = Subspace.from_vectors(p, amb, vecs)
     bound = min(MAX_CLOSURE_DIM, amb)
-
-    def matmul_flat(x: Sequence[int], y: Sequence[int]) -> list[int]:
-        out = [0] * amb
-        for i in range(n):
-            for k in range(n):
-                c = x[i * n + k]
-                if c:
-                    for j in range(n):
-                        out[i * n + j] = (out[i * n + j] + c * y[k * n + j]) % p
-        return out
-
     while True:
-        new_vecs = list(span.basis)
-        for u in span.basis:
-            for v in span.basis:
-                new_vecs.append(matmul_flat(u, v))
-        bigger = Subspace.from_vectors(p, amb, new_vecs)
+        mats = span.array.reshape(-1, n, n)
+        # u @ v for every ordered pair (u, v) of basis matrices, row-major
+        products = (mats[:, None] @ mats[None, :] % p).reshape(-1, amb)
+        bigger = Subspace.from_vectors(p, amb, np.concatenate([span.array, products]).tolist())
         if bigger.dim == span.dim:
             break
         span = bigger
         if span.dim > bound:
             raise InputError(f"closure exceeded the {bound}-dimensional bound")
-    dim = span.dim
-    table = []
-    for u in span.basis:
-        row = []
-        for v in span.basis:
-            coords = span.coordinates(matmul_flat(u, v))
-            if coords is None:
-                raise InternalCheckError("closure is not multiplicatively closed")
-            row.append(list(coords))
-        table.append(row)
-    one = span.coordinates(eye)
-    if one is None:
+    if not batch_member_mask(products, span).all():
+        raise InternalCheckError("closure is not multiplicatively closed")
+    if not batch_member_mask(eye, span).all():
         raise InternalCheckError("identity left the closed span")
+    # a member's coordinates over an RREF basis are its entries at the pivots
+    dim = span.dim
+    pivots = list(span.pivots)
+    table = products.reshape(dim, dim, amb)[..., pivots]
     mats = tuple(tuple(tuple(row[i * n:(i + 1) * n]) for i in range(n)) for row in span.basis)
-    return Algebra(p, table, one, f"subalg({n}x{n}, dim {dim}, GF({p}))", matrix_model=(n, mats))
+    return Algebra(p, table, eye[0, pivots], f"subalg({n}x{n}, dim {dim}, GF({p}))",
+                   matrix_model=(n, mats))
 
 
 def build_algebra(desc: dict) -> Algebra:
@@ -494,11 +497,12 @@ def _build_with_prime(desc: dict, p: int) -> Algebra:
         for key in ("dim", "one", "mul_table"):
             if key not in desc:
                 raise InputError(f"structure_constants description missing {key!r}")
-        dim = desc["dim"]
-        table = desc["mul_table"]
+        dim = _int_param(desc, "dim")
+        table = _residues(desc["mul_table"], 3, p, "mul_table")
         if len(table) != dim:
             raise InputError("mul_table size does not match dim")
-        return Algebra(p, table, desc["one"], desc.get("label", f"A(dim {dim}, GF({p}))"))
+        one = _residues(desc["one"], 1, p, "one")
+        return Algebra(p, table, one, desc.get("label", f"A(dim {dim}, GF({p}))"))
     if kind != "constructor":
         raise InputError(f"unknown description kind {kind!r}")
     name = desc.get("name")
@@ -539,10 +543,22 @@ def _build_nested(desc: dict, p: int) -> Algebra:
     return _build_with_prime(desc, p)
 
 
+def _residues(value, depth: int, p: int, key: str):
+    """``value``, lists nested ``depth`` deep of JSON integers of any size, mod p;
+    booleans, floats and strings are rejected rather than converted."""
+    if depth:
+        if not isinstance(value, list):
+            raise InputError(f"{key!r} must be nested {depth} deep in arrays")
+        return [_residues(v, depth - 1, p, key) for v in value]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{key!r} holds {value!r}, which is not an integer")
+    return value % p
+
+
 def _int_param(desc: dict, key: str) -> int:
     v = desc.get(key)
-    if not isinstance(v, int):
-        raise InputError(f"constructor parameter {key!r} must be an integer")
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise InputError(f"parameter {key!r} must be an integer")
     return v
 
 
@@ -598,10 +614,7 @@ def ideal_combine(x: Ideal, y: Ideal, op: str) -> Ideal:
     if op == "product":
         if x.side != "twosided" or y.side != "twosided":
             raise InputError("ideal product requires two-sided operands")
-        # u*v = sum_ij u_i v_j (b_i b_j), in two stages reduced mod p after
-        # each: a stage sums dim terms below p**2, far inside int64
-        u_times_basis = np.einsum("ui,ijl->ujl", x.space.array, a.np_table) % a.p
-        products = np.einsum("ujl,vj->uvl", u_times_basis, y.space.array) % a.p
+        products = a.pair_products(x.space.array, y.space.array)
         # RREF is canonical, so zero and repeated rows can go first
         rows = {row for row in map(tuple, products.reshape(-1, a.dim).tolist()) if any(row)}
         return Ideal(a, Subspace.from_vectors(a.p, a.dim, rows), "twosided")

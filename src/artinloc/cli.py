@@ -296,30 +296,34 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every command: they all take the same options."""
     parser = argparse.ArgumentParser(
         prog="artinloc",
         description="Classify denominator sets and Ore localizations of a "
                     "finite-dimensional algebra over GF(p).")
-    sub = parser.add_subparsers(dest="command", required=True)
-    default_guard = int(os.environ.get("ARTINLOC_GUARD", DEFAULT_GUARD))
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--input", required=True,
-                       help="path to the JSON algebra description ('-' for stdin)")
-        p.add_argument("--element", help="element payload as JSON (vector or matrix literal)")
-        p.add_argument("--generators", help="path to a JSON array of element payloads")
-        p.add_argument("--side", choices=["left", "right", "both"], default="left")
-        p.add_argument("--oracle", action="store_true",
-                       help="cross-check the verdict against the brute-force oracle")
-        p.add_argument("--guard", type=int, default=default_guard,
-                       help="enumeration guard on p**dim (env ARTINLOC_GUARD)")
-        p.add_argument("--format", choices=["json", "text"], default="json")
-        p.add_argument("--output", help="write the report to a file instead of stdout")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--input", required=True,
+                        help="path to the JSON algebra description ('-' for stdin)")
+    parser.add_argument("--element", help="element payload as JSON (vector or matrix literal)")
+    parser.add_argument("--generators", help="path to a JSON array of element payloads")
+    parser.add_argument("--side", choices=["left", "right", "both"], default="left")
+    parser.add_argument("--oracle", action="store_true",
+                        help="cross-check the verdict against the brute-force oracle")
+    parser.add_argument("--guard", type=int,
+                        help="enumeration guard on p**dim (env ARTINLOC_GUARD)")
+    parser.add_argument("--format", choices=["json", "text"], default="json")
+    parser.add_argument("--output", help="write the report to a file instead of stdout")
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # the guard default is read from the environment at each call; a value
+    # already on the namespace is kept by argparse unless --guard is given
+    defaults = argparse.Namespace(guard=int(os.environ.get("ARTINLOC_GUARD", DEFAULT_GUARD)))
+    args = PARSER.parse_args(argv, namespace=defaults)
     try:
         code = COMMANDS[args.command](args)
     except (InputError, FileNotFoundError, ValueError) as exc:

@@ -12,7 +12,9 @@ Gauss-Jordan loop over Python lists: on the small matrices of a single
 decision it measured faster than elimination in numpy.  Batches of matrices and long
 sweeps over element sets use the numpy kernels at the bottom of the
 module, and :meth:`Subspace.residues` reduces many vectors against a
-subspace at once.  Nothing here uses floating point.
+subspace at once.  A member's coordinates over an RREF basis are its
+entries at the pivots, so no coordinate solve is needed.  Nothing here
+uses floating point.
 """
 
 from __future__ import annotations
@@ -200,12 +202,6 @@ class Subspace:
 
     def contains_vector(self, vec: Sequence[int]) -> bool:
         return all(x == 0 for x in self.reduce(vec))
-
-    def coordinates(self, vec: Sequence[int]) -> tuple[int, ...] | None:
-        """Coefficients of ``vec`` over the basis, or None if not a member."""
-        if not self.contains_vector(vec):
-            return None
-        return tuple(int(vec[piv]) % self.p for piv in self.pivots)
 
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)

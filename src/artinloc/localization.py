@@ -36,8 +36,8 @@ from .algebra import (
     Element,
     Ideal,
     Quotient,
+    cached_opposite,
     ideal_combine,
-    opposite_algebra,
     quotient_algebra,
     regular_matrix,
 )
@@ -47,6 +47,7 @@ from .linalg import (
     InternalCheckError,
     ResourceGuardError,
     Subspace,
+    batch_member_mask,
     batch_rank,
     batch_solve,
     rank,
@@ -688,11 +689,6 @@ def classify_element(a: Algebra, r: Element, report: LocalizationReport) -> dict
 # Duality and the two-sided theory
 # ---------------------------------------------------------------------------
 
-def _transfer_ideal(target: Algebra, ideal: Ideal) -> Ideal:
-    return Ideal(target, Subspace(target.p, target.dim, ideal.space.basis, ideal.space.pivots),
-                 "twosided")
-
-
 @dataclass(frozen=True)
 class DualityReport:
     left: LocalizationReport
@@ -728,11 +724,7 @@ def duality_report(a: Algebra) -> DualityReport:
     subsets on the two sides.
     """
     left = localization_report(a)
-    op = a._cache.get("opposite")
-    if op is None:
-        op = opposite_algebra(a)
-        a._cache["opposite"] = op
-    right = localization_report(op)
+    right = localization_report(cached_opposite(a))
     fam_l, fam_r = left.tri.family, right.tri.family
     if [e.coeffs for e in fam_l.idempotents] != [e.coeffs for e in fam_r.idempotents]:
         raise InternalCheckError("opposite algebra produced a different idempotent family")
@@ -759,29 +751,27 @@ def duality_report(a: Algebra) -> DualityReport:
         raise InternalCheckError("localization radicals do not vanish together")
     if left.flags["localization_maximal"] != right.flags["localization_maximal"]:
         raise InternalCheckError("localization maximality is not side-symmetric")
-    r_rad = _transfer_ideal(a, right.l_rad)
+    r_rad = Ideal(a, right.l_rad.space, "twosided")
     l_neq_r = left.l_rad.space != r_rad.space
     return DualityReport(left, right, tuple(pairing), counts_equal, l_zero_iff_r_zero,
                          r_rad, l_neq_r)
 
 
-def _center_algebra(a: Algebra) -> tuple[Algebra, list[Element]]:
-    """The center as an algebra together with its basis inside a."""
+def _center_algebra(a: Algebra) -> tuple[Algebra, Subspace]:
+    """The center as an algebra on the RREF basis of the center subspace.
+
+    A member's coordinates over an RREF basis are its entries at the
+    pivots, so the table is the basis products read there.
+    """
     center = _center_subspace(a)
-    basis = [a.element(v) for v in center.basis]
-    table = []
-    for u in center.basis:
-        row = []
-        for v in center.basis:
-            coords = center.coordinates(a.mul_coeffs(u, v))
-            if coords is None:
-                raise InternalCheckError("center is not multiplicatively closed")
-            row.append(list(coords))
-        table.append(row)
-    one = center.coordinates(a.one_coeffs)
-    if one is None:
+    products = a.pair_products(center.array, center.array)
+    if not batch_member_mask(products.reshape(-1, a.dim), center).all():
+        raise InternalCheckError("center is not multiplicatively closed")
+    one = np.array([a.one_coeffs], dtype=np.int64)
+    if not batch_member_mask(one, center).all():
         raise InternalCheckError("identity is not central")
-    return Algebra(a.p, table, one, f"Z({a.label})"), basis
+    pivots = list(center.pivots)
+    return Algebra(a.p, products[..., pivots], one[0, pivots], f"Z({a.label})"), center
 
 
 @dataclass(frozen=True)
@@ -839,16 +829,9 @@ def two_sided_report(a: Algebra) -> TwoSidedReport:
     center), then the counting and radical facts that follow."""
     if "two_sided" in a._cache:
         return a._cache["two_sided"]
-    zalg, zbasis = _center_algebra(a)
-    zfam = block_decomposition(zalg)
-    cents = []
-    for e in zfam.idempotents:
-        vec = [0] * a.dim
-        for c, zb in zip(e.coeffs, zbasis):
-            if c:
-                for j, v in enumerate(zb.coeffs):
-                    vec[j] = (vec[j] + c * v) % a.p
-        cents.append(a.element(vec))
+    zalg, center = _center_algebra(a)
+    coords = np.array([e.coeffs for e in block_decomposition(zalg).idempotents], dtype=np.int64)
+    cents = [a.element(v) for v in (coords @ center.array % a.p).tolist()]
     cents.sort(key=lambda e: (_pivot(e.coeffs), e.coeffs))
     total = a.zero
     for e in cents:

@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, Element, Ideal, ideal_combine, opposite_algebra, regular_matrix
+from .algebra import Algebra, Element, Ideal, cached_opposite, ideal_combine, regular_matrix
 from .linalg import (
     DEFAULT_GUARD,
     InputError,
@@ -217,10 +217,7 @@ def brute_denominator_check(a: Algebra, S: FiniteSetOfElements, side: str = "lef
     if S.contains_zero:
         raise InputError("a multiplicative set may not contain 0")
     if side == "right":
-        op = a._cache.get("opposite")
-        if op is None:
-            op = opposite_algebra(a)
-            a._cache["opposite"] = op
+        op = cached_opposite(a)
         s_op = FiniteSetOfElements(op, tuple(Element(op, m.coeffs) for m in S.members), False)
         res = brute_denominator_check(op, s_op, "left", guard)
         return _transfer_result(a, res)
@@ -319,9 +316,7 @@ def brute_denominator_check(a: Algebra, S: FiniteSetOfElements, side: str = "lef
 
 
 def _transfer_result(a: Algebra, res: BruteDenResult) -> BruteDenResult:
-    ass = None
-    if res.ass is not None:
-        ass = Ideal(a, Subspace(a.p, a.dim, res.ass.space.basis, res.ass.space.pivots), "twosided")
+    ass = None if res.ass is None else Ideal(a, res.ass.space, "twosided")
     core = FiniteSetOfElements(a, tuple(Element(a, m.coeffs) for m in res.core.members),
                                res.core.contains_zero)
     ce = None

@@ -180,12 +180,7 @@ def block_decomposition(a: Algebra) -> IdempotentFamily:
         frob_rows.append(diff)
     # Solve sum_i c_i (z_i^p - z_i) = 0 for c over the center basis.
     fixed_coords = kernel(np.array(frob_rows, dtype=np.int64), p)
-    f_basis = []
-    center_mat = np.array(center.basis, dtype=np.int64) if center.dim else np.zeros((0, abar.dim), dtype=np.int64)
-    for c in fixed_coords.basis:
-        vec = (np.array(c, dtype=np.int64) @ center_mat) % p
-        f_basis.append(tuple(int(v) for v in vec))
-    fixed = Subspace.from_vectors(p, abar.dim, f_basis)
+    fixed = Subspace.from_vectors(p, abar.dim, (fixed_coords.array @ center.array % p).tolist())
 
     # Deterministic splitting into primitive idempotents of the fixed space.
     blocks = [abar.one_coeffs]
@@ -237,15 +232,8 @@ def block_decomposition(a: Algebra) -> IdempotentFamily:
     for ebar in central:
         block_space = Subspace.from_vectors(p, abar.dim, regular_matrix(abar, ebar, "right").tolist())
         dims.append(block_space.dim)
-        is_comm = True
-        for u in block_space.basis:
-            for v in block_space.basis:
-                if abar.mul_coeffs(u, v) != abar.mul_coeffs(v, u):
-                    is_comm = False
-                    break
-            if not is_comm:
-                break
-        comm.append(is_comm)
+        products = abar.pair_products(block_space.array, block_space.array)
+        comm.append(bool((products == products.transpose(1, 0, 2)).all()))
 
     fam = IdempotentFamily(a, tuple(lifted), tuple(dims), tuple(comm), rad, quo, tuple(central))
     a._cache["family"] = fam

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artinloc import algebra
+from artinloc import algebra, localization
 from artinloc.algebra import (
     Algebra,
     Ideal,
@@ -21,7 +21,8 @@ from artinloc.algebra import (
     truncated_poly,
     upper_triangular,
 )
-from artinloc.linalg import InputError, Subspace, express_in_rows, kernel, rank
+from artinloc.linalg import InputError, InternalCheckError, Subspace, express_in_rows, kernel, rank
+from artinloc.localization import _center_algebra
 from artinloc.oracle import brute_idempotents
 from artinloc.structure import block_decomposition, radical
 
@@ -462,6 +463,87 @@ class TestOppositeAndProducts:
     def test_mixed_primes_rejected(self):
         with pytest.raises(Exception):
             direct_product([full_matrix(5, 1), full_matrix(7, 1)])
+
+
+# ---------------------------------------------------------------------------
+# Tables built by array assignment and read at RREF pivots
+# ---------------------------------------------------------------------------
+
+def table_by_definition(ambient, rows):
+    """Reference table of the subalgebra of ``ambient`` with basis ``rows``:
+    each basis product is an Element product, solved over the rows."""
+    elems = [ambient.element(r) for r in rows]
+    return tuple(tuple(express_in_rows(rows, (u * v).coeffs, ambient.p) for v in elems)
+                 for u in elems)
+
+
+# M_n(GF(p)) on the row-major matrix units, the ambient of matrix_subalgebra
+MATRIX_AMBIENTS = [full_matrix(5, 2), full_matrix(7, 2), full_matrix(11, 3)]
+
+
+@st.composite
+def random_subalgebra(draw):
+    """M_n(GF(p)) and the subalgebra closed from up to two random matrices."""
+    ambient = draw(st.sampled_from(MATRIX_AMBIENTS))
+    n, p = ambient.matrix_model[0], ambient.p
+    matrix = st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+                      min_size=n, max_size=n)
+    return ambient, matrix_subalgebra(p, n, draw(st.lists(matrix, max_size=2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_subalgebra(), st.sampled_from(SMALL_ALGEBRAS))
+def test_subalgebra_and_center_tables_match_the_definition(drawn, a):
+    ambient, sub = drawn
+    rows = [[v for row in m for v in row] for m in sub.matrix_model[1]]
+    assert sub.table == table_by_definition(ambient, rows)
+    assert sub.one_coeffs == express_in_rows(rows, ambient.one_coeffs, sub.p)
+    for b in (a, sub):
+        zalg, center = _center_algebra(b)
+        assert zalg.table == table_by_definition(b, center.basis)
+        assert zalg.one_coeffs == express_in_rows(center.basis, b.one_coeffs, b.p)
+
+
+def small_subalgebra():
+    return matrix_subalgebra(7, 2, [[[2, 0], [1, 0]]])
+
+
+def small_center():
+    return _center_algebra(direct_product([truncated_poly(7, 2), full_matrix(7, 1)])[0])[0]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: opposite_algebra(lower_triangular(7, 3)),
+    lambda: direct_product([truncated_poly(7, 2), lower_triangular(7, 2)])[0],
+    lambda: quotient_algebra(L3 := lower_triangular(7, 3), radical(L3)).algebra,
+    small_center,
+    small_subalgebra,
+], ids=["opposite", "product", "quotient", "center", "subalgebra"])
+def test_np_table_is_c_contiguous(build):
+    assert build().np_table.flags.c_contiguous
+
+
+@pytest.mark.parametrize("module, build, call, message", [
+    (algebra, small_subalgebra, 0, "closure is not multiplicatively closed"),
+    (algebra, small_subalgebra, 1, "identity left the closed span"),
+    (localization, small_center, 0, "center is not multiplicatively closed"),
+    (localization, small_center, 1, "identity is not central"),
+])
+def test_each_table_check_fires(module, build, call, message, monkeypatch):
+    member = module.batch_member_mask
+    calls = []
+
+    def faulty(vecs, space):
+        # membership test number `call` reports its last row outside the span
+        mask = member(vecs, space)
+        if len(calls) == call:
+            mask[-1] = False
+        calls.append(call)
+        return mask
+
+    monkeypatch.setattr(module, "batch_member_mask", faulty)
+    with pytest.raises(InternalCheckError, match=message):
+        build()
 
 
 def test_equal_principal_right_ideals_force_equal_left_complements(L2_5):

@@ -239,6 +239,27 @@ class TestVerifyAndErrors:
         code = main(["check-powers", "--input", docfile(L2_DOC), "--element", "[1,2]"])
         assert code == 2
 
+    @pytest.mark.parametrize("changes", [
+        {"dim": 1, "one": [1.9], "mul_table": [[[1.2]]]},
+        {"mul_table": [[[True, 0], [0, 1]], [[0, 1], [0, 0]]]},
+        {"dim": True, "one": [1], "mul_table": [[[1]]]},
+        {"one": ["1", 0]},
+    ], ids=["float", "bool entry", "bool dim", "string"])
+    def test_non_integer_structure_constants_exit_code(self, changes, docfile, capsys):
+        doc = json.dumps({**json.loads(T7_DOC), **changes})
+        assert main(["report", "--input", docfile(doc)]) == 2
+        assert "integer" in capsys.readouterr().err
+
+    def test_oversized_structure_constants_are_reduced(self, docfile, capsys):
+        # 7 * 10**22 + 1 is 1 mod 7 and -7 * 10**23 is 0, both beyond int64
+        big = 7 * 10 ** 22
+        doc = json.dumps({**json.loads(T7_DOC), "one": [big + 1, big],
+                          "mul_table": [[[big + 1, 0], [0, 1]], [[0, 1], [-10 * big, 0]]]})
+        assert main(["report", "--input", docfile(doc)]) == 0
+        oversized = capsys.readouterr().out
+        assert main(["report", "--input", docfile(T7_DOC)]) == 0
+        assert oversized == capsys.readouterr().out
+
     def test_guard_env_var(self, docfile, capsys, monkeypatch):
         monkeypatch.setenv("ARTINLOC_GUARD", "3")
         # the closure of a unit of multiplicative order 6 exceeds a guard of 3
