@@ -50,8 +50,9 @@ from .linalg import (
 )
 
 MAX_CLOSURE_DIM = 64
-# entries per temporary of the blocked associativity check in Algebra._validate;
-# larger blocks save little time and raise the peak memory of every build
+# entries per temporary of the blocked associativity check in Algebra._validate
+# and of the pair runs of the class-lattice checks in localization; larger
+# blocks save little time and raise the peak memory of every build
 ASSOC_BLOCK = 1 << 14
 
 
@@ -529,7 +530,7 @@ def _build_with_prime(desc: dict, p: int) -> Algebra:
         gens = desc.get("generators")
         if not isinstance(gens, list):
             raise InputError("matrix_subalgebra needs a generators list")
-        return matrix_subalgebra(p, _int_param(desc, "ambient_n"), gens)
+        return matrix_subalgebra(p, _int_param(desc, "ambient_n"), _residues(gens, 3, p, "generators"))
     raise InputError(f"unknown constructor {name!r}")
 
 

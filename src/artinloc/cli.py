@@ -26,7 +26,7 @@ import json
 import os
 import sys
 
-from .algebra import Algebra, Element, build_algebra
+from .algebra import Algebra, Element, _residues, build_algebra
 from .linalg import DEFAULT_GUARD, InputError, InternalCheckError, ResourceGuardError
 from .localization import (
     DenSetDescriptor,
@@ -66,11 +66,11 @@ def parse_element(a: Algebra, text: str) -> Element:
 
 
 def element_from_payload(a: Algebra, payload) -> Element:
-    if isinstance(payload, list) and payload and all(isinstance(r, list) for r in payload):
-        return a.from_matrix(payload)
-    if isinstance(payload, list) and all(isinstance(v, int) for v in payload):
-        return a.element(payload)
-    raise InputError("element must be a JSON array of residues or a matrix literal")
+    if not isinstance(payload, list):
+        raise InputError("element must be a JSON array of residues or a matrix literal")
+    if payload and all(isinstance(r, list) for r in payload):
+        return a.from_matrix(_residues(payload, 2, a.p, "element"))
+    return a.element(_residues(payload, 1, a.p, "element"))
 
 
 def _load_generators(a: Algebra, path: str) -> list[Element]:

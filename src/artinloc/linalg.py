@@ -353,6 +353,18 @@ def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
     return _batch_rref(mats, p)[1]
 
 
+def batch_row_spaces(mats: np.ndarray, p: int) -> list[Subspace]:
+    """Row spaces of a batch of matrices, from one batched elimination.
+
+    The reduced row echelon form is unique, so each :class:`Subspace` equals
+    :meth:`Subspace.from_vectors` on the same rows.
+    """
+    red, ranks = _batch_rref(mats, p)
+    pivots = (red != 0).argmax(axis=2)
+    return [Subspace(p, red.shape[2], tuple(map(tuple, rows[:r])), tuple(piv[:r]))
+            for rows, piv, r in zip(red.tolist(), pivots.tolist(), ranks.tolist())]
+
+
 def batch_solve(mats: np.ndarray, targets: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve ``x @ mats[n] = targets[n]`` for row vectors, over a batch.
 

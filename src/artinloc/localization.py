@@ -21,17 +21,26 @@ For a finite-dimensional (hence Artinian) algebra the module computes:
 Reports are deterministic: subsets are ordered by (size, lexicographic)
 and all underlying idempotents come from the deterministic lift in
 :mod:`artinloc.structure`.
+
+The class lattice is checked over every ordered pair of classes, and those
+checks are batched: the kernel ideals are stacked as one zero-padded array
+of RREF bases, and each pairwise fact is a numpy kernel over runs of pairs
+whose temporaries hold at most ``ASSOC_BLOCK`` entries.  The ranks of the
+stacked pairs [B_I; B_J] give dim(K_I + K_J), hence containment and the
+dimension of K_I meet K_J; the product K_I K_J is (1 - e_I) K_J, one matmul
+per pair; the idempotent products e_I e_J are one batched multiplication.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .algebra import (
+    ASSOC_BLOCK,
     Algebra,
     Element,
     Ideal,
@@ -49,6 +58,7 @@ from .linalg import (
     Subspace,
     batch_member_mask,
     batch_rank,
+    batch_row_spaces,
     batch_solve,
     rank,
     row_chunks,
@@ -104,13 +114,99 @@ class TriangularIdempotentSet:
     """Block-sum idempotents e_I with e_I R (1 - e_I) = 0, ordered by (|I|, I).
 
     The poset order is subset inclusion of the index sets; minima are the
-    indices of the maximal localization classes.
+    indices of the maximal localization classes.  ``kernels[i]`` is the
+    kernel ideal K_i = (1 - e_I)R of entry i as a subspace, and
+    ``sum_dims[i, j]`` is dim(K_i + K_j).
     """
 
     algebra: Algebra
     family: IdempotentFamily
     entries: tuple[tuple[Subset, Element], ...]
     minima: tuple[Subset, ...]
+    kernels: tuple[Subspace, ...] = field(repr=False)
+    sum_dims: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def kernel_dims(self) -> np.ndarray:
+        return np.array([k.dim for k in self.kernels], dtype=np.int64)
+
+    def contains(self) -> np.ndarray:
+        """``out[i, j]``: K_i is inside K_j, that is dim(K_i + K_j) = dim K_j."""
+        return self.sum_dims == self.kernel_dims[None, :]
+
+    def meet_dims(self) -> np.ndarray:
+        """dim(K_i meet K_j) = dim K_i + dim K_j - dim(K_i + K_j)."""
+        dims = self.kernel_dims
+        return dims[:, None] + dims[None, :] - self.sum_dims
+
+
+def _pair_runs(ii: np.ndarray, jj: np.ndarray, per_pair: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The index pairs ``(ii[n], jj[n])`` in order, in runs of at least one
+    pair whose stacked temporaries, ``per_pair`` entries a pair, hold at
+    most ASSOC_BLOCK entries."""
+    step = max(1, ASSOC_BLOCK // max(1, per_pair))
+    for start in range(0, len(ii), step):
+        yield ii[start:start + step], jj[start:start + step]
+
+
+def _ordered_pairs(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair of ``range(count)``, row-major, as two index arrays."""
+    return np.divmod(np.arange(count * count, dtype=np.int64), count)
+
+
+def _stacked_bases(spaces: Sequence[Subspace]) -> np.ndarray:
+    """The RREF bases of ``spaces`` as one zero-padded ``(C, m, d)`` array."""
+    stack = np.zeros((len(spaces), max(sp.dim for sp in spaces), spaces[0].ambient_dim),
+                     dtype=np.int64)
+    for k, sp in enumerate(spaces):
+        stack[k, :sp.dim] = sp.array
+    return stack
+
+
+def _projectors(spaces: Sequence[Subspace]) -> np.ndarray:
+    """One ``(d, d)`` matrix E per space, holding basis row r at row pivot r.
+
+    ``x @ E`` is the member that agrees with x at the pivots, so x is a
+    member iff ``x @ E = x`` mod p: :meth:`Subspace.residues` for a batch of
+    rows that each have their own space.
+    """
+    d = spaces[0].ambient_dim
+    out = np.zeros((len(spaces), d, d), dtype=np.int64)
+    for k, sp in enumerate(spaces):
+        out[k, list(sp.pivots)] = sp.array
+    return out
+
+
+def _sum_dims(spaces: Sequence[Subspace], p: int) -> np.ndarray:
+    """dim(K_i + K_j) for every pair, as the rank of the stacked bases
+    [B_i; B_j]; the table is symmetric, so it is eliminated for i <= j."""
+    stack = _stacked_bases(spaces)
+    c, m, d = stack.shape
+    out = np.empty((c, c), dtype=np.int64)
+    for i, j in _pair_runs(*np.triu_indices(c), 2 * m * d):
+        out[i, j] = out[j, i] = batch_rank(np.concatenate([stack[i], stack[j]], axis=1), p)
+    return out
+
+
+def _kernel_products(a: Algebra, tri: TriangularIdempotentSet
+                     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The products K_i K_j of the kernel ideals for every ordered pair, in
+    runs ``(i, j, rows)``: ``rows[n]`` spans K_i K_j for the pair
+    ``(i[n], j[n])``, zero-padded.
+
+    K_i = (1 - e_i)R and R K_j = K_j (K_j is a left ideal, and 1 is in R),
+    so K_i K_j = (1 - e_i) K_j: the basis of K_j times the left
+    multiplication by 1 - e_i, one matmul per pair instead of every product
+    of two basis vectors.
+    """
+    d, p = a.dim, a.p
+    stack = _stacked_bases(tri.kernels)
+    one = np.array(a.one_coeffs, dtype=np.int64)
+    idems = np.array([e.coeffs for _, e in tri.entries], dtype=np.int64)
+    lefts = a.batch_left_matrices((one - idems) % p)
+    m = stack.shape[1]
+    for i, j in _pair_runs(*_ordered_pairs(len(idems)), m * d + d * d):
+        yield i, j, stack[j] @ lefts[i] % p
 
 
 def left_triangular_idempotents(a: Algebra, fam: IdempotentFamily | None = None) -> TriangularIdempotentSet:
@@ -120,6 +216,16 @@ def left_triangular_idempotents(a: Algebra, fam: IdempotentFamily | None = None)
     subsets give distinct ideals (1-e)R, products/sums of entries behave
     (intersections multiply down, disjoint unions add), and distinct
     minima are orthogonal with e_I R e_J = 0.
+
+    The kernel ideals come from one batched elimination of the left
+    multiplications by 1 - e_I.  The pairwise checks run over every ordered
+    pair of entries in batched runs of bounded size (:func:`_pair_runs`):
+    subset inclusion I >= J against K_I inside K_J, read off the table of
+    dim(K_I + K_J) (ranks of the stacked bases), and the products e_I e_J
+    (:meth:`Algebra.batch_mul`) against the sum over I & J, which is 0 for
+    disjoint subsets; subsets are bitmasks, so intersections, unions and
+    the minima are integer operations.  A failure names the first failing
+    pair in row-major order, as a loop over the pairs would.
     """
     fam = fam or block_decomposition(a)
     s = fam.s
@@ -135,44 +241,48 @@ def left_triangular_idempotents(a: Algebra, fam: IdempotentFamily | None = None)
     full = tuple(range(1, s + 1))
     if not any(sub == full for sub, _ in entries):
         raise InternalCheckError("the full block subset must always qualify")
-    spaces = {}
-    for sub, e in entries:
-        sp = _right_ideal_of(a, a.one - e)
-        if sp in spaces.values():
-            raise InternalCheckError("distinct subsets gave the same kernel ideal")
-        spaces[sub] = sp
+    p = a.p
+    one = np.array(a.one_coeffs, dtype=np.int64)
+    idems = np.array([e.coeffs for _, e in entries], dtype=np.int64)
+    kernels = tuple(batch_row_spaces(a.batch_left_matrices((one - idems) % p), p))
+    if len(set(kernels)) != len(kernels):
+        raise InternalCheckError("distinct subsets gave the same kernel ideal")
+    sum_dims = _sum_dims(kernels, p)
+    masks = np.array([sum(1 << (i - 1) for i in sub) for sub, _ in entries], dtype=np.int64)
     # the subset order and the kernel ideals are anti-isomorphic posets
-    for i_sub, sp_i in spaces.items():
-        for j_sub, sp_j in spaces.items():
-            if (set(i_sub) >= set(j_sub)) != sp_j.contains(sp_i):
-                raise InternalCheckError("subset containment does not reverse into the ideals")
-    subset_set = {sub for sub, _ in entries}
-    for (i_sub, e_i), (j_sub, e_j) in itertools.product(entries, entries):
-        inter = tuple(sorted(set(i_sub) & set(j_sub)))
-        prod = e_i * e_j
-        if inter:
-            # e_j * e_i is compared at the swapped pair
-            if prod != fam.sum_over(inter):
-                raise InternalCheckError("block-sum idempotents do not multiply to the intersection")
-            if inter not in subset_set:
-                raise InternalCheckError("intersection of qualifying subsets does not qualify")
-        else:
-            if not prod.is_zero():
-                raise InternalCheckError("disjoint block-sum idempotents are not orthogonal")
-            union = tuple(sorted(set(i_sub) | set(j_sub)))
-            if union not in subset_set:
-                raise InternalCheckError("disjoint union of qualifying subsets does not qualify")
-    minima = []
-    for sub, _ in entries:
-        if not any(set(other) < set(sub) for other, _ in entries):
-            minima.append(sub)
+    dims = np.array([k.dim for k in kernels], dtype=np.int64)
+    superset = (masks[:, None] & masks[None, :]) == masks[None, :]
+    if (superset != (sum_dims == dims[None, :])).any():
+        raise InternalCheckError("subset containment does not reverse into the ideals")
+    blocks = np.array([e.coeffs for e in fam.idempotents], dtype=np.int64)
+    bit = np.int64(1) << np.arange(s, dtype=np.int64)
+    has_smaller = np.zeros(len(entries), dtype=bool)
+    for i, j in _pair_runs(*_ordered_pairs(len(entries)), a.dim * a.dim):
+        inter, union = masks[i] & masks[j], masks[i] | masks[j]
+        # the sum of 1_k over I & J (0 when disjoint)
+        expected = ((inter[:, None] & bit) != 0).astype(np.int64) @ blocks % p
+        wrong = (a.batch_mul(idems[i], idems[j]) != expected).any(axis=1)
+        missing = ~np.isin(np.where(inter == 0, union, inter), masks)
+        bad = wrong | missing
+        if bad.any():
+            n = int(np.argmax(bad))
+            if inter[n]:
+                # e_j * e_i is compared at the swapped pair
+                raise InternalCheckError("block-sum idempotents do not multiply to the intersection"
+                                         if wrong[n] else
+                                         "intersection of qualifying subsets does not qualify")
+            raise InternalCheckError("disjoint block-sum idempotents are not orthogonal"
+                                     if wrong[n] else
+                                     "disjoint union of qualifying subsets does not qualify")
+        has_smaller[j[(inter == masks[i]) & (masks[i] != masks[j])]] = True
+    minima = [sub for (sub, _), smaller in zip(entries, has_smaller) if not smaller]
     for i_sub in minima:
         for j_sub in minima:
             if i_sub == j_sub:
                 continue
             if not _corner_is_zero(a, fam.sum_over(i_sub), fam.sum_over(j_sub)):
                 raise InternalCheckError("distinct minima do not annihilate through the ring")
-    return TriangularIdempotentSet(a, fam, tuple(entries), tuple(minima))
+    return TriangularIdempotentSet(a, fam, tuple(entries), tuple(minima), kernels, sum_dims)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +432,32 @@ def _product_all(ideals: Sequence[Ideal]) -> Ideal:
     return out
 
 
+def _extremal_kernels(tri: TriangularIdempotentSet) -> tuple[list[int], list[int], list[int]]:
+    """Entry indices of the nonzero kernel ideals, and of the maximal and
+    the minimal ones among them, read off the containment table."""
+    dims = tri.kernel_dims
+    nonzero = np.flatnonzero(dims > 0)
+    # inside[i, j]: the i-th nonzero kernel ideal lies inside the j-th
+    inside = tri.contains()[np.ix_(nonzero, nonzero)]
+    larger = dims[nonzero][None, :] > dims[nonzero][:, None]
+    below_larger = (inside & larger).any(axis=1)
+    above_smaller = (inside.T & larger.T).any(axis=1)
+    return nonzero.tolist(), nonzero[~below_larger].tolist(), nonzero[~above_smaller].tolist()
+
+
 def localization_report(a: Algebra, side: str = "left") -> LocalizationReport:
     """Full classification for one side.  The right side is the left side of
-    the opposite algebra; see :func:`duality_report` for the pairing."""
+    the opposite algebra; see :func:`duality_report` for the pairing.
+
+    The pairwise checks read the tables of the triangular set.  The maximal
+    and minimal nonzero kernel ideals, which the radical checks intersect
+    and multiply, come from its containment table.  "Kernel ideals multiply
+    to their intersection" is checked for every ordered pair on the batched
+    products P = K_I K_J (:func:`_kernel_products`) as three conditions:
+    P lies in K_I, P lies in K_J (a projector per ideal, the batched
+    :meth:`Subspace.residues`), and rank P = dim(K_I meet K_J).  Together
+    they say P = K_I meet K_J, the subspace equality the pair loop tested.
+    """
     if side == "right":
         raise InputError("build right-side reports through duality_report")
     cache_key = "report_left"
@@ -333,8 +466,7 @@ def localization_report(a: Algebra, side: str = "left") -> LocalizationReport:
     fam = block_decomposition(a)
     tri = left_triangular_idempotents(a, fam)
     entries = []
-    for subset, e in tri.entries:
-        space = _right_ideal_of(a, a.one - e)
+    for (subset, e), space in zip(tri.entries, tri.kernels):
         ass = Ideal(a, space, "twosided")
         quo = quotient_algebra(a, ass) if ass.dim < a.dim else None
         if quo is None:
@@ -382,14 +514,13 @@ def localization_report(a: Algebra, side: str = "left") -> LocalizationReport:
         if all(set(sub) >= set(m) for m in tri.minima) and not set(sub) >= set(union_sub):
             raise InternalCheckError("union of minima is not the least upper bound")
 
-    nonzero_ass = [en.ass for en in entries if en.ass.dim > 0]
-    if nonzero_ass:
+    nonzero, maximal, minimal = _extremal_kernels(tri)
+    if nonzero:
+        nonzero_ass = [entries[k].ass for k in nonzero]
         little = _intersect_all(nonzero_ass)
         little_prod = _product_all(nonzero_ass)
-        maximal_ideals = [i for i in nonzero_ass
-                          if not any(j.dim > i.dim and j.space.contains(i.space) for j in nonzero_ass)]
-        minimal_ideals = [i for i in nonzero_ass
-                          if not any(j.dim < i.dim and i.space.contains(j.space) for j in nonzero_ass)]
+        maximal_ideals = [entries[k].ass for k in maximal]
+        minimal_ideals = [entries[k].ass for k in minimal]
         if _intersect_all(minimal_ideals).space != little.space:
             raise InternalCheckError("little radical: intersection over minimal ideals disagrees")
         if little_prod.space != little.space:
@@ -410,14 +541,15 @@ def localization_report(a: Algebra, side: str = "left") -> LocalizationReport:
         er = _right_ideal_of(a, en.idempotent)
         if en.ass.space.sum(er).dim != a.dim or en.ass.space.intersect(er).dim != 0:
             raise InternalCheckError("kernel ideal plus eR is not a direct decomposition")
-    for en1 in entries:
-        for en2 in entries:
-            # the reversed product is checked at the swapped pair, against
-            # the same canonical intersection
-            prod = ideal_combine(en1.ass, en2.ass, "product")
-            inter = en1.ass.space.intersect(en2.ass.space)
-            if prod.space != inter:
-                raise InternalCheckError("kernel ideals do not multiply to their intersection")
+    # K_i K_j = K_i meet K_j for every ordered pair (the reversed product is
+    # checked at the swapped pair): the product lies in both ideals and has
+    # the dimension of their intersection
+    meet_dims = tri.meet_dims()
+    projectors = _projectors(tri.kernels)
+    for i, j, rows in _kernel_products(a, tri):
+        if ((rows @ projectors[i] % a.p != rows).any() or (rows @ projectors[j] % a.p != rows).any()
+                or (batch_rank(rows, a.p) != meet_dims[i, j]).any()):
+            raise InternalCheckError("kernel ideals do not multiply to their intersection")
 
     flags = {
         "localization_maximal": len(entries) == 1,
@@ -528,7 +660,9 @@ def _powers_rows(a: Algebra, xs: np.ndarray) -> _PowersRows:
     Apart from nilpotency of (1 - e) s (1 - e) and the core exponent, the
     criterion depends on s only through its associated idempotent e, so
     the triangularity test and the kernel ideal and quotient are built once
-    per distinct e, and only for an e that some row qualifies with.
+    per distinct e, and only for an e that some row qualifies with.  When a
+    warm :func:`localization_report` holds a class with that kernel ideal,
+    its checked :class:`Ideal` and :class:`Quotient` are taken instead.
     """
     p, d = a.p, a.dim
     n = len(xs)
@@ -557,13 +691,20 @@ def _powers_rows(a: Algebra, xs: np.ndarray) -> _PowersRows:
     if len(rows):
         raise InternalCheckError("no core exponent found below the dimension bound")
     reps = list(index)
+    # a warm left report already holds the ideal and quotient of each class
+    report = a._cache.get("report_left")
+    known = {en.ass.space: en for en in report.entries} if report else {}
     classes = {}
     for g in dict.fromkeys(group[ok].tolist()):
         e = a.element(reps[g])
-        ass = Ideal(a, _right_ideal_of(a, a.one - e), "twosided")
-        if ass.dim == a.dim:
+        space = _right_ideal_of(a, a.one - e)
+        if space.dim == a.dim:
             raise InternalCheckError("triangular kernel ideal cannot be the whole algebra")
-        classes[g] = (e, ass, quotient_algebra(a, ass))
+        if space in known:
+            classes[g] = (e, known[space].ass, known[space].quotient)
+        else:
+            ass = Ideal(a, space, "twosided")
+            classes[g] = (e, ass, quotient_algebra(a, ass))
     return _PowersRows(ok, group, min_exp, classes)
 
 

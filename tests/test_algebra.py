@@ -271,17 +271,27 @@ def quotient_table_by_definition(a, ideal, keep):
     return tuple(table)
 
 
-def rebased(a, rng):
-    """The same algebra on a random basis, so its structure constants are
-    dense residues rather than the 0/1 entries of the constructors."""
-    p, d = a.p, a.dim
+def random_change(p, d, rng):
+    """A random invertible d x d matrix over GF(p), as a list of rows."""
     while True:
         change = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
         if Subspace.from_vectors(p, d, change).dim == d:
-            break
+            return change
+
+
+def rebase(a, change):
+    """``a`` on the basis whose vectors are the rows of ``change``: the new
+    coefficient row c stands for the old element c @ change."""
+    p, d = a.p, a.dim
     table = [[express_in_rows(change, a.mul_coeffs(change[i], change[j]), p) for j in range(d)]
              for i in range(d)]
     return Algebra(p, table, express_in_rows(change, a.one_coeffs, p), f"rebased({a.label})")
+
+
+def rebased(a, rng):
+    """The same algebra on a random basis, so its structure constants are
+    dense residues rather than the 0/1 entries of the constructors."""
+    return rebase(a, random_change(a.p, a.dim, rng))
 
 
 SMALL_ALGEBRAS = [lower_triangular(7, 2), upper_triangular(7, 3), full_matrix(7, 2),
@@ -562,3 +572,102 @@ def test_equal_principal_right_ideals_force_equal_left_complements(L2_5):
                 assert lf == lf2
                 checked += 1
     assert checked > len(idems)  # at least one nontrivial coincidence class
+
+
+# ---------------------------------------------------------------------------
+# The batched lattice tables of the kernel ideals against the pair loops
+# ---------------------------------------------------------------------------
+
+@st.composite
+def small_or_rebased(draw):
+    """A small fixture algebra, as constructed or on a random basis."""
+    a = draw(st.sampled_from(SMALL_ALGEBRAS))
+    seed = draw(st.none() | st.integers(0, 1 << 16))
+    return a if seed is None else rebased(a, random.Random(seed))
+
+
+def lattice_by_loops(tri):
+    """Reference: containment, intersection dimensions and the extremal
+    nonzero kernel ideals, one pair at a time through :class:`Subspace`."""
+    ks = tri.kernels
+    contains = [[kj.contains(ki) for kj in ks] for ki in ks]
+    meets = [[ki.intersect(kj).dim for kj in ks] for ki in ks]
+    nonzero = [k for k, sp in enumerate(ks) if sp.dim]
+    maximal = [k for k in nonzero
+               if not any(ks[j].dim > ks[k].dim and ks[j].contains(ks[k]) for j in nonzero)]
+    minimal = [k for k in nonzero
+               if not any(ks[j].dim < ks[k].dim and ks[k].contains(ks[j]) for j in nonzero)]
+    return contains, meets, (nonzero, maximal, minimal)
+
+
+def triangular_checks_by_loops(a, tri):
+    """Reference: the subset-lattice checks of the triangular set as the
+    loops over ordered pairs, and the minima by subset comparison."""
+    subsets = [set(sub) for sub, _ in tri.entries]
+    present = {sub for sub, _ in tri.entries}
+    for (i_sub, e_i), k_i in zip(tri.entries, tri.kernels):
+        for (j_sub, e_j), k_j in zip(tri.entries, tri.kernels):
+            assert (set(i_sub) >= set(j_sub)) == k_j.contains(k_i)
+            inter = tuple(sorted(set(i_sub) & set(j_sub)))
+            if inter:
+                assert e_i * e_j == tri.family.sum_over(inter) and inter in present
+            else:
+                assert (e_i * e_j).is_zero()
+                assert tuple(sorted(set(i_sub) | set(j_sub))) in present
+    return [sub for sub, _ in tri.entries if not any(other < set(sub) for other in subsets)]
+
+
+class TestKernelLattice:
+    @settings(max_examples=40, deadline=None)
+    @given(small_or_rebased())
+    def test_batched_tables_match_the_pair_loops(self, a):
+        rep = localization.localization_report(a)
+        tri = rep.tri
+        for (_, e), sp in zip(tri.entries, tri.kernels):
+            assert sp == Subspace.from_vectors(a.p, a.dim,
+                                               regular_matrix(a, a.one - e, "left").tolist())
+        contains, meets, extremal = lattice_by_loops(tri)
+        assert tri.contains().tolist() == contains
+        assert tri.meet_dims().tolist() == meets
+        assert localization._extremal_kernels(tri) == extremal
+        assert list(tri.minima) == triangular_checks_by_loops(a, tri)
+        ideals = [Ideal(a, sp, "twosided") for sp in tri.kernels]
+        pairs = []
+        for ks, ls, rows in localization._kernel_products(a, tri):
+            for k, l, r in zip(ks.tolist(), ls.tolist(), rows):
+                product = ideal_combine(ideals[k], ideals[l], "product").space
+                assert Subspace.from_vectors(a.p, a.dim, r.tolist()) == product
+                # the loop's check: kernel ideals multiply to their intersection
+                assert product == tri.kernels[k].intersect(tri.kernels[l])
+                pairs.append((k, l))
+        c = len(tri.entries)
+        assert pairs == [(k, l) for k in range(c) for l in range(c)]
+        # the report's radicals by the loops' selections
+        nonzero, maximal, minimal = extremal
+
+        def meet_of(indices):
+            out = tri.kernels[indices[0]]
+            for k in indices[1:]:
+                out = out.intersect(tri.kernels[k])
+            return out
+
+        if nonzero:
+            assert rep.little_rad.space == meet_of(nonzero) == meet_of(minimal)
+            assert rep.l_rad.space == meet_of(maximal)
+        else:
+            assert rep.little_rad.dim == 0
+
+    @pytest.mark.parametrize("bound", [1, 1 << 30])
+    @pytest.mark.parametrize("build", [
+        lambda: lower_triangular(7, 3),
+        lambda: direct_product([full_matrix(7, 1)] * 3)[0],
+        lambda: direct_product([lower_triangular(7, 2), truncated_poly(7, 2), full_matrix(7, 1)])[0],
+    ], ids=["L3", "GF(7)^3", "L2xTxF"])
+    def test_pair_runs_do_not_change_the_report(self, build, bound, monkeypatch):
+        # one pair per run, or every pair in one run
+        expected = localization.localization_report(build())
+        monkeypatch.setattr(localization, "ASSOC_BLOCK", bound)
+        got = localization.localization_report(build())
+        assert got.to_dict() == expected.to_dict()
+        assert np.array_equal(got.tri.sum_dims, expected.tri.sum_dims)
+

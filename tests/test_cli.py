@@ -250,6 +250,18 @@ class TestVerifyAndErrors:
         assert main(["report", "--input", docfile(doc)]) == 2
         assert "integer" in capsys.readouterr().err
 
+    def test_non_integer_generators_exit_code(self, docfile, capsys):
+        doc = json.dumps({"scalar": {"prime": 7}, "kind": "constructor", "name": "matrix_subalgebra",
+                          "ambient_n": 2, "generators": [[[2.9, 0], [True, 0]]]})
+        assert main(["report", "--input", docfile(doc)]) == 2
+        assert "integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("element", ["[true, 0, 1]", "[[1.5, 0], [0, 1]]", '[1, "2", 0]'],
+                             ids=["bool vector", "float matrix", "string vector"])
+    def test_non_integer_element_exit_code(self, element, docfile, capsys):
+        assert main(["check-powers", "--input", docfile(L2_DOC), "--element", element]) == 2
+        assert "integer" in capsys.readouterr().err
+
     def test_oversized_structure_constants_are_reduced(self, docfile, capsys):
         # 7 * 10**22 + 1 is 1 mod 7 and -7 * 10**23 is 0, both beyond int64
         big = 7 * 10 ** 22

@@ -13,6 +13,7 @@ from artinloc.linalg import (
     _batch_rref,
     _rref_rows,
     batch_rank,
+    batch_row_spaces,
     batch_solve,
     check_prime,
     express_in_rows,
@@ -229,6 +230,19 @@ def test_batch_solve_matches_solve_row(batch):
         assert ranks[i] == red_ranks[i] == rank(mats[i], p) == r
         assert red[i, :r].tolist() == reduced
         assert not red[i, r:].any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(solve_batches())
+def test_batch_row_spaces_match_from_vectors(batch):
+    # the canonical subspace, including its pivots and hash, whatever the batch
+    p, mats, _targets = batch
+    spaces = batch_row_spaces(mats, p)
+    assert len(spaces) == len(mats)
+    for sp, m in zip(spaces, mats):
+        expected = Subspace.from_vectors(p, m.shape[1], m.tolist())
+        assert sp == expected and hash(sp) == hash(expected)
+        assert all(isinstance(v, int) for row in sp.basis for v in row + sp.pivots)
 
 
 def test_all_vectors_order_and_indexing():

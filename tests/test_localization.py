@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -619,6 +620,121 @@ class TestBatchedDecision:
                                                                           [0, 0, 0, 0, 1, 0],
                                                                           [0, 0, 0, 0, 0, 1]]),
                                             3, None))
+
+
+# ---------------------------------------------------------------------------
+# Fault injection into the batched lattice checks
+# ---------------------------------------------------------------------------
+
+def gf7_cubed():
+    return direct_product([full_matrix(7, 1)] * 3)[0]
+
+
+class TestLatticeChecksFire:
+    """Each pairwise check of the class lattice fires on one corrupted kernel
+    ideal, product or idempotent.  Fresh algebras: reports are cached."""
+
+    @pytest.mark.parametrize("fault, message", [
+        ("repeat", "distinct subsets gave the same kernel ideal"),
+        ("swap", "subset containment does not reverse into the ideals"),
+    ])
+    def test_kernel_ideal_faults(self, fault, message, monkeypatch):
+        row_spaces = localization.batch_row_spaces
+
+        def faulty(mats, p):
+            spaces = row_spaces(mats, p)
+            if fault == "repeat":
+                spaces[1] = spaces[0]
+            else:
+                spaces[0], spaces[1] = spaces[1], spaces[0]
+            return spaces
+
+        monkeypatch.setattr(localization, "batch_row_spaces", faulty)
+        with pytest.raises(InternalCheckError, match=message):
+            localization_report(lower_triangular(7, 3))
+
+    @pytest.mark.parametrize("row, message", [
+        (0, "block-sum idempotents do not multiply to the intersection"),
+        (1, "disjoint block-sum idempotents are not orthogonal"),
+    ])
+    def test_idempotent_product_faults(self, row, message, monkeypatch):
+        # entries {1}, {2}, {1,2}: pair 0 is ({1}, {1}), pair 1 is ({1}, {2})
+        a = direct_product([full_matrix(7, 1)] * 2)[0]
+        fam = block_decomposition(a)
+        mul = a.batch_mul
+
+        def faulty(xs, ys):
+            out = mul(xs, ys)
+            out[row] = (out[row] + 1) % a.p
+            return out
+
+        monkeypatch.setattr(a, "batch_mul", faulty)
+        with pytest.raises(InternalCheckError, match=message):
+            left_triangular_idempotents(a, fam)
+
+    @pytest.mark.parametrize("dropped, message", [
+        ((1,), "intersection of qualifying subsets does not qualify"),
+        ((1, 2), "disjoint union of qualifying subsets does not qualify"),
+    ])
+    def test_subset_lattice_faults(self, dropped, message, monkeypatch):
+        a = gf7_cubed()
+        fam = block_decomposition(a)
+        skipped = fam.sum_over(dropped)
+        monkeypatch.setattr(localization, "_is_left_triangular",
+                            lambda b, e: e != skipped and _is_left_triangular(b, e))
+        with pytest.raises(InternalCheckError, match=message):
+            left_triangular_idempotents(a, fam)
+
+    @pytest.mark.parametrize("fault", ["rank", "outside"])
+    def test_kernel_product_fault(self, fault, monkeypatch):
+        # L3 on (E11, E21, E22, E31, E32, E33): the first pair's product
+        # K_{1} K_{1} is K_{1}, the 5 matrices with zero first row; "rank"
+        # leaves it too small, "outside" has the right rank but holds E11
+        products = localization._kernel_products
+
+        def faulty(a, tri):
+            for n, (k, l, rows) in enumerate(products(a, tri)):
+                if n == 0:
+                    rows[0] = 0 if fault == "rank" else np.eye(5, 6, dtype=np.int64)
+                yield k, l, rows
+
+        monkeypatch.setattr(localization, "_kernel_products", faulty)
+        with pytest.raises(InternalCheckError, match="kernel ideals do not multiply to their intersection"):
+            localization_report(lower_triangular(7, 3))
+
+    def test_containment_table_fault(self, monkeypatch):
+        # L3: K_{1} (dim 5) contains K_{1,2} (dim 3); hiding that makes K_{1,2}
+        # maximal too, and the maximal ideals then meet below the radical
+        triangular = localization.left_triangular_idempotents
+
+        def faulty(a, fam=None):
+            tri = triangular(a, fam)
+            sums = tri.sum_dims.copy()
+            sums[0, 1] = sums[1, 0] = a.dim
+            return dataclasses.replace(tri, sum_dims=sums)
+
+        monkeypatch.setattr(localization, "left_triangular_idempotents", faulty)
+        with pytest.raises(InternalCheckError,
+                           match="radical: intersection over maximal kernel ideals disagrees"):
+            localization_report(lower_triangular(7, 3))
+
+
+class TestWarmReportReuse:
+    # L3 on (E11, E21, E22, E31, E32, E33): the remark element, diag(1, 1, 0)
+    # and a unit reach the classes {1}, {1,2} and {1,2,3}
+    @pytest.mark.parametrize("coeffs, position", [
+        ([2, 1, 0, 0, 0, 0], 0), ([1, 0, 1, 0, 0, 0], 1), ([2, 0, 3, 1, 0, 4], 2),
+    ])
+    def test_powers_take_the_report_ideal_and_quotient(self, coeffs, position):
+        cold_a, warm_a = lower_triangular(7, 3), lower_triangular(7, 3)
+        cold = powers_denominator_criterion(cold_a, cold_a.element(coeffs))
+        report = localization_report(warm_a)
+        ok, desc = powers_denominator_criterion(warm_a, warm_a.element(coeffs))
+        assert ok and cold[0]
+        assert summary(ok, desc) == summary(*cold)
+        assert desc.quotient.algebra.table == cold[1].quotient.algebra.table
+        entry = report.entries[position]
+        assert desc.ass is entry.ass and desc.quotient is entry.quotient
 
 
 # ---------------------------------------------------------------------------
