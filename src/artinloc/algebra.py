@@ -9,6 +9,12 @@ validates associativity on all basis triples, the two unit laws, primality
 of ``p`` and the global precondition ``p > dim`` (required by the trace
 form radical criterion downstream, and enforced here to fail fast).
 
+The associativity and unit checks contract the table in float64, through
+BLAS, and are exact: every entry is a residue below ``p <= MAX_PRIME =
+2**16`` and ``dim < p``, so each sum has fewer than ``2**16`` terms below
+``2**32`` and stays under ``2**48 < 2**53``, where float64 holds every
+integer.  The sums are then reduced mod ``p`` as int64.
+
 Every constructor documents its basis order, because all reports built on
 top of an algebra must be byte-reproducible:
 
@@ -52,7 +58,9 @@ from .linalg import (
 MAX_CLOSURE_DIM = 64
 # entries per temporary of the blocked associativity check in Algebra._validate
 # and of the pair runs of the class-lattice checks in localization; larger
-# blocks save little time and raise the peak memory of every build
+# blocks save little time and raise the peak memory of every build.  Blocking
+# does not bear on exactness: each float64 entry of an associativity block is
+# one sum of dim < p products of residues, below 2**48 for p <= MAX_PRIME
 ASSOC_BLOCK = 1 << 14
 
 
@@ -87,12 +95,18 @@ class Algebra:
         self._validate()
 
     def _validate(self) -> None:
-        t = self.np_table
+        # The three contractions run as float64 matmuls (BLAS) and are exact:
+        # entries are residues below p <= MAX_PRIME = 2**16 and dim < p, so
+        # every sum has fewer than 2**16 terms below 2**32 and stays under
+        # 2**48 < 2**53.  The sums are cast back to int64 before the one
+        # reduction of lhs - rhs, as float % costs far more than int64 %.
         p, d = self.p, self.dim
+        t = self.np_table.astype(np.float64)
+        one = np.array(self.one_coeffs, dtype=np.float64)
         eye = np.eye(d, dtype=np.int64)
-        if not (np.einsum("j,jik->ik", np.array(self.one_coeffs), t) % p == eye).all():
+        if (((one @ t.reshape(d, d * d)).reshape(d, d).astype(np.int64) - eye) % p).any():
             raise InputError("identity fails one*b_i = b_i")
-        if not (np.einsum("j,ijk->ik", np.array(self.one_coeffs), t) % p == eye).all():
+        if (((one @ t).astype(np.int64) - eye) % p).any():
             raise InputError("identity fails b_i*one = b_i")
         # (b_i b_j) b_k = b_i (b_j b_k) for a block of first indices i at a
         # time: two matmuls, with temporaries of ASSOC_BLOCK entries or, when
@@ -101,11 +115,9 @@ class Algebra:
         flat = t.reshape(d * d, d)
         for start in range(0, d, block):
             rows = t[start:start + block]
-            lhs = rows.reshape(-1, d) @ t.reshape(d, d * d)
-            lhs %= p
-            rhs = flat @ rows
-            rhs %= p
-            bad = (lhs.reshape(len(rows), -1) != rhs.reshape(len(rows), -1)).any(axis=1)
+            lhs = (rows.reshape(-1, d) @ t.reshape(d, d * d)).reshape(len(rows), -1)
+            lhs -= (flat @ rows).reshape(len(rows), -1)
+            bad = (lhs.astype(np.int64) % p).any(axis=1)
             if bad.any():
                 i = start + int(np.argmax(bad))
                 raise InputError(f"associativity fails on basis triples with first index {i}")
@@ -500,8 +512,10 @@ def _build_with_prime(desc: dict, p: int) -> Algebra:
                 raise InputError(f"structure_constants description missing {key!r}")
         dim = _int_param(desc, "dim")
         table = _residues(desc["mul_table"], 3, p, "mul_table")
-        if len(table) != dim:
-            raise InputError("mul_table size does not match dim")
+        # checked on the lists, as numpy rejects a ragged table in its own words
+        if len(table) != dim or any(len(plane) != dim or any(len(row) != dim for row in plane)
+                                    for plane in table):
+            raise InputError(f"'mul_table' must be {dim}x{dim}x{dim}")
         one = _residues(desc["one"], 1, p, "one")
         return Algebra(p, table, one, desc.get("label", f"A(dim {dim}, GF({p}))"))
     if kind != "constructor":
@@ -538,8 +552,10 @@ def _build_nested(desc: dict, p: int) -> Algebra:
     if not isinstance(desc, dict):
         raise InputError("nested description must be an object")
     if "scalar" in desc:
-        inner_p = desc["scalar"].get("prime")
-        if inner_p != p:
+        scalar = desc["scalar"]
+        if not isinstance(scalar, dict):
+            raise InputError('nested "scalar" must be an object {"prime": p}')
+        if scalar.get("prime") != p:
             raise InputError("nested description changes the prime")
     return _build_with_prime(desc, p)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artinloc import algebra, localization
+from artinloc import algebra, linalg, localization
 from artinloc.algebra import (
     Algebra,
     Ideal,
@@ -279,13 +279,19 @@ def random_change(p, d, rng):
             return change
 
 
-def rebase(a, change):
-    """``a`` on the basis whose vectors are the rows of ``change``: the new
-    coefficient row c stands for the old element c @ change."""
+def rebase_table(a, change):
+    """The structure constants and unit of ``a`` on the basis whose vectors
+    are the rows of ``change``: the new coefficient row c stands for the old
+    element c @ change."""
     p, d = a.p, a.dim
     table = [[express_in_rows(change, a.mul_coeffs(change[i], change[j]), p) for j in range(d)]
              for i in range(d)]
-    return Algebra(p, table, express_in_rows(change, a.one_coeffs, p), f"rebased({a.label})")
+    return table, express_in_rows(change, a.one_coeffs, p)
+
+
+def rebase(a, change):
+    """``a`` on the basis whose vectors are the rows of ``change``."""
+    return Algebra(a.p, *rebase_table(a, change), f"rebased({a.label})")
 
 
 def rebased(a, rng):
@@ -296,6 +302,87 @@ def rebased(a, rng):
 
 SMALL_ALGEBRAS = [lower_triangular(7, 2), upper_triangular(7, 3), full_matrix(7, 2),
                   truncated_poly(7, 3), direct_product([lower_triangular(7, 2), full_matrix(7, 1)])[0]]
+
+
+def validate_by_definition(p, table, one):
+    """The message of the first check ``Algebra._validate`` fails, or None,
+    computed with Python integers over every basis triple."""
+    d = len(table)
+
+    def mul(x, y):
+        return [sum(xi * yj * table[i][j][k] for i, xi in enumerate(x) for j, yj in enumerate(y)) % p
+                for k in range(d)]
+
+    basis = [[int(i == j) for j in range(d)] for i in range(d)]
+    if any(mul(one, b) != b for b in basis):
+        return "identity fails one*b_i = b_i"
+    if any(mul(b, one) != b for b in basis):
+        return "identity fails b_i*one = b_i"
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                # (b_i b_j) b_k against b_i (b_j b_k), with b_i b_j = table[i][j]
+                if mul(table[i][j], basis[k]) != mul(basis[i], table[j][k]):
+                    return f"associativity fails on basis triples with first index {i}"
+    return None
+
+
+P_TOP = 65521  # the largest prime the library accepts
+TOP_ALGEBRAS = [lower_triangular(P_TOP, 3), full_matrix(P_TOP, 2), truncated_poly(P_TOP, 4),
+                direct_product([upper_triangular(P_TOP, 2), truncated_poly(P_TOP, 2)])[0]]
+
+
+@st.composite
+def validate_inputs(draw):
+    """(p, table, one): a constructor's table; one at p = 65521 on a random
+    basis, so with dense residues; or a table whose b_0 is the identity and
+    whose other constants are residues near p - 1.  Each may then have one
+    structure constant or one unit entry moved."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["fixture", "dense", "near top"]))
+    if kind == "near top":
+        p, d = P_TOP, draw(st.integers(2, 7))
+        table = [[[int(k == i) if j == 0 else int(k == j) if i == 0 else p - 1 - rng.randrange(4)
+                   for k in range(d)] for j in range(d)] for i in range(d)]
+        one = [1] + [0] * (d - 1)
+    else:
+        a = draw(st.sampled_from(SMALL_ALGEBRAS if kind == "fixture" else TOP_ALGEBRAS))
+        p, d, table, one = a.p, a.dim, a.np_table.tolist(), list(a.one_coeffs)
+        if kind == "dense":
+            table, one = rebase_table(a, random_change(p, d, rng))
+            table, one = [[list(row) for row in plane] for plane in table], list(one)
+    where = draw(st.sampled_from([None, "constant", "unit"]))
+    delta = draw(st.integers(1, p - 1))
+    if where == "constant":
+        i, j, k = (draw(st.integers(0, d - 1)) for _ in range(3))
+        table[i][j][k] = (table[i][j][k] + delta) % p
+    elif where == "unit":
+        k = draw(st.integers(0, d - 1))
+        one[k] = (one[k] + delta) % p
+    return p, table, one
+
+
+class TestValidate:
+    @pytest.mark.parametrize("block", [1, algebra.ASSOC_BLOCK])
+    @settings(max_examples=100, deadline=None)
+    @given(validate_inputs())
+    def test_verdict_and_message_match_the_definition(self, block, case):
+        p, table, one = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(algebra, "ASSOC_BLOCK", block)
+            try:
+                Algebra(p, table, one)
+                verdict = None
+            except InputError as exc:
+                verdict = str(exc)
+        assert verdict == validate_by_definition(p, table, one)
+
+    def test_float64_contractions_are_exact_up_to_max_prime(self):
+        # each sum in _validate has dim < p terms, each a product of two
+        # residues below p, so it stays below (p - 1)**3
+        assert (linalg.MAX_PRIME - 1) ** 3 < 2 ** 53, (
+            "raising MAX_PRIME past this point means revisiting Algebra._validate: "
+            "its float64 contractions would no longer be exact")
 
 
 @st.composite

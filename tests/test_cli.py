@@ -256,6 +256,23 @@ class TestVerifyAndErrors:
         assert main(["report", "--input", docfile(doc)]) == 2
         assert "integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scalar", [5, None], ids=["number", "null"])
+    @pytest.mark.parametrize("where", ["factor", "inner"])
+    def test_nested_scalar_not_an_object_exit_code(self, where, scalar, docfile, capsys):
+        nested = {"scalar": scalar, "kind": "constructor", "name": "full_matrix", "n": 2}
+        doc = {"scalar": {"prime": 7}, "kind": "constructor"}
+        if where == "factor":
+            doc.update(name="product", factors=[nested])
+        else:
+            doc.update(name="opposite", inner=nested)
+        assert main(["report", "--input", docfile(json.dumps(doc))]) == 2
+        assert '"scalar" must be an object' in capsys.readouterr().err
+
+    def test_ragged_mul_table_exit_code(self, docfile, capsys):
+        doc = json.dumps({**json.loads(T7_DOC), "mul_table": [[[1, 0], [0, 1]], [[0, 1]]]})
+        assert main(["report", "--input", docfile(doc)]) == 2
+        assert "'mul_table' must be 2x2x2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("element", ["[true, 0, 1]", "[[1.5, 0], [0, 1]]", '[1, "2", 0]'],
                              ids=["bool vector", "float matrix", "string vector"])
     def test_non_integer_element_exit_code(self, element, docfile, capsys):
