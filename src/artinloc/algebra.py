@@ -148,9 +148,9 @@ class Algebra:
         if self.matrix_model is None:
             raise InputError(f"{self.label} has no matrix model; pass a coefficient vector")
         n, basis_mats = self.matrix_model
-        flat = [int(v) % self.p for row in literal for v in row]
-        if len(flat) != n * n:
+        if len(literal) != n or any(len(row) != n for row in literal):
             raise InputError(f"matrix literal must be {n}x{n}")
+        flat = [int(v) % self.p for row in literal for v in row]
         rows = [tuple(v for r in bm for v in r) for bm in basis_mats]
         coeffs = express_in_rows(rows, flat, self.p)
         if coeffs is None:
@@ -455,10 +455,9 @@ def matrix_subalgebra(p: int, n: int, generators: Sequence[Sequence[Sequence[int
         raise InputError("ambient size must be positive")
     amb = n * n
     eye = np.eye(n, dtype=np.int64).reshape(1, amb)
+    if any(len(g) != n or any(len(row) != n for row in g) for g in generators):
+        raise InputError(f"generator must be {n}x{n}")
     vecs = [eye[0].tolist()] + [[int(v) % p for row in g for v in row] for g in generators]
-    for v in vecs:
-        if len(v) != amb:
-            raise InputError(f"generator is not an {n}x{n} matrix")
     span = Subspace.from_vectors(p, amb, vecs)
     bound = min(MAX_CLOSURE_DIM, amb)
     while True:
@@ -497,9 +496,7 @@ def build_algebra(desc: dict) -> Algebra:
     scalar = desc.get("scalar")
     if not isinstance(scalar, dict) or "prime" not in scalar:
         raise InputError('description must carry {"scalar": {"prime": p}}')
-    p = scalar["prime"]
-    if not isinstance(p, int):
-        raise InputError("prime must be an integer")
+    p = _int_param(scalar, "prime")
     check_prime(p)
     return _build_with_prime(desc, p)
 
@@ -555,7 +552,7 @@ def _build_nested(desc: dict, p: int) -> Algebra:
         scalar = desc["scalar"]
         if not isinstance(scalar, dict):
             raise InputError('nested "scalar" must be an object {"prime": p}')
-        if scalar.get("prime") != p:
+        if _int_param(scalar, "prime") != p:
             raise InputError("nested description changes the prime")
     return _build_with_prime(desc, p)
 

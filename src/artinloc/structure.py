@@ -6,15 +6,21 @@ p > dim), the block decomposition of the semisimple quotient, and a family
 of orthogonal idempotents of the algebra lifting the blocks' central
 identities.
 
-Everything is deterministic: the semisimple center is split by scanning
-its canonical basis in order and extracting Lagrange idempotents at the
-sorted roots of minimal polynomials (roots found by evaluating over all of
-GF(p)); the final blocks are ordered by the pivot of the central
-idempotent's coefficient vector; lifting uses the Newton iteration
-x -> 3x^2 - 2x^3 inside corners of previously lifted idempotents.  The
-lifted family is canonical for this pipeline.  Conjugate lifts would give
-conjugate families; conjugation-independence of downstream reports is
-documented, not verified.
+Each fact is computed once per algebra: the radical and R/J are one cached
+pair that the block decomposition reuses (a semisimple algebra is its own
+quotient), and the lifted family is checked by one table of pairwise
+products.
+
+Everything is deterministic: the semisimple center is split from a
+worklist, each idempotent by the first basis element of the Frobenius-fixed
+center with two eigenvalues on its corner, extracting Lagrange idempotents
+at the sorted roots of minimal polynomials (roots found by evaluating over
+all of GF(p)); primitive idempotents are unique, and the final blocks are
+ordered by the pivot of the central idempotent's coefficient vector;
+lifting uses the Newton iteration x -> 3x^2 - 2x^3 inside corners of
+previously lifted idempotents.  The lifted family is canonical for this
+pipeline.  Conjugate lifts would give conjugate families;
+conjugation-independence of downstream reports is documented, not verified.
 """
 
 from __future__ import annotations
@@ -24,9 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, Element, Ideal, Quotient, ideal_combine, quotient_algebra, regular_matrix
-from .linalg import InternalCheckError, Subspace, express_in_rows, kernel
+from .linalg import InternalCheckError, Subspace, express_in_rows, kernel, rank
 
-__all__ = ["IdempotentFamily", "radical", "block_decomposition", "ideal_block_support"]
+__all__ = ["IdempotentFamily", "radical", "block_decomposition", "ideal_block_support",
+           "check_orthogonal_idempotents"]
 
 
 def radical(a: Algebra) -> Ideal:
@@ -36,6 +43,11 @@ def radical(a: Algebra) -> Ideal:
     Postconditions checked: the kernel is a nilpotent two-sided ideal and
     the quotient's trace form is nondegenerate.
     """
+    return _radical_quotient(a)[0]
+
+
+def _radical_quotient(a: Algebra) -> tuple[Ideal, Quotient]:
+    """The radical J and R/J, checked once per algebra; R/0 is R itself."""
     if "radical" in a._cache:
         return a._cache["radical"]
     rad = Ideal(a, _trace_form_kernel(a), "twosided")
@@ -47,11 +59,13 @@ def radical(a: Algebra) -> Ideal:
     if power.dim != 0:
         raise InternalCheckError("radical candidate is not nilpotent")
     if rad.dim > 0:
-        q = quotient_algebra(a, rad)
-        if _trace_form_kernel(q.algebra).dim != 0:
+        quo = quotient_algebra(a, rad)
+        if _trace_form_kernel(quo.algebra).dim != 0:
             raise InternalCheckError("trace form of the semisimple quotient is degenerate")
-    a._cache["radical"] = rad
-    return rad
+    else:
+        quo = Quotient(a, a, rad, tuple(range(a.dim)))
+    a._cache["radical"] = (rad, quo)
+    return rad, quo
 
 
 def _trace_form_kernel(a: Algebra) -> Subspace:
@@ -86,18 +100,7 @@ class IdempotentFamily:
         return len(self.idempotents)
 
     def __post_init__(self) -> None:
-        a = self.algebra
-        one = a.one
-        total = a.zero
-        for i, e in enumerate(self.idempotents):
-            if (e * e) != e:
-                raise InternalCheckError(f"lifted idempotent {i} is not idempotent")
-            total = total + e
-            for j, f in enumerate(self.idempotents):
-                if i != j and not (e * f).is_zero():
-                    raise InternalCheckError(f"lifted idempotents {i},{j} are not orthogonal")
-        if total != one:
-            raise InternalCheckError("lifted idempotents do not sum to 1")
+        check_orthogonal_idempotents(self.algebra, self.idempotents, "lifted idempotent")
         for e, ebar in zip(self.idempotents, self.central_images):
             if self.quotient.project(e) != ebar:
                 raise InternalCheckError("lift does not reduce to its central idempotent")
@@ -108,6 +111,22 @@ class IdempotentFamily:
         for i in subset:
             out = out + self.idempotents[i - 1]
         return out
+
+
+def check_orthogonal_idempotents(a: Algebra, idems: tuple[Element, ...], what: str) -> None:
+    """Check e_i e_j = (e_i if i = j else 0) and sum(e_i) = 1 from one table of
+    products; ``what`` names one member in the messages."""
+    coeffs = np.array([e.coeffs for e in idems], dtype=np.int64).reshape(-1, a.dim)
+    expected = np.zeros((len(idems), len(idems), a.dim), dtype=np.int64)
+    expected[range(len(idems)), range(len(idems))] = coeffs
+    bad = (a.pair_products(coeffs, coeffs) != expected).any(axis=2)
+    if bad.diagonal().any():
+        raise InternalCheckError(f"{what} {np.argmax(bad.diagonal())} is not idempotent")
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise InternalCheckError(f"{what}s {i},{j} are not orthogonal")
+    if ((coeffs.sum(axis=0) - a.one_coeffs) % a.p).any():
+        raise InternalCheckError(f"{what}s do not sum to 1")
 
 
 def _center_subspace(a: Algebra) -> Subspace:
@@ -156,19 +175,15 @@ def _poly_roots(poly: list[int], p: int) -> list[int]:
 def block_decomposition(a: Algebra) -> IdempotentFamily:
     """Split the semisimple quotient into blocks and lift their identities.
 
-    Pipeline: radical; quotient; center of the quotient; its subspace fixed
-    by z -> z^p (a GF(p)-linear map on the commutative center, whose fixed
-    space is spanned by the primitive central idempotents); deterministic
-    Lagrange splitting; pivot-ordered blocks; sequential Newton lifting.
+    Pipeline: radical and quotient (shared with :func:`radical`); center
+    of the quotient; its subspace fixed by z -> z^p (a GF(p)-linear map on
+    the commutative center, whose fixed space is spanned by the primitive
+    central idempotents); a worklist of Lagrange splits; pivot-ordered
+    blocks; sequential Newton lifting, checked as a family.
     """
     if "family" in a._cache:
         return a._cache["family"]
-    rad = radical(a)
-    if rad.dim > 0:
-        quo = quotient_algebra(a, rad)
-    else:
-        zero_ideal = Ideal(a, Subspace.zero(a.p, a.dim), "twosided")
-        quo = quotient_algebra(a, zero_ideal)
+    rad, quo = _radical_quotient(a)
     abar = quo.algebra
     p = a.p
     center = _center_subspace(abar)
@@ -182,32 +197,23 @@ def block_decomposition(a: Algebra) -> IdempotentFamily:
     fixed_coords = kernel(np.array(frob_rows, dtype=np.int64), p)
     fixed = Subspace.from_vectors(p, abar.dim, (fixed_coords.array @ center.array % p).tolist())
 
-    # Deterministic splitting into primitive idempotents of the fixed space.
-    blocks = [abar.one_coeffs]
-    while True:
-        split_happened = False
-        new_blocks = []
-        for f in blocks:
-            span_dim = _corner_span_dim(abar, f, fixed)
-            if span_dim == 1:
-                new_blocks.append(f)
-                continue
-            pieces = _split_block(abar, f, fixed)
-            if len(pieces) == 1:
-                new_blocks.append(f)
-            else:
-                new_blocks.extend(pieces)
-                split_happened = True
-        blocks = new_blocks
-        if not split_happened:
-            break
-    for f in blocks:
-        if _corner_span_dim(abar, f, fixed) != 1:
+    # Split into primitive idempotents of the fixed space: f is primitive
+    # iff its corner f * fixed is the line through f.
+    blocks, todo = [], [abar.one_coeffs]
+    while todo:
+        f = todo.pop()
+        if rank(abar.batch_mul_left(f, fixed.array), p) == 1:
+            blocks.append(f)
+            continue
+        pieces = _split_block(abar, f, fixed)
+        if len(pieces) == 1:
             raise InternalCheckError("block splitting did not reach primitive idempotents")
+        todo.extend(pieces)
     blocks.sort(key=lambda v: (_pivot(v), v))
     central = [abar.element(b) for b in blocks]
 
-    # Lift sequentially into corners of 1 - (sum of previous lifts).
+    # Lift sequentially into corners of 1 - (sum of previous lifts); the
+    # family checks idempotence, orthogonality and the projections.
     lifted: list[Element] = []
     newton_steps = max(1, (a.dim - 1).bit_length() + 1)
     fsum = a.zero
@@ -218,12 +224,6 @@ def block_decomposition(a: Algebra) -> IdempotentFamily:
         for _ in range(newton_steps):
             y2 = y * y
             y = (y2 * 3) - (y2 * y * 2)
-        if (y * y) != y:
-            raise InternalCheckError("Newton iteration did not converge to an idempotent")
-        if not (fsum * y).is_zero() or not (y * fsum).is_zero():
-            raise InternalCheckError("lift escaped the orthogonal corner")
-        if quo.project(y) != ebar:
-            raise InternalCheckError("lift does not reduce to the central idempotent")
         lifted.append(y)
         fsum = fsum + y
 
@@ -245,11 +245,6 @@ def _pivot(vec: tuple[int, ...]) -> int:
         if v:
             return i
     return len(vec)
-
-
-def _corner_span_dim(abar: Algebra, f: tuple[int, ...], fixed: Subspace) -> int:
-    vecs = [abar.mul_coeffs(f, z) for z in fixed.basis]
-    return Subspace.from_vectors(abar.p, abar.dim, vecs).dim
 
 
 def _split_block(abar: Algebra, f: tuple[int, ...], fixed: Subspace) -> list[tuple[int, ...]]:
@@ -291,14 +286,9 @@ def ideal_block_support(fam: IdempotentFamily, ideal: Ideal) -> tuple[frozenset[
     """
     if ideal.side != "twosided":
         raise InternalCheckError("block support needs a two-sided ideal")
-    abar = fam.quotient.algebra
-    images = [fam.quotient.project_coeffs(v) for v in ideal.space.basis]
-    if all(all(c == 0 for c in img) for img in images):
+    images = fam.quotient.batch_project(ideal.space.array)
+    if not images.any():
         return frozenset(), True
-    support = set()
-    for i, ebar in enumerate(fam.central_images, start=1):
-        for img in images:
-            if any(c != 0 for c in abar.mul_coeffs(ebar.coeffs, img)):
-                support.add(i)
-                break
-    return frozenset(support), False
+    centrals = np.array([e.coeffs for e in fam.central_images], dtype=np.int64)
+    met = fam.quotient.algebra.pair_products(centrals, images).any(axis=(1, 2))
+    return frozenset(int(i) + 1 for i in np.flatnonzero(met)), False

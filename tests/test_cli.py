@@ -268,6 +268,28 @@ class TestVerifyAndErrors:
         assert main(["report", "--input", docfile(json.dumps(doc))]) == 2
         assert '"scalar" must be an object' in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["factor", "inner"])
+    def test_nested_float_prime_exit_code(self, where, docfile, capsys):
+        nested = {"scalar": {"prime": 7.0}, "kind": "constructor", "name": "full_matrix", "n": 2}
+        doc = {"scalar": {"prime": 7}, "kind": "constructor"}
+        if where == "factor":
+            doc.update(name="product", factors=[nested])
+        else:
+            doc.update(name="opposite", inner=nested)
+        assert main(["report", "--input", docfile(json.dumps(doc))]) == 2
+        assert "'prime' must be an integer" in capsys.readouterr().err
+
+    def test_ragged_matrix_element_exit_code(self, docfile, capsys):
+        code = main(["check-powers", "--input", docfile(L2_DOC), "--element", "[[1, 0, 0], [1]]"])
+        assert code == 2
+        assert "matrix literal must be 2x2" in capsys.readouterr().err
+
+    def test_ragged_generator_exit_code(self, docfile, capsys):
+        doc = json.dumps({"scalar": {"prime": 7}, "kind": "constructor", "name": "matrix_subalgebra",
+                          "ambient_n": 2, "generators": [[[1, 0, 0], [0]]]})
+        assert main(["report", "--input", docfile(doc)]) == 2
+        assert "generator must be 2x2" in capsys.readouterr().err
+
     def test_ragged_mul_table_exit_code(self, docfile, capsys):
         doc = json.dumps({**json.loads(T7_DOC), "mul_table": [[[1, 0], [0, 1]], [[0, 1]]]})
         assert main(["report", "--input", docfile(doc)]) == 2

@@ -1,5 +1,11 @@
+import dataclasses
+import itertools
+from types import SimpleNamespace
+
 import pytest
 
+import artinloc.localization as localization
+import artinloc.structure as structure
 from artinloc.algebra import (
     direct_product,
     full_matrix,
@@ -7,9 +13,9 @@ from artinloc.algebra import (
     lower_triangular,
     truncated_poly,
 )
-from artinloc.linalg import InternalCheckError
+from artinloc.linalg import InternalCheckError, Subspace
 from artinloc.oracle import brute_radical
-from artinloc.structure import block_decomposition, ideal_block_support, radical
+from artinloc.structure import _radical_quotient, block_decomposition, ideal_block_support, radical
 
 
 class TestRadical:
@@ -93,6 +99,107 @@ class TestBlockDecomposition:
         assert power.dim == 0
 
 
+class TestRadicalQuotientShared:
+    def count_quotients(self, monkeypatch):
+        calls = []
+        real = structure.quotient_algebra
+
+        def counting(a, ideal):
+            calls.append(a)
+            return real(a, ideal)
+        monkeypatch.setattr(structure, "quotient_algebra", counting)
+        return calls
+
+    def test_block_decomposition_reuses_the_radical_quotient(self, monkeypatch):
+        a = lower_triangular(7, 3)
+        rad, quo = _radical_quotient(a)
+        calls = self.count_quotients(monkeypatch)
+        fam = block_decomposition(a)
+        assert calls == []
+        assert fam.rad is rad is radical(a)
+        assert fam.quotient is quo
+
+    def test_one_quotient_per_algebra(self, monkeypatch):
+        calls = self.count_quotients(monkeypatch)
+        a = truncated_poly(7, 3)
+        block_decomposition(a)
+        radical(a)
+        assert calls == [a]
+
+    @pytest.mark.parametrize("build", [lambda: full_matrix(7, 2),
+                                       lambda: direct_product([full_matrix(7, 1), full_matrix(7, 2)])[0]],
+                             ids=["M2", "F x M2"])
+    def test_semisimple_algebra_is_its_own_quotient(self, build, monkeypatch):
+        calls = self.count_quotients(monkeypatch)
+        a = build()
+        fam = block_decomposition(a)
+        assert calls == []
+        assert fam.quotient.algebra is a and fam.quotient.parent is a
+        assert fam.rad.dim == 0 and fam.quotient.keep == tuple(range(a.dim))
+        for e, ebar in zip(fam.idempotents, fam.central_images):
+            assert fam.quotient.project(e) == ebar == e
+
+
+class TestFamilyChecksFire:
+    """Each condition of the lifted family, broken in a copy of a real family."""
+
+    @pytest.fixture
+    def fam(self):
+        return block_decomposition(lower_triangular(7, 2))  # lifts E11, E22
+
+    def test_real_family_passes(self, fam):
+        assert dataclasses.replace(fam) == fam
+
+    def test_non_idempotent_lift(self, fam):
+        e11, e22 = fam.idempotents
+        with pytest.raises(InternalCheckError, match="lifted idempotent 1 is not idempotent"):
+            dataclasses.replace(fam, idempotents=(e11, e22 * 2))
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_non_orthogonal_pair(self, fam, order):
+        a = fam.algebra
+        e11, e22 = fam.idempotents
+        # E22 + E21 is idempotent, and (E22 + E21) E11 = E21 while E11 (E22 + E21) = 0
+        skew = e22 + a.element((0, 1, 0))
+        assert skew * skew == skew
+        lifts = (skew, e11) if order == (0, 1) else (e11, skew)
+        with pytest.raises(InternalCheckError, match=f"lifted idempotents {order[0]},{order[1]} "
+                                                     "are not orthogonal"):
+            dataclasses.replace(fam, idempotents=lifts)
+
+    def test_not_summing_to_one(self, fam):
+        with pytest.raises(InternalCheckError, match="lifted idempotents do not sum to 1"):
+            dataclasses.replace(fam, idempotents=fam.idempotents[:1])
+
+    def test_wrong_projection(self, fam):
+        with pytest.raises(InternalCheckError, match="lift does not reduce to its central idempotent"):
+            dataclasses.replace(fam, central_images=fam.central_images[::-1])
+
+    def test_split_that_stalls(self, monkeypatch):
+        monkeypatch.setattr(structure, "_split_block", lambda abar, f, fixed: [f])
+        with pytest.raises(InternalCheckError, match="did not reach primitive idempotents"):
+            block_decomposition(lower_triangular(7, 2))
+
+
+class TestTwoSidedChecksFire:
+    def test_non_central_candidate(self, monkeypatch):
+        # the "center" is the whole of L2, whose block idempotents E11 and E22
+        # are not central
+        monkeypatch.setattr(localization, "_center_algebra",
+                            lambda a: (a, Subspace.full(a.p, a.dim)))
+        with pytest.raises(InternalCheckError, match="central idempotent 0 is not central"):
+            localization.two_sided_report(lower_triangular(7, 2))
+
+    def test_non_orthogonal_pair(self, monkeypatch):
+        # (1, 0) and (1, 1) are central idempotents of GF(7)^2 with product (1, 0)
+        def fake_family(zalg):
+            return SimpleNamespace(idempotents=[zalg.element((1, 0)), zalg.element((1, 1))])
+        monkeypatch.setattr(localization, "block_decomposition", fake_family)
+        a = direct_product([full_matrix(7, 1), full_matrix(7, 1)])[0]
+        with pytest.raises(InternalCheckError, match="central idempotents 0,1 are not orthogonal"):
+            localization.two_sided_report(a)
+
+
 def skewed_lower_triangular_7():
     """Lower triangular 3x3 over GF(7) on the basis
     (E11 + E32, E21, E22, E31, E32, E33).
@@ -174,3 +281,16 @@ class TestBlockSupport:
         fam = block_decomposition(L2_7)
         support, in_rad = ideal_block_support(fam, fam.rad)
         assert support == frozenset() and in_rad
+
+    def test_matches_the_definition(self, L3_7, U3_7, P1, T7xF7, M2_7):
+        for a in (L3_7, U3_7, P1, T7xF7, M2_7):
+            fam = block_decomposition(a)
+            quo = fam.quotient
+            for pattern in itertools.product((0, 1), repeat=a.dim):
+                x = a.element(pattern)
+                ideal = ideal_generated(a, [x], "twosided")
+                images = [quo.project(a.element(v)) for v in ideal.space.basis]
+                support = {i for i, ebar in enumerate(fam.central_images, start=1)
+                           if any(not (ebar * img).is_zero() for img in images)}
+                in_rad = all(img.is_zero() for img in images)
+                assert ideal_block_support(fam, ideal) == (frozenset(support), in_rad)
