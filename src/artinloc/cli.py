@@ -309,8 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--side", choices=["left", "right", "both"], default="left")
     parser.add_argument("--oracle", action="store_true",
                         help="cross-check the verdict against the brute-force oracle")
-    parser.add_argument("--guard", type=int,
-                        help="enumeration guard on p**dim (env ARTINLOC_GUARD)")
+    parser.add_argument("--guard",
+                        help="enumeration guard on p**dim, a positive integer "
+                             "(env ARTINLOC_GUARD)")
     parser.add_argument("--format", choices=["json", "text"], default="json")
     parser.add_argument("--output", help="write the report to a file instead of stdout")
     return parser
@@ -319,12 +320,27 @@ def build_parser() -> argparse.ArgumentParser:
 PARSER = build_parser()
 
 
-def main(argv: list[str] | None = None) -> int:
-    # the guard default is read from the environment at each call; a value
-    # already on the namespace is kept by argparse unless --guard is given
-    defaults = argparse.Namespace(guard=int(os.environ.get("ARTINLOC_GUARD", DEFAULT_GUARD)))
-    args = PARSER.parse_args(argv, namespace=defaults)
+def _parse_guard(flag: str | None, env: str | None) -> int:
+    """The guard from ``--guard``, else ``ARTINLOC_GUARD``, else the default;
+    anything but an integer >= 1 is an input error."""
+    source, text = ("--guard", flag) if flag is not None else ("ARTINLOC_GUARD", env)
+    if text is None:
+        return DEFAULT_GUARD
     try:
+        guard = int(text)
+    except ValueError:
+        pass
+    else:
+        if guard >= 1:
+            return guard
+    raise InputError(f"{source} must be a positive integer, got {text!r}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = PARSER.parse_args(argv)
+    try:
+        # the environment is read at each call, not when the parser is built
+        args.guard = _parse_guard(args.guard, os.environ.get("ARTINLOC_GUARD"))
         code = COMMANDS[args.command](args)
     except (InputError, FileNotFoundError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

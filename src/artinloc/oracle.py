@@ -6,7 +6,12 @@ as independent ground truth for the classification layer.  The only
 concessions to speed are logical rewritings, not theory:
 
 * the inner existential of the Ore condition is resolved by subspace
-  membership (s'r in Rs is linear in r), never by scanning the ring;
+  membership (s'r in Rs is linear in r), never by scanning the ring:
+  residues modulo Rs are linear, so V_{s'} = {r : s'r in Rs} is the left
+  kernel of the residues of the rows of the left-multiplication matrix of
+  s'.  Each target s takes one residue sweep over the distinct left
+  matrices stacked, which decides whether some V_{s'} is all of R, and
+  only when none is are the V_{s'} solved, in one batched kernel;
 * a GF(p) vector space is never the union of p or fewer proper subspaces,
   so when the candidate kernels V_{s'} are few, covering is equivalent to
   one of them being everything;
@@ -20,12 +25,22 @@ concessions to speed are logical rewritings, not theory:
   K_s.  That holds at once when the span is itself one of the K_s, and by
   the covering rule above it fails at once when there are at most p
   kernels and none of them is the span;
-* reversibility (r*s = 0 forces r into ass) tests the members of each
-  right kernel {r : r*s = 0} against the K_s in one batch per chunk, in
-  enumeration order, so the first failing member is the counterexample;
+* reversibility (r*s = 0 forces r into ass) needs no sweep for a right
+  kernel {r : r*s = 0} that lies inside a single K_s; the others test
+  their members against the K_s in one batch per chunk, in enumeration
+  order, so the first failing member is the counterexample;
 * the core condition p**dim(K_s) = |ass| with K_s inside ass holds iff
   K_s equals the span of ass (K_s = ass then makes ass a subspace, and
   conversely).
+
+The linear algebra of a check is batched over the distinct matrices of
+S: one elimination ranks every left and right multiplication matrix, and
+the kernels K_s of the rank-deficient left matrices, the V_{s'} of one
+target and the right kernels each come from one :func:`batch_kernels`.
+A lone matrix takes the scalar :func:`kernel` instead, which is faster on
+one small matrix (the {1, e} checks).  :func:`monoid_closure` is a
+breadth-first search one level at a time, each chunk of the frontier
+multiplied by every generator in one matmul.
 
 Every sweep over p**k vectors runs ``CHUNK_ROWS`` rows at a time in the
 enumeration order, so its memory is set by the chunk size rather than by
@@ -49,8 +64,10 @@ from .linalg import (
     InternalCheckError,
     ResourceGuardError,
     Subspace,
+    batch_kernels,
     batch_member_mask,
     batch_rank,
+    batch_row_spaces,
     kernel,
     row_chunks,
 )
@@ -89,17 +106,26 @@ class FiniteSetOfElements:
 
 
 def monoid_closure(a: Algebra, gens: Sequence[Element], guard: int = DEFAULT_GUARD) -> FiniteSetOfElements:
-    """Closure of gens plus 1 under multiplication; reports whether 0 crept in."""
+    """Closure of gens plus 1 under multiplication; reports whether 0 crept in.
+
+    A breadth-first search one level at a time: a chunk of the frontier
+    times the generators' right-multiplication matrices, side by side, is
+    one matmul holding every product w*g, and new members are found
+    through a set of coefficient tuples.
+    """
     if guard < 1:
         raise InputError("guard must be positive")
-    gen_coeffs = [g.coeffs for g in gens]
+    d = a.dim
+    gen_arr = np.array([g.coeffs for g in gens], dtype=np.int64).reshape(-1, d)
+    # column block g of ``right`` is the matrix of y -> y*g
+    right = a.batch_right_matrices(gen_arr).transpose(1, 0, 2).reshape(d, -1)
     seen = {a.one_coeffs}
     frontier = [a.one_coeffs]
     while frontier:
         new = []
-        for w in frontier:
-            for g in gen_coeffs:
-                prod = a.mul_coeffs(w, g)
+        for start, stop in row_chunks(len(frontier)):
+            prods = np.array(frontier[start:stop], dtype=np.int64) @ right % a.p
+            for prod in map(tuple, prods.reshape(-1, d).tolist()):
                 if prod not in seen:
                     seen.add(prod)
                     new.append(prod)
@@ -132,14 +158,6 @@ class BruteDenResult:
         return self.ass.dim if self.ass is not None else -1
 
 
-def _preimage_space(a: Algebra, left_mat: np.ndarray, target: Subspace) -> Subspace:
-    """{r : s'*r in target} as a subspace (solve through the stacked system)."""
-    d = a.dim
-    big = kernel(np.concatenate([left_mat, -target.array % a.p]), a.p)
-    vecs = [row[:d] for row in big.basis]
-    return Subspace.from_vectors(a.p, d, vecs)
-
-
 def _in_union(vecs: np.ndarray, spaces: Sequence[Subspace]) -> np.ndarray:
     """Mask of the rows of ``vecs`` that lie in at least one of ``spaces``."""
     hit = np.zeros(len(vecs), dtype=bool)
@@ -158,40 +176,6 @@ def _first_outside(space: Subspace, spaces: Sequence[Subspace]) -> tuple[int, ..
     return None
 
 
-def _ore_holds_for(a: Algebra, right_mat: np.ndarray, left_mats: np.ndarray,
-                   guard: int) -> tuple[bool, Element | None]:
-    """Left Ore at s: every r admits s' in S with s'*r in R*s.
-
-    ``right_mat`` is the right-multiplication matrix of s, whose row space
-    is R*s, and ``left_mats`` holds the left-multiplication matrices of the
-    members s'.  Returns (ok, first failing r in canonical order if not ok)."""
-    rs = Subspace.from_vectors(a.p, a.dim, right_mat.tolist())
-    spaces: list[Subspace] = []
-    seen: set = set()
-    seen_lm: set[bytes] = set()
-    for i in range(len(left_mats)):
-        lm_key = left_mats[i].tobytes()
-        if lm_key in seen_lm:
-            continue
-        seen_lm.add(lm_key)
-        v = _preimage_space(a, left_mats[i], rs)
-        if v.dim == a.dim:
-            return True, None
-        if v.basis not in seen:
-            seen.add(v.basis)
-            spaces.append(v)
-    # p or fewer proper subspaces can never cover the space
-    few = len(spaces) <= a.p
-    total = a.p ** a.dim
-    if not few and total > guard:
-        raise ResourceGuardError(f"Ore fallback sweep of {total} elements exceeds the guard",
-                                 total, guard)
-    bad = _first_uncovered(a, spaces, guard)
-    if bad is None and few:
-        raise InternalCheckError("claimed non-covering union covered everything")
-    return bad is None, bad
-
-
 def _first_uncovered(a: Algebra, spaces: list[Subspace], guard: int) -> Element | None:
     """The first element of R in canonical order that lies in none of
     ``spaces``, or None when they cover R."""
@@ -200,6 +184,69 @@ def _first_uncovered(a: Algebra, spaces: list[Subspace], guard: int) -> Element 
         raise ResourceGuardError("counterexample search exceeds the guard", total, guard)
     bad = _first_outside(Subspace.full(a.p, a.dim), spaces)
     return None if bad is None else Element(a, bad)
+
+
+def _kernels(mats: np.ndarray, p: int, ranks: np.ndarray | None = None) -> list[Subspace]:
+    """:func:`batch_kernels`, except that a lone matrix takes the scalar
+    :func:`kernel`, which is faster on one small matrix than a batched
+    elimination."""
+    if len(mats) <= 1:
+        return [kernel(m, p) for m in mats]
+    return batch_kernels(mats, p, ranks)
+
+
+def _distinct(mats: np.ndarray) -> tuple[list[int], list[int]]:
+    """The index of the first occurrence of each distinct matrix, in order,
+    and for every matrix the position of its first occurrence in that list."""
+    first: list[int] = []
+    where: dict[bytes, int] = {}
+    which = []
+    for i, m in enumerate(mats):
+        key = m.tobytes()
+        if key not in where:
+            where[key] = len(first)
+            first.append(i)
+        which.append(where[key])
+    return first, which
+
+
+def _ore_counterexample(a: Algebra, rs: Subspace, left_rows: np.ndarray,
+                        guard: int) -> Element | None:
+    """Left Ore at s: every r admits s' in S with s'*r in R*s = ``rs``.
+
+    ``left_rows`` stacks the distinct left-multiplication matrices L of
+    the members s'.  Residues modulo R*s are linear, so the residue of
+    r*L is r times the residues of the rows of L, and
+    V_{s'} = {r : s'*r in R*s} is the left kernel of that residue matrix.
+    Returns the first r in canonical order lying in no V_{s'}, or None.
+    """
+    p, d = a.p, a.dim
+    res = rs.residues(left_rows).reshape(-1, d, d - rs.dim)
+    if not res.any(axis=(1, 2)).all():
+        return None  # some V_{s'} is the whole ring
+    spaces = list(dict.fromkeys(_kernels(res, p)))
+    # p or fewer proper subspaces can never cover the space
+    few = len(spaces) <= p
+    total = p ** d
+    if not few and total > guard:
+        raise ResourceGuardError(f"Ore fallback sweep of {total} elements exceeds the guard",
+                                 total, guard)
+    bad = _first_uncovered(a, spaces, guard)
+    if bad is None and few:
+        raise InternalCheckError("claimed non-covering union covered everything")
+    return bad
+
+
+def _inside_one(subs: Sequence[Subspace], spaces: Sequence[Subspace]) -> np.ndarray:
+    """Mask of the ``subs`` that lie inside at least one of ``spaces``."""
+    rows = np.concatenate([sub.array for sub in subs])
+    owner = np.repeat(np.arange(len(subs)), [sub.dim for sub in subs])
+    inside = np.zeros(len(subs), dtype=bool)
+    for sp in spaces:
+        outside = np.zeros(len(subs), dtype=bool)
+        outside[owner[sp.residues(rows).any(axis=1)]] = True
+        inside |= ~outside
+    return inside
 
 
 def brute_denominator_check(a: Algebra, S: FiniteSetOfElements, side: str = "left",
@@ -239,69 +286,57 @@ def brute_denominator_check(a: Algebra, S: FiniteSetOfElements, side: str = "lef
     members = S.members
     if a.one not in S:
         raise InputError("a multiplicative set must contain 1")
+    p, d, n = a.p, a.dim, len(members)
 
-    # One batched pass builds every member's multiplication matrices.
+    # One batched pass builds every member's multiplication matrices, and
+    # one elimination ranks them all.
     coeff_arr = np.array([m.coeffs for m in members], dtype=np.int64)
     left_mats = a.batch_left_matrices(coeff_arr)
     right_mats = a.batch_right_matrices(coeff_arr)
+    ranks = batch_rank(np.concatenate([left_mats, right_mats]), p)
+    left_ranks, right_ranks = ranks[:n], ranks[n:]
 
-    # A matrix of full rank has the zero kernel (rank-nullity), so only the
-    # rank-deficient ones are solved one at a time.
-    left_full = batch_rank(left_mats, a.p) == a.dim
-    right_full = batch_rank(right_mats, a.p) == a.dim
-
-    # ass(S) = union of the left-multiplication kernels, held as the kernels.
-    zero = Subspace.zero(a.p, a.dim)
-    kernels: list[Subspace] = []
-    kernel_cache: dict[bytes, Subspace] = {}
-    for i in range(len(members)):
-        if left_full[i]:
-            kernels.append(zero)
-            continue
-        key = left_mats[i].tobytes()
-        ker = kernel_cache.get(key)
-        if ker is None:
-            ker = kernel_cache[key] = kernel(left_mats[i], a.p)
-        kernels.append(ker)
+    # ass(S) = union of the left-multiplication kernels, held as the
+    # kernels.  A matrix of full rank has the zero kernel (rank-nullity), so
+    # only the distinct rank-deficient ones are solved, in one batch.
+    left_first, left_which = _distinct(left_mats)
+    deficient = [i for i in left_first if left_ranks[i] < d]
+    solved = dict(zip(deficient, _kernels(left_mats[deficient], p, left_ranks[deficient])))
+    zero = Subspace.zero(p, d)
+    kernels = [solved.get(left_first[w], zero) for w in left_which]
     distinct = list(dict.fromkeys(kernels))
-    span = Subspace.from_vectors(a.p, a.dim, [row for ker in distinct for row in ker.basis])
+    span = Subspace.from_vectors(p, d, [row for ker in distinct for row in ker.basis])
     if span in distinct:
         ass_space = span
-    elif len(distinct) <= a.p:
+    elif len(distinct) <= p:
         ass_space = None
     else:
         ass_space = span if _first_outside(span, distinct) is None else None
 
-    # Ore condition.
+    # Ore condition, at each distinct rank-deficient right matrix in member
+    # order (R*s = R at the others).
+    targets = [i for i in _distinct(right_mats)[0] if right_ranks[i] < d]
+    left_rows = left_mats[left_first].reshape(-1, d)
     is_ore = True
     counterexample = None
-    ore_cache: dict[bytes, tuple[bool, Element | None]] = {}
-    for i, s in enumerate(members):
-        if right_full[i]:
-            continue  # R*s = R
-        key = right_mats[i].tobytes()
-        if key not in ore_cache:
-            ore_cache[key] = _ore_holds_for(a, right_mats[i], left_mats, guard)
-        ok, bad_r = ore_cache[key]
-        if not ok:
+    for i, rs in zip(targets, batch_row_spaces(right_mats[targets], p)):
+        bad_r = _ore_counterexample(a, rs, left_rows, guard)
+        if bad_r is not None:
             is_ore = False
-            counterexample = (s, bad_r)
+            counterexample = (members[i], bad_r)
             break
 
-    # Reversibility: r*s = 0 forces r into ass.
+    # Reversibility: r*s = 0 forces r into ass.  A zero right kernel holds
+    # only 0, which is in ass, and one inside a single K_s is covered.
     reversible = True
-    if is_ore:
-        rev_cache: set[bytes] = set()
-        for i, s in enumerate(members):
-            key = right_mats[i].tobytes()
-            if right_full[i] or key in rev_cache:
-                continue  # a zero right kernel holds only 0, which is in ass
-            rev_cache.add(key)
-            right_ker = kernel(right_mats[i], a.p)
-            bad = _first_outside(right_ker, distinct)
+    if is_ore and targets:
+        right_kers = _kernels(right_mats[targets], p, right_ranks[targets])
+        covered = _inside_one(right_kers, distinct)
+        for i, right_ker, skip in zip(targets, right_kers, covered):
+            bad = None if skip else _first_outside(right_ker, distinct)
             if bad is not None:
                 reversible = False
-                counterexample = (s, Element(a, bad))
+                counterexample = (members[i], Element(a, bad))
                 break
 
     is_den = is_ore and reversible

@@ -324,6 +324,30 @@ class TestVerifyAndErrors:
                      "--element", "[3,0,1]", "--guard", "1000000"])
         assert code == 0
 
+    @pytest.mark.parametrize("guard", ["0", "-3", "abc", "2.5", ""])
+    @pytest.mark.parametrize("command", [
+        ["report"], ["verify"], ["check-monoid", "--element", "[3,0,1]"],
+        ["check-idempotent", "--oracle", "--element", "[1,0,0]"]])
+    def test_guard_flag_not_a_positive_integer(self, command, guard, docfile, capsys):
+        code = main([command[0], "--input", docfile(L2_DOC), *command[1:], "--guard", guard])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"input error: --guard must be a positive integer, got {guard!r}\n"
+
+    @pytest.mark.parametrize("guard", ["0", "-3", "abc", ""])
+    @pytest.mark.parametrize("command", ["report", "verify"])
+    def test_guard_env_var_not_a_positive_integer(self, command, guard, docfile, capsys, monkeypatch):
+        monkeypatch.setenv("ARTINLOC_GUARD", guard)
+        code = main([command, "--input", docfile(L2_DOC)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"input error: ARTINLOC_GUARD must be a positive integer, got {guard!r}\n")
+
+    def test_valid_guard_flag_hides_a_bad_env_var(self, docfile, monkeypatch):
+        monkeypatch.setenv("ARTINLOC_GUARD", "abc")
+        assert main(["check-monoid", "--input", docfile(L2_DOC),
+                     "--element", "[3,0,1]", "--guard", "6"]) == 0
+
 
 @pytest.mark.parametrize("module", ["artinloc", "artinloc.cli"])
 def test_python_dash_m_runs_the_cli(module, docfile):

@@ -1,17 +1,21 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from artinloc import linalg
 from artinloc.linalg import (
     InputError,
+    InternalCheckError,
     ModulusMismatch,
     Subspace,
     all_vectors,
     batch_member_mask,
     _batch_rref,
     _rref_rows,
+    batch_kernels,
     batch_rank,
     batch_row_spaces,
     batch_solve,
@@ -243,6 +247,57 @@ def test_batch_row_spaces_match_from_vectors(batch):
         expected = Subspace.from_vectors(p, m.shape[1], m.tolist())
         assert sp == expected and hash(sp) == hash(expected)
         assert all(isinstance(v, int) for row in sp.basis for v in row + sp.pivots)
+
+
+@st.composite
+def kernel_batches(draw):
+    """(p, mats): a batch of same-shape matrices, random, zero, of full rank,
+    of low rank, or the (d, d - k) residues of the rows of d x d matrices
+    modulo a k-dimensional subspace, as the Ore check builds them."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 13, 65521]))
+    kind = draw(st.sampled_from(["random", "zero", "full", "low", "residue"]))
+    n = draw(st.integers(1, 6))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "residue":
+        k = draw(st.integers(0, rows - 1))
+        space = Subspace.from_vectors(p, rows, rng.integers(0, p, size=(k, rows)).tolist())
+        full = rng.integers(0, p, size=(n * rows, rows))
+        return p, space.residues(full).reshape(n, rows, rows - space.dim)
+    mats = rng.integers(0, p, size=(n, rows, cols))
+    if kind == "zero":
+        mats[:] = 0
+    elif kind == "full":
+        # unit diagonal, zero below it: rank min(rows, cols)
+        mats = np.triu(mats)
+        mats[:, range(min(rows, cols)), range(min(rows, cols))] = 1
+    elif kind == "low":
+        inner = draw(st.integers(0, min(rows, cols)))
+        mats = (rng.integers(0, p, size=(n, rows, inner))
+                @ rng.integers(0, p, size=(n, inner, cols))) % p
+    return p, mats
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_batches())
+def test_batch_kernels_match_kernel(batch):
+    # the canonical subspace of the scalar elimination, whatever the batch
+    p, mats = batch
+    kernels = batch_kernels(mats, p)
+    assert kernels == [kernel(m, p) for m in mats]
+    assert all(isinstance(v, int) for ker in kernels for row in ker.basis for v in row + ker.pivots)
+
+
+def test_batch_kernels_check_rank_nullity():
+    mats = np.array([[[1, 2], [2, 4]], [[1, 0], [0, 1]]], dtype=np.int64)
+    assert [ker.dim for ker in batch_kernels(mats, 7, np.array([1, 2]))] == [1, 0]
+    with pytest.raises(InternalCheckError, match="rank-nullity violated in kernel"):
+        batch_kernels(mats, 7, np.array([1, 1]))
+    # the default ranks come from a separate batch_rank
+    with mock.patch.object(linalg, "batch_rank", lambda m, p: np.array([2, 2])):
+        with pytest.raises(InternalCheckError, match="rank-nullity violated in kernel"):
+            batch_kernels(mats, 7)
 
 
 def test_all_vectors_order_and_indexing():

@@ -57,9 +57,74 @@ class TestMonoidClosure:
         assert cl.contains_zero
 
     def test_guard(self, M2_7):
+        # the unipotent [[1, 1], [0, 1]] has order 7
         g = M2_7.from_matrix([[1, 1], [0, 1]])
-        with pytest.raises(ResourceGuardError):
-            monoid_closure(M2_7, [g], guard=3)
+        for guard in (1, 3, 6):
+            with pytest.raises(ResourceGuardError, match=f"monoid closure exceeded the guard {guard}$") as exc:
+                monoid_closure(M2_7, [g], guard=guard)
+            assert (exc.value.size, exc.value.guard) == (guard + 1, guard)
+        assert len(monoid_closure(M2_7, [g], guard=7)) == 7
+
+    def test_guard_must_be_positive(self, M2_7):
+        with pytest.raises(InputError, match="guard must be positive"):
+            monoid_closure(M2_7, [M2_7.one], guard=0)
+
+    def test_beyond_int64_indexing(self):
+        # 37**36 >= 2**63, so the members are told apart as rows, never as
+        # base-p indices
+        a = lower_triangular(37, 8)
+        assert a.p ** a.dim >= 2 ** 63
+        eye = [[int(i == j) for j in range(8)] for i in range(8)]
+        u = [row[:] for row in eye]
+        u[0][0], u[1][0] = 36, 1            # [[-1, 0], [1, 1]] in the corner: order 2
+        v = [row[:] for row in eye]
+        v[7][7] = 6                         # 6 has order 4 mod 37
+        gens = [a.from_matrix(u), a.from_matrix(v)]
+        cl = monoid_closure(a, gens, guard=64)
+        assert len(cl) == 8 and not cl.contains_zero
+        assert [m.coeffs for m in cl] == reference_closure(a, gens, 64)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_scalar_search(self, data):
+        a = data.draw(st.sampled_from(DIFF_ALGEBRAS))
+        vec = st.lists(st.integers(0, a.p - 1), min_size=a.dim, max_size=a.dim)
+        gens = [a.element(v) for v in data.draw(st.lists(vec, min_size=0, max_size=3))]
+        guard = data.draw(st.sampled_from([1, 7, 200, DEFAULT_GUARD]))
+        chunk = data.draw(st.sampled_from([1, 3, CHUNK_ROWS]))
+        try:
+            expected = reference_closure(a, gens, guard)
+        except ResourceGuardError as exc:
+            expected = exc
+        with mock.patch.object(linalg, "CHUNK_ROWS", chunk):
+            if isinstance(expected, ResourceGuardError):
+                with pytest.raises(ResourceGuardError, match=str(expected)) as exc:
+                    monoid_closure(a, gens, guard)
+                assert (exc.value.size, exc.value.guard) == (expected.size, guard) == (guard + 1, guard)
+                return
+            cl = monoid_closure(a, gens, guard)
+        assert [m.coeffs for m in cl] == expected
+        assert cl.contains_zero == ((0,) * a.dim in expected)
+
+
+def reference_closure(a, gens, guard):
+    """The closure as a scalar breadth-first search through ``mul_coeffs``,
+    its members' coefficient tuples in canonical order."""
+    seen = {a.one_coeffs}
+    frontier = [a.one_coeffs]
+    while frontier:
+        new = []
+        for w in frontier:
+            for g in gens:
+                prod = a.mul_coeffs(w, g.coeffs)
+                if prod not in seen:
+                    seen.add(prod)
+                    new.append(prod)
+                    if len(seen) > guard:
+                        raise ResourceGuardError(f"monoid closure exceeded the guard {guard}",
+                                                 len(seen), guard)
+        frontier = new
+    return sorted(seen)
 
 
 class TestBruteDenominatorCheck:
@@ -320,6 +385,31 @@ class TestBatchedDenominatorCheck:
         res = assert_matches_reference(a, S, "left")
         assert res.is_ore and not res.is_den
         assert (res.counterexample[0].coeffs, res.counterexample[1].coeffs) == ((0, 4, 0), (0, 0, 1))
+
+    # type, message and size of the refusal, as recorded from the
+    # one-member-at-a-time check this batched one replaced
+    @pytest.mark.parametrize("label, side, guard, gens, message, size", [
+        ("L2(GF(5)) x GF(5)", "left", 100,
+         [(0, 4, 4, 4), (4, 2, 3, 4), (0, 1, 1, 4), (4, 1, 0, 4), (2, 0, 0, 0), (0, 3, 0, 2)],
+         "counterexample search exceeds the guard", 625),
+        ("U2(GF(5))", "twosided", 100, [(2, 2, 0), (1, 1, 2), (4, 1, 2)],
+         "counterexample search exceeds the guard", 125),
+        ("M2(GF(7))", "left", 10,
+         [(1, 4, 5, 0), (3, 5, 4, 6), (2, 5, 5, 3), (0, 5, 2, 1), (1, 0, 2, 0), (6, 0, 2, 2),
+          (5, 1, 3, 4), (2, 1, 0, 4)],
+         "counterexample search exceeds the guard", 2401),
+        ("L2(GF(5)) x GF(5)", "twosided", 1,
+         [(1, 1, 0, 4), (3, 1, 0, 0), (1, 3, 1, 0), (4, 0, 2, 0), (0, 3, 3, 0), (0, 0, 1, 0),
+          (1, 1, 3, 3), (3, 3, 2, 0)],
+         "Ore fallback sweep of 625 elements exceeds the guard", 625),
+    ])
+    def test_guard_refusals_are_pinned(self, label, side, guard, gens, message, size):
+        a = next(a for a in DIFF_ALGEBRAS if a.label == label)
+        S = FiniteSetOfElements.from_elements(a, [a.one, *map(a.element, gens)])
+        with pytest.raises(ResourceGuardError) as exc:
+            brute_denominator_check(a, S, side, guard)
+        assert type(exc.value) is ResourceGuardError
+        assert (str(exc.value), exc.value.size, exc.value.guard) == (message, size, guard)
 
     def test_membership_of_a_set(self, L2_7):
         S = monoid_closure(L2_7, [L2_7.from_matrix([[2, 0], [1, 0]])])
