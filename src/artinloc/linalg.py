@@ -366,13 +366,12 @@ def batch_row_spaces(mats: np.ndarray, p: int) -> list[Subspace]:
 def _subspaces(red: np.ndarray, starts: np.ndarray, stops: np.ndarray, p: int) -> list[Subspace]:
     """Rows ``starts[n]:stops[n]`` of each reduced matrix ``red[n]``, which
     must be a canonical RREF basis, as :class:`Subspace` objects."""
-    n, r, c = red.shape
-    pivots = (red != 0).argmax(axis=2) if c else np.zeros((n, r), dtype=np.int64)
-    return [Subspace(p, c, tuple(map(tuple, rows[lo:hi])), tuple(piv[lo:hi]))
+    pivots = (red != 0).argmax(axis=2)
+    return [Subspace(p, red.shape[2], tuple(map(tuple, rows[lo:hi])), tuple(piv[lo:hi]))
             for rows, piv, lo, hi in zip(red.tolist(), pivots.tolist(), starts.tolist(), stops.tolist())]
 
 
-def batch_kernels(mats: np.ndarray, p: int, ranks: np.ndarray | None = None) -> list[Subspace]:
+def batch_kernels(mats: np.ndarray, p: int) -> list[Subspace]:
     """Left kernels {x : x @ mats[n] = 0} of a batch, from one elimination.
 
     ``mats`` has shape (N, r, c).  Gauss-Jordan on ``[mats[n] | I_r]``
@@ -381,17 +380,14 @@ def batch_kernels(mats: np.ndarray, p: int, ranks: np.ndarray | None = None) -> 
     independent combinations x with x @ mats[n] = 0, so they span the
     kernel.  Their pivots lie right of the bar and are cleared in every
     other row, so those rows are already the canonical RREF basis that
-    :func:`kernel` returns.  ``ranks`` (by default one :func:`batch_rank`)
-    comes from a separate elimination and checks rank-nullity, as
-    :func:`kernel` does.
+    :func:`kernel` returns.  As in :func:`kernel`, rank-nullity is checked
+    against the rank of the transposes, a different elimination.
     """
     n, r, c = mats.shape
-    if ranks is None:
-        ranks = batch_rank(mats, p)
     eye = np.broadcast_to(np.eye(r, dtype=np.int64), (n, r, r))
     red = _batch_rref(np.concatenate([mats, eye], axis=2), p)[0]
     left_ranks = (red[:, :, :c] != 0).any(axis=2).sum(axis=1)
-    if not np.array_equal(left_ranks, ranks):
+    if not np.array_equal(left_ranks, batch_rank(np.swapaxes(mats, 1, 2), p)):
         raise InternalCheckError("rank-nullity violated in kernel")
     return _subspaces(red[:, :, c:], left_ranks, np.full(n, r), p)
 

@@ -186,13 +186,13 @@ def _first_uncovered(a: Algebra, spaces: list[Subspace], guard: int) -> Element 
     return None if bad is None else Element(a, bad)
 
 
-def _kernels(mats: np.ndarray, p: int, ranks: np.ndarray | None = None) -> list[Subspace]:
+def _kernels(mats: np.ndarray, p: int) -> list[Subspace]:
     """:func:`batch_kernels`, except that a lone matrix takes the scalar
     :func:`kernel`, which is faster on one small matrix than a batched
     elimination."""
     if len(mats) <= 1:
         return [kernel(m, p) for m in mats]
-    return batch_kernels(mats, p, ranks)
+    return batch_kernels(mats, p)
 
 
 def _distinct(mats: np.ndarray) -> tuple[list[int], list[int]]:
@@ -301,7 +301,7 @@ def brute_denominator_check(a: Algebra, S: FiniteSetOfElements, side: str = "lef
     # only the distinct rank-deficient ones are solved, in one batch.
     left_first, left_which = _distinct(left_mats)
     deficient = [i for i in left_first if left_ranks[i] < d]
-    solved = dict(zip(deficient, _kernels(left_mats[deficient], p, left_ranks[deficient])))
+    solved = dict(zip(deficient, _kernels(left_mats[deficient], p)))
     zero = Subspace.zero(p, d)
     kernels = [solved.get(left_first[w], zero) for w in left_which]
     distinct = list(dict.fromkeys(kernels))
@@ -330,7 +330,7 @@ def brute_denominator_check(a: Algebra, S: FiniteSetOfElements, side: str = "lef
     # only 0, which is in ass, and one inside a single K_s is covered.
     reversible = True
     if is_ore and targets:
-        right_kers = _kernels(right_mats[targets], p, right_ranks[targets])
+        right_kers = _kernels(right_mats[targets], p)
         covered = _inside_one(right_kers, distinct)
         for i, right_ker, skip in zip(targets, right_kers, covered):
             bad = None if skip else _first_outside(right_ker, distinct)

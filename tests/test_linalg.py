@@ -291,11 +291,23 @@ def test_batch_kernels_match_kernel(batch):
 
 def test_batch_kernels_check_rank_nullity():
     mats = np.array([[[1, 2], [2, 4]], [[1, 0], [0, 1]]], dtype=np.int64)
-    assert [ker.dim for ker in batch_kernels(mats, 7, np.array([1, 2]))] == [1, 0]
-    with pytest.raises(InternalCheckError, match="rank-nullity violated in kernel"):
-        batch_kernels(mats, 7, np.array([1, 1]))
-    # the default ranks come from a separate batch_rank
+    assert [ker.dim for ker in batch_kernels(mats, 7)] == [1, 0]
+    # a corrupted rank of the transposes
     with mock.patch.object(linalg, "batch_rank", lambda m, p: np.array([2, 2])):
+        with pytest.raises(InternalCheckError, match="rank-nullity violated in kernel"):
+            batch_kernels(mats, 7)
+    # a fault in the elimination of [M | I] alone: the last row, a kernel
+    # row of the first matrix, is given a pivot left of the bar
+    rref = linalg._batch_rref
+
+    def faulty(m, p):
+        red, ranks = rref(m, p)
+        if m.shape[2] > m.shape[1]:
+            red = red.copy()
+            red[:, -1, 0] = 1
+        return red, ranks
+
+    with mock.patch.object(linalg, "_batch_rref", faulty):
         with pytest.raises(InternalCheckError, match="rank-nullity violated in kernel"):
             batch_kernels(mats, 7)
 

@@ -30,6 +30,7 @@ from artinloc.linalg import (
 from artinloc.oracle import (
     FiniteSetOfElements,
     _first_uncovered,
+    _inside_one,
     brute_denominator_check,
     brute_idempotents,
     brute_radical,
@@ -410,6 +411,25 @@ class TestBatchedDenominatorCheck:
             brute_denominator_check(a, S, side, guard)
         assert type(exc.value) is ResourceGuardError
         assert (str(exc.value), exc.value.size, exc.value.guard) == (message, size, guard)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_inside_one_matches_containment(self, data):
+        # the reversibility skip: a subspace lies inside a single space of
+        # the list, including spans of part of a space's basis
+        p = data.draw(st.sampled_from([2, 5, 7]))
+        d = data.draw(st.integers(1, 4))
+        vec = st.lists(st.integers(0, p - 1), min_size=d, max_size=d)
+
+        def draw_spaces():
+            return [Subspace.from_vectors(p, d, data.draw(st.lists(vec, max_size=d)))
+                    for _ in range(data.draw(st.integers(1, 4)))]
+
+        spaces, subs = draw_spaces(), draw_spaces()
+        for sp in spaces:
+            subs.append(Subspace.from_vectors(p, d, sp.basis[:data.draw(st.integers(0, sp.dim))]))
+        expected = [any(sp.contains(sub) for sp in spaces) for sub in subs]
+        assert _inside_one(subs, spaces).tolist() == expected
 
     def test_membership_of_a_set(self, L2_7):
         S = monoid_closure(L2_7, [L2_7.from_matrix([[2, 0], [1, 0]])])
