@@ -57,6 +57,12 @@ class InternalCheckError(RuntimeError):
     """A structural self-check failed; indicates a bug, not bad input."""
 
 
+def check_guard(guard: int) -> None:
+    """Reject an enumeration guard below 1 from a library caller."""
+    if guard < 1:
+        raise InputError("guard must be positive")
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -22,11 +22,11 @@ Reports are deterministic: subsets are ordered by (size, lexicographic)
 and all underlying idempotents come from the deterministic lift in
 :mod:`artinloc.structure`.
 
-The class lattice is checked over every ordered pair of classes, and those
-checks are batched: the kernel ideals are stacked as one zero-padded array
-of RREF bases, and each pairwise fact is a numpy kernel over runs of pairs
-whose temporaries hold at most ``ASSOC_BLOCK`` entries.  The ranks of the
-stacked pairs [B_I; B_J] give dim(K_I + K_J), hence containment and the
+The classes are read off the s x s table of nonzero Peirce corners
+1_i R 1_j, built once per family.  The class lattice is checked over every
+ordered pair of classes by numpy kernels over runs of pairs whose
+temporaries hold at most ``ASSOC_BLOCK`` entries.  The ranks of the stacked
+RREF bases [B_I; B_J] give dim(K_I + K_J), hence containment and the
 dimension of K_I meet K_J; the product K_I K_J is (1 - e_I) K_J, one matmul
 per pair; the idempotent products e_I e_J are one batched multiplication.
 """
@@ -60,6 +60,7 @@ from .linalg import (
     batch_rank,
     batch_row_spaces,
     batch_solve,
+    check_guard,
     rank,
     row_chunks,
 )
@@ -79,11 +80,6 @@ Subset = tuple[int, ...]
 
 def subset_str(subset: Subset) -> str:
     return "{" + ",".join(str(i) for i in subset) + "}"
-
-
-def _left_ideal_of(a: Algebra, x: Element) -> Subspace:
-    """Row space of the right-multiplication matrix: the left ideal R*x."""
-    return Subspace.from_vectors(a.p, a.dim, regular_matrix(a, x, "right").tolist())
 
 
 def _right_ideal_of(a: Algebra, x: Element) -> Subspace:
@@ -215,21 +211,38 @@ def _kernel_products(a: Algebra, tri: TriangularIdempotentSet
         yield i, j, stack[j] @ lefts[i] % p
 
 
-def left_triangular_idempotents(a: Algebra, fam: IdempotentFamily | None = None) -> TriangularIdempotentSet:
-    """Scan all nonempty block subsets for the triangularity condition.
+def _closed_subsets(corners: np.ndarray) -> list[Subset]:
+    """The 1-based block subsets I, in (size, lex) order, with no nonzero
+    corner from I to a block outside I."""
+    s = len(corners)
+    # bit j of succ[i]: the corner from block i to block j is nonzero
+    succ = (corners.astype(np.int64) @ (1 << np.arange(s, dtype=np.int64))).tolist()
+    out = []
+    for size in range(1, s + 1):
+        for combo in itertools.combinations(range(1, s + 1), size):
+            mask = sum(1 << (i - 1) for i in combo)
+            if not any(succ[i - 1] & ~mask for i in combo):
+                out.append(combo)
+    return out
 
-    Verifies, for the found set: the full subset is present, distinct
-    subsets give distinct ideals (1-e)R, products/sums of entries behave
-    (intersections multiply down, disjoint unions add), and distinct
-    minima are orthogonal with e_I R e_J = 0.
+
+def left_triangular_idempotents(a: Algebra, fam: IdempotentFamily | None = None) -> TriangularIdempotentSet:
+    """The block subsets I with e_I R (1 - e_I) = 0, in (size, lex) order.
+
+    R is the direct sum of the Peirce corners 1_i R 1_j, so I qualifies iff
+    no nonzero corner leads from I out of I (:func:`_closed_subsets`).  The
+    table of nonzero corners is read off the matrices L_{1_i} R_{1_j}.
+    Verifies, for the found set: distinct subsets give distinct ideals
+    (1-e)R, inclusion reverses into the ideals, entries multiply to the sum
+    over the intersection (0 when disjoint), and distinct minima have
+    e_I R e_J = 0, read off the corner table.
 
     The kernel ideals come from one batched elimination of the left
     multiplications by 1 - e_I.  The pairwise checks run over every ordered
     pair of entries in batched runs of bounded size (:func:`_pair_runs`):
     subset inclusion I >= J against K_I inside K_J, read off the table of
     dim(K_I + K_J) (ranks of the stacked bases), and the products e_I e_J
-    (:meth:`Algebra.batch_mul`) against the sum over I & J, which is 0 for
-    disjoint subsets; subsets are bitmasks, so intersections, unions and
+    (:meth:`Algebra.batch_mul`); subsets are bitmasks, so intersections and
     the minima are integer operations.  A failure names the first failing
     pair in row-major order, as a loop over the pairs would.
     """
@@ -238,16 +251,13 @@ def left_triangular_idempotents(a: Algebra, fam: IdempotentFamily | None = None)
     if (1 << s) > MAX_SUBSET_ENUM:
         raise ResourceGuardError(f"2^{s} block subsets exceed the enumeration bound",
                                  1 << s, MAX_SUBSET_ENUM)
-    entries: list[tuple[Subset, Element]] = []
-    for size in range(1, s + 1):
-        for combo in itertools.combinations(range(1, s + 1), size):
-            e = fam.sum_over(combo)
-            if _is_left_triangular(a, e):
-                entries.append((combo, e))
-    full = tuple(range(1, s + 1))
-    if not any(sub == full for sub, _ in entries):
-        raise InternalCheckError("the full block subset must always qualify")
     p = a.p
+    blocks = np.array([e.coeffs for e in fam.idempotents], dtype=np.int64)
+    lefts, rights = a.batch_left_matrices(blocks), a.batch_right_matrices(blocks)
+    corners = np.empty((s, s), dtype=bool)
+    for i, j in _pair_runs(*_ordered_pairs(s), a.dim * a.dim):
+        corners[i, j] = (lefts[i] @ rights[j] % p).any(axis=(1, 2))
+    entries = [(sub, fam.sum_over(sub)) for sub in _closed_subsets(corners)]
     one = np.array(a.one_coeffs, dtype=np.int64)
     idems = np.array([e.coeffs for _, e in entries], dtype=np.int64)
     kernels = tuple(batch_row_spaces(a.batch_left_matrices((one - idems) % p), p))
@@ -260,33 +270,24 @@ def left_triangular_idempotents(a: Algebra, fam: IdempotentFamily | None = None)
     superset = (masks[:, None] & masks[None, :]) == masks[None, :]
     if (superset != (sum_dims == dims[None, :])).any():
         raise InternalCheckError("subset containment does not reverse into the ideals")
-    blocks = np.array([e.coeffs for e in fam.idempotents], dtype=np.int64)
     bit = np.int64(1) << np.arange(s, dtype=np.int64)
     has_smaller = np.zeros(len(entries), dtype=bool)
     for i, j in _pair_runs(*_ordered_pairs(len(entries)), a.dim * a.dim):
-        inter, union = masks[i] & masks[j], masks[i] | masks[j]
+        inter = masks[i] & masks[j]
         # the sum of 1_k over I & J (0 when disjoint)
         expected = ((inter[:, None] & bit) != 0).astype(np.int64) @ blocks % p
         wrong = (a.batch_mul(idems[i], idems[j]) != expected).any(axis=1)
-        missing = ~np.isin(np.where(inter == 0, union, inter), masks)
-        bad = wrong | missing
-        if bad.any():
-            n = int(np.argmax(bad))
-            if inter[n]:
-                # e_j * e_i is compared at the swapped pair
-                raise InternalCheckError("block-sum idempotents do not multiply to the intersection"
-                                         if wrong[n] else
-                                         "intersection of qualifying subsets does not qualify")
-            raise InternalCheckError("disjoint block-sum idempotents are not orthogonal"
-                                     if wrong[n] else
-                                     "disjoint union of qualifying subsets does not qualify")
+        if wrong.any():
+            # e_j * e_i is compared at the swapped pair
+            raise InternalCheckError("block-sum idempotents do not multiply to the intersection"
+                                     if inter[np.argmax(wrong)] else
+                                     "disjoint block-sum idempotents are not orthogonal")
         has_smaller[j[(inter == masks[i]) & (masks[i] != masks[j])]] = True
     minima = [sub for (sub, _), smaller in zip(entries, has_smaller) if not smaller]
     for i_sub in minima:
         for j_sub in minima:
-            if i_sub == j_sub:
-                continue
-            if not _corner_is_zero(a, fam.sum_over(i_sub), fam.sum_over(j_sub)):
+            rows, cols = [i - 1 for i in i_sub], [j - 1 for j in j_sub]
+            if i_sub != j_sub and corners[np.ix_(rows, cols)].any():
                 raise InternalCheckError("distinct minima do not annihilate through the ring")
     return TriangularIdempotentSet(a, fam, tuple(entries), tuple(minima), kernels, sum_dims)
 
@@ -336,6 +337,7 @@ class DenSetDescriptor:
     def members_within(self, guard: int = DEFAULT_GUARD) -> list[Element]:
         """Materialize the unit-preimage set explicitly (guarded enumeration,
         swept CHUNK_ROWS elements at a time in canonical order)."""
+        check_guard(guard)
         a = self.witness_idempotent.algebra
         total = a.p ** a.dim
         if total > guard:
@@ -438,27 +440,26 @@ def _product_all(ideals: Sequence[Ideal]) -> Ideal:
     return out
 
 
-def _extremal_kernels(tri: TriangularIdempotentSet) -> tuple[list[int], list[int], list[int]]:
-    """Entry indices of the nonzero kernel ideals, and of the maximal and
-    the minimal ones among them, read off the containment table."""
+def _extremal_kernels(tri: TriangularIdempotentSet) -> tuple[list[int], list[int]]:
+    """Entry indices of the nonzero kernel ideals, and of the minimal ones
+    among them, read off the containment table."""
     dims = tri.kernel_dims
     nonzero = np.flatnonzero(dims > 0)
     # inside[i, j]: the i-th nonzero kernel ideal lies inside the j-th
     inside = tri.contains()[np.ix_(nonzero, nonzero)]
-    larger = dims[nonzero][None, :] > dims[nonzero][:, None]
-    below_larger = (inside & larger).any(axis=1)
-    above_smaller = (inside.T & larger.T).any(axis=1)
-    return nonzero.tolist(), nonzero[~below_larger].tolist(), nonzero[~above_smaller].tolist()
+    smaller = dims[nonzero][None, :] < dims[nonzero][:, None]
+    above_smaller = (inside.T & smaller).any(axis=1)
+    return nonzero.tolist(), nonzero[~above_smaller].tolist()
 
 
 def localization_report(a: Algebra, side: str = "left") -> LocalizationReport:
     """Full classification for one side.  The right side is the left side of
     the opposite algebra; see :func:`duality_report` for the pairing.
 
-    The pairwise checks read the tables of the triangular set.  The maximal
-    and minimal nonzero kernel ideals, which the radical checks intersect
-    and multiply, come from its containment table.  "Kernel ideals multiply
-    to their intersection" is checked for every ordered pair on the batched
+    The pairwise checks read the tables of the triangular set.  The minimal
+    nonzero kernel ideals, which the little-radical check intersects, come
+    from its containment table.  "Kernel ideals multiply to their
+    intersection" is checked for every ordered pair on the batched
     products P = K_I K_J (:func:`_kernel_products`) as three conditions:
     P lies in K_I, P lies in K_J (a projector per ideal, the batched
     :meth:`Subspace.residues`), and rank P = dim(K_I meet K_J).  Together
@@ -502,54 +503,40 @@ def localization_report(a: Algebra, side: str = "left") -> LocalizationReport:
     if not (closed_form.space == inter_form.space == prod_form.space):
         raise InternalCheckError("the three computations of the localization radical disagree")
     l_rad = closed_form
-    lsq = ideal_combine(l_rad, l_rad, "product")
-    if lsq.space != l_rad.space:
-        raise InternalCheckError("localization radical is not an idempotent ideal")
     if (fam.rad.space.contains(l_rad.space)) != (l_rad.dim == 0):
         raise InternalCheckError("localization radical sits inside the nilpotent radical "
                                  "only when it vanishes")
 
-    # Union of the minima must itself qualify, with kernel ideal l_rad, and be
-    # the least upper bound of the minima.
+    # The union of the minima must itself qualify, with kernel ideal l_rad;
+    # the diagonal of the kernel products below then gives l_rad^2 = l_rad.
     union_sub = tuple(sorted(set().union(*[set(s) for s in tri.minima])))
     if union_sub not in by_subset:
         raise InternalCheckError("union of minima does not qualify")
     if by_subset[union_sub].ass.space != l_rad.space:
         raise InternalCheckError("kernel ideal at the union of minima is not the radical")
-    for sub, _ in tri.entries:
-        if all(set(sub) >= set(m) for m in tri.minima) and not set(sub) >= set(union_sub):
-            raise InternalCheckError("union of minima is not the least upper bound")
 
-    nonzero, maximal, minimal = _extremal_kernels(tri)
+    nonzero, minimal = _extremal_kernels(tri)
     if nonzero:
         nonzero_ass = [entries[k].ass for k in nonzero]
         little = _intersect_all(nonzero_ass)
         little_prod = _product_all(nonzero_ass)
-        maximal_ideals = [entries[k].ass for k in maximal]
         minimal_ideals = [entries[k].ass for k in minimal]
         if _intersect_all(minimal_ideals).space != little.space:
             raise InternalCheckError("little radical: intersection over minimal ideals disagrees")
         if little_prod.space != little.space:
             raise InternalCheckError("little radical: product form disagrees")
-        if _intersect_all(maximal_ideals).space != l_rad.space:
-            raise InternalCheckError("radical: intersection over maximal kernel ideals disagrees")
-        if _product_all(maximal_ideals).space != l_rad.space:
-            raise InternalCheckError("radical: product over maximal kernel ideals disagrees")
     else:
         little = Ideal(a, Subspace.zero(a.p, a.dim), "twosided")
     if not l_rad.space.contains(little.space):
         raise InternalCheckError("little radical is not inside the localization radical")
 
     for en in entries:
-        sq = ideal_combine(en.ass, en.ass, "product")
-        if sq.space != en.ass.space:
-            raise InternalCheckError("kernel ideal is not idempotent")
         er = _right_ideal_of(a, en.idempotent)
         if en.ass.space.sum(er).dim != a.dim or en.ass.space.intersect(er).dim != 0:
             raise InternalCheckError("kernel ideal plus eR is not a direct decomposition")
     # K_i K_j = K_i meet K_j for every ordered pair (the reversed product is
     # checked at the swapped pair): the product lies in both ideals and has
-    # the dimension of their intersection
+    # the dimension of their intersection.  The diagonal says K_i K_i = K_i.
     meet_dims = tri.meet_dims()
     projectors = _projectors(tri.kernels)
     for i, j, rows in _kernel_products(a, tri):
@@ -888,14 +875,11 @@ def duality_report(a: Algebra) -> DualityReport:
         pairing.append((sub, comp))
     if len(pairing) != len(right_proper):
         raise InternalCheckError("complement map is not onto the right subsets")
+    # the complement bijection fixes the counts and the maximality flags
     counts_equal = left.loc_count == right.loc_count
-    if not counts_equal:
-        raise InternalCheckError("left and right localization counts differ")
     l_zero_iff_r_zero = (left.l_rad.dim == 0) == (right.l_rad.dim == 0)
     if not l_zero_iff_r_zero:
         raise InternalCheckError("localization radicals do not vanish together")
-    if left.flags["localization_maximal"] != right.flags["localization_maximal"]:
-        raise InternalCheckError("localization maximality is not side-symmetric")
     r_rad = Ideal(a, right.l_rad.space, "twosided")
     l_neq_r = left.l_rad.space != r_rad.space
     return DualityReport(left, right, tuple(pairing), counts_equal, l_zero_iff_r_zero,
@@ -981,19 +965,8 @@ def two_sided_report(a: Algebra) -> TwoSidedReport:
     for i, e in enumerate(cents):
         if not _is_central(a, e):
             raise InternalCheckError(f"central idempotent {i} is not central")
+    # every subset sum of orthogonal central idempotents is central and idempotent
     check_orthogonal_idempotents(a, tuple(cents), "central idempotent")
-    t = len(cents)
-    if (1 << t) > MAX_SUBSET_ENUM:
-        raise ResourceGuardError(f"2^{t} central subsets exceed the enumeration bound",
-                                 1 << t, MAX_SUBSET_ENUM)
-    for size in range(1, t + 1):
-        for combo in itertools.combinations(range(t), size):
-            e = a.zero
-            for i in combo:
-                e = e + cents[i]
-            om = a.one - e
-            if not (_corner_is_zero(a, e, om) and _corner_is_zero(a, om, e)):
-                raise InternalCheckError("central subset sum is not two-sided triangular")
     quotients = []
     descriptors = []
     for e in cents:
@@ -1001,13 +974,10 @@ def two_sided_report(a: Algebra) -> TwoSidedReport:
         quo = quotient_algebra(a, ass) if ass.dim < a.dim else None
         if quo is None:
             raise InternalCheckError("factor ideal cannot be the whole algebra")
-        left_space = _left_ideal_of(a, a.one - e)
-        if left_space != ass.space:
-            raise InternalCheckError("central kernel ideal must be side-symmetric")
         quotients.append(quo)
         descriptors.append(DenSetDescriptor("maximal", e, ass, quo))
-    rad_ideal = _intersect_all([d.ass for d in descriptors]) if descriptors else None
-    if rad_ideal is None or rad_ideal.dim != 0:
+    rad_ideal = _intersect_all([d.ass for d in descriptors])
+    if rad_ideal.dim != 0:
         raise InternalCheckError("two-sided localization radical must vanish")
     report = TwoSidedReport(a, tuple(cents), tuple(quotients), tuple(descriptors), rad_ideal)
     a._cache["two_sided"] = report

@@ -68,6 +68,7 @@ from .linalg import (
     batch_member_mask,
     batch_rank,
     batch_row_spaces,
+    check_guard,
     kernel,
     row_chunks,
 )
@@ -113,8 +114,7 @@ def monoid_closure(a: Algebra, gens: Sequence[Element], guard: int = DEFAULT_GUA
     one matmul holding every product w*g, and new members are found
     through a set of coefficient tuples.
     """
-    if guard < 1:
-        raise InputError("guard must be positive")
+    check_guard(guard)
     d = a.dim
     gen_arr = np.array([g.coeffs for g in gens], dtype=np.int64).reshape(-1, d)
     # column block g of ``right`` is the matrix of y -> y*g
@@ -261,6 +261,7 @@ def brute_denominator_check(a: Algebra, S: FiniteSetOfElements, side: str = "lef
     Right is the left check in the opposite algebra; two-sided runs both
     and requires the two kernels to coincide.
     """
+    check_guard(guard)
     if S.contains_zero:
         raise InputError("a multiplicative set may not contain 0")
     if side == "right":
@@ -371,6 +372,7 @@ def brute_radical(a: Algebra, guard: int = DEFAULT_GUARD) -> Ideal:
     The unit and candidate masks are built chunk by chunk.  The result is
     checked to be a nilpotent two-sided ideal.
     """
+    check_guard(guard)
     p, d = a.p, a.dim
     total = p ** d
     if total > guard:
@@ -423,6 +425,7 @@ def brute_radical(a: Algebra, guard: int = DEFAULT_GUARD) -> Ideal:
 
 def brute_idempotents(a: Algebra, guard: int = DEFAULT_GUARD) -> FiniteSetOfElements:
     """All solutions of e*e = e by full enumeration."""
+    check_guard(guard)
     total = a.p ** a.dim
     if total > guard:
         raise ResourceGuardError(f"{total} elements exceed the guard {guard}", total, guard)

@@ -18,21 +18,25 @@ a failure.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import Algebra, Element, regular_matrix
-from .linalg import DEFAULT_GUARD, ResourceGuardError, Subspace, batch_rank, kernel, rank, row_chunks
+from .linalg import (DEFAULT_GUARD, ResourceGuardError, Subspace, batch_rank, check_guard, kernel,
+                     rank, row_chunks)
 from .localization import (
     _corner,
+    _is_left_triangular,
     classify_element,
     duality_report,
     idempotent_denominator_check,
     localization_report,
     monoid_denominator_decision,
     powers_denominator_criterion,
+    subset_str,
     two_sided_report,
 )
 from .oracle import (
@@ -148,6 +152,7 @@ def bundle_conditions(a: Algebra, sweep_limit: int = DEFAULT_SWEEP_LIMIT,
 def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
                    sweep_limit: int | None = None, seed: int = 0,
                    samples: int = 64) -> list[CheckResult]:
+    check_guard(guard)
     if sweep_limit is None:
         sweep_limit = min(guard, DEFAULT_SWEEP_LIMIT)
     total = a.p ** a.dim
@@ -188,7 +193,8 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
         fam = block_decomposition(a)
         if sum(fam.block_dims) != fam.quotient.algebra.dim:
             return False, "block dimensions do not add up to the semisimple quotient"
-        again = block_decomposition(a)
+        # on a fresh copy, as ``a`` would hand back its cached family
+        again = block_decomposition(Algebra(a.p, a.np_table, a.one_coeffs, a.label))
         if [e.coeffs for e in again.idempotents] != [e.coeffs for e in fam.idempotents]:
             return False, "idempotent family is not deterministic"
         return True, ""
@@ -239,6 +245,20 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
     def _report_builds():
         localization_report(a)
     check("left_report_invariants", _report_builds)
+
+    def _triangular_scan():
+        # the report reads its classes off the Peirce corner table; the scan
+        # tests e_I R (1 - e_I) = 0 on every block sum
+        tri = localization_report(a).tri
+        s = tri.family.s
+        scanned = [sub for size in range(1, s + 1) for sub in itertools.combinations(range(1, s + 1), size)
+                   if _is_left_triangular(a, tri.family.sum_over(sub))]
+        reported = [sub for sub, _ in tri.entries]
+        if scanned != reported:
+            scan, report = (" ".join(map(subset_str, subs)) for subs in (scanned, reported))
+            return False, f"the scan finds {scan}, the report {report}"
+        return True, f"{2 ** s - 1} subsets"
+    check("triangular_subset_scan", _triangular_scan)
 
     def _duality():
         duality_report(a)

@@ -646,7 +646,12 @@ def test_each_table_check_fires(module, build, call, message, monkeypatch):
 def test_equal_principal_right_ideals_force_equal_left_complements(L2_5):
     # idempotents f, f' with fR = f'R satisfy R(1-f) = R(1-f')
     idems = [e for e in brute_idempotents(L2_5).members]
-    from artinloc.localization import _left_ideal_of, _right_ideal_of
+    from artinloc.localization import _right_ideal_of
+
+    def left_ideal_of(x):
+        """R*x, the row space of the right multiplication by x."""
+        return Subspace.from_vectors(L2_5.p, L2_5.dim, regular_matrix(L2_5, x, "right").tolist())
+
     by_right = {}
     for f in idems:
         by_right.setdefault(_right_ideal_of(L2_5, f), []).append(f)
@@ -654,8 +659,8 @@ def test_equal_principal_right_ideals_force_equal_left_complements(L2_5):
     for group in by_right.values():
         for f in group:
             for f2 in group:
-                lf = _left_ideal_of(L2_5, L2_5.one - f)
-                lf2 = _left_ideal_of(L2_5, L2_5.one - f2)
+                lf = left_ideal_of(L2_5.one - f)
+                lf2 = left_ideal_of(L2_5.one - f2)
                 assert lf == lf2
                 checked += 1
     assert checked > len(idems)  # at least one nontrivial coincidence class
@@ -713,10 +718,13 @@ class TestKernelLattice:
         for (_, e), sp in zip(tri.entries, tri.kernels):
             assert sp == Subspace.from_vectors(a.p, a.dim,
                                                regular_matrix(a, a.one - e, "left").tolist())
-        contains, meets, extremal = lattice_by_loops(tri)
+        contains, meets, (nonzero, maximal, minimal) = lattice_by_loops(tri)
         assert tri.contains().tolist() == contains
         assert tri.meet_dims().tolist() == meets
-        assert localization._extremal_kernels(tri) == extremal
+        assert localization._extremal_kernels(tri) == (nonzero, minimal)
+        # the maximal nonzero kernel ideals are those at the minima, in order
+        at_minima = [k for k, (sub, _) in enumerate(tri.entries) if sub in tri.minima]
+        assert maximal == (at_minima if nonzero else [])
         assert list(tri.minima) == triangular_checks_by_loops(a, tri)
         ideals = [Ideal(a, sp, "twosided") for sp in tri.kernels]
         pairs = []
@@ -730,7 +738,6 @@ class TestKernelLattice:
         c = len(tri.entries)
         assert pairs == [(k, l) for k in range(c) for l in range(c)]
         # the report's radicals by the loops' selections
-        nonzero, maximal, minimal = extremal
 
         def meet_of(indices):
             out = tri.kernels[indices[0]]

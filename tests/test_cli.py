@@ -189,6 +189,16 @@ class TestClassifyAndTwosided:
         assert code == 0
         assert out["factors"] == 2 and out["loc_count"] == 3
 
+    def test_twosided_beyond_the_subset_bound(self, docfile, capsys):
+        # GF(23)^21 has 2^21 block subsets, past MAX_SUBSET_ENUM: the left
+        # report is refused, while the two-sided one enumerates no subset
+        field = {"kind": "constructor", "name": "full_matrix", "n": 1}
+        path = docfile(json.dumps({"scalar": {"prime": 23}, "kind": "constructor",
+                                   "name": "product", "factors": [field] * 21}))
+        assert main(["twosided", "--input", path]) == 0
+        assert json.loads(capsys.readouterr().out)["factors"] == 21
+        assert main(["report", "--input", path]) == 2
+
     def test_twosided_powers_verdict(self, docfile, capsys):
         code = main(["twosided", "--input", docfile(P1_DOC),
                      "--element", "[1,0,0,0,1]", "--oracle"])

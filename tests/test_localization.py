@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import numpy as np
@@ -12,6 +13,7 @@ from artinloc.algebra import (
     full_matrix,
     ideal_generated,
     lower_triangular,
+    opposite_algebra,
     quotient_algebra,
     regular_matrix,
     truncated_poly,
@@ -43,6 +45,7 @@ from artinloc.localization import (
 )
 from artinloc.oracle import FiniteSetOfElements, brute_denominator_check, monoid_closure
 from artinloc.structure import block_decomposition
+from artinloc.suite import run_invariants
 
 
 class TestTriangularIdempotents:
@@ -672,18 +675,25 @@ class TestLatticeChecksFire:
         with pytest.raises(InternalCheckError, match=message):
             left_triangular_idempotents(a, fam)
 
-    @pytest.mark.parametrize("dropped, message", [
-        ((1,), "intersection of qualifying subsets does not qualify"),
-        ((1, 2), "disjoint union of qualifying subsets does not qualify"),
+    @pytest.mark.parametrize("dropped, check, message", [
+        # {1} is {1,2} & {1,3}: the report finds two maxima for three blocks
+        pytest.param((1,), "left_report_invariants",
+                     "InternalCheckError: semisimple algebra without one maximal class per block",
+                     id="dropped0-intersection of qualifying subsets does not qualify"),
+        # {1,2} is {1} | {2}: the report holds, the scan of every block sum differs
+        pytest.param((1, 2), "triangular_subset_scan",
+                     "the scan finds {1} {2} {3} {1,2} {1,3} {2,3} {1,2,3}, "
+                     "the report {1} {2} {3} {1,3} {2,3} {1,2,3}",
+                     id="dropped1-disjoint union of qualifying subsets does not qualify"),
     ])
-    def test_subset_lattice_faults(self, dropped, message, monkeypatch):
-        a = gf7_cubed()
-        fam = block_decomposition(a)
-        skipped = fam.sum_over(dropped)
-        monkeypatch.setattr(localization, "_is_left_triangular",
-                            lambda b, e: e != skipped and _is_left_triangular(b, e))
-        with pytest.raises(InternalCheckError, match=message):
-            left_triangular_idempotents(a, fam)
+    def test_subset_lattice_faults(self, dropped, check, message, monkeypatch):
+        # the closed sets of the corner digraph are closed under & and |, so
+        # a subset missing from them is a fault of the reading, not of the ring
+        closed = localization._closed_subsets
+        monkeypatch.setattr(localization, "_closed_subsets",
+                            lambda corners: [sub for sub in closed(corners) if sub != dropped])
+        result = next(r for r in run_invariants(gf7_cubed(), samples=4) if r.name == check)
+        assert not result.ok and result.detail == message
 
     @pytest.mark.parametrize("fault", ["rank", "outside"])
     def test_kernel_product_fault(self, fault, monkeypatch):
@@ -703,8 +713,8 @@ class TestLatticeChecksFire:
             localization_report(lower_triangular(7, 3))
 
     def test_containment_table_fault(self, monkeypatch):
-        # L3: K_{1} (dim 5) contains K_{1,2} (dim 3); hiding that makes K_{1,2}
-        # maximal too, and the maximal ideals then meet below the radical
+        # L3: K_{1} (dim 5) contains K_{1,2} (dim 3); hiding that puts their
+        # meet at dim 2, below the rank 3 of their product K_{1} K_{1,2}
         triangular = localization.left_triangular_idempotents
 
         def faulty(a, fam=None):
@@ -714,8 +724,7 @@ class TestLatticeChecksFire:
             return dataclasses.replace(tri, sum_dims=sums)
 
         monkeypatch.setattr(localization, "left_triangular_idempotents", faulty)
-        with pytest.raises(InternalCheckError,
-                           match="radical: intersection over maximal kernel ideals disagrees"):
+        with pytest.raises(InternalCheckError, match="kernel ideals do not multiply to their intersection"):
             localization_report(lower_triangular(7, 3))
 
 
@@ -775,3 +784,60 @@ def test_corner_and_centrality_match_the_basis_loops(drawn):
     assert _corner_is_zero(a, e, f) == reference_corner_is_zero(a, e, f)
     assert _is_left_triangular(a, e) == reference_corner_is_zero(a, e, a.one - e)
     assert _is_central(a, e) == all(e * b == b * e for b in basis(a))
+
+
+# ---------------------------------------------------------------------------
+# The classes against the digraph of nonzero Peirce corners 1_i R 1_j
+# ---------------------------------------------------------------------------
+
+# the conftest fixtures and CORNER_ALGEBRAS are the same algebras
+PEIRCE_ALGEBRAS = CORNER_ALGEBRAS + [gf7_cubed()]
+PEIRCE_ALGEBRAS += [opposite_algebra(a) for a in PEIRCE_ALGEBRAS]
+
+
+def reference_edges(a):
+    """``edges[i][j]``: the corner 1_i R 1_j of the lifted family (0-based) is
+    nonzero, by Element products on the basis."""
+    idems = block_decomposition(a).idempotents
+    return [[not reference_corner_is_zero(a, e, f) for f in idems] for e in idems]
+
+
+def closed_sets(edges):
+    """The nonempty 1-based subsets, in (size, lex) order, that hold every
+    head of an edge whose tail they hold."""
+    s = len(edges)
+    return [sub for size in range(1, s + 1) for sub in itertools.combinations(range(1, s + 1), size)
+            if all(j + 1 in sub for i in sub for j in range(s) if edges[i - 1][j])]
+
+
+@pytest.mark.parametrize("a", PEIRCE_ALGEBRAS, ids=lambda a: a.label)
+class TestPeirceDigraph:
+    def test_left_classes_are_the_successor_closed_sets(self, a):
+        assert [sub for sub, _ in left_triangular_idempotents(a).entries] == closed_sets(reference_edges(a))
+
+    def test_right_classes_are_the_predecessor_closed_sets(self, a):
+        edges = reference_edges(a)
+        reversed_edges = [list(col) for col in zip(*edges)]
+        right = duality_report(a).right
+        assert [sub for sub, _ in right.tri.entries] == closed_sets(reversed_edges)
+
+    def test_two_sided_factors_are_the_weak_components(self, a):
+        edges = reference_edges(a)
+        s = len(edges)
+        component = list(range(s))
+        for i in range(s):
+            for j in range(s):
+                if edges[i][j]:
+                    old, new = component[j], component[i]
+                    component = [new if c == old else c for c in component]
+        assert two_sided_report(a).factors == len(set(component))
+
+    def test_kernel_sums_are_sums_of_block_rows(self, a):
+        # K_I = (1 - e_I)R is the direct sum of the 1_j R over j outside I
+        tri = left_triangular_idempotents(a)
+        row_dims = [Subspace.from_vectors(a.p, a.dim, [(e * b).coeffs for b in basis(a)]).dim
+                    for e in tri.family.idempotents]
+        for m, (i_sub, _) in enumerate(tri.entries):
+            for n, (j_sub, _) in enumerate(tri.entries):
+                outside = [r for j, r in enumerate(row_dims, 1) if j not in set(i_sub) & set(j_sub)]
+                assert tri.sum_dims[m, n] == sum(outside)

@@ -27,6 +27,7 @@ from artinloc.linalg import (
     batch_member_mask,
     kernel,
 )
+from artinloc.localization import localization_report
 from artinloc.oracle import (
     FiniteSetOfElements,
     _first_uncovered,
@@ -37,6 +38,7 @@ from artinloc.oracle import (
     monoid_closure,
 )
 from artinloc.structure import radical
+from artinloc.suite import run_invariants
 
 
 class TestMonoidClosure:
@@ -106,6 +108,21 @@ class TestMonoidClosure:
             cl = monoid_closure(a, gens, guard)
         assert [m.coeffs for m in cl] == expected
         assert cl.contains_zero == ((0,) * a.dim in expected)
+
+
+@pytest.mark.parametrize("entry", ["run_invariants", "brute_denominator_check", "brute_radical",
+                                   "brute_idempotents", "members_within"])
+def test_library_entry_points_reject_a_guard_below_one(entry, L2_7):
+    one = FiniteSetOfElements.from_elements(L2_7, [L2_7.one])
+    calls = {
+        "run_invariants": lambda: run_invariants(L2_7, guard=0),
+        "brute_denominator_check": lambda: brute_denominator_check(L2_7, one, "left", guard=0),
+        "brute_radical": lambda: brute_radical(L2_7, guard=0),
+        "brute_idempotents": lambda: brute_idempotents(L2_7, guard=0),
+        "members_within": lambda: localization_report(L2_7).max_den[0].members_within(guard=0),
+    }
+    with pytest.raises(InputError, match="guard must be positive"):
+        calls[entry]()
 
 
 def reference_closure(a, gens, guard):

@@ -11,8 +11,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from artinloc import suite
-from artinloc.algebra import full_matrix, lower_triangular, regular_matrix
+from artinloc import localization, structure, suite
+from artinloc.algebra import direct_product, full_matrix, lower_triangular, regular_matrix, truncated_poly
 from artinloc.linalg import CHUNK_ROWS, kernel
 from artinloc.suite import bundle_conditions, run_invariants
 
@@ -76,3 +76,40 @@ def test_bundle_unit_sweep_memory_is_set_by_the_chunk():
     # bytes and the rank elimination holds a few of them; the masks take a
     # byte per element
     assert peak < 8 * (CHUNK_ROWS * a.dim ** 2 * 8) + a.p ** a.dim
+
+
+def test_family_check_sees_a_lift_that_depends_on_the_build_order(monkeypatch):
+    # every family built after the first lists its blocks in reverse, so the
+    # fresh copy of the algebra gets another family than the algebra itself
+    family = structure.IdempotentFamily
+    built = []
+
+    def reversed_after_the_first(algebra, idems, dims, comm, rad, quo, central):
+        built.append(algebra)
+        if len(built) > 1:
+            idems, dims, comm, central = idems[::-1], dims[::-1], comm[::-1], central[::-1]
+        return family(algebra, idems, dims, comm, rad, quo, central)
+
+    monkeypatch.setattr(structure, "IdempotentFamily", reversed_after_the_first)
+    a = direct_product([full_matrix(7, 1)] * 2)[0]
+    check = next(r for r in run_invariants(a, samples=4) if r.name == "idempotent_family")
+    assert not check.ok and check.detail == "idempotent family is not deterministic"
+
+
+def test_scan_check_sees_a_corrupted_corner_table(monkeypatch):
+    # T x GF(7) with a nonzero corner from block 1 to block 2: the report
+    # holds together with the classes {2}, {1,2}, and only the scan of every
+    # block sum finds {1} as well
+    closed = localization._closed_subsets
+
+    def with_an_edge(corners):
+        corners = corners.copy()
+        corners[0, 1] = True
+        return closed(corners)
+
+    monkeypatch.setattr(localization, "_closed_subsets", with_an_edge)
+    a = direct_product([truncated_poly(7, 2), full_matrix(7, 1)])[0]
+    by_name = {r.name: r for r in run_invariants(a, samples=4)}
+    assert by_name["left_report_invariants"].ok
+    scan = by_name["triangular_subset_scan"]
+    assert not scan.ok and scan.detail == "the scan finds {1} {2} {1,2}, the report {2} {1,2}"
