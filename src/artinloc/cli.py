@@ -342,7 +342,8 @@ def main(argv: list[str] | None = None) -> int:
         # the environment is read at each call, not when the parser is built
         args.guard = _parse_guard(args.guard, os.environ.get("ARTINLOC_GUARD"))
         code = COMMANDS[args.command](args)
-    except (InputError, FileNotFoundError, ValueError) as exc:
+    except (InputError, OSError, ValueError) as exc:
+        # OSError: a path that cannot be read or written, such as a directory
         print(f"input error: {exc}", file=sys.stderr)
         code = EXIT_INPUT
     except ResourceGuardError as exc:

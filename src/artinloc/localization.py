@@ -15,7 +15,9 @@ For a finite-dimensional (hence Artinian) algebra the module computes:
   four ways);
 * decision procedures: powers-of-an-element criterion, finite monoid
   decision, idempotent check, element localizability, and the duality
-  between left and right localizations via the opposite algebra;
+  between left and right localizations, the right classes read off the same
+  corner table (the predecessor-closed block sets, with kernel ideals
+  R(1 - e_I));
 * the two-sided theory, where only central idempotents matter.
 
 Reports are deterministic: subsets are ordered by (size, lexicographic)
@@ -45,7 +47,6 @@ from .algebra import (
     Element,
     Ideal,
     Quotient,
-    cached_opposite,
     ideal_combine,
     quotient_algebra,
     regular_matrix,
@@ -118,7 +119,8 @@ class TriangularIdempotentSet:
     The poset order is subset inclusion of the index sets; minima are the
     indices of the maximal localization classes.  ``kernels[i]`` is the
     kernel ideal K_i = (1 - e_I)R of entry i as a subspace, and
-    ``sum_dims[i, j]`` is dim(K_i + K_j).
+    ``sum_dims[i, j]`` is dim(K_i + K_j).  ``corners[i, j]`` says whether
+    the Peirce corner 1_i R 1_j of blocks i and j (0-based) is nonzero.
     """
 
     algebra: Algebra
@@ -127,6 +129,7 @@ class TriangularIdempotentSet:
     minima: tuple[Subset, ...]
     kernels: tuple[Subspace, ...] = field(repr=False)
     sum_dims: np.ndarray = field(repr=False, compare=False)
+    corners: np.ndarray = field(repr=False, compare=False)
 
     @property
     def kernel_dims(self) -> np.ndarray:
@@ -289,7 +292,7 @@ def left_triangular_idempotents(a: Algebra, fam: IdempotentFamily | None = None)
             rows, cols = [i - 1 for i in i_sub], [j - 1 for j in j_sub]
             if i_sub != j_sub and corners[np.ix_(rows, cols)].any():
                 raise InternalCheckError("distinct minima do not annihilate through the ring")
-    return TriangularIdempotentSet(a, fam, tuple(entries), tuple(minima), kernels, sum_dims)
+    return TriangularIdempotentSet(a, fam, tuple(entries), tuple(minima), kernels, sum_dims, corners)
 
 
 # ---------------------------------------------------------------------------
@@ -387,43 +390,68 @@ class LocalizationReport:
         raise KeyError(subset)
 
     def to_dict(self) -> dict:
-        a = self.algebra
-        return {
-            "side": self.side,
-            "algebra": {"label": a.label, "p": a.p, "dim": a.dim},
-            "blocks": {
-                "s": self.tri.family.s,
-                "dims": list(self.tri.family.block_dims),
-                "commutative": list(self.tri.family.block_commutative),
-                "rad_dim": self.tri.family.rad.dim,
-            },
-            "loc_count": self.loc_count,
-            "entries": [
-                {
-                    "subset": subset_str(e.subset),
-                    "idempotent": list(e.idempotent.coeffs),
-                    "ass_dim": e.ass.dim,
-                    "ass_basis": [list(r) for r in e.ass.space.basis],
-                    "quotient_dim": e.quotient.algebra.dim,
-                }
-                for e in self.entries
-            ],
-            "minima": [subset_str(s) for s in self.minima],
-            "max_den": [
-                {
-                    "kind": d.kind,
-                    "idempotent": list(d.witness_idempotent.coeffs),
-                    "ass_dim": d.ass.dim,
-                    "quotient_dim": d.quotient.algebra.dim,
-                }
-                for d in self.max_den
-            ],
-            "l_rad_dim": self.l_rad.dim,
-            "l_rad_basis": [list(r) for r in self.l_rad.space.basis],
-            "little_rad_dim": self.little_rad.dim,
-            "little_rad_basis": [list(r) for r in self.little_rad.space.basis],
-            "flags": dict(sorted(self.flags.items())),
-        }
+        return _report_dict(
+            self.side, self.algebra.label, self.tri.family,
+            [(e.subset, e.idempotent, e.ass.space, e.quotient.algebra.dim) for e in self.entries],
+            self.minima,
+            [(d.kind, d.witness_idempotent, d.ass.space, d.quotient.algebra.dim) for d in self.max_den],
+            self.l_rad.space, self.little_rad.space, self.flags)
+
+
+def _report_dict(side: str, label: str, fam: IdempotentFamily,
+                 entries: Sequence[tuple[Subset, Element, Subspace, int]], minima: Sequence[Subset],
+                 max_den: Sequence[tuple[str, Element, Subspace, int]], l_rad: Subspace,
+                 little_rad: Subspace, flags: dict) -> dict:
+    """The printed form of one side's classification.  ``entries`` holds
+    (subset, idempotent, kernel ideal, quotient dimension) per class and
+    ``max_den`` (kind, idempotent, kernel ideal, quotient dimension) per
+    maximal denominator set."""
+    a = fam.algebra
+    return {
+        "side": side,
+        "algebra": {"label": label, "p": a.p, "dim": a.dim},
+        "blocks": {
+            "s": fam.s,
+            "dims": list(fam.block_dims),
+            "commutative": list(fam.block_commutative),
+            "rad_dim": fam.rad.dim,
+        },
+        "loc_count": len(entries),
+        "entries": [
+            {
+                "subset": subset_str(subset),
+                "idempotent": list(e.coeffs),
+                "ass_dim": ass.dim,
+                "ass_basis": [list(r) for r in ass.basis],
+                "quotient_dim": quotient_dim,
+            }
+            for subset, e, ass, quotient_dim in entries
+        ],
+        "minima": [subset_str(s) for s in minima],
+        "max_den": [
+            {
+                "kind": kind,
+                "idempotent": list(e.coeffs),
+                "ass_dim": ass.dim,
+                "quotient_dim": quotient_dim,
+            }
+            for kind, e, ass, quotient_dim in max_den
+        ],
+        "l_rad_dim": l_rad.dim,
+        "l_rad_basis": [list(r) for r in l_rad.basis],
+        "little_rad_dim": little_rad.dim,
+        "little_rad_basis": [list(r) for r in little_rad.basis],
+        "flags": dict(sorted(flags.items())),
+    }
+
+
+def _flags(loc_count: int, fam: IdempotentFamily, l_rad: Subspace) -> dict:
+    return {
+        "localization_maximal": loc_count == 1,
+        "semisimple": fam.rad.dim == 0,
+        "is_direct_product_of_loc_max": l_rad.dim == 0,
+        "completely_loc_equals_units": l_rad.dim == 0,
+    }
 
 
 def _intersect_all(ideals: Sequence[Ideal]) -> Ideal:
@@ -453,8 +481,9 @@ def _extremal_kernels(tri: TriangularIdempotentSet) -> tuple[list[int], list[int
 
 
 def localization_report(a: Algebra, side: str = "left") -> LocalizationReport:
-    """Full classification for one side.  The right side is the left side of
-    the opposite algebra; see :func:`duality_report` for the pairing.
+    """Full classification for one side.  The right side is read off this
+    report by :func:`duality_report`; it is the left side of the opposite
+    algebra.
 
     The pairwise checks read the tables of the triangular set.  The minimal
     nonzero kernel ideals, which the little-radical check intersects, come
@@ -544,12 +573,7 @@ def localization_report(a: Algebra, side: str = "left") -> LocalizationReport:
                 or (batch_rank(rows, a.p) != meet_dims[i, j]).any()):
             raise InternalCheckError("kernel ideals do not multiply to their intersection")
 
-    flags = {
-        "localization_maximal": len(entries) == 1,
-        "semisimple": fam.rad.dim == 0,
-        "is_direct_product_of_loc_max": l_rad.dim == 0,
-        "completely_loc_equals_units": l_rad.dim == 0,
-    }
+    flags = _flags(len(entries), fam, l_rad.space)
     report = LocalizationReport(a, "left", tri, tuple(entries), tuple(max_den), l_rad, little, flags)
     a._cache[cache_key] = report
     return report
@@ -824,9 +848,105 @@ def classify_element(a: Algebra, r: Element, report: LocalizationReport) -> dict
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class RightEntry:
+    subset: Subset
+    idempotent: Element
+    kernel: Subspace                # R(1 - e_I), a two-sided ideal (checked)
+
+
+@dataclass(frozen=True)
+class RightReport:
+    """The right classification, read off the left report (:func:`_right_report`).
+
+    It prints as the left report of the opposite algebra, which shares the
+    basis: side "left", label ``op(<label>)``, and ``quotient_dim`` the
+    codimension of the kernel ideal.  ``rad`` is the right localization
+    radical.
+    """
+
+    left: LocalizationReport
+    entries: tuple[RightEntry, ...]
+    minima: tuple[Subset, ...]
+    rad: Ideal
+    little_rad: Subspace
+
+    @property
+    def loc_count(self) -> int:
+        return len(self.entries)
+
+    def to_dict(self) -> dict:
+        a = self.left.algebra
+        by_subset = {en.subset: en for en in self.entries}
+        return _report_dict(
+            "left", f"op({a.label})", self.left.tri.family,
+            [(en.subset, en.idempotent, en.kernel, a.dim - en.kernel.dim) for en in self.entries],
+            self.minima,
+            [("maximal", en.idempotent, en.kernel, a.dim - en.kernel.dim)
+             for en in (by_subset[sub] for sub in self.minima)],
+            self.rad.space, self.little_rad,
+            _flags(self.loc_count, self.left.tri.family, self.rad.space))
+
+
+def _minimal_masks(masks: np.ndarray) -> np.ndarray:
+    """Which of the distinct bitmasks have no other one of them inside."""
+    has_smaller = np.zeros(len(masks), dtype=bool)
+    for i, j in _pair_runs(*_ordered_pairs(len(masks)), 1):
+        inside = ((masks[i] & masks[j]) == masks[i]) & (masks[i] != masks[j])
+        has_smaller[j[inside]] = True
+    return ~has_smaller
+
+
+def _right_report(left: LocalizationReport) -> RightReport:
+    """The right classes and their kernel ideals, read off the left report.
+
+    The right classes are the left classes of the opposite algebra, whose
+    corner 1_i R^op 1_j is 1_j R 1_i: the block sets with no nonzero corner
+    into them from a block outside, read off the transposed corner table in
+    the same (size, lex) order and under the same bound.  The kernel ideal
+    (1 - e_I)R^op is R(1 - e_I), the row space of the right multiplication
+    by 1 - e_I; all of them come from one batched elimination.  R(1 - e_I)
+    is the direct sum of the R 1_j over j outside I, so an intersection of
+    kernel ideals is the kernel ideal at the union of their classes: the
+    radical is the one at the union of the minima, the little radical the
+    one at the union of the classes other than the full set (zero when
+    there is none).
+
+    Checked here: distinct classes give distinct kernel ideals; each kernel
+    ideal is two-sided, which for the left ideal R(1 - e_I) means that it
+    holds (1 - e_I)R, the rows of the left multiplication by 1 - e_I (tested
+    with :func:`_projectors`); and the radical is built as an
+    :class:`Ideal`.  The opposite algebra's own report, with all of its
+    checks, and its agreement with this one are the ``duality`` check of
+    :func:`artinloc.suite.run_invariants`.
+    """
+    a, fam = left.algebra, left.tri.family
+    subsets = _closed_subsets(left.tri.corners.T)
+    idems = [fam.sum_over(sub) for sub in subsets]
+    one = np.array(a.one_coeffs, dtype=np.int64)
+    coeffs = np.array([e.coeffs for e in idems], dtype=np.int64)
+    complements = (one - coeffs) % a.p
+    kernels = batch_row_spaces(a.batch_right_matrices(complements), a.p)
+    if len(set(kernels)) != len(kernels):
+        raise InternalCheckError("distinct right classes gave the same kernel ideal")
+    lefts = a.batch_left_matrices(complements)
+    if (lefts @ _projectors(kernels) % a.p != lefts).any():
+        raise InternalCheckError("a right kernel ideal is not a two-sided ideal")
+    masks = np.array([sum(1 << (i - 1) for i in sub) for sub in subsets], dtype=np.int64)
+    minimal = _minimal_masks(masks)
+    by_mask = dict(zip(masks.tolist(), kernels))
+    full = (1 << fam.s) - 1
+    proper = masks[masks != full]
+    little = by_mask[int(np.bitwise_or.reduce(proper))] if len(proper) else Subspace.zero(a.p, a.dim)
+    rad = by_mask[int(np.bitwise_or.reduce(masks[minimal]))]
+    return RightReport(left, tuple(map(RightEntry, subsets, idems, kernels)),
+                       tuple(sub for sub, m in zip(subsets, minimal) if m),
+                       Ideal(a, rad, "twosided"), little)
+
+
+@dataclass(frozen=True)
 class DualityReport:
     left: LocalizationReport
-    right: LocalizationReport       # built on the opposite algebra
+    right: RightReport              # read off the left report's corner table
     pairing: tuple[tuple[Subset, Subset], ...]
     counts_equal: bool
     l_zero_iff_r_zero: bool
@@ -851,22 +971,18 @@ class DualityReport:
 def duality_report(a: Algebra) -> DualityReport:
     """Left and right classifications with the complement pairing between them.
 
-    The right side is computed as the left side of the opposite algebra;
-    the deterministic pipeline produces the same lifted idempotents there
-    (asserted), so block indices agree across sides.  The pairing
-    I -> complement(I) is a bijection between the proper subsets on the
-    two sides (checked); it reverses inclusion because complements within
-    the full set do.
+    The right side is read off the left report (:func:`_right_report`), so
+    block indices agree across sides; no opposite algebra is built.  The
+    pairing I -> complement(I) is a bijection between the proper subsets on
+    the two sides (checked); it reverses inclusion because complements
+    within the full set do.
     """
     left = localization_report(a)
-    right = localization_report(cached_opposite(a))
-    fam_l, fam_r = left.tri.family, right.tri.family
-    if [e.coeffs for e in fam_l.idempotents] != [e.coeffs for e in fam_r.idempotents]:
-        raise InternalCheckError("opposite algebra produced a different idempotent family")
-    s = fam_l.s
+    right = _right_report(left)
+    s = left.tri.family.s
     full = tuple(range(1, s + 1))
     left_proper = [sub for sub, _ in left.tri.entries if sub != full]
-    right_proper = {sub for sub, _ in right.tri.entries if sub != full}
+    right_proper = {en.subset for en in right.entries if en.subset != full}
     pairing = []
     for sub in left_proper:
         comp = tuple(sorted(set(full) - set(sub)))
@@ -877,13 +993,12 @@ def duality_report(a: Algebra) -> DualityReport:
         raise InternalCheckError("complement map is not onto the right subsets")
     # the complement bijection fixes the counts and the maximality flags
     counts_equal = left.loc_count == right.loc_count
-    l_zero_iff_r_zero = (left.l_rad.dim == 0) == (right.l_rad.dim == 0)
+    l_zero_iff_r_zero = (left.l_rad.dim == 0) == (right.rad.dim == 0)
     if not l_zero_iff_r_zero:
         raise InternalCheckError("localization radicals do not vanish together")
-    r_rad = Ideal(a, right.l_rad.space, "twosided")
-    l_neq_r = left.l_rad.space != r_rad.space
+    l_neq_r = left.l_rad.space != right.rad.space
     return DualityReport(left, right, tuple(pairing), counts_equal, l_zero_iff_r_zero,
-                         r_rad, l_neq_r)
+                         right.rad, l_neq_r)
 
 
 def _center_algebra(a: Algebra) -> tuple[Algebra, Subspace]:

@@ -2,11 +2,12 @@
 
 Runs every structural identity the classification promises against the
 definitional oracles on one algebra: radical cross-checks, the idempotent
-family laws, kernel-ideal identities, duality, the five-way equivalence
-bundle for "completely localizable = units", and the element sweeps that
-compare the powers criterion and the idempotent criterion with brute
-force.  The CLI ``verify`` command runs exactly this battery; the test
-suite runs it across the fixture corpus.
+family laws, kernel-ideal identities, duality (the right report against
+the opposite algebra's left report), the five-way equivalence bundle for
+"completely localizable = units", and the element sweeps that compare the
+powers criterion and the idempotent criterion with brute force.  The CLI
+``verify`` command runs exactly this battery; the test suite runs it
+across the fixture corpus.
 
 Sweep work is bounded: ``guard`` caps any single enumeration (default
 2**20), while full per-element sweeps run only when the ring has at most
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, Element, regular_matrix
+from .algebra import Algebra, Element, cached_opposite, regular_matrix
 from .linalg import (DEFAULT_GUARD, ResourceGuardError, Subspace, batch_rank, check_guard, kernel,
                      rank, row_chunks)
 from .localization import (
@@ -261,7 +262,18 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
     check("triangular_subset_scan", _triangular_scan)
 
     def _duality():
-        duality_report(a)
+        # dual reads the right report off the left one; the opposite
+        # algebra's own report, with every check it runs, must agree
+        right = duality_report(a).right.to_dict()
+        opposite = localization_report(cached_opposite(a))
+        if ([e.coeffs for e in opposite.tri.family.idempotents]
+                != [e.coeffs for e in block_decomposition(a).idempotents]):
+            return False, "opposite algebra produced a different idempotent family"
+        expected = opposite.to_dict()
+        for key in sorted(expected.keys() | right.keys()):
+            if right.get(key) != expected.get(key):
+                return False, f"the right report differs from the opposite's left report at {key!r}"
+        return True, ""
     check("duality", _duality)
 
     def _two_sided():

@@ -245,6 +245,17 @@ class TestVerifyAndErrors:
         code = main(["report", "--input", "/nonexistent/path.json"])
         assert code == 2
 
+    @pytest.mark.parametrize("option", ["--input", "--output", "--generators"])
+    def test_directory_path_exit_code(self, option, docfile, tmp_path, capsys):
+        argv = {"--input": ["dual", "--input", str(tmp_path)],
+                "--output": ["dual", "--input", docfile(L2_DOC), "--output", str(tmp_path)],
+                "--generators": ["check-monoid", "--input", docfile(L2_DOC),
+                                 "--generators", str(tmp_path)]}[option]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ") and str(tmp_path) in captured.err
+
     def test_dimension_mismatch_exit_code(self, docfile, capsys):
         code = main(["check-powers", "--input", docfile(L2_DOC), "--element", "[1,2]"])
         assert code == 2
@@ -393,8 +404,22 @@ GOLDEN_ALGEBRAS = {
 }
 
 
+OP_L3_DOC = ('{"scalar": {"prime": 7}, "kind": "constructor", "name": "opposite", '
+             '"inner": {"kind": "constructor", "name": "lower_triangular", "n": 3}}')
+# The right half of the classification: the four algebras above and the
+# opposite of L3, whose right classes are the left classes of L3.
+REPORT_ALGEBRAS = {**{name: spec[0] for name, spec in GOLDEN_ALGEBRAS.items()}, "opL3_7": OP_L3_DOC}
+REPORT_COMMANDS = {"dual": ["dual"], "report-right": ["report", "--side", "right"],
+                   "report-both": ["report", "--side", "both"]}
+
+
 def golden_cases():
     """(key, algebra document, argv after --input, generators or None)."""
+    for name, doc in REPORT_ALGEBRAS.items():
+        for cmd, argv in REPORT_COMMANDS.items():
+            yield f"{cmd}-{name}", doc, argv, None
+    for cmd, argv in REPORT_COMMANDS.items():
+        yield f"{cmd}-T2xL2_7-text", T2xL2_DOC, [*argv, "--format", "text"], None
     for name, (doc, unit, nilpotent, pair, idempotents) in GOLDEN_ALGEBRAS.items():
         elements = {"unit": unit, "nilpotent": nilpotent, "g1": pair[0], "g2": pair[1]}
         for label, elem in elements.items():

@@ -332,6 +332,15 @@ class TestDuality:
             dr = duality_report(a)
             assert dr.counts_equal and dr.l_zero_iff_r_zero
 
+    def test_right_kernel_ideals_must_be_two_sided(self, L2_7):
+        # with the corner table blanked, {1} passes for a right class; its
+        # kernel R(1 - e_1) = R E22 is the line through E22, which E22 R,
+        # holding E21, leaves
+        left = localization_report(L2_7)
+        blank = dataclasses.replace(left.tri, corners=np.zeros_like(left.tri.corners))
+        with pytest.raises(InternalCheckError, match="a right kernel ideal is not a two-sided ideal"):
+            localization._right_report(dataclasses.replace(left, tri=blank))
+
 
 class TestTwoSided:
     def test_product_counting(self, P1):
@@ -819,7 +828,15 @@ class TestPeirceDigraph:
         edges = reference_edges(a)
         reversed_edges = [list(col) for col in zip(*edges)]
         right = duality_report(a).right
-        assert [sub for sub, _ in right.tri.entries] == closed_sets(reversed_edges)
+        assert [en.subset for en in right.entries] == closed_sets(reversed_edges)
+
+    def test_right_report_is_the_left_report_of_the_opposite(self, a):
+        # the right report is read off the left one; the opposite algebra
+        # has the same lifted family and, label included, the same report
+        opposite = localization_report(opposite_algebra(a))
+        assert [e.coeffs for e in opposite.tri.family.idempotents] == \
+            [e.coeffs for e in block_decomposition(a).idempotents]
+        assert duality_report(a).right.to_dict() == opposite.to_dict()
 
     def test_two_sided_factors_are_the_weak_components(self, a):
         edges = reference_edges(a)

@@ -4,7 +4,9 @@ they hold above the enumeration guard too.
 * Change of basis: the basis-free outputs of a report do not move when the
   structure constants are rewritten on a random basis, and the intrinsic
   ideals (the kernel ideals (1 - e_I)R and both radicals), moved back
-  through the change of basis, are the same subspaces.
+  through the change of basis, are the same subspaces.  On the new basis
+  the right report, read off the left one, is the left report of the
+  opposite algebra.
 * Opposite twice: op(op(A)) has A's table, so it has A's reports except
   for the label.
 """
@@ -59,6 +61,8 @@ def test_change_of_basis(name, seed, request):
     for ideal in ("l_rad", "little_rad"):
         assert moved(getattr(rep_b, ideal).space, change) == getattr(rep_a, ideal).space
     assert moved(duality_report(b).r_rad.space, change) == duality_report(a).r_rad.space
+    # the right report, read off the left one, is the opposite's left report
+    assert duality_report(b).right.to_dict() == localization_report(opposite_algebra(b)).to_dict()
 
 
 def without_labels(value):

@@ -5,6 +5,8 @@ sampled paths.  The remaining fixtures run through the same battery inside
 the acceptance module and the CLI verify tests.
 """
 
+import dataclasses
+import json
 import random
 import tracemalloc
 
@@ -12,9 +14,12 @@ import numpy as np
 import pytest
 
 from artinloc import localization, structure, suite
-from artinloc.algebra import direct_product, full_matrix, lower_triangular, regular_matrix, truncated_poly
+from artinloc.algebra import (direct_product, full_matrix, lower_triangular, opposite_algebra,
+                              regular_matrix, truncated_poly)
+from artinloc.cli import main
 from artinloc.linalg import CHUNK_ROWS, kernel
 from artinloc.suite import bundle_conditions, run_invariants
+from test_algebra import random_change, rebase
 
 
 @pytest.mark.parametrize("fixture_name", ["L2_7", "U2_7", "T7", "F7F7", "L2_5", "T5"])
@@ -113,3 +118,42 @@ def test_scan_check_sees_a_corrupted_corner_table(monkeypatch):
     assert by_name["left_report_invariants"].ok
     scan = by_name["triangular_subset_scan"]
     assert not scan.ok and scan.detail == "the scan finds {1} {2} {1,2}, the report {2} {1,2}"
+
+
+def corrupt_kernel(right):
+    # the kernel ideal of the first class replaced by that of the full set, 0
+    first, *rest = right.entries
+    return dataclasses.replace(right, entries=(dataclasses.replace(first, kernel=rest[-1].kernel), *rest))
+
+
+@pytest.mark.parametrize("alter, key", [
+    (corrupt_kernel, "entries"),
+    (lambda right: dataclasses.replace(right, entries=right.entries[:-1]), "entries"),
+    (lambda right: dataclasses.replace(right, minima=(right.entries[-1].subset,)), "max_den"),
+], ids=["kernel basis", "dropped class", "wrong minimum"])
+def test_duality_check_sees_a_corrupted_right_report(alter, key, monkeypatch):
+    # L2: the right classes are {2} and {1,2}, the minimum {2}
+    real = suite.duality_report
+
+    def altered(a):
+        dual = real(a)
+        return dataclasses.replace(dual, right=alter(dual.right))
+
+    monkeypatch.setattr(suite, "duality_report", altered)
+    check = next(r for r in run_invariants(lower_triangular(7, 2), samples=4) if r.name == "duality")
+    assert not check.ok
+    assert check.detail == f"the right report differs from the opposite's left report at {key!r}"
+
+
+def test_verify_fails_when_the_opposite_has_another_family(monkeypatch, tmp_path, capsys):
+    # the opposite of L2 on another basis lifts its blocks to other vectors
+    change = random_change(7, 3, random.Random(0))
+    monkeypatch.setattr(suite, "cached_opposite", lambda a: opposite_algebra(rebase(a, change)))
+    path = tmp_path / "l2.json"
+    path.write_text('{"scalar": {"prime": 7}, "kind": "constructor", "name": "lower_triangular", "n": 2}',
+                    encoding="utf-8")
+    assert main(["verify", "--input", str(path)]) == 3
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["duality"] == {"name": "duality", "ok": False,
+                                 "detail": "opposite algebra produced a different idempotent family"}
+    assert all(c["ok"] for name, c in checks.items() if name != "duality")
