@@ -8,6 +8,8 @@ subalgebra's table is its RREF basis products read at the basis pivots.
 validates associativity on all basis triples, the two unit laws, primality
 of ``p`` and the global precondition ``p > dim`` (required by the trace
 form radical criterion downstream, and enforced here to fail fast).
+Quotients and centers are algebras by theorem and skip the validation
+(:meth:`Algebra._derived`); the ``verify`` battery rebuilds them.
 
 The associativity and unit checks contract the table in float64, through
 BLAS, and are exact: every entry is a residue below ``p <= MAX_PRIME =
@@ -84,15 +86,26 @@ class Algebra:
         one_vec = np.array([int(v) % p for v in one], dtype=np.int64)
         if one_vec.shape != (dim,):
             raise InputError("identity vector length does not match dim")
+        self._store(p, tab, one_vec, label, matrix_model)
+        self._validate()
+
+    @classmethod
+    def _derived(cls, p: int, table: np.ndarray, one: np.ndarray, label: str) -> "Algebra":
+        """An algebra on an int64 table of residues that is associative and
+        unital by theorem (a quotient, the center), without ``_validate``."""
+        alg = cls.__new__(cls)
+        alg._store(p, np.ascontiguousarray(table), one, label, None)
+        return alg
+
+    def _store(self, p: int, tab: np.ndarray, one: np.ndarray, label: str, matrix_model) -> None:
         self.p = p
-        self.dim = dim
+        self.dim = len(tab)
         self.label = label
         tab.flags.writeable = False
         self.np_table = tab
-        self.one_coeffs = tuple(int(v) for v in one_vec)
+        self.one_coeffs = tuple(int(v) for v in one)
         self.matrix_model = matrix_model
         self._cache: dict = {}
-        self._validate()
 
     def _validate(self) -> None:
         # The three contractions run as float64 matmuls (BLAS) and are exact:
@@ -305,7 +318,8 @@ class Ideal:
     """A one- or two-sided ideal held as a canonical subspace.
 
     Closure under the declared side's basis multiplication is checked at
-    construction, so an Ideal value is trustworthy by type.  The check is
+    construction, except on the private path :meth:`_derived` for ideals
+    closed by theorem, which the ``verify`` battery rebuilds.  The check is
     one batched pass: every product ``b_i * v`` (left) and ``v * b_i``
     (right) of a basis element ``b_i`` with a basis vector ``v`` of the
     space comes from one contraction with the structure constants, and all
@@ -335,6 +349,14 @@ class Ideal:
         if not member.all():
             side = sides[int(np.argmin(member)) % len(sides)]
             raise InputError(f"subspace is not closed under {side} multiplication")
+
+    @classmethod
+    def _derived(cls, a: Algebra, space: Subspace, side: str) -> "Ideal":
+        """An ideal closed by theorem, without the closure check: a sum, meet
+        or product of ideals, or (1 - e)R for e tested triangular or central."""
+        ideal = cls.__new__(cls)
+        ideal.__dict__.update(algebra=a, space=space, side=side)
+        return ideal
 
     @property
     def dim(self) -> int:
@@ -434,13 +456,6 @@ def opposite_algebra(a: Algebra) -> Algebra:
     """Same basis, transposed multiplication: mul_op(i, j) = mul(j, i)."""
     return Algebra(a.p, a.np_table.transpose(1, 0, 2), a.one_coeffs, f"op({a.label})",
                    matrix_model=a.matrix_model)
-
-
-def cached_opposite(a: Algebra) -> Algebra:
-    """:func:`opposite_algebra` of ``a``, built once per algebra."""
-    if "opposite" not in a._cache:
-        a._cache["opposite"] = opposite_algebra(a)
-    return a._cache["opposite"]
 
 
 def matrix_subalgebra(p: int, n: int, generators: Sequence[Sequence[Sequence[int]]]) -> Algebra:
@@ -631,13 +646,13 @@ def ideal_combine(x: Ideal, y: Ideal, op: str) -> Ideal:
         products = a.pair_products(x.space.array, y.space.array)
         # RREF is canonical, so zero and repeated rows can go first
         rows = {row for row in map(tuple, products.reshape(-1, a.dim).tolist()) if any(row)}
-        return Ideal(a, Subspace.from_vectors(a.p, a.dim, rows), "twosided")
+        return Ideal._derived(a, Subspace.from_vectors(a.p, a.dim, rows), "twosided")
     if x.side != y.side:
         raise InputError("ideal sum/intersection requires matching sides")
     if op == "intersection":
-        return Ideal(a, x.space.intersect(y.space), x.side)
+        return Ideal._derived(a, x.space.intersect(y.space), x.side)
     if op == "sum":
-        return Ideal(a, x.space.sum(y.space), x.side)
+        return Ideal._derived(a, x.space.sum(y.space), x.side)
     raise InputError(f"bad ideal operation {op!r}")
 
 
@@ -683,8 +698,9 @@ def quotient_algebra(a: Algebra, ideal: Ideal) -> Quotient:
     sends quotient basis vector ``t`` to ``b_keep[t]``.  So the quotient's
     structure constants are the rows ``table[keep][:, keep]`` of R, reduced
     by the ideal basis and read at the kept coordinates, which is
-    :meth:`Quotient.batch_project` on those rows.  The quotient
-    :class:`Algebra` validates its associativity and unit as usual.
+    :meth:`Quotient.batch_project` on those rows.  A quotient by a two-sided
+    ideal is associative and unital by theorem, so the table is not
+    re-validated here (:meth:`Algebra._derived`); ``verify`` rebuilds it.
     """
     if ideal.algebra is not a:
         raise InputError("ideal does not belong to the algebra")
@@ -697,5 +713,5 @@ def quotient_algebra(a: Algebra, ideal: Ideal) -> Quotient:
     sections = a.np_table[np.ix_(keep, keep)].reshape(-1, a.dim)
     table = ideal.space.residues(sections).reshape(qdim, qdim, qdim)
     one_q = ideal.space.residues(np.array([a.one_coeffs], dtype=np.int64))[0]
-    q = Algebra(a.p, table, one_q, f"{a.label}/(dim {ideal.dim} ideal)")
+    q = Algebra._derived(a.p, table, one_q, f"{a.label}/(dim {ideal.dim} ideal)")
     return Quotient(q, a, ideal, keep)

@@ -454,17 +454,10 @@ def _flags(loc_count: int, fam: IdempotentFamily, l_rad: Subspace) -> dict:
     }
 
 
-def _intersect_all(ideals: Sequence[Ideal]) -> Ideal:
+def _combine_all(ideals: Sequence[Ideal], op: str) -> Ideal:
     out = ideals[0]
     for nxt in ideals[1:]:
-        out = ideal_combine(out, nxt, "intersection")
-    return out
-
-
-def _product_all(ideals: Sequence[Ideal]) -> Ideal:
-    out = ideals[0]
-    for nxt in ideals[1:]:
-        out = ideal_combine(out, nxt, "product")
+        out = ideal_combine(out, nxt, op)
     return out
 
 
@@ -503,7 +496,7 @@ def localization_report(a: Algebra, side: str = "left") -> LocalizationReport:
     tri = left_triangular_idempotents(a, fam)
     entries = []
     for (subset, e), space in zip(tri.entries, tri.kernels):
-        ass = Ideal(a, space, "twosided")
+        ass = Ideal._derived(a, space, "twosided")
         quo = quotient_algebra(a, ass) if ass.dim < a.dim else None
         if quo is None:
             raise InternalCheckError("kernel ideal of a triangular idempotent cannot be everything")
@@ -526,9 +519,9 @@ def localization_report(a: Algebra, side: str = "left") -> LocalizationReport:
     e_sum = a.zero
     for e in minima_idems:
         e_sum = e_sum + e
-    closed_form = Ideal(a, _right_ideal_of(a, a.one - e_sum), "twosided")
-    inter_form = _intersect_all([by_subset[sub].ass for sub in tri.minima])
-    prod_form = _product_all([by_subset[sub].ass for sub in tri.minima])
+    closed_form = Ideal._derived(a, _right_ideal_of(a, a.one - e_sum), "twosided")
+    inter_form = _combine_all([by_subset[sub].ass for sub in tri.minima], "intersection")
+    prod_form = _combine_all([by_subset[sub].ass for sub in tri.minima], "product")
     if not (closed_form.space == inter_form.space == prod_form.space):
         raise InternalCheckError("the three computations of the localization radical disagree")
     l_rad = closed_form
@@ -547,10 +540,10 @@ def localization_report(a: Algebra, side: str = "left") -> LocalizationReport:
     nonzero, minimal = _extremal_kernels(tri)
     if nonzero:
         nonzero_ass = [entries[k].ass for k in nonzero]
-        little = _intersect_all(nonzero_ass)
-        little_prod = _product_all(nonzero_ass)
+        little = _combine_all(nonzero_ass, "intersection")
+        little_prod = _combine_all(nonzero_ass, "product")
         minimal_ideals = [entries[k].ass for k in minimal]
-        if _intersect_all(minimal_ideals).space != little.space:
+        if _combine_all(minimal_ideals, "intersection").space != little.space:
             raise InternalCheckError("little radical: intersection over minimal ideals disagrees")
         if little_prod.space != little.space:
             raise InternalCheckError("little radical: product form disagrees")
@@ -720,7 +713,7 @@ def _powers_rows(a: Algebra, xs: np.ndarray) -> _PowersRows:
         if space in known:
             classes[g] = (e, known[space].ass, known[space].quotient)
         else:
-            ass = Ideal(a, space, "twosided")
+            ass = Ideal._derived(a, space, "twosided")
             classes[g] = (e, ass, quotient_algebra(a, ass))
     return _PowersRows(ok, group, min_exp, classes)
 
@@ -770,7 +763,7 @@ def idempotent_denominator_check(a: Algebra, e: Element) -> IdempotentCheck:
         raise InternalCheckError("two-sided triangularity must coincide with centrality")
     descriptor = None
     if left:
-        ass = Ideal(a, _right_ideal_of(a, om), "twosided")
+        ass = Ideal._derived(a, _right_ideal_of(a, om), "twosided")
         quo = quotient_algebra(a, ass) if ass.dim < a.dim else None
         if quo is None:
             raise InternalCheckError("kernel ideal of a denominator idempotent is proper")
@@ -1005,7 +998,8 @@ def _center_algebra(a: Algebra) -> tuple[Algebra, Subspace]:
     """The center as an algebra on the RREF basis of the center subspace.
 
     A member's coordinates over an RREF basis are its entries at the
-    pivots, so the table is the basis products read there.
+    pivots, so the table is the basis products read there.  Once it is
+    closed and holds 1, it is a subalgebra, so its table is not re-validated.
     """
     center = _center_subspace(a)
     products = a.pair_products(center.array, center.array)
@@ -1015,7 +1009,7 @@ def _center_algebra(a: Algebra) -> tuple[Algebra, Subspace]:
     if not batch_member_mask(one, center).all():
         raise InternalCheckError("identity is not central")
     pivots = list(center.pivots)
-    return Algebra(a.p, products[..., pivots], one[0, pivots], f"Z({a.label})"), center
+    return Algebra._derived(a.p, products[..., pivots], one[0, pivots], f"Z({a.label})"), center
 
 
 @dataclass(frozen=True)
@@ -1028,6 +1022,7 @@ class TwoSidedReport:
     factor_quotients: tuple[Quotient, ...]
     max_den: tuple[DenSetDescriptor, ...]
     loc_radical: Ideal
+    center: Algebra = field(repr=False)
 
     @property
     def factors(self) -> int:
@@ -1085,16 +1080,16 @@ def two_sided_report(a: Algebra) -> TwoSidedReport:
     quotients = []
     descriptors = []
     for e in cents:
-        ass = Ideal(a, _right_ideal_of(a, a.one - e), "twosided")
+        ass = Ideal._derived(a, _right_ideal_of(a, a.one - e), "twosided")
         quo = quotient_algebra(a, ass) if ass.dim < a.dim else None
         if quo is None:
             raise InternalCheckError("factor ideal cannot be the whole algebra")
         quotients.append(quo)
         descriptors.append(DenSetDescriptor("maximal", e, ass, quo))
-    rad_ideal = _intersect_all([d.ass for d in descriptors])
+    rad_ideal = _combine_all([d.ass for d in descriptors], "intersection")
     if rad_ideal.dim != 0:
         raise InternalCheckError("two-sided localization radical must vanish")
-    report = TwoSidedReport(a, tuple(cents), tuple(quotients), tuple(descriptors), rad_ideal)
+    report = TwoSidedReport(a, tuple(cents), tuple(quotients), tuple(descriptors), rad_ideal, zalg)
     a._cache["two_sided"] = report
     return report
 

@@ -57,7 +57,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, Element, Ideal, cached_opposite, ideal_combine, regular_matrix
+from .algebra import Algebra, Element, Ideal, ideal_combine, regular_matrix
 from .linalg import (
     DEFAULT_GUARD,
     InputError,
@@ -258,45 +258,48 @@ def brute_denominator_check(a: Algebra, S: FiniteSetOfElements, side: str = "lef
     ass = {r : s*r = 0 for some s} held exactly as a union of kernels
     and, on success, verified to be a subspace and a two-sided ideal.  The
     core is the set of members whose left-multiplication kernel equals ass.
-    Right is the left check in the opposite algebra; two-sided runs both
-    and requires the two kernels to coincide.
+    Right is the left check in the opposite algebra, whose multiplication
+    matrices are these swapped and whose two-sided ideals are these, so it
+    runs here on the same matrices and ranks.  Two-sided runs both and
+    requires the two kernels to coincide.
     """
     check_guard(guard)
     if S.contains_zero:
         raise InputError("a multiplicative set may not contain 0")
-    if side == "right":
-        op = cached_opposite(a)
-        s_op = FiniteSetOfElements(op, tuple(Element(op, m.coeffs) for m in S.members), False)
-        res = brute_denominator_check(op, s_op, "left", guard)
-        return _transfer_result(a, res)
-    if side == "twosided":
-        left = brute_denominator_check(a, S, "left", guard)
-        right = brute_denominator_check(a, S, "right", guard)
-        is_den = left.is_den and right.is_den
-        # both unions are subspaces here, so equal spans mean equal sets
-        if is_den and left.ass_members != right.ass_members:
-            raise InternalCheckError("two-sided denominator set with asymmetric kernels")
-        core_members = [m for m in left.core if m in right.core]
-        return BruteDenResult(left.is_ore and right.is_ore, is_den,
-                              left.ass_members, left.ass if is_den else None,
-                              FiniteSetOfElements.from_elements(a, core_members),
-                              left.counterexample or right.counterexample)
-    if side != "left":
+    if side not in ("left", "right", "twosided"):
         raise InputError(f"bad side {side!r}")
-
-    members = S.members
     if a.one not in S:
         raise InputError("a multiplicative set must contain 1")
-    p, d, n = a.p, a.dim, len(members)
-
     # One batched pass builds every member's multiplication matrices, and
     # one elimination ranks them all.
-    coeff_arr = np.array([m.coeffs for m in members], dtype=np.int64)
-    left_mats = a.batch_left_matrices(coeff_arr)
-    right_mats = a.batch_right_matrices(coeff_arr)
-    ranks = batch_rank(np.concatenate([left_mats, right_mats]), p)
-    left_ranks, right_ranks = ranks[:n], ranks[n:]
+    n = len(S)
+    coeff_arr = np.array([m.coeffs for m in S.members], dtype=np.int64)
+    mats = np.concatenate([a.batch_left_matrices(coeff_arr), a.batch_right_matrices(coeff_arr)])
+    ranks = batch_rank(mats, a.p)
+    if side != "right":
+        left = _left_check(a, S.members, mats[:n], mats[n:], ranks[:n], ranks[n:], guard)
+        if side == "left":
+            return left
+    right = _left_check(a, S.members, mats[n:], mats[:n], ranks[n:], ranks[:n], guard)
+    if side == "right":
+        return right
+    is_den = left.is_den and right.is_den
+    # both unions are subspaces here, so equal spans mean equal sets
+    if is_den and left.ass_members != right.ass_members:
+        raise InternalCheckError("two-sided denominator set with asymmetric kernels")
+    core_members = [m for m in left.core if m in right.core]
+    return BruteDenResult(left.is_ore and right.is_ore, is_den,
+                          left.ass_members, left.ass if is_den else None,
+                          FiniteSetOfElements.from_elements(a, core_members),
+                          left.counterexample or right.counterexample)
 
+
+def _left_check(a: Algebra, members: tuple[Element, ...], left_mats: np.ndarray,
+                right_mats: np.ndarray, left_ranks: np.ndarray, right_ranks: np.ndarray,
+                guard: int) -> BruteDenResult:
+    """The left check of :func:`brute_denominator_check` on the members'
+    multiplication matrices and their ranks."""
+    p, d = a.p, a.dim
     # ass(S) = union of the left-multiplication kernels, held as the
     # kernels.  A matrix of full rank has the zero kernel (rank-nullity), so
     # only the distinct rank-deficient ones are solved, in one batch.
@@ -349,17 +352,6 @@ def brute_denominator_check(a: Algebra, S: FiniteSetOfElements, side: str = "lef
     core = [s for s, ker in zip(members, kernels) if ker == span]
     return BruteDenResult(is_ore, is_den, ass_space, ass_ideal,
                           FiniteSetOfElements.from_elements(a, core), counterexample)
-
-
-def _transfer_result(a: Algebra, res: BruteDenResult) -> BruteDenResult:
-    ass = None if res.ass is None else Ideal(a, res.ass.space, "twosided")
-    core = FiniteSetOfElements(a, tuple(Element(a, m.coeffs) for m in res.core.members),
-                               res.core.contains_zero)
-    ce = None
-    if res.counterexample is not None:
-        s, r = res.counterexample
-        ce = (Element(a, s.coeffs), Element(a, r.coeffs))
-    return BruteDenResult(res.is_ore, res.is_den, res.ass_members, ass, core, ce)
 
 
 def brute_radical(a: Algebra, guard: int = DEFAULT_GUARD) -> Ideal:

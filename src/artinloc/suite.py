@@ -5,9 +5,11 @@ definitional oracles on one algebra: radical cross-checks, the idempotent
 family laws, kernel-ideal identities, duality (the right report against
 the opposite algebra's left report), the five-way equivalence bundle for
 "completely localizable = units", and the element sweeps that compare the
-powers criterion and the idempotent criterion with brute force.  The CLI
-``verify`` command runs exactly this battery; the test suite runs it
-across the fixture corpus.
+powers criterion and the idempotent criterion with brute force.  The
+report checks also rebuild, through the public constructors, every
+quotient, center and ideal that the reports built by theorem without
+checks.  The CLI ``verify`` command runs exactly this battery; the test
+suite runs it across the fixture corpus.
 
 Sweep work is bounded: ``guard`` caps any single enumeration (default
 2**20), while full per-element sweeps run only when the ring has at most
@@ -25,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, Element, cached_opposite, regular_matrix
-from .linalg import (DEFAULT_GUARD, ResourceGuardError, Subspace, batch_rank, check_guard, kernel,
-                     rank, row_chunks)
+from .algebra import Algebra, Element, Ideal, opposite_algebra, regular_matrix
+from .linalg import (DEFAULT_GUARD, InputError, InternalCheckError, ResourceGuardError, Subspace,
+                     batch_rank, check_guard, kernel, rank, row_chunks)
 from .localization import (
     _corner,
     _is_left_triangular,
@@ -63,12 +65,26 @@ def _random_element(a: Algebra, rng: random.Random) -> Element:
     return a.element([rng.randrange(a.p) for _ in range(a.dim)])
 
 
+def _rebuild(objects) -> None:
+    """Rebuild each named ``_derived`` algebra or ideal through its public
+    constructor, raising on the first failure; an algebra is rebuilt once."""
+    for name, obj in objects:
+        try:
+            if isinstance(obj, Ideal):
+                Ideal(obj.algebra, obj.space, obj.side)
+            elif "rebuilt" not in obj._cache:
+                Algebra(obj.p, obj.np_table, obj.one_coeffs, obj.label)
+                obj._cache["rebuilt"] = True
+        except InputError as exc:
+            raise InternalCheckError(f"{name}: {exc}") from None
+
+
 def powers_agreement(a: Algebra, s: Element, guard: int = DEFAULT_GUARD) -> tuple[bool, str]:
     """Compare the powers criterion with the definitional check on one element.
 
     Agreement covers the verdict and, on success, the kernel ideal and the
-    core.  A nilpotent element fails on both sides because its powers
-    reach 0.
+    core; the descriptor's quotient is then rebuilt (:func:`_rebuild`).  A
+    nilpotent element fails on both sides because its powers reach 0.
     """
     ok, desc = powers_denominator_criterion(a, s)
     closure = monoid_closure(a, [s], guard)
@@ -87,10 +103,11 @@ def powers_agreement(a: Algebra, s: Element, guard: int = DEFAULT_GUARD) -> tupl
     oracle_core = {m.coeffs for m in res.core.members}
     if crit_core != oracle_core:
         return False, f"core mismatch at {s!r}"
+    _rebuild([(f"quotient of the powers of {s!r}", desc.quotient.algebra)])
     return True, ""
 
 
-def bundle_conditions(a: Algebra, sweep_limit: int = DEFAULT_SWEEP_LIMIT,
+def bundle_conditions(a: Algebra, guard: int = DEFAULT_GUARD,
                       rng: random.Random | None = None,
                       samples: int = 64) -> tuple[bool, bool, bool, bool, bool]:
     """The five conditions that hold together for left Artinian algebras:
@@ -102,13 +119,12 @@ def bundle_conditions(a: Algebra, sweep_limit: int = DEFAULT_SWEEP_LIMIT,
     5. the localization radical vanishes.
 
     Condition 1 is swept exhaustively, one batched unit test per chunk, up
-    to ``max(sweep_limit, 2**20)`` ring elements and sampled above that
+    to ``guard`` ring elements and sampled above that
     (plus the deterministic witness: the sum of the minima idempotents is
     completely localizable but is a unit only when the radical vanishes).
     """
     rng = rng or random.Random(0)
     total = a.p ** a.dim
-    vector_limit = max(sweep_limit, 1 << 20)  # the unit sweep is batched
     rep = localization_report(a)
     fam = rep.tri.family
     full = set(range(1, fam.s + 1))
@@ -123,7 +139,7 @@ def bundle_conditions(a: Algebra, sweep_limit: int = DEFAULT_SWEEP_LIMIT,
     c3 = (e_sum == a.one) and corner_dims == a.dim
     ts = two_sided_report(a)
     c4 = all(localization_report(quo.algebra).loc_count == 1 for quo in ts.factor_quotients)
-    if total <= vector_limit:
+    if total <= guard:
         quotients = [rep.entry(sub).quotient for sub in rep.minima]
         c1 = True
         for start, stop in row_chunks(total):
@@ -148,6 +164,35 @@ def bundle_conditions(a: Algebra, sweep_limit: int = DEFAULT_SWEEP_LIMIT,
             if classify_element(a, e_sum, rep)["completely"]:
                 c1 = False
     return c1, c2, c3, c4, c5
+
+
+def _left_regular_units(a: Algebra, guard: int, rng: random.Random, samples: int) -> tuple[bool, str]:
+    """Left regular elements are units: swept up to ``guard`` elements, else
+    on ``max(samples, 10_000)`` samples.  Batched, so the guard applies
+    rather than the per-element sweep limit."""
+    def left_regular_non_units(xs: np.ndarray) -> np.ndarray:
+        left_regular = batch_rank(a.batch_right_matrices(xs), a.p) == a.dim
+        return left_regular & ~a.batch_unit_mask(xs)
+
+    total = a.p ** a.dim
+    if total <= guard:
+        for start, stop in row_chunks(total):
+            if left_regular_non_units(a.enumerate_coeffs(start, stop)).any():
+                return False, "a left regular element is not a unit"
+        return True, f"exhaustive over {total}"
+    drawn = max(samples, 10_000)
+    for start, stop in row_chunks(drawn):
+        state = rng.getstate()
+        xs = np.array([_random_element(a, rng).coeffs for _ in range(stop - start)],
+                      dtype=np.int64)
+        bad = left_regular_non_units(xs)
+        if bad.any():
+            # redraw up to the first failure, so the stream stops where a
+            # one-sample-at-a-time loop would have stopped
+            rng.setstate(state)
+            redrawn = [_random_element(a, rng) for _ in range(int(np.argmax(bad)) + 1)]
+            return False, f"left regular non-unit {redrawn[-1]!r}"
+    return True, f"sampled {drawn}"
 
 
 def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
@@ -187,6 +232,7 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
         fam = block_decomposition(a)
         if radical(fam.quotient.algebra).dim != 0:
             return False, "semisimple quotient has a nonzero radical"
+        _rebuild([("semisimple quotient R/J", fam.quotient.algebra)])
         return True, ""
     check("radical_crosscheck", _radical_crosscheck)
 
@@ -201,31 +247,7 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
         return True, ""
     check("idempotent_family", _family_laws)
 
-    def _left_regular_units():
-        # vectorized, so the full enumeration bound applies rather than the
-        # per-element sweep limit
-        def left_regular_non_units(xs: np.ndarray) -> np.ndarray:
-            left_regular = batch_rank(a.batch_right_matrices(xs), a.p) == a.dim
-            return left_regular & ~a.batch_unit_mask(xs)
-
-        if total <= guard:
-            for start, stop in row_chunks(total):
-                if left_regular_non_units(a.enumerate_coeffs(start, stop)).any():
-                    return False, "a left regular element is not a unit"
-            return True, f"exhaustive over {total}"
-        for start, stop in row_chunks(max(samples, 10_000)):
-            state = rng.getstate()
-            xs = np.array([_random_element(a, rng).coeffs for _ in range(stop - start)],
-                          dtype=np.int64)
-            bad = left_regular_non_units(xs)
-            if bad.any():
-                # redraw up to the first failure, so the stream stops where a
-                # one-sample-at-a-time loop would have stopped
-                rng.setstate(state)
-                drawn = [_random_element(a, rng) for _ in range(int(np.argmax(bad)) + 1)]
-                return False, f"left regular non-unit {drawn[-1]!r}"
-        return True, "sampled 10000"
-    check("left_regular_implies_unit", _left_regular_units)
+    check("left_regular_implies_unit", lambda: _left_regular_units(a, guard, rng, samples))
 
     def _split_equivalence():
         for _ in range(samples):
@@ -244,7 +266,11 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
 
     # -- classification reports ---------------------------------------------
     def _report_builds():
-        localization_report(a)
+        # the report's checks, then those its derived ideals and quotients skipped
+        rep = localization_report(a)
+        held = [(f"{what} of the class {subset_str(en.subset)}", obj) for en in rep.entries
+                for what, obj in (("kernel ideal", en.ass), ("quotient", en.quotient.algebra))]
+        _rebuild(held + [("localization radical", rep.l_rad), ("little radical", rep.little_rad)])
     check("left_report_invariants", _report_builds)
 
     def _triangular_scan():
@@ -265,7 +291,7 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
         # dual reads the right report off the left one; the opposite
         # algebra's own report, with every check it runs, must agree
         right = duality_report(a).right.to_dict()
-        opposite = localization_report(cached_opposite(a))
+        opposite = localization_report(opposite_algebra(a))
         if ([e.coeffs for e in opposite.tri.family.idempotents]
                 != [e.coeffs for e in block_decomposition(a).idempotents]):
             return False, "opposite algebra produced a different idempotent family"
@@ -277,11 +303,16 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
     check("duality", _duality)
 
     def _two_sided():
-        two_sided_report(a)
+        ts = two_sided_report(a)
+        held = [(f"{what} of central factor {i}", obj) for i, d in enumerate(ts.max_den)
+                for what, obj in (("ideal", d.ass), ("quotient", d.quotient.algebra))]
+        _rebuild(held + [("two-sided localization radical", ts.loc_radical), ("center", ts.center),
+                         ("semisimple quotient of the center",
+                          block_decomposition(ts.center).quotient.algebra)])
     check("two_sided_report", _two_sided)
 
     def _bundle():
-        c1, c2, c3, c4, c5 = bundle_conditions(a, sweep_limit, rng, samples)
+        c1, c2, c3, c4, c5 = bundle_conditions(a, guard, rng, samples)
         if not (c1 == c2 == c3 == c4 == c5):
             return False, f"bundle split: units={c1} cover={c2} product={c3} factors={c4} radical={c5}"
         return True, ""
@@ -316,6 +347,8 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
                 return False, f"kernel ideal disagreement at {e!r}"
             if chk.left and chk.descriptor.ass.space not in class_spaces:
                 return False, f"denominator idempotent {e!r} outside the classified classes"
+            if chk.left:
+                _rebuild([(f"quotient at {e!r}", chk.descriptor.quotient.algebra)])
             right = brute_denominator_check(a, sset, "right", guard)
             if chk.right != right.is_den:
                 return False, f"right disagreement at {e!r}"
@@ -408,6 +441,7 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
             if verdict and res.ass.space != desc.ass.space:
                 return False, "monoid kernel ideal disagreement"
             if verdict:
+                _rebuild([(f"quotient at {[g.coeffs for g in gens]}", desc.quotient.algebra)])
                 # every denominator set's kernel ideal is a classified class
                 rep = localization_report(a)
                 if desc.ass.space not in {en.ass.space for en in rep.entries}:

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from artinloc import linalg
 from artinloc.algebra import (
     Algebra,
+    Element,
     direct_product,
     full_matrix,
     lower_triangular,
@@ -393,6 +394,38 @@ class TestBatchedDenominatorCheck:
             assert res.is_den and res.ass_members == maximal
         else:
             assert res is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(multiplicative_sets())
+    def test_sides_match_the_opposite_algebra_route(self, drawn):
+        # right is the left check of S in a freshly built opposite algebra,
+        # two-sided the left and right results combined, as they were before
+        # the right check ran in the algebra itself on the swapped matrices
+        a, S = drawn
+
+        def outcome(check, b, T, side):
+            try:
+                res = check(b, T, side)
+            except InternalCheckError as exc:
+                return str(exc)
+            ce = res.counterexample
+            return (res.is_ore, res.is_den, res.ass_members, res.ass and res.ass.space,
+                    [m.coeffs for m in res.core], ce and (ce[0].coeffs, ce[1].coeffs))
+
+        op = opposite_algebra(a)
+        s_op = FiniteSetOfElements(op, tuple(Element(op, m.coeffs) for m in S), False)
+        right = outcome(brute_denominator_check, op, s_op, "left")
+        assert outcome(brute_denominator_check, a, S, "right") == right
+        left = outcome(brute_denominator_check, a, S, "left")
+        if isinstance(left, str) or isinstance(right, str):
+            expected = left if isinstance(left, str) else right
+        elif left[1] and right[1] and left[2] != right[2]:
+            expected = "two-sided denominator set with asymmetric kernels"
+        else:
+            is_den = left[1] and right[1]
+            expected = (left[0] and right[0], is_den, left[2], left[3] if is_den else None,
+                        [c for c in left[4] if c in right[4]], left[5] or right[5])
+        assert outcome(brute_denominator_check, a, S, "twosided") == expected
 
     def test_reversibility_failing_at_a_later_member(self):
         # Ore holds, and reversibility first fails at the third member:

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from artinloc import localization, structure, suite
-from artinloc.algebra import (direct_product, full_matrix, lower_triangular, opposite_algebra,
-                              regular_matrix, truncated_poly)
+from artinloc.algebra import (Algebra, Ideal, direct_product, full_matrix, lower_triangular,
+                              opposite_algebra, regular_matrix, truncated_poly)
 from artinloc.cli import main
-from artinloc.linalg import CHUNK_ROWS, kernel
+from artinloc.linalg import CHUNK_ROWS, Subspace, kernel
 from artinloc.suite import bundle_conditions, run_invariants
 from test_algebra import random_change, rebase
 
@@ -148,7 +148,7 @@ def test_duality_check_sees_a_corrupted_right_report(alter, key, monkeypatch):
 def test_verify_fails_when_the_opposite_has_another_family(monkeypatch, tmp_path, capsys):
     # the opposite of L2 on another basis lifts its blocks to other vectors
     change = random_change(7, 3, random.Random(0))
-    monkeypatch.setattr(suite, "cached_opposite", lambda a: opposite_algebra(rebase(a, change)))
+    monkeypatch.setattr(suite, "opposite_algebra", lambda a: opposite_algebra(rebase(a, change)))
     path = tmp_path / "l2.json"
     path.write_text('{"scalar": {"prime": 7}, "kind": "constructor", "name": "lower_triangular", "n": 2}',
                     encoding="utf-8")
@@ -157,3 +157,98 @@ def test_verify_fails_when_the_opposite_has_another_family(monkeypatch, tmp_path
     assert checks["duality"] == {"name": "duality", "ok": False,
                                  "detail": "opposite algebra produced a different idempotent family"}
     assert all(c["ok"] for name, c in checks.items() if name != "duality")
+
+
+def test_sampled_left_regular_check_reports_the_number_drawn():
+    a = lower_triangular(7, 2)
+    assert suite._left_regular_units(a, 10, random.Random(0), 10_001) == (True, "sampled 10001")
+    assert suite._left_regular_units(a, 10, random.Random(0), 4) == (True, "sampled 10000")
+
+
+def test_bundle_check_enumerates_within_the_guard(monkeypatch):
+    # 7^3 elements exceed the guard of 10, so every enumerating check,
+    # the bundle's unit sweep included, samples or skips instead
+    enumerate_coeffs = Algebra.enumerate_coeffs
+    stops = []
+
+    def recording(self, start=0, stop=None):
+        stops.append(self.p ** self.dim if stop is None else stop)
+        return enumerate_coeffs(self, start, stop)
+
+    monkeypatch.setattr(Algebra, "enumerate_coeffs", recording)
+    results = run_invariants(lower_triangular(7, 2), guard=10, samples=8)
+    assert all(r.ok for r in results), [(r.name, r.detail) for r in results if not r.ok]
+    assert max(stops, default=0) <= 10
+
+
+L2_DOC = '{"scalar": {"prime": 7}, "kind": "constructor", "name": "lower_triangular", "n": 2}'
+
+
+def run_cli(command, tmp_path, capsys):
+    path = tmp_path / "l2.json"
+    path.write_text(L2_DOC, encoding="utf-8")
+    code = main([command, "--input", str(path)])
+    return code, capsys.readouterr().out
+
+
+def test_requests_validate_only_their_input(monkeypatch, tmp_path, capsys):
+    # quotients, the center, class ideals and their sums, meets and products
+    # are built by theorem; only the input algebra, the trace-form radical
+    # and the right localization radical run their checks
+    calls = []
+    validate, closure = Algebra._validate, Ideal.__post_init__
+    monkeypatch.setattr(Algebra, "_validate", lambda self: calls.append(self.label) or validate(self))
+    monkeypatch.setattr(Ideal, "__post_init__", lambda self: calls.append("ideal") or closure(self))
+    assert run_cli("dual", tmp_path, capsys)[0] == 0
+    assert calls == ["L2(GF(7))", "ideal", "ideal"]
+    calls.clear()
+    assert run_cli("twosided", tmp_path, capsys)[0] == 0
+    assert calls == ["L2(GF(7))", "ideal"]
+
+
+def test_verify_names_a_corrupted_quotient_table(monkeypatch, tmp_path, capsys):
+    # one structure constant of every class and factor quotient is off by
+    # one: the requests print the same, and verify names the first object
+    expected = {cmd: run_cli(cmd, tmp_path, capsys) for cmd in ("dual", "twosided")}
+    build = localization.quotient_algebra
+
+    def corrupted(a, ideal):
+        quo = build(a, ideal)
+        table = quo.algebra.np_table.copy()
+        table[0, 0, 0] = (table[0, 0, 0] + 1) % a.p
+        bad = Algebra._derived(a.p, table, np.array(quo.algebra.one_coeffs), quo.algebra.label)
+        return dataclasses.replace(quo, algebra=bad)
+
+    monkeypatch.setattr(localization, "quotient_algebra", corrupted)
+    for cmd in ("dual", "twosided"):
+        assert run_cli(cmd, tmp_path, capsys) == expected[cmd]
+    code, out = run_cli("verify", tmp_path, capsys)
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 3
+    assert checks["left_report_invariants"]["detail"] == \
+        "InternalCheckError: quotient of the class {1}: identity fails one*b_i = b_i"
+    assert checks["two_sided_report"]["detail"] == \
+        "InternalCheckError: quotient of central factor 0: identity fails one*b_i = b_i"
+
+
+def test_verify_names_a_class_ideal_that_is_not_closed(monkeypatch, tmp_path, capsys):
+    # the kernel ideal of the class {1} of L2 is replaced by the span of
+    # E11, which E21 * E11 = E21 leaves
+    real = suite.localization_report
+
+    def with_an_open_ideal(a):
+        rep = real(a)
+        if a.label != "L2(GF(7))":
+            return rep
+        open_ideal = Ideal._derived(a, Subspace.from_vectors(7, 3, [[1, 0, 0]]), "twosided")
+        first = dataclasses.replace(rep.entries[0], ass=open_ideal)
+        return dataclasses.replace(rep, entries=(first, *rep.entries[1:]))
+
+    monkeypatch.setattr(suite, "localization_report", with_an_open_ideal)
+    code, out = run_cli("verify", tmp_path, capsys)
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 3
+    assert checks["left_report_invariants"] == {
+        "name": "left_report_invariants", "ok": False,
+        "detail": "InternalCheckError: kernel ideal of the class {1}: "
+                  "subspace is not closed under left multiplication"}
