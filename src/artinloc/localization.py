@@ -9,10 +9,9 @@ For a finite-dimensional (hence Artinian) algebra the module computes:
 * the maximal denominator sets T_e (unit preimages over minimal e),
   represented by their membership predicate and materializable within the
   enumeration guard;
-* the localization radical (intersection over the maximal classes,
-  cross-checked against the ideal product and the closed form) and the
-  little radical (intersection of all nonzero kernel ideals, cross-checked
-  four ways);
+* the localization radical (the intersection over the maximal classes)
+  and the little radical (the intersection of all nonzero kernel ideals),
+  each read as the kernel ideal at a union of classes;
 * decision procedures: powers-of-an-element criterion, finite monoid
   decision, idempotent check, element localizability, and the duality
   between left and right localizations, the right classes read off the same
@@ -25,12 +24,17 @@ and all underlying idempotents come from the deterministic lift in
 :mod:`artinloc.structure`.
 
 The classes are read off the s x s table of nonzero Peirce corners
-1_i R 1_j, built once per family.  The class lattice is checked over every
-ordered pair of classes by numpy kernels over runs of pairs whose
-temporaries hold at most ``ASSOC_BLOCK`` entries.  The ranks of the stacked
-RREF bases [B_I; B_J] give dim(K_I + K_J), hence containment and the
-dimension of K_I meet K_J; the product K_I K_J is (1 - e_I) K_J, one matmul
-per pair; the idempotent products e_I e_J are one batched multiplication.
+1_i R 1_j, built once per family.  R is the direct sum of the 1_j R, and
+K_I = (1 - e_I)R is the direct sum of those over j outside I, so the class
+lattice is set algebra on the block index sets: with r_j = dim 1_j R,
+dim(K_I + K_J) is the sum of r_j over j outside I & J, and an intersection
+of kernel ideals is the kernel ideal at the union of their classes.  The
+hot path checks each dim K_I against that sum and the idempotent products
+e_I e_J over every ordered pair, by numpy kernels over runs of pairs whose
+temporaries hold at most ``ASSOC_BLOCK`` entries.  The eliminations that
+re-prove the lattice (the ranks of the stacked bases, the kernel products,
+the radicals as meets and products) run in the ``verify`` battery,
+:mod:`artinloc.suite`.
 """
 
 from __future__ import annotations
@@ -119,8 +123,10 @@ class TriangularIdempotentSet:
     The poset order is subset inclusion of the index sets; minima are the
     indices of the maximal localization classes.  ``kernels[i]`` is the
     kernel ideal K_i = (1 - e_I)R of entry i as a subspace, and
-    ``sum_dims[i, j]`` is dim(K_i + K_j).  ``corners[i, j]`` says whether
-    the Peirce corner 1_i R 1_j of blocks i and j (0-based) is nonzero.
+    ``sum_dims[i, j]`` is dim(K_i + K_j), in closed form the sum of
+    dim 1_k R over the blocks k outside I & J.  ``corners[i, j]`` says
+    whether the Peirce corner 1_i R 1_j of blocks i and j (0-based) is
+    nonzero.
     """
 
     algebra: Algebra
@@ -159,15 +165,6 @@ def _ordered_pairs(count: int) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.arange(count * count, dtype=np.int64), count)
 
 
-def _stacked_bases(spaces: Sequence[Subspace]) -> np.ndarray:
-    """The RREF bases of ``spaces`` as one zero-padded ``(C, m, d)`` array."""
-    stack = np.zeros((len(spaces), max(sp.dim for sp in spaces), spaces[0].ambient_dim),
-                     dtype=np.int64)
-    for k, sp in enumerate(spaces):
-        stack[k, :sp.dim] = sp.array
-    return stack
-
-
 def _projectors(spaces: Sequence[Subspace]) -> np.ndarray:
     """One ``(d, d)`` matrix E per space, holding basis row r at row pivot r.
 
@@ -182,36 +179,9 @@ def _projectors(spaces: Sequence[Subspace]) -> np.ndarray:
     return out
 
 
-def _sum_dims(spaces: Sequence[Subspace], p: int) -> np.ndarray:
-    """dim(K_i + K_j) for every pair, as the rank of the stacked bases
-    [B_i; B_j]; the table is symmetric, so it is eliminated for i <= j."""
-    stack = _stacked_bases(spaces)
-    c, m, d = stack.shape
-    out = np.empty((c, c), dtype=np.int64)
-    for i, j in _pair_runs(*np.triu_indices(c), 2 * m * d):
-        out[i, j] = out[j, i] = batch_rank(np.concatenate([stack[i], stack[j]], axis=1), p)
-    return out
-
-
-def _kernel_products(a: Algebra, tri: TriangularIdempotentSet
-                     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The products K_i K_j of the kernel ideals for every ordered pair, in
-    runs ``(i, j, rows)``: ``rows[n]`` spans K_i K_j for the pair
-    ``(i[n], j[n])``, zero-padded.
-
-    K_i = (1 - e_i)R and R K_j = K_j (K_j is a left ideal, and 1 is in R),
-    so K_i K_j = (1 - e_i) K_j: the basis of K_j times the left
-    multiplication by 1 - e_i, one matmul per pair instead of every product
-    of two basis vectors.
-    """
-    d, p = a.dim, a.p
-    stack = _stacked_bases(tri.kernels)
-    one = np.array(a.one_coeffs, dtype=np.int64)
-    idems = np.array([e.coeffs for _, e in tri.entries], dtype=np.int64)
-    lefts = a.batch_left_matrices((one - idems) % p)
-    m = stack.shape[1]
-    for i, j in _pair_runs(*_ordered_pairs(len(idems)), m * d + d * d):
-        yield i, j, stack[j] @ lefts[i] % p
+def _subset_masks(subsets: Sequence[Subset]) -> np.ndarray:
+    """The 1-based block subsets as bitmasks, block i at bit i - 1."""
+    return np.array([sum(1 << (i - 1) for i in sub) for sub in subsets], dtype=np.int64)
 
 
 def _closed_subsets(corners: np.ndarray) -> list[Subset]:
@@ -236,18 +206,23 @@ def left_triangular_idempotents(a: Algebra, fam: IdempotentFamily | None = None)
     no nonzero corner leads from I out of I (:func:`_closed_subsets`).  The
     table of nonzero corners is read off the matrices L_{1_i} R_{1_j}.
     Verifies, for the found set: distinct subsets give distinct ideals
-    (1-e)R, inclusion reverses into the ideals, entries multiply to the sum
-    over the intersection (0 when disjoint), and distinct minima have
-    e_I R e_J = 0, read off the corner table.
+    (1-e)R, each of the dimension the Peirce decomposition gives, entries
+    multiply to the sum over the intersection (0 when disjoint), and
+    distinct minima have e_I R e_J = 0, read off the corner table.
 
     The kernel ideals come from one batched elimination of the left
-    multiplications by 1 - e_I.  The pairwise checks run over every ordered
-    pair of entries in batched runs of bounded size (:func:`_pair_runs`):
-    subset inclusion I >= J against K_I inside K_J, read off the table of
-    dim(K_I + K_J) (ranks of the stacked bases), and the products e_I e_J
-    (:meth:`Algebra.batch_mul`); subsets are bitmasks, so intersections and
-    the minima are integer operations.  A failure names the first failing
-    pair in row-major order, as a loop over the pairs would.
+    multiplications by 1 - e_I, and r_j = dim 1_j R from one batched rank
+    of the left multiplications by the 1_j.  K_I is the direct sum of the
+    1_j R over j outside I, so dim K_I is the sum of those r_j (checked
+    for every class), and ``sum_dims`` is filled in closed form:
+    dim(K_I + K_J) is the sum of r_j over j outside I & J.  The products
+    e_I e_J (:meth:`Algebra.batch_mul`) are checked over every ordered pair
+    of entries in batched runs of bounded size (:func:`_pair_runs`), which
+    also fill the table; subsets are bitmasks, so intersections and the
+    minima are integer operations.  A failure names the first failing pair
+    in row-major order, as a loop over the pairs would.  The eliminations
+    that re-prove the table are the ``left_report_invariants`` check of
+    :func:`artinloc.suite.run_invariants`.
     """
     fam = fam or block_decomposition(a)
     s = fam.s
@@ -266,20 +241,21 @@ def left_triangular_idempotents(a: Algebra, fam: IdempotentFamily | None = None)
     kernels = tuple(batch_row_spaces(a.batch_left_matrices((one - idems) % p), p))
     if len(set(kernels)) != len(kernels):
         raise InternalCheckError("distinct subsets gave the same kernel ideal")
-    sum_dims = _sum_dims(kernels, p)
-    masks = np.array([sum(1 << (i - 1) for i in sub) for sub, _ in entries], dtype=np.int64)
-    # the subset order and the kernel ideals are anti-isomorphic posets
-    dims = np.array([k.dim for k in kernels], dtype=np.int64)
-    superset = (masks[:, None] & masks[None, :]) == masks[None, :]
-    if (superset != (sum_dims == dims[None, :])).any():
-        raise InternalCheckError("subset containment does not reverse into the ideals")
+    piece_dims = batch_rank(lefts, p)
+    masks = _subset_masks([sub for sub, _ in entries])
     bit = np.int64(1) << np.arange(s, dtype=np.int64)
+    outside = ((masks[:, None] & bit) == 0).astype(np.int64)
+    if (outside @ piece_dims != [k.dim for k in kernels]).any():
+        raise InternalCheckError("kernel ideal dimension is not the sum over the blocks outside the class")
+    total = piece_dims.sum()
+    sum_dims = np.empty((len(entries), len(entries)), dtype=np.int64)
     has_smaller = np.zeros(len(entries), dtype=bool)
     for i, j in _pair_runs(*_ordered_pairs(len(entries)), a.dim * a.dim):
         inter = masks[i] & masks[j]
+        shared = ((inter[:, None] & bit) != 0).astype(np.int64)
+        sum_dims[i, j] = total - shared @ piece_dims
         # the sum of 1_k over I & J (0 when disjoint)
-        expected = ((inter[:, None] & bit) != 0).astype(np.int64) @ blocks % p
-        wrong = (a.batch_mul(idems[i], idems[j]) != expected).any(axis=1)
+        wrong = (a.batch_mul(idems[i], idems[j]) != shared @ blocks % p).any(axis=1)
         if wrong.any():
             # e_j * e_i is compared at the swapped pair
             raise InternalCheckError("block-sum idempotents do not multiply to the intersection"
@@ -461,16 +437,24 @@ def _combine_all(ideals: Sequence[Ideal], op: str) -> Ideal:
     return out
 
 
-def _extremal_kernels(tri: TriangularIdempotentSet) -> tuple[list[int], list[int]]:
-    """Entry indices of the nonzero kernel ideals, and of the minimal ones
-    among them, read off the containment table."""
-    dims = tri.kernel_dims
-    nonzero = np.flatnonzero(dims > 0)
-    # inside[i, j]: the i-th nonzero kernel ideal lies inside the j-th
-    inside = tri.contains()[np.ix_(nonzero, nonzero)]
-    smaller = dims[nonzero][None, :] < dims[nonzero][:, None]
-    above_smaller = (inside.T & smaller).any(axis=1)
-    return nonzero.tolist(), nonzero[~above_smaller].tolist()
+def _radical_classes(masks: np.ndarray, minimal: np.ndarray) -> tuple[int, int | None]:
+    """Entry indices of the localization radical and of the little radical
+    of one side, from the bitmasks of its classes and a mask of its minima.
+
+    Each kernel ideal is the direct sum of the block pieces over the blocks
+    outside its class, so an intersection of kernel ideals is the kernel
+    ideal at the union of their classes.  The radical is the one at the
+    union of the minima, which must itself be a class.  The little radical
+    is the one at the union of the classes other than the full set (None
+    when there is none): the full set's kernel ideal is the only zero one
+    once distinct classes are known to have distinct kernel ideals.
+    """
+    index = {m: k for k, m in enumerate(masks.tolist())}
+    rad = index.get(int(np.bitwise_or.reduce(masks[minimal])))
+    if rad is None:
+        raise InternalCheckError("union of minima does not qualify")
+    proper = masks[masks != np.bitwise_or.reduce(masks)]
+    return rad, index[int(np.bitwise_or.reduce(proper))] if len(proper) else None
 
 
 def localization_report(a: Algebra, side: str = "left") -> LocalizationReport:
@@ -478,14 +462,12 @@ def localization_report(a: Algebra, side: str = "left") -> LocalizationReport:
     report by :func:`duality_report`; it is the left side of the opposite
     algebra.
 
-    The pairwise checks read the tables of the triangular set.  The minimal
-    nonzero kernel ideals, which the little-radical check intersects, come
-    from its containment table.  "Kernel ideals multiply to their
-    intersection" is checked for every ordered pair on the batched
-    products P = K_I K_J (:func:`_kernel_products`) as three conditions:
-    P lies in K_I, P lies in K_J (a projector per ideal, the batched
-    :meth:`Subspace.residues`), and rank P = dim(K_I meet K_J).  Together
-    they say P = K_I meet K_J, the subspace equality the pair loop tested.
+    The radicals are read off the classes (:func:`_radical_classes`).  The
+    checks that re-prove the class lattice by elimination (the direct
+    decomposition K_I + e_I R, the kernel products K_I K_J = K_I meet K_J,
+    and the radicals as intersections and products of kernel ideals) are
+    the ``left_report_invariants`` check of
+    :func:`artinloc.suite.run_invariants`.
     """
     if side == "right":
         raise InputError("build right-side reports through duality_report")
@@ -515,59 +497,19 @@ def localization_report(a: Algebra, side: str = "left") -> LocalizationReport:
     if fam.rad.dim == 0 and len(max_den) != fam.s:
         raise InternalCheckError("semisimple algebra without one maximal class per block")
 
-    minima_idems = [by_subset[sub].idempotent for sub in tri.minima]
-    e_sum = a.zero
-    for e in minima_idems:
-        e_sum = e_sum + e
-    closed_form = Ideal._derived(a, _right_ideal_of(a, a.one - e_sum), "twosided")
-    inter_form = _combine_all([by_subset[sub].ass for sub in tri.minima], "intersection")
-    prod_form = _combine_all([by_subset[sub].ass for sub in tri.minima], "product")
-    if not (closed_form.space == inter_form.space == prod_form.space):
-        raise InternalCheckError("the three computations of the localization radical disagree")
-    l_rad = closed_form
+    minimal = np.array([en.subset in tri.minima for en in entries])
+    rad, little = _radical_classes(_subset_masks([en.subset for en in entries]), minimal)
+    l_rad = entries[rad].ass
     if (fam.rad.space.contains(l_rad.space)) != (l_rad.dim == 0):
         raise InternalCheckError("localization radical sits inside the nilpotent radical "
                                  "only when it vanishes")
-
-    # The union of the minima must itself qualify, with kernel ideal l_rad;
-    # the diagonal of the kernel products below then gives l_rad^2 = l_rad.
-    union_sub = tuple(sorted(set().union(*[set(s) for s in tri.minima])))
-    if union_sub not in by_subset:
-        raise InternalCheckError("union of minima does not qualify")
-    if by_subset[union_sub].ass.space != l_rad.space:
-        raise InternalCheckError("kernel ideal at the union of minima is not the radical")
-
-    nonzero, minimal = _extremal_kernels(tri)
-    if nonzero:
-        nonzero_ass = [entries[k].ass for k in nonzero]
-        little = _combine_all(nonzero_ass, "intersection")
-        little_prod = _combine_all(nonzero_ass, "product")
-        minimal_ideals = [entries[k].ass for k in minimal]
-        if _combine_all(minimal_ideals, "intersection").space != little.space:
-            raise InternalCheckError("little radical: intersection over minimal ideals disagrees")
-        if little_prod.space != little.space:
-            raise InternalCheckError("little radical: product form disagrees")
-    else:
-        little = Ideal(a, Subspace.zero(a.p, a.dim), "twosided")
-    if not l_rad.space.contains(little.space):
+    little_rad = (entries[little].ass if little is not None
+                  else Ideal(a, Subspace.zero(a.p, a.dim), "twosided"))
+    if not l_rad.space.contains(little_rad.space):
         raise InternalCheckError("little radical is not inside the localization radical")
 
-    for en in entries:
-        er = _right_ideal_of(a, en.idempotent)
-        if en.ass.space.sum(er).dim != a.dim or en.ass.space.intersect(er).dim != 0:
-            raise InternalCheckError("kernel ideal plus eR is not a direct decomposition")
-    # K_i K_j = K_i meet K_j for every ordered pair (the reversed product is
-    # checked at the swapped pair): the product lies in both ideals and has
-    # the dimension of their intersection.  The diagonal says K_i K_i = K_i.
-    meet_dims = tri.meet_dims()
-    projectors = _projectors(tri.kernels)
-    for i, j, rows in _kernel_products(a, tri):
-        if ((rows @ projectors[i] % a.p != rows).any() or (rows @ projectors[j] % a.p != rows).any()
-                or (batch_rank(rows, a.p) != meet_dims[i, j]).any()):
-            raise InternalCheckError("kernel ideals do not multiply to their intersection")
-
     flags = _flags(len(entries), fam, l_rad.space)
-    report = LocalizationReport(a, "left", tri, tuple(entries), tuple(max_den), l_rad, little, flags)
+    report = LocalizationReport(a, "left", tri, tuple(entries), tuple(max_den), l_rad, little_rad, flags)
     a._cache[cache_key] = report
     return report
 
@@ -898,11 +840,8 @@ def _right_report(left: LocalizationReport) -> RightReport:
     the same (size, lex) order and under the same bound.  The kernel ideal
     (1 - e_I)R^op is R(1 - e_I), the row space of the right multiplication
     by 1 - e_I; all of them come from one batched elimination.  R(1 - e_I)
-    is the direct sum of the R 1_j over j outside I, so an intersection of
-    kernel ideals is the kernel ideal at the union of their classes: the
-    radical is the one at the union of the minima, the little radical the
-    one at the union of the classes other than the full set (zero when
-    there is none).
+    is the direct sum of the R 1_j over j outside I, so the radicals are
+    read off the classes as on the left (:func:`_radical_classes`).
 
     Checked here: distinct classes give distinct kernel ideals; each kernel
     ideal is two-sided, which for the left ideal R(1 - e_I) means that it
@@ -924,16 +863,13 @@ def _right_report(left: LocalizationReport) -> RightReport:
     lefts = a.batch_left_matrices(complements)
     if (lefts @ _projectors(kernels) % a.p != lefts).any():
         raise InternalCheckError("a right kernel ideal is not a two-sided ideal")
-    masks = np.array([sum(1 << (i - 1) for i in sub) for sub in subsets], dtype=np.int64)
+    masks = _subset_masks(subsets)
     minimal = _minimal_masks(masks)
-    by_mask = dict(zip(masks.tolist(), kernels))
-    full = (1 << fam.s) - 1
-    proper = masks[masks != full]
-    little = by_mask[int(np.bitwise_or.reduce(proper))] if len(proper) else Subspace.zero(a.p, a.dim)
-    rad = by_mask[int(np.bitwise_or.reduce(masks[minimal]))]
+    rad, little = _radical_classes(masks, minimal)
     return RightReport(left, tuple(map(RightEntry, subsets, idems, kernels)),
                        tuple(sub for sub, m in zip(subsets, minimal) if m),
-                       Ideal(a, rad, "twosided"), little)
+                       Ideal(a, kernels[rad], "twosided"),
+                       kernels[little] if little is not None else Subspace.zero(a.p, a.dim))
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,10 @@ the opposite algebra's left report), the five-way equivalence bundle for
 powers criterion and the idempotent criterion with brute force.  The
 report checks also rebuild, through the public constructors, every
 quotient, center and ideal that the reports built by theorem without
-checks.  The CLI ``verify`` command runs exactly this battery; the test
-suite runs it across the fixture corpus.
+checks, and the left report check re-proves by elimination the class
+lattice that the report reads off the Peirce decomposition.  The CLI
+``verify`` command runs exactly this battery; the test suite runs it
+across the fixture corpus.
 
 Sweep work is bounded: ``guard`` caps any single enumeration (default
 2**20), while full per-element sweeps run only when the ring has at most
@@ -24,6 +26,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -31,8 +34,16 @@ from .algebra import Algebra, Element, Ideal, opposite_algebra, regular_matrix
 from .linalg import (DEFAULT_GUARD, InputError, InternalCheckError, ResourceGuardError, Subspace,
                      batch_rank, check_guard, kernel, rank, row_chunks)
 from .localization import (
+    LocalizationReport,
+    TriangularIdempotentSet,
+    _combine_all,
     _corner,
     _is_left_triangular,
+    _ordered_pairs,
+    _pair_runs,
+    _projectors,
+    _right_ideal_of,
+    _subset_masks,
     classify_element,
     duality_report,
     idempotent_denominator_check,
@@ -77,6 +88,112 @@ def _rebuild(objects) -> None:
                 obj._cache["rebuilt"] = True
         except InputError as exc:
             raise InternalCheckError(f"{name}: {exc}") from None
+
+
+def _stacked_bases(spaces: Sequence[Subspace]) -> np.ndarray:
+    """The RREF bases of ``spaces`` as one zero-padded ``(C, m, d)`` array."""
+    stack = np.zeros((len(spaces), max(sp.dim for sp in spaces), spaces[0].ambient_dim),
+                     dtype=np.int64)
+    for k, sp in enumerate(spaces):
+        stack[k, :sp.dim] = sp.array
+    return stack
+
+
+def _sum_dims(spaces: Sequence[Subspace], p: int) -> np.ndarray:
+    """dim(K_i + K_j) for every pair, as the rank of the stacked bases
+    [B_i; B_j]; the table is symmetric, so it is eliminated for i <= j."""
+    stack = _stacked_bases(spaces)
+    c, m, d = stack.shape
+    out = np.empty((c, c), dtype=np.int64)
+    for i, j in _pair_runs(*np.triu_indices(c), 2 * m * d):
+        out[i, j] = out[j, i] = batch_rank(np.concatenate([stack[i], stack[j]], axis=1), p)
+    return out
+
+
+def _kernel_products(a: Algebra, tri: TriangularIdempotentSet
+                     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The products K_i K_j of the kernel ideals for every ordered pair, in
+    runs ``(i, j, rows)``: ``rows[n]`` spans K_i K_j for the pair
+    ``(i[n], j[n])``, zero-padded.
+
+    K_i = (1 - e_i)R and R K_j = K_j (K_j is a left ideal, and 1 is in R),
+    so K_i K_j = (1 - e_i) K_j: the basis of K_j times the left
+    multiplication by 1 - e_i, one matmul per pair instead of every product
+    of two basis vectors.
+    """
+    d, p = a.dim, a.p
+    stack = _stacked_bases(tri.kernels)
+    one = np.array(a.one_coeffs, dtype=np.int64)
+    idems = np.array([e.coeffs for _, e in tri.entries], dtype=np.int64)
+    lefts = a.batch_left_matrices((one - idems) % p)
+    m = stack.shape[1]
+    for i, j in _pair_runs(*_ordered_pairs(len(idems)), m * d + d * d):
+        yield i, j, stack[j] @ lefts[i] % p
+
+
+def _extremal_kernels(tri: TriangularIdempotentSet) -> tuple[list[int], list[int]]:
+    """Entry indices of the nonzero kernel ideals, and of the minimal ones
+    among them, read off the containment table."""
+    dims = tri.kernel_dims
+    nonzero = np.flatnonzero(dims > 0)
+    # inside[i, j]: the i-th nonzero kernel ideal lies inside the j-th
+    inside = tri.contains()[np.ix_(nonzero, nonzero)]
+    smaller = dims[nonzero][None, :] < dims[nonzero][:, None]
+    above_smaller = (inside.T & smaller).any(axis=1)
+    return nonzero.tolist(), nonzero[~above_smaller].tolist()
+
+
+def _left_lattice(rep: LocalizationReport) -> None:
+    """Re-prove by elimination the class lattice that the left report reads
+    off the Peirce decomposition, raising on the first failure: inclusion
+    I >= J against K_I inside K_J from the ranks of [B_I; B_J]; the kernel
+    products K_I K_J = K_I meet K_J (:func:`_kernel_products`), with the
+    meet dimensions of the report's closed-form table, and that table
+    against the ranks; K_I (+) e_I R = R; the localization radical as the
+    closed form (1 - e)R at the sum e of the minima, and as the meet and the
+    product of their kernel ideals; the little radical as the meet and the
+    product of the nonzero kernel ideals, and as the meet of the minimal ones.
+    """
+    a, tri = rep.algebra, rep.tri
+    p, d = a.p, a.dim
+    dims = tri.kernel_dims
+    masks = _subset_masks([sub for sub, _ in tri.entries])
+    sums = _sum_dims(tri.kernels, p)
+    # the subset order and the kernel ideals are anti-isomorphic posets
+    superset = (masks[:, None] & masks[None, :]) == masks[None, :]
+    if (superset != (sums == dims[None, :])).any():
+        raise InternalCheckError("subset containment does not reverse into the ideals")
+    # the reversed product is checked at the swapped pair; the diagonal
+    # says K_i K_i = K_i
+    meet_dims = tri.meet_dims()
+    projectors = _projectors(tri.kernels)
+    for i, j, rows in _kernel_products(a, tri):
+        if ((rows @ projectors[i] % p != rows).any() or (rows @ projectors[j] % p != rows).any()
+                or (batch_rank(rows, p) != meet_dims[i, j]).any()):
+            raise InternalCheckError("kernel ideals do not multiply to their intersection")
+    if (sums != tri.sum_dims).any():
+        raise InternalCheckError("the closed-form table of dim(K_I + K_J) disagrees with the ranks")
+    # rank [B_I; L_e] = d gives K_I + e_I R = R, and then rank L_e = d - dim K_I
+    # gives K_I meet e_I R = 0
+    lefts = a.batch_left_matrices(np.array([en.idempotent.coeffs for en in rep.entries], dtype=np.int64))
+    if ((batch_rank(np.concatenate([_stacked_bases(tri.kernels), lefts], axis=1), p) != d).any()
+            or (batch_rank(lefts, p) != d - dims).any()):
+        raise InternalCheckError("kernel ideal plus eR is not a direct decomposition")
+    minimal_classes = [rep.entry(sub) for sub in rep.minima]
+    e_sum = sum((en.idempotent for en in minimal_classes), a.zero)
+    forms = [_right_ideal_of(a, a.one - e_sum)] + [
+        _combine_all([en.ass for en in minimal_classes], op).space for op in ("intersection", "product")]
+    if any(form != rep.l_rad.space for form in forms):
+        raise InternalCheckError("the three computations of the localization radical disagree")
+    nonzero, minimal = _extremal_kernels(tri)
+    if nonzero:
+        nonzero_ideals = [rep.entries[k].ass for k in nonzero]
+        if _combine_all(nonzero_ideals, "intersection").space != rep.little_rad.space:
+            raise InternalCheckError("little radical: intersection over the nonzero ideals disagrees")
+        if _combine_all([rep.entries[k].ass for k in minimal], "intersection").space != rep.little_rad.space:
+            raise InternalCheckError("little radical: intersection over minimal ideals disagrees")
+        if _combine_all(nonzero_ideals, "product").space != rep.little_rad.space:
+            raise InternalCheckError("little radical: product form disagrees")
 
 
 def powers_agreement(a: Algebra, s: Element, guard: int = DEFAULT_GUARD) -> tuple[bool, str]:
@@ -266,11 +383,13 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
 
     # -- classification reports ---------------------------------------------
     def _report_builds():
-        # the report's checks, then those its derived ideals and quotients skipped
+        # the report's checks, those its derived ideals and quotients
+        # skipped, then the lattice it read off the Peirce decomposition
         rep = localization_report(a)
         held = [(f"{what} of the class {subset_str(en.subset)}", obj) for en in rep.entries
                 for what, obj in (("kernel ideal", en.ass), ("quotient", en.quotient.algebra))]
         _rebuild(held + [("localization radical", rep.l_rad), ("little radical", rep.little_rad)])
+        _left_lattice(rep)
     check("left_report_invariants", _report_builds)
 
     def _triangular_scan():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artinloc import algebra, linalg, localization
+from artinloc import algebra, linalg, localization, suite
 from artinloc.algebra import (
     Algebra,
     Ideal,
@@ -721,14 +721,14 @@ class TestKernelLattice:
         contains, meets, (nonzero, maximal, minimal) = lattice_by_loops(tri)
         assert tri.contains().tolist() == contains
         assert tri.meet_dims().tolist() == meets
-        assert localization._extremal_kernels(tri) == (nonzero, minimal)
+        assert suite._extremal_kernels(tri) == (nonzero, minimal)
         # the maximal nonzero kernel ideals are those at the minima, in order
         at_minima = [k for k, (sub, _) in enumerate(tri.entries) if sub in tri.minima]
         assert maximal == (at_minima if nonzero else [])
         assert list(tri.minima) == triangular_checks_by_loops(a, tri)
         ideals = [Ideal(a, sp, "twosided") for sp in tri.kernels]
         pairs = []
-        for ks, ls, rows in localization._kernel_products(a, tri):
+        for ks, ls, rows in suite._kernel_products(a, tri):
             for k, l, r in zip(ks.tolist(), ls.tolist(), rows):
                 product = ideal_combine(ideals[k], ideals[l], "product").space
                 assert Subspace.from_vectors(a.p, a.dim, r.tolist()) == product

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from artinloc import localization
+from artinloc import localization, suite
 from artinloc.algebra import (
     Ideal,
     direct_product,
@@ -24,6 +24,7 @@ from artinloc.linalg import (
     InternalCheckError,
     ResourceGuardError,
     Subspace,
+    batch_rank,
     express_in_rows,
     kernel,
     rank,
@@ -642,27 +643,73 @@ def gf7_cubed():
     return direct_product([full_matrix(7, 1)] * 3)[0]
 
 
+def left_report_check(a):
+    """The ``left_report_invariants`` result of the battery on ``a``; the
+    small guard skips the oracle sweeps."""
+    result = next(r for r in run_invariants(a, guard=64, samples=4) if r.name == "left_report_invariants")
+    return result.ok, result.detail
+
+
+def with_report(monkeypatch, change):
+    """Hand the battery ``change(report)`` in place of each left report."""
+    real = suite.localization_report
+    monkeypatch.setattr(suite, "localization_report", lambda a: change(real(a)))
+
+
 class TestLatticeChecksFire:
-    """Each pairwise check of the class lattice fires on one corrupted kernel
-    ideal, product or idempotent.  Fresh algebras: reports are cached."""
+    """Each check of the class lattice fires on one corrupted kernel ideal,
+    product, table, idempotent or radical: in the report's build for the
+    checks that read the Peirce decomposition, in the
+    ``left_report_invariants`` check of the battery for the eliminations
+    that re-prove it.  Fresh algebras: reports are cached."""
 
     @pytest.mark.parametrize("fault, message", [
         ("repeat", "distinct subsets gave the same kernel ideal"),
         ("swap", "subset containment does not reverse into the ideals"),
     ])
     def test_kernel_ideal_faults(self, fault, message, monkeypatch):
+        # GF(7)^3: the classes {1,2} and {1,3} (entries 3 and 4) are no
+        # minima and their kernel ideals <E3> and <E2> have one dimension,
+        # so a swap passes the build; the ranks find <E2> at {1,2} outside
+        # K_{2} = <E1, E3>
         row_spaces = localization.batch_row_spaces
 
         def faulty(mats, p):
             spaces = row_spaces(mats, p)
-            if fault == "repeat":
-                spaces[1] = spaces[0]
-            else:
-                spaces[0], spaces[1] = spaces[1], spaces[0]
+            # GF(7)^3 itself; the battery also builds reports of quotients
+            if len(spaces) == 7:
+                if fault == "repeat":
+                    spaces[4] = spaces[3]
+                else:
+                    spaces[3], spaces[4] = spaces[4], spaces[3]
             return spaces
 
         monkeypatch.setattr(localization, "batch_row_spaces", faulty)
-        with pytest.raises(InternalCheckError, match=message):
+        assert left_report_check(gf7_cubed()) == (False, f"InternalCheckError: {message}")
+
+    @pytest.mark.parametrize("fault", ["swap", "block rank"])
+    def test_kernel_dimension_fault(self, fault, monkeypatch):
+        # L3 on (E11, E21, E22, E31, E32, E33): dim 1_j R is 1, 2, 3, so
+        # K_{1} has dimension 5 and K_{1,2} dimension 3; "swap" exchanges
+        # the two ideals, "block rank" reads dim 1_3 R as 4
+        if fault == "swap":
+            row_spaces = localization.batch_row_spaces
+
+            def faulty(mats, p):
+                spaces = row_spaces(mats, p)
+                spaces[0], spaces[1] = spaces[1], spaces[0]
+                return spaces
+
+            monkeypatch.setattr(localization, "batch_row_spaces", faulty)
+        else:
+            def faulty(mats, p):
+                ranks = batch_rank(mats, p)
+                ranks[-1] += 1
+                return ranks
+
+            monkeypatch.setattr(localization, "batch_rank", faulty)
+        with pytest.raises(InternalCheckError,
+                           match="kernel ideal dimension is not the sum over the blocks outside the class"):
             localization_report(lower_triangular(7, 3))
 
     @pytest.mark.parametrize("row, message", [
@@ -709,7 +756,7 @@ class TestLatticeChecksFire:
         # L3 on (E11, E21, E22, E31, E32, E33): the first pair's product
         # K_{1} K_{1} is K_{1}, the 5 matrices with zero first row; "rank"
         # leaves it too small, "outside" has the right rank but holds E11
-        products = localization._kernel_products
+        products = suite._kernel_products
 
         def faulty(a, tri):
             for n, (k, l, rows) in enumerate(products(a, tri)):
@@ -717,9 +764,9 @@ class TestLatticeChecksFire:
                     rows[0] = 0 if fault == "rank" else np.eye(5, 6, dtype=np.int64)
                 yield k, l, rows
 
-        monkeypatch.setattr(localization, "_kernel_products", faulty)
-        with pytest.raises(InternalCheckError, match="kernel ideals do not multiply to their intersection"):
-            localization_report(lower_triangular(7, 3))
+        monkeypatch.setattr(suite, "_kernel_products", faulty)
+        assert left_report_check(lower_triangular(7, 3)) == (
+            False, "InternalCheckError: kernel ideals do not multiply to their intersection")
 
     def test_containment_table_fault(self, monkeypatch):
         # L3: K_{1} (dim 5) contains K_{1,2} (dim 3); hiding that puts their
@@ -733,8 +780,70 @@ class TestLatticeChecksFire:
             return dataclasses.replace(tri, sum_dims=sums)
 
         monkeypatch.setattr(localization, "left_triangular_idempotents", faulty)
-        with pytest.raises(InternalCheckError, match="kernel ideals do not multiply to their intersection"):
-            localization_report(lower_triangular(7, 3))
+        assert left_report_check(lower_triangular(7, 3)) == (
+            False, "InternalCheckError: kernel ideals do not multiply to their intersection")
+
+    def test_closed_form_table_fault(self, monkeypatch):
+        # L3: the ranks read dim(K_{1} + K_{1,2,3}) = dim(K_{1} + 0) as 6,
+        # not 5; containment still reads "no" there, and the products take
+        # their meets from the report's table, so only the comparison fires
+        sum_dims = suite._sum_dims
+
+        def faulty(spaces, p):
+            out = sum_dims(spaces, p)
+            out[0, 2] += 1
+            return out
+
+        monkeypatch.setattr(suite, "_sum_dims", faulty)
+        assert left_report_check(lower_triangular(7, 3)) == (
+            False, "InternalCheckError: the closed-form table of dim(K_I + K_J) disagrees with the ranks")
+
+    @pytest.mark.parametrize("subset", [(1, 2), ()], ids=["meets", "short"])
+    def test_direct_decomposition_fault(self, subset, monkeypatch):
+        # L3: the class {1} is given e_I for another I; e_{1,2} R (dim 3)
+        # meets K_{1} (dim 5) in 1_2 R, and 0 R leaves K_{1} short of R
+        def change(rep):
+            first = dataclasses.replace(rep.entries[0], idempotent=rep.tri.family.sum_over(subset))
+            return dataclasses.replace(rep, entries=(first, *rep.entries[1:]))
+
+        with_report(monkeypatch, change)
+        assert left_report_check(lower_triangular(7, 3)) == (
+            False, "InternalCheckError: kernel ideal plus eR is not a direct decomposition")
+
+    @pytest.mark.parametrize("fault", ["reported", "intersection", "product"])
+    def test_localization_radical_faults(self, fault, monkeypatch):
+        # GF(7)^2: the minima {1}, {2} have kernel ideals <E2>, <E1>, so all
+        # three forms are 0; "reported" hands the battery K_{1} as the
+        # radical, the others replace one form by the first ideal
+        if fault == "reported":
+            with_report(monkeypatch, lambda rep: dataclasses.replace(rep, l_rad=rep.entries[0].ass))
+        else:
+            combine_all = suite._combine_all
+            monkeypatch.setattr(suite, "_combine_all",
+                                lambda ideals, op: ideals[0] if op == fault else combine_all(ideals, op))
+        assert left_report_check(direct_product([full_matrix(7, 1)] * 2)[0]) == (
+            False, "InternalCheckError: the three computations of the localization radical disagree")
+
+    @pytest.mark.parametrize("fault, message", [
+        ("reported", "intersection over the nonzero ideals disagrees"),
+        ("minimal", "intersection over minimal ideals disagrees"),
+        ("product", "product form disagrees"),
+    ])
+    def test_little_radical_faults(self, fault, message, monkeypatch):
+        # L3: the nonzero kernel ideals are K_{1} (dim 5) and K_{1,2}
+        # (dim 3), the minimal one and the little radical K_{1,2}; each
+        # fault puts K_{1} in the place of one of the three forms
+        if fault == "reported":
+            with_report(monkeypatch, lambda rep: dataclasses.replace(rep, little_rad=rep.l_rad))
+        elif fault == "minimal":
+            extremal = suite._extremal_kernels
+            monkeypatch.setattr(suite, "_extremal_kernels",
+                                lambda tri: (extremal(tri)[0], extremal(tri)[0][:1]))
+        else:
+            combine_all = suite._combine_all
+            monkeypatch.setattr(suite, "_combine_all",
+                                lambda ideals, op: ideals[0] if op == "product" else combine_all(ideals, op))
+        assert left_report_check(lower_triangular(7, 3)) == (False, f"InternalCheckError: little radical: {message}")
 
 
 class TestWarmReportReuse:

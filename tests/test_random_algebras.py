@@ -1,0 +1,86 @@
+"""A seeded net of random algebras, built only from existing constructors.
+
+Each draw is ``matrix_subalgebra`` on 1-3 random generator matrices (n in
+{3, 4}, p in {17, 19}, each entry nonzero with probability 0.35), or the
+direct product of two such subalgebras over one prime, or the opposite of
+one.  The draws reach dimension 18 and 63 left classes, past the fixtures,
+so the left report's closed-form class lattice is compared there with the
+eliminations that re-prove it.
+"""
+
+import functools
+import json
+import random
+
+import pytest
+
+from artinloc.algebra import direct_product, ideal_combine, matrix_subalgebra, opposite_algebra
+from artinloc.localization import duality_report, localization_report
+from artinloc.suite import _left_lattice, _sum_dims, run_invariants
+
+SEEDS = range(40)
+
+
+def random_algebra(seed):
+    """The draw for ``seed``; a product is redrawn until its dimension is
+    below p, as the algebra requires."""
+    rng = random.Random(seed)
+    p = rng.choice([17, 19])
+
+    def subalgebra():
+        n = rng.choice([3, 4])
+        gens = [[[rng.randrange(1, p) if rng.random() < 0.35 else 0 for _ in range(n)] for _ in range(n)]
+                for _ in range(rng.randint(1, 3))]
+        return matrix_subalgebra(p, n, gens)
+
+    kind = rng.choice(["subalgebra", "product", "opposite"])
+    if kind == "subalgebra":
+        return subalgebra()
+    if kind == "opposite":
+        return opposite_algebra(subalgebra())
+    while True:
+        first, second = subalgebra(), subalgebra()
+        if first.dim + second.dim < p:
+            return direct_product([first, second])[0]
+
+
+def meet(ideals):
+    return functools.reduce(lambda x, y: x.intersect(y), [i.space for i in ideals])
+
+
+def product(ideals):
+    return functools.reduce(lambda x, y: ideal_combine(x, y, "product"), ideals).space
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_closed_form_lattice_matches_the_eliminations(seed):
+    a = random_algebra(seed)
+    rep = localization_report(a)
+    assert (_sum_dims(rep.tri.kernels, a.p) == rep.tri.sum_dims).all()
+    minima = [rep.entry(sub).ass for sub in rep.minima]
+    assert meet(minima) == rep.l_rad.space == product(minima)
+    nonzero = [en.ass for en in rep.entries if en.ass.dim]
+    if nonzero:
+        assert meet(nonzero) == rep.little_rad.space == product(nonzero)
+    else:
+        assert rep.little_rad.dim == 0
+    # every elimination the battery runs on the lattice
+    _left_lattice(rep)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_reports_are_byte_identical_across_builds(seed):
+    first, second = random_algebra(seed), random_algebra(seed)
+    for report in (localization_report, duality_report):
+        assert json.dumps(report(first).to_dict()) == json.dumps(report(second).to_dict())
+
+
+def below_guard(seed):
+    a = random_algebra(seed)
+    return a.p ** a.dim <= 2 ** 14
+
+
+@pytest.mark.parametrize("seed", [seed for seed in SEEDS if below_guard(seed)])
+def test_battery_is_green_below_the_guard(seed):
+    failures = [(r.name, r.detail) for r in run_invariants(random_algebra(seed), samples=8) if not r.ok]
+    assert not failures, failures
