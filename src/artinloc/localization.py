@@ -23,17 +23,18 @@ Reports are deterministic: subsets are ordered by (size, lexicographic)
 and all underlying idempotents come from the deterministic lift in
 :mod:`artinloc.structure`.
 
-The classes are read off the s x s table of nonzero Peirce corners
-1_i R 1_j, built once per family.  R is the direct sum of the 1_j R, and
-K_I = (1 - e_I)R is the direct sum of those over j outside I, so the class
-lattice is set algebra on the block index sets: with r_j = dim 1_j R,
-dim(K_I + K_J) is the sum of r_j over j outside I & J, and an intersection
-of kernel ideals is the kernel ideal at the union of their classes.  The
-hot path checks each dim K_I against that sum and the idempotent products
-e_I e_J over every ordered pair, by numpy kernels over runs of pairs whose
-temporaries hold at most ``ASSOC_BLOCK`` entries.  The eliminations that
-re-prove the lattice (the ranks of the stacked bases, the kernel products,
-the radicals as meets and products) run in the ``verify`` battery,
+The classes of both sides are read off the s x s table of the dimensions
+of the Peirce corners 1_i R 1_j, built once per family, by one builder:
+the left side off the table, the right side off its transpose.  R is the
+direct sum of the 1_j R, and K_I = (1 - e_I)R is the direct sum of those
+over j outside I, so the class lattice is set algebra on the block index
+sets: with r_j = dim 1_j R, dim(K_I + K_J) is the sum of r_j over j
+outside I & J, and an intersection of kernel ideals is the kernel ideal at
+the union of their classes.  The hot path checks each dim K_I against
+that sum; its only pairwise work is the bitmask comparison that finds the
+minima.  The eliminations and products that re-prove the lattice (the
+ranks of the stacked bases, the idempotent and kernel products, the
+radicals as meets and products) run in the ``verify`` battery,
 :mod:`artinloc.suite`.
 """
 
@@ -118,15 +119,17 @@ def _is_central(a: Algebra, e: Element) -> bool:
 
 @dataclass(frozen=True)
 class TriangularIdempotentSet:
-    """Block-sum idempotents e_I with e_I R (1 - e_I) = 0, ordered by (|I|, I).
+    """The classes of one side: the block-sum idempotents e_I, ordered by
+    (|I|, I), whose block sets I no nonzero Peirce corner leaves
+    (:func:`_triangular_set`).
 
     The poset order is subset inclusion of the index sets; minima are the
     indices of the maximal localization classes.  ``kernels[i]`` is the
-    kernel ideal K_i = (1 - e_I)R of entry i as a subspace, and
-    ``sum_dims[i, j]`` is dim(K_i + K_j), in closed form the sum of
-    dim 1_k R over the blocks k outside I & J.  ``corners[i, j]`` says
-    whether the Peirce corner 1_i R 1_j of blocks i and j (0-based) is
-    nonzero.
+    kernel ideal K_i of entry i as a subspace, (1 - e_I)R on the left and
+    R(1 - e_I) on the right.  ``piece_dims[j]`` is r_j, the dimension of the
+    block piece 1_j R (R 1_j on the right).  ``corners[i, j]`` is the
+    dimension of the corner from block i to block j (0-based), 1_i R 1_j on
+    the left and 1_j R 1_i on the right; r_j is a row sum of it.
     """
 
     algebra: Algebra
@@ -134,12 +137,20 @@ class TriangularIdempotentSet:
     entries: tuple[tuple[Subset, Element], ...]
     minima: tuple[Subset, ...]
     kernels: tuple[Subspace, ...] = field(repr=False)
-    sum_dims: np.ndarray = field(repr=False, compare=False)
+    piece_dims: np.ndarray = field(repr=False, compare=False)
     corners: np.ndarray = field(repr=False, compare=False)
 
     @property
     def kernel_dims(self) -> np.ndarray:
         return np.array([k.dim for k in self.kernels], dtype=np.int64)
+
+    @property
+    def sum_dims(self) -> np.ndarray:
+        """``out[i, j]`` is dim(K_i + K_j), the sum of r_k over the blocks k
+        outside I & J: K_I is the direct sum of the pieces outside I."""
+        inside = _membership(_subset_masks([sub for sub, _ in self.entries]), self.family.s)
+        r = self.piece_dims
+        return r.sum() - (inside * r) @ inside.T
 
     def contains(self) -> np.ndarray:
         """``out[i, j]``: K_i is inside K_j, that is dim(K_i + K_j) = dim K_j."""
@@ -184,12 +195,26 @@ def _subset_masks(subsets: Sequence[Subset]) -> np.ndarray:
     return np.array([sum(1 << (i - 1) for i in sub) for sub in subsets], dtype=np.int64)
 
 
+def _membership(masks: np.ndarray, s: int) -> np.ndarray:
+    """``out[k, i]`` is 1 when block i + 1 is in the subset ``masks[k]``, else 0."""
+    return (masks[:, None] >> np.arange(s, dtype=np.int64)) & 1
+
+
+def _minimal_masks(masks: np.ndarray) -> np.ndarray:
+    """Which of the distinct bitmasks have no other one of them inside."""
+    has_smaller = np.zeros(len(masks), dtype=bool)
+    for i, j in _pair_runs(*_ordered_pairs(len(masks)), 1):
+        inside = ((masks[i] & masks[j]) == masks[i]) & (masks[i] != masks[j])
+        has_smaller[j[inside]] = True
+    return ~has_smaller
+
+
 def _closed_subsets(corners: np.ndarray) -> list[Subset]:
     """The 1-based block subsets I, in (size, lex) order, with no nonzero
     corner from I to a block outside I."""
     s = len(corners)
     # bit j of succ[i]: the corner from block i to block j is nonzero
-    succ = (corners.astype(np.int64) @ (1 << np.arange(s, dtype=np.int64))).tolist()
+    succ = ((corners != 0) @ (1 << np.arange(s, dtype=np.int64))).tolist()
     out = []
     for size in range(1, s + 1):
         for combo in itertools.combinations(range(1, s + 1), size):
@@ -199,76 +224,67 @@ def _closed_subsets(corners: np.ndarray) -> list[Subset]:
     return out
 
 
+def _triangular_set(a: Algebra, fam: IdempotentFamily, corners: np.ndarray,
+                    multiply) -> TriangularIdempotentSet:
+    """The classes of one side, read off its oriented table of Peirce corner
+    dimensions, ``corners[i, j]`` that of the corner from block i to block
+    j: the block sets that no nonzero corner leaves (:func:`_closed_subsets`),
+    with the kernel ideal of e_I the row space of ``multiply(1 - e_I)``.
+    The left side passes the corner table and
+    :meth:`Algebra.batch_left_matrices`; the right side, the left side of
+    R^op, the transposed table and :meth:`Algebra.batch_right_matrices`.
+
+    The idempotents are one matmul of the 0/1 membership matrix by the block
+    idempotents, and the kernel ideals come from one batched elimination.
+    A block piece is the direct sum of its corners, so its dimension r_j is
+    a row sum of the table.  Checked: distinct classes give distinct kernel
+    ideals; each kernel ideal is the direct sum of the pieces outside its
+    class, so its dimension is the sum of those r_j; distinct minima
+    (:func:`_minimal_masks`) have no nonzero corner between them.  The
+    products e_I e_J = e_{I & J}, which follow from the family's
+    orthogonality, are checked with the rest of the lattice by the
+    ``left_report_invariants`` check of :func:`artinloc.suite.run_invariants`.
+    """
+    s, p = fam.s, a.p
+    if (1 << s) > MAX_SUBSET_ENUM:
+        raise ResourceGuardError(f"2^{s} block subsets exceed the enumeration bound",
+                                 1 << s, MAX_SUBSET_ENUM)
+    subsets = _closed_subsets(corners)
+    masks = _subset_masks(subsets)
+    inside = _membership(masks, s)
+    blocks = np.array([e.coeffs for e in fam.idempotents], dtype=np.int64)
+    idems = inside @ blocks % p
+    one = np.array(a.one_coeffs, dtype=np.int64)
+    kernels = tuple(batch_row_spaces(multiply((one - idems) % p), p))
+    if len(set(kernels)) != len(kernels):
+        raise InternalCheckError("distinct subsets gave the same kernel ideal")
+    piece_dims = corners.sum(axis=1)
+    if ((1 - inside) @ piece_dims != [k.dim for k in kernels]).any():
+        raise InternalCheckError("kernel ideal dimension is not the sum over the blocks outside the class")
+    minimal = _minimal_masks(masks)
+    at_minima = inside[minimal]
+    touching = at_minima @ corners @ at_minima.T
+    if touching[~np.eye(len(at_minima), dtype=bool)].any():
+        raise InternalCheckError("distinct minima do not annihilate through the ring")
+    entries = tuple(zip(subsets, map(a.element, idems.tolist())))
+    return TriangularIdempotentSet(a, fam, entries, tuple(itertools.compress(subsets, minimal)),
+                                   kernels, piece_dims, corners)
+
+
 def left_triangular_idempotents(a: Algebra, fam: IdempotentFamily | None = None) -> TriangularIdempotentSet:
     """The block subsets I with e_I R (1 - e_I) = 0, in (size, lex) order.
 
     R is the direct sum of the Peirce corners 1_i R 1_j, so I qualifies iff
-    no nonzero corner leads from I out of I (:func:`_closed_subsets`).  The
-    table of nonzero corners is read off the matrices L_{1_i} R_{1_j}.
-    Verifies, for the found set: distinct subsets give distinct ideals
-    (1-e)R, each of the dimension the Peirce decomposition gives, entries
-    multiply to the sum over the intersection (0 when disjoint), and
-    distinct minima have e_I R e_J = 0, read off the corner table.
-
-    The kernel ideals come from one batched elimination of the left
-    multiplications by 1 - e_I, and r_j = dim 1_j R from one batched rank
-    of the left multiplications by the 1_j.  K_I is the direct sum of the
-    1_j R over j outside I, so dim K_I is the sum of those r_j (checked
-    for every class), and ``sum_dims`` is filled in closed form:
-    dim(K_I + K_J) is the sum of r_j over j outside I & J.  The products
-    e_I e_J (:meth:`Algebra.batch_mul`) are checked over every ordered pair
-    of entries in batched runs of bounded size (:func:`_pair_runs`), which
-    also fill the table; subsets are bitmasks, so intersections and the
-    minima are integer operations.  A failure names the first failing pair
-    in row-major order, as a loop over the pairs would.  The eliminations
-    that re-prove the table are the ``left_report_invariants`` check of
-    :func:`artinloc.suite.run_invariants`.
+    no nonzero corner leads from I out of I.  y -> 1_i y 1_j, the matrix
+    L_{1_i} R_{1_j}, is idempotent, so its rank dim 1_i R 1_j is its trace,
+    read exactly mod p as p > dim R; the table of all of them is one
+    contraction, and :func:`_triangular_set` reads the classes off it, with
+    the kernel ideals (1 - e_I)R.
     """
     fam = fam or block_decomposition(a)
-    s = fam.s
-    if (1 << s) > MAX_SUBSET_ENUM:
-        raise ResourceGuardError(f"2^{s} block subsets exceed the enumeration bound",
-                                 1 << s, MAX_SUBSET_ENUM)
-    p = a.p
     blocks = np.array([e.coeffs for e in fam.idempotents], dtype=np.int64)
-    lefts, rights = a.batch_left_matrices(blocks), a.batch_right_matrices(blocks)
-    corners = np.empty((s, s), dtype=bool)
-    for i, j in _pair_runs(*_ordered_pairs(s), a.dim * a.dim):
-        corners[i, j] = (lefts[i] @ rights[j] % p).any(axis=(1, 2))
-    entries = [(sub, fam.sum_over(sub)) for sub in _closed_subsets(corners)]
-    one = np.array(a.one_coeffs, dtype=np.int64)
-    idems = np.array([e.coeffs for _, e in entries], dtype=np.int64)
-    kernels = tuple(batch_row_spaces(a.batch_left_matrices((one - idems) % p), p))
-    if len(set(kernels)) != len(kernels):
-        raise InternalCheckError("distinct subsets gave the same kernel ideal")
-    piece_dims = batch_rank(lefts, p)
-    masks = _subset_masks([sub for sub, _ in entries])
-    bit = np.int64(1) << np.arange(s, dtype=np.int64)
-    outside = ((masks[:, None] & bit) == 0).astype(np.int64)
-    if (outside @ piece_dims != [k.dim for k in kernels]).any():
-        raise InternalCheckError("kernel ideal dimension is not the sum over the blocks outside the class")
-    total = piece_dims.sum()
-    sum_dims = np.empty((len(entries), len(entries)), dtype=np.int64)
-    has_smaller = np.zeros(len(entries), dtype=bool)
-    for i, j in _pair_runs(*_ordered_pairs(len(entries)), a.dim * a.dim):
-        inter = masks[i] & masks[j]
-        shared = ((inter[:, None] & bit) != 0).astype(np.int64)
-        sum_dims[i, j] = total - shared @ piece_dims
-        # the sum of 1_k over I & J (0 when disjoint)
-        wrong = (a.batch_mul(idems[i], idems[j]) != shared @ blocks % p).any(axis=1)
-        if wrong.any():
-            # e_j * e_i is compared at the swapped pair
-            raise InternalCheckError("block-sum idempotents do not multiply to the intersection"
-                                     if inter[np.argmax(wrong)] else
-                                     "disjoint block-sum idempotents are not orthogonal")
-        has_smaller[j[(inter == masks[i]) & (masks[i] != masks[j])]] = True
-    minima = [sub for (sub, _), smaller in zip(entries, has_smaller) if not smaller]
-    for i_sub in minima:
-        for j_sub in minima:
-            rows, cols = [i - 1 for i in i_sub], [j - 1 for j in j_sub]
-            if i_sub != j_sub and corners[np.ix_(rows, cols)].any():
-                raise InternalCheckError("distinct minima do not annihilate through the ring")
-    return TriangularIdempotentSet(a, fam, tuple(entries), tuple(minima), kernels, sum_dims, corners)
+    corners = np.einsum("iab,jba->ij", a.batch_left_matrices(blocks), a.batch_right_matrices(blocks)) % a.p
+    return _triangular_set(a, fam, corners, a.batch_left_matrices)
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +314,6 @@ class DenSetDescriptor:
         expected = _right_ideal_of(a, a.one - e)
         if expected != self.ass.space:
             raise InternalCheckError("descriptor kernel ideal is not (1-e)R")
-        sq = ideal_combine(self.ass, self.ass, "product")
-        if sq.space != self.ass.space:
-            raise InternalCheckError("kernel ideal is not idempotent as an ideal")
         if self.quotient.algebra.dim != a.dim - self.ass.dim:
             raise InternalCheckError("quotient dimension mismatch")
 
@@ -340,10 +353,9 @@ class LocEntry:
 
 @dataclass(frozen=True)
 class LocalizationReport:
-    """Everything the classification says about one side of one algebra."""
+    """Everything the left classification says about one algebra."""
 
     algebra: Algebra
-    side: str
     tri: TriangularIdempotentSet
     entries: tuple[LocEntry, ...]
     max_den: tuple[DenSetDescriptor, ...]
@@ -367,24 +379,24 @@ class LocalizationReport:
 
     def to_dict(self) -> dict:
         return _report_dict(
-            self.side, self.algebra.label, self.tri.family,
+            self.algebra.label, self.tri.family,
             [(e.subset, e.idempotent, e.ass.space, e.quotient.algebra.dim) for e in self.entries],
             self.minima,
             [(d.kind, d.witness_idempotent, d.ass.space, d.quotient.algebra.dim) for d in self.max_den],
             self.l_rad.space, self.little_rad.space, self.flags)
 
 
-def _report_dict(side: str, label: str, fam: IdempotentFamily,
+def _report_dict(label: str, fam: IdempotentFamily,
                  entries: Sequence[tuple[Subset, Element, Subspace, int]], minima: Sequence[Subset],
                  max_den: Sequence[tuple[str, Element, Subspace, int]], l_rad: Subspace,
                  little_rad: Subspace, flags: dict) -> dict:
-    """The printed form of one side's classification.  ``entries`` holds
+    """The printed form of a left classification.  ``entries`` holds
     (subset, idempotent, kernel ideal, quotient dimension) per class and
     ``max_den`` (kind, idempotent, kernel ideal, quotient dimension) per
     maximal denominator set."""
     a = fam.algebra
     return {
-        "side": side,
+        "side": "left",
         "algebra": {"label": label, "p": a.p, "dim": a.dim},
         "blocks": {
             "s": fam.s,
@@ -437,9 +449,9 @@ def _combine_all(ideals: Sequence[Ideal], op: str) -> Ideal:
     return out
 
 
-def _radical_classes(masks: np.ndarray, minimal: np.ndarray) -> tuple[int, int | None]:
+def _radical_classes(tri: TriangularIdempotentSet) -> tuple[int, int | None]:
     """Entry indices of the localization radical and of the little radical
-    of one side, from the bitmasks of its classes and a mask of its minima.
+    of one side.
 
     Each kernel ideal is the direct sum of the block pieces over the blocks
     outside its class, so an intersection of kernel ideals is the kernel
@@ -449,28 +461,27 @@ def _radical_classes(masks: np.ndarray, minimal: np.ndarray) -> tuple[int, int |
     when there is none): the full set's kernel ideal is the only zero one
     once distinct classes are known to have distinct kernel ideals.
     """
+    masks = _subset_masks([sub for sub, _ in tri.entries])
     index = {m: k for k, m in enumerate(masks.tolist())}
-    rad = index.get(int(np.bitwise_or.reduce(masks[minimal])))
+    rad = index.get(int(np.bitwise_or.reduce(_subset_masks(tri.minima))))
     if rad is None:
         raise InternalCheckError("union of minima does not qualify")
     proper = masks[masks != np.bitwise_or.reduce(masks)]
     return rad, index[int(np.bitwise_or.reduce(proper))] if len(proper) else None
 
 
-def localization_report(a: Algebra, side: str = "left") -> LocalizationReport:
-    """Full classification for one side.  The right side is read off this
-    report by :func:`duality_report`; it is the left side of the opposite
-    algebra.
+def localization_report(a: Algebra) -> LocalizationReport:
+    """The full left classification.  The right side, the left side of the
+    opposite algebra, is read off this report by :func:`duality_report`.
 
     The radicals are read off the classes (:func:`_radical_classes`).  The
     checks that re-prove the class lattice by elimination (the direct
-    decomposition K_I + e_I R, the kernel products K_I K_J = K_I meet K_J,
-    and the radicals as intersections and products of kernel ideals) are
-    the ``left_report_invariants`` check of
+    decomposition K_I + e_I R, the idempotent products e_I e_J = e_{I & J},
+    the kernel products K_I K_J = K_I meet K_J, and the radicals as
+    intersections and products of kernel ideals) are the
+    ``left_report_invariants`` check of
     :func:`artinloc.suite.run_invariants`.
     """
-    if side == "right":
-        raise InputError("build right-side reports through duality_report")
     cache_key = "report_left"
     if cache_key in a._cache:
         return a._cache[cache_key]
@@ -483,12 +494,8 @@ def localization_report(a: Algebra, side: str = "left") -> LocalizationReport:
         if quo is None:
             raise InternalCheckError("kernel ideal of a triangular idempotent cannot be everything")
         entries.append(LocEntry(subset, e, ass, quo))
-    by_subset = {en.subset: en for en in entries}
-
-    max_den = []
-    for subset in tri.minima:
-        en = by_subset[subset]
-        max_den.append(DenSetDescriptor("maximal", en.idempotent, en.ass, en.quotient))
+    max_den = [DenSetDescriptor("maximal", en.idempotent, en.ass, en.quotient)
+               for en in entries if en.subset in tri.minima]
     if len(max_den) > fam.s:
         raise InternalCheckError("more maximal classes than blocks")
     # Semisimple algebras have a maximal class per block.  The converse is
@@ -497,8 +504,7 @@ def localization_report(a: Algebra, side: str = "left") -> LocalizationReport:
     if fam.rad.dim == 0 and len(max_den) != fam.s:
         raise InternalCheckError("semisimple algebra without one maximal class per block")
 
-    minimal = np.array([en.subset in tri.minima for en in entries])
-    rad, little = _radical_classes(_subset_masks([en.subset for en in entries]), minimal)
+    rad, little = _radical_classes(tri)
     l_rad = entries[rad].ass
     if (fam.rad.space.contains(l_rad.space)) != (l_rad.dim == 0):
         raise InternalCheckError("localization radical sits inside the nilpotent radical "
@@ -509,7 +515,7 @@ def localization_report(a: Algebra, side: str = "left") -> LocalizationReport:
         raise InternalCheckError("little radical is not inside the localization radical")
 
     flags = _flags(len(entries), fam, l_rad.space)
-    report = LocalizationReport(a, "left", tri, tuple(entries), tuple(max_den), l_rad, little_rad, flags)
+    report = LocalizationReport(a, tri, tuple(entries), tuple(max_den), l_rad, little_rad, flags)
     a._cache[cache_key] = report
     return report
 
@@ -761,8 +767,8 @@ def monoid_denominator_decision(a: Algebra, gens: Sequence[Element],
 
 def classify_element(a: Algebra, r: Element, report: LocalizationReport) -> dict:
     """Localizability of one element against the maximal classes."""
-    if report.algebra is not a or report.side != "left":
-        raise InputError("report does not match the algebra/side")
+    if report.algebra is not a:
+        raise InputError("report does not match the algebra")
     witnesses = []
     by_subset = {en.subset: en for en in report.entries}
     for sub in report.minima:
@@ -783,93 +789,65 @@ def classify_element(a: Algebra, r: Element, report: LocalizationReport) -> dict
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RightEntry:
-    subset: Subset
-    idempotent: Element
-    kernel: Subspace                # R(1 - e_I), a two-sided ideal (checked)
-
-
-@dataclass(frozen=True)
 class RightReport:
     """The right classification, read off the left report (:func:`_right_report`).
 
-    It prints as the left report of the opposite algebra, which shares the
+    ``tri`` holds the right classes, with the kernel ideals R(1 - e_I).  It
+    prints as the left report of the opposite algebra, which shares the
     basis: side "left", label ``op(<label>)``, and ``quotient_dim`` the
     codimension of the kernel ideal.  ``rad`` is the right localization
     radical.
     """
 
     left: LocalizationReport
-    entries: tuple[RightEntry, ...]
-    minima: tuple[Subset, ...]
+    tri: TriangularIdempotentSet
     rad: Ideal
     little_rad: Subspace
 
     @property
     def loc_count(self) -> int:
-        return len(self.entries)
+        return len(self.tri.entries)
+
+    @property
+    def minima(self) -> tuple[Subset, ...]:
+        return self.tri.minima
 
     def to_dict(self) -> dict:
-        a = self.left.algebra
-        by_subset = {en.subset: en for en in self.entries}
+        a, tri = self.left.algebra, self.tri
+        classes = {sub: (e, k, a.dim - k.dim) for (sub, e), k in zip(tri.entries, tri.kernels)}
         return _report_dict(
-            "left", f"op({a.label})", self.left.tri.family,
-            [(en.subset, en.idempotent, en.kernel, a.dim - en.kernel.dim) for en in self.entries],
-            self.minima,
-            [("maximal", en.idempotent, en.kernel, a.dim - en.kernel.dim)
-             for en in (by_subset[sub] for sub in self.minima)],
-            self.rad.space, self.little_rad,
-            _flags(self.loc_count, self.left.tri.family, self.rad.space))
-
-
-def _minimal_masks(masks: np.ndarray) -> np.ndarray:
-    """Which of the distinct bitmasks have no other one of them inside."""
-    has_smaller = np.zeros(len(masks), dtype=bool)
-    for i, j in _pair_runs(*_ordered_pairs(len(masks)), 1):
-        inside = ((masks[i] & masks[j]) == masks[i]) & (masks[i] != masks[j])
-        has_smaller[j[inside]] = True
-    return ~has_smaller
+            f"op({a.label})", tri.family,
+            [(sub, *row) for sub, row in classes.items()], tri.minima,
+            [("maximal", *classes[sub]) for sub in tri.minima],
+            self.rad.space, self.little_rad, _flags(self.loc_count, tri.family, self.rad.space))
 
 
 def _right_report(left: LocalizationReport) -> RightReport:
     """The right classes and their kernel ideals, read off the left report.
 
     The right classes are the left classes of the opposite algebra, whose
-    corner 1_i R^op 1_j is 1_j R 1_i: the block sets with no nonzero corner
-    into them from a block outside, read off the transposed corner table in
-    the same (size, lex) order and under the same bound.  The kernel ideal
-    (1 - e_I)R^op is R(1 - e_I), the row space of the right multiplication
-    by 1 - e_I; all of them come from one batched elimination.  R(1 - e_I)
+    corner 1_i R^op 1_j is 1_j R 1_i: :func:`_triangular_set` reads them off
+    the transposed corner table, with its checks, and takes the kernel ideal
+    (1 - e_I)R^op = R(1 - e_I) from the right multiplications.  R(1 - e_I)
     is the direct sum of the R 1_j over j outside I, so the radicals are
     read off the classes as on the left (:func:`_radical_classes`).
 
-    Checked here: distinct classes give distinct kernel ideals; each kernel
-    ideal is two-sided, which for the left ideal R(1 - e_I) means that it
-    holds (1 - e_I)R, the rows of the left multiplication by 1 - e_I (tested
-    with :func:`_projectors`); and the radical is built as an
-    :class:`Ideal`.  The opposite algebra's own report, with all of its
-    checks, and its agreement with this one are the ``duality`` check of
-    :func:`artinloc.suite.run_invariants`.
+    Checked here besides: each kernel ideal is two-sided, which for the left
+    ideal R(1 - e_I) means that it holds (1 - e_I)R, the rows of the left
+    multiplication by 1 - e_I (tested with :func:`_projectors`); and the
+    radical is built as an :class:`Ideal`.  The opposite algebra's own
+    report, with all of its checks, and its agreement with this one are the
+    ``duality`` check of :func:`artinloc.suite.run_invariants`.
     """
-    a, fam = left.algebra, left.tri.family
-    subsets = _closed_subsets(left.tri.corners.T)
-    idems = [fam.sum_over(sub) for sub in subsets]
+    a = left.algebra
+    tri = _triangular_set(a, left.tri.family, left.tri.corners.T, a.batch_right_matrices)
     one = np.array(a.one_coeffs, dtype=np.int64)
-    coeffs = np.array([e.coeffs for e in idems], dtype=np.int64)
-    complements = (one - coeffs) % a.p
-    kernels = batch_row_spaces(a.batch_right_matrices(complements), a.p)
-    if len(set(kernels)) != len(kernels):
-        raise InternalCheckError("distinct right classes gave the same kernel ideal")
-    lefts = a.batch_left_matrices(complements)
-    if (lefts @ _projectors(kernels) % a.p != lefts).any():
+    lefts = a.batch_left_matrices((one - np.array([e.coeffs for _, e in tri.entries], dtype=np.int64)) % a.p)
+    if (lefts @ _projectors(tri.kernels) % a.p != lefts).any():
         raise InternalCheckError("a right kernel ideal is not a two-sided ideal")
-    masks = _subset_masks(subsets)
-    minimal = _minimal_masks(masks)
-    rad, little = _radical_classes(masks, minimal)
-    return RightReport(left, tuple(map(RightEntry, subsets, idems, kernels)),
-                       tuple(sub for sub, m in zip(subsets, minimal) if m),
-                       Ideal(a, kernels[rad], "twosided"),
-                       kernels[little] if little is not None else Subspace.zero(a.p, a.dim))
+    rad, little = _radical_classes(tri)
+    return RightReport(left, tri, Ideal(a, tri.kernels[rad], "twosided"),
+                       tri.kernels[little] if little is not None else Subspace.zero(a.p, a.dim))
 
 
 @dataclass(frozen=True)
@@ -911,7 +889,7 @@ def duality_report(a: Algebra) -> DualityReport:
     s = left.tri.family.s
     full = tuple(range(1, s + 1))
     left_proper = [sub for sub, _ in left.tri.entries if sub != full]
-    right_proper = {en.subset for en in right.entries if en.subset != full}
+    right_proper = {sub for sub, _ in right.tri.entries if sub != full}
     pairing = []
     for sub in left_proper:
         comp = tuple(sorted(set(full) - set(sub)))

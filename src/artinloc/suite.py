@@ -8,10 +8,10 @@ the opposite algebra's left report), the five-way equivalence bundle for
 powers criterion and the idempotent criterion with brute force.  The
 report checks also rebuild, through the public constructors, every
 quotient, center and ideal that the reports built by theorem without
-checks, and the left report check re-proves by elimination the class
-lattice that the report reads off the Peirce decomposition.  The CLI
-``verify`` command runs exactly this battery; the test suite runs it
-across the fixture corpus.
+checks, and the left report check re-proves, by elimination and by the
+products of the block-sum idempotents, the class lattice that the report
+reads off the Peirce decomposition.  The CLI ``verify`` command runs
+exactly this battery; the test suite runs it across the fixture corpus.
 
 Sweep work is bounded: ``guard`` caps any single enumeration (default
 2**20), while full per-element sweeps run only when the ring has at most
@@ -39,6 +39,7 @@ from .localization import (
     _combine_all,
     _corner,
     _is_left_triangular,
+    _membership,
     _ordered_pairs,
     _pair_runs,
     _projectors,
@@ -149,10 +150,11 @@ def _left_lattice(rep: LocalizationReport) -> None:
     I >= J against K_I inside K_J from the ranks of [B_I; B_J]; the kernel
     products K_I K_J = K_I meet K_J (:func:`_kernel_products`), with the
     meet dimensions of the report's closed-form table, and that table
-    against the ranks; K_I (+) e_I R = R; the localization radical as the
-    closed form (1 - e)R at the sum e of the minima, and as the meet and the
-    product of their kernel ideals; the little radical as the meet and the
-    product of the nonzero kernel ideals, and as the meet of the minimal ones.
+    against the ranks; K_I (+) e_I R = R; the products e_I e_J = e_{I & J},
+    0 when I & J is empty; the localization radical as the closed form
+    (1 - e)R at the sum e of the minima, and as the meet and the product of
+    their kernel ideals; the little radical as the meet and the product of
+    the nonzero kernel ideals, and as the meet of the minimal ones.
     """
     a, tri = rep.algebra, rep.tri
     p, d = a.p, a.dim
@@ -175,10 +177,21 @@ def _left_lattice(rep: LocalizationReport) -> None:
         raise InternalCheckError("the closed-form table of dim(K_I + K_J) disagrees with the ranks")
     # rank [B_I; L_e] = d gives K_I + e_I R = R, and then rank L_e = d - dim K_I
     # gives K_I meet e_I R = 0
-    lefts = a.batch_left_matrices(np.array([en.idempotent.coeffs for en in rep.entries], dtype=np.int64))
+    idems = np.array([en.idempotent.coeffs for en in rep.entries], dtype=np.int64)
+    lefts = a.batch_left_matrices(idems)
     if ((batch_rank(np.concatenate([_stacked_bases(tri.kernels), lefts], axis=1), p) != d).any()
             or (batch_rank(lefts, p) != d - dims).any()):
         raise InternalCheckError("kernel ideal plus eR is not a direct decomposition")
+    # one row of ordered pairs at a time, so the first failing pair in
+    # row-major order is named; e_J e_I is checked at the swapped pair
+    blocks = np.array([e.coeffs for e in tri.family.idempotents], dtype=np.int64)
+    inside = _membership(masks, tri.family.s)
+    for i, e in enumerate(idems):
+        wrong = (a.batch_mul_left(e, idems) != (inside[i] * inside) @ blocks % p).any(axis=1)
+        if wrong.any():
+            raise InternalCheckError("block-sum idempotents do not multiply to the intersection"
+                                     if masks[i] & masks[np.argmax(wrong)] else
+                                     "disjoint block-sum idempotents are not orthogonal")
     minimal_classes = [rep.entry(sub) for sub in rep.minima]
     e_sum = sum((en.idempotent for en in minimal_classes), a.zero)
     forms = [_right_ideal_of(a, a.one - e_sum)] + [

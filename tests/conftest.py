@@ -1,3 +1,6 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from artinloc.algebra import (
@@ -7,6 +10,58 @@ from artinloc.algebra import (
     truncated_poly,
     upper_triangular,
 )
+from artinloc.linalg import Subspace
+from artinloc.structure import block_decomposition
+
+
+# ---------------------------------------------------------------------------
+# References for the Peirce decomposition, by Element products on the basis
+# ---------------------------------------------------------------------------
+
+def basis(a):
+    return [a.element(row) for row in np.eye(a.dim, dtype=np.int64).tolist()]
+
+
+def reference_corner_is_zero(a, e, f):
+    """e R f = 0 by Element products on the basis."""
+    return all((e * b * f).is_zero() for b in basis(a))
+
+
+def reference_edges(a):
+    """``edges[i][j]``: the corner 1_i R 1_j of the lifted family (0-based) is
+    nonzero, by Element products on the basis."""
+    idems = block_decomposition(a).idempotents
+    return [[not reference_corner_is_zero(a, e, f) for f in idems] for e in idems]
+
+
+def closed_sets(edges):
+    """The nonempty 1-based subsets, in (size, lex) order, that hold every
+    head of an edge whose tail they hold."""
+    s = len(edges)
+    return [sub for size in range(1, s + 1) for sub in itertools.combinations(range(1, s + 1), size)
+            if all(j + 1 in sub for i in sub for j in range(s) if edges[i - 1][j])]
+
+
+def weak_component_count(edges):
+    """The number of weakly connected components of the digraph."""
+    s = len(edges)
+    component = list(range(s))
+    for i in range(s):
+        for j in range(s):
+            if edges[i][j]:
+                old, new = component[j], component[i]
+                component = [new if c == old else c for c in component]
+    return len(set(component))
+
+
+def reference_sum_dims(a, subsets):
+    """dim(K_I + K_J) for every pair of the 1-based subsets: K_I is the
+    direct sum of the 1_j R over j outside I, so the sum of dim 1_j R over
+    the blocks j outside I & J, each the rank of the products 1_j b."""
+    row_dims = [Subspace.from_vectors(a.p, a.dim, [(e * b).coeffs for b in basis(a)]).dim
+                for e in block_decomposition(a).idempotents]
+    return [[sum(r for j, r in enumerate(row_dims, 1) if j not in set(i_sub) & set(j_sub))
+             for j_sub in subsets] for i_sub in subsets]
 
 
 @pytest.fixture(scope="session")

@@ -230,7 +230,7 @@ def test_criterion_7_duality():
             assert dr.l_zero_iff_r_zero, name
             full = tuple(range(1, dr.left.tri.family.s + 1))
             left_proper = {en.subset for en in dr.left.entries if en.subset != full}
-            right_proper = {en.subset for en in dr.right.entries if en.subset != full}
+            right_proper = {sub for sub, _ in dr.right.tri.entries if sub != full}
             mapped = {tuple(sorted(set(full) - set(sub))) for sub in left_proper}
             assert mapped == right_proper, name
             for i1, c1 in dr.pairing:

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import random
 
 import numpy as np
@@ -24,7 +23,6 @@ from artinloc.linalg import (
     InternalCheckError,
     ResourceGuardError,
     Subspace,
-    batch_rank,
     express_in_rows,
     kernel,
     rank,
@@ -47,6 +45,14 @@ from artinloc.localization import (
 from artinloc.oracle import FiniteSetOfElements, brute_denominator_check, monoid_closure
 from artinloc.structure import block_decomposition
 from artinloc.suite import run_invariants
+from conftest import (
+    basis,
+    closed_sets,
+    reference_corner_is_zero,
+    reference_edges,
+    reference_sum_dims,
+    weak_component_count,
+)
 
 
 class TestTriangularIdempotents:
@@ -334,11 +340,13 @@ class TestDuality:
             assert dr.counts_equal and dr.l_zero_iff_r_zero
 
     def test_right_kernel_ideals_must_be_two_sided(self, L2_7):
-        # with the corner table blanked, {1} passes for a right class; its
-        # kernel R(1 - e_1) = R E22 is the line through E22, which E22 R,
-        # holding E21, leaves
+        # with each column of the corner table gathered on the diagonal, the
+        # dimensions of the R 1_j still add up but no corner joins two
+        # blocks, so {1} passes for a right class; its kernel
+        # R(1 - e_1) = R E22 is the line through E22, which E22 R, holding
+        # E21, leaves
         left = localization_report(L2_7)
-        blank = dataclasses.replace(left.tri, corners=np.zeros_like(left.tri.corners))
+        blank = dataclasses.replace(left.tri, corners=np.diag(left.tri.corners.sum(axis=0)))
         with pytest.raises(InternalCheckError, match="a right kernel ideal is not a two-sided ideal"):
             localization._right_report(dataclasses.replace(left, tri=blank))
 
@@ -458,15 +466,6 @@ class TestClassRepresentatives:
 # ---------------------------------------------------------------------------
 # The batched decision against the per-member loops it replaced
 # ---------------------------------------------------------------------------
-
-def basis(a):
-    return [a.element(row) for row in np.eye(a.dim, dtype=np.int64).tolist()]
-
-
-def reference_corner_is_zero(a, e, f):
-    """e R f = 0 by Element products on the basis."""
-    return all((e * b * f).is_zero() for b in basis(a))
-
 
 def reference_associated_idempotent(a, s):
     """(n, e) by the one-element loop: powers of the right multiplication
@@ -650,6 +649,19 @@ def left_report_check(a):
     return result.ok, result.detail
 
 
+def bump_corner(monkeypatch, block):
+    """Hand each class build a corner table that reads the corner of
+    ``block`` (0-based) with itself one dimension too high."""
+    build = localization._triangular_set
+
+    def faulty(a, fam, corners, multiply):
+        corners = corners.copy()
+        corners[block, block] += 1
+        return build(a, fam, corners, multiply)
+
+    monkeypatch.setattr(localization, "_triangular_set", faulty)
+
+
 def with_report(monkeypatch, change):
     """Hand the battery ``change(report)`` in place of each left report."""
     real = suite.localization_report
@@ -659,9 +671,9 @@ def with_report(monkeypatch, change):
 class TestLatticeChecksFire:
     """Each check of the class lattice fires on one corrupted kernel ideal,
     product, table, idempotent or radical: in the report's build for the
-    checks that read the Peirce decomposition, in the
+    checks that read the Peirce decomposition, on either side, in the
     ``left_report_invariants`` check of the battery for the eliminations
-    that re-prove it.  Fresh algebras: reports are cached."""
+    and products that re-prove it.  Fresh algebras: reports are cached."""
 
     @pytest.mark.parametrize("fault, message", [
         ("repeat", "distinct subsets gave the same kernel ideal"),
@@ -691,7 +703,8 @@ class TestLatticeChecksFire:
     def test_kernel_dimension_fault(self, fault, monkeypatch):
         # L3 on (E11, E21, E22, E31, E32, E33): dim 1_j R is 1, 2, 3, so
         # K_{1} has dimension 5 and K_{1,2} dimension 3; "swap" exchanges
-        # the two ideals, "block rank" reads dim 1_3 R as 4
+        # the two ideals, "block rank" reads dim 1_3 R 1_3, so dim 1_3 R, one
+        # too high
         if fault == "swap":
             row_spaces = localization.batch_row_spaces
 
@@ -702,34 +715,64 @@ class TestLatticeChecksFire:
 
             monkeypatch.setattr(localization, "batch_row_spaces", faulty)
         else:
-            def faulty(mats, p):
-                ranks = batch_rank(mats, p)
-                ranks[-1] += 1
-                return ranks
-
-            monkeypatch.setattr(localization, "batch_rank", faulty)
+            bump_corner(monkeypatch, 2)
         with pytest.raises(InternalCheckError,
                            match="kernel ideal dimension is not the sum over the blocks outside the class"):
             localization_report(lower_triangular(7, 3))
+
+    @pytest.mark.parametrize("fault, message", [
+        ("repeat", "distinct subsets gave the same kernel ideal"),
+        ("swap", "kernel ideal dimension is not the sum over the blocks outside the class"),
+        ("block rank", "kernel ideal dimension is not the sum over the blocks outside the class"),
+        ("all minimal", "distinct minima do not annihilate through the ring"),
+    ])
+    def test_right_class_faults(self, fault, message, monkeypatch):
+        # L3 on (E11, E21, E22, E31, E32, E33): the right classes are {3},
+        # {2,3} and {1,2,3}, with kernel ideals R(1 - e_I) of dimension 5, 3
+        # and 0, and dim R 1_j is 3, 2, 1.  "repeat" gives {2,3} the kernel
+        # ideal of {3}, "swap" exchanges the two, "block rank" reads
+        # dim 1_1 R 1_1, so dim R 1_1, one too high, and "all minimal" takes
+        # every class for a minimum, so {3} and {2,3} meet in the corner
+        # 1_3 R 1_3.  The left report is built first, so the fault reaches
+        # only the right side's build.
+        a = lower_triangular(7, 3)
+        localization_report(a)
+        if fault == "block rank":
+            bump_corner(monkeypatch, 0)
+        elif fault == "all minimal":
+            monkeypatch.setattr(localization, "_minimal_masks", lambda masks: np.ones(len(masks), dtype=bool))
+        else:
+            row_spaces = localization.batch_row_spaces
+
+            def faulty(mats, p):
+                spaces = row_spaces(mats, p)
+                spaces[0], spaces[1] = (spaces[0], spaces[0]) if fault == "repeat" else (spaces[1], spaces[0])
+                return spaces
+
+            monkeypatch.setattr(localization, "batch_row_spaces", faulty)
+        with pytest.raises(InternalCheckError, match=message):
+            duality_report(a)
 
     @pytest.mark.parametrize("row, message", [
         (0, "block-sum idempotents do not multiply to the intersection"),
         (1, "disjoint block-sum idempotents are not orthogonal"),
     ])
     def test_idempotent_product_faults(self, row, message, monkeypatch):
-        # entries {1}, {2}, {1,2}: pair 0 is ({1}, {1}), pair 1 is ({1}, {2})
+        # entries {1}, {2}, {1,2}: the battery's first row of products is
+        # e_{1} times each entry, so row 0 is ({1}, {1}), row 1 ({1}, {2});
+        # the report is built first, as the block split of this semisimple
+        # algebra multiplies in it too
         a = direct_product([full_matrix(7, 1)] * 2)[0]
-        fam = block_decomposition(a)
-        mul = a.batch_mul
+        localization_report(a)
+        mul_left = a.batch_mul_left
 
-        def faulty(xs, ys):
-            out = mul(xs, ys)
+        def faulty(x, ys):
+            out = mul_left(x, ys)
             out[row] = (out[row] + 1) % a.p
             return out
 
-        monkeypatch.setattr(a, "batch_mul", faulty)
-        with pytest.raises(InternalCheckError, match=message):
-            left_triangular_idempotents(a, fam)
+        monkeypatch.setattr(a, "batch_mul_left", faulty)
+        assert left_report_check(a) == (False, f"InternalCheckError: {message}")
 
     @pytest.mark.parametrize("dropped, check, message", [
         # {1} is {1,2} & {1,3}: the report finds two maxima for three blocks
@@ -769,15 +812,14 @@ class TestLatticeChecksFire:
             False, "InternalCheckError: kernel ideals do not multiply to their intersection")
 
     def test_containment_table_fault(self, monkeypatch):
-        # L3: K_{1} (dim 5) contains K_{1,2} (dim 3); hiding that puts their
-        # meet at dim 2, below the rank 3 of their product K_{1} K_{1,2}
+        # L3: dim 1_j R is 1, 2, 3; reading dim 1_3 R as 4 puts
+        # dim(K_{1} + K_{1}) at 6, so the meet of K_{1} (dim 5) with itself
+        # at dim 4, below the rank 5 of the product K_{1} K_{1}
         triangular = localization.left_triangular_idempotents
 
         def faulty(a, fam=None):
             tri = triangular(a, fam)
-            sums = tri.sum_dims.copy()
-            sums[0, 1] = sums[1, 0] = a.dim
-            return dataclasses.replace(tri, sum_dims=sums)
+            return dataclasses.replace(tri, piece_dims=tri.piece_dims + [0, 0, 1])
 
         monkeypatch.setattr(localization, "left_triangular_idempotents", faulty)
         assert left_report_check(lower_triangular(7, 3)) == (
@@ -913,21 +955,6 @@ PEIRCE_ALGEBRAS = CORNER_ALGEBRAS + [gf7_cubed()]
 PEIRCE_ALGEBRAS += [opposite_algebra(a) for a in PEIRCE_ALGEBRAS]
 
 
-def reference_edges(a):
-    """``edges[i][j]``: the corner 1_i R 1_j of the lifted family (0-based) is
-    nonzero, by Element products on the basis."""
-    idems = block_decomposition(a).idempotents
-    return [[not reference_corner_is_zero(a, e, f) for f in idems] for e in idems]
-
-
-def closed_sets(edges):
-    """The nonempty 1-based subsets, in (size, lex) order, that hold every
-    head of an edge whose tail they hold."""
-    s = len(edges)
-    return [sub for size in range(1, s + 1) for sub in itertools.combinations(range(1, s + 1), size)
-            if all(j + 1 in sub for i in sub for j in range(s) if edges[i - 1][j])]
-
-
 @pytest.mark.parametrize("a", PEIRCE_ALGEBRAS, ids=lambda a: a.label)
 class TestPeirceDigraph:
     def test_left_classes_are_the_successor_closed_sets(self, a):
@@ -937,7 +964,7 @@ class TestPeirceDigraph:
         edges = reference_edges(a)
         reversed_edges = [list(col) for col in zip(*edges)]
         right = duality_report(a).right
-        assert [en.subset for en in right.entries] == closed_sets(reversed_edges)
+        assert [sub for sub, _ in right.tri.entries] == closed_sets(reversed_edges)
 
     def test_right_report_is_the_left_report_of_the_opposite(self, a):
         # the right report is read off the left one; the opposite algebra
@@ -948,22 +975,8 @@ class TestPeirceDigraph:
         assert duality_report(a).right.to_dict() == opposite.to_dict()
 
     def test_two_sided_factors_are_the_weak_components(self, a):
-        edges = reference_edges(a)
-        s = len(edges)
-        component = list(range(s))
-        for i in range(s):
-            for j in range(s):
-                if edges[i][j]:
-                    old, new = component[j], component[i]
-                    component = [new if c == old else c for c in component]
-        assert two_sided_report(a).factors == len(set(component))
+        assert two_sided_report(a).factors == weak_component_count(reference_edges(a))
 
     def test_kernel_sums_are_sums_of_block_rows(self, a):
-        # K_I = (1 - e_I)R is the direct sum of the 1_j R over j outside I
         tri = left_triangular_idempotents(a)
-        row_dims = [Subspace.from_vectors(a.p, a.dim, [(e * b).coeffs for b in basis(a)]).dim
-                    for e in tri.family.idempotents]
-        for m, (i_sub, _) in enumerate(tri.entries):
-            for n, (j_sub, _) in enumerate(tri.entries):
-                outside = [r for j, r in enumerate(row_dims, 1) if j not in set(i_sub) & set(j_sub)]
-                assert tri.sum_dims[m, n] == sum(outside)
+        assert tri.sum_dims.tolist() == reference_sum_dims(a, [sub for sub, _ in tri.entries])

@@ -5,7 +5,8 @@ Each draw is ``matrix_subalgebra`` on 1-3 random generator matrices (n in
 direct product of two such subalgebras over one prime, or the opposite of
 one.  The draws reach dimension 18 and 63 left classes, past the fixtures,
 so the left report's closed-form class lattice is compared there with the
-eliminations that re-prove it.
+eliminations that re-prove it, and the classes of both sides with the
+digraph of nonzero Peirce corners read off by Element products.
 """
 
 import functools
@@ -15,8 +16,9 @@ import random
 import pytest
 
 from artinloc.algebra import direct_product, ideal_combine, matrix_subalgebra, opposite_algebra
-from artinloc.localization import duality_report, localization_report
+from artinloc.localization import duality_report, localization_report, two_sided_report
 from artinloc.suite import _left_lattice, _sum_dims, run_invariants
+from conftest import closed_sets, reference_edges, reference_sum_dims, weak_component_count
 
 SEEDS = range(40)
 
@@ -66,6 +68,20 @@ def test_closed_form_lattice_matches_the_eliminations(seed):
         assert rep.little_rad.dim == 0
     # every elimination the battery runs on the lattice
     _left_lattice(rep)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_classes_follow_the_peirce_digraph(seed):
+    # left classes: successor-closed block sets; right classes:
+    # predecessor-closed; two-sided factors: the weak components
+    a = random_algebra(seed)
+    edges = reference_edges(a)
+    dual = duality_report(a)
+    left = [sub for sub, _ in dual.left.tri.entries]
+    assert left == closed_sets(edges)
+    assert [sub for sub, _ in dual.right.tri.entries] == closed_sets([list(col) for col in zip(*edges)])
+    assert two_sided_report(a).factors == weak_component_count(edges)
+    assert dual.left.tri.sum_dims.tolist() == reference_sum_dims(a, left)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

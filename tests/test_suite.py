@@ -120,16 +120,19 @@ def test_scan_check_sees_a_corrupted_corner_table(monkeypatch):
     assert not scan.ok and scan.detail == "the scan finds {1} {2} {1,2}, the report {2} {1,2}"
 
 
-def corrupt_kernel(right):
-    # the kernel ideal of the first class replaced by that of the full set, 0
-    first, *rest = right.entries
-    return dataclasses.replace(right, entries=(dataclasses.replace(first, kernel=rest[-1].kernel), *rest))
+def alter_classes(right, **changes):
+    """The right report with ``changes(tri)`` in place of fields of its classes."""
+    tri = right.tri
+    return dataclasses.replace(right, tri=dataclasses.replace(
+        tri, **{name: change(tri) for name, change in changes.items()}))
 
 
 @pytest.mark.parametrize("alter, key", [
-    (corrupt_kernel, "entries"),
-    (lambda right: dataclasses.replace(right, entries=right.entries[:-1]), "entries"),
-    (lambda right: dataclasses.replace(right, minima=(right.entries[-1].subset,)), "max_den"),
+    # the kernel ideal of the first class replaced by that of the full set, 0
+    (lambda right: alter_classes(right, kernels=lambda tri: (tri.kernels[-1], *tri.kernels[1:])), "entries"),
+    (lambda right: alter_classes(right, entries=lambda tri: tri.entries[:-1],
+                                 kernels=lambda tri: tri.kernels[:-1]), "entries"),
+    (lambda right: alter_classes(right, minima=lambda tri: (tri.entries[-1][0],)), "max_den"),
 ], ids=["kernel basis", "dropped class", "wrong minimum"])
 def test_duality_check_sees_a_corrupted_right_report(alter, key, monkeypatch):
     # L2: the right classes are {2} and {1,2}, the minimum {2}
