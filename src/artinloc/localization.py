@@ -5,7 +5,8 @@ For a finite-dimensional (hence Artinian) algebra the module computes:
 * the triangular block-sum idempotents e_I (sums of lifted block
   idempotents with e_I * R * (1 - e_I) = 0), which index every left
   localization class and every associated kernel ideal;
-* per-class data: the ideal (1 - e_I)R and the quotient R/(1 - e_I)R;
+* per-class data: the ideal (1 - e_I)R and the quotient R/(1 - e_I)R,
+  built in one place for every kind of class (:func:`_kernel_class`);
 * the maximal denominator sets T_e (unit preimages over minimal e),
   represented by their membership predicate and materializable within the
   enumeration guard;
@@ -52,7 +53,6 @@ from .algebra import (
     Element,
     Ideal,
     Quotient,
-    ideal_combine,
     quotient_algebra,
     regular_matrix,
 )
@@ -291,6 +291,17 @@ def left_triangular_idempotents(a: Algebra, fam: IdempotentFamily | None = None)
 # Descriptors and reports
 # ---------------------------------------------------------------------------
 
+def _kernel_class(a: Algebra, space: Subspace) -> tuple[Ideal, Quotient]:
+    """The kernel ideal (1 - e)R, the row space ``space`` of L_{1 - e} that
+    the caller eliminated, and the quotient R/(1 - e)R.  For a nonzero
+    triangular or central e it is a proper two-sided ideal by theorem, so
+    it is not re-checked here; ``verify`` rebuilds and re-derives it."""
+    if space.dim == a.dim:
+        raise InternalCheckError("(1 - e)R cannot be the whole algebra")
+    ass = Ideal._derived(a, space, "twosided")
+    return ass, quotient_algebra(a, ass)
+
+
 @dataclass(frozen=True)
 class DenSetDescriptor:
     """A classified denominator set: its witness idempotent, kernel ideal,
@@ -299,7 +310,9 @@ class DenSetDescriptor:
     kind is one of "idempotent", "powers", "monoid", "maximal".  For the
     powers kind the core is the set of powers at or above
     min_core_exponent; otherwise core membership is the lazy predicate
-    (1-e) s (1-e) = 0.
+    (1-e) s (1-e) = 0.  The kernel ideal and quotient are taken as given
+    (:func:`_kernel_class`); ``verify`` re-derives them or checks them by
+    brute force.
     """
 
     kind: str
@@ -307,15 +320,6 @@ class DenSetDescriptor:
     ass: Ideal
     quotient: Quotient
     min_core_exponent: int | None = None
-
-    def __post_init__(self) -> None:
-        a = self.witness_idempotent.algebra
-        e = self.witness_idempotent
-        expected = _right_ideal_of(a, a.one - e)
-        if expected != self.ass.space:
-            raise InternalCheckError("descriptor kernel ideal is not (1-e)R")
-        if self.quotient.algebra.dim != a.dim - self.ass.dim:
-            raise InternalCheckError("quotient dimension mismatch")
 
     def image_is_unit(self, r: Element) -> bool:
         q = self.quotient
@@ -442,13 +446,6 @@ def _flags(loc_count: int, fam: IdempotentFamily, l_rad: Subspace) -> dict:
     }
 
 
-def _combine_all(ideals: Sequence[Ideal], op: str) -> Ideal:
-    out = ideals[0]
-    for nxt in ideals[1:]:
-        out = ideal_combine(out, nxt, op)
-    return out
-
-
 def _radical_classes(tri: TriangularIdempotentSet) -> tuple[int, int | None]:
     """Entry indices of the localization radical and of the little radical
     of one side.
@@ -475,11 +472,11 @@ def localization_report(a: Algebra) -> LocalizationReport:
     opposite algebra, is read off this report by :func:`duality_report`.
 
     The radicals are read off the classes (:func:`_radical_classes`).  The
-    checks that re-prove the class lattice by elimination (the direct
-    decomposition K_I + e_I R, the idempotent products e_I e_J = e_{I & J},
-    the kernel products K_I K_J = K_I meet K_J, and the radicals as
-    intersections and products of kernel ideals) are the
-    ``left_report_invariants`` check of
+    checks that re-derive each kernel ideal (1 - e_I)R and re-prove the
+    class lattice by elimination (the direct decomposition K_I + e_I R,
+    the idempotent products e_I e_J = e_{I & J}, the kernel products
+    K_I K_J = K_I meet K_J, and the radicals as intersections and products
+    of kernel ideals) are the ``left_report_invariants`` check of
     :func:`artinloc.suite.run_invariants`.
     """
     cache_key = "report_left"
@@ -487,13 +484,8 @@ def localization_report(a: Algebra) -> LocalizationReport:
         return a._cache[cache_key]
     fam = block_decomposition(a)
     tri = left_triangular_idempotents(a, fam)
-    entries = []
-    for (subset, e), space in zip(tri.entries, tri.kernels):
-        ass = Ideal._derived(a, space, "twosided")
-        quo = quotient_algebra(a, ass) if ass.dim < a.dim else None
-        if quo is None:
-            raise InternalCheckError("kernel ideal of a triangular idempotent cannot be everything")
-        entries.append(LocEntry(subset, e, ass, quo))
+    entries = [LocEntry(subset, e, *_kernel_class(a, space))
+               for (subset, e), space in zip(tri.entries, tri.kernels)]
     max_den = [DenSetDescriptor("maximal", en.idempotent, en.ass, en.quotient)
                for en in entries if en.subset in tri.minima]
     if len(max_den) > fam.s:
@@ -656,13 +648,8 @@ def _powers_rows(a: Algebra, xs: np.ndarray) -> _PowersRows:
     for g in dict.fromkeys(group[ok].tolist()):
         e = a.element(reps[g])
         space = _right_ideal_of(a, a.one - e)
-        if space.dim == a.dim:
-            raise InternalCheckError("triangular kernel ideal cannot be the whole algebra")
-        if space in known:
-            classes[g] = (e, known[space].ass, known[space].quotient)
-        else:
-            ass = Ideal._derived(a, space, "twosided")
-            classes[g] = (e, ass, quotient_algebra(a, ass))
+        en = known.get(space)
+        classes[g] = (e, en.ass, en.quotient) if en else (e, *_kernel_class(a, space))
     return _PowersRows(ok, group, min_exp, classes)
 
 
@@ -709,13 +696,7 @@ def idempotent_denominator_check(a: Algebra, e: Element) -> IdempotentCheck:
     central = _is_central(a, e)
     if (left and right) != central:
         raise InternalCheckError("two-sided triangularity must coincide with centrality")
-    descriptor = None
-    if left:
-        ass = Ideal._derived(a, _right_ideal_of(a, om), "twosided")
-        quo = quotient_algebra(a, ass) if ass.dim < a.dim else None
-        if quo is None:
-            raise InternalCheckError("kernel ideal of a denominator idempotent is proper")
-        descriptor = DenSetDescriptor("idempotent", e, ass, quo)
+    descriptor = DenSetDescriptor("idempotent", e, *_kernel_class(a, _right_ideal_of(a, om))) if left else None
     return IdempotentCheck(left, right, left and right, central, descriptor)
 
 
@@ -769,13 +750,8 @@ def classify_element(a: Algebra, r: Element, report: LocalizationReport) -> dict
     """Localizability of one element against the maximal classes."""
     if report.algebra is not a:
         raise InputError("report does not match the algebra")
-    witnesses = []
-    by_subset = {en.subset: en for en in report.entries}
-    for sub in report.minima:
-        en = by_subset[sub]
-        q = en.quotient.algebra
-        if rank(regular_matrix(q, en.quotient.project(r), "left"), q.p) == q.dim:
-            witnesses.append(sub)
+    # the maximal descriptors are the classes at the minima, in their order
+    witnesses = [sub for sub, desc in zip(report.minima, report.max_den) if desc.image_is_unit(r)]
     left_localizable = bool(witnesses)
     completely = len(witnesses) == len(report.minima)
     if rank(regular_matrix(a, r, "left"), a.p) == a.dim and not completely:
@@ -929,18 +905,25 @@ def _center_algebra(a: Algebra) -> tuple[Algebra, Subspace]:
 @dataclass(frozen=True)
 class TwoSidedReport:
     """Two-sided classification: everything is governed by the primitive
-    central idempotents (the finest direct product decomposition)."""
+    central idempotents (the finest direct product decomposition), one
+    factor descriptor each in ``max_den``."""
 
     algebra: Algebra
-    central_idempotents: tuple[Element, ...]
-    factor_quotients: tuple[Quotient, ...]
     max_den: tuple[DenSetDescriptor, ...]
     loc_radical: Ideal
     center: Algebra = field(repr=False)
 
     @property
+    def central_idempotents(self) -> tuple[Element, ...]:
+        return tuple(d.witness_idempotent for d in self.max_den)
+
+    @property
+    def factor_quotients(self) -> tuple[Quotient, ...]:
+        return tuple(d.quotient for d in self.max_den)
+
+    @property
     def factors(self) -> int:
-        return len(self.central_idempotents)
+        return len(self.max_den)
 
     @property
     def loc_count(self) -> int:
@@ -951,12 +934,11 @@ class TwoSidedReport:
         nilpotent and each factor component is a unit or nilpotent."""
         if self.algebra.batch_nilpotent_mask(np.array([r.coeffs], dtype=np.int64))[0]:
             return False
-        for quo in self.factor_quotients:
-            img = quo.project(r)
-            qa = quo.algebra
-            if rank(regular_matrix(qa, img, "left"), qa.p) == qa.dim:
+        for desc in self.max_den:
+            if desc.image_is_unit(r):
                 continue
-            if qa.batch_nilpotent_mask(np.array([img.coeffs], dtype=np.int64))[0]:
+            quo = desc.quotient
+            if quo.algebra.batch_nilpotent_mask(np.array([quo.project(r).coeffs], dtype=np.int64))[0]:
                 continue
             return False
         return True
@@ -979,7 +961,11 @@ class TwoSidedReport:
 def two_sided_report(a: Algebra) -> TwoSidedReport:
     """Primitive central idempotents via the center (radical of the center,
     split of its semisimple quotient, unique lifts in the commutative
-    center), then the counting and radical facts that follow."""
+    center), then the counting and radical facts that follow.  The factor
+    ideals (1 - e)R come from one batched elimination.  The idempotents are
+    checked orthogonal and summing to 1, so R is the direct product of the
+    factors and the factor ideals meet in 0, the radical; the
+    ``two_sided_report`` check of ``verify`` re-derives both."""
     if "two_sided" in a._cache:
         return a._cache["two_sided"]
     zalg, center = _center_algebra(a)
@@ -991,19 +977,13 @@ def two_sided_report(a: Algebra) -> TwoSidedReport:
             raise InternalCheckError(f"central idempotent {i} is not central")
     # every subset sum of orthogonal central idempotents is central and idempotent
     check_orthogonal_idempotents(a, tuple(cents), "central idempotent")
-    quotients = []
-    descriptors = []
-    for e in cents:
-        ass = Ideal._derived(a, _right_ideal_of(a, a.one - e), "twosided")
-        quo = quotient_algebra(a, ass) if ass.dim < a.dim else None
-        if quo is None:
-            raise InternalCheckError("factor ideal cannot be the whole algebra")
-        quotients.append(quo)
-        descriptors.append(DenSetDescriptor("maximal", e, ass, quo))
-    rad_ideal = _combine_all([d.ass for d in descriptors], "intersection")
-    if rad_ideal.dim != 0:
-        raise InternalCheckError("two-sided localization radical must vanish")
-    report = TwoSidedReport(a, tuple(cents), tuple(quotients), tuple(descriptors), rad_ideal, zalg)
+    one = np.array(a.one_coeffs, dtype=np.int64)
+    idems = np.array([e.coeffs for e in cents], dtype=np.int64)
+    spaces = batch_row_spaces(a.batch_left_matrices((one - idems) % a.p), a.p)
+    descriptors = tuple(DenSetDescriptor("maximal", e, *_kernel_class(a, space))
+                        for e, space in zip(cents, spaces))
+    zero = Ideal._derived(a, Subspace.zero(a.p, a.dim), "twosided")
+    report = TwoSidedReport(a, descriptors, zero, zalg)
     a._cache["two_sided"] = report
     return report
 

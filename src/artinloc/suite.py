@@ -30,13 +30,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, Element, Ideal, opposite_algebra, regular_matrix
+from .algebra import Algebra, Element, Ideal, ideal_combine, opposite_algebra, regular_matrix
 from .linalg import (DEFAULT_GUARD, InputError, InternalCheckError, ResourceGuardError, Subspace,
                      batch_rank, check_guard, kernel, rank, row_chunks)
 from .localization import (
     LocalizationReport,
     TriangularIdempotentSet,
-    _combine_all,
     _corner,
     _is_left_triangular,
     _membership,
@@ -89,6 +88,13 @@ def _rebuild(objects) -> None:
                 obj._cache["rebuilt"] = True
         except InputError as exc:
             raise InternalCheckError(f"{name}: {exc}") from None
+
+
+def _combine_all(ideals: Sequence[Ideal], op: str) -> Ideal:
+    out = ideals[0]
+    for nxt in ideals[1:]:
+        out = ideal_combine(out, nxt, op)
+    return out
 
 
 def _stacked_bases(spaces: Sequence[Subspace]) -> np.ndarray:
@@ -154,7 +160,8 @@ def _left_lattice(rep: LocalizationReport) -> None:
     0 when I & J is empty; the localization radical as the closed form
     (1 - e)R at the sum e of the minima, and as the meet and the product of
     their kernel ideals; the little radical as the meet and the product of
-    the nonzero kernel ideals, and as the meet of the minimal ones.
+    the nonzero kernel ideals, and as the meet of the minimal ones; each
+    kernel ideal as (1 - e_I)R by the scalar elimination.
     """
     a, tri = rep.algebra, rep.tri
     p, d = a.p, a.dim
@@ -207,6 +214,9 @@ def _left_lattice(rep: LocalizationReport) -> None:
             raise InternalCheckError("little radical: intersection over minimal ideals disagrees")
         if _combine_all(nonzero_ideals, "product").space != rep.little_rad.space:
             raise InternalCheckError("little radical: product form disagrees")
+    for en, space in zip(rep.entries, tri.kernels):
+        if not _right_ideal_of(a, a.one - en.idempotent) == en.ass.space == space:
+            raise InternalCheckError(f"kernel ideal of the class {subset_str(en.subset)} is not (1 - e)R")
 
 
 def powers_agreement(a: Algebra, s: Element, guard: int = DEFAULT_GUARD) -> tuple[bool, str]:
@@ -435,12 +445,18 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
     check("duality", _duality)
 
     def _two_sided():
+        # the factor ideals came from one batched elimination, their meet by theorem
         ts = two_sided_report(a)
         held = [(f"{what} of central factor {i}", obj) for i, d in enumerate(ts.max_den)
                 for what, obj in (("ideal", d.ass), ("quotient", d.quotient.algebra))]
         _rebuild(held + [("two-sided localization radical", ts.loc_radical), ("center", ts.center),
                          ("semisimple quotient of the center",
                           block_decomposition(ts.center).quotient.algebra)])
+        for i, d in enumerate(ts.max_den):
+            if _right_ideal_of(a, a.one - d.witness_idempotent) != d.ass.space:
+                raise InternalCheckError(f"ideal of central factor {i} is not (1 - e)R")
+        if _combine_all([d.ass for d in ts.max_den], "intersection").dim or ts.loc_radical.dim:
+            raise InternalCheckError("two-sided localization radical must vanish")
     check("two_sided_report", _two_sided)
 
     def _bundle():

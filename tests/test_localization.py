@@ -18,6 +18,7 @@ from artinloc.algebra import (
     truncated_poly,
     upper_triangular,
 )
+from artinloc.cli import main
 from artinloc.linalg import (
     InputError,
     InternalCheckError,
@@ -886,6 +887,67 @@ class TestLatticeChecksFire:
             monkeypatch.setattr(suite, "_combine_all",
                                 lambda ideals, op: ideals[0] if op == "product" else combine_all(ideals, op))
         assert left_report_check(lower_triangular(7, 3)) == (False, f"InternalCheckError: little radical: {message}")
+
+    def test_class_kernel_fault(self, monkeypatch):
+        # GF(7)^3: the class {1,2} is given K_{1,3} = <E2>, a closed ideal of
+        # the dimension of its own (1 - e_{1,2})R = <E3>; the lattice is read
+        # off the class set, and both radicals are 0 either way
+        def change(rep):
+            entries = list(rep.entries)
+            entries[3] = dataclasses.replace(entries[3], ass=entries[4].ass)
+            return dataclasses.replace(rep, entries=tuple(entries))
+
+        with_report(monkeypatch, change)
+        assert left_report_check(gf7_cubed()) == (
+            False, "InternalCheckError: kernel ideal of the class {1,2} is not (1 - e)R")
+
+
+class TestTwoSidedChecksFire:
+    """The two-sided report takes its factor ideals from one batched
+    elimination and holds their meet, 0 by theorem, as its radical; the
+    ``two_sided_report`` check of the battery re-derives both."""
+
+    @pytest.mark.parametrize("fault, message", [
+        ("ideal", "ideal of central factor 0 is not (1 - e)R"),
+        ("repeat", "two-sided localization radical must vanish"),
+        ("radical", "two-sided localization radical must vanish"),
+    ])
+    def test_factor_faults(self, fault, message, monkeypatch):
+        # M2(7) x GF(7): the factor ideals are (1 - e_0)R = GF(7) and
+        # (1 - e_1)R = M2(7).  "ideal" gives factor 0 the ideal of factor 1,
+        # "repeat" lists factor 0 twice, so the factor ideals meet in GF(7),
+        # and "radical" holds GF(7) as the radical
+        def change(ts):
+            first, second = ts.max_den
+            if fault == "ideal":
+                return dataclasses.replace(ts, max_den=(dataclasses.replace(first, ass=second.ass), second))
+            if fault == "repeat":
+                return dataclasses.replace(ts, max_den=(first, first))
+            return dataclasses.replace(ts, loc_radical=first.ass)
+
+        real = suite.two_sided_report
+        monkeypatch.setattr(suite, "two_sided_report", lambda a: change(real(a)))
+        a = direct_product([full_matrix(7, 2), full_matrix(7, 1)])[0]
+        result = next(r for r in run_invariants(a, guard=64, samples=4) if r.name == "two_sided_report")
+        assert (result.ok, result.detail) == (False, f"InternalCheckError: {message}")
+
+
+def test_kernel_class_refuses_the_whole_algebra(L2_7):
+    # every caller hands it (1 - e)R for a nonzero e, so the whole algebra is
+    # a fault of the program, not of the input: InternalCheckError, exit 3
+    whole = Subspace.from_vectors(7, 3, np.eye(3, dtype=np.int64).tolist())
+    with pytest.raises(InternalCheckError, match=r"^\(1 - e\)R cannot be the whole algebra$"):
+        localization._kernel_class(L2_7, whole)
+
+
+def test_whole_kernel_ideal_exits_3(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "l2.json"
+    path.write_text('{"scalar": {"prime": 7}, "kind": "constructor", "name": "lower_triangular", "n": 2}',
+                    encoding="utf-8")
+    monkeypatch.setattr(localization, "_right_ideal_of",
+                        lambda a, x: Subspace.from_vectors(a.p, a.dim, np.eye(a.dim, dtype=np.int64).tolist()))
+    assert main(["check-idempotent", "--input", str(path), "--element", "[[1,0],[0,0]]"]) == 3
+    assert capsys.readouterr().err == "internal invariant violation: (1 - e)R cannot be the whole algebra\n"
 
 
 class TestWarmReportReuse:
