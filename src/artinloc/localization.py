@@ -62,7 +62,6 @@ from .linalg import (
     InternalCheckError,
     ResourceGuardError,
     Subspace,
-    batch_member_mask,
     batch_rank,
     batch_row_spaces,
     batch_solve,
@@ -74,9 +73,9 @@ from .oracle import monoid_closure
 from .structure import (
     IdempotentFamily,
     _center_subspace,
-    _pivot,
     block_decomposition,
     check_orthogonal_idempotents,
+    primitive_idempotents,
 )
 
 MAX_SUBSET_ENUM = 1 << 20
@@ -884,24 +883,6 @@ def duality_report(a: Algebra) -> DualityReport:
                          right.rad, l_neq_r)
 
 
-def _center_algebra(a: Algebra) -> tuple[Algebra, Subspace]:
-    """The center as an algebra on the RREF basis of the center subspace.
-
-    A member's coordinates over an RREF basis are its entries at the
-    pivots, so the table is the basis products read there.  Once it is
-    closed and holds 1, it is a subalgebra, so its table is not re-validated.
-    """
-    center = _center_subspace(a)
-    products = a.pair_products(center.array, center.array)
-    if not batch_member_mask(products.reshape(-1, a.dim), center).all():
-        raise InternalCheckError("center is not multiplicatively closed")
-    one = np.array([a.one_coeffs], dtype=np.int64)
-    if not batch_member_mask(one, center).all():
-        raise InternalCheckError("identity is not central")
-    pivots = list(center.pivots)
-    return Algebra._derived(a.p, products[..., pivots], one[0, pivots], f"Z({a.label})"), center
-
-
 @dataclass(frozen=True)
 class TwoSidedReport:
     """Two-sided classification: everything is governed by the primitive
@@ -911,7 +892,6 @@ class TwoSidedReport:
     algebra: Algebra
     max_den: tuple[DenSetDescriptor, ...]
     loc_radical: Ideal
-    center: Algebra = field(repr=False)
 
     @property
     def central_idempotents(self) -> tuple[Element, ...]:
@@ -959,31 +939,29 @@ class TwoSidedReport:
 
 
 def two_sided_report(a: Algebra) -> TwoSidedReport:
-    """Primitive central idempotents via the center (radical of the center,
-    split of its semisimple quotient, unique lifts in the commutative
-    center), then the counting and radical facts that follow.  The factor
-    ideals (1 - e)R come from one batched elimination.  The idempotents are
-    checked orthogonal and summing to 1, so R is the direct product of the
-    factors and the factor ideals meet in 0, the radical; the
-    ``two_sided_report`` check of ``verify`` re-derives both."""
+    """The primitive central idempotents of R are the primitive idempotents
+    of its commutative center, split straight off the center subspace by
+    :func:`primitive_idempotents`; then the counting and radical facts that
+    follow.  The factor ideals (1 - e)R come from one batched elimination.
+    The idempotents are checked central, orthogonal and summing to 1, so R
+    is the direct product of the factors and the factor ideals meet in 0,
+    the radical; the ``two_sided_report`` check of ``verify`` re-derives
+    both, and the idempotents as the block sums over the linked blocks."""
     if "two_sided" in a._cache:
         return a._cache["two_sided"]
-    zalg, center = _center_algebra(a)
-    coords = np.array([e.coeffs for e in block_decomposition(zalg).idempotents], dtype=np.int64)
-    cents = [a.element(v) for v in (coords @ center.array % a.p).tolist()]
-    cents.sort(key=lambda e: (_pivot(e.coeffs), e.coeffs))
+    cents = primitive_idempotents(a, _center_subspace(a))
     for i, e in enumerate(cents):
         if not _is_central(a, e):
             raise InternalCheckError(f"central idempotent {i} is not central")
     # every subset sum of orthogonal central idempotents is central and idempotent
-    check_orthogonal_idempotents(a, tuple(cents), "central idempotent")
+    check_orthogonal_idempotents(a, cents, "central idempotent")
     one = np.array(a.one_coeffs, dtype=np.int64)
     idems = np.array([e.coeffs for e in cents], dtype=np.int64)
     spaces = batch_row_spaces(a.batch_left_matrices((one - idems) % a.p), a.p)
     descriptors = tuple(DenSetDescriptor("maximal", e, *_kernel_class(a, space))
                         for e, space in zip(cents, spaces))
     zero = Ideal._derived(a, Subspace.zero(a.p, a.dim), "twosided")
-    report = TwoSidedReport(a, descriptors, zero, zalg)
+    report = TwoSidedReport(a, descriptors, zero)
     a._cache["two_sided"] = report
     return report
 

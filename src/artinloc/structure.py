@@ -2,25 +2,27 @@
 
 Provides the Jacobson radical (as the kernel of the trace bilinear form of
 the regular representation, valid because every algebra here enforces
-p > dim), the block decomposition of the semisimple quotient, and a family
-of orthogonal idempotents of the algebra lifting the blocks' central
-identities.
+p > dim), the primitive idempotents of a commutative subalgebra (one
+Frobenius splitter, run on the center of R/J for the blocks and on the
+center of R for the two-sided factors), the block decomposition of the
+semisimple quotient, and a family of orthogonal idempotents of the algebra
+lifting the blocks' central identities.
 
 Each fact is computed once per algebra: the radical and R/J are one cached
 pair that the block decomposition reuses (a semisimple algebra is its own
 quotient), and the lifted family is checked by one table of pairwise
 products.
 
-Everything is deterministic: the semisimple center is split from a
-worklist, each idempotent by the first basis element of the Frobenius-fixed
-center with two eigenvalues on its corner, extracting Lagrange idempotents
+Everything is deterministic: a commutative subalgebra is split from a
+worklist, each idempotent by the first basis element of its Frobenius-fixed
+space with two eigenvalues on its corner, extracting Lagrange idempotents
 at the sorted roots of minimal polynomials (roots found by evaluating over
-all of GF(p)); primitive idempotents are unique, and the final blocks are
-ordered by the pivot of the central idempotent's coefficient vector;
-lifting uses the Newton iteration x -> 3x^2 - 2x^3 inside corners of
-previously lifted idempotents.  The lifted family is canonical for this
-pipeline.  Conjugate lifts would give conjugate families;
-conjugation-independence of downstream reports is documented, not verified.
+all of GF(p)); primitive idempotents are unique, and they are ordered by
+the pivot of their coefficient vectors; lifting uses the Newton iteration
+x -> 3x^2 - 2x^3 inside corners of previously lifted idempotents.  The
+lifted family is canonical for this pipeline.  Conjugate lifts would give
+conjugate families; conjugation-independence of downstream reports is
+documented, not verified.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import numpy as np
 from .algebra import Algebra, Element, Ideal, Quotient, ideal_combine, quotient_algebra, regular_matrix
 from .linalg import InternalCheckError, Subspace, express_in_rows, kernel, rank
 
-__all__ = ["IdempotentFamily", "radical", "block_decomposition", "ideal_block_support",
-           "check_orthogonal_idempotents"]
+__all__ = ["IdempotentFamily", "radical", "primitive_idempotents", "block_decomposition",
+           "ideal_block_support", "check_orthogonal_idempotents"]
 
 
 def radical(a: Algebra) -> Ideal:
@@ -105,13 +107,6 @@ class IdempotentFamily:
             if self.quotient.project(e) != ebar:
                 raise InternalCheckError("lift does not reduce to its central idempotent")
 
-    def sum_over(self, subset: tuple[int, ...]) -> Element:
-        """e_I = sum of 1_i over a 1-based index subset."""
-        out = self.algebra.zero
-        for i in subset:
-            out = out + self.idempotents[i - 1]
-        return out
-
 
 def check_orthogonal_idempotents(a: Algebra, idems: tuple[Element, ...], what: str) -> None:
     """Check e_i e_j = (e_i if i = j else 0) and sum(e_i) = 1 from one table of
@@ -131,12 +126,14 @@ def check_orthogonal_idempotents(a: Algebra, idems: tuple[Element, ...], what: s
 
 def _center_subspace(a: Algebra) -> Subspace:
     """Solutions of z*b_k = b_k*z for every basis element b_k."""
-    d, p = a.dim, a.p
-    t = a.np_table
+    d, p, t = a.dim, a.p, a.np_table
     # row z satisfies, for all k: sum_j z_j (t[j,k,:] - t[k,j,:]) = 0
-    comm = (t.transpose(0, 1, 2) - t.transpose(1, 0, 2)) % p  # comm[j,k,:] = t[j,k]-t[k,j]
-    stacked = comm.reshape(d, d * d)
-    return kernel(stacked, p)
+    stacked = ((t - t.transpose(1, 0, 2)) % p).reshape(d, d * d)
+    # zero and repeated columns are equations already counted once; sorted,
+    # a repeat differs from nothing before it (np.unique would import numpy.ma)
+    cols = stacked[:, stacked.any(axis=0)]
+    cols = cols[:, np.lexsort(cols)]
+    return kernel(cols[:, np.diff(cols, axis=1, prepend=-1).any(axis=0)], p)
 
 
 def _minimal_polynomial(a: Algebra, x: tuple[int, ...], unit: tuple[int, ...]) -> list[int]:
@@ -172,45 +169,56 @@ def _poly_roots(poly: list[int], p: int) -> list[int]:
     return roots
 
 
+def primitive_idempotents(a: Algebra, space: Subspace) -> tuple[Element, ...]:
+    """The primitive idempotents of ``a`` inside the commutative subalgebra
+    ``space``, ordered by the pivot of their coefficient vectors.
+
+    On a commutative algebra of characteristic p, z -> z^p is GF(p)-linear,
+    and x^p = x holds exactly for the GF(p)-combinations of orthogonal
+    idempotents, so its fixed space is spanned by the primitive ones.  The
+    p-th powers of the whole basis come from one square-and-multiply on
+    batch products.  The fixed space is then split from a worklist: a
+    popped idempotent f is primitive iff its corner f * fixed is the line
+    through f.
+    """
+    p = a.p
+    powers, base, n = np.tile(np.array(a.one_coeffs, dtype=np.int64), (space.dim, 1)), space.array, p
+    while n:
+        if n & 1:
+            powers = a.batch_mul(powers, base)
+        base = a.batch_mul(base, base)
+        n >>= 1
+    # Solve sum_i c_i (z_i^p - z_i) = 0 for c over the basis of the space.
+    fixed_coords = kernel((powers - space.array) % p, p)
+    fixed = Subspace.from_vectors(p, a.dim, (fixed_coords.array @ space.array % p).tolist())
+    blocks, todo = [], [a.one_coeffs]
+    while todo:
+        f = todo.pop()
+        if rank(a.batch_mul_left(f, fixed.array), p) == 1:
+            blocks.append(f)
+            continue
+        pieces = _split_block(a, f, fixed)
+        if len(pieces) == 1:
+            raise InternalCheckError("block splitting did not reach primitive idempotents")
+        todo.extend(pieces)
+    blocks.sort(key=lambda v: (_pivot(v), v))
+    return tuple(a.element(b) for b in blocks)
+
+
 def block_decomposition(a: Algebra) -> IdempotentFamily:
     """Split the semisimple quotient into blocks and lift their identities.
 
-    Pipeline: radical and quotient (shared with :func:`radical`); center
-    of the quotient; its subspace fixed by z -> z^p (a GF(p)-linear map on
-    the commutative center, whose fixed space is spanned by the primitive
-    central idempotents); a worklist of Lagrange splits; pivot-ordered
-    blocks; sequential Newton lifting, checked as a family.
+    Pipeline: radical and quotient (shared with :func:`radical`); the
+    primitive idempotents of the center of the quotient, which are its
+    primitive central idempotents (:func:`primitive_idempotents`), one per
+    block in pivot order; sequential Newton lifting, checked as a family.
     """
     if "family" in a._cache:
         return a._cache["family"]
     rad, quo = _radical_quotient(a)
     abar = quo.algebra
     p = a.p
-    center = _center_subspace(abar)
-    # Frobenius-fixed subspace of the center.
-    frob_rows = []
-    for z in center.basis:
-        zp = (abar.element(z) ** p).coeffs
-        diff = tuple((u - v) % p for u, v in zip(zp, z))
-        frob_rows.append(diff)
-    # Solve sum_i c_i (z_i^p - z_i) = 0 for c over the center basis.
-    fixed_coords = kernel(np.array(frob_rows, dtype=np.int64), p)
-    fixed = Subspace.from_vectors(p, abar.dim, (fixed_coords.array @ center.array % p).tolist())
-
-    # Split into primitive idempotents of the fixed space: f is primitive
-    # iff its corner f * fixed is the line through f.
-    blocks, todo = [], [abar.one_coeffs]
-    while todo:
-        f = todo.pop()
-        if rank(abar.batch_mul_left(f, fixed.array), p) == 1:
-            blocks.append(f)
-            continue
-        pieces = _split_block(abar, f, fixed)
-        if len(pieces) == 1:
-            raise InternalCheckError("block splitting did not reach primitive idempotents")
-        todo.extend(pieces)
-    blocks.sort(key=lambda v: (_pivot(v), v))
-    central = [abar.element(b) for b in blocks]
+    central = primitive_idempotents(abar, _center_subspace(abar))
 
     # Lift sequentially into corners of 1 - (sum of previous lifts); the
     # family checks idempotence, orthogonality and the projections.
@@ -235,7 +243,7 @@ def block_decomposition(a: Algebra) -> IdempotentFamily:
         products = abar.pair_products(block_space.array, block_space.array)
         comm.append(bool((products == products.transpose(1, 0, 2)).all()))
 
-    fam = IdempotentFamily(a, tuple(lifted), tuple(dims), tuple(comm), rad, quo, tuple(central))
+    fam = IdempotentFamily(a, tuple(lifted), tuple(dims), tuple(comm), rad, quo, central)
     a._cache["family"] = fam
     return fam
 
@@ -247,13 +255,13 @@ def _pivot(vec: tuple[int, ...]) -> int:
     return len(vec)
 
 
-def _split_block(abar: Algebra, f: tuple[int, ...], fixed: Subspace) -> list[tuple[int, ...]]:
+def _split_block(a: Algebra, f: tuple[int, ...], fixed: Subspace) -> list[tuple[int, ...]]:
     """Split the idempotent f of the fixed space using the first basis element
     of the fixed space whose corner restriction has at least two eigenvalues."""
-    p = abar.p
+    p = a.p
     for z in fixed.basis:
-        w = abar.mul_coeffs(f, z)
-        poly = _minimal_polynomial(abar, w, f)
+        w = a.mul_coeffs(f, z)
+        poly = _minimal_polynomial(a, w, f)
         roots = _poly_roots(poly, p)
         if len(poly) - 1 != len(roots):
             raise InternalCheckError("minimal polynomial of a split semisimple element "
@@ -267,7 +275,7 @@ def _split_block(abar: Algebra, f: tuple[int, ...], fixed: Subspace) -> list[tup
                 if beta == alpha:
                     continue
                 shifted = tuple((wi - beta * fi) % p for wi, fi in zip(w, f))
-                e = abar.mul_coeffs(e, shifted)
+                e = a.mul_coeffs(e, shifted)
                 inv = pow((alpha - beta) % p, p - 2, p)
                 e = tuple((inv * v) % p for v in e)
             pieces.append(e)

@@ -7,6 +7,7 @@ from artinloc.algebra import (
     direct_product,
     full_matrix,
     lower_triangular,
+    matrix_subalgebra,
     truncated_poly,
     upper_triangular,
 )
@@ -20,6 +21,11 @@ from artinloc.structure import block_decomposition
 
 def basis(a):
     return [a.element(row) for row in np.eye(a.dim, dtype=np.int64).tolist()]
+
+
+def block_sum(fam, subset):
+    """e_I, the sum of the lifted block idempotents over a 1-based subset."""
+    return sum((fam.idempotents[i - 1] for i in subset), fam.algebra.zero)
 
 
 def reference_corner_is_zero(a, e, f):
@@ -62,6 +68,12 @@ def reference_sum_dims(a, subsets):
                 for e in block_decomposition(a).idempotents]
     return [[sum(r for j, r in enumerate(row_dims, 1) if j not in set(i_sub) & set(j_sub))
              for j_sub in subsets] for i_sub in subsets]
+
+
+def gf49_times_dual_numbers():
+    """GF(49) x GF(7)[x]/(x^2), GF(49) as the matrices a + bX with X^2 = -1:
+    a commutative algebra whose center is neither split nor semisimple."""
+    return direct_product([matrix_subalgebra(7, 2, [[[0, 6], [1, 0]]]), truncated_poly(7, 2)])[0]
 
 
 @pytest.fixture(scope="session")

@@ -48,6 +48,7 @@ from artinloc.structure import block_decomposition
 from artinloc.suite import run_invariants
 from conftest import (
     basis,
+    block_sum,
     closed_sets,
     reference_corner_is_zero,
     reference_edges,
@@ -846,7 +847,7 @@ class TestLatticeChecksFire:
         # L3: the class {1} is given e_I for another I; e_{1,2} R (dim 3)
         # meets K_{1} (dim 5) in 1_2 R, and 0 R leaves K_{1} short of R
         def change(rep):
-            first = dataclasses.replace(rep.entries[0], idempotent=rep.tri.family.sum_over(subset))
+            first = dataclasses.replace(rep.entries[0], idempotent=block_sum(rep.tri.family, subset))
             return dataclasses.replace(rep, entries=(first, *rep.entries[1:]))
 
         with_report(monkeypatch, change)
@@ -993,7 +994,7 @@ def corner_operands(draw):
         if kind == "random":
             return a.element(draw(st.lists(st.integers(0, a.p - 1), min_size=a.dim, max_size=a.dim)))
         subset = draw(st.sets(st.integers(1, fam.s)))
-        e = fam.sum_over(tuple(sorted(subset)))
+        e = block_sum(fam, sorted(subset))
         return e if kind == "block sum" else a.one - e
 
     return a, operand(), operand()

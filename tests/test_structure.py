@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +15,8 @@ from artinloc.algebra import (
 from artinloc.linalg import InternalCheckError, Subspace
 from artinloc.oracle import brute_radical
 from artinloc.structure import _radical_quotient, block_decomposition, ideal_block_support, radical
+from artinloc.suite import run_invariants
+from conftest import gf49_times_dual_numbers
 
 
 class TestRadical:
@@ -185,19 +186,37 @@ class TestTwoSidedChecksFire:
     def test_non_central_candidate(self, monkeypatch):
         # the "center" is the whole of L2, whose block idempotents E11 and E22
         # are not central
-        monkeypatch.setattr(localization, "_center_algebra",
-                            lambda a: (a, Subspace.full(a.p, a.dim)))
+        monkeypatch.setattr(localization, "_center_subspace", lambda a: Subspace.full(a.p, a.dim))
         with pytest.raises(InternalCheckError, match="central idempotent 0 is not central"):
             localization.two_sided_report(lower_triangular(7, 2))
 
     def test_non_orthogonal_pair(self, monkeypatch):
         # (1, 0) and (1, 1) are central idempotents of GF(7)^2 with product (1, 0)
-        def fake_family(zalg):
-            return SimpleNamespace(idempotents=[zalg.element((1, 0)), zalg.element((1, 1))])
-        monkeypatch.setattr(localization, "block_decomposition", fake_family)
+        monkeypatch.setattr(localization, "primitive_idempotents",
+                            lambda a, space: (a.element((1, 0)), a.element((1, 1))))
         a = direct_product([full_matrix(7, 1), full_matrix(7, 1)])[0]
         with pytest.raises(InternalCheckError, match="central idempotents 0,1 are not orthogonal"):
             localization.two_sided_report(a)
+
+    def test_coarse_split_passes_the_hot_path_and_fails_verify(self, monkeypatch):
+        # 1 alone is a central family of GF(7)^2 that passes every hot-path
+        # check, but its two blocks are not linked by a Peirce corner
+        monkeypatch.setattr(localization, "primitive_idempotents", lambda a, space: [a.one])
+        a = direct_product([full_matrix(7, 1), full_matrix(7, 1)])[0]
+        assert localization.two_sided_report(a).factors == 1
+        checks = {c.name: c for c in run_invariants(a)}
+        assert checks["two_sided_report"].detail == \
+            "InternalCheckError: central idempotents are not the block sums over the linked blocks"
+
+
+def test_center_that_is_neither_split_nor_semisimple():
+    # GF(49) x GF(7)[x]/(x^2) is its own center: the Frobenius-fixed space
+    # is spanned by the two factor identities
+    a = gf49_times_dual_numbers()
+    ts = localization.two_sided_report(a)
+    assert ts.factors == 2
+    assert [e.coeffs for e in ts.central_idempotents] == [(1, 0, 0, 0), (0, 0, 1, 0)]
+    assert all(c.ok for c in run_invariants(a))
 
 
 def skewed_lower_triangular_7():

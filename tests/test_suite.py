@@ -195,9 +195,10 @@ def run_cli(command, tmp_path, capsys):
 
 
 def test_requests_validate_only_their_input(monkeypatch, tmp_path, capsys):
-    # quotients, the center, class ideals and their sums, meets and products
-    # are built by theorem; only the input algebra, the trace-form radical
-    # and the right localization radical run their checks
+    # quotients, class ideals and their sums, meets and products are built
+    # by theorem; only the input algebra, the trace-form radical and the
+    # right localization radical run their checks, and twosided builds no
+    # radical at all
     calls = []
     validate, closure = Algebra._validate, Ideal.__post_init__
     monkeypatch.setattr(Algebra, "_validate", lambda self: calls.append(self.label) or validate(self))
@@ -206,7 +207,24 @@ def test_requests_validate_only_their_input(monkeypatch, tmp_path, capsys):
     assert calls == ["L2(GF(7))", "ideal", "ideal"]
     calls.clear()
     assert run_cli("twosided", tmp_path, capsys)[0] == 0
-    assert calls == ["L2(GF(7))", "ideal"]
+    assert calls == ["L2(GF(7))"]
+
+
+def test_twosided_splits_the_center_subspace_once(monkeypatch, tmp_path, capsys):
+    # the central idempotents come straight off the center subspace: one
+    # center kernel, and no radical, block decomposition or lift
+    calls = []
+
+    def count(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(name) or real(*args))
+
+    for module in (localization, structure):
+        count(module, "_center_subspace")
+        count(module, "block_decomposition")
+    count(structure, "_radical_quotient")
+    assert run_cli("twosided", tmp_path, capsys)[0] == 0
+    assert calls == ["_center_subspace"]
 
 
 def test_verify_names_a_corrupted_quotient_table(monkeypatch, tmp_path, capsys):
