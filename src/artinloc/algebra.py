@@ -325,6 +325,8 @@ class Ideal:
     space comes from one contraction with the structure constants, and all
     of them are reduced against the RREF basis together.  A failure names
     the side of the first failing ``(v, b_i)`` pair, left before right.
+    :attr:`quotient`, R/I for a proper two-sided ideal, is built on first
+    use and then kept.
     """
 
     algebra: Algebra
@@ -361,6 +363,10 @@ class Ideal:
     @property
     def dim(self) -> int:
         return self.space.dim
+
+    @cached_property
+    def quotient(self) -> Quotient:
+        return quotient_algebra(self.algebra, self)
 
     def is_zero(self) -> bool:
         return self.space.dim == 0

@@ -131,7 +131,7 @@ def _descriptor_dict(desc: DenSetDescriptor | None) -> dict | None:
         "idempotent": list(desc.witness_idempotent.coeffs),
         "ass_dim": desc.ass.dim,
         "ass_basis": [list(r) for r in desc.ass.space.basis],
-        "quotient_dim": desc.quotient.algebra.dim,
+        "quotient_dim": desc.ass.algebra.dim - desc.ass.dim,
     }
     if desc.min_core_exponent is not None:
         out["min_core_exponent"] = desc.min_core_exponent

@@ -327,7 +327,9 @@ def _batch_rref(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     inv = inverse_table(p)
     cur = np.zeros(n, dtype=np.int64)
     free = np.ones((n, r), dtype=bool)      # rows not yet holding a pivot
-    for col in range(c):
+    # row operations keep a column zero that is zero in every member, so
+    # only the columns nonzero somewhere in the batch are walked
+    for col in np.flatnonzero(a.any(axis=(0, 1))).tolist():
         ok = (a[:, :, col] != 0) & free
         has = ok.any(axis=1)
         count = int(np.count_nonzero(has))

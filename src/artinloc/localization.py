@@ -5,8 +5,10 @@ For a finite-dimensional (hence Artinian) algebra the module computes:
 * the triangular block-sum idempotents e_I (sums of lifted block
   idempotents with e_I * R * (1 - e_I) = 0), which index every left
   localization class and every associated kernel ideal;
-* per-class data: the ideal (1 - e_I)R and the quotient R/(1 - e_I)R,
-  built in one place for every kind of class (:func:`_kernel_class`);
+* per-class data: the kernel ideal (1 - e_I)R, built in one place for
+  every kind of class (:func:`_kernel_class`); the quotient R/(1 - e_I)R
+  is built from it on first use (:attr:`Ideal.quotient`), and printed
+  only as its dimension dim R - dim (1 - e_I)R;
 * the maximal denominator sets T_e (unit preimages over minimal e),
   represented by their membership predicate and materializable within the
   enumeration guard;
@@ -17,7 +19,7 @@ For a finite-dimensional (hence Artinian) algebra the module computes:
   decision, idempotent check, element localizability, and the duality
   between left and right localizations, the right classes read off the same
   corner table (the predecessor-closed block sets, with kernel ideals
-  R(1 - e_I));
+  R(1 - e_I)) into a report of the same type, by the same builder;
 * the two-sided theory, where only central idempotents matter.
 
 Reports are deterministic: subsets are ordered by (size, lexicographic)
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -53,7 +56,6 @@ from .algebra import (
     Element,
     Ideal,
     Quotient,
-    quotient_algebra,
     regular_matrix,
 )
 from .linalg import (
@@ -290,35 +292,37 @@ def left_triangular_idempotents(a: Algebra, fam: IdempotentFamily | None = None)
 # Descriptors and reports
 # ---------------------------------------------------------------------------
 
-def _kernel_class(a: Algebra, space: Subspace) -> tuple[Ideal, Quotient]:
-    """The kernel ideal (1 - e)R, the row space ``space`` of L_{1 - e} that
-    the caller eliminated, and the quotient R/(1 - e)R.  For a nonzero
-    triangular or central e it is a proper two-sided ideal by theorem, so
-    it is not re-checked here; ``verify`` rebuilds and re-derives it."""
+def _kernel_class(a: Algebra, space: Subspace) -> Ideal:
+    """The kernel ideal (1 - e)R (R(1 - e) on the right), the row space
+    ``space`` that the caller eliminated.  For a nonzero triangular or
+    central e it is a proper two-sided ideal by theorem, so it is not
+    re-checked here; ``verify`` rebuilds and re-derives it."""
     if space.dim == a.dim:
         raise InternalCheckError("(1 - e)R cannot be the whole algebra")
-    ass = Ideal._derived(a, space, "twosided")
-    return ass, quotient_algebra(a, ass)
+    return Ideal._derived(a, space, "twosided")
 
 
 @dataclass(frozen=True)
 class DenSetDescriptor:
-    """A classified denominator set: its witness idempotent, kernel ideal,
-    quotient, and core data.
+    """A classified denominator set: its witness idempotent, kernel ideal
+    and core data.
 
     kind is one of "idempotent", "powers", "monoid", "maximal".  For the
     powers kind the core is the set of powers at or above
     min_core_exponent; otherwise core membership is the lazy predicate
-    (1-e) s (1-e) = 0.  The kernel ideal and quotient are taken as given
-    (:func:`_kernel_class`); ``verify`` re-derives them or checks them by
-    brute force.
+    (1-e) s (1-e) = 0.  The kernel ideal is taken as given
+    (:func:`_kernel_class`); ``verify`` re-derives it or checks it by
+    brute force.  The quotient R/ass is built on first use.
     """
 
     kind: str
     witness_idempotent: Element
     ass: Ideal
-    quotient: Quotient
     min_core_exponent: int | None = None
+
+    @property
+    def quotient(self) -> Quotient:
+        return self.ass.quotient
 
     def image_is_unit(self, r: Element) -> bool:
         q = self.quotient
@@ -348,23 +352,35 @@ class DenSetDescriptor:
 
 @dataclass(frozen=True)
 class LocEntry:
+    """One class: its block set I, idempotent e_I and kernel ideal, (1 - e_I)R
+    on the left and R(1 - e_I) on the right (:func:`_kernel_class`); the
+    localization, R modulo the kernel ideal, is built on first use."""
+
     subset: Subset
     idempotent: Element
     ass: Ideal
-    quotient: Quotient
+
+    @property
+    def quotient(self) -> Quotient:
+        return self.ass.quotient
 
 
 @dataclass(frozen=True)
 class LocalizationReport:
-    """Everything the left classification says about one algebra."""
+    """The classification of one side, left or right, built by
+    :func:`_side_report`: a :class:`LocEntry` per class, and the
+    localization radical and the little radical of the side, each the
+    kernel ideal at a union of classes; the maximal denominator sets and
+    the flags are read off those.  The right side prints as the left report
+    of the opposite algebra, which shares the basis: label ``op(<label>)``.
+    """
 
     algebra: Algebra
+    side: str  # "left" | "right"
     tri: TriangularIdempotentSet
     entries: tuple[LocEntry, ...]
-    max_den: tuple[DenSetDescriptor, ...]
     l_rad: Ideal
     little_rad: Ideal
-    flags: dict
 
     @property
     def loc_count(self) -> int:
@@ -374,6 +390,18 @@ class LocalizationReport:
     def minima(self) -> tuple[Subset, ...]:
         return self.tri.minima
 
+    @cached_property
+    def max_den(self) -> tuple[DenSetDescriptor, ...]:
+        """The maximal denominator sets T_e, one per minimum, in its order."""
+        return tuple(DenSetDescriptor("maximal", en.idempotent, en.ass)
+                     for en in map(self.entry, self.minima))
+
+    @property
+    def flags(self) -> dict:
+        rad_zero = self.l_rad.dim == 0
+        return {"completely_loc_equals_units": rad_zero, "is_direct_product_of_loc_max": rad_zero,
+                "localization_maximal": self.loc_count == 1, "semisimple": self.tri.family.rad.dim == 0}
+
     def entry(self, subset: Subset) -> LocEntry:
         for e in self.entries:
             if e.subset == subset:
@@ -381,68 +409,25 @@ class LocalizationReport:
         raise KeyError(subset)
 
     def to_dict(self) -> dict:
-        return _report_dict(
-            self.algebra.label, self.tri.family,
-            [(e.subset, e.idempotent, e.ass.space, e.quotient.algebra.dim) for e in self.entries],
-            self.minima,
-            [(d.kind, d.witness_idempotent, d.ass.space, d.quotient.algebra.dim) for d in self.max_den],
-            self.l_rad.space, self.little_rad.space, self.flags)
-
-
-def _report_dict(label: str, fam: IdempotentFamily,
-                 entries: Sequence[tuple[Subset, Element, Subspace, int]], minima: Sequence[Subset],
-                 max_den: Sequence[tuple[str, Element, Subspace, int]], l_rad: Subspace,
-                 little_rad: Subspace, flags: dict) -> dict:
-    """The printed form of a left classification.  ``entries`` holds
-    (subset, idempotent, kernel ideal, quotient dimension) per class and
-    ``max_den`` (kind, idempotent, kernel ideal, quotient dimension) per
-    maximal denominator set."""
-    a = fam.algebra
-    return {
-        "side": "left",
-        "algebra": {"label": label, "p": a.p, "dim": a.dim},
-        "blocks": {
-            "s": fam.s,
-            "dims": list(fam.block_dims),
-            "commutative": list(fam.block_commutative),
-            "rad_dim": fam.rad.dim,
-        },
-        "loc_count": len(entries),
-        "entries": [
-            {
-                "subset": subset_str(subset),
-                "idempotent": list(e.coeffs),
-                "ass_dim": ass.dim,
-                "ass_basis": [list(r) for r in ass.basis],
-                "quotient_dim": quotient_dim,
-            }
-            for subset, e, ass, quotient_dim in entries
-        ],
-        "minima": [subset_str(s) for s in minima],
-        "max_den": [
-            {
-                "kind": kind,
-                "idempotent": list(e.coeffs),
-                "ass_dim": ass.dim,
-                "quotient_dim": quotient_dim,
-            }
-            for kind, e, ass, quotient_dim in max_den
-        ],
-        "l_rad_dim": l_rad.dim,
-        "l_rad_basis": [list(r) for r in l_rad.basis],
-        "little_rad_dim": little_rad.dim,
-        "little_rad_basis": [list(r) for r in little_rad.basis],
-        "flags": dict(sorted(flags.items())),
-    }
-
-
-def _flags(loc_count: int, fam: IdempotentFamily, l_rad: Subspace) -> dict:
-    return {
-        "localization_maximal": loc_count == 1,
-        "semisimple": fam.rad.dim == 0,
-        "is_direct_product_of_loc_max": l_rad.dim == 0,
-        "completely_loc_equals_units": l_rad.dim == 0,
-    }
+        a, fam = self.algebra, self.tri.family
+        return {
+            "side": "left",
+            "algebra": {"label": a.label if self.side == "left" else f"op({a.label})", "p": a.p, "dim": a.dim},
+            "blocks": {"s": fam.s, "dims": list(fam.block_dims), "commutative": list(fam.block_commutative),
+                       "rad_dim": fam.rad.dim},
+            "loc_count": self.loc_count,
+            "entries": [{"subset": subset_str(en.subset), "idempotent": list(en.idempotent.coeffs),
+                         "ass_dim": en.ass.dim, "ass_basis": [list(r) for r in en.ass.space.basis],
+                         "quotient_dim": a.dim - en.ass.dim} for en in self.entries],
+            "minima": [subset_str(s) for s in self.minima],
+            "max_den": [{"kind": d.kind, "idempotent": list(d.witness_idempotent.coeffs),
+                         "ass_dim": d.ass.dim, "quotient_dim": a.dim - d.ass.dim} for d in self.max_den],
+            "l_rad_dim": self.l_rad.dim,
+            "l_rad_basis": [list(r) for r in self.l_rad.space.basis],
+            "little_rad_dim": self.little_rad.dim,
+            "little_rad_basis": [list(r) for r in self.little_rad.space.basis],
+            "flags": self.flags,
+        }
 
 
 def _radical_classes(tri: TriangularIdempotentSet) -> tuple[int, int | None]:
@@ -466,35 +451,26 @@ def _radical_classes(tri: TriangularIdempotentSet) -> tuple[int, int | None]:
     return rad, index[int(np.bitwise_or.reduce(proper))] if len(proper) else None
 
 
-def localization_report(a: Algebra) -> LocalizationReport:
-    """The full left classification.  The right side, the left side of the
-    opposite algebra, is read off this report by :func:`duality_report`.
+def _side_report(a: Algebra, side: str, tri: TriangularIdempotentSet) -> LocalizationReport:
+    """The report of one side off its classes: a kernel ideal per class
+    (:func:`_kernel_class`) and the radicals read off the classes
+    (:func:`_radical_classes`).
 
-    The radicals are read off the classes (:func:`_radical_classes`).  The
-    checks that re-derive each kernel ideal (1 - e_I)R and re-prove the
-    class lattice by elimination (the direct decomposition K_I + e_I R,
-    the idempotent products e_I e_J = e_{I & J}, the kernel products
-    K_I K_J = K_I meet K_J, and the radicals as intersections and products
-    of kernel ideals) are the ``left_report_invariants`` check of
-    :func:`artinloc.suite.run_invariants`.
+    Checked, on either side: there are no more minima than blocks, and
+    exactly one per block when the algebra is semisimple; the localization
+    radical lies inside the nilpotent radical only when it vanishes; the
+    little radical lies inside the localization radical.
     """
-    cache_key = "report_left"
-    if cache_key in a._cache:
-        return a._cache[cache_key]
-    fam = block_decomposition(a)
-    tri = left_triangular_idempotents(a, fam)
-    entries = [LocEntry(subset, e, *_kernel_class(a, space))
-               for (subset, e), space in zip(tri.entries, tri.kernels)]
-    max_den = [DenSetDescriptor("maximal", en.idempotent, en.ass, en.quotient)
-               for en in entries if en.subset in tri.minima]
-    if len(max_den) > fam.s:
+    fam = tri.family
+    entries = tuple(LocEntry(subset, e, _kernel_class(a, space))
+                    for (subset, e), space in zip(tri.entries, tri.kernels))
+    if len(tri.minima) > fam.s:
         raise InternalCheckError("more maximal classes than blocks")
     # Semisimple algebras have a maximal class per block.  The converse is
     # false: a local algebra with radical (one block, one class) also has
     # as many classes as blocks.
-    if fam.rad.dim == 0 and len(max_den) != fam.s:
+    if fam.rad.dim == 0 and len(tri.minima) != fam.s:
         raise InternalCheckError("semisimple algebra without one maximal class per block")
-
     rad, little = _radical_classes(tri)
     l_rad = entries[rad].ass
     if (fam.rad.space.contains(l_rad.space)) != (l_rad.dim == 0):
@@ -504,11 +480,24 @@ def localization_report(a: Algebra) -> LocalizationReport:
                   else Ideal(a, Subspace.zero(a.p, a.dim), "twosided"))
     if not l_rad.space.contains(little_rad.space):
         raise InternalCheckError("little radical is not inside the localization radical")
+    return LocalizationReport(a, side, tri, entries, l_rad, little_rad)
 
-    flags = _flags(len(entries), fam, l_rad.space)
-    report = LocalizationReport(a, tri, tuple(entries), tuple(max_den), l_rad, little_rad, flags)
-    a._cache[cache_key] = report
-    return report
+
+def localization_report(a: Algebra) -> LocalizationReport:
+    """The full left classification (:func:`_side_report`).  The right
+    side, the left side of the opposite algebra, is read off this report by
+    :func:`duality_report`.
+
+    The checks that re-derive each kernel ideal (1 - e_I)R and re-prove the
+    class lattice by elimination (the direct decomposition K_I + e_I R,
+    the idempotent products e_I e_J = e_{I & J}, the kernel products
+    K_I K_J = K_I meet K_J, and the radicals as intersections and products
+    of kernel ideals) are the ``left_report_invariants`` check of
+    :func:`artinloc.suite.run_invariants`.
+    """
+    if "report_left" not in a._cache:
+        a._cache["report_left"] = _side_report(a, "left", left_triangular_idempotents(a, block_decomposition(a)))
+    return a._cache["report_left"]
 
 
 # ---------------------------------------------------------------------------
@@ -593,14 +582,14 @@ class _PowersRows:
 
     ``group`` numbers the distinct associated idempotents in order of first
     appearance; ``classes`` maps each group that some row qualifies with to
-    its idempotent, kernel ideal (1 - e)R and quotient.  ``min_exp`` is the
-    minimal core exponent on qualifying rows.
+    its idempotent and kernel ideal (1 - e)R.  ``min_exp`` is the minimal
+    core exponent on qualifying rows.
     """
 
     ok: np.ndarray
     group: np.ndarray
     min_exp: np.ndarray
-    classes: dict[int, tuple[Element, Ideal, Quotient]]
+    classes: dict[int, tuple[Element, Ideal]]
 
 
 def _powers_rows(a: Algebra, xs: np.ndarray) -> _PowersRows:
@@ -608,10 +597,11 @@ def _powers_rows(a: Algebra, xs: np.ndarray) -> _PowersRows:
 
     Apart from nilpotency of (1 - e) s (1 - e) and the core exponent, the
     criterion depends on s only through its associated idempotent e, so
-    the triangularity test and the kernel ideal and quotient are built once
-    per distinct e, and only for an e that some row qualifies with.  When a
+    the triangularity test and the kernel ideal are built once per
+    distinct e, and only for an e that some row qualifies with.  When a
     warm :func:`localization_report` holds a class with that kernel ideal,
-    its checked :class:`Ideal` and :class:`Quotient` are taken instead.
+    its :class:`Ideal`, with any quotient already built from it, is taken
+    instead.
     """
     p, d = a.p, a.dim
     n = len(xs)
@@ -640,15 +630,14 @@ def _powers_rows(a: Algebra, xs: np.ndarray) -> _PowersRows:
     if len(rows):
         raise InternalCheckError("no core exponent found below the dimension bound")
     reps = list(index)
-    # a warm left report already holds the ideal and quotient of each class
+    # a warm left report already holds the ideal of each class
     report = a._cache.get("report_left")
-    known = {en.ass.space: en for en in report.entries} if report else {}
+    known = {en.ass.space: en.ass for en in report.entries} if report else {}
     classes = {}
     for g in dict.fromkeys(group[ok].tolist()):
         e = a.element(reps[g])
         space = _right_ideal_of(a, a.one - e)
-        en = known.get(space)
-        classes[g] = (e, en.ass, en.quotient) if en else (e, *_kernel_class(a, space))
+        classes[g] = (e, known.get(space) or _kernel_class(a, space))
     return _PowersRows(ok, group, min_exp, classes)
 
 
@@ -666,8 +655,8 @@ def powers_denominator_criterion(a: Algebra, s: Element) -> tuple[bool, DenSetDe
     rows = _powers_rows(a, np.array([s.coeffs], dtype=np.int64))
     if not rows.ok[0]:
         return False, None
-    e, ass, quo = rows.classes[int(rows.group[0])]
-    return True, DenSetDescriptor("powers", e, ass, quo, min_core_exponent=int(rows.min_exp[0]))
+    e, ass = rows.classes[int(rows.group[0])]
+    return True, DenSetDescriptor("powers", e, ass, min_core_exponent=int(rows.min_exp[0]))
 
 
 @dataclass(frozen=True)
@@ -695,7 +684,7 @@ def idempotent_denominator_check(a: Algebra, e: Element) -> IdempotentCheck:
     central = _is_central(a, e)
     if (left and right) != central:
         raise InternalCheckError("two-sided triangularity must coincide with centrality")
-    descriptor = DenSetDescriptor("idempotent", e, *_kernel_class(a, _right_ideal_of(a, om))) if left else None
+    descriptor = DenSetDescriptor("idempotent", e, _kernel_class(a, _right_ideal_of(a, om))) if left else None
     return IdempotentCheck(left, right, left and right, central, descriptor)
 
 
@@ -725,8 +714,7 @@ def monoid_denominator_decision(a: Algebra, gens: Sequence[Element],
         return False, None
     xs = np.array([m.coeffs for m in closure.members], dtype=np.int64)
     rows = _powers_rows(a, xs)
-    descriptors = {g: DenSetDescriptor("monoid", e, ass, quo)
-                   for g, (e, ass, quo) in rows.classes.items()}
+    descriptors = {g: DenSetDescriptor("monoid", e, ass) for g, (e, ass) in rows.classes.items()}
     witness_groups = [g for g, desc in descriptors.items()
                       if all(desc.image_is_unit(x) for x in gens)]
     if not witness_groups:
@@ -763,56 +751,23 @@ def classify_element(a: Algebra, r: Element, report: LocalizationReport) -> dict
 # Duality and the two-sided theory
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RightReport:
-    """The right classification, read off the left report (:func:`_right_report`).
-
-    ``tri`` holds the right classes, with the kernel ideals R(1 - e_I).  It
-    prints as the left report of the opposite algebra, which shares the
-    basis: side "left", label ``op(<label>)``, and ``quotient_dim`` the
-    codimension of the kernel ideal.  ``rad`` is the right localization
-    radical.
-    """
-
-    left: LocalizationReport
-    tri: TriangularIdempotentSet
-    rad: Ideal
-    little_rad: Subspace
-
-    @property
-    def loc_count(self) -> int:
-        return len(self.tri.entries)
-
-    @property
-    def minima(self) -> tuple[Subset, ...]:
-        return self.tri.minima
-
-    def to_dict(self) -> dict:
-        a, tri = self.left.algebra, self.tri
-        classes = {sub: (e, k, a.dim - k.dim) for (sub, e), k in zip(tri.entries, tri.kernels)}
-        return _report_dict(
-            f"op({a.label})", tri.family,
-            [(sub, *row) for sub, row in classes.items()], tri.minima,
-            [("maximal", *classes[sub]) for sub in tri.minima],
-            self.rad.space, self.little_rad, _flags(self.loc_count, tri.family, self.rad.space))
-
-
-def _right_report(left: LocalizationReport) -> RightReport:
-    """The right classes and their kernel ideals, read off the left report.
+def _right_report(left: LocalizationReport) -> LocalizationReport:
+    """The right classification, read off the left report.
 
     The right classes are the left classes of the opposite algebra, whose
     corner 1_i R^op 1_j is 1_j R 1_i: :func:`_triangular_set` reads them off
     the transposed corner table, with its checks, and takes the kernel ideal
     (1 - e_I)R^op = R(1 - e_I) from the right multiplications.  R(1 - e_I)
-    is the direct sum of the R 1_j over j outside I, so the radicals are
-    read off the classes as on the left (:func:`_radical_classes`).
+    is the direct sum of the R 1_j over j outside I, so
+    :func:`_side_report` builds the report, with its checks, as on the left.
 
     Checked here besides: each kernel ideal is two-sided, which for the left
     ideal R(1 - e_I) means that it holds (1 - e_I)R, the rows of the left
     multiplication by 1 - e_I (tested with :func:`_projectors`); and the
-    radical is built as an :class:`Ideal`.  The opposite algebra's own
-    report, with all of its checks, and its agreement with this one are the
-    ``duality`` check of :func:`artinloc.suite.run_invariants`.
+    localization radical is closed, through the public :class:`Ideal`
+    constructor.  The opposite algebra's own report, with all of its
+    checks, and its agreement with this one are the ``duality`` check of
+    :func:`artinloc.suite.run_invariants`.
     """
     a = left.algebra
     tri = _triangular_set(a, left.tri.family, left.tri.corners.T, a.batch_right_matrices)
@@ -820,20 +775,34 @@ def _right_report(left: LocalizationReport) -> RightReport:
     lefts = a.batch_left_matrices((one - np.array([e.coeffs for _, e in tri.entries], dtype=np.int64)) % a.p)
     if (lefts @ _projectors(tri.kernels) % a.p != lefts).any():
         raise InternalCheckError("a right kernel ideal is not a two-sided ideal")
-    rad, little = _radical_classes(tri)
-    return RightReport(left, tri, Ideal(a, tri.kernels[rad], "twosided"),
-                       tri.kernels[little] if little is not None else Subspace.zero(a.p, a.dim))
+    right = _side_report(a, "right", tri)
+    Ideal(a, right.l_rad.space, "twosided")  # raises if the radical is not closed
+    return right
 
 
 @dataclass(frozen=True)
 class DualityReport:
+    """Both sides' reports, from one builder, and the complement pairing."""
+
     left: LocalizationReport
-    right: RightReport              # read off the left report's corner table
+    right: LocalizationReport       # read off the left report's corner table
     pairing: tuple[tuple[Subset, Subset], ...]
-    counts_equal: bool
-    l_zero_iff_r_zero: bool
-    r_rad: Ideal                    # right localization radical, as an ideal of the original
-    l_neq_r: bool
+
+    @property
+    def counts_equal(self) -> bool:
+        return self.left.loc_count == self.right.loc_count
+
+    @property
+    def l_zero_iff_r_zero(self) -> bool:
+        return (self.left.l_rad.dim == 0) == (self.right.l_rad.dim == 0)
+
+    @property
+    def r_rad(self) -> Ideal:
+        return self.right.l_rad
+
+    @property
+    def l_neq_r(self) -> bool:
+        return self.left.l_rad.space != self.right.l_rad.space
 
     def to_dict(self) -> dict:
         return {
@@ -874,13 +843,10 @@ def duality_report(a: Algebra) -> DualityReport:
     if len(pairing) != len(right_proper):
         raise InternalCheckError("complement map is not onto the right subsets")
     # the complement bijection fixes the counts and the maximality flags
-    counts_equal = left.loc_count == right.loc_count
-    l_zero_iff_r_zero = (left.l_rad.dim == 0) == (right.rad.dim == 0)
-    if not l_zero_iff_r_zero:
+    dual = DualityReport(left, right, tuple(pairing))
+    if not dual.l_zero_iff_r_zero:
         raise InternalCheckError("localization radicals do not vanish together")
-    l_neq_r = left.l_rad.space != right.rad.space
-    return DualityReport(left, right, tuple(pairing), counts_equal, l_zero_iff_r_zero,
-                         right.rad, l_neq_r)
+    return dual
 
 
 @dataclass(frozen=True)
@@ -928,10 +894,10 @@ class TwoSidedReport:
             "factors": self.factors,
             "loc_count": self.loc_count,
             "central_idempotents": [list(e.coeffs) for e in self.central_idempotents],
-            "factor_dims": [q.algebra.dim for q in self.factor_quotients],
+            "factor_dims": [self.algebra.dim - d.ass.dim for d in self.max_den],
             "max_den": [
                 {"kind": d.kind, "idempotent": list(d.witness_idempotent.coeffs),
-                 "ass_dim": d.ass.dim, "quotient_dim": d.quotient.algebra.dim}
+                 "ass_dim": d.ass.dim, "quotient_dim": self.algebra.dim - d.ass.dim}
                 for d in self.max_den
             ],
             "loc_radical_dim": self.loc_radical.dim,
@@ -958,7 +924,7 @@ def two_sided_report(a: Algebra) -> TwoSidedReport:
     one = np.array(a.one_coeffs, dtype=np.int64)
     idems = np.array([e.coeffs for e in cents], dtype=np.int64)
     spaces = batch_row_spaces(a.batch_left_matrices((one - idems) % a.p), a.p)
-    descriptors = tuple(DenSetDescriptor("maximal", e, *_kernel_class(a, space))
+    descriptors = tuple(DenSetDescriptor("maximal", e, _kernel_class(a, space))
                         for e, space in zip(cents, spaces))
     zero = Ideal._derived(a, Subspace.zero(a.p, a.dim), "twosided")
     report = TwoSidedReport(a, descriptors, zero)

@@ -6,14 +6,15 @@ family laws, kernel-ideal identities, duality (the right report against
 the opposite algebra's left report), the five-way equivalence bundle for
 "completely localizable = units", and the element sweeps that compare the
 powers criterion and the idempotent criterion with brute force.  The
-report checks also rebuild, through the public constructors, every
-quotient and ideal that the reports built by theorem without checks; the
-left report check re-proves, by elimination and by the products of the
-block-sum idempotents, the class lattice that the report reads off the
-Peirce decomposition, and the two-sided check re-derives the central
-idempotents, split off the center, as the block sums over the blocks that
-the Peirce corners link.  The CLI ``verify`` command runs exactly this
-battery; the test suite runs it across the fixture corpus.
+report checks also rebuild, through the public constructors, every ideal
+that the reports hold by theorem and the quotients of the left classes,
+two-sided factors and descriptors; the left report check re-proves, by
+elimination and by the products of the block-sum idempotents, the class
+lattice that the report reads off the Peirce decomposition, and the
+two-sided check re-derives the central idempotents, split off the
+center, as the block sums over the blocks that the Peirce corners link.
+The CLI ``verify`` command runs exactly this battery; the test suite
+runs it across the fixture corpus.
 
 Sweep work is bounded: ``guard`` caps any single enumeration (default
 2**20), while full per-element sweeps run only when the ring has at most
@@ -432,9 +433,13 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
     check("triangular_subset_scan", _triangular_scan)
 
     def _duality():
-        # dual reads the right report off the left one; the opposite
-        # algebra's own report, with every check it runs, must agree
-        right = duality_report(a).right.to_dict()
+        # dual reads the right report off the left one, its class kernel
+        # ideals held by theorem; the opposite algebra's own report, with
+        # every check it runs, must agree
+        report = duality_report(a).right
+        _rebuild([(f"kernel ideal of the right class {subset_str(en.subset)}", en.ass)
+                  for en in report.entries] + [("right little radical", report.little_rad)])
+        right = report.to_dict()
         opposite = localization_report(opposite_algebra(a))
         if ([e.coeffs for e in opposite.tri.family.idempotents]
                 != [e.coeffs for e in block_decomposition(a).idempotents]):

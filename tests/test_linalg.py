@@ -289,6 +289,39 @@ def test_batch_kernels_match_kernel(batch):
     assert all(isinstance(v, int) for ker in kernels for row in ker.basis for v in row + ker.pivots)
 
 
+def zero_line_batches():
+    """(p, mats): random batches with some columns, and some rows, zero in
+    every member, so every elimination skips columns; and all-zero batches,
+    one of them a single matrix as a central factor e = 1 gives L_{1 - e}."""
+    rng = np.random.default_rng(11)
+    out = []
+    for p, (n, rows, cols) in [(5, (6, 4, 5)), (7, (3, 5, 3)), (13, (4, 3, 6)), (65521, (2, 6, 6))]:
+        mats = rng.integers(0, p, size=(n, rows, cols))
+        mats[:, :, rng.permutation(cols)[:cols // 2]] = 0
+        mats[:, rng.permutation(rows)[:rows // 2], :] = 0
+        out.append((p, mats))
+    return out + [(7, np.zeros((3, 4, 5), dtype=np.int64)), (7, np.zeros((1, 25, 25), dtype=np.int64))]
+
+
+@pytest.mark.parametrize("p, mats", zero_line_batches(),
+                         ids=["p5", "p7", "p13", "p65521", "all zero", "one zero matrix"])
+def test_batch_eliminations_with_zero_columns_match_the_scalar_path(p, mats):
+    n, rows, cols = mats.shape
+    assert batch_rank(mats, p).tolist() == [rank(m, p) for m in mats]
+    assert batch_row_spaces(mats, p) == [Subspace.from_vectors(p, cols, m.tolist()) for m in mats]
+    assert batch_kernels(mats, p) == [kernel(m, p) for m in mats]
+    # a reachable target, the zero target and a random one, for every member
+    rng = np.random.default_rng(3)
+    reachable = np.einsum("nr,nrc->nc", rng.integers(0, p, size=(n, rows)), mats) % p
+    for targets in (reachable, np.zeros((n, cols), dtype=np.int64), rng.integers(0, p, size=(n, cols))):
+        sol, consistent, ranks = batch_solve(mats, targets, p)
+        for i in range(n):
+            expected = express_in_rows(mats[i].tolist(), targets[i].tolist(), p)
+            assert bool(consistent[i]) == (expected is not None)
+            assert tuple(sol[i].tolist()) == (expected if expected is not None else (0,) * rows)
+            assert ranks[i] == rank(mats[i], p)
+
+
 def test_batch_kernels_check_rank_nullity():
     mats = np.array([[[1, 2], [2, 4]], [[1, 0], [0, 1]]], dtype=np.int64)
     assert [ker.dim for ker in batch_kernels(mats, 7)] == [1, 0]

@@ -29,6 +29,7 @@ from artinloc.linalg import (
     rank,
 )
 from artinloc.localization import (
+    LocalizationReport,
     _associated_idempotents,
     _corner_is_zero,
     _is_central,
@@ -325,6 +326,13 @@ class TestDuality:
         e22 = L2_7.from_matrix([[0, 0], [0, 1]])
         expected_r = ideal_generated(L2_7, [L2_7.one - e22], "left")
         assert dr.r_rad.space == expected_r.space
+
+    def test_both_sides_are_one_report_type(self, L2_7):
+        dr = duality_report(L2_7)
+        assert type(dr.left) is type(dr.right) is LocalizationReport
+        assert (dr.left.side, dr.right.side) == ("left", "right")
+        assert dr.right.to_dict()["algebra"]["label"] == "op(L2(GF(7)))"
+        assert dr.r_rad is dr.right.l_rad
 
     def test_simple_algebra_trivial(self, M2_7):
         dr = duality_report(M2_7)
@@ -931,6 +939,32 @@ class TestTwoSidedChecksFire:
         a = direct_product([full_matrix(7, 2), full_matrix(7, 1)])[0]
         result = next(r for r in run_invariants(a, guard=64, samples=4) if r.name == "two_sided_report")
         assert (result.ok, result.detail) == (False, f"InternalCheckError: {message}")
+
+
+def test_dual_runs_the_shared_checks_on_the_right_side(monkeypatch, tmp_path, capsys):
+    # GF(7)^2 with every right class taken for a minimum: the classes, their
+    # kernel ideals and both radicals are unchanged, so the complement
+    # pairing and the radicals agree with the left side, and only the count
+    # of minima against the blocks, which both sides' reports check, sees
+    # three minima for two blocks
+    build = localization._triangular_set
+
+    def every_class_minimal(a, fam, corners, multiply):
+        tri = build(a, fam, corners, multiply)
+        if multiply.__name__ != "batch_right_matrices":
+            return tri
+        return dataclasses.replace(tri, minima=tuple(sub for sub, _ in tri.entries))
+
+    monkeypatch.setattr(localization, "_triangular_set", every_class_minimal)
+    path = tmp_path / "gf7sq.json"
+    path.write_text('{"scalar": {"prime": 7}, "kind": "constructor", "name": "product", "factors": '
+                    '[{"kind": "constructor", "name": "full_matrix", "n": 1}, '
+                    '{"kind": "constructor", "name": "full_matrix", "n": 1}]}', encoding="utf-8")
+    assert main(["report", "--input", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["dual", "--input", str(path)]) == 3
+    assert capsys.readouterr().err == \
+        "internal invariant violation: more maximal classes than blocks\n"
 
 
 def test_kernel_class_refuses_the_whole_algebra(L2_7):

@@ -5,8 +5,9 @@ Each draw is ``matrix_subalgebra`` on 1-3 random generator matrices (n in
 direct product of two such subalgebras over one prime, or the opposite of
 one.  The draws reach dimension 18 and 63 left classes, past the fixtures,
 so the left report's closed-form class lattice is compared there with the
-eliminations that re-prove it, and the classes of both sides with the
-digraph of nonzero Peirce corners read off by Element products.
+eliminations that re-prove it, the classes of both sides with the digraph
+of nonzero Peirce corners read off by Element products, and the right
+report with the left report of the opposite algebra.
 """
 
 import functools
@@ -82,6 +83,13 @@ def test_classes_follow_the_peirce_digraph(seed):
     assert [sub for sub, _ in dual.right.tri.entries] == closed_sets([list(col) for col in zip(*edges)])
     assert two_sided_report(a).factors == weak_component_count(edges)
     assert dual.left.tri.sum_dims.tolist() == reference_sum_dims(a, left)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_right_report_is_the_left_report_of_the_opposite(seed):
+    # on every draw, not only below the guard where the battery compares them
+    a = random_algebra(seed)
+    assert duality_report(a).right.to_dict() == localization_report(opposite_algebra(a)).to_dict()
 
 
 @pytest.mark.parametrize("seed", SEEDS)

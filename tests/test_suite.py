@@ -13,11 +13,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from artinloc import localization, structure, suite
+from artinloc import algebra, localization, structure, suite
 from artinloc.algebra import (Algebra, Ideal, direct_product, full_matrix, lower_triangular,
                               opposite_algebra, regular_matrix, truncated_poly)
 from artinloc.cli import main
 from artinloc.linalg import CHUNK_ROWS, Subspace, kernel
+from artinloc.localization import monoid_denominator_decision
 from artinloc.suite import bundle_conditions, run_invariants
 from test_algebra import random_change, rebase
 
@@ -129,9 +130,9 @@ def alter_classes(right, **changes):
 
 @pytest.mark.parametrize("alter, key", [
     # the kernel ideal of the first class replaced by that of the full set, 0
-    (lambda right: alter_classes(right, kernels=lambda tri: (tri.kernels[-1], *tri.kernels[1:])), "entries"),
-    (lambda right: alter_classes(right, entries=lambda tri: tri.entries[:-1],
-                                 kernels=lambda tri: tri.kernels[:-1]), "entries"),
+    (lambda right: dataclasses.replace(right, entries=(
+        dataclasses.replace(right.entries[0], ass=right.entries[-1].ass), *right.entries[1:])), "entries"),
+    (lambda right: dataclasses.replace(right, entries=right.entries[:-1]), "entries"),
     (lambda right: alter_classes(right, minima=lambda tri: (tri.entries[-1][0],)), "max_den"),
 ], ids=["kernel basis", "dropped class", "wrong minimum"])
 def test_duality_check_sees_a_corrupted_right_report(alter, key, monkeypatch):
@@ -210,6 +211,60 @@ def test_requests_validate_only_their_input(monkeypatch, tmp_path, capsys):
     assert calls == ["L2(GF(7))"]
 
 
+def test_printing_builds_no_quotient(monkeypatch, tmp_path, capsys):
+    # the reports and descriptors print dim R - dim I as the quotient
+    # dimension; ``built`` records every quotient built on first use through
+    # ``Ideal.quotient`` (the block decomposition builds R/J through its own
+    # import and is not counted)
+    built = []
+    build = algebra.quotient_algebra
+    monkeypatch.setattr(algebra, "quotient_algebra", lambda a, ideal: built.append(ideal) or build(a, ideal))
+    for command in ("dual", "twosided"):
+        code, out = run_cli(command, tmp_path, capsys)
+        assert code == 0 and built == [], command
+    assert json.loads(out)["factor_dims"] == [3]
+    path = tmp_path / "l2.json"
+    for command, element in (("check-powers", "[[1,0],[0,0]]"), ("check-idempotent", "[[1,0],[0,0]]")):
+        assert main([command, "--input", str(path), "--element", element]) == 0
+        descriptor = json.loads(capsys.readouterr().out)["descriptor"]
+        assert (descriptor["ass_dim"], descriptor["quotient_dim"]) == (2, 1) and built == [], command
+    # the monoid decision tests its generators for units in the quotient of
+    # each class its closure {1, E11} reaches; printing the descriptor
+    # builds none besides
+    a = lower_triangular(7, 2)
+    assert monoid_denominator_decision(a, [a.from_matrix([[1, 0], [0, 0]])])[0]
+    decided = len(built)
+    built.clear()
+    assert main(["check-monoid", "--input", str(path), "--element", "[[1,0],[0,0]]"]) == 0
+    assert json.loads(capsys.readouterr().out)["descriptor"]["quotient_dim"] == 1
+    assert len(built) == decided == 2
+
+
+@pytest.mark.parametrize("fixture_name", ["L2_7", "L3_7", "U3_7", "M2_7", "T7", "F7F7", "T7xF7", "P1"])
+def test_verify_rebuilds_every_held_ideal(fixture_name, request, monkeypatch):
+    # every ideal that the three reports hold by theorem reaches the public
+    # constructor in the battery
+    a = request.getfixturevalue(fixture_name)
+    rebuilt = []
+    rebuild = suite._rebuild
+
+    def recording(objects):
+        objects = list(objects)
+        rebuilt.extend((obj.space, obj.side) for _, obj in objects
+                       if isinstance(obj, Ideal) and obj.algebra is a)
+        rebuild(objects)
+
+    monkeypatch.setattr(suite, "_rebuild", recording)
+    results = run_invariants(a, guard=64, samples=4)
+    assert all(r.ok for r in results), [(r.name, r.detail) for r in results if not r.ok]
+    dual, ts = localization.duality_report(a), localization.two_sided_report(a)
+    held = [en.ass for rep in (dual.left, dual.right) for en in rep.entries]
+    held += [ideal for rep in (dual.left, dual.right) for ideal in (rep.l_rad, rep.little_rad)]
+    held += [d.ass for d in ts.max_den] + [ts.loc_radical]
+    missing = [ideal for ideal in held if (ideal.space, ideal.side) not in rebuilt]
+    assert not missing, missing
+
+
 def test_twosided_splits_the_center_subspace_once(monkeypatch, tmp_path, capsys):
     # the central idempotents come straight off the center subspace: one
     # center kernel, and no radical, block decomposition or lift
@@ -231,7 +286,7 @@ def test_verify_names_a_corrupted_quotient_table(monkeypatch, tmp_path, capsys):
     # one structure constant of every class and factor quotient is off by
     # one: the requests print the same, and verify names the first object
     expected = {cmd: run_cli(cmd, tmp_path, capsys) for cmd in ("dual", "twosided")}
-    build = localization.quotient_algebra
+    build = algebra.quotient_algebra
 
     def corrupted(a, ideal):
         quo = build(a, ideal)
@@ -240,7 +295,7 @@ def test_verify_names_a_corrupted_quotient_table(monkeypatch, tmp_path, capsys):
         bad = Algebra._derived(a.p, table, np.array(quo.algebra.one_coeffs), quo.algebra.label)
         return dataclasses.replace(quo, algebra=bad)
 
-    monkeypatch.setattr(localization, "quotient_algebra", corrupted)
+    monkeypatch.setattr(algebra, "quotient_algebra", corrupted)
     for cmd in ("dual", "twosided"):
         assert run_cli(cmd, tmp_path, capsys) == expected[cmd]
     code, out = run_cli("verify", tmp_path, capsys)
