@@ -33,13 +33,11 @@ from .localization import (
     DenSetDescriptor,
     DualityReport,
     LocalizationReport,
-    TriangularIdempotentSet,
     TwoSidedReport,
     associated_idempotent,
     classify_element,
     duality_report,
     idempotent_denominator_check,
-    left_triangular_idempotents,
     localization_report,
     monoid_denominator_decision,
     powers_denominator_criterion,

@@ -707,6 +707,7 @@ def quotient_algebra(a: Algebra, ideal: Ideal) -> Quotient:
     :meth:`Quotient.batch_project` on those rows.  A quotient by a two-sided
     ideal is associative and unital by theorem, so the table is not
     re-validated here (:meth:`Algebra._derived`); ``verify`` rebuilds it.
+    R/0 is R itself, with the identity projection; no table is built.
     """
     if ideal.algebra is not a:
         raise InputError("ideal does not belong to the algebra")
@@ -715,6 +716,8 @@ def quotient_algebra(a: Algebra, ideal: Ideal) -> Quotient:
     if ideal.dim == a.dim:
         raise InputError("cannot quotient by the whole algebra")
     keep = ideal.space.free_columns
+    if ideal.dim == 0:
+        return Quotient(a, a, ideal, keep)
     qdim = len(keep)
     sections = a.np_table[np.ix_(keep, keep)].reshape(-1, a.dim)
     table = ideal.space.residues(sections).reshape(qdim, qdim, qdim)

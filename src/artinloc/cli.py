@@ -126,13 +126,7 @@ def _render_text(value, lines: list[str], prefix: str) -> None:
 def _descriptor_dict(desc: DenSetDescriptor | None) -> dict | None:
     if desc is None:
         return None
-    out = {
-        "kind": desc.kind,
-        "idempotent": list(desc.witness_idempotent.coeffs),
-        "ass_dim": desc.ass.dim,
-        "ass_basis": [list(r) for r in desc.ass.space.basis],
-        "quotient_dim": desc.ass.algebra.dim - desc.ass.dim,
-    }
+    out = {**desc.to_dict(), "ass_basis": [list(r) for r in desc.ass.space.basis]}
     if desc.min_core_exponent is not None:
         out["min_core_exponent"] = desc.min_core_exponent
     return out
@@ -217,13 +211,15 @@ def cmd_check_idempotent(args) -> int:
     verdict = {"left": chk.left, "right": chk.right, "both": chk.twosided}[args.side]
     if args.oracle:
         sset = FiniteSetOfElements.from_elements(a, [a.one, e])
+        left = brute_denominator_check(a, sset, "left", args.guard)
         oracle = {
-            "left": brute_denominator_check(a, sset, "left", args.guard).is_den,
+            "left": left.is_den,
             "right": brute_denominator_check(a, sset, "right", args.guard).is_den,
             "twosided": brute_denominator_check(a, sset, "twosided", args.guard).is_den,
         }
         agree = (oracle["left"] == chk.left and oracle["right"] == chk.right
-                 and oracle["twosided"] == chk.twosided)
+                 and oracle["twosided"] == chk.twosided
+                 and (not chk.left or left.ass.space == chk.descriptor.ass.space))
         payload["oracle"] = {**oracle, "agrees": agree}
         if not agree:
             _emit(payload, args)

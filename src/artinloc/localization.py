@@ -26,19 +26,21 @@ Reports are deterministic: subsets are ordered by (size, lexicographic)
 and all underlying idempotents come from the deterministic lift in
 :mod:`artinloc.structure`.
 
-The classes of both sides are read off the s x s table of the dimensions
-of the Peirce corners 1_i R 1_j, built once per family, by one builder:
-the left side off the table, the right side off its transpose.  R is the
-direct sum of the 1_j R, and K_I = (1 - e_I)R is the direct sum of those
-over j outside I, so the class lattice is set algebra on the block index
-sets: with r_j = dim 1_j R, dim(K_I + K_J) is the sum of r_j over j
-outside I & J, and an intersection of kernel ideals is the kernel ideal at
-the union of their classes.  The hot path checks each dim K_I against
-that sum; its only pairwise work is the bitmask comparison that finds the
-minima.  The eliminations and products that re-prove the lattice (the
-ranks of the stacked bases, the idempotent and kernel products, the
-radicals as meets and products) run in the ``verify`` battery,
-:mod:`artinloc.suite`.
+Each side is one :class:`LocalizationReport`, built by one builder,
+:func:`_side_report`, straight from the side's s x s table of the
+dimensions of the Peirce corners 1_i R 1_j: :func:`localization_report`
+builds the table once per family and reads the left side off it, and the
+right side is read off its transpose.  R is the direct sum of the 1_j R,
+and K_I = (1 - e_I)R is the direct sum of those over j outside I, so the
+class lattice is set algebra on the block index sets: with
+r_j = dim 1_j R, a row sum of the table, dim(K_I + K_J) is the sum of r_j
+over j outside I & J, and an intersection of kernel ideals is the kernel
+ideal at the union of their classes.  The hot path checks each dim K_I
+against that sum; its only pairwise work is the bitmask comparison that
+finds the minima.  The closed-form lattice tables, and the eliminations
+and products that re-prove the lattice (the ranks of the stacked bases,
+the idempotent and kernel products, the radicals as meets and products),
+belong to the ``verify`` battery, :mod:`artinloc.suite`.
 """
 
 from __future__ import annotations
@@ -115,53 +117,8 @@ def _is_central(a: Algebra, e: Element) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Triangular idempotent sets
+# Block subsets
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TriangularIdempotentSet:
-    """The classes of one side: the block-sum idempotents e_I, ordered by
-    (|I|, I), whose block sets I no nonzero Peirce corner leaves
-    (:func:`_triangular_set`).
-
-    The poset order is subset inclusion of the index sets; minima are the
-    indices of the maximal localization classes.  ``kernels[i]`` is the
-    kernel ideal K_i of entry i as a subspace, (1 - e_I)R on the left and
-    R(1 - e_I) on the right.  ``piece_dims[j]`` is r_j, the dimension of the
-    block piece 1_j R (R 1_j on the right).  ``corners[i, j]`` is the
-    dimension of the corner from block i to block j (0-based), 1_i R 1_j on
-    the left and 1_j R 1_i on the right; r_j is a row sum of it.
-    """
-
-    algebra: Algebra
-    family: IdempotentFamily
-    entries: tuple[tuple[Subset, Element], ...]
-    minima: tuple[Subset, ...]
-    kernels: tuple[Subspace, ...] = field(repr=False)
-    piece_dims: np.ndarray = field(repr=False, compare=False)
-    corners: np.ndarray = field(repr=False, compare=False)
-
-    @property
-    def kernel_dims(self) -> np.ndarray:
-        return np.array([k.dim for k in self.kernels], dtype=np.int64)
-
-    @property
-    def sum_dims(self) -> np.ndarray:
-        """``out[i, j]`` is dim(K_i + K_j), the sum of r_k over the blocks k
-        outside I & J: K_I is the direct sum of the pieces outside I."""
-        inside = _membership(_subset_masks([sub for sub, _ in self.entries]), self.family.s)
-        r = self.piece_dims
-        return r.sum() - (inside * r) @ inside.T
-
-    def contains(self) -> np.ndarray:
-        """``out[i, j]``: K_i is inside K_j, that is dim(K_i + K_j) = dim K_j."""
-        return self.sum_dims == self.kernel_dims[None, :]
-
-    def meet_dims(self) -> np.ndarray:
-        """dim(K_i meet K_j) = dim K_i + dim K_j - dim(K_i + K_j)."""
-        dims = self.kernel_dims
-        return dims[:, None] + dims[None, :] - self.sum_dims
-
 
 def _pair_runs(ii: np.ndarray, jj: np.ndarray, per_pair: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The index pairs ``(ii[n], jj[n])`` in order, in runs of at least one
@@ -225,69 +182,6 @@ def _closed_subsets(corners: np.ndarray) -> list[Subset]:
     return out
 
 
-def _triangular_set(a: Algebra, fam: IdempotentFamily, corners: np.ndarray,
-                    multiply) -> TriangularIdempotentSet:
-    """The classes of one side, read off its oriented table of Peirce corner
-    dimensions, ``corners[i, j]`` that of the corner from block i to block
-    j: the block sets that no nonzero corner leaves (:func:`_closed_subsets`),
-    with the kernel ideal of e_I the row space of ``multiply(1 - e_I)``.
-    The left side passes the corner table and
-    :meth:`Algebra.batch_left_matrices`; the right side, the left side of
-    R^op, the transposed table and :meth:`Algebra.batch_right_matrices`.
-
-    The idempotents are one matmul of the 0/1 membership matrix by the block
-    idempotents, and the kernel ideals come from one batched elimination.
-    A block piece is the direct sum of its corners, so its dimension r_j is
-    a row sum of the table.  Checked: distinct classes give distinct kernel
-    ideals; each kernel ideal is the direct sum of the pieces outside its
-    class, so its dimension is the sum of those r_j; distinct minima
-    (:func:`_minimal_masks`) have no nonzero corner between them.  The
-    products e_I e_J = e_{I & J}, which follow from the family's
-    orthogonality, are checked with the rest of the lattice by the
-    ``left_report_invariants`` check of :func:`artinloc.suite.run_invariants`.
-    """
-    s, p = fam.s, a.p
-    if (1 << s) > MAX_SUBSET_ENUM:
-        raise ResourceGuardError(f"2^{s} block subsets exceed the enumeration bound",
-                                 1 << s, MAX_SUBSET_ENUM)
-    subsets = _closed_subsets(corners)
-    masks = _subset_masks(subsets)
-    inside = _membership(masks, s)
-    blocks = np.array([e.coeffs for e in fam.idempotents], dtype=np.int64)
-    idems = inside @ blocks % p
-    one = np.array(a.one_coeffs, dtype=np.int64)
-    kernels = tuple(batch_row_spaces(multiply((one - idems) % p), p))
-    if len(set(kernels)) != len(kernels):
-        raise InternalCheckError("distinct subsets gave the same kernel ideal")
-    piece_dims = corners.sum(axis=1)
-    if ((1 - inside) @ piece_dims != [k.dim for k in kernels]).any():
-        raise InternalCheckError("kernel ideal dimension is not the sum over the blocks outside the class")
-    minimal = _minimal_masks(masks)
-    at_minima = inside[minimal]
-    touching = at_minima @ corners @ at_minima.T
-    if touching[~np.eye(len(at_minima), dtype=bool)].any():
-        raise InternalCheckError("distinct minima do not annihilate through the ring")
-    entries = tuple(zip(subsets, map(a.element, idems.tolist())))
-    return TriangularIdempotentSet(a, fam, entries, tuple(itertools.compress(subsets, minimal)),
-                                   kernels, piece_dims, corners)
-
-
-def left_triangular_idempotents(a: Algebra, fam: IdempotentFamily | None = None) -> TriangularIdempotentSet:
-    """The block subsets I with e_I R (1 - e_I) = 0, in (size, lex) order.
-
-    R is the direct sum of the Peirce corners 1_i R 1_j, so I qualifies iff
-    no nonzero corner leads from I out of I.  y -> 1_i y 1_j, the matrix
-    L_{1_i} R_{1_j}, is idempotent, so its rank dim 1_i R 1_j is its trace,
-    read exactly mod p as p > dim R; the table of all of them is one
-    contraction, and :func:`_triangular_set` reads the classes off it, with
-    the kernel ideals (1 - e_I)R.
-    """
-    fam = fam or block_decomposition(a)
-    blocks = np.array([e.coeffs for e in fam.idempotents], dtype=np.int64)
-    corners = np.einsum("iab,jba->ij", a.batch_left_matrices(blocks), a.batch_right_matrices(blocks)) % a.p
-    return _triangular_set(a, fam, corners, a.batch_left_matrices)
-
-
 # ---------------------------------------------------------------------------
 # Descriptors and reports
 # ---------------------------------------------------------------------------
@@ -300,6 +194,15 @@ def _kernel_class(a: Algebra, space: Subspace) -> Ideal:
     if space.dim == a.dim:
         raise InternalCheckError("(1 - e)R cannot be the whole algebra")
     return Ideal._derived(a, space, "twosided")
+
+
+def _kernel_spaces(a: Algebra, idems: np.ndarray, side: str) -> list[Subspace]:
+    """The kernel ideals (1 - e)R (R(1 - e) on the right) of the
+    idempotent rows ``idems``, from one batched elimination of the left
+    (right) multiplications by 1 - e."""
+    multiply = a.batch_left_matrices if side == "left" else a.batch_right_matrices
+    one = np.array(a.one_coeffs, dtype=np.int64)
+    return batch_row_spaces(multiply((one - idems) % a.p), a.p)
 
 
 @dataclass(frozen=True)
@@ -323,6 +226,10 @@ class DenSetDescriptor:
     @property
     def quotient(self) -> Quotient:
         return self.ass.quotient
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "idempotent": list(self.witness_idempotent.coeffs),
+                "ass_dim": self.ass.dim, "quotient_dim": self.ass.algebra.dim - self.ass.dim}
 
     def image_is_unit(self, r: Element) -> bool:
         q = self.quotient
@@ -368,27 +275,32 @@ class LocEntry:
 @dataclass(frozen=True)
 class LocalizationReport:
     """The classification of one side, left or right, built by
-    :func:`_side_report`: a :class:`LocEntry` per class, and the
-    localization radical and the little radical of the side, each the
-    kernel ideal at a union of classes; the maximal denominator sets and
-    the flags are read off those.  The right side prints as the left report
-    of the opposite algebra, which shares the basis: label ``op(<label>)``.
+    :func:`_side_report` off the side's oriented table of Peirce corner
+    dimensions, ``corners[i, j]`` that of the corner from block i to block
+    j (0-based): 1_i R 1_j on the left, 1_j R 1_i on the right.
+
+    ``entries`` holds a :class:`LocEntry` per class, ordered by (|I|, I);
+    the poset order is subset inclusion of the block sets, and ``minima``
+    are the block sets of the maximal localization classes.  ``l_rad`` and
+    ``little_rad`` are the localization radical and the little radical of
+    the side, each the kernel ideal at a union of classes; the maximal
+    denominator sets and the flags are read off those.  The right side
+    prints as the left report of the opposite algebra, which shares the
+    basis: label ``op(<label>)``.
     """
 
     algebra: Algebra
     side: str  # "left" | "right"
-    tri: TriangularIdempotentSet
+    family: IdempotentFamily
     entries: tuple[LocEntry, ...]
+    minima: tuple[Subset, ...]
     l_rad: Ideal
     little_rad: Ideal
+    corners: np.ndarray = field(repr=False, compare=False)
 
     @property
     def loc_count(self) -> int:
         return len(self.entries)
-
-    @property
-    def minima(self) -> tuple[Subset, ...]:
-        return self.tri.minima
 
     @cached_property
     def max_den(self) -> tuple[DenSetDescriptor, ...]:
@@ -400,7 +312,7 @@ class LocalizationReport:
     def flags(self) -> dict:
         rad_zero = self.l_rad.dim == 0
         return {"completely_loc_equals_units": rad_zero, "is_direct_product_of_loc_max": rad_zero,
-                "localization_maximal": self.loc_count == 1, "semisimple": self.tri.family.rad.dim == 0}
+                "localization_maximal": self.loc_count == 1, "semisimple": self.family.rad.dim == 0}
 
     def entry(self, subset: Subset) -> LocEntry:
         for e in self.entries:
@@ -409,7 +321,7 @@ class LocalizationReport:
         raise KeyError(subset)
 
     def to_dict(self) -> dict:
-        a, fam = self.algebra, self.tri.family
+        a, fam = self.algebra, self.family
         return {
             "side": "left",
             "algebra": {"label": a.label if self.side == "left" else f"op({a.label})", "p": a.p, "dim": a.dim},
@@ -420,8 +332,7 @@ class LocalizationReport:
                          "ass_dim": en.ass.dim, "ass_basis": [list(r) for r in en.ass.space.basis],
                          "quotient_dim": a.dim - en.ass.dim} for en in self.entries],
             "minima": [subset_str(s) for s in self.minima],
-            "max_den": [{"kind": d.kind, "idempotent": list(d.witness_idempotent.coeffs),
-                         "ass_dim": d.ass.dim, "quotient_dim": a.dim - d.ass.dim} for d in self.max_den],
+            "max_den": [d.to_dict() for d in self.max_den],
             "l_rad_dim": self.l_rad.dim,
             "l_rad_basis": [list(r) for r in self.l_rad.space.basis],
             "little_rad_dim": self.little_rad.dim,
@@ -430,63 +341,86 @@ class LocalizationReport:
         }
 
 
-def _radical_classes(tri: TriangularIdempotentSet) -> tuple[int, int | None]:
-    """Entry indices of the localization radical and of the little radical
-    of one side.
+def _side_report(a: Algebra, side: str, fam: IdempotentFamily, corners: np.ndarray) -> LocalizationReport:
+    """The classification of one side, read off its oriented corner table.
 
-    Each kernel ideal is the direct sum of the block pieces over the blocks
-    outside its class, so an intersection of kernel ideals is the kernel
-    ideal at the union of their classes.  The radical is the one at the
-    union of the minima, which must itself be a class.  The little radical
-    is the one at the union of the classes other than the full set (None
-    when there is none): the full set's kernel ideal is the only zero one
-    once distinct classes are known to have distinct kernel ideals.
+    The classes are the block sets that no nonzero corner leaves
+    (:func:`_closed_subsets`); their idempotents e_I are one matmul of the
+    0/1 membership matrix by the block idempotents, and their kernel ideals
+    come from one batched elimination (:func:`_kernel_spaces`).  A block
+    piece 1_j R (R 1_j) is the direct sum of its corners, so its dimension
+    r_j is a row sum of the table, and each kernel ideal is the direct sum
+    of the pieces outside its class.  So an intersection of kernel ideals
+    is the kernel ideal at the union of their classes: the localization
+    radical is the one at the union of the minima, which must be a class,
+    and the little radical the one at the union of the classes other than
+    the full set, whose kernel ideal is the only zero one.
+
+    Checked: distinct classes give distinct kernel ideals, each of the
+    dimension of the sum of the r_j outside its class; there are no more
+    minima (:func:`_minimal_masks`) than blocks, one per block when the
+    algebra is semisimple, and no nonzero corner joins two of them; the
+    localization radical lies inside the nilpotent radical only when it
+    vanishes, and the little radical inside the localization radical.  The
+    products e_I e_J = e_{I & J}, which follow from the family's
+    orthogonality, are checked with the rest of the lattice by the
+    ``left_report_invariants`` check of :func:`artinloc.suite.run_invariants`.
     """
-    masks = _subset_masks([sub for sub, _ in tri.entries])
-    index = {m: k for k, m in enumerate(masks.tolist())}
-    rad = index.get(int(np.bitwise_or.reduce(_subset_masks(tri.minima))))
-    if rad is None:
-        raise InternalCheckError("union of minima does not qualify")
-    proper = masks[masks != np.bitwise_or.reduce(masks)]
-    return rad, index[int(np.bitwise_or.reduce(proper))] if len(proper) else None
-
-
-def _side_report(a: Algebra, side: str, tri: TriangularIdempotentSet) -> LocalizationReport:
-    """The report of one side off its classes: a kernel ideal per class
-    (:func:`_kernel_class`) and the radicals read off the classes
-    (:func:`_radical_classes`).
-
-    Checked, on either side: there are no more minima than blocks, and
-    exactly one per block when the algebra is semisimple; the localization
-    radical lies inside the nilpotent radical only when it vanishes; the
-    little radical lies inside the localization radical.
-    """
-    fam = tri.family
-    entries = tuple(LocEntry(subset, e, _kernel_class(a, space))
-                    for (subset, e), space in zip(tri.entries, tri.kernels))
-    if len(tri.minima) > fam.s:
+    s, p = fam.s, a.p
+    if (1 << s) > MAX_SUBSET_ENUM:
+        raise ResourceGuardError(f"2^{s} block subsets exceed the enumeration bound",
+                                 1 << s, MAX_SUBSET_ENUM)
+    subsets = _closed_subsets(corners)
+    masks = _subset_masks(subsets)
+    inside = _membership(masks, s)
+    blocks = np.array([e.coeffs for e in fam.idempotents], dtype=np.int64)
+    idems = inside @ blocks % p
+    spaces = _kernel_spaces(a, idems, side)
+    if len(set(spaces)) != len(spaces):
+        raise InternalCheckError("distinct subsets gave the same kernel ideal")
+    if ((1 - inside) @ corners.sum(axis=1) != [k.dim for k in spaces]).any():
+        raise InternalCheckError("kernel ideal dimension is not the sum over the blocks outside the class")
+    minimal = _minimal_masks(masks)
+    minima = tuple(itertools.compress(subsets, minimal))
+    if len(minima) > s:
         raise InternalCheckError("more maximal classes than blocks")
     # Semisimple algebras have a maximal class per block.  The converse is
     # false: a local algebra with radical (one block, one class) also has
     # as many classes as blocks.
-    if fam.rad.dim == 0 and len(tri.minima) != fam.s:
+    if fam.rad.dim == 0 and len(minima) != s:
         raise InternalCheckError("semisimple algebra without one maximal class per block")
-    rad, little = _radical_classes(tri)
+    at_minima = inside[minimal]
+    touching = at_minima @ corners @ at_minima.T
+    if touching[~np.eye(len(at_minima), dtype=bool)].any():
+        raise InternalCheckError("distinct minima do not annihilate through the ring")
+    entries = tuple(LocEntry(sub, a.element(e), _kernel_class(a, space))
+                    for sub, e, space in zip(subsets, idems.tolist(), spaces))
+    index = {m: k for k, m in enumerate(masks.tolist())}
+    rad = index.get(int(np.bitwise_or.reduce(masks[minimal])))
+    if rad is None:
+        raise InternalCheckError("union of minima does not qualify")
     l_rad = entries[rad].ass
     if (fam.rad.space.contains(l_rad.space)) != (l_rad.dim == 0):
         raise InternalCheckError("localization radical sits inside the nilpotent radical "
                                  "only when it vanishes")
-    little_rad = (entries[little].ass if little is not None
+    proper = masks[masks != np.bitwise_or.reduce(masks)]
+    little_rad = (entries[index[int(np.bitwise_or.reduce(proper))]].ass if len(proper)
                   else Ideal(a, Subspace.zero(a.p, a.dim), "twosided"))
     if not l_rad.space.contains(little_rad.space):
         raise InternalCheckError("little radical is not inside the localization radical")
-    return LocalizationReport(a, side, tri, entries, l_rad, little_rad)
+    return LocalizationReport(a, side, fam, entries, minima, l_rad, little_rad, corners)
 
 
 def localization_report(a: Algebra) -> LocalizationReport:
     """The full left classification (:func:`_side_report`).  The right
     side, the left side of the opposite algebra, is read off this report by
     :func:`duality_report`.
+
+    R is the direct sum of the Peirce corners 1_i R 1_j, so a block set I
+    is a class (e_I R (1 - e_I) = 0) iff no nonzero corner leads from I out
+    of I.  y -> 1_i y 1_j, the matrix L_{1_i} R_{1_j}, is idempotent, so its
+    rank dim 1_i R 1_j is its trace, read exactly mod p as p > dim R; the
+    table of all of them is one contraction.
 
     The checks that re-derive each kernel ideal (1 - e_I)R and re-prove the
     class lattice by elimination (the direct decomposition K_I + e_I R,
@@ -496,7 +430,10 @@ def localization_report(a: Algebra) -> LocalizationReport:
     :func:`artinloc.suite.run_invariants`.
     """
     if "report_left" not in a._cache:
-        a._cache["report_left"] = _side_report(a, "left", left_triangular_idempotents(a, block_decomposition(a)))
+        fam = block_decomposition(a)
+        blocks = np.array([e.coeffs for e in fam.idempotents], dtype=np.int64)
+        corners = np.einsum("iab,jba->ij", a.batch_left_matrices(blocks), a.batch_right_matrices(blocks)) % a.p
+        a._cache["report_left"] = _side_report(a, "left", fam, corners)
     return a._cache["report_left"]
 
 
@@ -755,11 +692,9 @@ def _right_report(left: LocalizationReport) -> LocalizationReport:
     """The right classification, read off the left report.
 
     The right classes are the left classes of the opposite algebra, whose
-    corner 1_i R^op 1_j is 1_j R 1_i: :func:`_triangular_set` reads them off
+    corner 1_i R^op 1_j is 1_j R 1_i: :func:`_side_report` reads them off
     the transposed corner table, with its checks, and takes the kernel ideal
-    (1 - e_I)R^op = R(1 - e_I) from the right multiplications.  R(1 - e_I)
-    is the direct sum of the R 1_j over j outside I, so
-    :func:`_side_report` builds the report, with its checks, as on the left.
+    (1 - e_I)R^op = R(1 - e_I) from the right multiplications.
 
     Checked here besides: each kernel ideal is two-sided, which for the left
     ideal R(1 - e_I) means that it holds (1 - e_I)R, the rows of the left
@@ -770,12 +705,12 @@ def _right_report(left: LocalizationReport) -> LocalizationReport:
     :func:`artinloc.suite.run_invariants`.
     """
     a = left.algebra
-    tri = _triangular_set(a, left.tri.family, left.tri.corners.T, a.batch_right_matrices)
+    right = _side_report(a, "right", left.family, left.corners.T)
     one = np.array(a.one_coeffs, dtype=np.int64)
-    lefts = a.batch_left_matrices((one - np.array([e.coeffs for _, e in tri.entries], dtype=np.int64)) % a.p)
-    if (lefts @ _projectors(tri.kernels) % a.p != lefts).any():
+    lefts = a.batch_left_matrices((one - np.array([en.idempotent.coeffs for en in right.entries],
+                                                  dtype=np.int64)) % a.p)
+    if (lefts @ _projectors([en.ass.space for en in right.entries]) % a.p != lefts).any():
         raise InternalCheckError("a right kernel ideal is not a two-sided ideal")
-    right = _side_report(a, "right", tri)
     Ideal(a, right.l_rad.space, "twosided")  # raises if the radical is not closed
     return right
 
@@ -830,10 +765,9 @@ def duality_report(a: Algebra) -> DualityReport:
     """
     left = localization_report(a)
     right = _right_report(left)
-    s = left.tri.family.s
-    full = tuple(range(1, s + 1))
-    left_proper = [sub for sub, _ in left.tri.entries if sub != full]
-    right_proper = {sub for sub, _ in right.tri.entries if sub != full}
+    full = tuple(range(1, left.family.s + 1))
+    left_proper = [en.subset for en in left.entries if en.subset != full]
+    right_proper = {en.subset for en in right.entries if en.subset != full}
     pairing = []
     for sub in left_proper:
         comp = tuple(sorted(set(full) - set(sub)))
@@ -895,11 +829,7 @@ class TwoSidedReport:
             "loc_count": self.loc_count,
             "central_idempotents": [list(e.coeffs) for e in self.central_idempotents],
             "factor_dims": [self.algebra.dim - d.ass.dim for d in self.max_den],
-            "max_den": [
-                {"kind": d.kind, "idempotent": list(d.witness_idempotent.coeffs),
-                 "ass_dim": d.ass.dim, "quotient_dim": self.algebra.dim - d.ass.dim}
-                for d in self.max_den
-            ],
+            "max_den": [d.to_dict() for d in self.max_den],
             "loc_radical_dim": self.loc_radical.dim,
         }
 
@@ -921,9 +851,7 @@ def two_sided_report(a: Algebra) -> TwoSidedReport:
             raise InternalCheckError(f"central idempotent {i} is not central")
     # every subset sum of orthogonal central idempotents is central and idempotent
     check_orthogonal_idempotents(a, cents, "central idempotent")
-    one = np.array(a.one_coeffs, dtype=np.int64)
-    idems = np.array([e.coeffs for e in cents], dtype=np.int64)
-    spaces = batch_row_spaces(a.batch_left_matrices((one - idems) % a.p), a.p)
+    spaces = _kernel_spaces(a, np.array([e.coeffs for e in cents], dtype=np.int64), "left")
     descriptors = tuple(DenSetDescriptor("maximal", e, _kernel_class(a, space))
                         for e, space in zip(cents, spaces))
     zero = Ideal._derived(a, Subspace.zero(a.p, a.dim), "twosided")

@@ -49,7 +49,8 @@ def radical(a: Algebra) -> Ideal:
 
 
 def _radical_quotient(a: Algebra) -> tuple[Ideal, Quotient]:
-    """The radical J and R/J, checked once per algebra; R/0 is R itself."""
+    """The radical J and R/J, checked once per algebra; R/0 is R itself
+    (:func:`quotient_algebra`)."""
     if "radical" in a._cache:
         return a._cache["radical"]
     rad = Ideal(a, _trace_form_kernel(a), "twosided")
@@ -60,12 +61,9 @@ def _radical_quotient(a: Algebra) -> tuple[Ideal, Quotient]:
         power = ideal_combine(power, rad, "product")
     if power.dim != 0:
         raise InternalCheckError("radical candidate is not nilpotent")
-    if rad.dim > 0:
-        quo = quotient_algebra(a, rad)
-        if _trace_form_kernel(quo.algebra).dim != 0:
-            raise InternalCheckError("trace form of the semisimple quotient is degenerate")
-    else:
-        quo = Quotient(a, a, rad, tuple(range(a.dim)))
+    quo = quotient_algebra(a, rad)
+    if rad.dim > 0 and _trace_form_kernel(quo.algebra).dim != 0:
+        raise InternalCheckError("trace form of the semisimple quotient is degenerate")
     a._cache["radical"] = (rad, quo)
     return rad, quo
 

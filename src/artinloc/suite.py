@@ -10,9 +10,12 @@ report checks also rebuild, through the public constructors, every ideal
 that the reports hold by theorem and the quotients of the left classes,
 two-sided factors and descriptors; the left report check re-proves, by
 elimination and by the products of the block-sum idempotents, the class
-lattice that the report reads off the Peirce decomposition, and the
-two-sided check re-derives the central idempotents, split off the
-center, as the block sums over the blocks that the Peirce corners link.
+lattice that the report reads off the Peirce decomposition, against the
+closed-form lattice tables of the report (dim(K_I + K_J), containment and
+meets, from the row sums of its corner table), which only this battery
+reads; and the two-sided check re-derives the central idempotents, split
+off the center, as the block sums over the blocks that the Peirce corners
+link.
 The CLI ``verify`` command runs exactly this battery; the test suite
 runs it across the fixture corpus.
 
@@ -38,9 +41,9 @@ from .linalg import (DEFAULT_GUARD, InputError, InternalCheckError, ResourceGuar
                      batch_rank, check_guard, kernel, rank, row_chunks)
 from .localization import (
     LocalizationReport,
-    TriangularIdempotentSet,
     _corner,
     _is_left_triangular,
+    _kernel_spaces,
     _membership,
     _ordered_pairs,
     _pair_runs,
@@ -120,11 +123,36 @@ def _sum_dims(spaces: Sequence[Subspace], p: int) -> np.ndarray:
     return out
 
 
-def _kernel_products(a: Algebra, tri: TriangularIdempotentSet
+def _kernel_dims(rep: LocalizationReport) -> np.ndarray:
+    return np.array([en.ass.dim for en in rep.entries], dtype=np.int64)
+
+
+def _closed_sum_dims(rep: LocalizationReport) -> np.ndarray:
+    """``out[i, j]`` is dim(K_i + K_j) in closed form, the sum of r_k over
+    the blocks k outside I & J: K_I is the direct sum of the block pieces
+    outside I, and r_k, the dimension of the piece of block k, is a row sum
+    of the report's corner table."""
+    inside = _membership(_subset_masks([en.subset for en in rep.entries]), rep.family.s)
+    r = rep.corners.sum(axis=1)
+    return r.sum() - (inside * r) @ inside.T
+
+
+def _contains(rep: LocalizationReport) -> np.ndarray:
+    """``out[i, j]``: K_i is inside K_j, that is dim(K_i + K_j) = dim K_j."""
+    return _closed_sum_dims(rep) == _kernel_dims(rep)[None, :]
+
+
+def _meet_dims(rep: LocalizationReport) -> np.ndarray:
+    """dim(K_i meet K_j) = dim K_i + dim K_j - dim(K_i + K_j)."""
+    dims = _kernel_dims(rep)
+    return dims[:, None] + dims[None, :] - _closed_sum_dims(rep)
+
+
+def _kernel_products(a: Algebra, idems: np.ndarray, kernels: Sequence[Subspace]
                      ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The products K_i K_j of the kernel ideals for every ordered pair, in
-    runs ``(i, j, rows)``: ``rows[n]`` spans K_i K_j for the pair
-    ``(i[n], j[n])``, zero-padded.
+    """The products K_i K_j of the kernel ideals K_i = (1 - e_i)R, e_i the
+    rows of ``idems``, for every ordered pair, in runs ``(i, j, rows)``:
+    ``rows[n]`` spans K_i K_j for the pair ``(i[n], j[n])``, zero-padded.
 
     K_i = (1 - e_i)R and R K_j = K_j (K_j is a left ideal, and 1 is in R),
     so K_i K_j = (1 - e_i) K_j: the basis of K_j times the left
@@ -132,22 +160,21 @@ def _kernel_products(a: Algebra, tri: TriangularIdempotentSet
     of two basis vectors.
     """
     d, p = a.dim, a.p
-    stack = _stacked_bases(tri.kernels)
+    stack = _stacked_bases(kernels)
     one = np.array(a.one_coeffs, dtype=np.int64)
-    idems = np.array([e.coeffs for _, e in tri.entries], dtype=np.int64)
     lefts = a.batch_left_matrices((one - idems) % p)
     m = stack.shape[1]
     for i, j in _pair_runs(*_ordered_pairs(len(idems)), m * d + d * d):
         yield i, j, stack[j] @ lefts[i] % p
 
 
-def _extremal_kernels(tri: TriangularIdempotentSet) -> tuple[list[int], list[int]]:
+def _extremal_kernels(rep: LocalizationReport) -> tuple[list[int], list[int]]:
     """Entry indices of the nonzero kernel ideals, and of the minimal ones
-    among them, read off the containment table."""
-    dims = tri.kernel_dims
+    among them, read off the closed-form containment table."""
+    dims = _kernel_dims(rep)
     nonzero = np.flatnonzero(dims > 0)
     # inside[i, j]: the i-th nonzero kernel ideal lies inside the j-th
-    inside = tri.contains()[np.ix_(nonzero, nonzero)]
+    inside = _contains(rep)[np.ix_(nonzero, nonzero)]
     smaller = dims[nonzero][None, :] < dims[nonzero][:, None]
     above_smaller = (inside.T & smaller).any(axis=1)
     return nonzero.tolist(), nonzero[~above_smaller].tolist()
@@ -155,47 +182,52 @@ def _extremal_kernels(tri: TriangularIdempotentSet) -> tuple[list[int], list[int
 
 def _left_lattice(rep: LocalizationReport) -> None:
     """Re-prove by elimination the class lattice that the left report reads
-    off the Peirce decomposition, raising on the first failure: inclusion
-    I >= J against K_I inside K_J from the ranks of [B_I; B_J]; the kernel
-    products K_I K_J = K_I meet K_J (:func:`_kernel_products`), with the
-    meet dimensions of the report's closed-form table, and that table
-    against the ranks; K_I (+) e_I R = R; the products e_I e_J = e_{I & J},
-    0 when I & J is empty; the localization radical as the closed form
-    (1 - e)R at the sum e of the minima, and as the meet and the product of
-    their kernel ideals; the little radical as the meet and the product of
-    the nonzero kernel ideals, and as the meet of the minimal ones; each
-    kernel ideal as (1 - e_I)R by the scalar elimination.
+    off the Peirce decomposition, raising on the first failure.  The kernel
+    ideals (1 - e_I)R are eliminated again at the block sums e_I of the
+    classes (:func:`artinloc.localization._kernel_spaces`), and on them:
+    inclusion I >= J against K_I inside K_J from the ranks of [B_I; B_J];
+    the kernel products K_I K_J = K_I meet K_J (:func:`_kernel_products`),
+    with the meet dimensions of the closed-form table (:func:`_meet_dims`),
+    and that table against the ranks.  Then, on the report's idempotents
+    and ideals: K_I (+) e_I R = R; the products e_I e_J = e_{I & J}, 0 when
+    I & J is empty; the localization radical as the closed form (1 - e)R at
+    the sum e of the minima, and as the meet and the product of their
+    kernel ideals; the little radical as the meet and the product of the
+    nonzero kernel ideals, and as the meet of the minimal ones; each kernel
+    ideal as (1 - e_I)R, by the batched and by the scalar elimination.
     """
-    a, tri = rep.algebra, rep.tri
+    a = rep.algebra
     p, d = a.p, a.dim
-    dims = tri.kernel_dims
-    masks = _subset_masks([sub for sub, _ in tri.entries])
-    sums = _sum_dims(tri.kernels, p)
+    masks = _subset_masks([en.subset for en in rep.entries])
+    inside = _membership(masks, rep.family.s)
+    blocks = np.array([e.coeffs for e in rep.family.idempotents], dtype=np.int64)
+    block_sums = inside @ blocks % p
+    kernels = _kernel_spaces(a, block_sums, "left")
+    dims = np.array([k.dim for k in kernels], dtype=np.int64)
+    sums = _sum_dims(kernels, p)
     # the subset order and the kernel ideals are anti-isomorphic posets
     superset = (masks[:, None] & masks[None, :]) == masks[None, :]
     if (superset != (sums == dims[None, :])).any():
         raise InternalCheckError("subset containment does not reverse into the ideals")
     # the reversed product is checked at the swapped pair; the diagonal
     # says K_i K_i = K_i
-    meet_dims = tri.meet_dims()
-    projectors = _projectors(tri.kernels)
-    for i, j, rows in _kernel_products(a, tri):
+    meet_dims = _meet_dims(rep)
+    projectors = _projectors(kernels)
+    for i, j, rows in _kernel_products(a, block_sums, kernels):
         if ((rows @ projectors[i] % p != rows).any() or (rows @ projectors[j] % p != rows).any()
                 or (batch_rank(rows, p) != meet_dims[i, j]).any()):
             raise InternalCheckError("kernel ideals do not multiply to their intersection")
-    if (sums != tri.sum_dims).any():
+    if (sums != _closed_sum_dims(rep)).any():
         raise InternalCheckError("the closed-form table of dim(K_I + K_J) disagrees with the ranks")
     # rank [B_I; L_e] = d gives K_I + e_I R = R, and then rank L_e = d - dim K_I
     # gives K_I meet e_I R = 0
     idems = np.array([en.idempotent.coeffs for en in rep.entries], dtype=np.int64)
     lefts = a.batch_left_matrices(idems)
-    if ((batch_rank(np.concatenate([_stacked_bases(tri.kernels), lefts], axis=1), p) != d).any()
+    if ((batch_rank(np.concatenate([_stacked_bases(kernels), lefts], axis=1), p) != d).any()
             or (batch_rank(lefts, p) != d - dims).any()):
         raise InternalCheckError("kernel ideal plus eR is not a direct decomposition")
     # one row of ordered pairs at a time, so the first failing pair in
     # row-major order is named; e_J e_I is checked at the swapped pair
-    blocks = np.array([e.coeffs for e in tri.family.idempotents], dtype=np.int64)
-    inside = _membership(masks, tri.family.s)
     for i, e in enumerate(idems):
         wrong = (a.batch_mul_left(e, idems) != (inside[i] * inside) @ blocks % p).any(axis=1)
         if wrong.any():
@@ -208,7 +240,7 @@ def _left_lattice(rep: LocalizationReport) -> None:
         _combine_all([en.ass for en in minimal_classes], op).space for op in ("intersection", "product")]
     if any(form != rep.l_rad.space for form in forms):
         raise InternalCheckError("the three computations of the localization radical disagree")
-    nonzero, minimal = _extremal_kernels(tri)
+    nonzero, minimal = _extremal_kernels(rep)
     if nonzero:
         nonzero_ideals = [rep.entries[k].ass for k in nonzero]
         if _combine_all(nonzero_ideals, "intersection").space != rep.little_rad.space:
@@ -217,7 +249,7 @@ def _left_lattice(rep: LocalizationReport) -> None:
             raise InternalCheckError("little radical: intersection over minimal ideals disagrees")
         if _combine_all(nonzero_ideals, "product").space != rep.little_rad.space:
             raise InternalCheckError("little radical: product form disagrees")
-    for en, space in zip(rep.entries, tri.kernels):
+    for en, space in zip(rep.entries, kernels):
         if not _right_ideal_of(a, a.one - en.idempotent) == en.ass.space == space:
             raise InternalCheckError(f"kernel ideal of the class {subset_str(en.subset)} is not (1 - e)R")
 
@@ -269,7 +301,7 @@ def bundle_conditions(a: Algebra, guard: int = DEFAULT_GUARD,
     rng = rng or random.Random(0)
     total = a.p ** a.dim
     rep = localization_report(a)
-    fam = rep.tri.family
+    fam = rep.family
     full = set(range(1, fam.s + 1))
     c5 = rep.l_rad.dim == 0
     c2 = set().union(*[set(m) for m in rep.minima]) == full
@@ -421,11 +453,11 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
     def _triangular_scan():
         # the report reads its classes off the Peirce corner table; the scan
         # tests e_I R (1 - e_I) = 0 on every block sum
-        tri = localization_report(a).tri
-        s, idems = tri.family.s, tri.family.idempotents
+        rep = localization_report(a)
+        s, idems = rep.family.s, rep.family.idempotents
         scanned = [sub for size in range(1, s + 1) for sub in itertools.combinations(range(1, s + 1), size)
                    if _is_left_triangular(a, sum((idems[i - 1] for i in sub), a.zero))]
-        reported = [sub for sub, _ in tri.entries]
+        reported = [en.subset for en in rep.entries]
         if scanned != reported:
             scan, report = (" ".join(map(subset_str, subs)) for subs in (scanned, reported))
             return False, f"the scan finds {scan}, the report {report}"
@@ -441,7 +473,7 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
                   for en in report.entries] + [("right little radical", report.little_rad)])
         right = report.to_dict()
         opposite = localization_report(opposite_algebra(a))
-        if ([e.coeffs for e in opposite.tri.family.idempotents]
+        if ([e.coeffs for e in opposite.family.idempotents]
                 != [e.coeffs for e in block_decomposition(a).idempotents]):
             return False, "opposite algebra produced a different idempotent family"
         expected = opposite.to_dict()
@@ -465,13 +497,13 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
         # without the center: a block sum is central iff no nonzero Peirce
         # corner links its blocks to the others, so the primitive ones are
         # the sums over the weakly connected components of the corner table
-        tri = localization_report(a).tri
-        label = list(range(tri.family.s))
-        for i, j in np.argwhere(tri.corners).tolist():
+        rep = localization_report(a)
+        label = list(range(rep.family.s))
+        for i, j in np.argwhere(rep.corners).tolist():
             label = [label[i] if c == label[j] else c for c in label]
         sums: dict[int, Element] = {}
         for i, c in enumerate(label):
-            sums[c] = sums.get(c, a.zero) + tri.family.idempotents[i]
+            sums[c] = sums.get(c, a.zero) + rep.family.idempotents[i]
         if sorted(e.coeffs for e in sums.values()) != sorted(e.coeffs for e in ts.central_idempotents):
             raise InternalCheckError("central idempotents are not the block sums over the linked blocks")
     check("two_sided_report", _two_sided)
@@ -616,7 +648,7 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
 
     def _block_support_complements():
         rep = localization_report(a)
-        fam = rep.tri.family
+        fam = rep.family
         full = frozenset(range(1, fam.s + 1))
         for en in rep.entries:
             if en.ass.dim == 0:

@@ -112,7 +112,7 @@ def test_criterion_2_counting():
         t0 = time.perf_counter()
         p1 = direct_product([full_matrix(7, 2), full_matrix(7, 1)])[0]
         rep = localization_report(p1)
-        assert len(rep.max_den) == 2 == rep.tri.family.s
+        assert len(rep.max_den) == 2 == rep.family.s
         assert rep.flags["semisimple"]
         ts = two_sided_report(p1)
         assert ts.loc_count == 2 ** 2 - 1 == 3
@@ -186,7 +186,7 @@ def test_criterion_6_ideal_identities():
     with _timed(6, "kernel ideal identities"):
         for name, a in ALL_FIXTURES.items():
             rep = localization_report(a)
-            fam = rep.tri.family
+            fam = rep.family
             for en in rep.entries:
                 sq = ideal_combine(en.ass, en.ass, "product")
                 assert sq.space == en.ass.space, name
@@ -228,9 +228,9 @@ def test_criterion_7_duality():
             dr = duality_report(a)
             assert dr.counts_equal, name
             assert dr.l_zero_iff_r_zero, name
-            full = tuple(range(1, dr.left.tri.family.s + 1))
+            full = tuple(range(1, dr.left.family.s + 1))
             left_proper = {en.subset for en in dr.left.entries if en.subset != full}
-            right_proper = {sub for sub, _ in dr.right.tri.entries if sub != full}
+            right_proper = {en.subset for en in dr.right.entries if en.subset != full}
             mapped = {tuple(sorted(set(full) - set(sub))) for sub in left_proper}
             assert mapped == right_proper, name
             for i1, c1 in dr.pairing:

@@ -711,10 +711,9 @@ def small_or_rebased(draw):
     return a if seed is None else rebased(a, random.Random(seed))
 
 
-def lattice_by_loops(tri):
+def lattice_by_loops(ks):
     """Reference: containment, intersection dimensions and the extremal
-    nonzero kernel ideals, one pair at a time through :class:`Subspace`."""
-    ks = tri.kernels
+    nonzero kernel ideals ``ks``, one pair at a time through :class:`Subspace`."""
     contains = [[kj.contains(ki) for kj in ks] for ki in ks]
     meets = [[ki.intersect(kj).dim for kj in ks] for ki in ks]
     nonzero = [k for k, sp in enumerate(ks) if sp.dim]
@@ -725,21 +724,21 @@ def lattice_by_loops(tri):
     return contains, meets, (nonzero, maximal, minimal)
 
 
-def triangular_checks_by_loops(a, tri):
-    """Reference: the subset-lattice checks of the triangular set as the
+def triangular_checks_by_loops(a, rep):
+    """Reference: the subset-lattice checks of the report's classes as the
     loops over ordered pairs, and the minima by subset comparison."""
-    subsets = [set(sub) for sub, _ in tri.entries]
-    present = {sub for sub, _ in tri.entries}
-    for (i_sub, e_i), k_i in zip(tri.entries, tri.kernels):
-        for (j_sub, e_j), k_j in zip(tri.entries, tri.kernels):
-            assert (set(i_sub) >= set(j_sub)) == k_j.contains(k_i)
-            inter = tuple(sorted(set(i_sub) & set(j_sub)))
+    subsets = [set(en.subset) for en in rep.entries]
+    present = {en.subset for en in rep.entries}
+    for i in rep.entries:
+        for j in rep.entries:
+            assert (set(i.subset) >= set(j.subset)) == j.ass.space.contains(i.ass.space)
+            inter = tuple(sorted(set(i.subset) & set(j.subset)))
             if inter:
-                assert e_i * e_j == block_sum(tri.family, inter) and inter in present
+                assert i.idempotent * j.idempotent == block_sum(rep.family, inter) and inter in present
             else:
-                assert (e_i * e_j).is_zero()
-                assert tuple(sorted(set(i_sub) | set(j_sub))) in present
-    return [sub for sub, _ in tri.entries if not any(other < set(sub) for other in subsets)]
+                assert (i.idempotent * j.idempotent).is_zero()
+                assert tuple(sorted(set(i.subset) | set(j.subset))) in present
+    return [en.subset for en in rep.entries if not any(other < set(en.subset) for other in subsets)]
 
 
 class TestKernelLattice:
@@ -747,35 +746,36 @@ class TestKernelLattice:
     @given(small_or_rebased())
     def test_batched_tables_match_the_pair_loops(self, a):
         rep = localization.localization_report(a)
-        tri = rep.tri
-        for (_, e), sp in zip(tri.entries, tri.kernels):
-            assert sp == Subspace.from_vectors(a.p, a.dim,
-                                               regular_matrix(a, a.one - e, "left").tolist())
-        contains, meets, (nonzero, maximal, minimal) = lattice_by_loops(tri)
-        assert tri.contains().tolist() == contains
-        assert tri.meet_dims().tolist() == meets
-        assert suite._extremal_kernels(tri) == (nonzero, minimal)
+        kernels = [en.ass.space for en in rep.entries]
+        for en in rep.entries:
+            assert en.ass.space == Subspace.from_vectors(a.p, a.dim,
+                                                         regular_matrix(a, a.one - en.idempotent, "left").tolist())
+        contains, meets, (nonzero, maximal, minimal) = lattice_by_loops(kernels)
+        assert suite._contains(rep).tolist() == contains
+        assert suite._meet_dims(rep).tolist() == meets
+        assert suite._extremal_kernels(rep) == (nonzero, minimal)
         # the maximal nonzero kernel ideals are those at the minima, in order
-        at_minima = [k for k, (sub, _) in enumerate(tri.entries) if sub in tri.minima]
+        at_minima = [k for k, en in enumerate(rep.entries) if en.subset in rep.minima]
         assert maximal == (at_minima if nonzero else [])
-        assert list(tri.minima) == triangular_checks_by_loops(a, tri)
-        ideals = [Ideal(a, sp, "twosided") for sp in tri.kernels]
+        assert list(rep.minima) == triangular_checks_by_loops(a, rep)
+        ideals = [Ideal(a, sp, "twosided") for sp in kernels]
         pairs = []
-        for ks, ls, rows in suite._kernel_products(a, tri):
+        idems = np.array([en.idempotent.coeffs for en in rep.entries], dtype=np.int64)
+        for ks, ls, rows in suite._kernel_products(a, idems, kernels):
             for k, l, r in zip(ks.tolist(), ls.tolist(), rows):
                 product = ideal_combine(ideals[k], ideals[l], "product").space
                 assert Subspace.from_vectors(a.p, a.dim, r.tolist()) == product
                 # the loop's check: kernel ideals multiply to their intersection
-                assert product == tri.kernels[k].intersect(tri.kernels[l])
+                assert product == kernels[k].intersect(kernels[l])
                 pairs.append((k, l))
-        c = len(tri.entries)
+        c = len(rep.entries)
         assert pairs == [(k, l) for k in range(c) for l in range(c)]
         # the report's radicals by the loops' selections
 
         def meet_of(indices):
-            out = tri.kernels[indices[0]]
+            out = kernels[indices[0]]
             for k in indices[1:]:
-                out = out.intersect(tri.kernels[k])
+                out = out.intersect(kernels[k])
             return out
 
         if nonzero:
@@ -796,5 +796,5 @@ class TestKernelLattice:
         monkeypatch.setattr(localization, "ASSOC_BLOCK", bound)
         got = localization.localization_report(build())
         assert got.to_dict() == expected.to_dict()
-        assert np.array_equal(got.tri.sum_dims, expected.tri.sum_dims)
+        assert np.array_equal(suite._closed_sum_dims(got), suite._closed_sum_dims(expected))
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -8,8 +9,10 @@ import tempfile
 
 import pytest
 
+from artinloc import cli
+from artinloc.algebra import Ideal
 from artinloc.cli import main, parse_input
-from artinloc.linalg import InputError
+from artinloc.linalg import InputError, Subspace
 
 L2_DOC = '{"scalar": {"prime": 7}, "kind": "constructor", "name": "lower_triangular", "n": 2}'
 L3_DOC = '{"scalar": {"prime": 7}, "kind": "constructor", "name": "lower_triangular", "n": 3}'
@@ -154,6 +157,24 @@ class TestCheckIdempotent:
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["left"] is True and out["right"] is False
+
+    def test_oracle_compares_the_kernel_ideal(self, docfile, capsys, monkeypatch):
+        # E11 of L2 with its three verdicts right but its kernel ideal
+        # (1 - E11)R, of dimension 2, replaced by 0: the oracle disagrees
+        real = cli.idempotent_denominator_check
+
+        def wrong_ideal(a, e):
+            chk = real(a, e)
+            zero = Ideal._derived(a, Subspace.zero(a.p, a.dim), "twosided")
+            return dataclasses.replace(chk, descriptor=dataclasses.replace(chk.descriptor, ass=zero))
+
+        monkeypatch.setattr(cli, "idempotent_denominator_check", wrong_ideal)
+        code = main(["check-idempotent", "--input", docfile(L2_DOC),
+                     "--element", "[[1,0],[0,0]]", "--oracle"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert out["oracle"] == {"left": True, "right": False, "twosided": False, "agrees": False}
+        assert (out["left"], out["right"], out["twosided"]) == (True, False, False)
 
     def test_right_side_verdict(self, docfile, capsys):
         code = main(["check-idempotent", "--input", docfile(L2_DOC),

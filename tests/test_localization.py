@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import types
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ from artinloc.localization import (
     classify_element,
     duality_report,
     idempotent_denominator_check,
-    left_triangular_idempotents,
     localization_report,
     monoid_denominator_decision,
     powers_denominator_criterion,
@@ -60,26 +60,26 @@ from conftest import (
 
 class TestTriangularIdempotents:
     def test_lower_triangular_chain(self, L2_7):
-        tri = left_triangular_idempotents(L2_7)
-        assert [s for s, _ in tri.entries] == [(1,), (1, 2)]
-        assert dict(tri.entries)[(1,)].coeffs == (1, 0, 0)  # E_11
-        assert dict(tri.entries)[(1, 2)] == L2_7.one
-        assert tri.minima == ((1,),)
+        rep = localization_report(L2_7)
+        assert [en.subset for en in rep.entries] == [(1,), (1, 2)]
+        assert rep.entry((1,)).idempotent.coeffs == (1, 0, 0)  # E_11
+        assert rep.entry((1, 2)).idempotent == L2_7.one
+        assert rep.minima == ((1,),)
 
     def test_simple_algebra_only_full(self, M2_7):
-        tri = left_triangular_idempotents(M2_7)
-        assert [s for s, _ in tri.entries] == [(1,)]
-        assert tri.minima == ((1,),)
+        rep = localization_report(M2_7)
+        assert [en.subset for en in rep.entries] == [(1,)]
+        assert rep.minima == ((1,),)
 
     def test_central_case_all_subsets(self, F7F7):
-        tri = left_triangular_idempotents(F7F7)
-        assert [s for s, _ in tri.entries] == [(1,), (2,), (1, 2)]
-        assert tri.minima == ((1,), (2,))
+        rep = localization_report(F7F7)
+        assert [en.subset for en in rep.entries] == [(1,), (2,), (1, 2)]
+        assert rep.minima == ((1,), (2,))
 
     def test_upper_triangular_mirror(self, U2_7):
-        tri = left_triangular_idempotents(U2_7)
-        assert [s for s, _ in tri.entries] == [(2,), (1, 2)]
-        assert dict(tri.entries)[(2,)].coeffs == (0, 0, 1)  # E_22
+        rep = localization_report(U2_7)
+        assert [en.subset for en in rep.entries] == [(2,), (1, 2)]
+        assert rep.entry((2,)).idempotent.coeffs == (0, 0, 1)  # E_22
 
 
 class TestLocalizationReport:
@@ -101,7 +101,7 @@ class TestLocalizationReport:
     def test_semisimple_product_counts(self, P1):
         rep = localization_report(P1)
         assert rep.flags["semisimple"]
-        assert len(rep.max_den) == 2 == rep.tri.family.s
+        assert len(rep.max_den) == 2 == rep.family.s
         assert rep.l_rad.dim == 0
 
     def test_simple_algebra_is_localization_maximal(self, M2_7):
@@ -249,8 +249,7 @@ class TestIdempotentCheck:
 
 class TestMonoidDecision:
     def test_triangular_idempotent_generator(self, L2_7):
-        tri = left_triangular_idempotents(L2_7)
-        e = dict(tri.entries)[(1,)]
+        e = localization_report(L2_7).entry((1,)).idempotent
         ok, desc = monoid_denominator_decision(L2_7, [e])
         assert ok
         expected = ideal_generated(L2_7, [L2_7.one - e], "right")
@@ -356,9 +355,9 @@ class TestDuality:
         # R(1 - e_1) = R E22 is the line through E22, which E22 R, holding
         # E21, leaves
         left = localization_report(L2_7)
-        blank = dataclasses.replace(left.tri, corners=np.diag(left.tri.corners.sum(axis=0)))
+        blank = dataclasses.replace(left, corners=np.diag(left.corners.sum(axis=0)))
         with pytest.raises(InternalCheckError, match="a right kernel ideal is not a two-sided ideal"):
-            localization._right_report(dataclasses.replace(left, tri=blank))
+            localization._right_report(blank)
 
 
 class TestTwoSided:
@@ -660,16 +659,16 @@ def left_report_check(a):
 
 
 def bump_corner(monkeypatch, block):
-    """Hand each class build a corner table that reads the corner of
+    """Hand each report build a corner table that reads the corner of
     ``block`` (0-based) with itself one dimension too high."""
-    build = localization._triangular_set
+    build = localization._side_report
 
-    def faulty(a, fam, corners, multiply):
+    def faulty(a, side, fam, corners):
         corners = corners.copy()
         corners[block, block] += 1
-        return build(a, fam, corners, multiply)
+        return build(a, side, fam, corners)
 
-    monkeypatch.setattr(localization, "_triangular_set", faulty)
+    monkeypatch.setattr(localization, "_side_report", faulty)
 
 
 def with_report(monkeypatch, change):
@@ -811,8 +810,8 @@ class TestLatticeChecksFire:
         # leaves it too small, "outside" has the right rank but holds E11
         products = suite._kernel_products
 
-        def faulty(a, tri):
-            for n, (k, l, rows) in enumerate(products(a, tri)):
+        def faulty(a, idems, kernels):
+            for n, (k, l, rows) in enumerate(products(a, idems, kernels)):
                 if n == 0:
                     rows[0] = 0 if fault == "rank" else np.eye(5, 6, dtype=np.int64)
                 yield k, l, rows
@@ -825,13 +824,14 @@ class TestLatticeChecksFire:
         # L3: dim 1_j R is 1, 2, 3; reading dim 1_3 R as 4 puts
         # dim(K_{1} + K_{1}) at 6, so the meet of K_{1} (dim 5) with itself
         # at dim 4, below the rank 5 of the product K_{1} K_{1}
-        triangular = localization.left_triangular_idempotents
+        def change(rep):
+            if rep.algebra.dim != 6:
+                return rep
+            corners = rep.corners.copy()
+            corners[2, 2] += 1
+            return dataclasses.replace(rep, corners=corners)
 
-        def faulty(a, fam=None):
-            tri = triangular(a, fam)
-            return dataclasses.replace(tri, piece_dims=tri.piece_dims + [0, 0, 1])
-
-        monkeypatch.setattr(localization, "left_triangular_idempotents", faulty)
+        with_report(monkeypatch, change)
         assert left_report_check(lower_triangular(7, 3)) == (
             False, "InternalCheckError: kernel ideals do not multiply to their intersection")
 
@@ -855,7 +855,7 @@ class TestLatticeChecksFire:
         # L3: the class {1} is given e_I for another I; e_{1,2} R (dim 3)
         # meets K_{1} (dim 5) in 1_2 R, and 0 R leaves K_{1} short of R
         def change(rep):
-            first = dataclasses.replace(rep.entries[0], idempotent=block_sum(rep.tri.family, subset))
+            first = dataclasses.replace(rep.entries[0], idempotent=block_sum(rep.family, subset))
             return dataclasses.replace(rep, entries=(first, *rep.entries[1:]))
 
         with_report(monkeypatch, change)
@@ -947,15 +947,18 @@ def test_dual_runs_the_shared_checks_on_the_right_side(monkeypatch, tmp_path, ca
     # pairing and the radicals agree with the left side, and only the count
     # of minima against the blocks, which both sides' reports check, sees
     # three minima for two blocks
-    build = localization._triangular_set
+    build, minimal = localization._side_report, localization._minimal_masks
+    sides = []
 
-    def every_class_minimal(a, fam, corners, multiply):
-        tri = build(a, fam, corners, multiply)
-        if multiply.__name__ != "batch_right_matrices":
-            return tri
-        return dataclasses.replace(tri, minima=tuple(sub for sub, _ in tri.entries))
+    def recording(a, side, fam, corners):
+        sides.append(side)
+        return build(a, side, fam, corners)
 
-    monkeypatch.setattr(localization, "_triangular_set", every_class_minimal)
+    def every_class_minimal_on_the_right(masks):
+        return np.ones(len(masks), dtype=bool) if sides[-1] == "right" else minimal(masks)
+
+    monkeypatch.setattr(localization, "_side_report", recording)
+    monkeypatch.setattr(localization, "_minimal_masks", every_class_minimal_on_the_right)
     path = tmp_path / "gf7sq.json"
     path.write_text('{"scalar": {"prime": 7}, "kind": "constructor", "name": "product", "factors": '
                     '[{"kind": "constructor", "name": "full_matrix", "n": 1}, '
@@ -965,6 +968,52 @@ def test_dual_runs_the_shared_checks_on_the_right_side(monkeypatch, tmp_path, ca
     assert main(["dual", "--input", str(path)]) == 3
     assert capsys.readouterr().err == \
         "internal invariant violation: more maximal classes than blocks\n"
+
+
+class TestReportRadicalChecksFire:
+    """The report builder reads both radicals off unions of classes; each
+    of its checks on them fires on one corrupted reading, on a fresh
+    algebra (reports are cached)."""
+
+    def test_union_of_minima_must_be_a_class(self, monkeypatch):
+        # GF(7)^2 without the class {1,2}: the minima {1} and {2} hold
+        # together, but their union is no class
+        closed = localization._closed_subsets
+        monkeypatch.setattr(localization, "_closed_subsets", lambda corners: closed(corners)[:-1])
+        with pytest.raises(InternalCheckError, match="union of minima does not qualify"):
+            localization_report(direct_product([full_matrix(7, 1)] * 2)[0])
+
+    def test_localization_radical_inside_the_nilpotent_radical(self):
+        # L2 with a family whose radical is all of R: the localization
+        # radical K_{1}, of dimension 2, lies inside it without vanishing
+        a = lower_triangular(7, 2)
+        left = localization_report(a)
+        whole = Ideal._derived(a, Subspace.from_vectors(7, 3, np.eye(3, dtype=np.int64).tolist()), "twosided")
+        fam = types.SimpleNamespace(s=left.family.s, idempotents=left.family.idempotents, rad=whole)
+        with pytest.raises(InternalCheckError,
+                           match="localization radical sits inside the nilpotent radical only when it vanishes"):
+            localization._side_report(a, "left", fam, left.corners)
+
+    def test_little_radical_inside_the_localization_radical(self, monkeypatch):
+        # L2 with the full set {1,2} taken for the only minimum: the
+        # localization radical is K_{1,2} = 0, the little radical K_{1}
+        monkeypatch.setattr(localization, "_minimal_masks", lambda masks: masks == masks.max())
+        with pytest.raises(InternalCheckError, match="little radical is not inside the localization radical"):
+            localization_report(lower_triangular(7, 2))
+
+    def test_right_radical_must_be_closed(self, monkeypatch):
+        # L2's right side off the diagonal table of the column sums, as in
+        # TestDuality, with {1} taken for the only minimum and the
+        # two-sidedness test of the class ideals passed: the radical
+        # R(1 - e_1) = R E22, the line through E22, is no two-sided ideal,
+        # and the public constructor says so
+        left = localization_report(lower_triangular(7, 2))
+        blank = dataclasses.replace(left, corners=np.diag(left.corners.sum(axis=0)))
+        monkeypatch.setattr(localization, "_minimal_masks", lambda masks: masks == masks.min())
+        monkeypatch.setattr(localization, "_projectors",
+                            lambda spaces: np.stack([np.eye(3, dtype=np.int64)] * len(spaces)))
+        with pytest.raises(InputError, match="subspace is not closed under"):
+            localization._right_report(blank)
 
 
 def test_kernel_class_refuses_the_whole_algebra(L2_7):
@@ -1055,19 +1104,19 @@ PEIRCE_ALGEBRAS += [opposite_algebra(a) for a in PEIRCE_ALGEBRAS]
 @pytest.mark.parametrize("a", PEIRCE_ALGEBRAS, ids=lambda a: a.label)
 class TestPeirceDigraph:
     def test_left_classes_are_the_successor_closed_sets(self, a):
-        assert [sub for sub, _ in left_triangular_idempotents(a).entries] == closed_sets(reference_edges(a))
+        assert [en.subset for en in localization_report(a).entries] == closed_sets(reference_edges(a))
 
     def test_right_classes_are_the_predecessor_closed_sets(self, a):
         edges = reference_edges(a)
         reversed_edges = [list(col) for col in zip(*edges)]
         right = duality_report(a).right
-        assert [sub for sub, _ in right.tri.entries] == closed_sets(reversed_edges)
+        assert [en.subset for en in right.entries] == closed_sets(reversed_edges)
 
     def test_right_report_is_the_left_report_of_the_opposite(self, a):
         # the right report is read off the left one; the opposite algebra
         # has the same lifted family and, label included, the same report
         opposite = localization_report(opposite_algebra(a))
-        assert [e.coeffs for e in opposite.tri.family.idempotents] == \
+        assert [e.coeffs for e in opposite.family.idempotents] == \
             [e.coeffs for e in block_decomposition(a).idempotents]
         assert duality_report(a).right.to_dict() == opposite.to_dict()
 
@@ -1075,5 +1124,5 @@ class TestPeirceDigraph:
         assert two_sided_report(a).factors == weak_component_count(reference_edges(a))
 
     def test_kernel_sums_are_sums_of_block_rows(self, a):
-        tri = left_triangular_idempotents(a)
-        assert tri.sum_dims.tolist() == reference_sum_dims(a, [sub for sub, _ in tri.entries])
+        rep = localization_report(a)
+        assert suite._closed_sum_dims(rep).tolist() == reference_sum_dims(a, [en.subset for en in rep.entries])

@@ -18,7 +18,7 @@ import pytest
 
 from artinloc.algebra import direct_product, ideal_combine, matrix_subalgebra, opposite_algebra
 from artinloc.localization import duality_report, localization_report, two_sided_report
-from artinloc.suite import _left_lattice, _sum_dims, run_invariants
+from artinloc.suite import _closed_sum_dims, _left_lattice, _sum_dims, run_invariants
 from conftest import closed_sets, reference_edges, reference_sum_dims, weak_component_count
 
 SEEDS = range(40)
@@ -59,7 +59,7 @@ def product(ideals):
 def test_closed_form_lattice_matches_the_eliminations(seed):
     a = random_algebra(seed)
     rep = localization_report(a)
-    assert (_sum_dims(rep.tri.kernels, a.p) == rep.tri.sum_dims).all()
+    assert (_sum_dims([en.ass.space for en in rep.entries], a.p) == _closed_sum_dims(rep)).all()
     minima = [rep.entry(sub).ass for sub in rep.minima]
     assert meet(minima) == rep.l_rad.space == product(minima)
     nonzero = [en.ass for en in rep.entries if en.ass.dim]
@@ -78,11 +78,11 @@ def test_classes_follow_the_peirce_digraph(seed):
     a = random_algebra(seed)
     edges = reference_edges(a)
     dual = duality_report(a)
-    left = [sub for sub, _ in dual.left.tri.entries]
+    left = [en.subset for en in dual.left.entries]
     assert left == closed_sets(edges)
-    assert [sub for sub, _ in dual.right.tri.entries] == closed_sets([list(col) for col in zip(*edges)])
+    assert [en.subset for en in dual.right.entries] == closed_sets([list(col) for col in zip(*edges)])
     assert two_sided_report(a).factors == weak_component_count(edges)
-    assert dual.left.tri.sum_dims.tolist() == reference_sum_dims(a, left)
+    assert _closed_sum_dims(dual.left).tolist() == reference_sum_dims(a, left)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

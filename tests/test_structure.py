@@ -134,7 +134,7 @@ class TestRadicalQuotientShared:
         calls = self.count_quotients(monkeypatch)
         a = build()
         fam = block_decomposition(a)
-        assert calls == []
+        assert calls == [a]
         assert fam.quotient.algebra is a and fam.quotient.parent is a
         assert fam.rad.dim == 0 and fam.quotient.keep == tuple(range(a.dim))
         for e, ebar in zip(fam.idempotents, fam.central_images):

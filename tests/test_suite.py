@@ -121,19 +121,12 @@ def test_scan_check_sees_a_corrupted_corner_table(monkeypatch):
     assert not scan.ok and scan.detail == "the scan finds {1} {2} {1,2}, the report {2} {1,2}"
 
 
-def alter_classes(right, **changes):
-    """The right report with ``changes(tri)`` in place of fields of its classes."""
-    tri = right.tri
-    return dataclasses.replace(right, tri=dataclasses.replace(
-        tri, **{name: change(tri) for name, change in changes.items()}))
-
-
 @pytest.mark.parametrize("alter, key", [
     # the kernel ideal of the first class replaced by that of the full set, 0
     (lambda right: dataclasses.replace(right, entries=(
         dataclasses.replace(right.entries[0], ass=right.entries[-1].ass), *right.entries[1:])), "entries"),
     (lambda right: dataclasses.replace(right, entries=right.entries[:-1]), "entries"),
-    (lambda right: alter_classes(right, minima=lambda tri: (tri.entries[-1][0],)), "max_den"),
+    (lambda right: dataclasses.replace(right, minima=(right.entries[-1].subset,)), "max_den"),
 ], ids=["kernel basis", "dropped class", "wrong minimum"])
 def test_duality_check_sees_a_corrupted_right_report(alter, key, monkeypatch):
     # L2: the right classes are {2} and {1,2}, the minimum {2}
@@ -238,6 +231,22 @@ def test_printing_builds_no_quotient(monkeypatch, tmp_path, capsys):
     assert main(["check-monoid", "--input", str(path), "--element", "[[1,0],[0,0]]"]) == 0
     assert json.loads(capsys.readouterr().out)["descriptor"]["quotient_dim"] == 1
     assert len(built) == decided == 2
+
+
+def test_cold_monoid_decision_builds_one_quotient_table(monkeypatch):
+    # the closure {1, E11} of L2 reaches the classes of 1 and E11; the
+    # kernel ideal of 1 is 0, and R/0 is R itself, so only R/(1 - E11)R
+    # gets a table of its own
+    tables = []
+    derived = Algebra._derived.__func__
+    monkeypatch.setattr(Algebra, "_derived",
+                        classmethod(lambda cls, *args: tables.append(args[-1]) or derived(cls, *args)))
+    a = lower_triangular(7, 2)
+    ok, desc = monoid_denominator_decision(a, [a.from_matrix([[1, 0], [0, 0]])])
+    assert ok and desc.ass.dim == 2
+    assert tables == ["L2(GF(7))/(dim 2 ideal)"]
+    zero = Ideal._derived(a, Subspace.zero(7, 3), "twosided")
+    assert algebra.quotient_algebra(a, zero).algebra is a and len(tables) == 1
 
 
 @pytest.mark.parametrize("fixture_name", ["L2_7", "L3_7", "U3_7", "M2_7", "T7", "F7F7", "T7xF7", "P1"])
