@@ -341,14 +341,9 @@ class Ideal:
             raise InputError("ideal subspace does not match its algebra")
         if sp.dim == 0:
             return
-        sides = [side for side in ("left", "right") if self.side in (side, "twosided")]
-        # b_i * v on the left and v * b_i on the right, for each basis vector v
-        spec = {"left": "vj,ijl->vil", "right": "vj,jil->vil"}
-        products = [np.einsum(spec[side], sp.array, a.np_table) for side in sides]
-        # rows ordered (v, b_i, side): the order of the definitional loop
-        rows = np.stack(products, axis=2).reshape(-1, a.dim) % a.p
-        member = batch_member_mask(rows, sp)
+        member = batch_member_mask(_side_products(a, sp.array, self.side), sp)
         if not member.all():
+            sides = ["left", "right"] if self.side == "twosided" else [self.side]
             side = sides[int(np.argmin(member)) % len(sides)]
             raise InputError(f"subspace is not closed under {side} multiplication")
 
@@ -373,6 +368,15 @@ class Ideal:
 
     def __repr__(self) -> str:
         return f"Ideal(side={self.side}, dim={self.dim})"
+
+
+def _side_products(a: Algebra, vecs: np.ndarray, side: str) -> np.ndarray:
+    """b_i * v on the left and v * b_i on the right, as ``side`` asks, over
+    every row v of ``vecs`` and basis element b_i, as rows ordered (v, b_i,
+    left before right): the order of the definitional loop."""
+    spec = {"left": "vj,ijl->vil", "right": "vj,jil->vil"}
+    products = [np.einsum(spec[one], vecs, a.np_table) for one in spec if side in (one, "twosided")]
+    return np.stack(products, axis=2).reshape(-1, a.dim) % a.p
 
 
 # ---------------------------------------------------------------------------
@@ -626,16 +630,9 @@ def ideal_generated(a: Algebra, gens: Iterable[Element], side: str) -> Ideal:
     if side not in ("left", "right", "twosided"):
         raise InputError(f"bad ideal side {side!r}")
     span = Subspace.from_vectors(a.p, a.dim, [g.coeffs for g in gens])
-    basis_vecs = [tuple(1 if j == i else 0 for j in range(a.dim)) for i in range(a.dim)]
     while True:
-        new_vecs = list(span.basis)
-        for v in span.basis:
-            for b in basis_vecs:
-                if side in ("left", "twosided"):
-                    new_vecs.append(a.mul_coeffs(b, v))
-                if side in ("right", "twosided"):
-                    new_vecs.append(a.mul_coeffs(v, b))
-        bigger = Subspace.from_vectors(a.p, a.dim, new_vecs)
+        products = _side_products(a, span.array, side)
+        bigger = Subspace.from_vectors(a.p, a.dim, np.concatenate([span.array, products]).tolist())
         if bigger.dim == span.dim:
             return Ideal(a, span, side)
         span = bigger

@@ -76,7 +76,6 @@ from .linalg import (
 from .oracle import monoid_closure
 from .structure import (
     IdempotentFamily,
-    _center_subspace,
     block_decomposition,
     check_orthogonal_idempotents,
     primitive_idempotents,
@@ -845,7 +844,7 @@ def two_sided_report(a: Algebra) -> TwoSidedReport:
     both, and the idempotents as the block sums over the linked blocks."""
     if "two_sided" in a._cache:
         return a._cache["two_sided"]
-    cents = primitive_idempotents(a, _center_subspace(a))
+    cents = primitive_idempotents(a)
     for i, e in enumerate(cents):
         if not _is_central(a, e):
             raise InternalCheckError(f"central idempotent {i} is not central")

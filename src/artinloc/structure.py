@@ -2,25 +2,27 @@
 
 Provides the Jacobson radical (as the kernel of the trace bilinear form of
 the regular representation, valid because every algebra here enforces
-p > dim), the primitive idempotents of a commutative subalgebra (one
-Frobenius splitter, run on the center of R/J for the blocks and on the
-center of R for the two-sided factors), the block decomposition of the
-semisimple quotient, and a family of orthogonal idempotents of the algebra
-lifting the blocks' central identities.
+p > dim), the primitive central idempotents of an algebra (one Frobenius
+splitter, run on R/J for the blocks and on R for the two-sided factors),
+the block decomposition of the semisimple quotient, and a family of
+orthogonal idempotents of the algebra lifting the blocks' central
+identities.
 
 Each fact is computed once per algebra: the radical and R/J are one cached
 pair that the block decomposition reuses (a semisimple algebra is its own
 quotient), and the lifted family is checked by one table of pairwise
 products.
 
-Everything is deterministic: a commutative subalgebra is split from a
-worklist, each idempotent by the first basis element of its Frobenius-fixed
-space with two eigenvalues on its corner, extracting Lagrange idempotents
-at the sorted roots of minimal polynomials (roots found by evaluating over
-all of GF(p)); primitive idempotents are unique, and they are ordered by
-the pivot of their coefficient vectors; lifting uses the Newton iteration
-x -> 3x^2 - 2x^3 inside corners of previously lifted idempotents.  The
-lifted family is canonical for this pipeline.  Conjugate lifts would give
+Every idempotent comes from one batched power, :func:`_powers`: the
+Frobenius-fixed space of the center, its spectral idempotents
+1 - (f - alpha)^(p-1), and the lifts, each the p-th power of c x c for a
+section x in the corner c of the previous lifts (x = e + n with n
+nilpotent of index at most dim < p in the commutative GF(p)[x], so
+x^p = e + n^p = e).  Everything is deterministic: primitive idempotents are
+unique, and they are ordered by the pivot of their coefficient vectors; an
+idempotent lift in a commutative algebra is unique, so each lift is the
+limit of Newton's iteration x -> 3x^2 - 2x^3 in that corner.  The lifted
+family is canonical for this pipeline.  Conjugate lifts would give
 conjugate families; conjugation-independence of downstream reports is
 documented, not verified.
 """
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, Element, Ideal, Quotient, ideal_combine, quotient_algebra, regular_matrix
-from .linalg import InternalCheckError, Subspace, express_in_rows, kernel, rank
+from .linalg import InternalCheckError, Subspace, kernel, row_chunks
 
 __all__ = ["IdempotentFamily", "radical", "primitive_idempotents", "block_decomposition",
            "ideal_block_support", "check_orthogonal_idempotents"]
@@ -134,72 +136,63 @@ def _center_subspace(a: Algebra) -> Subspace:
     return kernel(cols[:, np.diff(cols, axis=1, prepend=-1).any(axis=0)], p)
 
 
-def _minimal_polynomial(a: Algebra, x: tuple[int, ...], unit: tuple[int, ...]) -> list[int]:
-    """Monic minimal polynomial of x over GF(p) relative to the given unity.
-
-    Works inside the unital subalgebra spanned by powers of x; `unit` is
-    the identity of the corner being split.
-    """
-    p, d = a.p, a.dim
-    powers = [unit]
-    while True:
-        rows = [list(v) for v in powers]
-        nxt = a.mul_coeffs(powers[-1], x)
-        combo = express_in_rows(rows, nxt, p)
-        if combo is not None:
-            k = len(powers)
-            poly = [(-c) % p for c in combo] + [1]  # x^k - sum c_i x^i
-            return poly
-        powers.append(nxt)
-        if len(powers) > d + 1:
-            raise InternalCheckError("minimal polynomial search exceeded the dimension bound")
-
-
-def _poly_roots(poly: list[int], p: int) -> list[int]:
-    """Roots in GF(p) by exhaustive evaluation (p is bounded, so this is cheap)."""
-    roots = []
-    for alpha in range(p):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * alpha + c) % p
-        if acc == 0:
-            roots.append(alpha)
-    return roots
-
-
-def primitive_idempotents(a: Algebra, space: Subspace) -> tuple[Element, ...]:
-    """The primitive idempotents of ``a`` inside the commutative subalgebra
-    ``space``, ordered by the pivot of their coefficient vectors.
-
-    On a commutative algebra of characteristic p, z -> z^p is GF(p)-linear,
-    and x^p = x holds exactly for the GF(p)-combinations of orthogonal
-    idempotents, so its fixed space is spanned by the primitive ones.  The
-    p-th powers of the whole basis come from one square-and-multiply on
-    batch products.  The fixed space is then split from a worklist: a
-    popped idempotent f is primitive iff its corner f * fixed is the line
-    through f.
-    """
-    p = a.p
-    powers, base, n = np.tile(np.array(a.one_coeffs, dtype=np.int64), (space.dim, 1)), space.array, p
+def _powers(a: Algebra, xs: np.ndarray, n: int) -> np.ndarray:
+    """x**n for every row x of ``xs``, by square-and-multiply on batch products."""
+    out = np.tile(np.array(a.one_coeffs, dtype=np.int64), (len(xs), 1))
     while n:
         if n & 1:
-            powers = a.batch_mul(powers, base)
-        base = a.batch_mul(base, base)
+            out = a.batch_mul(out, xs)
         n >>= 1
-    # Solve sum_i c_i (z_i^p - z_i) = 0 for c over the basis of the space.
-    fixed_coords = kernel((powers - space.array) % p, p)
+        if n:
+            xs = a.batch_mul(xs, xs)
+    return out
+
+
+def _spectral_idempotents(a: Algebra, f: np.ndarray) -> np.ndarray:
+    """The nonzero rows of 1 - (f - alpha)**(p-1) over all alpha in GF(p).
+
+    On a commutative algebra where every element satisfies x**p = x (a
+    copy of GF(p)**k), f is the sum of lambda_i e_i over the primitive
+    idempotents e_i, and (f - alpha)**(p-1) is the sum of the e_i with
+    lambda_i != alpha; so row alpha is the sum of the e_i with lambda_i =
+    alpha, the projection onto the alpha-eigenspace of f.
+    """
+    p = a.p
+    one = np.array(a.one_coeffs, dtype=np.int64)
+    # alpha a chunk at a time, so the batch products stay small for large p
+    shifts = [(f - np.arange(start, stop)[:, None] * one) % p for start, stop in row_chunks(p)]
+    spectral = np.concatenate([(one - _powers(a, xs, p - 1)) % p for xs in shifts])
+    return spectral[spectral.any(axis=1)]
+
+
+def primitive_idempotents(a: Algebra) -> tuple[Element, ...]:
+    """The primitive central idempotents of ``a``, ordered by the pivot of
+    their coefficient vectors.
+
+    On the commutative center Z, z -> z^p is GF(p)-linear, and z^p = z
+    holds exactly for the GF(p)-combinations of orthogonal idempotents, so
+    its fixed space F is spanned by the primitive ones: a copy of GF(p)^k.
+    In its own coordinates, an element's entries at the pivots of F's RREF
+    basis, F is split from 1 by the spectral idempotents of one basis
+    element after another, until there are k of them.
+    """
+    p, space = a.p, _center_subspace(a)
+    # Solve sum_i c_i (z_i^p - z_i) = 0 for c over the basis of the center.
+    fixed_coords = kernel((_powers(a, space.array, p) - space.array) % p, p)
     fixed = Subspace.from_vectors(p, a.dim, (fixed_coords.array @ space.array % p).tolist())
-    blocks, todo = [], [a.one_coeffs]
-    while todo:
-        f = todo.pop()
-        if rank(a.batch_mul_left(f, fixed.array), p) == 1:
-            blocks.append(f)
-            continue
-        pieces = _split_block(a, f, fixed)
-        if len(pieces) == 1:
-            raise InternalCheckError("block splitting did not reach primitive idempotents")
-        todo.extend(pieces)
-    blocks.sort(key=lambda v: (_pivot(v), v))
+    pivots = list(fixed.pivots)
+    fa = Algebra._derived(p, a.pair_products(fixed.array, fixed.array)[..., pivots],
+                          np.array(a.one_coeffs)[pivots], f"F({a.label})")
+    idems = np.array([fa.one_coeffs], dtype=np.int64)
+    for f in np.eye(fixed.dim, dtype=np.int64):
+        if len(idems) == fixed.dim:
+            break
+        pieces = fa.pair_products(idems, _spectral_idempotents(fa, f)).reshape(-1, fixed.dim)
+        idems = pieces[pieces.any(axis=1)]
+    if len(idems) != fixed.dim:
+        raise InternalCheckError("block splitting did not reach primitive idempotents")
+    check_orthogonal_idempotents(fa, tuple(fa.element(e) for e in idems), "primitive idempotent")
+    blocks = sorted(map(tuple, (idems @ fixed.array % p).tolist()), key=lambda v: (_pivot(v), v))
     return tuple(a.element(b) for b in blocks)
 
 
@@ -207,31 +200,27 @@ def block_decomposition(a: Algebra) -> IdempotentFamily:
     """Split the semisimple quotient into blocks and lift their identities.
 
     Pipeline: radical and quotient (shared with :func:`radical`); the
-    primitive idempotents of the center of the quotient, which are its
-    primitive central idempotents (:func:`primitive_idempotents`), one per
-    block in pivot order; sequential Newton lifting, checked as a family.
+    primitive central idempotents of the quotient
+    (:func:`primitive_idempotents`), one per block in pivot order; each
+    lifted in turn as a p-th power in the corner of the previous lifts,
+    checked as a family.
     """
     if "family" in a._cache:
         return a._cache["family"]
     rad, quo = _radical_quotient(a)
     abar = quo.algebra
     p = a.p
-    central = primitive_idempotents(abar, _center_subspace(abar))
+    central = primitive_idempotents(abar)
 
-    # Lift sequentially into corners of 1 - (sum of previous lifts); the
-    # family checks idempotence, orthogonality and the projections.
+    # c = 1 - (sum of previous lifts); the family checks idempotence,
+    # orthogonality and the projections
     lifted: list[Element] = []
-    newton_steps = max(1, (a.dim - 1).bit_length() + 1)
-    fsum = a.zero
+    corner = np.array([a.one_coeffs], dtype=np.int64)
     for ebar in central:
-        x0 = quo.section(ebar)
-        corner_unit = a.one - fsum
-        y = corner_unit * x0 * corner_unit
-        for _ in range(newton_steps):
-            y2 = y * y
-            y = (y2 * 3) - (y2 * y * 2)
-        lifted.append(y)
-        fsum = fsum + y
+        x0 = np.array([quo.section(ebar).coeffs], dtype=np.int64)
+        y = _powers(a, a.batch_mul(a.batch_mul(corner, x0), corner), p)
+        lifted.append(a.element(y[0]))
+        corner = (corner - y) % p
 
     dims = []
     comm = []
@@ -251,37 +240,6 @@ def _pivot(vec: tuple[int, ...]) -> int:
         if v:
             return i
     return len(vec)
-
-
-def _split_block(a: Algebra, f: tuple[int, ...], fixed: Subspace) -> list[tuple[int, ...]]:
-    """Split the idempotent f of the fixed space using the first basis element
-    of the fixed space whose corner restriction has at least two eigenvalues."""
-    p = a.p
-    for z in fixed.basis:
-        w = a.mul_coeffs(f, z)
-        poly = _minimal_polynomial(a, w, f)
-        roots = _poly_roots(poly, p)
-        if len(poly) - 1 != len(roots):
-            raise InternalCheckError("minimal polynomial of a split semisimple element "
-                                     "did not factor into distinct linear factors")
-        if len(roots) < 2:
-            continue
-        pieces = []
-        for alpha in sorted(roots):
-            e = f
-            for beta in roots:
-                if beta == alpha:
-                    continue
-                shifted = tuple((wi - beta * fi) % p for wi, fi in zip(w, f))
-                e = a.mul_coeffs(e, shifted)
-                inv = pow((alpha - beta) % p, p - 2, p)
-                e = tuple((inv * v) % p for v in e)
-            pieces.append(e)
-        total = tuple(sum(col) % p for col in zip(*pieces))
-        if total != f:
-            raise InternalCheckError("Lagrange idempotents do not sum back to the block")
-        return pieces
-    return [f]
 
 
 def ideal_block_support(fam: IdempotentFamily, ideal: Ideal) -> tuple[frozenset[int], bool]:

@@ -641,7 +641,8 @@ def test_each_table_check_fires(module, build, call, message, monkeypatch):
 def central_idempotents_via_the_center_algebra(a):
     """Reference: the center as an algebra on its RREF basis, its own block
     decomposition (radical, semisimple quotient, split and lift), and the
-    lifts mapped back to ``a``, in pivot order."""
+    lifts mapped back to ``a``, in pivot order.  It runs the same splitter
+    on another algebra; the enumeration below shares no code with it."""
     center = _center_subspace(a)
     one = express_in_rows(center.basis, a.one_coeffs, a.p)
     zalg = Algebra(a.p, table_by_definition(a, center.basis), one, f"Z({a.label})")
@@ -674,6 +675,43 @@ def test_central_idempotents_match_the_center_algebra_route_on_draws(seed):
             == central_idempotents_via_the_center_algebra(a))
     abar = _radical_quotient(a)[1].algebra
     assert (_center_subspace(abar).dim > block_decomposition(a).s) == (seed in NON_SPLIT_SEEDS)
+
+
+ENUMERATION_BOUND = 1 << 14
+
+
+def minimal_central_idempotents(a):
+    """Reference: the nonzero central solutions of e*e = e found by
+    enumeration, less those above another one (e*f = f != e), in pivot order."""
+    basis = [a.element(row) for row in np.eye(a.dim, dtype=np.int64)]
+    central = [e for e in brute_idempotents(a, guard=ENUMERATION_BOUND).members
+               if not e.is_zero() and all(e * b == b * e for b in basis)]
+    minimal = [e.coeffs for e in central if not any(f != e and e * f == f for f in central)]
+    return sorted(minimal, key=lambda v: (_pivot(v), v))
+
+
+def check_central_idempotents_by_enumeration(a):
+    """The primitive central idempotents of R and of R/J against the
+    enumeration, for those with p**dim within the bound; returns how many."""
+    fam = block_decomposition(a)
+    checked = 0
+    for alg, idems in ((a, two_sided_report(a).central_idempotents),
+                       (fam.quotient.algebra, fam.central_images)):
+        if alg.p ** alg.dim <= ENUMERATION_BOUND:
+            assert [e.coeffs for e in idems] == minimal_central_idempotents(alg), alg.label
+            checked += 1
+    return checked
+
+
+def test_primitive_central_idempotents_match_enumeration():
+    # M2 x GF(7), of 7^5 elements, is the one fixture past the bound
+    assert sum(map(check_central_idempotents_by_enumeration, CENTER_FIXTURES)) == 15
+
+
+def test_primitive_central_idempotents_match_enumeration_on_draws():
+    # 5 draws and 11 semisimple quotients are within the bound, among them
+    # draw 25, whose R/J has a center that is not split
+    assert sum(check_central_idempotents_by_enumeration(random_algebra(seed)) for seed in SEEDS) == 16
 
 
 def test_equal_principal_right_ideals_force_equal_left_complements(L2_5):

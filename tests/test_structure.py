@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 
 import artinloc.localization as localization
@@ -17,6 +18,8 @@ from artinloc.oracle import brute_radical
 from artinloc.structure import _radical_quotient, block_decomposition, ideal_block_support, radical
 from artinloc.suite import run_invariants
 from conftest import gf49_times_dual_numbers
+from test_metamorphic import FIXTURES
+from test_random_algebras import SEEDS, random_algebra
 
 
 class TestRadical:
@@ -177,8 +180,27 @@ class TestFamilyChecksFire:
             dataclasses.replace(fam, central_images=fam.central_images[::-1])
 
     def test_split_that_stalls(self, monkeypatch):
-        monkeypatch.setattr(structure, "_split_block", lambda abar, f, fixed: [f])
+        # every basis element of the Frobenius-fixed space has the one
+        # eigenspace of a scalar, so the refinement never leaves 1
+        monkeypatch.setattr(structure, "_spectral_idempotents", lambda fa, f: np.array([fa.one_coeffs]))
         with pytest.raises(InternalCheckError, match="did not reach primitive idempotents"):
+            block_decomposition(lower_triangular(7, 2))
+
+    @pytest.mark.parametrize("fault, message", [
+        # the first eigenspace projection absorbs the second: both stay idempotent
+        (lambda rows, p: (rows[0] + rows[1]) % p, "primitive idempotents 0,1 are not orthogonal"),
+        (lambda rows, p: 2 * rows[0] % p, "primitive idempotent 0 is not idempotent"),
+    ], ids=["merged", "doubled"])
+    def test_faulty_spectral_step(self, fault, message, monkeypatch):
+        # R/J of L2 is GF(7)^2, split by E11 into the projections E22, E11
+        real = structure._spectral_idempotents
+
+        def faulty(fa, f):
+            rows = real(fa, f)
+            rows[0] = fault(rows, fa.p)
+            return rows
+        monkeypatch.setattr(structure, "_spectral_idempotents", faulty)
+        with pytest.raises(InternalCheckError, match=message):
             block_decomposition(lower_triangular(7, 2))
 
 
@@ -186,14 +208,14 @@ class TestTwoSidedChecksFire:
     def test_non_central_candidate(self, monkeypatch):
         # the "center" is the whole of L2, whose block idempotents E11 and E22
         # are not central
-        monkeypatch.setattr(localization, "_center_subspace", lambda a: Subspace.full(a.p, a.dim))
+        monkeypatch.setattr(structure, "_center_subspace", lambda a: Subspace.full(a.p, a.dim))
         with pytest.raises(InternalCheckError, match="central idempotent 0 is not central"):
             localization.two_sided_report(lower_triangular(7, 2))
 
     def test_non_orthogonal_pair(self, monkeypatch):
         # (1, 0) and (1, 1) are central idempotents of GF(7)^2 with product (1, 0)
         monkeypatch.setattr(localization, "primitive_idempotents",
-                            lambda a, space: (a.element((1, 0)), a.element((1, 1))))
+                            lambda a: (a.element((1, 0)), a.element((1, 1))))
         a = direct_product([full_matrix(7, 1), full_matrix(7, 1)])[0]
         with pytest.raises(InternalCheckError, match="central idempotents 0,1 are not orthogonal"):
             localization.two_sided_report(a)
@@ -201,7 +223,7 @@ class TestTwoSidedChecksFire:
     def test_coarse_split_passes_the_hot_path_and_fails_verify(self, monkeypatch):
         # 1 alone is a central family of GF(7)^2 that passes every hot-path
         # check, but its two blocks are not linked by a Peirce corner
-        monkeypatch.setattr(localization, "primitive_idempotents", lambda a, space: [a.one])
+        monkeypatch.setattr(localization, "primitive_idempotents", lambda a: [a.one])
         a = direct_product([full_matrix(7, 1), full_matrix(7, 1)])[0]
         assert localization.two_sided_report(a).factors == 1
         checks = {c.name: c for c in run_invariants(a)}
@@ -225,7 +247,7 @@ def skewed_lower_triangular_7():
 
     In these coordinates the canonical complement of the radical contains
     E11 + E32, which is not idempotent, so lifting the first block identity
-    has to do real Newton work instead of accepting the section.
+    has to do real work instead of accepting the section.
     """
     from artinloc.algebra import Algebra
     from artinloc.linalg import express_in_rows
@@ -254,6 +276,40 @@ def skewed_lower_triangular_7():
                      zip(unit_vec(1, 1), unit_vec(2, 2), unit_vec(3, 3)))
     one = express_in_rows(basis, identity, 7)
     return Algebra(7, table, one, "skewed L3(GF(7))")
+
+
+def newton_lift(fam):
+    """Reference: the lifts by Newton's iteration x -> 3x^2 - 2x^3 in the
+    corner of 1 - (sum of the previous lifts), one Element product at a time."""
+    a, quo = fam.algebra, fam.quotient
+    lifted, fsum = [], a.zero
+    for ebar in fam.central_images:
+        corner = a.one - fsum
+        y = corner * quo.section(ebar) * corner
+        for _ in range(max(1, (a.dim - 1).bit_length() + 1)):
+            y2 = y * y
+            y = y2 * 3 - y2 * y * 2
+        lifted.append(y)
+        fsum = fsum + y
+    return [e.coeffs for e in lifted]
+
+
+class TestLiftMatchesNewton:
+    """The p-th power of c x c is the idempotent Newton's iteration converges to."""
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixture(self, name, request):
+        fam = block_decomposition(request.getfixturevalue(name))
+        assert [e.coeffs for e in fam.idempotents] == newton_lift(fam)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_draw(self, seed):
+        fam = block_decomposition(random_algebra(seed))
+        assert [e.coeffs for e in fam.idempotents] == newton_lift(fam)
+
+    def test_skewed_basis(self):
+        fam = block_decomposition(skewed_lower_triangular_7())
+        assert [e.coeffs for e in fam.idempotents] == newton_lift(fam)
 
 
 class TestSkewedBasisLifting:

@@ -284,8 +284,8 @@ def test_twosided_splits_the_center_subspace_once(monkeypatch, tmp_path, capsys)
         monkeypatch.setattr(module, name, lambda *args: calls.append(name) or real(*args))
 
     for module in (localization, structure):
-        count(module, "_center_subspace")
         count(module, "block_decomposition")
+    count(structure, "_center_subspace")
     count(structure, "_radical_quotient")
     assert run_cli("twosided", tmp_path, capsys)[0] == 0
     assert calls == ["_center_subspace"]
