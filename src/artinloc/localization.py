@@ -211,10 +211,11 @@ class DenSetDescriptor:
 
     kind is one of "idempotent", "powers", "monoid", "maximal".  For the
     powers kind the core is the set of powers at or above
-    min_core_exponent; otherwise core membership is the lazy predicate
-    (1-e) s (1-e) = 0.  The kernel ideal is taken as given
-    (:func:`_kernel_class`); ``verify`` re-derives it or checks it by
-    brute force.  The quotient R/ass is built on first use.
+    min_core_exponent; otherwise core membership is the predicate
+    (1-e) s (1-e) = 0, tested on a batch of rows (:meth:`core_mask`).  The
+    kernel ideal is taken as given (:func:`_kernel_class`); ``verify``
+    re-derives it or checks it by brute force.  The quotient R/ass is
+    built on first use.
     """
 
     kind: str
@@ -234,10 +235,11 @@ class DenSetDescriptor:
         q = self.quotient
         return rank(regular_matrix(q.algebra, q.project(r), "left"), q.algebra.p) == q.algebra.dim
 
-    def core_member(self, x: Element) -> bool:
+    def core_mask(self, xs: np.ndarray) -> np.ndarray:
+        """Whether (1 - e) x (1 - e) = 0, for each row x of ``xs``."""
         a = self.witness_idempotent.algebra
-        om = a.one - self.witness_idempotent
-        return (om * x * om).is_zero()
+        om = np.array([(a.one - self.witness_idempotent).coeffs], dtype=np.int64)
+        return ~(a.batch_mul_left(om[0], xs) @ a.batch_right_matrices(om)[0] % a.p).any(axis=1)
 
     def members_within(self, guard: int = DEFAULT_GUARD) -> list[Element]:
         """Materialize the unit-preimage set explicitly (guarded enumeration,

@@ -57,7 +57,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, Element, Ideal, ideal_combine, regular_matrix
+from .algebra import Algebra, Element, Ideal, check_nilpotent, regular_matrix
 from .linalg import (
     DEFAULT_GUARD,
     InputError,
@@ -152,10 +152,6 @@ class BruteDenResult:
     ass: Ideal | None
     core: "FiniteSetOfElements"
     counterexample: tuple[Element, Element] | None
-
-    @property
-    def ass_dim(self) -> int:
-        return self.ass.dim if self.ass is not None else -1
 
 
 def _in_union(vecs: np.ndarray, spaces: Sequence[Subspace]) -> np.ndarray:
@@ -405,13 +401,7 @@ def brute_radical(a: Algebra, guard: int = DEFAULT_GUARD) -> Ideal:
     if p ** span.dim != len(members):
         raise InternalCheckError("quasi-regular set is not a subspace")
     rad = Ideal(a, span, "twosided")
-    power = rad
-    for _ in range(d):
-        if power.dim == 0:
-            break
-        power = ideal_combine(power, rad, "product")
-    if power.dim != 0:
-        raise InternalCheckError("quasi-regular ideal is not nilpotent")
+    check_nilpotent(rad, "quasi-regular ideal is not nilpotent")
     return rad
 
 

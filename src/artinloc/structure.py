@@ -13,7 +13,8 @@ pair that the block decomposition reuses (a semisimple algebra is its own
 quotient), and the lifted family is checked by one table of pairwise
 products.
 
-Every idempotent comes from one batched power, :func:`_powers`: the
+Every idempotent comes from one batched power, :meth:`Algebra.batch_pow`,
+the square-and-multiply loop shared with ``Element ** n``: the
 Frobenius-fixed space of the center, its spectral idempotents
 1 - (f - alpha)^(p-1), and the lifts, each the p-th power of c x c for a
 section x in the corner c of the previous lifts (x = e + n with n
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, Element, Ideal, Quotient, ideal_combine, quotient_algebra, regular_matrix
+from .algebra import Algebra, Element, Ideal, Quotient, check_nilpotent, quotient_algebra, regular_matrix
 from .linalg import InternalCheckError, Subspace, kernel, row_chunks
 
 __all__ = ["IdempotentFamily", "radical", "primitive_idempotents", "block_decomposition",
@@ -56,13 +57,7 @@ def _radical_quotient(a: Algebra) -> tuple[Ideal, Quotient]:
     if "radical" in a._cache:
         return a._cache["radical"]
     rad = Ideal(a, _trace_form_kernel(a), "twosided")
-    power = rad
-    for _ in range(a.dim):
-        if power.dim == 0:
-            break
-        power = ideal_combine(power, rad, "product")
-    if power.dim != 0:
-        raise InternalCheckError("radical candidate is not nilpotent")
+    check_nilpotent(rad, "radical candidate is not nilpotent")
     quo = quotient_algebra(a, rad)
     if rad.dim > 0 and _trace_form_kernel(quo.algebra).dim != 0:
         raise InternalCheckError("trace form of the semisimple quotient is degenerate")
@@ -136,18 +131,6 @@ def _center_subspace(a: Algebra) -> Subspace:
     return kernel(cols[:, np.diff(cols, axis=1, prepend=-1).any(axis=0)], p)
 
 
-def _powers(a: Algebra, xs: np.ndarray, n: int) -> np.ndarray:
-    """x**n for every row x of ``xs``, by square-and-multiply on batch products."""
-    out = np.tile(np.array(a.one_coeffs, dtype=np.int64), (len(xs), 1))
-    while n:
-        if n & 1:
-            out = a.batch_mul(out, xs)
-        n >>= 1
-        if n:
-            xs = a.batch_mul(xs, xs)
-    return out
-
-
 def _spectral_idempotents(a: Algebra, f: np.ndarray) -> np.ndarray:
     """The nonzero rows of 1 - (f - alpha)**(p-1) over all alpha in GF(p).
 
@@ -161,7 +144,7 @@ def _spectral_idempotents(a: Algebra, f: np.ndarray) -> np.ndarray:
     one = np.array(a.one_coeffs, dtype=np.int64)
     # alpha a chunk at a time, so the batch products stay small for large p
     shifts = [(f - np.arange(start, stop)[:, None] * one) % p for start, stop in row_chunks(p)]
-    spectral = np.concatenate([(one - _powers(a, xs, p - 1)) % p for xs in shifts])
+    spectral = np.concatenate([(one - a.batch_pow(xs, p - 1)) % p for xs in shifts])
     return spectral[spectral.any(axis=1)]
 
 
@@ -178,7 +161,7 @@ def primitive_idempotents(a: Algebra) -> tuple[Element, ...]:
     """
     p, space = a.p, _center_subspace(a)
     # Solve sum_i c_i (z_i^p - z_i) = 0 for c over the basis of the center.
-    fixed_coords = kernel((_powers(a, space.array, p) - space.array) % p, p)
+    fixed_coords = kernel((a.batch_pow(space.array, p) - space.array) % p, p)
     fixed = Subspace.from_vectors(p, a.dim, (fixed_coords.array @ space.array % p).tolist())
     pivots = list(fixed.pivots)
     fa = Algebra._derived(p, a.pair_products(fixed.array, fixed.array)[..., pivots],
@@ -218,7 +201,7 @@ def block_decomposition(a: Algebra) -> IdempotentFamily:
     corner = np.array([a.one_coeffs], dtype=np.int64)
     for ebar in central:
         x0 = np.array([quo.section(ebar).coeffs], dtype=np.int64)
-        y = _powers(a, a.batch_mul(a.batch_mul(corner, x0), corner), p)
+        y = a.batch_pow(a.batch_mul(a.batch_mul(corner, x0), corner), p)
         lifted.append(a.element(y[0]))
         corner = (corner - y) % p
 

@@ -274,7 +274,8 @@ def powers_agreement(a: Algebra, s: Element, guard: int = DEFAULT_GUARD) -> tupl
         return True, ""
     if res.ass is None or res.ass.space != desc.ass.space:
         return False, f"kernel ideal mismatch at {s!r}"
-    crit_core = {m.coeffs for m in closure.members if desc.core_member(m)}
+    xs = np.array([m.coeffs for m in closure.members], dtype=np.int64)
+    crit_core = set(map(tuple, xs[desc.core_mask(xs)].tolist()))
     oracle_core = {m.coeffs for m in res.core.members}
     if crit_core != oracle_core:
         return False, f"core mismatch at {s!r}"
@@ -590,7 +591,8 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
             if res.ass.space != desc.ass.space:
                 return False, "materialized maximal set has the wrong kernel ideal"
             oracle_core = {m.coeffs for m in res.core.members}
-            formula_core = {m.coeffs for m in members if desc.core_member(m)}
+            xs = np.array([m.coeffs for m in members], dtype=np.int64)
+            formula_core = set(map(tuple, xs[desc.core_mask(xs)].tolist()))
             if oracle_core != formula_core:
                 return False, "core formula disagrees with the definitional core"
         return True, f"{len(rep.max_den)} maximal sets"

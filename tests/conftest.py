@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -13,6 +14,39 @@ from artinloc.algebra import (
 )
 from artinloc.linalg import Subspace
 from artinloc.structure import block_decomposition
+
+
+# ---------------------------------------------------------------------------
+# The definitional product, independent of the library's batch kernels
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=64)
+def _nested_table(a):
+    return a.np_table.tolist()
+
+
+def mul_by_definition(a, x, y):
+    """x*y on coefficient rows: the sum of x_i y_j (b_i b_j) over i and j, in
+    Python ints, so a reference for ``Element.__mul__`` and the batch
+    kernels that shares no code with them."""
+    p, table = a.p, _nested_table(a)
+    out = [0] * a.dim
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            for k, v in enumerate(table[i][j]):
+                out[k] += int(xi) * int(yj) * v
+    return tuple(c % p for c in out)
+
+
+def pow_by_definition(a, x, n):
+    """x**n by square-and-multiply from 1 on :func:`mul_by_definition`."""
+    out, base = a.one_coeffs, tuple(x)
+    while n:
+        if n & 1:
+            out = mul_by_definition(a, out, base)
+        base = mul_by_definition(a, base, base)
+        n >>= 1
+    return out
 
 
 # ---------------------------------------------------------------------------

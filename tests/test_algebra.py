@@ -25,7 +25,7 @@ from artinloc.linalg import InputError, InternalCheckError, Subspace, express_in
 from artinloc.localization import two_sided_report
 from artinloc.oracle import brute_idempotents
 from artinloc.structure import _center_subspace, _pivot, _radical_quotient, block_decomposition, radical
-from conftest import block_sum, gf49_times_dual_numbers
+from conftest import block_sum, gf49_times_dual_numbers, mul_by_definition, pow_by_definition
 from test_random_algebras import SEEDS, random_algebra
 
 
@@ -38,9 +38,9 @@ def closure_oracle(a, gens, side):
             for i in range(a.dim):
                 b = tuple(1 if j == i else 0 for j in range(a.dim))
                 if side in ("left", "twosided"):
-                    new.add(a.mul_coeffs(b, v))
+                    new.add(mul_by_definition(a, b, v))
                 if side in ("right", "twosided"):
-                    new.add(a.mul_coeffs(v, b))
+                    new.add(mul_by_definition(a, v, b))
         if new == vecs:
             return Subspace.from_vectors(a.p, a.dim, list(vecs))
         vecs = new
@@ -245,9 +245,9 @@ def closed_by_definition(a, space, side):
     for v in space.basis:
         for i in range(a.dim):
             b = tuple(1 if j == i else 0 for j in range(a.dim))
-            if side in ("left", "twosided") and not space.contains_vector(a.mul_coeffs(b, v)):
+            if side in ("left", "twosided") and not space.contains_vector(mul_by_definition(a, b, v)):
                 return "left"
-            if side in ("right", "twosided") and not space.contains_vector(a.mul_coeffs(v, b)):
+            if side in ("right", "twosided") and not space.contains_vector(mul_by_definition(a, v, b)):
                 return "right"
     return None
 
@@ -255,7 +255,7 @@ def closed_by_definition(a, space, side):
 def product_by_definition(x, y):
     """Reference ideal product: the span of all pairwise basis products."""
     a = x.algebra
-    vecs = [a.mul_coeffs(u, v) for u in x.space.basis for v in y.space.basis]
+    vecs = [mul_by_definition(a, u, v) for u in x.space.basis for v in y.space.basis]
     return Subspace.from_vectors(a.p, a.dim, vecs)
 
 
@@ -267,7 +267,7 @@ def quotient_table_by_definition(a, ideal, keep):
         for j in keep:
             bi = tuple(1 if t == i else 0 for t in range(a.dim))
             bj = tuple(1 if t == j else 0 for t in range(a.dim))
-            red = ideal.space.reduce(a.mul_coeffs(bi, bj))
+            red = ideal.space.reduce(mul_by_definition(a, bi, bj))
             row.append(tuple(red[t] for t in keep))
         table.append(tuple(row))
     return tuple(table)
@@ -286,7 +286,7 @@ def rebase_table(a, change):
     are the rows of ``change``: the new coefficient row c stands for the old
     element c @ change."""
     p, d = a.p, a.dim
-    table = [[express_in_rows(change, a.mul_coeffs(change[i], change[j]), p) for j in range(d)]
+    table = [[express_in_rows(change, mul_by_definition(a, change[i], change[j]), p) for j in range(d)]
              for i in range(d)]
     return table, express_in_rows(change, a.one_coeffs, p)
 
@@ -410,6 +410,35 @@ class TestBatchedKernels:
         sp = Subspace.from_vectors(7, 4, [[0, 1, 0, 0]])
         with pytest.raises(InputError, match="not closed under left multiplication"):
             Ideal(M2_7, sp, "twosided")
+
+    @pytest.mark.parametrize("build", [lambda: lower_triangular(65521, 3),
+                                       lambda: truncated_poly(65521, 4)], ids=["L3", "T4"])
+    def test_element_arithmetic_at_the_largest_prime(self, build):
+        # residues near p = 65521 make each product term near p^2 > 2^31,
+        # which the int64 batch kernels must hold as the Python-int reference does
+        a = build()
+        rng = random.Random(a.dim)
+        xs = [a.element([rng.randrange(a.p) for _ in range(a.dim)]) for _ in range(6)]
+        for x, y in zip(xs, xs[1:]):
+            assert (x * y).coeffs == mul_by_definition(a, x.coeffs, y.coeffs)
+        for n in (0, 1, a.p - 1, a.p):
+            assert (xs[0] ** n).coeffs == pow_by_definition(a, xs[0].coeffs, n)
+        rad = radical(a).space.array
+        nil = np.array([rng.randrange(a.p) for _ in range(3 * len(rad))]).reshape(3, -1) @ rad % a.p
+        rows = np.concatenate([[x.coeffs for x in xs], nil, [a.one_coeffs]])
+        # the nilpotency index is at most dim
+        expected = [not any(pow_by_definition(a, row, a.dim)) for row in rows.tolist()]
+        assert expected.count(True) == 3
+        assert a.batch_nilpotent_mask(rows).tolist() == expected
+
+    def test_zeroth_power_is_one_per_row(self, L2_7):
+        xs = L2_7.enumerate_coeffs(100, 105)
+        assert L2_7.batch_pow(xs, 0).tolist() == [list(L2_7.one_coeffs)] * 5
+        assert L2_7.batch_pow(xs[:0], 0).shape == (0, L2_7.dim)
+
+    def test_negative_power_rejected(self, L2_7):
+        with pytest.raises(InputError, match="negative powers"):
+            L2_7.one ** -1
 
     @settings(max_examples=120, deadline=None)
     @given(algebra_and_vectors(), st.sampled_from(["left", "right", "twosided"]), st.booleans())

@@ -450,7 +450,8 @@ class TestMaximalSetMaterialization:
         assert res.is_den
         assert res.ass.space == rep.max_den[0].ass.space
         oracle_core = {m.coeffs for m in res.core.members}
-        formula_core = {m.coeffs for m in members if rep.max_den[0].core_member(m)}
+        xs = np.array([m.coeffs for m in members], dtype=np.int64)
+        formula_core = set(map(tuple, xs[rep.max_den[0].core_mask(xs)].tolist()))
         assert oracle_core == formula_core
 
 

@@ -40,6 +40,7 @@ from artinloc.oracle import (
 )
 from artinloc.structure import radical
 from artinloc.suite import run_invariants
+from conftest import mul_by_definition
 
 
 class TestMonoidClosure:
@@ -127,7 +128,7 @@ def test_library_entry_points_reject_a_guard_below_one(entry, L2_7):
 
 
 def reference_closure(a, gens, guard):
-    """The closure as a scalar breadth-first search through ``mul_coeffs``,
+    """The closure as a scalar breadth-first search through the definitional product,
     its members' coefficient tuples in canonical order."""
     seen = {a.one_coeffs}
     frontier = [a.one_coeffs]
@@ -135,7 +136,7 @@ def reference_closure(a, gens, guard):
         new = []
         for w in frontier:
             for g in gens:
-                prod = a.mul_coeffs(w, g.coeffs)
+                prod = mul_by_definition(a, w, g.coeffs)
                 if prod not in seen:
                     seen.add(prod)
                     new.append(prod)

@@ -204,6 +204,22 @@ class TestFamilyChecksFire:
             block_decomposition(lower_triangular(7, 2))
 
 
+class TestNilpotencyChecksFire:
+    def test_radical_candidate(self, monkeypatch):
+        # the whole of L2 as the trace-form kernel: a two-sided ideal holding 1
+        monkeypatch.setattr(structure, "_trace_form_kernel", lambda a: Subspace.full(a.p, a.dim))
+        with pytest.raises(InternalCheckError, match="radical candidate is not nilpotent"):
+            radical(lower_triangular(7, 2))
+
+    def test_quasi_regular_ideal(self, monkeypatch):
+        # with every element counted a unit, every element is quasi-regular
+        # and the survivors span the whole algebra
+        a = truncated_poly(5, 2)
+        monkeypatch.setattr(a, "batch_unit_mask", lambda xs: np.ones(len(xs), dtype=bool))
+        with pytest.raises(InternalCheckError, match="quasi-regular ideal is not nilpotent"):
+            brute_radical(a)
+
+
 class TestTwoSidedChecksFire:
     def test_non_central_candidate(self, monkeypatch):
         # the "center" is the whole of L2, whose block idempotents E11 and E22
