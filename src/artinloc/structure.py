@@ -15,27 +15,28 @@ products.
 
 Every idempotent comes from one batched power, :meth:`Algebra.batch_pow`,
 the square-and-multiply loop shared with ``Element ** n``: the
-Frobenius-fixed space of the center, its spectral idempotents
-1 - (f - alpha)^(p-1), and the lifts, each the p-th power of c x c for a
-section x in the corner c of the previous lifts (x = e + n with n
-nilpotent of index at most dim < p in the commutative GF(p)[x], so
-x^p = e + n^p = e).  Everything is deterministic: primitive idempotents are
-unique, and they are ordered by the pivot of their coefficient vectors; an
-idempotent lift in a commutative algebra is unique, so each lift is the
-limit of Newton's iteration x -> 3x^2 - 2x^3 in that corner.  The lifted
-family is canonical for this pipeline.  Conjugate lifts would give
-conjugate families; conjugation-independence of downstream reports is
-documented, not verified.
+Frobenius-fixed space F of the center, the equal-degree split of F (by
+f^((p-1)/2) for seeded random f in F, at a cost independent of p), and the
+lifts, each the p-th power of c x c for a section x in the corner c of the
+previous lifts (x = e + n, n nilpotent of index at most dim < p in the
+commutative GF(p)[x], so x^p = e).  Everything is deterministic: primitive
+idempotents are unique, whatever the draws, and ordered by the pivot of
+their coefficient vectors; an idempotent lift in a commutative algebra is
+unique, so each lift is the limit of Newton's iteration x -> 3x^2 - 2x^3
+in that corner.  The lifted family is canonical for this pipeline.
+Conjugate lifts would give conjugate families; conjugation-independence of
+downstream reports is documented, not verified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from random import Random
 
 import numpy as np
 
 from .algebra import Algebra, Element, Ideal, Quotient, check_nilpotent, quotient_algebra, regular_matrix
-from .linalg import InternalCheckError, Subspace, kernel, row_chunks
+from .linalg import InternalCheckError, Subspace, kernel
 
 __all__ = ["IdempotentFamily", "radical", "primitive_idempotents", "block_decomposition",
            "ideal_block_support", "check_orthogonal_idempotents"]
@@ -131,21 +132,20 @@ def _center_subspace(a: Algebra) -> Subspace:
     return kernel(cols[:, np.diff(cols, axis=1, prepend=-1).any(axis=0)], p)
 
 
-def _spectral_idempotents(a: Algebra, f: np.ndarray) -> np.ndarray:
-    """The nonzero rows of 1 - (f - alpha)**(p-1) over all alpha in GF(p).
+# A round leaves two pieces together with probability below 1/2, so 64
+# seeded rounds fall short on k < 2**16 pieces with odds below 2**-33.  A
+# round runs only when k > 1, and p > dim >= k makes p odd there.
+SPLIT_ROUNDS = 64
 
-    On a commutative algebra where every element satisfies x**p = x (a
-    copy of GF(p)**k), f is the sum of lambda_i e_i over the primitive
-    idempotents e_i, and (f - alpha)**(p-1) is the sum of the e_i with
-    lambda_i != alpha; so row alpha is the sum of the e_i with lambda_i =
-    alpha, the projection onto the alpha-eigenspace of f.
-    """
+
+def _split_step(a: Algebra, f: np.ndarray) -> np.ndarray:
+    """1 - g^2, (g^2 + g)/2 and (g^2 - g)/2 for g = f^((p-1)/2): with
+    f = sum(lambda_i e_i), the sums of the e_i at which lambda_i is zero, a
+    square and a non-square (g has eigenvalues 0 and +-1)."""
     p = a.p
-    one = np.array(a.one_coeffs, dtype=np.int64)
-    # alpha a chunk at a time, so the batch products stay small for large p
-    shifts = [(f - np.arange(start, stop)[:, None] * one) % p for start, stop in row_chunks(p)]
-    spectral = np.concatenate([(one - a.batch_pow(xs, p - 1)) % p for xs in shifts])
-    return spectral[spectral.any(axis=1)]
+    g = a.batch_pow(f[None, :], (p - 1) // 2)
+    g2, half = a.batch_mul(g, g), (p + 1) // 2
+    return np.concatenate([a.one_coeffs - g2, (g2 + g) * half, (g2 - g) * half]) % p
 
 
 def primitive_idempotents(a: Algebra) -> tuple[Element, ...]:
@@ -155,27 +155,25 @@ def primitive_idempotents(a: Algebra) -> tuple[Element, ...]:
     On the commutative center Z, z -> z^p is GF(p)-linear, and z^p = z
     holds exactly for the GF(p)-combinations of orthogonal idempotents, so
     its fixed space F is spanned by the primitive ones: a copy of GF(p)^k.
-    In its own coordinates, an element's entries at the pivots of F's RREF
-    basis, F is split from 1 by the spectral idempotents of one basis
-    element after another, until there are k of them.
+    It is split in ``a`` by the equal-degree step of Cantor and Zassenhaus
+    (*Math. Comp.* 36, 1981): each round refines the pieces by
+    :func:`_split_step` of a seeded random f in F, until there are k.
     """
     p, space = a.p, _center_subspace(a)
     # Solve sum_i c_i (z_i^p - z_i) = 0 for c over the basis of the center.
-    fixed_coords = kernel((a.batch_pow(space.array, p) - space.array) % p, p)
-    fixed = Subspace.from_vectors(p, a.dim, (fixed_coords.array @ space.array % p).tolist())
-    pivots = list(fixed.pivots)
-    fa = Algebra._derived(p, a.pair_products(fixed.array, fixed.array)[..., pivots],
-                          np.array(a.one_coeffs)[pivots], f"F({a.label})")
-    idems = np.array([fa.one_coeffs], dtype=np.int64)
-    for f in np.eye(fixed.dim, dtype=np.int64):
-        if len(idems) == fixed.dim:
+    fixed = kernel((a.batch_pow(space.array, p) - space.array) % p, p).array @ space.array % p
+    rng = Random(0)
+    idems = np.array([a.one_coeffs], dtype=np.int64)
+    for _ in range(SPLIT_ROUNDS):
+        if len(idems) == len(fixed):
             break
-        pieces = fa.pair_products(idems, _spectral_idempotents(fa, f)).reshape(-1, fixed.dim)
+        f = np.array([rng.randrange(p) for _ in fixed], dtype=np.int64) @ fixed % p
+        pieces = a.pair_products(idems, _split_step(a, f)).reshape(-1, a.dim)
         idems = pieces[pieces.any(axis=1)]
-    if len(idems) != fixed.dim:
+    if len(idems) != len(fixed):
         raise InternalCheckError("block splitting did not reach primitive idempotents")
-    check_orthogonal_idempotents(fa, tuple(fa.element(e) for e in idems), "primitive idempotent")
-    blocks = sorted(map(tuple, (idems @ fixed.array % p).tolist()), key=lambda v: (_pivot(v), v))
+    check_orthogonal_idempotents(a, tuple(a.element(e) for e in idems), "primitive idempotent")
+    blocks = sorted(map(tuple, idems.tolist()), key=lambda v: (_pivot(v), v))
     return tuple(a.element(b) for b in blocks)
 
 

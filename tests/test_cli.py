@@ -228,6 +228,50 @@ class TestClassifyAndTwosided:
         assert out["powers_verdict"] is False and out["oracle"]["agrees"] is True
 
 
+def product_doc(p, factors):
+    return json.dumps({"scalar": {"prime": p}, "kind": "constructor", "name": "product",
+                       "factors": factors})
+
+
+GF65521_8_DOC = product_doc(65521, [{"kind": "constructor", "name": "full_matrix", "n": 1}] * 8)
+L6_65521_DOC = '{"scalar": {"prime": 65521}, "kind": "constructor", "name": "lower_triangular", "n": 6}'
+
+
+class TestLargePrime:
+    """``dual`` and ``twosided`` at the largest admitted prime; the
+    primitive idempotents are split at a cost that does not depend on p."""
+
+    @pytest.mark.parametrize("doc, classes, minima, factors, two_sided", [
+        (GF65521_8_DOC, 255, 8, 8, 255),
+        (L6_65521_DOC, 6, 1, 1, 1),
+    ], ids=["GF(65521)^8", "L6(GF(65521))"])
+    def test_dual_and_twosided(self, doc, classes, minima, factors, two_sided, docfile, capsys):
+        path = docfile(doc)
+        assert main(["dual", "--input", path]) == 0
+        dual = json.loads(capsys.readouterr().out)
+        for side in ("left", "right"):
+            assert (dual[side]["loc_count"], len(dual[side]["minima"])) == (classes, minima)
+        assert main(["twosided", "--input", path]) == 0
+        two = json.loads(capsys.readouterr().out)
+        assert (two["factors"], two["loc_count"]) == (factors, two_sided)
+
+
+def test_split_leaves_numpy_random_unimported(docfile):
+    # numpy imports numpy.random lazily, and the first import costs memory;
+    # the split draws with the standard library instead
+    code = ("import contextlib, io, sys\n"
+            "from artinloc.cli import main\n"
+            "for command in ('dual', 'twosided'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main([command, '--input', sys.argv[1]]) == 0\n"
+            "print('numpy' in sys.modules, 'numpy.random' in sys.modules)\n")
+    doc = product_doc(11, [{"kind": "constructor", "name": "full_matrix", "n": 1}] * 5)
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-c", code, docfile(doc)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
+
 class TestVerifyAndErrors:
     def test_verify_small_fixture(self, docfile, capsys):
         code = main(["verify", "--input", docfile(T7_DOC)])

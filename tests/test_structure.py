@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -7,15 +8,23 @@ import pytest
 import artinloc.localization as localization
 import artinloc.structure as structure
 from artinloc.algebra import (
+    Algebra,
     direct_product,
     full_matrix,
     ideal_generated,
     lower_triangular,
+    matrix_subalgebra,
     truncated_poly,
 )
-from artinloc.linalg import InternalCheckError, Subspace
+from artinloc.linalg import InternalCheckError, Subspace, kernel
 from artinloc.oracle import brute_radical
-from artinloc.structure import _radical_quotient, block_decomposition, ideal_block_support, radical
+from artinloc.structure import (
+    _radical_quotient,
+    block_decomposition,
+    ideal_block_support,
+    primitive_idempotents,
+    radical,
+)
 from artinloc.suite import run_invariants
 from conftest import gf49_times_dual_numbers
 from test_metamorphic import FIXTURES
@@ -180,9 +189,9 @@ class TestFamilyChecksFire:
             dataclasses.replace(fam, central_images=fam.central_images[::-1])
 
     def test_split_that_stalls(self, monkeypatch):
-        # every basis element of the Frobenius-fixed space has the one
-        # eigenspace of a scalar, so the refinement never leaves 1
-        monkeypatch.setattr(structure, "_spectral_idempotents", lambda fa, f: np.array([fa.one_coeffs]))
+        # every draw has the one eigenspace of a scalar, so the refinement
+        # never leaves 1 and the rounds run out
+        monkeypatch.setattr(structure, "_split_step", lambda a, f: np.array([a.one_coeffs]))
         with pytest.raises(InternalCheckError, match="did not reach primitive idempotents"):
             block_decomposition(lower_triangular(7, 2))
 
@@ -192,14 +201,17 @@ class TestFamilyChecksFire:
         (lambda rows, p: 2 * rows[0] % p, "primitive idempotent 0 is not idempotent"),
     ], ids=["merged", "doubled"])
     def test_faulty_spectral_step(self, fault, message, monkeypatch):
-        # R/J of L2 is GF(7)^2, split by E11 into the projections E22, E11
-        real = structure._spectral_idempotents
+        # R/J of L2 is GF(7)^2: the first draw that splits it gives the
+        # projections E11 and E22 as the step's two nonzero rows
+        real = structure._split_step
 
-        def faulty(fa, f):
-            rows = real(fa, f)
-            rows[0] = fault(rows, fa.p)
+        def faulty(a, f):
+            rows = real(a, f)
+            rows = rows[rows.any(axis=1)]
+            if len(rows) > 1:
+                rows[0] = fault(rows, a.p)
             return rows
-        monkeypatch.setattr(structure, "_spectral_idempotents", faulty)
+        monkeypatch.setattr(structure, "_split_step", faulty)
         with pytest.raises(InternalCheckError, match=message):
             block_decomposition(lower_triangular(7, 2))
 
@@ -326,6 +338,110 @@ class TestLiftMatchesNewton:
     def test_skewed_basis(self):
         fam = block_decomposition(skewed_lower_triangular_7())
         assert [e.coeffs for e in fam.idempotents] == newton_lift(fam)
+
+
+def spectral_reference(a):
+    """Reference: the all-alpha spectral splitter, in F's own coordinates.
+
+    F, the Frobenius-fixed space of the center, is an algebra on the
+    entries at the pivots of its RREF basis, split from 1 by the nonzero
+    rows of 1 - (f - alpha)^(p-1) over every alpha in GF(p), for each basis
+    element f of F in turn; the pieces are mapped back to ``a`` and ordered
+    by pivot."""
+    p, space = a.p, structure._center_subspace(a)
+    coords = kernel((a.batch_pow(space.array, p) - space.array) % p, p)
+    fixed = Subspace.from_vectors(p, a.dim, (coords.array @ space.array % p).tolist())
+    pivots = list(fixed.pivots)
+    fa = Algebra._derived(p, a.pair_products(fixed.array, fixed.array)[..., pivots],
+                          np.array(a.one_coeffs)[pivots], "F")
+    one = np.array(fa.one_coeffs, dtype=np.int64)
+    idems = one[None, :]
+    for f in np.eye(fixed.dim, dtype=np.int64):
+        spectral = (one - fa.batch_pow((f - np.arange(p)[:, None] * one) % p, p - 1)) % p
+        pieces = fa.pair_products(idems, spectral[spectral.any(axis=1)]).reshape(-1, fixed.dim)
+        idems = pieces[pieces.any(axis=1)]
+    blocks = map(tuple, (idems @ fixed.array % p).tolist())
+    return sorted(blocks, key=lambda v: (np.flatnonzero(v)[0], v))
+
+
+def coeffs(elements):
+    return [e.coeffs for e in elements]
+
+
+def mixed_13():
+    """GF(169) x GF(13)[x]/(x^3) x M2(GF(13)), GF(169) as the matrices
+    a + bX with X^2 = 2: its center is neither split nor semisimple."""
+    return direct_product([matrix_subalgebra(13, 2, [[[0, 2], [1, 0]]]), truncated_poly(13, 3),
+                           full_matrix(13, 2)])[0]
+
+
+class TestSplitMatchesSpectralReference:
+    """The equal-degree split gives the idempotents of the deleted spectral
+    sweep, on R/J (the blocks) and on R (the two-sided factors)."""
+
+    @staticmethod
+    def assert_both_sides(a):
+        for b in (a, block_decomposition(a).quotient.algebra):
+            assert coeffs(primitive_idempotents(b)) == spectral_reference(b)
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixture(self, name, request):
+        self.assert_both_sides(request.getfixturevalue(name))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_draw(self, seed):
+        self.assert_both_sides(random_algebra(seed))
+
+    @pytest.mark.parametrize("build", [gf49_times_dual_numbers, mixed_13], ids=["GF(49) x T2", "mixed_13"])
+    def test_edge_case(self, build):
+        self.assert_both_sides(build())
+
+    @pytest.mark.parametrize("build", [lambda: direct_product([full_matrix(11, 1)] * 5)[0], mixed_13],
+                             ids=["GF(11)^5", "mixed_13"])
+    @pytest.mark.parametrize("seed", [1, 2, 12345])
+    def test_other_seed_same_idempotents(self, build, seed, monkeypatch):
+        a = build()
+        expected = coeffs(primitive_idempotents(a))
+        draws = []
+
+        def reseeded(_):
+            draws.append(seed)
+            return random.Random(seed)
+        monkeypatch.setattr(structure, "Random", reseeded)
+        assert coeffs(primitive_idempotents(a)) == expected
+        assert draws == [seed]
+
+
+class TestSplitAtEdgePrimes:
+    def test_gf2_runs_no_round(self, monkeypatch):
+        # dim < p = 2 leaves k = 1: 1 is primitive, and (p-1)/2 = 0 never runs
+        def no_round(a, f):
+            raise AssertionError("a round ran at p = 2")
+        monkeypatch.setattr(structure, "_split_step", no_round)
+        a = full_matrix(2, 1)
+        assert coeffs(primitive_idempotents(a)) == [(1,)]
+        fam = block_decomposition(a)
+        assert coeffs(fam.idempotents) == [(1,)] and fam.block_dims == (1,)
+        assert localization.two_sided_report(a).factors == 1
+
+    def test_gf3_squared(self):
+        # (p-1)/2 = 1: g is f itself
+        a = direct_product([full_matrix(3, 1)] * 2)[0]
+        assert coeffs(primitive_idempotents(a)) == [(1, 0), (0, 1)]
+        assert coeffs(block_decomposition(a).idempotents) == [(1, 0), (0, 1)]
+
+    def test_large_p_rows_through_batch_mul(self, monkeypatch):
+        # the split costs about 2 log2 p one-row products per round, not p
+        a = direct_product([full_matrix(65521, 1)] * 8)[0]
+        rows = []
+        real = Algebra.batch_mul
+
+        def counting(self, xs, ys):
+            rows.append(len(xs))
+            return real(self, xs, ys)
+        monkeypatch.setattr(Algebra, "batch_mul", counting)
+        assert coeffs(primitive_idempotents(a)) == [tuple(r) for r in np.eye(8, dtype=int).tolist()]
+        assert 0 < sum(rows) < 2000
 
 
 class TestSkewedBasisLifting:
