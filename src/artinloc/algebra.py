@@ -56,7 +56,6 @@ from .linalg import (
     batch_rank,
     check_prime,
     express_in_rows,
-    row_chunks,
     vectors_to_indices,
 )
 
@@ -242,11 +241,6 @@ class Algebra:
         """x**(2**k) = 0 with 2**k >= dim, the nilpotency index bound."""
         k = (self.dim - 1).bit_length()
         return ~self.batch_pow(xs, 2 ** max(k, 1)).any(axis=1)
-
-    def iter_elements(self) -> Iterable["Element"]:
-        for start, stop in row_chunks(self.p ** self.dim):
-            for row in self.enumerate_coeffs(start, stop):
-                yield Element(self, tuple(int(v) for v in row))
 
     def __repr__(self) -> str:
         return f"Algebra({self.label}, p={self.p}, dim={self.dim})"

@@ -241,9 +241,9 @@ class DenSetDescriptor:
         om = np.array([(a.one - self.witness_idempotent).coeffs], dtype=np.int64)
         return ~(a.batch_mul_left(om[0], xs) @ a.batch_right_matrices(om)[0] % a.p).any(axis=1)
 
-    def members_within(self, guard: int = DEFAULT_GUARD) -> list[Element]:
-        """Materialize the unit-preimage set explicitly (guarded enumeration,
-        swept CHUNK_ROWS elements at a time in canonical order)."""
+    def members_within(self, guard: int = DEFAULT_GUARD) -> np.ndarray:
+        """The unit-preimage set as its coefficient rows, in canonical order
+        (guarded enumeration, swept CHUNK_ROWS elements at a time)."""
         check_guard(guard)
         a = self.witness_idempotent.algebra
         total = a.p ** a.dim
@@ -253,9 +253,8 @@ class DenSetDescriptor:
         members = []
         for start, stop in row_chunks(total):
             coeffs = a.enumerate_coeffs(start, stop)
-            mask = quo.algebra.batch_unit_mask(quo.batch_project(coeffs))
-            members.extend(a.element(row) for row in coeffs[mask].tolist())
-        return members
+            members.append(coeffs[quo.algebra.batch_unit_mask(quo.batch_project(coeffs))])
+        return np.concatenate(members)
 
 
 @dataclass(frozen=True)
@@ -650,7 +649,7 @@ def monoid_denominator_decision(a: Algebra, gens: Sequence[Element],
     closure = monoid_closure(a, gens, guard)
     if closure.contains_zero:
         return False, None
-    xs = np.array([m.coeffs for m in closure.members], dtype=np.int64)
+    xs = closure.rows
     rows = _powers_rows(a, xs)
     descriptors = {g: DenSetDescriptor("monoid", e, ass) for g, (e, ass) in rows.classes.items()}
     witness_groups = [g for g, desc in descriptors.items()

@@ -33,12 +33,18 @@ concessions to speed are logical rewritings, not theory:
   K_s equals the span of ass (K_s = ass then makes ass a subspace, and
   conversely).
 
+An element set is held as its coefficient rows, one sorted array
+(:class:`FiniteSetOfElements`), from the closure that builds it to the
+verdict; an :class:`Element` is built only where a result names one.
 The linear algebra of a check is batched over the distinct matrices of
-S: one elimination ranks every left and right multiplication matrix, and
-the kernels K_s of the rank-deficient left matrices, the V_{s'} of one
-target and the right kernels each come from one :func:`batch_kernels`.
-A lone matrix takes the scalar :func:`kernel` instead, which is faster on
-one small matrix (the {1, e} checks).  :func:`monoid_closure` is a
+S, found by one grouping of the rows: one elimination ranks every left
+and right multiplication matrix, and the kernels K_s of the
+rank-deficient left matrices, the V_{s'} of one target and the right
+kernels each come from one :func:`batch_kernels`.  The Ore sweep at s
+depends on R*s alone and the reversibility sweep on the right kernel
+alone, so each runs once per distinct R*s or right kernel.  A lone
+matrix takes the scalar :func:`kernel` instead, which is faster on one
+small matrix (the {1, e} checks).  :func:`monoid_closure` is a
 breadth-first search one level at a time, each chunk of the frontier
 multiplied by every generator in one matmul.
 
@@ -52,12 +58,11 @@ holds it.  Enumerations of the whole ring respect a guard on p**dim
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, Element, Ideal, check_nilpotent, regular_matrix
+from .algebra import Algebra, Element, Ideal, check_nilpotent
 from .linalg import (
     DEFAULT_GUARD,
     InputError,
@@ -77,33 +82,39 @@ __all__ = ["FiniteSetOfElements", "monoid_closure", "brute_denominator_check",
            "brute_radical", "brute_idempotents", "BruteDenResult"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteSetOfElements:
-    """A deduplicated, canonically ordered (by coefficient vector) element set."""
+    """A finite set of elements held as their coefficient rows.
+
+    ``rows`` is a read-only ``(N, dim)`` int64 array of residues, sorted
+    lexicographically, without repeats; the constructor takes any array of
+    coefficient rows and brings it to that form.
+    """
 
     algebra: Algebra
-    members: tuple[Element, ...]
-    contains_zero: bool
+    rows: np.ndarray
+
+    def __post_init__(self) -> None:
+        a = self.algebra
+        rows = np.asarray(self.rows, dtype=np.int64).reshape(-1, a.dim) % a.p
+        rows = rows[np.lexsort(rows.T[::-1])]
+        fresh = np.ones(len(rows), dtype=bool)
+        fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        rows = rows[fresh]
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.rows)
 
-    def __iter__(self):
-        return iter(self.members)
-
-    @cached_property
-    def _member_set(self) -> frozenset[Element]:
-        return frozenset(self.members)
-
-    def __contains__(self, x: Element) -> bool:
-        return x in self._member_set
+    @property
+    def contains_zero(self) -> bool:
+        # the zero row sorts first
+        return len(self.rows) > 0 and not self.rows[0].any()
 
     @staticmethod
     def from_elements(a: Algebra, elements: Iterable[Element]) -> "FiniteSetOfElements":
-        uniq = sorted({e.coeffs for e in elements})
-        members = tuple(Element(a, c) for c in uniq)
-        zero = (0,) * a.dim in set(uniq)
-        return FiniteSetOfElements(a, members, zero)
+        return FiniteSetOfElements(a, [e.coeffs for e in elements])
 
 
 def monoid_closure(a: Algebra, gens: Sequence[Element], guard: int = DEFAULT_GUARD) -> FiniteSetOfElements:
@@ -112,7 +123,7 @@ def monoid_closure(a: Algebra, gens: Sequence[Element], guard: int = DEFAULT_GUA
     A breadth-first search one level at a time: a chunk of the frontier
     times the generators' right-multiplication matrices, side by side, is
     one matmul holding every product w*g, and new members are found
-    through a set of coefficient tuples.
+    through a set of coefficient tuples, made one array at the end.
     """
     check_guard(guard)
     d = a.dim
@@ -133,7 +144,7 @@ def monoid_closure(a: Algebra, gens: Sequence[Element], guard: int = DEFAULT_GUA
                         raise ResourceGuardError(f"monoid closure exceeded the guard {guard}",
                                                  len(seen), guard)
         frontier = new
-    return FiniteSetOfElements.from_elements(a, [Element(a, c) for c in seen])
+    return FiniteSetOfElements(a, list(seen))
 
 
 @dataclass(frozen=True)
@@ -144,13 +155,14 @@ class BruteDenResult:
     as that subspace, which is then also its span), and ``None`` when the
     union is not closed under addition.  On a denominator set it is never
     ``None``, and ``ass`` is the same subspace as a two-sided ideal.
+    ``core`` is the mask of the rows of S in the core.
     """
 
     is_ore: bool
     is_den: bool
     ass_members: Subspace | None
     ass: Ideal | None
-    core: "FiniteSetOfElements"
+    core: np.ndarray
     counterexample: tuple[Element, Element] | None
 
 
@@ -172,16 +184,6 @@ def _first_outside(space: Subspace, spaces: Sequence[Subspace]) -> tuple[int, ..
     return None
 
 
-def _first_uncovered(a: Algebra, spaces: list[Subspace], guard: int) -> Element | None:
-    """The first element of R in canonical order that lies in none of
-    ``spaces``, or None when they cover R."""
-    total = a.p ** a.dim
-    if total > guard:
-        raise ResourceGuardError("counterexample search exceeds the guard", total, guard)
-    bad = _first_outside(Subspace.full(a.p, a.dim), spaces)
-    return None if bad is None else Element(a, bad)
-
-
 def _kernels(mats: np.ndarray, p: int) -> list[Subspace]:
     """:func:`batch_kernels`, except that a lone matrix takes the scalar
     :func:`kernel`, which is faster on one small matrix than a batched
@@ -191,23 +193,38 @@ def _kernels(mats: np.ndarray, p: int) -> list[Subspace]:
     return batch_kernels(mats, p)
 
 
-def _distinct(mats: np.ndarray) -> tuple[list[int], list[int]]:
+def _distinct(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The index of the first occurrence of each distinct matrix, in order,
-    and for every matrix the position of its first occurrence in that list."""
-    first: list[int] = []
-    where: dict[bytes, int] = {}
-    which = []
-    for i, m in enumerate(mats):
-        key = m.tobytes()
-        if key not in where:
-            where[key] = len(first)
-            first.append(i)
-        which.append(where[key])
-    return first, which
+    and for every matrix the position of its first occurrence in that list.
+
+    One sort of the matrices as byte strings groups them; with
+    ``return_index`` the sort is stable, so each group reports its first
+    occurrence."""
+    flat = np.ascontiguousarray(mats).reshape(len(mats), -1)
+    keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    return first[order], position[group]
+
+
+def _first_failure(targets: Sequence[int], keys: Iterable[Hashable],
+                   test: Callable[[Hashable], tuple[int, ...] | None]):
+    """The first target, in order, whose test returns a counterexample,
+    with that counterexample, or None.  The outcome at a target depends on
+    its key alone, so the test runs once per distinct key."""
+    outcomes: dict = {}
+    for i, key in zip(targets, keys):
+        if key not in outcomes:
+            outcomes[key] = test(key)
+        if outcomes[key] is not None:
+            return i, outcomes[key]
+    return None
 
 
 def _ore_counterexample(a: Algebra, rs: Subspace, left_rows: np.ndarray,
-                        guard: int) -> Element | None:
+                        guard: int) -> tuple[int, ...] | None:
     """Left Ore at s: every r admits s' in S with s'*r in R*s = ``rs``.
 
     ``left_rows`` stacks the distinct left-multiplication matrices L of
@@ -224,10 +241,11 @@ def _ore_counterexample(a: Algebra, rs: Subspace, left_rows: np.ndarray,
     # p or fewer proper subspaces can never cover the space
     few = len(spaces) <= p
     total = p ** d
-    if not few and total > guard:
-        raise ResourceGuardError(f"Ore fallback sweep of {total} elements exceeds the guard",
+    if total > guard:
+        raise ResourceGuardError("counterexample search exceeds the guard" if few else
+                                 f"Ore fallback sweep of {total} elements exceeds the guard",
                                  total, guard)
-    bad = _first_uncovered(a, spaces, guard)
+    bad = _first_outside(Subspace.full(p, d), spaces)
     if bad is None and few:
         raise InternalCheckError("claimed non-covering union covered everything")
     return bad
@@ -264,46 +282,44 @@ def brute_denominator_check(a: Algebra, S: FiniteSetOfElements, side: str = "lef
         raise InputError("a multiplicative set may not contain 0")
     if side not in ("left", "right", "twosided"):
         raise InputError(f"bad side {side!r}")
-    if a.one not in S:
+    rows = S.rows
+    if not (rows == np.array(a.one_coeffs)).all(axis=1).any():
         raise InputError("a multiplicative set must contain 1")
     # One batched pass builds every member's multiplication matrices, and
     # one elimination ranks them all.
-    n = len(S)
-    coeff_arr = np.array([m.coeffs for m in S.members], dtype=np.int64)
-    mats = np.concatenate([a.batch_left_matrices(coeff_arr), a.batch_right_matrices(coeff_arr)])
+    n = len(rows)
+    mats = np.concatenate([a.batch_left_matrices(rows), a.batch_right_matrices(rows)])
     ranks = batch_rank(mats, a.p)
     if side != "right":
-        left = _left_check(a, S.members, mats[:n], mats[n:], ranks[:n], ranks[n:], guard)
+        left = _left_check(a, rows, mats[:n], mats[n:], ranks[:n], ranks[n:], guard)
         if side == "left":
             return left
-    right = _left_check(a, S.members, mats[n:], mats[:n], ranks[n:], ranks[:n], guard)
+    right = _left_check(a, rows, mats[n:], mats[:n], ranks[n:], ranks[:n], guard)
     if side == "right":
         return right
     is_den = left.is_den and right.is_den
     # both unions are subspaces here, so equal spans mean equal sets
     if is_den and left.ass_members != right.ass_members:
         raise InternalCheckError("two-sided denominator set with asymmetric kernels")
-    core_members = [m for m in left.core if m in right.core]
     return BruteDenResult(left.is_ore and right.is_ore, is_den,
                           left.ass_members, left.ass if is_den else None,
-                          FiniteSetOfElements.from_elements(a, core_members),
-                          left.counterexample or right.counterexample)
+                          left.core & right.core, left.counterexample or right.counterexample)
 
 
-def _left_check(a: Algebra, members: tuple[Element, ...], left_mats: np.ndarray,
+def _left_check(a: Algebra, rows: np.ndarray, left_mats: np.ndarray,
                 right_mats: np.ndarray, left_ranks: np.ndarray, right_ranks: np.ndarray,
                 guard: int) -> BruteDenResult:
     """The left check of :func:`brute_denominator_check` on the members'
-    multiplication matrices and their ranks."""
+    rows, their multiplication matrices and the ranks of those."""
     p, d = a.p, a.dim
     # ass(S) = union of the left-multiplication kernels, held as the
     # kernels.  A matrix of full rank has the zero kernel (rank-nullity), so
     # only the distinct rank-deficient ones are solved, in one batch.
     left_first, left_which = _distinct(left_mats)
-    deficient = [i for i in left_first if left_ranks[i] < d]
-    solved = dict(zip(deficient, _kernels(left_mats[deficient], p)))
+    deficient = left_first[left_ranks[left_first] < d]
+    solved = dict(zip(deficient.tolist(), _kernels(left_mats[deficient], p)))
     zero = Subspace.zero(p, d)
-    kernels = [solved.get(left_first[w], zero) for w in left_which]
+    kernels = [solved.get(i, zero) for i in left_first.tolist()]
     distinct = list(dict.fromkeys(kernels))
     span = Subspace.from_vectors(p, d, [row for ker in distinct for row in ker.basis])
     if span in distinct:
@@ -315,39 +331,30 @@ def _left_check(a: Algebra, members: tuple[Element, ...], left_mats: np.ndarray,
 
     # Ore condition, at each distinct rank-deficient right matrix in member
     # order (R*s = R at the others).
-    targets = [i for i in _distinct(right_mats)[0] if right_ranks[i] < d]
+    targets = [i for i in _distinct(right_mats)[0].tolist() if right_ranks[i] < d]
     left_rows = left_mats[left_first].reshape(-1, d)
-    is_ore = True
-    counterexample = None
-    for i, rs in zip(targets, batch_row_spaces(right_mats[targets], p)):
-        bad_r = _ore_counterexample(a, rs, left_rows, guard)
-        if bad_r is not None:
-            is_ore = False
-            counterexample = (members[i], bad_r)
-            break
+    found = _first_failure(targets, batch_row_spaces(right_mats[targets], p),
+                           lambda rs: _ore_counterexample(a, rs, left_rows, guard))
+    is_ore = found is None
 
     # Reversibility: r*s = 0 forces r into ass.  A zero right kernel holds
     # only 0, which is in ass, and one inside a single K_s is covered.
-    reversible = True
     if is_ore and targets:
         right_kers = _kernels(right_mats[targets], p)
-        covered = _inside_one(right_kers, distinct)
-        for i, right_ker, skip in zip(targets, right_kers, covered):
-            bad = None if skip else _first_outside(right_ker, distinct)
-            if bad is not None:
-                reversible = False
-                counterexample = (members[i], Element(a, bad))
-                break
+        uniq = list(dict.fromkeys(right_kers))
+        covered = dict(zip(uniq, _inside_one(uniq, distinct)))
+        found = _first_failure(targets, right_kers,
+                               lambda ker: None if covered[ker] else _first_outside(ker, distinct))
 
-    is_den = is_ore and reversible
+    is_den = found is None
     ass_ideal = None
     if is_den:
         if ass_space is None:
             raise InternalCheckError("kernel union of a denominator set is not a subspace")
         ass_ideal = Ideal(a, ass_space, "twosided")
-    core = [s for s, ker in zip(members, kernels) if ker == span]
-    return BruteDenResult(is_ore, is_den, ass_space, ass_ideal,
-                          FiniteSetOfElements.from_elements(a, core), counterexample)
+    core = np.array([ker == span for ker in kernels])[left_which]
+    counterexample = None if found is None else (a.element(rows[found[0]]), a.element(found[1]))
+    return BruteDenResult(is_ore, is_den, ass_space, ass_ideal, core, counterexample)
 
 
 def brute_radical(a: Algebra, guard: int = DEFAULT_GUARD) -> Ideal:
@@ -357,8 +364,9 @@ def brute_radical(a: Algebra, guard: int = DEFAULT_GUARD) -> Ideal:
     matrix of x, the universal condition for x is a sweep over that
     subspace.  Cheap instances (r a basis element, r = 1) filter candidates
     first; every surviving candidate gets the complete subspace sweep.
-    The unit and candidate masks are built chunk by chunk.  The result is
-    checked to be a nilpotent two-sided ideal.
+    The unit and candidate masks are built chunk by chunk, and so are the
+    row spaces of the survivors, one batched elimination per chunk.  The
+    result is checked to be a nilpotent two-sided ideal.
     """
     check_guard(guard)
     p, d = a.p, a.dim
@@ -383,21 +391,21 @@ def brute_radical(a: Algebra, guard: int = DEFAULT_GUARD) -> Ideal:
             for c in range(1, p):
                 keep = quasi_regular(c * prods)
                 cand, prods = cand[keep], prods[keep]
-        survivors.extend(tuple(int(v) for v in row) for row in cand)
+        survivors.append(cand)
+    survivors = np.concatenate(survivors)
     # Exact check for survivors.  The condition depends only on the left
     # ideal {r*x : r in R} = row space of the right-multiplication matrix,
     # so answers are memoized per distinct row space.
-    members = []
-    verdicts: dict[tuple, bool] = {}
-    for x in survivors:
-        rx = Subspace.from_vectors(p, d, regular_matrix(a, a.element(x), "right").tolist())
-        verdict = verdicts.get(rx.basis)
-        if verdict is None:
-            verdict = all(quasi_regular(chunk).all() for chunk in rx.member_chunks())
-            verdicts[rx.basis] = verdict
-        if verdict:
-            members.append(x)
-    span = Subspace.from_vectors(p, d, members)
+    keep = np.zeros(len(survivors), dtype=bool)
+    verdicts: dict[Subspace, bool] = {}
+    for start, stop in row_chunks(len(survivors)):
+        spaces = batch_row_spaces(a.batch_right_matrices(survivors[start:stop]), p)
+        for k, rx in enumerate(spaces, start):
+            if rx not in verdicts:
+                verdicts[rx] = all(quasi_regular(chunk).all() for chunk in rx.member_chunks())
+            keep[k] = verdicts[rx]
+    members = survivors[keep]
+    span = batch_row_spaces(members[None], p)[0]
     if p ** span.dim != len(members):
         raise InternalCheckError("quasi-regular set is not a subspace")
     rad = Ideal(a, span, "twosided")
@@ -414,6 +422,5 @@ def brute_idempotents(a: Algebra, guard: int = DEFAULT_GUARD) -> FiniteSetOfElem
     found = []
     for start, stop in row_chunks(total):
         coeffs = a.enumerate_coeffs(start, stop)
-        mask = (a.batch_mul(coeffs, coeffs) == coeffs).all(axis=1)
-        found.extend(Element(a, tuple(int(v) for v in row)) for row in coeffs[mask])
-    return FiniteSetOfElements.from_elements(a, found)
+        found.append(coeffs[(a.batch_mul(coeffs, coeffs) == coeffs).all(axis=1)])
+    return FiniteSetOfElements(a, np.concatenate(found))

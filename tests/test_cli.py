@@ -257,20 +257,25 @@ class TestLargePrime:
 
 
 def test_split_leaves_numpy_random_unimported(docfile):
-    # numpy imports numpy.random lazily, and the first import costs memory;
-    # the split draws with the standard library instead
+    # numpy imports numpy.random and numpy.ma lazily, and the first import
+    # costs memory; the split draws with the standard library instead, and
+    # the oracle sorts and groups rows without a plain np.unique, which
+    # imports numpy.ma
     code = ("import contextlib, io, sys\n"
             "from artinloc.cli import main\n"
-            "for command in ('dual', 'twosided'):\n"
+            "for command, path, *extra in (('dual', sys.argv[1]), ('twosided', sys.argv[1]),\n"
+            "                              ('verify', sys.argv[2]),\n"
+            "                              ('check-monoid', sys.argv[2], '--element', '[2, 0]', '--oracle')):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert main([command, '--input', sys.argv[1]]) == 0\n"
-            "print('numpy' in sys.modules, 'numpy.random' in sys.modules)\n")
-    doc = product_doc(11, [{"kind": "constructor", "name": "full_matrix", "n": 1}] * 5)
+            "        assert main([command, '--input', path, *extra]) == 0\n"
+            "print('numpy' in sys.modules, 'numpy.random' in sys.modules, 'numpy.ma' in sys.modules)\n")
+    field = {"kind": "constructor", "name": "full_matrix", "n": 1}
+    wide, small = product_doc(11, [field] * 5), product_doc(5, [field] * 2)
     env = {**os.environ, "PYTHONPATH": SRC}
-    proc = subprocess.run([sys.executable, "-c", code, docfile(doc)],
+    proc = subprocess.run([sys.executable, "-c", code, docfile(wide), docfile(small, "small.json")],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "False"]
+    assert proc.stdout.split() == ["True", "False", "False"]
 
 class TestVerifyAndErrors:
     def test_verify_small_fixture(self, docfile, capsys):
@@ -476,6 +481,14 @@ OP_L3_DOC = ('{"scalar": {"prime": 7}, "kind": "constructor", "name": "opposite"
 REPORT_ALGEBRAS = {**{name: spec[0] for name, spec in GOLDEN_ALGEBRAS.items()}, "opL3_7": OP_L3_DOC}
 REPORT_COMMANDS = {"dual": ["dual"], "report-right": ["report", "--side", "right"],
                    "report-both": ["report", "--side", "both"]}
+# ``verify`` on four small algebras: its details name what the oracle
+# checks counted (idempotents found, monoids tested and capped, ...)
+VERIFY_ALGEBRAS = {
+    "L2_5": '{"scalar": {"prime": 5}, "kind": "constructor", "name": "lower_triangular", "n": 2}',
+    "T2_5": '{"scalar": {"prime": 5}, "kind": "constructor", "name": "truncated_poly", "k": 2}',
+    "GF5^2": product_doc(5, [{"kind": "constructor", "name": "full_matrix", "n": 1}] * 2),
+    "GF7^2": product_doc(7, [{"kind": "constructor", "name": "full_matrix", "n": 1}] * 2),
+}
 
 
 def golden_cases():
@@ -495,6 +508,8 @@ def golden_cases():
         for label, elem in (("one", one), ("e1", idempotents[0]), ("e2", idempotents[1])):
             yield (f"check-idempotent-{name}-{label}", doc,
                    ["check-idempotent", "--element", json.dumps(elem)], None)
+    for name, doc in VERIFY_ALGEBRAS.items():
+        yield f"verify-{name}", doc, ["verify"], None
 
 
 def run_golden_case(doc, argv, gens, tmp_dir):

@@ -302,7 +302,7 @@ class TestClassifyElement:
             for sub in rep.minima:
                 q = rep.entry(sub).quotient.algebra
                 fields.append(int(q.batch_unit_mask(q.enumerate_coeffs()).sum()) == q.p ** q.dim - 1)
-            nl = [x.coeffs for x in a.iter_elements()
+            nl = [x.coeffs for x in map(a.element, a.enumerate_coeffs())
                   if not classify_element(a, x, rep)["left_localizable"]]
             # an ideal is a subspace closed under multiplication on both sides
             span = Subspace.from_vectors(a.p, a.dim, nl)
@@ -387,9 +387,8 @@ class TestTwoSided:
         # kernel ideal R(1 - e_{2}) picks the second factor; the core
         # formula is (1 - e_{2}) s = 0
         om = T7xF7.one - e1
-        rule_core = {m.coeffs for m in closure.members if (om * m).is_zero()}
-        oracle_core = {m.coeffs for m in res.core.members}
-        assert rule_core == oracle_core
+        rule_core = [(om * T7xF7.element(m)).is_zero() for m in closure.rows]
+        assert res.core.tolist() == rule_core
 
     def test_completely_localizable_are_units(self, T7xF7):
         ts = two_sided_report(T7xF7)
@@ -420,7 +419,7 @@ class TestTwoSided:
                     continue
                 if brute_denominator_check(a, closure, "twosided").is_den:
                     found += 1
-                    for m in closure.members:
+                    for m in map(a.element, closure.rows):
                         assert rank(regular_matrix(a, m, "left"), a.p) == a.dim
 
     def test_decomposable_algebras_invert_non_units(self, F7F7, P1):
@@ -441,18 +440,15 @@ class TestMaximalSetMaterialization:
         members = rep.max_den[0].members_within()
         assert len(members) == 294
         for m in members[:20]:
-            assert rep.max_den[0].image_is_unit(m)
+            assert rep.max_den[0].image_is_unit(L2_7.element(m))
 
     def test_materialized_set_passes_the_definitional_check(self, L2_5):
         rep = localization_report(L2_5)
         members = rep.max_den[0].members_within()
-        res = brute_denominator_check(L2_5, FiniteSetOfElements.from_elements(L2_5, members))
+        res = brute_denominator_check(L2_5, FiniteSetOfElements(L2_5, members))
         assert res.is_den
         assert res.ass.space == rep.max_den[0].ass.space
-        oracle_core = {m.coeffs for m in res.core.members}
-        xs = np.array([m.coeffs for m in members], dtype=np.int64)
-        formula_core = set(map(tuple, xs[rep.max_den[0].core_mask(xs)].tolist()))
-        assert oracle_core == formula_core
+        assert res.core.tolist() == rep.max_den[0].core_mask(members).tolist()
 
 
 class TestClassRepresentatives:
@@ -523,7 +519,7 @@ def reference_monoid(a, gens):
     if closure.contains_zero:
         return False, None
     witnesses = []
-    for s in closure.members:
+    for s in map(a.element, closure.rows):
         out = reference_powers(a, s)
         if out is None:
             continue
@@ -545,11 +541,10 @@ def summary(verdict, desc):
                      desc.quotient.algebra.dim, desc.min_core_exponent)
 
 
-def assert_idempotents_match(a, members):
-    xs = np.array([m.coeffs for m in members], dtype=np.int64)
+def assert_idempotents_match(a, xs):
     nilpotent, es = _associated_idempotents(a, xs)
-    for m, nil, e in zip(members, nilpotent, es.tolist()):
-        _, ref = reference_associated_idempotent(a, m)
+    for m, nil, e in zip(xs, nilpotent, es.tolist()):
+        _, ref = reference_associated_idempotent(a, a.element(m))
         assert tuple(e) == ref.coeffs and bool(nil) == ref.is_zero()
 
 
@@ -579,7 +574,7 @@ class TestBatchedDecision:
     @given(generator_sets())
     def test_matches_the_per_member_loop(self, drawn):
         a, gens, closure = drawn
-        assert_idempotents_match(a, closure.members)
+        assert_idempotents_match(a, closure.rows)
         assert summary(*monoid_denominator_decision(a, gens)) == reference_monoid(a, gens)
         out = reference_powers(a, gens[0])
         expected = (False, None) if out is None else (
@@ -602,9 +597,8 @@ class TestBatchedDecision:
             a = lower_triangular(7, 3)
             gens = [a.element([4, 0, 0, 5, 2, 0]), a.element([6, 1, 0, 3, 0, 4])]
         closure = monoid_closure(a, gens)
-        assert_idempotents_match(a, closure.members)
-        distinct = {e for e in map(tuple, _associated_idempotents(
-            a, np.array([m.coeffs for m in closure.members]))[1].tolist())}
+        assert_idempotents_match(a, closure.rows)
+        distinct = set(map(tuple, _associated_idempotents(a, closure.rows)[1].tolist()))
         assert len(distinct) == {"nilpotent": 2, "unit": 1, "several idempotents": 10}[kind]
         assert summary(*monoid_denominator_decision(a, gens)) == reference_monoid(a, gens)
 

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from artinloc import linalg
+from artinloc import linalg, oracle
 from artinloc.algebra import (
     Algebra,
-    Element,
     direct_product,
     full_matrix,
     lower_triangular,
@@ -31,7 +30,7 @@ from artinloc.linalg import (
 from artinloc.localization import localization_report
 from artinloc.oracle import (
     FiniteSetOfElements,
-    _first_uncovered,
+    _first_outside,
     _inside_one,
     brute_denominator_check,
     brute_idempotents,
@@ -43,17 +42,22 @@ from artinloc.suite import run_invariants
 from conftest import mul_by_definition
 
 
+def tuples(rows):
+    """The rows of an array as coefficient tuples, in order."""
+    return list(map(tuple, rows.tolist()))
+
+
 class TestMonoidClosure:
     def test_identity_alone(self, L2_7):
         cl = monoid_closure(L2_7, [L2_7.one])
-        assert [m.coeffs for m in cl.members] == [L2_7.one_coeffs]
+        assert tuples(cl.rows) == [L2_7.one_coeffs]
         assert not cl.contains_zero
 
     def test_remark_element_cycle(self, L2_7):
         s = L2_7.from_matrix([[2, 0], [1, 0]])
         cl = monoid_closure(L2_7, [s])
         assert len(cl) == 4  # 1, s, 2s, 4s (2 has order 3 mod 7)
-        coeffs = {m.coeffs for m in cl.members}
+        coeffs = set(tuples(cl.rows))
         assert coeffs == {L2_7.one_coeffs, (2, 1, 0), (4, 2, 0), (1, 4, 0)}
         assert not cl.contains_zero
 
@@ -87,7 +91,7 @@ class TestMonoidClosure:
         gens = [a.from_matrix(u), a.from_matrix(v)]
         cl = monoid_closure(a, gens, guard=64)
         assert len(cl) == 8 and not cl.contains_zero
-        assert [m.coeffs for m in cl] == reference_closure(a, gens, 64)
+        assert tuples(cl.rows) == reference_closure(a, gens, 64)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -108,7 +112,7 @@ class TestMonoidClosure:
                 assert (exc.value.size, exc.value.guard) == (expected.size, guard) == (guard + 1, guard)
                 return
             cl = monoid_closure(a, gens, guard)
-        assert [m.coeffs for m in cl] == expected
+        assert tuples(cl.rows) == expected
         assert cl.contains_zero == ((0,) * a.dim in expected)
 
 
@@ -158,17 +162,19 @@ class TestBruteDenominatorCheck:
 
     def test_lower_corner_succeeds(self, L2_7):
         e11 = L2_7.from_matrix([[1, 0], [0, 0]])
-        res = brute_denominator_check(L2_7, FiniteSetOfElements.from_elements(L2_7, [L2_7.one, e11]))
+        S = FiniteSetOfElements.from_elements(L2_7, [L2_7.one, e11])
+        res = brute_denominator_check(L2_7, S)
         assert res.is_ore and res.is_den
         assert res.ass.space.basis == ((0, 1, 0), (0, 0, 1))
-        assert [m.coeffs for m in res.core.members] == [(1, 0, 0)]
+        assert tuples(S.rows[res.core]) == [(1, 0, 0)]
 
     def test_powers_monoid_core(self, L2_7):
         s = L2_7.from_matrix([[2, 0], [1, 0]])
-        res = brute_denominator_check(L2_7, monoid_closure(L2_7, [s]))
+        S = monoid_closure(L2_7, [s])
+        res = brute_denominator_check(L2_7, S)
         assert res.is_den
         assert res.ass.space.basis == ((0, 1, 0), (0, 0, 1))
-        assert {m.coeffs for m in res.core.members} == {(2, 1, 0), (4, 2, 0), (1, 4, 0)}
+        assert set(tuples(S.rows[res.core])) == {(2, 1, 0), (4, 2, 0), (1, 4, 0)}
 
     def test_zero_in_set_rejected(self, L2_7):
         bad = FiniteSetOfElements.from_elements(L2_7, [L2_7.one, L2_7.zero])
@@ -224,17 +230,17 @@ class TestBruteIdempotents:
     def test_base_field(self):
         f7 = full_matrix(7, 1)
         ids = brute_idempotents(f7)
-        assert [m.coeffs for m in ids.members] == [(0,), (1,)]
+        assert tuples(ids.rows) == [(0,), (1,)]
 
     def test_two_field_product(self, F7F7):
         ids = brute_idempotents(F7F7)
-        assert {m.coeffs for m in ids.members} == {(0, 0), (1, 0), (0, 1), (1, 1)}
+        assert set(tuples(ids.rows)) == {(0, 0), (1, 0), (0, 1), (1, 1)}
 
     def test_census_count_lower_triangular_5(self, L2_5):
         # 0 and 1, plus the two conjugate families over the strictly lower entry
         ids = brute_idempotents(L2_5)
         assert len(ids) == 12
-        for e in ids.members:
+        for e in map(L2_5.element, ids.rows):
             assert (e * e) == e
 
     def test_guard(self, L2_5):
@@ -257,7 +263,7 @@ def _members(sp):
 def reference_left(a, S):
     """The left check with ass(S) built as a set of member tuples."""
     p, d = a.p, a.dim
-    members = S.members
+    members = [a.element(row) for row in S.rows]
     ring = np.array(list(itertools.product(range(p), repeat=d)), dtype=np.int64)
     kernels = [kernel(regular_matrix(a, s, "left"), p) for s in members]
     ass_set = {(0,) * d}
@@ -296,8 +302,7 @@ def reference_check(a, S, side):
     if side == "left":
         return reference_left(a, S)
     op = opposite_algebra(a)
-    right = reference_left(op, FiniteSetOfElements.from_elements(
-        op, [op.element(m.coeffs) for m in S]))
+    right = reference_left(op, FiniteSetOfElements(op, S.rows))
     if side == "right":
         return right
     left = reference_left(a, S)
@@ -320,7 +325,7 @@ def assert_matches_reference(a, S, side):
     assert (res.is_ore, res.is_den) == (ref["is_ore"], ref["is_den"])
     assert res.ass_members == ref["ass"]
     assert (res.ass.space if res.ass is not None else None) == (ref["ass"] if ref["is_den"] else None)
-    assert [m.coeffs for m in res.core] == ref["core"]
+    assert tuples(S.rows[res.core]) == ref["core"]
     ce = res.counterexample
     assert (None if ce is None else (ce[0].coeffs, ce[1].coeffs)) == ref["counterexample"]
     return res
@@ -343,7 +348,7 @@ DIFF_ALGEBRAS = [lower_triangular(7, 2), upper_triangular(5, 2), full_matrix(5, 
                  full_matrix(7, 2), truncated_poly(7, 3),
                  direct_product([full_matrix(5, 1)] * 3)[0],
                  direct_product([lower_triangular(5, 2), full_matrix(5, 1)])[0], exterior_2(5)]
-IDEMPOTENTS = {id(a): [e for e in brute_idempotents(a) if not e.is_zero()] for a in DIFF_ALGEBRAS}
+IDEMPOTENTS = {id(a): [a.element(e) for e in brute_idempotents(a).rows if e.any()] for a in DIFF_ALGEBRAS}
 
 
 @st.composite
@@ -411,10 +416,10 @@ class TestBatchedDenominatorCheck:
                 return str(exc)
             ce = res.counterexample
             return (res.is_ore, res.is_den, res.ass_members, res.ass and res.ass.space,
-                    [m.coeffs for m in res.core], ce and (ce[0].coeffs, ce[1].coeffs))
+                    tuples(T.rows[res.core]), ce and (ce[0].coeffs, ce[1].coeffs))
 
         op = opposite_algebra(a)
-        s_op = FiniteSetOfElements(op, tuple(Element(op, m.coeffs) for m in S), False)
+        s_op = FiniteSetOfElements(op, S.rows)
         right = outcome(brute_denominator_check, op, s_op, "left")
         assert outcome(brute_denominator_check, a, S, "right") == right
         left = outcome(brute_denominator_check, a, S, "left")
@@ -437,6 +442,20 @@ class TestBatchedDenominatorCheck:
         res = assert_matches_reference(a, S, "left")
         assert res.is_ore and not res.is_den
         assert (res.counterexample[0].coeffs, res.counterexample[1].coeffs) == ((0, 4, 0), (0, 0, 1))
+
+    @pytest.mark.parametrize("side, sweeps", [("left", 1), ("twosided", 2)])
+    def test_ore_sweep_runs_once_per_distinct_rs(self, side, sweeps):
+        # 3 is a primitive root mod 257, so the closure of (3, 0) is 1 and
+        # the 256 elements (c, 0), c != 0: distinct multiplication matrices,
+        # all with R*s = GF(257) x 0, so one Ore sweep per side
+        a = direct_product([full_matrix(257, 1)] * 2)[0]
+        S = monoid_closure(a, [a.element([3, 0])])
+        assert len(S) == 257
+        with mock.patch.object(oracle, "_ore_counterexample",
+                               wraps=oracle._ore_counterexample) as ore:
+            res = brute_denominator_check(a, S, side)
+        assert res.is_den and res.ass.space.basis == ((0, 1),)
+        assert ore.call_count == sweeps
 
     # type, message and size of the refusal, as recorded from the
     # one-member-at-a-time check this batched one replaced
@@ -483,9 +502,14 @@ class TestBatchedDenominatorCheck:
         assert _inside_one(subs, spaces).tolist() == expected
 
     def test_membership_of_a_set(self, L2_7):
-        S = monoid_closure(L2_7, [L2_7.from_matrix([[2, 0], [1, 0]])])
-        assert all(m in S for m in S.members)
-        assert L2_7.zero not in S
+        # the rows are reduced mod p, sorted and deduplicated, whatever the
+        # order and repeats they came in with, and cannot be written to
+        S = FiniteSetOfElements(L2_7, [[2, 1, 0], [1, 4, 0], [9, 1, 0], [1, 0, 1], [0, 0, 0]])
+        assert tuples(S.rows) == [(0, 0, 0), (1, 0, 1), (1, 4, 0), (2, 1, 0)]
+        assert S.contains_zero and len(S) == 4 and not S.rows.flags.writeable
+        closure = monoid_closure(L2_7, [L2_7.from_matrix([[2, 0], [1, 0]])])
+        assert tuples(FiniteSetOfElements(L2_7, closure.rows[::-1]).rows) == tuples(closure.rows)
+        assert not closure.contains_zero
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +523,9 @@ class TestChunkedSweeps:
         assert CHUNK_ROWS < 7 ** 5
         hyperplane = Subspace.from_vectors(7, 6, [[0] * i + [1] + [0] * (5 - i) for i in range(1, 6)])
         diagonal = Subspace.from_vectors(7, 6, [[1, 1, 0, 0, 0, 0]])
-        r = _first_uncovered(L3_7, [diagonal, hyperplane], DEFAULT_GUARD)
-        assert r.coeffs == (1, 0, 0, 0, 0, 0)
-        assert _first_uncovered(L3_7, [hyperplane, Subspace.full(7, 6)], DEFAULT_GUARD) is None
+        ring = Subspace.full(7, 6)
+        assert _first_outside(ring, [diagonal, hyperplane]) == (1, 0, 0, 0, 0, 0)
+        assert _first_outside(ring, [hyperplane, ring]) is None
 
     def test_brute_radical_over_several_chunks(self, L3_7):
         assert L3_7.p ** L3_7.dim > 4 * CHUNK_ROWS
@@ -513,7 +537,7 @@ class TestChunkedSweeps:
         whole_rad, whole_ids = brute_radical(a), brute_idempotents(a)
         with mock.patch.object(linalg, "CHUNK_ROWS", 7):
             assert brute_radical(a).space == whole_rad.space
-            assert [e.coeffs for e in brute_idempotents(a)] == [e.coeffs for e in whole_ids]
+            assert tuples(brute_idempotents(a).rows) == tuples(whole_ids.rows)
 
     def test_brute_radical_memory_is_set_by_the_chunk(self):
         a = full_matrix(17, 2)
