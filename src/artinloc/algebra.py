@@ -7,12 +7,15 @@ subalgebra's table is its RREF basis products read at the basis pivots.
 Products and powers have one path, the batch kernels on that array:
 ``Element * Element`` is row 0 of :meth:`Algebra.batch_mul` and
 ``Element ** n`` row 0 of :meth:`Algebra.batch_pow`, the one
-square-and-multiply loop on elements.  Construction
-validates associativity on all basis triples, the two unit laws, primality
-of ``p`` and the global precondition ``p > dim`` (required by the trace
-form radical criterion downstream, and enforced here to fail fast).
-Quotients and centers are algebras by theorem and skip the validation
-(:meth:`Algebra._derived`); the ``verify`` battery rebuilds them.
+square-and-multiply loop on elements.  Every constructor checks that ``p``
+is prime and the global precondition ``p > dim`` (required by the trace
+form radical criterion downstream, and enforced here to fail fast).  Only
+raw structure constants (:class:`Algebra`) and :func:`matrix_subalgebra`
+validate associativity on all basis triples and the two unit laws:
+``lower_triangular``, ``upper_triangular``, ``full_matrix``,
+``truncated_poly``, the ``direct_product`` and ``opposite_algebra`` of built
+algebras, quotients and centers are algebras by theorem and skip it
+(:meth:`Algebra._derived`); ``verify`` validates its input and rebuilds them.
 
 The associativity and unit checks contract the table in float64, through
 BLAS, and are exact: every entry is a residue below ``p <= MAX_PRIME =
@@ -74,12 +77,8 @@ class Algebra:
     def __init__(self, p: int, table: Sequence[Sequence[Sequence[int]]],
                  one: Sequence[int], label: str = "A",
                  matrix_model: tuple[int, tuple[tuple[tuple[int, ...], ...], ...]] | None = None):
-        check_prime(p)
         dim = len(table)
-        if dim == 0:
-            raise InputError("algebra dimension must be positive")
-        if p <= dim:
-            raise InputError(f"p = {p} must exceed dim = {dim}")
+        _check_size(p, dim)
         # C order even for a transposed view, so the reshapes of the batch
         # kernels stay views of the stored table
         tab = np.array(table, dtype=np.int64, order="C") % p
@@ -90,13 +89,16 @@ class Algebra:
             raise InputError("identity vector length does not match dim")
         self._store(p, tab, one_vec, label, matrix_model)
         self._validate()
+        self._cache["validated"] = True
 
     @classmethod
-    def _derived(cls, p: int, table: np.ndarray, one: np.ndarray, label: str) -> "Algebra":
+    def _derived(cls, p: int, table: np.ndarray, one: Sequence[int], label: str,
+                 matrix_model=None) -> "Algebra":
         """An algebra on an int64 table of residues that is associative and
-        unital by theorem (a quotient, the center), without ``_validate``."""
+        unital by theorem (a named constructor, a product or opposite of
+        algebras, a quotient, the center), without ``_validate``."""
         alg = cls.__new__(cls)
-        alg._store(p, np.ascontiguousarray(table), one, label, None)
+        alg._store(p, np.ascontiguousarray(table), one, label, matrix_model)
         return alg
 
     def _store(self, p: int, tab: np.ndarray, one: np.ndarray, label: str, matrix_model) -> None:
@@ -376,57 +378,61 @@ def _side_products(a: Algebra, vecs: np.ndarray, side: str) -> np.ndarray:
 # Constructors
 # ---------------------------------------------------------------------------
 
-def _matrix_unit_algebra(p: int, pairs: list[tuple[int, int]], n: int, label: str) -> Algebra:
-    index = {pair: k for k, pair in enumerate(pairs)}
-    dim = len(pairs)
+def _check_size(p: int, dim: int) -> None:
+    """The preconditions of every algebra: ``p`` a supported prime, ``0 < dim < p``."""
+    check_prime(p)
+    if dim == 0:
+        raise InputError("algebra dimension must be positive")
+    if p <= dim:
+        raise InputError(f"p = {p} must exceed dim = {dim}")
+
+
+def _matrix_unit_algebra(p: int, n: int, dim: int, part, label: str) -> Algebra:
+    """The ``dim`` matrix units E_ij that ``part`` (np.tril, np.triu or
+    np.asarray) keeps of an n x n mask, lex by (i, j): E_ij E_jl = E_il.
+    ``dim`` comes from the caller so that p > dim is checked before the mask."""
+    if n < 1:
+        raise InputError("n must be positive")
+    _check_size(p, dim)
+    i, j = np.nonzero(part(np.ones((n, n), dtype=bool)))
+    index = np.zeros((n, n), dtype=np.int64)
+    index[i, j] = np.arange(dim)
+    # every product of two kept units is kept: the three shapes are closed
+    k1, k2 = np.nonzero(j[:, None] == i[None, :])
     table = np.zeros((dim, dim, dim), dtype=np.int64)
-    for k1, (a, b) in enumerate(pairs):
-        for k2, (c, d) in enumerate(pairs):
-            if b == c and (a, d) in index:
-                table[k1, k2, index[(a, d)]] = 1
-    one = np.zeros(dim, dtype=np.int64)
-    for i in range(1, n + 1):
-        if (i, i) in index:
-            one[index[(i, i)]] = 1
-    mats = tuple(tuple(tuple(1 if (r + 1, c + 1) == pair else 0 for c in range(n)) for r in range(n))
-                 for pair in pairs)
-    return Algebra(p, table, one, label, matrix_model=(n, mats))
+    table[k1, k2, index[i[k1], j[k2]]] = 1
+    mats = np.zeros((dim, n, n), dtype=np.int64)
+    mats[np.arange(dim), i, j] = 1
+    model = (n, tuple(tuple(map(tuple, m)) for m in mats.tolist()))
+    return Algebra._derived(p, table, (i == j).astype(np.int64), label, model)
 
 
 def lower_triangular(p: int, n: int) -> Algebra:
     """Lower triangular n x n matrices; basis E_ij (i >= j) lex by (i, j)."""
-    if n < 1:
-        raise InputError("n must be positive")
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i >= j]
-    return _matrix_unit_algebra(p, pairs, n, f"L{n}(GF({p}))")
+    return _matrix_unit_algebra(p, n, n * (n + 1) // 2, np.tril, f"L{n}(GF({p}))")
 
 
 def upper_triangular(p: int, n: int) -> Algebra:
     """Upper triangular n x n matrices; basis E_ij (i <= j) lex by (i, j)."""
-    if n < 1:
-        raise InputError("n must be positive")
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i <= j]
-    return _matrix_unit_algebra(p, pairs, n, f"U{n}(GF({p}))")
+    return _matrix_unit_algebra(p, n, n * (n + 1) // 2, np.triu, f"U{n}(GF({p}))")
 
 
 def full_matrix(p: int, n: int) -> Algebra:
     """Full n x n matrix algebra; basis E_ij lex by (i, j)."""
-    if n < 1:
-        raise InputError("n must be positive")
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     label = f"M{n}(GF({p}))" if n > 1 else f"GF({p})"
-    return _matrix_unit_algebra(p, pairs, n, label)
+    return _matrix_unit_algebra(p, n, n * n, np.asarray, label)
 
 
 def truncated_poly(p: int, k: int) -> Algebra:
     """GF(p)[x]/(x^k); basis 1, x, ..., x^(k-1)."""
     if k < 1:
         raise InputError("k must be positive")
+    _check_size(p, k)
     table = np.zeros((k, k, k), dtype=np.int64)
     i, j = np.nonzero(np.add.outer(np.arange(k), np.arange(k)) < k)
     table[i, j, i + j] = 1
     one = [1] + [0] * (k - 1)
-    return Algebra(p, table, one, f"GF({p})[x]/(x^{k})")
+    return Algebra._derived(p, table, one, f"GF({p})[x]/(x^{k})")
 
 
 def direct_product(factors: Sequence[Algebra]) -> tuple[Algebra, list[tuple[int, int]]]:
@@ -441,6 +447,7 @@ def direct_product(factors: Sequence[Algebra]) -> tuple[Algebra, list[tuple[int,
         if f.p != p:
             raise ModulusMismatch("direct product factors over different primes")
     dim = sum(f.dim for f in factors)
+    _check_size(p, dim)
     table = np.zeros((dim, dim, dim), dtype=np.int64)
     one = np.zeros(dim, dtype=np.int64)
     embeddings: list[tuple[int, int]] = []
@@ -452,13 +459,13 @@ def direct_product(factors: Sequence[Algebra]) -> tuple[Algebra, list[tuple[int,
         one[lo:hi] = f.one_coeffs
         lo = hi
     label = " x ".join(f.label for f in factors)
-    return Algebra(p, table, one, label), embeddings
+    return Algebra._derived(p, table, one, label), embeddings
 
 
 def opposite_algebra(a: Algebra) -> Algebra:
     """Same basis, transposed multiplication: mul_op(i, j) = mul(j, i)."""
-    return Algebra(a.p, a.np_table.transpose(1, 0, 2), a.one_coeffs, f"op({a.label})",
-                   matrix_model=a.matrix_model)
+    return Algebra._derived(a.p, a.np_table.transpose(1, 0, 2), a.one_coeffs, f"op({a.label})",
+                            a.matrix_model)
 
 
 def matrix_subalgebra(p: int, n: int, generators: Sequence[Sequence[Sequence[int]]]) -> Algebra:

@@ -49,7 +49,7 @@ EXIT_INTERNAL = 3
 
 
 def parse_input(document: str) -> Algebra:
-    """Parse a JSON algebra description into a validated algebra."""
+    """Parse a JSON algebra description into an algebra (built by :func:`build_algebra`)."""
     try:
         desc = json.loads(document)
     except json.JSONDecodeError as exc:

@@ -6,9 +6,11 @@ family laws, kernel-ideal identities, duality (the right report against
 the opposite algebra's left report), the five-way equivalence bundle for
 "completely localizable = units", and the element sweeps that compare the
 powers criterion and the idempotent criterion with brute force.  The
-report checks also rebuild, through the public constructors, every ideal
-that the reports hold by theorem and the quotients of the left classes,
-two-sided factors and descriptors; the left report check re-proves, by
+radical cross-check first validates the input, which the named
+constructors, products and opposites build by theorem; the report checks
+rebuild, through the public constructors, every ideal that the reports
+hold by theorem and the quotients of the left classes, two-sided factors
+and descriptors; the left report check re-proves, by
 elimination and by the products of the block-sum idempotents, the class
 lattice that the report reads off the Peirce decomposition, against the
 closed-form lattice tables of the report (dim(K_I + K_J), containment and
@@ -84,14 +86,14 @@ def _random_element(a: Algebra, rng: random.Random) -> Element:
 
 def _rebuild(objects) -> None:
     """Rebuild each named ``_derived`` algebra or ideal through its public
-    constructor, raising on the first failure; an algebra is rebuilt once."""
+    constructor, raising on the first failure; an algebra is validated once."""
     for name, obj in objects:
         try:
             if isinstance(obj, Ideal):
                 Ideal(obj.algebra, obj.space, obj.side)
-            elif "rebuilt" not in obj._cache:
+            elif "validated" not in obj._cache:
                 Algebra(obj.p, obj.np_table, obj.one_coeffs, obj.label)
-                obj._cache["rebuilt"] = True
+                obj._cache["validated"] = True
         except InputError as exc:
             raise InternalCheckError(f"{name}: {exc}") from None
 
@@ -397,6 +399,11 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
 
     # -- structure ----------------------------------------------------------
     def _radical_crosscheck():
+        # the input's laws first, which a named constructor skips
+        try:
+            _rebuild([("input algebra", a)])
+        except InternalCheckError as exc:
+            return False, str(exc)
         rad = radical(a)
         if total <= guard:
             brute = brute_radical(a, guard)
@@ -414,7 +421,7 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
         if sum(fam.block_dims) != fam.quotient.algebra.dim:
             return False, "block dimensions do not add up to the semisimple quotient"
         # on a fresh copy, as ``a`` would hand back its cached family
-        again = block_decomposition(Algebra(a.p, a.np_table, a.one_coeffs, a.label))
+        again = block_decomposition(Algebra._derived(a.p, a.np_table, a.one_coeffs, a.label))
         if [e.coeffs for e in again.idempotents] != [e.coeffs for e in fam.idempotents]:
             return False, "idempotent family is not deterministic"
         return True, ""

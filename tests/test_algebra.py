@@ -594,6 +594,107 @@ class TestOppositeAndProducts:
 
 
 # ---------------------------------------------------------------------------
+# The named constructors, products and opposites are algebras by theorem
+# ---------------------------------------------------------------------------
+
+def matrix_units_by_definition(p, n, keep, label):
+    """The span of the matrix units E_ij with keep(i, j), built and validated
+    by Algebra: each product is a matrix product, solved over the units."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if keep(i, j)]
+    mats = [np.array([[int((r, c) == pair) for c in range(1, n + 1)] for r in range(1, n + 1)])
+            for pair in pairs]
+    rows = [m.ravel().tolist() for m in mats]
+    table = [[express_in_rows(rows, (u @ v).ravel().tolist(), p) for v in mats] for u in mats]
+    one = express_in_rows(rows, np.eye(n, dtype=np.int64).ravel().tolist(), p)
+    model = (n, tuple(tuple(map(tuple, m.tolist())) for m in mats))
+    return Algebra(p, table, one, label, matrix_model=model)
+
+
+def truncated_poly_by_definition(p, k):
+    table = [[[int(m == i + j) for m in range(k)] for j in range(k)] for i in range(k)]
+    return Algebra(p, table, [1] + [0] * (k - 1), f"GF({p})[x]/(x^{k})")
+
+
+def direct_product_by_definition(factors):
+    dim = sum(f.dim for f in factors)
+    table = np.zeros((dim, dim, dim), dtype=np.int64)
+    lo = 0
+    for f in factors:
+        table[lo:lo + f.dim, lo:lo + f.dim, lo:lo + f.dim] = f.np_table
+        lo += f.dim
+    one = [c for f in factors for c in f.one_coeffs]
+    return Algebra(factors[0].p, table.tolist(), one, " x ".join(f.label for f in factors))
+
+
+def opposite_by_definition(a):
+    table = [[a.np_table[j, i].tolist() for j in range(a.dim)] for i in range(a.dim)]
+    return Algebra(a.p, table, a.one_coeffs, f"op({a.label})", matrix_model=a.matrix_model)
+
+
+def lower_by_definition(p, n):
+    return matrix_units_by_definition(p, n, lambda i, j: i >= j, f"L{n}(GF({p}))")
+
+
+def upper_by_definition(p, n):
+    return matrix_units_by_definition(p, n, lambda i, j: i <= j, f"U{n}(GF({p}))")
+
+
+def full_by_definition(p, n):
+    return matrix_units_by_definition(p, n, lambda i, j: True,
+                                      f"M{n}(GF({p}))" if n > 1 else f"GF({p})")
+
+
+THEOREM_CASES = [
+    *[(f"L{n}", lambda n=n: lower_triangular(7, n), lambda n=n: lower_by_definition(7, n))
+      for n in (1, 2, 3)],
+    *[(f"U{n}", lambda n=n: upper_triangular(7, n), lambda n=n: upper_by_definition(7, n))
+      for n in (1, 2, 3)],
+    *[(f"M{n}", lambda n=n: full_matrix(11, n), lambda n=n: full_by_definition(11, n))
+      for n in (1, 2, 3)],
+    *[(f"T{k}", lambda k=k: truncated_poly(7, k), lambda k=k: truncated_poly_by_definition(7, k))
+      for k in (1, 2, 4)],
+    ("L2 x T3 x GF(11)",
+     lambda: direct_product([lower_triangular(11, 2), truncated_poly(11, 3), full_matrix(11, 1)])[0],
+     lambda: direct_product_by_definition([lower_by_definition(11, 2),
+                                           truncated_poly_by_definition(11, 3),
+                                           full_by_definition(11, 1)])),
+    ("op(U2 x T2)",
+     lambda: opposite_algebra(direct_product([upper_triangular(7, 2), truncated_poly(7, 2)])[0]),
+     lambda: opposite_by_definition(direct_product_by_definition(
+         [upper_by_definition(7, 2), truncated_poly_by_definition(7, 2)]))),
+    ("op(L3)", lambda: opposite_algebra(lower_triangular(7, 3)),
+     lambda: opposite_by_definition(lower_by_definition(7, 3))),
+]
+
+
+@pytest.mark.parametrize("build, reference", [case[1:] for case in THEOREM_CASES],
+                         ids=[case[0] for case in THEOREM_CASES])
+def test_constructors_build_by_theorem_what_validation_accepts(build, reference):
+    # built without Algebra._validate, the algebra passes it, and equals the
+    # validated build of its definition field by field
+    a, expected = build(), reference()
+    assert "validated" not in a._cache and "validated" in expected._cache
+    Algebra(a.p, a.np_table, a.one_coeffs, a.label)
+    assert a.np_table.dtype == np.int64 and np.array_equal(a.np_table, expected.np_table)
+    assert (a.one_coeffs, a.label, a.matrix_model) == \
+        (expected.one_coeffs, expected.label, expected.matrix_model)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lower_triangular(9, 2), lambda: upper_triangular(9, 2), lambda: full_matrix(9, 1),
+    lambda: truncated_poly(9, 2),
+], ids=["L", "U", "M", "T"])
+def test_constructors_by_theorem_still_check_the_prime(build):
+    with pytest.raises(InputError, match="^9 is not prime$"):
+        build()
+
+
+def test_products_by_theorem_still_check_the_dimension():
+    with pytest.raises(InputError, match="^p = 7 must exceed dim = 7$"):
+        direct_product([lower_triangular(7, 2), full_matrix(7, 2)])
+
+
+# ---------------------------------------------------------------------------
 # Tables built by array assignment and read at RREF pivots
 # ---------------------------------------------------------------------------
 

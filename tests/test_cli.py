@@ -311,6 +311,43 @@ class TestVerifyAndErrors:
                              '"name": "full_matrix", "n": 1}')])
         assert code == 2
 
+    # every constructor kind, with p at most its dimension and with a
+    # non-prime p; the named constructors build their tables by theorem and
+    # must still refuse both before any table is read
+    SIZE_EDGE = {
+        "lower_triangular": ({"n": 4}, 10),
+        "upper_triangular": ({"n": 4}, 10),
+        "full_matrix": ({"n": 3}, 9),
+        "truncated_poly": ({"k": 7}, 7),
+        "product": ({"factors": [{"kind": "constructor", "name": "lower_triangular", "n": 2},
+                                 {"kind": "constructor", "name": "full_matrix", "n": 2}]}, 7),
+        "opposite": ({"inner": {"kind": "constructor", "name": "upper_triangular", "n": 4}}, 10),
+        "matrix_subalgebra": ({"ambient_n": 3, "generators": [[[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+                                                              [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+                                                              [[0, 0, 0], [0, 0, 0], [1, 0, 0]]]}, 9),
+    }
+
+    @pytest.mark.parametrize("prime", [7, 9], ids=["p <= dim", "non-prime p"])
+    @pytest.mark.parametrize("name", list(SIZE_EDGE))
+    def test_constructor_size_and_prime_edges(self, name, prime, docfile, capsys):
+        params, dim = self.SIZE_EDGE[name]
+        doc = {"scalar": {"prime": prime}, "kind": "constructor", "name": name, **params}
+        assert main(["dual", "--input", docfile(json.dumps(doc))]) == 2
+        message = f"p = 7 must exceed dim = {dim}" if prime == 7 else "9 is not prime"
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+    @pytest.mark.parametrize("params, dim", [
+        ({"name": "lower_triangular", "n": 300}, 45150),
+        ({"name": "truncated_poly", "k": 100000}, 100000),
+        ({"name": "product", "factors": [{"kind": "constructor", "name": "full_matrix", "n": 2}] * 300},
+         1200),
+    ], ids=["L300", "T100000", "M2^300"])
+    def test_oversized_constructor_is_refused_before_its_table(self, params, dim, docfile, capsys):
+        # the dim**3 tables would need terabytes: the size check comes first
+        doc = {"scalar": {"prime": 7}, "kind": "constructor", **params}
+        assert main(["dual", "--input", docfile(json.dumps(doc))]) == 2
+        assert capsys.readouterr() == ("", f"input error: p = 7 must exceed dim = {dim}\n")
+
     def test_missing_file_exit_code(self, capsys):
         code = main(["report", "--input", "/nonexistent/path.json"])
         assert code == 2

@@ -179,29 +179,47 @@ def test_bundle_check_enumerates_within_the_guard(monkeypatch):
 
 
 L2_DOC = '{"scalar": {"prime": 7}, "kind": "constructor", "name": "lower_triangular", "n": 2}'
+# L2 as the user's own structure constants, labelled as the constructor labels it
+L2_TABLE = lower_triangular(7, 2)
+L2_RAW_DOC = json.dumps({"scalar": {"prime": 7}, "kind": "structure_constants", "dim": 3,
+                         "one": list(L2_TABLE.one_coeffs), "mul_table": L2_TABLE.np_table.tolist(),
+                         "label": L2_TABLE.label})
 
 
-def run_cli(command, tmp_path, capsys):
+def run_cli(command, tmp_path, capsys, doc=L2_DOC):
     path = tmp_path / "l2.json"
-    path.write_text(L2_DOC, encoding="utf-8")
+    path.write_text(doc, encoding="utf-8")
     code = main([command, "--input", str(path)])
     return code, capsys.readouterr().out
 
 
-def test_requests_validate_only_their_input(monkeypatch, tmp_path, capsys):
-    # quotients, class ideals and their sums, meets and products are built
-    # by theorem; only the input algebra, the trace-form radical and the
-    # right localization radical run their checks, and twosided builds no
-    # radical at all
+@pytest.mark.parametrize("doc, validated", [(L2_DOC, []), (L2_RAW_DOC, ["L2(GF(7))"])],
+                         ids=["constructor", "structure_constants"])
+def test_requests_validate_only_their_input(doc, validated, monkeypatch, tmp_path, capsys):
+    # the named constructors, quotients, class ideals and their sums, meets
+    # and products are built by theorem; only raw structure constants, the
+    # trace-form radical and the right localization radical run their
+    # checks, and twosided builds no radical at all
     calls = []
     validate, closure = Algebra._validate, Ideal.__post_init__
     monkeypatch.setattr(Algebra, "_validate", lambda self: calls.append(self.label) or validate(self))
     monkeypatch.setattr(Ideal, "__post_init__", lambda self: calls.append("ideal") or closure(self))
-    assert run_cli("dual", tmp_path, capsys)[0] == 0
-    assert calls == ["L2(GF(7))", "ideal", "ideal"]
+    assert run_cli("dual", tmp_path, capsys, doc)[0] == 0
+    assert calls == validated + ["ideal", "ideal"]
     calls.clear()
-    assert run_cli("twosided", tmp_path, capsys)[0] == 0
-    assert calls == ["L2(GF(7))"]
+    assert run_cli("twosided", tmp_path, capsys, doc)[0] == 0
+    assert calls == validated
+
+
+@pytest.mark.parametrize("doc", [L2_DOC, L2_RAW_DOC], ids=["constructor", "structure_constants"])
+def test_verify_validates_its_input_once(doc, monkeypatch, tmp_path, capsys):
+    # verify checks the laws of a constructor's algebra in radical_crosscheck,
+    # and does not check again those that the raw input's build checked
+    calls = []
+    validate = Algebra._validate
+    monkeypatch.setattr(Algebra, "_validate", lambda self: calls.append(self.label) or validate(self))
+    assert run_cli("verify", tmp_path, capsys, doc)[0] == 0
+    assert calls.count("L2(GF(7))") == 1
 
 
 def test_printing_builds_no_quotient(monkeypatch, tmp_path, capsys):
@@ -236,17 +254,21 @@ def test_printing_builds_no_quotient(monkeypatch, tmp_path, capsys):
 def test_cold_monoid_decision_builds_one_quotient_table(monkeypatch):
     # the closure {1, E11} of L2 reaches the classes of 1 and E11; the
     # kernel ideal of 1 is 0, and R/0 is R itself, so only R/(1 - E11)R
-    # gets a table of its own
+    # gets a table of its own, besides L2 itself, built by theorem
     tables = []
     derived = Algebra._derived.__func__
-    monkeypatch.setattr(Algebra, "_derived",
-                        classmethod(lambda cls, *args: tables.append(args[-1]) or derived(cls, *args)))
+
+    def recording(cls, p, table, one, label, *model):
+        tables.append(label)
+        return derived(cls, p, table, one, label, *model)
+
+    monkeypatch.setattr(Algebra, "_derived", classmethod(recording))
     a = lower_triangular(7, 2)
     ok, desc = monoid_denominator_decision(a, [a.from_matrix([[1, 0], [0, 0]])])
     assert ok and desc.ass.dim == 2
-    assert tables == ["L2(GF(7))/(dim 2 ideal)"]
+    assert tables == ["L2(GF(7))", "L2(GF(7))/(dim 2 ideal)"]
     zero = Ideal._derived(a, Subspace.zero(7, 3), "twosided")
-    assert algebra.quotient_algebra(a, zero).algebra is a and len(tables) == 1
+    assert algebra.quotient_algebra(a, zero).algebra is a and len(tables) == 2
 
 
 @pytest.mark.parametrize("fixture_name", ["L2_7", "L3_7", "U3_7", "M2_7", "T7", "F7F7", "T7xF7", "P1"])
@@ -289,6 +311,29 @@ def test_twosided_splits_the_center_subspace_once(monkeypatch, tmp_path, capsys)
     count(structure, "_radical_quotient")
     assert run_cli("twosided", tmp_path, capsys)[0] == 0
     assert calls == ["_center_subspace"]
+
+
+def nonassociative_table():
+    # basis 1, u, v, w with v*v = w*v = w and every other product of u, v, w
+    # zero: the unit laws hold, and (v v) v = w differs from v (v v) = 0
+    table = np.zeros((4, 4, 4), dtype=np.int64)
+    table[0] = table[:, 0] = np.eye(4, dtype=np.int64)
+    table[2, 2, 3] = table[3, 2, 3] = 1
+    return table
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Algebra._derived(5, nonassociative_table(), (1, 0, 0, 0), "A"),
+     "associativity fails on basis triples with first index 2"),
+    (lambda: Algebra._derived(7, lower_triangular(7, 2).np_table, (1, 0, 0), "A"),
+     "identity fails one*b_i = b_i"),
+], ids=["associativity", "unit"])
+def test_verify_names_an_input_that_is_no_algebra(build, message):
+    # an algebra built by theorem skips the checks of Algebra; verify runs
+    # them on its input in radical_crosscheck and names the failed law
+    checks = {r.name: r for r in run_invariants(build(), samples=4)}
+    assert checks["radical_crosscheck"] == suite.CheckResult("radical_crosscheck", False,
+                                                             f"input algebra: {message}")
 
 
 def test_verify_names_a_corrupted_quotient_table(monkeypatch, tmp_path, capsys):
