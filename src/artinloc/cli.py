@@ -39,7 +39,7 @@ from .localization import (
     subset_str,
     two_sided_report,
 )
-from .oracle import FiniteSetOfElements, brute_denominator_check, monoid_closure
+from .oracle import FiniteSetOfElements, brute_denominator_check, monoid_closure, two_sided_result
 from .suite import powers_agreement, run_invariants
 
 EXIT_OK = 0
@@ -211,12 +211,9 @@ def cmd_check_idempotent(args) -> int:
     verdict = {"left": chk.left, "right": chk.right, "both": chk.twosided}[args.side]
     if args.oracle:
         sset = FiniteSetOfElements.from_elements(a, [a.one, e])
-        left = brute_denominator_check(a, sset, "left", args.guard)
-        oracle = {
-            "left": left.is_den,
-            "right": brute_denominator_check(a, sset, "right", args.guard).is_den,
-            "twosided": brute_denominator_check(a, sset, "twosided", args.guard).is_den,
-        }
+        left, right = (brute_denominator_check(a, sset, side, args.guard) for side in ("left", "right"))
+        oracle = {"left": left.is_den, "right": right.is_den,
+                  "twosided": two_sided_result(left, right).is_den}
         agree = (oracle["left"] == chk.left and oracle["right"] == chk.right
                  and oracle["twosided"] == chk.twosided
                  and (not chk.left or left.ass.space == chk.descriptor.ass.space))

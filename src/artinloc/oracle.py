@@ -79,7 +79,7 @@ from .linalg import (
 )
 
 __all__ = ["FiniteSetOfElements", "monoid_closure", "brute_denominator_check",
-           "brute_radical", "brute_idempotents", "BruteDenResult"]
+           "two_sided_result", "brute_radical", "brute_idempotents", "BruteDenResult"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,7 +275,7 @@ def brute_denominator_check(a: Algebra, S: FiniteSetOfElements, side: str = "lef
     Right is the left check in the opposite algebra, whose multiplication
     matrices are these swapped and whose two-sided ideals are these, so it
     runs here on the same matrices and ranks.  Two-sided runs both and
-    requires the two kernels to coincide.
+    composes them by :func:`two_sided_result`.
     """
     check_guard(guard)
     if S.contains_zero:
@@ -295,8 +295,11 @@ def brute_denominator_check(a: Algebra, S: FiniteSetOfElements, side: str = "lef
         if side == "left":
             return left
     right = _left_check(a, rows, mats[n:], mats[:n], ranks[n:], ranks[:n], guard)
-    if side == "right":
-        return right
+    return right if side == "right" else two_sided_result(left, right)
+
+
+def two_sided_result(left: BruteDenResult, right: BruteDenResult) -> BruteDenResult:
+    """The two-sided check of a set from its left and right checks."""
     is_den = left.is_den and right.is_den
     # both unions are subspaces here, so equal spans mean equal sets
     if is_den and left.ass_members != right.ass_members:

@@ -19,7 +19,10 @@ reads; and the two-sided check re-derives the central idempotents, split
 off the center, as the block sums over the blocks that the Peirce corners
 link.
 The CLI ``verify`` command runs exactly this battery; the test suite
-runs it across the fixture corpus.
+runs it across the fixture corpus.  Its oracle sweeps check each distinct
+set and side once per run and compose the two-sided verdict from the
+one-sided ones, while the theory side runs on every sample; samples are
+drawn in bulk from the same random stream as one draw per coordinate.
 
 Sweep work is bounded: ``guard`` caps any single enumeration (default
 2**20), while full per-element sweeps run only when the ring has at most
@@ -34,7 +37,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,11 +65,13 @@ from .localization import (
     two_sided_report,
 )
 from .oracle import (
+    BruteDenResult,
     FiniteSetOfElements,
     brute_denominator_check,
     brute_idempotents,
     brute_radical,
     monoid_closure,
+    two_sided_result,
 )
 from .structure import block_decomposition, ideal_block_support, radical
 
@@ -80,8 +85,23 @@ class CheckResult:
     detail: str = ""
 
 
+def _random_rows(a: Algebra, rng: random.Random, n: int) -> np.ndarray:
+    """``n`` random elements as ``(n, dim)`` rows: the values, and the state
+    left behind, of ``n * dim`` calls of ``rng.randrange(p)``.  Each such call
+    shifts 32-bit words right to ``p.bit_length()`` bits until one is below
+    p; ``getrandbits(32 * m)`` is the next m words, the first drawn least
+    significant, and m never exceeds the values still needed."""
+    shift = 32 - a.p.bit_length()
+    out = np.zeros(0, dtype=np.int64)
+    while len(out) < n * a.dim:
+        need = n * a.dim - len(out)
+        words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"), "<u4") >> shift
+        out = np.concatenate([out, words[words < a.p]])
+    return out.reshape(n, a.dim)
+
+
 def _random_element(a: Algebra, rng: random.Random) -> Element:
-    return a.element([rng.randrange(a.p) for _ in range(a.dim)])
+    return a.element(_random_rows(a, rng, 1)[0])
 
 
 def _rebuild(objects) -> None:
@@ -263,13 +283,19 @@ def powers_agreement(a: Algebra, s: Element, guard: int = DEFAULT_GUARD) -> tupl
     core; the descriptor's quotient is then rebuilt (:func:`_rebuild`).  A
     nilpotent element fails on both sides because its powers reach 0.
     """
+    return _powers_agreement(a, s, guard, lambda S, side: brute_denominator_check(a, S, side, guard))
+
+
+def _powers_agreement(a: Algebra, s: Element, guard: int,
+                      brute: Callable[[FiniteSetOfElements, str], BruteDenResult]) -> tuple[bool, str]:
+    """:func:`powers_agreement`, with ``brute(S, side)`` as the definitional check."""
     ok, desc = powers_denominator_criterion(a, s)
     closure = monoid_closure(a, [s], guard)
     if closure.contains_zero:
         if ok:
             return False, f"criterion accepted a set containing 0 at {s!r}"
         return True, ""
-    res = brute_denominator_check(a, closure, "left", guard)
+    res = brute(closure, "left")
     if ok != res.is_den:
         return False, f"verdict mismatch at {s!r}: criterion {ok}, oracle {res.is_den}"
     if not ok:
@@ -346,8 +372,10 @@ def _left_regular_units(a: Algebra, guard: int, rng: random.Random, samples: int
     on ``max(samples, 10_000)`` samples.  Batched, so the guard applies
     rather than the per-element sweep limit."""
     def left_regular_non_units(xs: np.ndarray) -> np.ndarray:
-        left_regular = batch_rank(a.batch_right_matrices(xs), a.p) == a.dim
-        return left_regular & ~a.batch_unit_mask(xs)
+        # only a left regular row can break the claim, so only those take the unit test
+        bad = batch_rank(a.batch_right_matrices(xs), a.p) == a.dim
+        bad[bad] = ~a.batch_unit_mask(xs[bad])
+        return bad
 
     total = a.p ** a.dim
     if total <= guard:
@@ -358,15 +386,13 @@ def _left_regular_units(a: Algebra, guard: int, rng: random.Random, samples: int
     drawn = max(samples, 10_000)
     for start, stop in row_chunks(drawn):
         state = rng.getstate()
-        xs = np.array([_random_element(a, rng).coeffs for _ in range(stop - start)],
-                      dtype=np.int64)
-        bad = left_regular_non_units(xs)
+        bad = left_regular_non_units(_random_rows(a, rng, stop - start))
         if bad.any():
             # redraw up to the first failure, so the stream stops where a
             # one-sample-at-a-time loop would have stopped
             rng.setstate(state)
-            redrawn = [_random_element(a, rng) for _ in range(int(np.argmax(bad)) + 1)]
-            return False, f"left regular non-unit {redrawn[-1]!r}"
+            redrawn = _random_rows(a, rng, int(np.argmax(bad)) + 1)
+            return False, f"left regular non-unit {a.element(redrawn[-1])!r}"
     return True, f"sampled {drawn}"
 
 
@@ -379,6 +405,15 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
     total = a.p ** a.dim
     rng = random.Random(seed)
     results: list[CheckResult] = []
+    verdicts: dict[tuple[str, bytes], BruteDenResult] = {}  # the oracle's, for this run alone
+
+    def brute(S: FiniteSetOfElements, side: str) -> BruteDenResult:
+        if side == "twosided":
+            return two_sided_result(brute(S, "left"), brute(S, "right"))
+        key = (side, S.rows.tobytes())
+        if key not in verdicts:
+            verdicts[key] = brute_denominator_check(a, S, side, guard)
+        return verdicts[key]
 
     def check(name: str, fn) -> None:
         try:
@@ -541,7 +576,7 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
             e = a.element(row)
             chk = idempotent_denominator_check(a, e)
             sset = FiniteSetOfElements.from_elements(a, [a.one, e])
-            left = brute_denominator_check(a, sset, "left", guard)
+            left = brute(sset, "left")
             if chk.left != left.is_den:
                 return False, f"left disagreement at {e!r}"
             if chk.left and left.ass.space != chk.descriptor.ass.space:
@@ -550,10 +585,10 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
                 return False, f"denominator idempotent {e!r} outside the classified classes"
             if chk.left:
                 _rebuild([(f"quotient at {e!r}", chk.descriptor.quotient.algebra)])
-            right = brute_denominator_check(a, sset, "right", guard)
+            right = brute(sset, "right")
             if chk.right != right.is_den:
                 return False, f"right disagreement at {e!r}"
-            two = brute_denominator_check(a, sset, "twosided", guard)
+            two = brute(sset, "twosided")
             if chk.central != two.is_den:
                 return False, f"two-sided/centrality disagreement at {e!r}"
             if not chk.left:
@@ -571,12 +606,12 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
         if total <= sweep_limit:
             for start, stop in row_chunks(total):
                 for row in a.enumerate_coeffs(start, stop):
-                    ok, detail = powers_agreement(a, a.element(row), guard)
+                    ok, detail = _powers_agreement(a, a.element(row), guard, brute)
                     if not ok:
                         return False, detail
             return True, f"exhaustive over {total}"
         for _ in range(samples):
-            ok, detail = powers_agreement(a, _random_element(a, rng), guard)
+            ok, detail = _powers_agreement(a, _random_element(a, rng), guard, brute)
             if not ok:
                 return False, detail
         return True, f"sampled {samples}"
@@ -588,7 +623,7 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
         rep = localization_report(a)
         for desc in rep.max_den:
             sset = FiniteSetOfElements(a, desc.members_within(guard))
-            res = brute_denominator_check(a, sset, "left", guard)
+            res = brute(sset, "left")
             if not res.is_den:
                 return False, f"T_e at {desc.witness_idempotent!r} failed the brute check"
             if res.ass.space != desc.ass.space:
@@ -609,7 +644,7 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
             if closure.contains_zero:
                 oracle_verdict = False
             else:
-                oracle_verdict = brute_denominator_check(a, closure, "twosided", guard).is_den
+                oracle_verdict = brute(closure, "twosided").is_den
             if verdict != oracle_verdict:
                 return False, f"two-sided powers disagreement at {r!r}"
         return True, f"sampled {samples}"
@@ -633,7 +668,7 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
                 oracle_verdict = False
                 res = None
             else:
-                res = brute_denominator_check(a, closure, "left", guard)
+                res = brute(closure, "left")
                 oracle_verdict = res.is_den
             if verdict != oracle_verdict:
                 return False, f"monoid disagreement at {[g.coeffs for g in gens]}"

@@ -547,6 +547,9 @@ def golden_cases():
                    ["check-idempotent", "--element", json.dumps(elem)], None)
     for name, doc in VERIFY_ALGEBRAS.items():
         yield f"verify-{name}", doc, ["verify"], None
+    # a guard below 5^3 sends every sweep of L2_5 down its sampled path,
+    # which pins the random stream the samples are drawn from
+    yield "verify-L2_5-guard16", VERIFY_ALGEBRAS["L2_5"], ["verify", "--guard", "16"], None
 
 
 def run_golden_case(doc, argv, gens, tmp_dir):

@@ -36,6 +36,7 @@ from artinloc.oracle import (
     brute_idempotents,
     brute_radical,
     monoid_closure,
+    two_sided_result,
 )
 from artinloc.structure import radical
 from artinloc.suite import run_invariants
@@ -204,6 +205,24 @@ class TestBruteDenominatorCheck:
         res2 = brute_denominator_check(
             F7F7, FiniteSetOfElements.from_elements(F7F7, [F7F7.one, e]), "twosided")
         assert res2.is_den and res2.ass.dim == 1
+
+    @pytest.mark.parametrize("algebra, make", [
+        ("U2_7", lambda a: [a.one, a.from_matrix([[1, 0], [0, 0]])]),
+        ("L2_7", lambda a: [a.one, a.from_matrix([[1, 0], [0, 0]])]),
+        ("F7F7", lambda a: [a.one, a.element([1, 0])]),
+        ("L2_7", lambda a: monoid_closure(a, [a.from_matrix([[2, 0], [1, 0]])])),
+    ], ids=["U2_7-E11", "L2_7-E11", "F7F7-e", "L2_7-powers"])
+    def test_two_sided_result_composes_the_one_sided_checks(self, algebra, make, request):
+        a = request.getfixturevalue(algebra)
+        S = make(a)
+        S = S if isinstance(S, FiniteSetOfElements) else FiniteSetOfElements.from_elements(a, S)
+
+        def fields(res):
+            return (res.is_ore, res.is_den, res.ass_members, res.ass and res.ass.space,
+                    res.core.tolist(), res.counterexample)
+
+        left, right = (brute_denominator_check(a, S, side) for side in ("left", "right"))
+        assert fields(two_sided_result(left, right)) == fields(brute_denominator_check(a, S, "twosided"))
 
 
 class TestBruteRadical:

@@ -9,16 +9,18 @@ import dataclasses
 import json
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from artinloc import algebra, localization, structure, suite
+from artinloc import algebra, localization, oracle, structure, suite
 from artinloc.algebra import (Algebra, Ideal, direct_product, full_matrix, lower_triangular,
                               opposite_algebra, regular_matrix, truncated_poly)
 from artinloc.cli import main
 from artinloc.linalg import CHUNK_ROWS, Subspace, kernel
 from artinloc.localization import monoid_denominator_decision
+from artinloc.oracle import monoid_closure
 from artinloc.suite import bundle_conditions, run_invariants
 from test_algebra import random_change, rebase
 
@@ -46,17 +48,17 @@ def test_sampled_left_regular_check_reports_the_first_failing_sample(monkeypatch
     # be those of a loop that draws and tests one sample at a time
     a = lower_triangular(7, 2)
     monkeypatch.setattr(a, "batch_unit_mask", lambda xs: np.zeros(len(xs), dtype=bool))
-    states = []
+    draws = []  # (state before the draw, rows drawn) per bulk draw
 
-    def recording_draw(alg, rng):
-        states.append(rng.getstate())
-        return draw(alg, rng)
+    def recording_rows(alg, rng, n):
+        draws.append((rng.getstate(), n))
+        return draw(alg, rng, n)
 
-    draw = suite._random_element
-    monkeypatch.setattr(suite, "_random_element", recording_draw)
+    draw = suite._random_rows
+    monkeypatch.setattr(suite, "_random_rows", recording_rows)
     rng = random.Random(0)
     for drawn in range(1, 10_001):
-        x = draw(a, rng)
+        x = a.element([rng.randrange(a.p) for _ in range(a.dim)])
         if kernel(regular_matrix(a, x, "right"), a.p).dim == 0:
             break
     by_name = {r.name: r for r in run_invariants(a, guard=a.p ** a.dim - 1, samples=4)}
@@ -65,7 +67,134 @@ def test_sampled_left_regular_check_reports_the_first_failing_sample(monkeypatch
     # one chunk of draws, then the redraw up to the failing sample; the next
     # draw belongs to the following check
     assert drawn <= CHUNK_ROWS
-    assert states[CHUNK_ROWS + drawn] == rng.getstate()
+    assert [n for _, n in draws[:2]] == [CHUNK_ROWS, drawn]
+    assert draws[2][0] == rng.getstate()
+
+
+def one_at_a_time_rows(a, rng, n):
+    """The reference for ``suite._random_rows``: one ``randrange`` per coordinate."""
+    return np.array([[rng.randrange(a.p) for _ in range(a.dim)] for _ in range(n)],
+                    dtype=np.int64).reshape(n, a.dim)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 11, 257, 65521])
+@pytest.mark.parametrize("n", [0, 1, 64, 10_000])
+def test_bulk_draws_are_the_one_at_a_time_stream(p, n):
+    # the same rows, and the generator left in the same state
+    for dim in range(1, 7):
+        a = SimpleNamespace(p=p, dim=dim)
+        bulk, loop = random.Random(1000 * p + dim), random.Random(1000 * p + dim)
+        rows = suite._random_rows(a, bulk, n)
+        assert rows.dtype == np.int64 and rows.shape == (n, dim)
+        assert np.array_equal(rows, one_at_a_time_rows(a, loop, n))
+        assert bulk.getstate() == loop.getstate()
+
+
+GF5_2 = lambda: direct_product([full_matrix(5, 1)] * 2)[0]  # noqa: E731
+
+
+@pytest.mark.parametrize("build", [lambda: lower_triangular(11, 3), GF5_2], ids=["L3_11", "GF5^2"])
+def test_battery_results_do_not_depend_on_how_the_stream_is_drawn(build, monkeypatch):
+    # L3(GF(11)) lies above the guard, so every sweep samples; GF(5)^2
+    # samples its powers, monoid and two-sided sweeps
+    bulk = run_invariants(build())
+    monkeypatch.setattr(suite, "_random_rows", one_at_a_time_rows)
+    assert run_invariants(build()) == bulk
+
+
+def test_battery_checks_each_set_and_side_once(monkeypatch):
+    # the 64 samples of each sweep of GF(5)^2 fall into a ring of 25
+    # elements, so most sets recur; each (side, set) goes through the
+    # definitional check once, the two-sided verdict composed
+    checks, left_checks = [], []
+    brute, left_check = suite.brute_denominator_check, oracle._left_check
+
+    def recording_brute(alg, S, side, guard):
+        checks.append((side, S.rows.tobytes()))
+        return brute(alg, S, side, guard)
+
+    def recording_left_check(*args):
+        left_checks.append(args)
+        return left_check(*args)
+
+    monkeypatch.setattr(suite, "brute_denominator_check", recording_brute)
+    monkeypatch.setattr(oracle, "_left_check", recording_left_check)
+    results = run_invariants(GF5_2())
+    assert all(r.ok for r in results), [(r.name, r.detail) for r in results if not r.ok]
+    assert {side for side, _ in checks} == {"left", "right"}
+    assert len(set(checks)) == len(checks)
+    assert len(left_checks) == len(checks) <= 50
+
+
+def test_check_idempotent_oracle_runs_one_check_per_side(monkeypatch, tmp_path, capsys):
+    calls = []
+    left_check = oracle._left_check
+
+    def recording_left_check(*args):
+        calls.append(args)
+        return left_check(*args)
+
+    monkeypatch.setattr(oracle, "_left_check", recording_left_check)
+    path = tmp_path / "L3.json"
+    path.write_text('{"scalar": {"prime": 7}, "kind": "constructor", "name": "lower_triangular", "n": 3}')
+    assert main(["check-idempotent", "--input", str(path), "--element", "[1,0,0,0,0,0]", "--oracle"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["oracle"] == {"left": True, "right": False, "twosided": False, "agrees": True}
+    assert len(calls) == 2
+
+
+def first_repeated_closure(a, generator_sets):
+    """The index of the first generator set whose closure, free of 0, an
+    earlier set already produced."""
+    seen = set()
+    for k, gens in enumerate(generator_sets):
+        closure = monoid_closure(a, [a.element(g) for g in gens])
+        key = closure.rows.tobytes()
+        if key in seen and not closure.contains_zero:
+            return k
+        seen.add(key)
+    raise AssertionError("no closure recurs")
+
+
+def test_powers_sweep_catches_a_criterion_flipped_at_a_closure_already_checked(monkeypatch):
+    # in GF(5)^2, x and x^-1 generate the same group: the oracle's verdict
+    # on the closure is reused, and the criterion is still asked at x^-1
+    a = GF5_2()
+    elements = a.enumerate_coeffs(0, a.p ** a.dim).tolist()
+    target = a.element(elements[first_repeated_closure(a, [[x] for x in elements])])
+    criterion = suite.powers_denominator_criterion
+
+    def flipped(alg, s):
+        ok, desc = criterion(alg, s)
+        return (not ok if s == target else ok), desc
+
+    monkeypatch.setattr(suite, "powers_denominator_criterion", flipped)
+    check = {r.name: r for r in run_invariants(a)}["powers_oracle"]
+    assert not check.ok and check.detail.startswith(f"verdict mismatch at {target!r}:")
+
+
+def test_monoid_sweep_catches_a_decision_flipped_at_a_closure_already_checked(monkeypatch):
+    a = GF5_2()
+    decide = suite.monoid_denominator_decision
+    calls = []
+
+    def recording(alg, gens, guard):
+        calls.append([g.coeffs for g in gens])
+        return decide(alg, gens, guard)
+
+    monkeypatch.setattr(suite, "monoid_denominator_decision", recording)
+    run_invariants(a)
+    k = first_repeated_closure(a, calls)
+    gens = calls[k]
+    calls.clear()
+
+    def flipped(alg, gens, guard):
+        verdict, desc = recording(alg, gens, guard)
+        return (not verdict if len(calls) == k + 1 else verdict), desc
+
+    monkeypatch.setattr(suite, "monoid_denominator_decision", flipped)
+    check = {r.name: r for r in run_invariants(a)}["monoid_oracle"]
+    assert not check.ok and check.detail == f"monoid disagreement at {gens}"
 
 
 def test_bundle_unit_sweep_memory_is_set_by_the_chunk():
