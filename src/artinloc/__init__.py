@@ -10,7 +10,6 @@ from .algebra import (
     direct_product,
     full_matrix,
     ideal_combine,
-    ideal_generated,
     lower_triangular,
     matrix_subalgebra,
     opposite_algebra,

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -623,19 +623,6 @@ def regular_matrix(a: Algebra, x: Element, side: str) -> np.ndarray:
     else:
         raise InputError(f"bad side {side!r}")
     return build(np.array([x.coeffs], dtype=np.int64))[0]
-
-
-def ideal_generated(a: Algebra, gens: Iterable[Element], side: str) -> Ideal:
-    """Least side-closed subspace containing the generators."""
-    if side not in ("left", "right", "twosided"):
-        raise InputError(f"bad ideal side {side!r}")
-    span = Subspace.from_vectors(a.p, a.dim, [g.coeffs for g in gens])
-    while True:
-        products = _side_products(a, span.array, side)
-        bigger = Subspace.from_vectors(a.p, a.dim, np.concatenate([span.array, products]).tolist())
-        if bigger.dim == span.dim:
-            return Ideal(a, span, side)
-        span = bigger
 
 
 def ideal_combine(x: Ideal, y: Ideal, op: str) -> Ideal:

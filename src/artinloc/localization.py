@@ -40,7 +40,10 @@ against that sum; its only pairwise work is the bitmask comparison that
 finds the minima.  The closed-form lattice tables, and the eliminations
 and products that re-prove the lattice (the ranks of the stacked bases,
 the idempotent and kernel products, the radicals as meets and products),
-belong to the ``verify`` battery, :mod:`artinloc.suite`.
+belong to the ``verify`` battery, :mod:`artinloc.suite`, and so do the
+re-proofs of what the builders here hold by theorem: that the right kernel
+ideals R(1 - e_I) are two-sided, and that the two-sided report's
+idempotents are central, orthogonal and sum to 1.
 """
 
 from __future__ import annotations
@@ -74,12 +77,7 @@ from .linalg import (
     row_chunks,
 )
 from .oracle import monoid_closure
-from .structure import (
-    IdempotentFamily,
-    block_decomposition,
-    check_orthogonal_idempotents,
-    primitive_idempotents,
-)
+from .structure import IdempotentFamily, block_decomposition, primitive_idempotents
 
 MAX_SUBSET_ENUM = 1 << 20
 
@@ -131,20 +129,6 @@ def _pair_runs(ii: np.ndarray, jj: np.ndarray, per_pair: int) -> Iterator[tuple[
 def _ordered_pairs(count: int) -> tuple[np.ndarray, np.ndarray]:
     """Every ordered pair of ``range(count)``, row-major, as two index arrays."""
     return np.divmod(np.arange(count * count, dtype=np.int64), count)
-
-
-def _projectors(spaces: Sequence[Subspace]) -> np.ndarray:
-    """One ``(d, d)`` matrix E per space, holding basis row r at row pivot r.
-
-    ``x @ E`` is the member that agrees with x at the pivots, so x is a
-    member iff ``x @ E = x`` mod p: :meth:`Subspace.residues` for a batch of
-    rows that each have their own space.
-    """
-    d = spaces[0].ambient_dim
-    out = np.zeros((len(spaces), d, d), dtype=np.int64)
-    for k, sp in enumerate(spaces):
-        out[k, list(sp.pivots)] = sp.array
-    return out
 
 
 def _subset_masks(subsets: Sequence[Subset]) -> np.ndarray:
@@ -688,33 +672,6 @@ def classify_element(a: Algebra, r: Element, report: LocalizationReport) -> dict
 # Duality and the two-sided theory
 # ---------------------------------------------------------------------------
 
-def _right_report(left: LocalizationReport) -> LocalizationReport:
-    """The right classification, read off the left report.
-
-    The right classes are the left classes of the opposite algebra, whose
-    corner 1_i R^op 1_j is 1_j R 1_i: :func:`_side_report` reads them off
-    the transposed corner table, with its checks, and takes the kernel ideal
-    (1 - e_I)R^op = R(1 - e_I) from the right multiplications.
-
-    Checked here besides: each kernel ideal is two-sided, which for the left
-    ideal R(1 - e_I) means that it holds (1 - e_I)R, the rows of the left
-    multiplication by 1 - e_I (tested with :func:`_projectors`); and the
-    localization radical is closed, through the public :class:`Ideal`
-    constructor.  The opposite algebra's own report, with all of its
-    checks, and its agreement with this one are the ``duality`` check of
-    :func:`artinloc.suite.run_invariants`.
-    """
-    a = left.algebra
-    right = _side_report(a, "right", left.family, left.corners.T)
-    one = np.array(a.one_coeffs, dtype=np.int64)
-    lefts = a.batch_left_matrices((one - np.array([en.idempotent.coeffs for en in right.entries],
-                                                  dtype=np.int64)) % a.p)
-    if (lefts @ _projectors([en.ass.space for en in right.entries]) % a.p != lefts).any():
-        raise InternalCheckError("a right kernel ideal is not a two-sided ideal")
-    Ideal(a, right.l_rad.space, "twosided")  # raises if the radical is not closed
-    return right
-
-
 @dataclass(frozen=True)
 class DualityReport:
     """Both sides' reports, from one builder, and the complement pairing."""
@@ -757,14 +714,18 @@ class DualityReport:
 def duality_report(a: Algebra) -> DualityReport:
     """Left and right classifications with the complement pairing between them.
 
-    The right side is read off the left report (:func:`_right_report`), so
-    block indices agree across sides; no opposite algebra is built.  The
-    pairing I -> complement(I) is a bijection between the proper subsets on
-    the two sides (checked); it reverses inclusion because complements
-    within the full set do.
+    The right classes are the left classes of the opposite algebra, whose
+    corner 1_i R^op 1_j is 1_j R 1_i: :func:`_side_report` reads them off
+    the left report's transposed corner table and takes their kernel ideals
+    R(1 - e_I) from the right multiplications, so block indices agree across
+    sides and no opposite algebra is built.  Those ideals are two-sided by
+    theorem; the ``duality`` check of ``verify`` rebuilds them and compares
+    the opposite algebra's own report.  The pairing I -> complement(I) is a
+    bijection between the proper subsets on the two sides (checked); it
+    reverses inclusion because complements within the full set do.
     """
     left = localization_report(a)
-    right = _right_report(left)
+    right = _side_report(a, "right", left.family, left.corners.T)
     full = tuple(range(1, left.family.s + 1))
     left_proper = [en.subset for en in left.entries if en.subset != full]
     right_proper = {en.subset for en in right.entries if en.subset != full}
@@ -839,18 +800,15 @@ def two_sided_report(a: Algebra) -> TwoSidedReport:
     of its commutative center, split straight off the center subspace by
     :func:`primitive_idempotents`; then the counting and radical facts that
     follow.  The factor ideals (1 - e)R come from one batched elimination.
-    The idempotents are checked central, orthogonal and summing to 1, so R
-    is the direct product of the factors and the factor ideals meet in 0,
-    the radical; the ``two_sided_report`` check of ``verify`` re-derives
-    both, and the idempotents as the block sums over the linked blocks."""
+    The idempotents are central by construction (the splitter works inside
+    the center) and checked orthogonal and summing to 1 by the splitter, so
+    R is the direct product of the factors and the factor ideals meet in 0,
+    the radical.  The ``two_sided_report`` check of ``verify`` re-proves the
+    centrality and the orthogonality, re-derives the factor ideals and their
+    meet, and the idempotents as the block sums over the linked blocks."""
     if "two_sided" in a._cache:
         return a._cache["two_sided"]
     cents = primitive_idempotents(a)
-    for i, e in enumerate(cents):
-        if not _is_central(a, e):
-            raise InternalCheckError(f"central idempotent {i} is not central")
-    # every subset sum of orthogonal central idempotents is central and idempotent
-    check_orthogonal_idempotents(a, cents, "central idempotent")
     spaces = _kernel_spaces(a, np.array([e.coeffs for e in cents], dtype=np.int64), "left")
     descriptors = tuple(DenSetDescriptor("maximal", e, _kernel_class(a, space))
                         for e, space in zip(cents, spaces))

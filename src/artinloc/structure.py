@@ -8,10 +8,11 @@ the block decomposition of the semisimple quotient, and a family of
 orthogonal idempotents of the algebra lifting the blocks' central
 identities.
 
-Each fact is computed once per algebra: the radical and R/J are one cached
-pair that the block decomposition reuses (a semisimple algebra is its own
+Each fact is computed once per algebra: the radical and R/J are cached
+and the block decomposition reuses them (a semisimple algebra is its own
 quotient), and the lifted family is checked by one table of pairwise
-products.
+products.  The radical is built by theorem, with no check of its own;
+``verify`` re-proves it (:func:`radical`).
 
 Every idempotent comes from one batched power, :meth:`Algebra.batch_pow`,
 the square-and-multiply loop shared with ``Element ** n``: the
@@ -35,7 +36,7 @@ from random import Random
 
 import numpy as np
 
-from .algebra import Algebra, Element, Ideal, Quotient, check_nilpotent, quotient_algebra, regular_matrix
+from .algebra import Algebra, Element, Ideal, Quotient, quotient_algebra, regular_matrix
 from .linalg import InternalCheckError, Subspace, kernel
 
 __all__ = ["IdempotentFamily", "radical", "primitive_idempotents", "block_decomposition",
@@ -45,25 +46,26 @@ __all__ = ["IdempotentFamily", "radical", "primitive_idempotents", "block_decomp
 def radical(a: Algebra) -> Ideal:
     """Jacobson radical as the kernel of (x, y) -> trace of left multiplication by x*y.
 
-    The criterion needs p > dim, which Algebra construction guarantees.
-    Postconditions checked: the kernel is a nilpotent two-sided ideal and
-    the quotient's trace form is nondegenerate.
+    The criterion needs p > dim, which Algebra construction guarantees; by
+    theorem the kernel is then a nilpotent two-sided ideal, built unchecked
+    once per algebra.  Postconditions checked only by ``verify``'s
+    ``radical_crosscheck``: closure, nilpotency, and a zero radical of R/J.
     """
-    return _radical_quotient(a)[0]
+    if "radical" not in a._cache:
+        a._cache["radical"] = Ideal._derived(a, _trace_form_kernel(a), "twosided")
+    return a._cache["radical"]
 
 
 def _radical_quotient(a: Algebra) -> tuple[Ideal, Quotient]:
-    """The radical J and R/J, checked once per algebra; R/0 is R itself
-    (:func:`quotient_algebra`)."""
-    if "radical" in a._cache:
-        return a._cache["radical"]
-    rad = Ideal(a, _trace_form_kernel(a), "twosided")
-    check_nilpotent(rad, "radical candidate is not nilpotent")
-    quo = quotient_algebra(a, rad)
-    if rad.dim > 0 and _trace_form_kernel(quo.algebra).dim != 0:
-        raise InternalCheckError("trace form of the semisimple quotient is degenerate")
-    a._cache["radical"] = (rad, quo)
-    return rad, quo
+    """The radical J and R/J, built once per algebra; R/0 is R itself
+    (:func:`quotient_algebra`).  A radical holding 1 is a fault of the
+    program, not of the input, so it raises InternalCheckError (exit 3)."""
+    if "radical_quotient" not in a._cache:
+        rad = radical(a)
+        if rad.dim == a.dim:
+            raise InternalCheckError("the radical cannot be the whole algebra")
+        a._cache["radical_quotient"] = (rad, quotient_algebra(a, rad))
+    return a._cache["radical_quotient"]
 
 
 def _trace_form_kernel(a: Algebra) -> Subspace:

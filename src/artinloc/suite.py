@@ -7,17 +7,21 @@ the opposite algebra's left report), the five-way equivalence bundle for
 "completely localizable = units", and the element sweeps that compare the
 powers criterion and the idempotent criterion with brute force.  The
 radical cross-check first validates the input, which the named
-constructors, products and opposites build by theorem; the report checks
-rebuild, through the public constructors, every ideal that the reports
-hold by theorem and the quotients of the left classes, two-sided factors
-and descriptors; the left report check re-proves, by
-elimination and by the products of the block-sum idempotents, the class
-lattice that the report reads off the Peirce decomposition, against the
-closed-form lattice tables of the report (dim(K_I + K_J), containment and
-meets, from the row sums of its corner table), which only this battery
-reads; and the two-sided check re-derives the central idempotents, split
-off the center, as the block sums over the blocks that the Peirce corners
-link.
+constructors, products and opposites build by theorem, then the radical,
+which the structure layer builds by theorem: its closure, its nilpotency
+and the zero radical of R/J; the report checks rebuild, through the public
+constructors, every ideal that the reports hold by theorem (the right
+kernel ideals, two-sided only by theorem, among them) and the quotients of
+the left classes, two-sided factors and descriptors; the left report check
+re-proves, by elimination and by the products of the block-sum
+idempotents, the class lattice that the report reads off the Peirce
+decomposition, against the closed-form lattice tables of the report
+(dim(K_I + K_J), containment and meets, from the row sums of its corner
+table), which only this battery reads; and the two-sided check proves the
+central idempotents, split off the center, central, orthogonal and summing
+to 1, and re-derives them as the block sums over the blocks that the
+Peirce corners link.  Each of these re-proofs runs here only, once per
+run; the builders compute by theorem.
 The CLI ``verify`` command runs exactly this battery; the test suite
 runs it across the fixture corpus.  Its oracle sweeps check each distinct
 set and side once per run and compose the two-sided verdict from the
@@ -41,18 +45,18 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, Element, Ideal, ideal_combine, opposite_algebra, regular_matrix
+from .algebra import Algebra, Element, Ideal, check_nilpotent, ideal_combine, opposite_algebra, regular_matrix
 from .linalg import (DEFAULT_GUARD, InputError, InternalCheckError, ResourceGuardError, Subspace,
                      batch_rank, check_guard, kernel, rank, row_chunks)
 from .localization import (
     LocalizationReport,
     _corner,
+    _is_central,
     _is_left_triangular,
     _kernel_spaces,
     _membership,
     _ordered_pairs,
     _pair_runs,
-    _projectors,
     _right_ideal_of,
     _subset_masks,
     classify_element,
@@ -73,7 +77,7 @@ from .oracle import (
     monoid_closure,
     two_sided_result,
 )
-from .structure import block_decomposition, ideal_block_support, radical
+from .structure import block_decomposition, check_orthogonal_idempotents, ideal_block_support, radical
 
 DEFAULT_SWEEP_LIMIT = 2048
 
@@ -116,6 +120,20 @@ def _rebuild(objects) -> None:
                 obj._cache["validated"] = True
         except InputError as exc:
             raise InternalCheckError(f"{name}: {exc}") from None
+
+
+def _projectors(spaces: Sequence[Subspace]) -> np.ndarray:
+    """One ``(d, d)`` matrix E per space, holding basis row r at row pivot r.
+
+    ``x @ E`` is the member that agrees with x at the pivots, so x is a
+    member iff ``x @ E = x`` mod p: :meth:`Subspace.residues` for a batch of
+    rows that each have their own space.
+    """
+    d = spaces[0].ambient_dim
+    out = np.zeros((len(spaces), d, d), dtype=np.int64)
+    for k, sp in enumerate(spaces):
+        out[k, list(sp.pivots)] = sp.array
+    return out
 
 
 def _combine_all(ideals: Sequence[Ideal], op: str) -> Ideal:
@@ -439,7 +457,11 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
             _rebuild([("input algebra", a)])
         except InternalCheckError as exc:
             return False, str(exc)
+        # the radical is built by theorem: its closure and its nilpotency
+        # are proved here, above the guard too
         rad = radical(a)
+        _rebuild([("radical", rad)])
+        check_nilpotent(rad, "radical candidate is not nilpotent")
         if total <= guard:
             brute = brute_radical(a, guard)
             if brute.space != rad.space:
@@ -506,8 +528,9 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
 
     def _duality():
         # dual reads the right report off the left one, its class kernel
-        # ideals held by theorem; the opposite algebra's own report, with
-        # every check it runs, must agree
+        # ideals, the localization radical among them, two-sided by theorem;
+        # the opposite algebra's own report, with every check it runs, must
+        # agree
         report = duality_report(a).right
         _rebuild([(f"kernel ideal of the right class {subset_str(en.subset)}", en.ass)
                   for en in report.entries] + [("right little radical", report.little_rad)])
@@ -524,8 +547,12 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
     check("duality", _duality)
 
     def _two_sided():
-        # the factor ideals came from one batched elimination, their meet by theorem
+        # the idempotents are central by construction, the factor ideals
+        # came from one batched elimination, their meet by theorem
         ts = two_sided_report(a)
+        for i, e in enumerate(ts.central_idempotents):
+            if not _is_central(a, e):
+                raise InternalCheckError(f"central idempotent {i} is not central")
         held = [(f"{what} of central factor {i}", obj) for i, d in enumerate(ts.max_den)
                 for what, obj in (("ideal", d.ass), ("quotient", d.quotient.algebra))]
         _rebuild(held + [("two-sided localization radical", ts.loc_radical)])
@@ -534,6 +561,7 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
                 raise InternalCheckError(f"ideal of central factor {i} is not (1 - e)R")
         if _combine_all([d.ass for d in ts.max_den], "intersection").dim or ts.loc_radical.dim:
             raise InternalCheckError("two-sided localization radical must vanish")
+        check_orthogonal_idempotents(a, ts.central_idempotents, "central idempotent")
         # without the center: a block sum is central iff no nonzero Peirce
         # corner links its blocks to the others, so the primitive ones are
         # the sums over the weakly connected components of the corner table

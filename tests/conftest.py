@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from artinloc.algebra import (
+    Ideal,
+    _side_products,
     direct_product,
     full_matrix,
     lower_triangular,
@@ -12,7 +14,7 @@ from artinloc.algebra import (
     truncated_poly,
     upper_triangular,
 )
-from artinloc.linalg import Subspace
+from artinloc.linalg import InputError, Subspace
 from artinloc.structure import block_decomposition
 
 
@@ -47,6 +49,21 @@ def pow_by_definition(a, x, n):
         base = mul_by_definition(a, base, base)
         n >>= 1
     return out
+
+
+def ideal_generated(a, gens, side):
+    """The least side-closed subspace holding the generators, by products
+    with the basis until the span stops growing, as an :class:`Ideal`
+    through its checking constructor."""
+    if side not in ("left", "right", "twosided"):
+        raise InputError(f"bad ideal side {side!r}")
+    span = Subspace.from_vectors(a.p, a.dim, [g.coeffs for g in gens])
+    while True:
+        products = _side_products(a, span.array, side)
+        bigger = Subspace.from_vectors(a.p, a.dim, np.concatenate([span.array, products]).tolist())
+        if bigger.dim == span.dim:
+            return Ideal(a, span, side)
+        span = bigger
 
 
 # ---------------------------------------------------------------------------

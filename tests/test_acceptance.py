@@ -13,7 +13,6 @@ from artinloc.algebra import (
     direct_product,
     full_matrix,
     ideal_combine,
-    ideal_generated,
     lower_triangular,
     regular_matrix,
     truncated_poly,
@@ -36,6 +35,7 @@ from artinloc.oracle import (
 )
 from artinloc.structure import block_decomposition, radical
 from artinloc.suite import bundle_conditions, powers_agreement
+from conftest import ideal_generated
 
 
 def _timed(num, desc, budget=None):

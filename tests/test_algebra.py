@@ -12,7 +12,6 @@ from artinloc.algebra import (
     direct_product,
     full_matrix,
     ideal_combine,
-    ideal_generated,
     lower_triangular,
     matrix_subalgebra,
     opposite_algebra,
@@ -25,7 +24,7 @@ from artinloc.linalg import InputError, InternalCheckError, Subspace, express_in
 from artinloc.localization import two_sided_report
 from artinloc.oracle import brute_idempotents
 from artinloc.structure import _center_subspace, _pivot, _radical_quotient, block_decomposition, radical
-from conftest import block_sum, gf49_times_dual_numbers, mul_by_definition, pow_by_definition
+from conftest import block_sum, gf49_times_dual_numbers, ideal_generated, mul_by_definition, pow_by_definition
 from test_random_algebras import SEEDS, random_algebra
 
 

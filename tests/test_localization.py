@@ -11,7 +11,6 @@ from artinloc.algebra import (
     Ideal,
     direct_product,
     full_matrix,
-    ideal_generated,
     lower_triangular,
     opposite_algebra,
     quotient_algebra,
@@ -51,6 +50,7 @@ from conftest import (
     basis,
     block_sum,
     closed_sets,
+    ideal_generated,
     reference_corner_is_zero,
     reference_edges,
     reference_sum_dims,
@@ -348,16 +348,39 @@ class TestDuality:
             dr = duality_report(a)
             assert dr.counts_equal and dr.l_zero_iff_r_zero
 
-    def test_right_kernel_ideals_must_be_two_sided(self, L2_7):
-        # with each column of the corner table gathered on the diagonal, the
-        # dimensions of the R 1_j still add up but no corner joins two
-        # blocks, so {1} passes for a right class; its kernel
-        # R(1 - e_1) = R E22 is the line through E22, which E22 R, holding
-        # E21, leaves
-        left = localization_report(L2_7)
-        blank = dataclasses.replace(left, corners=np.diag(left.corners.sum(axis=0)))
-        with pytest.raises(InternalCheckError, match="a right kernel ideal is not a two-sided ideal"):
-            localization._right_report(blank)
+    def test_right_kernel_ideals_must_be_two_sided(self):
+        # the right report is read off the left report's corner table; its
+        # kernel ideals are two-sided by theorem, and verify's duality check
+        # rebuilds them.  R(1 - e_1) = R E22 is the line through E22, which
+        # E22 R, holding E21, leaves
+        a = l2_with_every_block_set_a_class()
+        right = duality_report(a).right
+        assert [en.subset for en in right.entries] == [(1,), (2,), (1, 2)]
+        assert duality_check(a) == (False, "InternalCheckError: kernel ideal of the right class {1}: "
+                                    "subspace is not closed under right multiplication")
+
+
+def duality_check(a):
+    check = next(r for r in run_invariants(a, samples=4) if r.name == "duality")
+    return check.ok, check.detail
+
+
+def l2_with_every_block_set_a_class():
+    """A fresh L2 whose cached left report is corrupted so that every block
+    set is a class on both sides, and the duality report builds.
+
+    The left classes are read off the diagonal table of the row sums of the
+    corner table, where the dimensions of the 1_j R still add up but no
+    corner joins two blocks; the report then holds the diagonal table of the
+    column sums, off which the right side reads every block set as a class,
+    the dimensions of the R 1_j adding up too.  So the complements pair up,
+    and the right kernel ideal R(1 - e_1) = R E22 is no two-sided ideal.
+    """
+    a = lower_triangular(7, 2)
+    left = localization_report(a)
+    every = localization._side_report(a, "left", left.family, np.diag(left.corners.sum(axis=1)))
+    a._cache["report_left"] = dataclasses.replace(every, corners=np.diag(left.corners.sum(axis=0)))
+    return a
 
 
 class TestTwoSided:
@@ -997,18 +1020,27 @@ class TestReportRadicalChecksFire:
             localization_report(lower_triangular(7, 2))
 
     def test_right_radical_must_be_closed(self, monkeypatch):
-        # L2's right side off the diagonal table of the column sums, as in
-        # TestDuality, with {1} taken for the only minimum and the
-        # two-sidedness test of the class ideals passed: the radical
-        # R(1 - e_1) = R E22, the line through E22, is no two-sided ideal,
-        # and the public constructor says so
-        left = localization_report(lower_triangular(7, 2))
-        blank = dataclasses.replace(left, corners=np.diag(left.corners.sum(axis=0)))
+        # every block set a class on both sides, as in TestDuality, with {1}
+        # taken for the only minimum: the right localization radical is
+        # R(1 - e_1) = R E22, the line through E22, no two-sided ideal, and
+        # verify's duality check, rebuilding the right kernel ideals, names
+        # the class that holds it
         monkeypatch.setattr(localization, "_minimal_masks", lambda masks: masks == masks.min())
-        monkeypatch.setattr(localization, "_projectors",
-                            lambda spaces: np.stack([np.eye(3, dtype=np.int64)] * len(spaces)))
-        with pytest.raises(InputError, match="subspace is not closed under"):
-            localization._right_report(blank)
+        a = l2_with_every_block_set_a_class()
+        right = duality_report(a).right
+        assert right.l_rad is right.entry((1,)).ass
+        assert duality_check(a) == (False, "InternalCheckError: kernel ideal of the right class {1}: "
+                                    "subspace is not closed under right multiplication")
+
+
+def test_subset_bound_at_its_edge(monkeypatch):
+    # with the bound at 2^3, GF(5)^3, whose 2^3 block subsets reach it, is
+    # classified, every nonempty subset a class; GF(5)^4, past it, is refused
+    monkeypatch.setattr(localization, "MAX_SUBSET_ENUM", 1 << 3)
+    assert localization_report(direct_product([full_matrix(5, 1)] * 3)[0]).loc_count == 7
+    with pytest.raises(ResourceGuardError) as exc:
+        localization_report(direct_product([full_matrix(5, 1)] * 4)[0])
+    assert (exc.value.size, exc.value.guard) == (16, 8)
 
 
 def test_kernel_class_refuses_the_whole_algebra(L2_7):

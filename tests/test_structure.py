@@ -11,11 +11,12 @@ from artinloc.algebra import (
     Algebra,
     direct_product,
     full_matrix,
-    ideal_generated,
+    ideal_combine,
     lower_triangular,
     matrix_subalgebra,
     truncated_poly,
 )
+from artinloc.cli import main
 from artinloc.linalg import InternalCheckError, Subspace, kernel
 from artinloc.oracle import brute_radical
 from artinloc.structure import (
@@ -26,7 +27,7 @@ from artinloc.structure import (
     radical,
 )
 from artinloc.suite import run_invariants
-from conftest import gf49_times_dual_numbers
+from conftest import gf49_times_dual_numbers, ideal_generated
 from test_metamorphic import FIXTURES
 from test_random_algebras import SEEDS, random_algebra
 
@@ -216,12 +217,41 @@ class TestFamilyChecksFire:
             block_decomposition(lower_triangular(7, 2))
 
 
+def radical_check(a, guard=1 << 20):
+    check = next(r for r in run_invariants(a, guard=guard, samples=4) if r.name == "radical_crosscheck")
+    return check.ok, check.detail
+
+
+def whole_algebra_as_radical(monkeypatch):
+    # the whole of L2 as the trace-form kernel: a two-sided ideal holding 1,
+    # which the radical takes by theorem
+    monkeypatch.setattr(structure, "_trace_form_kernel", lambda a: Subspace.full(a.p, a.dim))
+    a = lower_triangular(7, 2)
+    assert radical(a).dim == a.dim
+    return a
+
+
 class TestNilpotencyChecksFire:
     def test_radical_candidate(self, monkeypatch):
-        # the whole of L2 as the trace-form kernel: a two-sided ideal holding 1
-        monkeypatch.setattr(structure, "_trace_form_kernel", lambda a: Subspace.full(a.p, a.dim))
-        with pytest.raises(InternalCheckError, match="radical candidate is not nilpotent"):
-            radical(lower_triangular(7, 2))
+        # verify's cross-check finds it not nilpotent before the oracle runs
+        assert radical_check(whole_algebra_as_radical(monkeypatch)) == (
+            False, "InternalCheckError: radical candidate is not nilpotent")
+
+    def test_radical_candidate_above_the_guard(self, monkeypatch):
+        # 7^3 elements exceed the guard of 64, so brute_radical is skipped
+        # and the nilpotency chain alone finds the fault
+        assert radical_check(whole_algebra_as_radical(monkeypatch), guard=64) == (
+            False, "InternalCheckError: radical candidate is not nilpotent")
+
+    def test_whole_radical_exits_3(self, monkeypatch, tmp_path, capsys):
+        # the report needs R/J, which the whole algebra as J cannot give: a
+        # fault of the program, so exit 3, not an input error
+        whole_algebra_as_radical(monkeypatch)
+        path = tmp_path / "l2.json"
+        path.write_text('{"scalar": {"prime": 7}, "kind": "constructor", "name": "lower_triangular", "n": 2}',
+                        encoding="utf-8")
+        assert main(["report", "--input", str(path)]) == 3
+        assert capsys.readouterr().err == "internal invariant violation: the radical cannot be the whole algebra\n"
 
     def test_quasi_regular_ideal(self, monkeypatch):
         # with every element counted a unit, every element is quasi-regular
@@ -232,21 +262,55 @@ class TestNilpotencyChecksFire:
             brute_radical(a)
 
 
+class TestRadicalChecksFire:
+    """The radical is built by theorem; verify's ``radical_crosscheck``
+    rebuilds it through the public constructor and checks that R/J has a
+    zero radical, above the guard too."""
+
+    def test_radical_must_be_closed(self, monkeypatch):
+        # the line through E22 as the trace-form kernel of L2: E22 E21 = E21
+        # leaves it
+        line = Subspace.from_vectors(7, 3, [[0, 0, 1]])
+        monkeypatch.setattr(structure, "_trace_form_kernel", lambda a: line)
+        assert radical_check(lower_triangular(7, 2), guard=64) == (
+            False, "InternalCheckError: radical: subspace is not closed under right multiplication")
+
+    def test_quotient_must_be_semisimple(self, monkeypatch):
+        # J^2 of L3 as its trace-form kernel: a nilpotent two-sided ideal, but
+        # J/J^2 is a nonzero radical of R/J^2
+        a = lower_triangular(7, 3)
+        rad = radical(lower_triangular(7, 3))
+        square = ideal_combine(rad, rad, "product").space
+        real = structure._trace_form_kernel
+        monkeypatch.setattr(structure, "_trace_form_kernel", lambda b: square if b is a else real(b))
+        assert radical_check(a, guard=64) == (False, "semisimple quotient has a nonzero radical")
+
+
+def two_sided_check(a):
+    check = next(r for r in run_invariants(a, samples=4) if r.name == "two_sided_report")
+    return check.ok, check.detail
+
+
 class TestTwoSidedChecksFire:
+    """The two-sided report holds the split idempotents as central by
+    construction; verify's ``two_sided_report`` check proves them central,
+    orthogonal and summing to 1."""
+
     def test_non_central_candidate(self, monkeypatch):
         # the "center" is the whole of L2, whose block idempotents E11 and E22
         # are not central
         monkeypatch.setattr(structure, "_center_subspace", lambda a: Subspace.full(a.p, a.dim))
-        with pytest.raises(InternalCheckError, match="central idempotent 0 is not central"):
-            localization.two_sided_report(lower_triangular(7, 2))
+        a = lower_triangular(7, 2)
+        assert localization.two_sided_report(a).factors == 2
+        assert two_sided_check(a) == (False, "InternalCheckError: central idempotent 0 is not central")
 
     def test_non_orthogonal_pair(self, monkeypatch):
         # (1, 0) and (1, 1) are central idempotents of GF(7)^2 with product (1, 0)
         monkeypatch.setattr(localization, "primitive_idempotents",
                             lambda a: (a.element((1, 0)), a.element((1, 1))))
         a = direct_product([full_matrix(7, 1), full_matrix(7, 1)])[0]
-        with pytest.raises(InternalCheckError, match="central idempotents 0,1 are not orthogonal"):
-            localization.two_sided_report(a)
+        assert localization.two_sided_report(a).factors == 2
+        assert two_sided_check(a) == (False, "InternalCheckError: central idempotents 0,1 are not orthogonal")
 
     def test_coarse_split_passes_the_hot_path_and_fails_verify(self, monkeypatch):
         # 1 alone is a central family of GF(7)^2 that passes every hot-path

@@ -325,16 +325,16 @@ def run_cli(command, tmp_path, capsys, doc=L2_DOC):
 @pytest.mark.parametrize("doc, validated", [(L2_DOC, []), (L2_RAW_DOC, ["L2(GF(7))"])],
                          ids=["constructor", "structure_constants"])
 def test_requests_validate_only_their_input(doc, validated, monkeypatch, tmp_path, capsys):
-    # the named constructors, quotients, class ideals and their sums, meets
-    # and products are built by theorem; only raw structure constants, the
-    # trace-form radical and the right localization radical run their
-    # checks, and twosided builds no radical at all
+    # the named constructors, quotients, the radical, the class ideals of
+    # both sides and their sums, meets and products are built by theorem;
+    # only raw structure constants run their checks, and no request makes
+    # a public Ideal
     calls = []
     validate, closure = Algebra._validate, Ideal.__post_init__
     monkeypatch.setattr(Algebra, "_validate", lambda self: calls.append(self.label) or validate(self))
     monkeypatch.setattr(Ideal, "__post_init__", lambda self: calls.append("ideal") or closure(self))
     assert run_cli("dual", tmp_path, capsys, doc)[0] == 0
-    assert calls == validated + ["ideal", "ideal"]
+    assert calls == validated
     calls.clear()
     assert run_cli("twosided", tmp_path, capsys, doc)[0] == 0
     assert calls == validated
