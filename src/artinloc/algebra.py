@@ -57,8 +57,8 @@ from .linalg import (
     all_vectors,
     batch_member_mask,
     batch_rank,
+    batch_solve,
     check_prime,
-    express_in_rows,
     vectors_to_indices,
 )
 
@@ -171,12 +171,11 @@ class Algebra:
         n, basis_mats = self.matrix_model
         if len(literal) != n or any(len(row) != n for row in literal):
             raise InputError(f"matrix literal must be {n}x{n}")
-        flat = [int(v) % self.p for row in literal for v in row]
-        rows = [tuple(v for r in bm for v in r) for bm in basis_mats]
-        coeffs = express_in_rows(rows, flat, self.p)
-        if coeffs is None:
+        flat = np.array([[int(v) % self.p for row in literal for v in row]], dtype=np.int64)
+        coeffs, ok, _ = batch_solve(np.asarray(basis_mats, np.int64).reshape(1, -1, n * n), flat, self.p)
+        if not ok[0]:
             raise InputError("matrix literal is not in the algebra")
-        return self.element(coeffs)
+        return self.element(coeffs[0].tolist())
 
     # -- bulk kernels (numpy) ----------------------------------------------
 
@@ -489,7 +488,7 @@ def matrix_subalgebra(p: int, n: int, generators: Sequence[Sequence[Sequence[int
         mats = span.array.reshape(-1, n, n)
         # u @ v for every ordered pair (u, v) of basis matrices, row-major
         products = (mats[:, None] @ mats[None, :] % p).reshape(-1, amb)
-        bigger = Subspace.from_vectors(p, amb, np.concatenate([span.array, products]).tolist())
+        bigger = Subspace.from_vectors(p, amb, np.concatenate([span.array, products]))
         if bigger.dim == span.dim:
             break
         span = bigger

@@ -6,19 +6,20 @@ the right, so the image of ``x`` under the map represented by ``m`` is
 ``x @ m``.  This makes the left and right multiplication maps of an
 algebra both plain matrices acting on coefficient rows.
 
-Single matrices (:func:`rank`, :func:`kernel`, the canonical RREF basis
-of a :class:`Subspace`) are eliminated by ``_rref_rows``, a scalar
-Gauss-Jordan loop over Python lists: on the small matrices of a single
-decision it measured faster than elimination in numpy.  Batches of matrices and long
-sweeps over element sets use the numpy kernels at the bottom of the
-module, and :meth:`Subspace.residues` reduces many vectors against a
+Every Gauss-Jordan elimination is ``_rref`` on a batch of matrices, a
+single matrix being a batch of one.  The batch's size alone picks the
+strategy: a scalar loop over Python lists for small batches and lone
+matrices, or a numpy sweep over the columns of the whole batch.  Ranks,
+row spaces, kernels and solves each exist once, on batches (:func:`rank`,
+:func:`kernel` and :meth:`Subspace.from_vectors` are those on one
+matrix), and :meth:`Subspace.residues` reduces many vectors against a
 subspace at once.  A member's coordinates over an RREF basis are its
-entries at the pivots, so no coordinate solve is needed.  Nothing here
-uses floating point.
+entries at the pivots.  Nothing here uses floating point.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -30,6 +31,15 @@ MAX_PRIME = 1 << 16
 # rows per piece of an enumeration sweep: peak memory of a sweep is set by
 # this, not by p**dim
 CHUNK_ROWS = 1 << 12
+# The elimination strategy, by size alone: the scalar loop pays per nonzero
+# entry, the numpy sweep ~15 array calls per column.  On one core of an
+# x86-64 Xeon, on matrices recorded from the benchmark, the loop was faster
+# on batches of at most SCALAR_BATCH_ENTRIES entries in all (2 x 5 x 6
+# solves: 0.02 against 0.04 ms) and, these being sparse, on lone matrices of
+# at most SCALAR_LONE_ENTRIES (a 25 x 85 [M | I]: 0.19 against 1.32 ms).  On
+# dense ones the sweep wins (64 x 64: 4.1 against 28 ms), so neither is higher.
+SCALAR_BATCH_ENTRIES = 1 << 10
+SCALAR_LONE_ENTRIES = 1 << 12
 
 
 class ModulusMismatch(ValueError):
@@ -93,34 +103,34 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-def _rref_rows(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """In-place reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
+def _rref_rows(rows: list[list[int]], p: int) -> list[int]:
+    """The scalar strategy of :func:`_rref`: Gauss-Jordan in place on one
+    matrix of residues as lists, nonzero rows first; returns the pivots."""
     pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] % p), None)
+    n = len(rows)
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if rows[i][col]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = inv_mod(rows[r][col], p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        row, rows[piv] = rows[piv], rows[r]
+        if row[col] != 1:
+            inv = inv_mod(row[col], p)
+            row = [v * inv % p for v in row]
+        rows[r] = row
+        for i in range(n):
+            f = rows[i][col]
+            if f and i != r:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], row)]
         pivots.append(col)
-        r += 1
-        if r == len(rows):
+        if r + 1 == n:
             break
-    return rows[:r], pivots
+    return pivots
 
 
 def rank(m: np.ndarray, p: int) -> int:
-    """Rank of one matrix over GF(p), by the scalar elimination."""
-    return len(_rref_rows((m % p).tolist(), p)[1])
+    """Rank of one matrix over GF(p)."""
+    return int(batch_rank(m[None], p)[0])
 
 
 @dataclass(frozen=True)
@@ -137,13 +147,12 @@ class Subspace:
     pivots: tuple[int, ...]
 
     @staticmethod
-    def from_vectors(p: int, ambient_dim: int, vectors: Iterable[Sequence[int]]) -> "Subspace":
-        rows = [[int(v) % p for v in vec] for vec in vectors]
-        for row in rows:
-            if len(row) != ambient_dim:
-                raise InputError("vector length does not match ambient dimension")
-        red, pivots = _rref_rows(rows, p)
-        return Subspace(p, ambient_dim, tuple(tuple(r) for r in red), tuple(pivots))
+    def from_vectors(p: int, ambient_dim: int, vectors: Iterable[Sequence[int]] | np.ndarray) -> "Subspace":
+        """The span of ``vectors``, an int64 array or integer sequences."""
+        rows = np.asarray(vectors if isinstance(vectors, np.ndarray) else list(vectors), dtype=np.int64)
+        if rows.shape[1:] != (ambient_dim,) and rows.shape != (0,):
+            raise InputError("vector length does not match ambient dimension")
+        return batch_row_spaces(rows.reshape(1, len(rows), ambient_dim), p)[0]
 
     @staticmethod
     def zero(p: int, ambient_dim: int) -> "Subspace":
@@ -215,17 +224,16 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        return Subspace.from_vectors(self.p, self.ambient_dim, list(self.basis) + list(other.basis))
+        return Subspace.from_vectors(self.p, self.ambient_dim, np.concatenate([self.array, other.array]))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: reduce [[A A],[B 0]]; rows with zero left half carry the intersection."""
         self._check_compatible(other)
-        n = self.ambient_dim
-        rows = [list(r) + list(r) for r in self.basis]
-        rows += [list(r) + [0] * n for r in other.basis]
-        red, _ = _rref_rows(rows, self.p)
-        vecs = [r[n:] for r in red if all(x == 0 for x in r[:n])]
-        return Subspace.from_vectors(self.p, n, vecs)
+        n, k = self.ambient_dim, self.dim
+        zassenhaus = np.zeros((1, k + other.dim, 2 * n), dtype=np.int64)
+        zassenhaus[0, :k, :n] = zassenhaus[0, :k, n:] = self.array
+        zassenhaus[0, k:, :n] = other.array
+        return _subspaces(_rref(zassenhaus, self.p), self.p, n)[0]
 
     def member_chunks(self) -> Iterable[np.ndarray]:
         """All p**dim members, CHUNK_ROWS rows at a time.
@@ -239,41 +247,12 @@ class Subspace:
 
 def kernel(m: np.ndarray, p: int) -> Subspace:
     """Left kernel {x : x @ m = 0} over the row convention; dim = rows - rank."""
-    nvars = len(m)
-    red, pivots = _rref_rows((m.T % p).tolist(), p)
-    pivset = set(pivots)
-    free = [j for j in range(nvars) if j not in pivset]
-    vecs = []
-    for f in free:
-        v = [0] * nvars
-        v[f] = 1
-        for row, piv in zip(red, pivots):
-            v[piv] = (-row[f]) % p
-        vecs.append(v)
-    ker = Subspace.from_vectors(p, nvars, vecs)
-    if ker.dim + rank(m, p) != nvars:
-        raise InternalCheckError("rank-nullity violated in kernel")
-    return ker
-
-
-def express_in_rows(rows: Sequence[Sequence[int]], target: Sequence[int], p: int) -> tuple[int, ...] | None:
-    """Solve sum_i x_i * rows[i] = target over GF(p); None if unsolvable."""
-    k = len(rows)
-    n = len(target)
-    if k == 0:
-        return () if all(int(t) % p == 0 for t in target) else None
-    aug = [[int(rows[i][j]) % p for i in range(k)] + [int(target[j]) % p] for j in range(n)]
-    red, pivots = _rref_rows(aug, p)
-    x = [0] * k
-    for row, piv in zip(red, pivots):
-        if piv == k:
-            return None
-        x[piv] = row[k]
-    return tuple(x)
+    return batch_kernels(m[None], p)[0]
 
 
 # ---------------------------------------------------------------------------
-# Batched kernels (numpy).  Entries are int64 residues in [0, p).
+# Elimination and its derived operations, on batches.  Entries are int64
+# residues in [0, p).
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -314,16 +293,12 @@ def vectors_to_indices(vecs: np.ndarray, p: int) -> np.ndarray:
     return vecs @ weights
 
 
-def _batch_rref(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jordan on a batch: the reduced row echelon forms and the ranks.
-
-    ``mats`` has shape (N, r, c).  Each reduced matrix keeps its r rows,
-    the nonzero ones first, with unit pivots cleared above and below.
-    """
+def _sweep(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jordan on a whole batch in numpy, one column at a time: the
+    numpy strategy of :func:`_rref` on a nonempty batch.  Returns the reduced
+    forms, each keeping its r rows with the nonzero ones first, and the ranks."""
     a = np.ascontiguousarray(mats % p).copy()
     n, r, c = a.shape
-    if n == 0:
-        return a, np.zeros(0, dtype=np.int64)
     inv = inverse_table(p)
     cur = np.zeros(n, dtype=np.int64)
     free = np.ones((n, r), dtype=bool)      # rows not yet holding a pivot
@@ -356,27 +331,60 @@ def _batch_rref(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return a, cur
 
 
+class _Echelon:
+    """The reduced row echelon forms of a batch, nonzero rows first, and their
+    ranks.  The strategy fills ``rows`` (nested lists) or ``array``; the
+    other, like the ``pivots`` (lists of columns), is converted on first use."""
+
+    def __init__(self, shape: tuple[int, int, int]):
+        self.shape = shape
+
+    @cached_property
+    def rows(self) -> list[list[list[int]]]:
+        return self.array.tolist()
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        return np.array(self.rows, dtype=np.int64).reshape(self.shape)
+
+    @cached_property
+    def pivots(self) -> list[list[int]]:
+        firsts = (self.array != 0).argmax(axis=2).tolist()
+        return [piv[:k] for piv, k in zip(firsts, self.ranks.tolist())]
+
+
+def _rref(mats: np.ndarray, p: int) -> _Echelon:
+    """Gauss-Jordan on a batch of shape (N, r, c), the one elimination of the
+    package: the scalar loop, matrix by matrix, up to SCALAR_BATCH_ENTRIES
+    entries (SCALAR_LONE_ENTRIES for a lone matrix), else the numpy sweep."""
+    n, r, c = mats.shape
+    ech = _Echelon(mats.shape)
+    if n * r * c > (SCALAR_LONE_ENTRIES if n == 1 else SCALAR_BATCH_ENTRIES):
+        ech.array, ech.ranks = _sweep(mats, p)
+    else:
+        ech.rows = (mats % p).tolist()
+        ech.pivots = [_rref_rows(m, p) for m in ech.rows]
+        ech.ranks = np.array([len(piv) for piv in ech.pivots], dtype=np.int64)
+    return ech
+
+
+def _subspaces(ech: _Echelon, p: int, bar: int = 0) -> list[Subspace]:
+    """Per reduced form, the span of the rows pivoted at or right of column
+    ``bar``, read right of it.  These vanish left of the bar and their pivots
+    are cleared in every other row, so they are a canonical RREF basis."""
+    cuts = [bisect_left(piv, bar) for piv in ech.pivots]
+    return [Subspace(p, ech.shape[2] - bar, tuple(tuple(row[bar:]) for row in rows[k:len(piv)]),
+                     tuple(j - bar for j in piv[k:])) for rows, piv, k in zip(ech.rows, ech.pivots, cuts)]
+
+
 def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
     """Ranks of a batch of matrices over GF(p); mats has shape (N, r, c)."""
-    return _batch_rref(mats, p)[1]
+    return _rref(mats, p).ranks
 
 
 def batch_row_spaces(mats: np.ndarray, p: int) -> list[Subspace]:
-    """Row spaces of a batch of matrices, from one batched elimination.
-
-    The reduced row echelon form is unique, so each :class:`Subspace` equals
-    :meth:`Subspace.from_vectors` on the same rows.
-    """
-    red, ranks = _batch_rref(mats, p)
-    return _subspaces(red, np.zeros_like(ranks), ranks, p)
-
-
-def _subspaces(red: np.ndarray, starts: np.ndarray, stops: np.ndarray, p: int) -> list[Subspace]:
-    """Rows ``starts[n]:stops[n]`` of each reduced matrix ``red[n]``, which
-    must be a canonical RREF basis, as :class:`Subspace` objects."""
-    pivots = (red != 0).argmax(axis=2)
-    return [Subspace(p, red.shape[2], tuple(map(tuple, rows[lo:hi])), tuple(piv[lo:hi]))
-            for rows, piv, lo, hi in zip(red.tolist(), pivots.tolist(), starts.tolist(), stops.tolist())]
+    """Row spaces of a batch of matrices, from one elimination."""
+    return _subspaces(_rref(mats, p), p)
 
 
 def batch_kernels(mats: np.ndarray, p: int) -> list[Subspace]:
@@ -386,18 +394,15 @@ def batch_kernels(mats: np.ndarray, p: int) -> list[Subspace]:
     puts the rank(mats[n]) rows with a pivot left of the bar first; the
     other rows are zero left of the bar, and right of it they are
     independent combinations x with x @ mats[n] = 0, so they span the
-    kernel.  Their pivots lie right of the bar and are cleared in every
-    other row, so those rows are already the canonical RREF basis that
-    :func:`kernel` returns.  As in :func:`kernel`, rank-nullity is checked
+    kernel.  Rank-nullity is checked, the rows nonzero left of the bar
     against the rank of the transposes, a different elimination.
     """
     n, r, c = mats.shape
-    eye = np.broadcast_to(np.eye(r, dtype=np.int64), (n, r, r))
-    red = _batch_rref(np.concatenate([mats, eye], axis=2), p)[0]
-    left_ranks = (red[:, :, :c] != 0).any(axis=2).sum(axis=1)
-    if not np.array_equal(left_ranks, batch_rank(np.swapaxes(mats, 1, 2), p)):
+    ech = _rref(np.concatenate([mats, np.repeat(np.eye(r, dtype=np.int64)[None], n, axis=0)], axis=2), p)
+    left_ranks = [sum(map(any, (row[:c] for row in rows))) for rows in ech.rows]
+    if left_ranks != batch_rank(np.swapaxes(mats, 1, 2), p).tolist():
         raise InternalCheckError("rank-nullity violated in kernel")
-    return _subspaces(red[:, :, c:], left_ranks, np.full(n, r), p)
+    return _subspaces(ech, p, c)
 
 
 def batch_solve(mats: np.ndarray, targets: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -411,10 +416,10 @@ def batch_solve(mats: np.ndarray, targets: np.ndarray, p: int) -> tuple[np.ndarr
     """
     n, r, c = mats.shape
     aug = np.concatenate([np.swapaxes(mats, 1, 2), targets[:, :, None]], axis=2)
-    red = _batch_rref(aug, p)[0]
-    nonzero = red[:, :, :r] != 0
-    pivoted = nonzero.any(axis=2)           # reduced rows with a pivot left of the target
-    consistent = ~((red[:, :, r] != 0) & ~pivoted).any(axis=1)
+    red = _rref(aug, p).array
+    nonzero = red != 0
+    pivoted = nonzero[:, :, :r].any(axis=2)     # reduced rows with a pivot left of the target
+    consistent = ~(nonzero[:, :, r] & ~pivoted).any(axis=1)
     sol = np.zeros((n, r), dtype=np.int64)
     which, row = np.nonzero(pivoted)
     sol[which, nonzero.argmax(axis=2)[which, row]] = red[which, row, r]

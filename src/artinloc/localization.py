@@ -90,7 +90,7 @@ def subset_str(subset: Subset) -> str:
 
 def _right_ideal_of(a: Algebra, x: Element) -> Subspace:
     """Row space of the left-multiplication matrix: the right ideal x*R."""
-    return Subspace.from_vectors(a.p, a.dim, regular_matrix(a, x, "left").tolist())
+    return Subspace.from_vectors(a.p, a.dim, regular_matrix(a, x, "left"))
 
 
 def _corner(a: Algebra, e: Element, f: Element) -> np.ndarray:

@@ -42,9 +42,8 @@ and right multiplication matrix, and the kernels K_s of the
 rank-deficient left matrices, the V_{s'} of one target and the right
 kernels each come from one :func:`batch_kernels`.  The Ore sweep at s
 depends on R*s alone and the reversibility sweep on the right kernel
-alone, so each runs once per distinct R*s or right kernel.  A lone
-matrix takes the scalar :func:`kernel` instead, which is faster on one
-small matrix (the {1, e} checks).  :func:`monoid_closure` is a
+alone, so each runs once per distinct R*s or right kernel; a lone
+matrix, as in the {1, e} checks, is a batch of one.  :func:`monoid_closure` is a
 breadth-first search one level at a time, each chunk of the frontier
 multiplied by every generator in one matmul.
 
@@ -74,7 +73,6 @@ from .linalg import (
     batch_rank,
     batch_row_spaces,
     check_guard,
-    kernel,
     row_chunks,
 )
 
@@ -184,15 +182,6 @@ def _first_outside(space: Subspace, spaces: Sequence[Subspace]) -> tuple[int, ..
     return None
 
 
-def _kernels(mats: np.ndarray, p: int) -> list[Subspace]:
-    """:func:`batch_kernels`, except that a lone matrix takes the scalar
-    :func:`kernel`, which is faster on one small matrix than a batched
-    elimination."""
-    if len(mats) <= 1:
-        return [kernel(m, p) for m in mats]
-    return batch_kernels(mats, p)
-
-
 def _distinct(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The index of the first occurrence of each distinct matrix, in order,
     and for every matrix the position of its first occurrence in that list.
@@ -237,7 +226,7 @@ def _ore_counterexample(a: Algebra, rs: Subspace, left_rows: np.ndarray,
     res = rs.residues(left_rows).reshape(-1, d, d - rs.dim)
     if not res.any(axis=(1, 2)).all():
         return None  # some V_{s'} is the whole ring
-    spaces = list(dict.fromkeys(_kernels(res, p)))
+    spaces = list(dict.fromkeys(batch_kernels(res, p)))
     # p or fewer proper subspaces can never cover the space
     few = len(spaces) <= p
     total = p ** d
@@ -320,7 +309,7 @@ def _left_check(a: Algebra, rows: np.ndarray, left_mats: np.ndarray,
     # only the distinct rank-deficient ones are solved, in one batch.
     left_first, left_which = _distinct(left_mats)
     deficient = left_first[left_ranks[left_first] < d]
-    solved = dict(zip(deficient.tolist(), _kernels(left_mats[deficient], p)))
+    solved = dict(zip(deficient.tolist(), batch_kernels(left_mats[deficient], p)))
     zero = Subspace.zero(p, d)
     kernels = [solved.get(i, zero) for i in left_first.tolist()]
     distinct = list(dict.fromkeys(kernels))
@@ -343,7 +332,7 @@ def _left_check(a: Algebra, rows: np.ndarray, left_mats: np.ndarray,
     # Reversibility: r*s = 0 forces r into ass.  A zero right kernel holds
     # only 0, which is in ass, and one inside a single K_s is covered.
     if is_ore and targets:
-        right_kers = _kernels(right_mats[targets], p)
+        right_kers = batch_kernels(right_mats[targets], p)
         uniq = list(dict.fromkeys(right_kers))
         covered = dict(zip(uniq, _inside_one(uniq, distinct)))
         found = _first_failure(targets, right_kers,

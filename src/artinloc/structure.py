@@ -208,7 +208,7 @@ def block_decomposition(a: Algebra) -> IdempotentFamily:
     dims = []
     comm = []
     for ebar in central:
-        block_space = Subspace.from_vectors(p, abar.dim, regular_matrix(abar, ebar, "right").tolist())
+        block_space = Subspace.from_vectors(p, abar.dim, regular_matrix(abar, ebar, "right"))
         dims.append(block_space.dim)
         products = abar.pair_products(block_space.array, block_space.array)
         comm.append(bool((products == products.transpose(1, 0, 2)).all()))

@@ -14,8 +14,17 @@ from artinloc.algebra import (
     truncated_poly,
     upper_triangular,
 )
-from artinloc.linalg import InputError, Subspace
+from artinloc.linalg import InputError, Subspace, batch_solve
 from artinloc.structure import block_decomposition
+
+
+def solve_in_rows(rows, target, p):
+    """The coefficients x with x @ rows = target over GF(p), as a tuple, or
+    None if there are none: one system through batch_solve, whose answers
+    test_linalg checks against the definition."""
+    rows = np.array(rows, dtype=np.int64).reshape(len(rows), len(target))
+    sol, consistent, _ = batch_solve(rows[None], np.array([target], dtype=np.int64) % p, p)
+    return tuple(sol[0].tolist()) if consistent[0] else None
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,12 @@ from artinloc.algebra import (
     truncated_poly,
     upper_triangular,
 )
-from artinloc.linalg import InputError, InternalCheckError, Subspace, express_in_rows, kernel, rank
+from artinloc.linalg import InputError, InternalCheckError, Subspace, kernel, rank
 from artinloc.localization import two_sided_report
 from artinloc.oracle import brute_idempotents
 from artinloc.structure import _center_subspace, _pivot, _radical_quotient, block_decomposition, radical
-from conftest import block_sum, gf49_times_dual_numbers, ideal_generated, mul_by_definition, pow_by_definition
+from conftest import (block_sum, gf49_times_dual_numbers, ideal_generated, mul_by_definition, pow_by_definition,
+                      solve_in_rows)
 from test_random_algebras import SEEDS, random_algebra
 
 
@@ -129,6 +130,12 @@ class TestRegularMatrices:
         # sends E_11 to E_21, kills E_21 and E_22
         assert m.tolist() == [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
 
+    def test_matrix_literal_outside_the_algebra_rejected(self, L2_7):
+        # E12 is not lower triangular: its system over the basis has no solution
+        with pytest.raises(InputError, match="matrix literal is not in the algebra"):
+            L2_7.from_matrix([[0, 1], [0, 0]])
+        assert L2_7.from_matrix([[3, 0], [5, 6]]).coeffs == (3, 5, 6)
+
     def test_defining_property_random_pairs(self, L2_7):
         rng = random.Random(1)
         for _ in range(100):
@@ -181,8 +188,8 @@ class TestElementClassification:
         x = L2_7.from_matrix([[2, 0], [1, 1]])
         assert is_unit(L2_7, x) and is_left_regular(L2_7, x)
         # y @ L_x = x*y, so the inverse solves y @ L_x = 1
-        inverse = L2_7.element(express_in_rows(regular_matrix(L2_7, x, "left").tolist(),
-                                               L2_7.one_coeffs, 7))
+        inverse = L2_7.element(solve_in_rows(regular_matrix(L2_7, x, "left").tolist(),
+                                             L2_7.one_coeffs, 7))
         assert (x * inverse) == L2_7.one
         assert (inverse * x) == L2_7.one
 
@@ -285,9 +292,9 @@ def rebase_table(a, change):
     are the rows of ``change``: the new coefficient row c stands for the old
     element c @ change."""
     p, d = a.p, a.dim
-    table = [[express_in_rows(change, mul_by_definition(a, change[i], change[j]), p) for j in range(d)]
+    table = [[solve_in_rows(change, mul_by_definition(a, change[i], change[j]), p) for j in range(d)]
              for i in range(d)]
-    return table, express_in_rows(change, a.one_coeffs, p)
+    return table, solve_in_rows(change, a.one_coeffs, p)
 
 
 def rebase(a, change):
@@ -603,8 +610,8 @@ def matrix_units_by_definition(p, n, keep, label):
     mats = [np.array([[int((r, c) == pair) for c in range(1, n + 1)] for r in range(1, n + 1)])
             for pair in pairs]
     rows = [m.ravel().tolist() for m in mats]
-    table = [[express_in_rows(rows, (u @ v).ravel().tolist(), p) for v in mats] for u in mats]
-    one = express_in_rows(rows, np.eye(n, dtype=np.int64).ravel().tolist(), p)
+    table = [[solve_in_rows(rows, (u @ v).ravel().tolist(), p) for v in mats] for u in mats]
+    one = solve_in_rows(rows, np.eye(n, dtype=np.int64).ravel().tolist(), p)
     model = (n, tuple(tuple(map(tuple, m.tolist())) for m in mats))
     return Algebra(p, table, one, label, matrix_model=model)
 
@@ -701,7 +708,7 @@ def table_by_definition(ambient, rows):
     """Reference table of the subalgebra of ``ambient`` with basis ``rows``:
     each basis product is an Element product, solved over the rows."""
     elems = [ambient.element(r) for r in rows]
-    return tuple(tuple(express_in_rows(rows, (u * v).coeffs, ambient.p) for v in elems)
+    return tuple(tuple(solve_in_rows(rows, (u * v).coeffs, ambient.p) for v in elems)
                  for u in elems)
 
 
@@ -725,7 +732,7 @@ def test_subalgebra_tables_match_the_definition(drawn):
     ambient, sub = drawn
     rows = [[v for row in m for v in row] for m in sub.matrix_model[1]]
     assert sub.table == table_by_definition(ambient, rows)
-    assert sub.one_coeffs == express_in_rows(rows, ambient.one_coeffs, sub.p)
+    assert sub.one_coeffs == solve_in_rows(rows, ambient.one_coeffs, sub.p)
 
 
 def small_subalgebra():
@@ -773,7 +780,7 @@ def central_idempotents_via_the_center_algebra(a):
     lifts mapped back to ``a``, in pivot order.  It runs the same splitter
     on another algebra; the enumeration below shares no code with it."""
     center = _center_subspace(a)
-    one = express_in_rows(center.basis, a.one_coeffs, a.p)
+    one = solve_in_rows(center.basis, a.one_coeffs, a.p)
     zalg = Algebra(a.p, table_by_definition(a, center.basis), one, f"Z({a.label})")
     coords = np.array([e.coeffs for e in block_decomposition(zalg).idempotents], dtype=np.int64)
     return sorted(map(tuple, (coords @ center.array % a.p).tolist()), key=lambda v: (_pivot(v), v))

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 from unittest import mock
 
@@ -11,21 +12,37 @@ from artinloc.linalg import (
     InternalCheckError,
     ModulusMismatch,
     Subspace,
-    all_vectors,
-    batch_member_mask,
-    _batch_rref,
+    _rref,
     _rref_rows,
+    all_vectors,
     batch_kernels,
+    batch_member_mask,
     batch_rank,
     batch_row_spaces,
     batch_solve,
     check_prime,
-    express_in_rows,
     inv_mod,
     kernel,
     rank,
     vectors_to_indices,
 )
+
+# the elimination cuts that force each strategy: above every shape, or 0
+STRATEGIES = {"scalar": 1 << 62, "numpy": 0}
+
+
+@contextlib.contextmanager
+def forced(strategy):
+    """Every elimination inside the block runs the given strategy."""
+    cut = STRATEGIES[strategy]
+    with mock.patch.multiple(linalg, SCALAR_BATCH_ENTRIES=cut, SCALAR_LONE_ENTRIES=cut):
+        yield
+
+
+@pytest.fixture(params=list(STRATEGIES))
+def strategy(request):
+    with forced(request.param):
+        yield request.param
 
 
 def enumerate_left_kernel(m: np.ndarray, p: int):
@@ -56,30 +73,38 @@ class TestScalar:
             check_prime(6)
 
 
+@pytest.mark.usefixtures("strategy")
 class TestRref:
+    """The elimination entry point on one matrix, under each strategy."""
+
     def test_rank_one_example(self):
-        assert _rref_rows([[2, 4], [1, 2]], 7) == ([[1, 2]], [0])
+        ech = _rref(np.array([[[2, 4], [1, 2]]]), 7)
+        assert ech.rows == [[[1, 2], [0, 0]]] and ech.pivots == [[0]]
+        assert ech.array.tolist() == [[[1, 2], [0, 0]]] and ech.ranks.tolist() == [1]
         assert rank(np.array([[2, 4], [1, 2]]), 7) == 1
 
     def test_identity_fixed(self):
         eye = np.eye(3, dtype=np.int64)
-        assert _rref_rows(eye.tolist(), 5) == (eye.tolist(), [0, 1, 2])
+        ech = _rref(eye[None], 5)
+        assert ech.rows == [eye.tolist()] and ech.pivots == [[0, 1, 2]]
         assert rank(eye, 5) == 3
 
     def test_zero_matrix(self):
-        assert _rref_rows([[0, 0], [0, 0]], 7) == ([], [])
+        ech = _rref(np.zeros((1, 2, 2), dtype=np.int64), 7)
+        assert ech.rows == [[[0, 0], [0, 0]]] and ech.pivots == [[]]
         assert rank(np.zeros((2, 2), dtype=np.int64), 7) == 0
 
     def test_idempotent(self):
-        once, pivots = _rref_rows([[1, 2, 3], [2, 4, 1], [0, 1, 1]], 5)
-        twice, pivots2 = _rref_rows([list(r) for r in once], 5)
-        assert once == twice and pivots == pivots2
+        once = _rref(np.array([[[1, 2, 3], [2, 4, 1], [0, 1, 1]]]), 5)
+        twice = _rref(once.array, 5)
+        assert once.rows == twice.rows and once.pivots == twice.pivots
 
     def test_mixed_moduli_rejected(self):
         with pytest.raises(ModulusMismatch):
             Subspace.from_vectors(5, 1, [[1]]).intersect(Subspace.from_vectors(7, 1, [[1]]))
 
 
+@pytest.mark.usefixtures("strategy")
 class TestKernel:
     def test_projection_example(self):
         ker = kernel(np.array([[1, 0], [0, 0]]), 7)
@@ -98,6 +123,7 @@ class TestKernel:
         assert ker.basis == ((1, 5),)
 
 
+@pytest.mark.usefixtures("strategy")
 class TestSubspace:
     def test_axis_spans(self):
         a = Subspace.from_vectors(7, 3, [[1, 0, 0]])
@@ -165,10 +191,15 @@ def test_rank_nullity(pm):
 
 @settings(max_examples=150, deadline=None)
 @given(matrices())
-def test_rref_idempotent(pm):
+def test_scalar_loop_idempotent(pm):
+    # the scalar loop reduces in place, nonzero rows first, and a reduced
+    # matrix is its own reduction
     p, m = pm
-    once, pivots = _rref_rows(m.tolist(), p)
-    assert _rref_rows([list(r) for r in once], p) == (once, pivots)
+    once = m.tolist()
+    pivots = _rref_rows(once, p)
+    assert not any(map(any, once[len(pivots):]))
+    twice = [list(r) for r in once]
+    assert _rref_rows(twice, p) == pivots and twice == once
 
 
 @settings(max_examples=150, deadline=None)
@@ -178,96 +209,29 @@ def test_dimension_formula(pair):
     assert a.dim + b.dim == a.sum(b).dim + a.intersect(b).dim
 
 
-@settings(max_examples=100, deadline=None)
-@given(matrices(max_dim=3))
-def test_solve_row_consistency(pm):
-    # any row in the row space must be expressible, and the found
-    # combination must reproduce it
-    p, m = pm
-    x = express_in_rows(m.tolist(), m[0].tolist(), p)
-    assert x is not None
-    assert (np.array(x) @ m % p).tolist() == m[0].tolist()
-
-
-def test_batch_rank_matches_scalar_rank():
-    rng = np.random.default_rng(7)
-    mats = rng.integers(0, 5, size=(64, 4, 4))
-    ranks = batch_rank(mats, 5)
-    for i in range(64):
-        assert ranks[i] == rank(mats[i], 5)
-
-
 @st.composite
-def solve_batches(draw):
-    """Same-shape systems x * m = t, half of them with t in the row space."""
-    p = draw(small_primes)
-    rows, cols, n = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 6))
-    entries = st.integers(0, p - 1)
-    mats = np.array(draw(st.lists(st.lists(st.lists(entries, min_size=cols, max_size=cols),
-                                           min_size=rows, max_size=rows),
-                                  min_size=n, max_size=n)), dtype=np.int64).reshape(n, rows, cols)
-    targets = np.array(draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
-                                     min_size=n, max_size=n)), dtype=np.int64).reshape(n, cols)
-    coeffs = np.array(draw(st.lists(st.lists(entries, min_size=rows, max_size=rows),
-                                    min_size=n, max_size=n)), dtype=np.int64).reshape(n, rows)
-    reachable = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    targets[reachable] = np.einsum("nr,nrc->nc", coeffs, mats)[reachable] % p
-    return p, mats, targets
-
-
-@settings(max_examples=150, deadline=None)
-@given(solve_batches())
-def test_batch_solve_matches_solve_row(batch):
-    # against the scalar elimination: express_in_rows and _rref_rows
-    p, mats, targets = batch
-    sol, consistent, ranks = batch_solve(mats, targets, p)
-    red, red_ranks = _batch_rref(mats, p)
-    for i in range(len(mats)):
-        expected = express_in_rows(mats[i].tolist(), targets[i].tolist(), p)
-        assert bool(consistent[i]) == (expected is not None)
-        if expected is not None:
-            assert tuple(sol[i].tolist()) == expected
-        else:
-            assert not sol[i].any()
-        reduced, pivots = _rref_rows(mats[i].tolist(), p)
-        r = len(pivots)
-        assert ranks[i] == red_ranks[i] == rank(mats[i], p) == r
-        assert red[i, :r].tolist() == reduced
-        assert not red[i, r:].any()
-
-
-@settings(max_examples=100, deadline=None)
-@given(solve_batches())
-def test_batch_row_spaces_match_from_vectors(batch):
-    # the canonical subspace, including its pivots and hash, whatever the batch
-    p, mats, _targets = batch
-    spaces = batch_row_spaces(mats, p)
-    assert len(spaces) == len(mats)
-    for sp, m in zip(spaces, mats):
-        expected = Subspace.from_vectors(p, m.shape[1], m.tolist())
-        assert sp == expected and hash(sp) == hash(expected)
-        assert all(isinstance(v, int) for row in sp.basis for v in row + sp.pivots)
-
-
-@st.composite
-def kernel_batches(draw):
-    """(p, mats): a batch of same-shape matrices, random, zero, of full rank,
-    of low rank, or the (d, d - k) residues of the rows of d x d matrices
-    modulo a k-dimensional subspace, as the Ore check builds them."""
+def batches(draw):
+    """(p, mats, targets): a batch of N same-shape matrices with N, rows and
+    cols each from 0 to 6 -- random, zero, of full rank, of low rank, with
+    every entry p - 1, or the (d, d - k) residues of the rows of d x d
+    matrices modulo a k-dimensional subspace, as the Ore check builds them
+    -- and a target row per matrix, about half of them in its row space."""
     p = draw(st.sampled_from([2, 3, 5, 7, 13, 65521]))
-    kind = draw(st.sampled_from(["random", "zero", "full", "low", "residue"]))
-    n = draw(st.integers(1, 6))
-    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    seed = draw(st.integers(0, 2 ** 32 - 1))
-    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["random", "zero", "full", "low", "top", "residue"]))
+    n = draw(st.integers(0, 6))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if kind == "residue":
+        rows = max(rows, 1)
         k = draw(st.integers(0, rows - 1))
-        space = Subspace.from_vectors(p, rows, rng.integers(0, p, size=(k, rows)).tolist())
-        full = rng.integers(0, p, size=(n * rows, rows))
-        return p, space.residues(full).reshape(n, rows, rows - space.dim)
-    mats = rng.integers(0, p, size=(n, rows, cols))
+        space = Subspace.from_vectors(p, rows, rng.integers(0, p, size=(k, rows)))
+        mats = space.residues(rng.integers(0, p, size=(n * rows, rows))).reshape(n, rows, rows - space.dim)
+    else:
+        mats = rng.integers(0, p, size=(n, rows, cols))
     if kind == "zero":
         mats[:] = 0
+    elif kind == "top":
+        mats[:] = p - 1
     elif kind == "full":
         # unit diagonal, zero below it: rank min(rows, cols)
         mats = np.triu(mats)
@@ -276,73 +240,185 @@ def kernel_batches(draw):
         inner = draw(st.integers(0, min(rows, cols)))
         mats = (rng.integers(0, p, size=(n, rows, inner))
                 @ rng.integers(0, p, size=(n, inner, cols))) % p
-    return p, mats
+    n, rows, cols = mats.shape
+    targets = rng.integers(0, p, size=(n, cols))
+    reachable = rng.random(n) < 0.5
+    targets[reachable] = np.einsum("nr,nrc->nc", rng.integers(0, p, size=(n, rows)), mats)[reachable] % p
+    return p, mats, targets
 
 
-@settings(max_examples=200, deadline=None)
-@given(kernel_batches())
-def test_batch_kernels_match_kernel(batch):
-    # the canonical subspace of the scalar elimination, whatever the batch
-    p, mats = batch
-    kernels = batch_kernels(mats, p)
-    assert kernels == [kernel(m, p) for m in mats]
-    assert all(isinstance(v, int) for ker in kernels for row in ker.basis for v in row + ker.pivots)
+def _spaces(p, mats):
+    return [Subspace.from_vectors(p, mats.shape[2], m) for m in mats]
 
 
-def zero_line_batches():
-    """(p, mats): random batches with some columns, and some rows, zero in
-    every member, so every elimination skips columns; and all-zero batches,
-    one of them a single matrix as a central factor e = 1 gives L_{1 - e}."""
+# every operation built on the elimination, on a batch (p, mats, targets)
+OPERATIONS = {
+    "batch_rank": lambda p, mats, targets: batch_rank(mats, p),
+    "batch_row_spaces": lambda p, mats, targets: batch_row_spaces(mats, p),
+    "batch_kernels": lambda p, mats, targets: batch_kernels(mats, p),
+    "batch_solve": lambda p, mats, targets: batch_solve(mats, targets, p),
+    "rank": lambda p, mats, targets: [rank(m, p) for m in mats],
+    "kernel": lambda p, mats, targets: [kernel(m, p) for m in mats],
+    "from_vectors": lambda p, mats, targets: [(Subspace.from_vectors(p, mats.shape[2], m.tolist()),
+                                               Subspace.from_vectors(p, mats.shape[2], m)) for m in mats],
+    "sum_and_intersect": lambda p, mats, targets: [
+        (x.sum(y), x.intersect(y)) for x, y in itertools.pairwise(_spaces(p, mats))],
+}
+
+
+def plain(result):
+    """A result with its arrays as lists, and a check that every entry of a
+    Subspace is a Python int."""
+    if isinstance(result, np.ndarray):
+        return result.tolist()
+    if isinstance(result, (list, tuple)):
+        return [plain(x) for x in result]
+    if isinstance(result, Subspace):
+        assert all(type(v) is int for row in result.basis for v in row + result.pivots)
+    return result
+
+
+def assert_strategies_agree(op, p, mats, targets):
+    results = []
+    for strategy in STRATEGIES:
+        with forced(strategy):
+            results.append(plain(OPERATIONS[op](p, mats, targets)))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("op", list(OPERATIONS))
+@settings(max_examples=120, deadline=None)
+@given(batch=batches())
+def test_strategies_agree(op, batch):
+    # the scalar loop and the numpy sweep give the same canonical answers
+    assert_strategies_agree(op, *batch)
+
+
+def edge_batches():
+    """(p, mats): batches with some columns, and some rows, zero in every
+    member, so every elimination skips columns; all-zero batches, one of
+    them a single matrix as a central factor e = 1 gives L_{1 - e}; every
+    entry p - 1 at the largest prime, around the lone cut too; and empty
+    batches, matrices and rows."""
     rng = np.random.default_rng(11)
-    out = []
+    out = {}
     for p, (n, rows, cols) in [(5, (6, 4, 5)), (7, (3, 5, 3)), (13, (4, 3, 6)), (65521, (2, 6, 6))]:
         mats = rng.integers(0, p, size=(n, rows, cols))
         mats[:, :, rng.permutation(cols)[:cols // 2]] = 0
         mats[:, rng.permutation(rows)[:rows // 2], :] = 0
-        out.append((p, mats))
-    return out + [(7, np.zeros((3, 4, 5), dtype=np.int64)), (7, np.zeros((1, 25, 25), dtype=np.int64))]
+        out[f"zero lines p{p}"] = (p, mats)
+    out["all zero"] = (7, np.zeros((3, 4, 5), dtype=np.int64))
+    out["one zero matrix"] = (7, np.zeros((1, 25, 25), dtype=np.int64))
+    for shape in [(1, 36, 36), (1, 64, 64), (1, 65, 64), (3, 12, 40)]:
+        out["all p - 1 " + "x".join(map(str, shape))] = (65521, np.full(shape, 65520, dtype=np.int64))
+    for shape in [(0, 3, 4), (2, 0, 3), (2, 3, 0), (1, 0, 0)]:
+        out["empty " + "x".join(map(str, shape))] = (7, np.zeros(shape, dtype=np.int64))
+    return out
 
 
-@pytest.mark.parametrize("p, mats", zero_line_batches(),
-                         ids=["p5", "p7", "p13", "p65521", "all zero", "one zero matrix"])
-def test_batch_eliminations_with_zero_columns_match_the_scalar_path(p, mats):
+@pytest.mark.parametrize("p, mats", list(edge_batches().values()), ids=list(edge_batches()))
+def test_strategies_agree_on_edge_batches(p, mats):
     n, rows, cols = mats.shape
-    assert batch_rank(mats, p).tolist() == [rank(m, p) for m in mats]
-    assert batch_row_spaces(mats, p) == [Subspace.from_vectors(p, cols, m.tolist()) for m in mats]
-    assert batch_kernels(mats, p) == [kernel(m, p) for m in mats]
-    # a reachable target, the zero target and a random one, for every member
     rng = np.random.default_rng(3)
     reachable = np.einsum("nr,nrc->nc", rng.integers(0, p, size=(n, rows)), mats) % p
     for targets in (reachable, np.zeros((n, cols), dtype=np.int64), rng.integers(0, p, size=(n, cols))):
-        sol, consistent, ranks = batch_solve(mats, targets, p)
+        for op in OPERATIONS:
+            assert_strategies_agree(op, p, mats, targets)
+    if mats.size and (mats == p - 1).all():
+        # every entry p - 1: rank 1, and no entry wrapped past int64
+        assert batch_rank(mats, p).tolist() == [1] * n
+        assert [k.dim for k in batch_kernels(mats, p)] == [rows - 1] * n
+
+
+def images(p, m):
+    """Oracle: the set of all x @ m, by enumeration over GF(p)^rows."""
+    return {tuple(v) for v in (all_vectors(p, len(m)) @ m % p).tolist()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(batches())
+def test_eliminations_by_definition(batch):
+    # against the definitions, under each strategy: a solution solves its
+    # system, an inconsistent system has none, ranks count the images, and
+    # kernels and row spaces hold exactly the vectors they should
+    p, mats, targets = batch
+    n, rows, cols = mats.shape
+    for strategy in STRATEGIES:
+        with forced(strategy):
+            sol, consistent, ranks = batch_solve(mats, targets, p)
+            kernels, spaces = batch_kernels(mats, p), batch_row_spaces(mats, p)
         for i in range(n):
-            expected = express_in_rows(mats[i].tolist(), targets[i].tolist(), p)
-            assert bool(consistent[i]) == (expected is not None)
-            assert tuple(sol[i].tolist()) == (expected if expected is not None else (0,) * rows)
-            assert ranks[i] == rank(mats[i], p)
+            assert kernels[i].dim + ranks[i] == rows and spaces[i].dim == ranks[i]
+            if consistent[i]:
+                assert ((sol[i] @ mats[i] - targets[i]) % p == 0).all()
+            else:
+                assert not sol[i].any()
+            if p ** rows > 4096:
+                continue
+            image = images(p, mats[i])
+            assert len(image) == p ** int(ranks[i])
+            assert bool(consistent[i]) == (tuple(targets[i].tolist()) in image)
+            members = {tuple(v) for chunk in spaces[i].member_chunks() for v in chunk.tolist()}
+            assert members == image
+            vecs = all_vectors(p, rows)
+            zero = vecs[~(vecs @ mats[i] % p).any(axis=1)]
+            assert len(zero) == p ** kernels[i].dim
+            assert batch_member_mask(zero, kernels[i]).all()
 
 
+@settings(max_examples=100, deadline=None)
+@given(matrices(max_dim=3))
+def test_solve_row_consistency(pm):
+    # any row in the row space must be expressible, and the found
+    # combination must reproduce it
+    p, m = pm
+    sol, consistent, _ = batch_solve(m[None], m[:1], p)
+    assert consistent[0]
+    assert (sol[0] @ m % p).tolist() == m[0].tolist()
+
+
+@pytest.mark.usefixtures("strategy")
 def test_batch_kernels_check_rank_nullity():
     mats = np.array([[[1, 2], [2, 4]], [[1, 0], [0, 1]]], dtype=np.int64)
     assert [ker.dim for ker in batch_kernels(mats, 7)] == [1, 0]
     # a corrupted rank of the transposes
-    with mock.patch.object(linalg, "batch_rank", lambda m, p: np.array([2, 2])):
+    with mock.patch.object(linalg, "batch_rank", lambda m, p: np.array([2, 2][:len(m)])):
         with pytest.raises(InternalCheckError, match="rank-nullity violated in kernel"):
             batch_kernels(mats, 7)
-    # a fault in the elimination of [M | I] alone: the last row, a kernel
-    # row of the first matrix, is given a pivot left of the bar
-    rref = linalg._batch_rref
+        with pytest.raises(InternalCheckError, match="rank-nullity violated in kernel"):
+            kernel(mats[0], 7)
+    # a fault in the elimination of [M | I] alone: the last row of the
+    # first matrix, a kernel row, is given a nonzero entry left of the bar
+    rref = linalg._rref
 
     def faulty(m, p):
-        red, ranks = rref(m, p)
+        ech = rref(m, p)
         if m.shape[2] > m.shape[1]:
-            red = red.copy()
-            red[:, -1, 0] = 1
-        return red, ranks
+            rows = [[list(row) for row in form] for form in ech.rows]
+            rows[0][-1][0] = 1
+            ech.rows = rows
+        return ech
 
-    with mock.patch.object(linalg, "_batch_rref", faulty):
+    with mock.patch.object(linalg, "_rref", faulty):
         with pytest.raises(InternalCheckError, match="rank-nullity violated in kernel"):
             batch_kernels(mats, 7)
+        with pytest.raises(InternalCheckError, match="rank-nullity violated in kernel"):
+            kernel(mats[0], 7)
+
+
+def test_lone_and_batch_cuts():
+    # the strategy follows the size alone: a lone matrix up to the lone
+    # cut, and a batch up to the batch cut, runs the scalar loop
+    lone, batch = linalg.SCALAR_LONE_ENTRIES, linalg.SCALAR_BATCH_ENTRIES
+    assert batch < lone
+    with mock.patch.object(linalg, "_sweep", side_effect=AssertionError("swept")) as sweep:
+        _rref(np.zeros((1, 1, lone), dtype=np.int64), 7)
+        _rref(np.zeros((2, 1, batch // 2), dtype=np.int64), 7)
+        assert not sweep.called
+    for shape in [(1, 1, lone + 1), (2, 1, batch // 2 + 1)]:
+        with mock.patch.object(linalg, "_sweep", wraps=linalg._sweep) as sweep:
+            _rref(np.zeros(shape, dtype=np.int64), 7)
+            assert sweep.called
 
 
 def test_all_vectors_order_and_indexing():
@@ -392,7 +468,3 @@ def test_residues_match_sequential_reduce(pair):
     expected = [[v[j] for j in space.free_columns] for v in map(space.reduce, vecs.tolist())]
     assert space.residues(vecs).tolist() == expected
     assert batch_member_mask(vecs, other).tolist() == [other.contains_vector(v) for v in vecs.tolist()]
-
-
-def test_express_in_rows_unsolvable():
-    assert express_in_rows([[1, 0]], [0, 1], 5) is None

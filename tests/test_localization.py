@@ -24,7 +24,6 @@ from artinloc.linalg import (
     InternalCheckError,
     ResourceGuardError,
     Subspace,
-    express_in_rows,
     kernel,
     rank,
 )
@@ -54,6 +53,7 @@ from conftest import (
     reference_corner_is_zero,
     reference_edges,
     reference_sum_dims,
+    solve_in_rows,
     weak_component_count,
 )
 
@@ -514,7 +514,7 @@ def reference_associated_idempotent(a, s):
         return n, a.zero
     ker = kernel(power, a.p)
     assert prev.dim + ker.dim == a.dim and prev.intersect(ker).dim == 0
-    combo = express_in_rows(list(prev.basis) + list(ker.basis), a.one_coeffs, a.p)
+    combo = solve_in_rows(list(prev.basis) + list(ker.basis), a.one_coeffs, a.p)
     e = a.zero
     for c, row in zip(combo, prev.basis):
         e = e + a.element(row) * c

@@ -27,7 +27,7 @@ from artinloc.structure import (
     radical,
 )
 from artinloc.suite import run_invariants
-from conftest import gf49_times_dual_numbers, ideal_generated
+from conftest import gf49_times_dual_numbers, ideal_generated, solve_in_rows
 from test_metamorphic import FIXTURES
 from test_random_algebras import SEEDS, random_algebra
 
@@ -342,7 +342,6 @@ def skewed_lower_triangular_7():
     has to do real work instead of accepting the section.
     """
     from artinloc.algebra import Algebra
-    from artinloc.linalg import express_in_rows
     units = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
     def unit_vec(i, j):
         return tuple(1 if (r, c) == (i, j) else 0 for (r, c) in units)
@@ -360,13 +359,13 @@ def skewed_lower_triangular_7():
     for u in basis:
         row = []
         for v in basis:
-            coords = express_in_rows(basis, mat_mul(u, v), 7)
+            coords = solve_in_rows(basis, mat_mul(u, v), 7)
             assert coords is not None
             row.append(list(coords))
         table.append(row)
     identity = tuple((a + b + c) % 7 for a, b, c in
                      zip(unit_vec(1, 1), unit_vec(2, 2), unit_vec(3, 3)))
-    one = express_in_rows(basis, identity, 7)
+    one = solve_in_rows(basis, identity, 7)
     return Algebra(7, table, one, "skewed L3(GF(7))")
 
 

@@ -465,6 +465,17 @@ def test_verify_names_an_input_that_is_no_algebra(build, message):
                                                              f"input algebra: {message}")
 
 
+def test_verify_catches_a_radical_claimed_zero(monkeypatch):
+    # with J claimed to be 0, R/J is R itself and radical(R) hands back the
+    # claim; lower_triangular(7, 2) has 343 elements, above the guard of 64,
+    # so the quasi-regularity sweep is skipped.  Only the rank of R/J's own
+    # trace form, 2 of 3 here, shows the radical E21 that was left out
+    monkeypatch.setattr(structure, "_trace_form_kernel", lambda a: Subspace.zero(a.p, a.dim))
+    checks = {r.name: r for r in run_invariants(lower_triangular(7, 2), guard=64)}
+    assert checks["radical_crosscheck"] == suite.CheckResult(
+        "radical_crosscheck", False, "semisimple quotient has a nonzero radical")
+
+
 def test_verify_names_a_corrupted_quotient_table(monkeypatch, tmp_path, capsys):
     # one structure constant of every class and factor quotient is off by
     # one: the requests print the same, and verify names the first object
