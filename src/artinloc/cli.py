@@ -14,6 +14,12 @@ Elements on the command line are JSON arrays: a flat array of residues, or,
 for matrix-modelled algebras, a matrix literal desugared through the
 constructor's documented basis.
 
+``--oracle`` compares the verdict that a command prints with the
+definitional oracle through the agreement function of its decision
+procedure in :mod:`artinloc.suite`, the one that ``verify``'s sweep for that
+procedure calls: ``check-powers``, ``check-monoid``, ``check-idempotent``
+and ``twosided --element``.
+
 Exit codes: 0 success / true verdict, 1 false verdict (check-* commands),
 2 input error, 3 internal invariant violation or oracle disagreement.
 Output is deterministic: sorted keys, subsets ordered by (size, lex).
@@ -39,8 +45,8 @@ from .localization import (
     subset_str,
     two_sided_report,
 )
-from .oracle import FiniteSetOfElements, brute_denominator_check, monoid_closure, two_sided_result
-from .suite import powers_agreement, run_invariants
+from .suite import (Oracle, idempotent_agreement, monoid_agreement, powers_agreement, run_invariants,
+                    two_sided_powers_agreement)
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -151,6 +157,14 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _finish(payload: dict, args, verdict: bool, agrees: bool) -> int:
+    """Print ``payload``; exit 3 when the oracle disagrees, else by the verdict."""
+    _emit(payload, args)
+    if not agrees:
+        return EXIT_INTERNAL
+    return EXIT_OK if verdict else EXIT_FALSE
+
+
 def cmd_check_powers(args) -> int:
     a = _read_input(args)
     if args.element is None:
@@ -158,14 +172,11 @@ def cmd_check_powers(args) -> int:
     s = parse_element(a, args.element)
     verdict, desc = powers_denominator_criterion(a, s)
     payload = {"verdict": verdict, "descriptor": _descriptor_dict(desc)}
+    agrees = True
     if args.oracle:
-        agree, detail = powers_agreement(a, s, args.guard)
-        payload["oracle"] = {"agrees": agree, "detail": detail}
-        if not agree:
-            _emit(payload, args)
-            return EXIT_INTERNAL
-    _emit(payload, args)
-    return EXIT_OK if verdict else EXIT_FALSE
+        agrees, detail, _ = powers_agreement(Oracle(a, args.guard), s, verdict, desc)
+        payload["oracle"] = {"agrees": agrees, "detail": detail}
+    return _finish(payload, args, verdict, agrees)
 
 
 def cmd_check_monoid(args) -> int:
@@ -179,25 +190,13 @@ def cmd_check_monoid(args) -> int:
         raise InputError("check-monoid requires --generators and/or --element")
     verdict, desc = monoid_denominator_decision(a, gens, args.guard)
     payload = {"verdict": verdict, "descriptor": _descriptor_dict(desc)}
+    agrees = True
     if args.oracle:
-        closure = monoid_closure(a, gens, args.guard)
-        if closure.contains_zero:
-            oracle_verdict = False
-            oracle_ass_dim = None
-            same_ass = True
-        else:
-            res = brute_denominator_check(a, closure, "left", args.guard)
-            oracle_verdict = res.is_den
-            oracle_ass_dim = res.ass.dim if res.ass else None
-            same_ass = not verdict or (desc is not None and res.ass is not None
-                                       and res.ass.space == desc.ass.space)
-        agree = oracle_verdict == verdict and same_ass
-        payload["oracle"] = {"verdict": oracle_verdict, "ass_dim": oracle_ass_dim, "agrees": agree}
-        if not agree:
-            _emit(payload, args)
-            return EXIT_INTERNAL
-    _emit(payload, args)
-    return EXIT_OK if verdict else EXIT_FALSE
+        oracle = Oracle(a, args.guard)
+        agrees, _, res = monoid_agreement(oracle, gens, oracle.closure(gens), verdict, desc)
+        payload["oracle"] = {"verdict": res is not None and res.is_den, "agrees": agrees,
+                             "ass_dim": None if res is None or res.ass is None else res.ass.dim}
+    return _finish(payload, args, verdict, agrees)
 
 
 def cmd_check_idempotent(args) -> int:
@@ -209,20 +208,11 @@ def cmd_check_idempotent(args) -> int:
     payload = {"left": chk.left, "right": chk.right, "twosided": chk.twosided,
                "central": chk.central, "descriptor": _descriptor_dict(chk.descriptor)}
     verdict = {"left": chk.left, "right": chk.right, "both": chk.twosided}[args.side]
+    agrees = True
     if args.oracle:
-        sset = FiniteSetOfElements.from_elements(a, [a.one, e])
-        left, right = (brute_denominator_check(a, sset, side, args.guard) for side in ("left", "right"))
-        oracle = {"left": left.is_den, "right": right.is_den,
-                  "twosided": two_sided_result(left, right).is_den}
-        agree = (oracle["left"] == chk.left and oracle["right"] == chk.right
-                 and oracle["twosided"] == chk.twosided
-                 and (not chk.left or left.ass.space == chk.descriptor.ass.space))
-        payload["oracle"] = {**oracle, "agrees": agree}
-        if not agree:
-            _emit(payload, args)
-            return EXIT_INTERNAL
-    _emit(payload, args)
-    return EXIT_OK if verdict else EXIT_FALSE
+        agrees, _, found = idempotent_agreement(Oracle(a, args.guard), e, chk)
+        payload["oracle"] = {**found, "agrees": agrees}
+    return _finish(payload, args, verdict, agrees)
 
 
 def cmd_classify_element(args) -> int:
@@ -248,23 +238,15 @@ def cmd_twosided(args) -> int:
     a = _read_input(args)
     ts = two_sided_report(a)
     payload = ts.to_dict()
-    verdict = True
+    verdict = agrees = True
     if args.element is not None:
         r = parse_element(a, args.element)
         verdict = ts.powers_criterion(r)
         payload["powers_verdict"] = verdict
         if args.oracle:
-            closure = monoid_closure(a, [r], args.guard)
-            if closure.contains_zero:
-                oracle_verdict = False
-            else:
-                oracle_verdict = brute_denominator_check(a, closure, "twosided", args.guard).is_den
-            payload["oracle"] = {"verdict": oracle_verdict, "agrees": oracle_verdict == verdict}
-            if oracle_verdict != verdict:
-                _emit(payload, args)
-                return EXIT_INTERNAL
-    _emit(payload, args)
-    return EXIT_OK if verdict else EXIT_FALSE
+            agrees, _, found = two_sided_powers_agreement(Oracle(a, args.guard), r, verdict)
+            payload["oracle"] = {"verdict": found, "agrees": agrees}
+    return _finish(payload, args, verdict, agrees)
 
 
 def cmd_verify(args) -> int:

@@ -110,6 +110,13 @@ class FiniteSetOfElements:
         # the zero row sorts first
         return len(self.rows) > 0 and not self.rows[0].any()
 
+    @property
+    def central(self) -> bool:
+        """Whether every member is central: its left and right
+        multiplication matrices agree."""
+        a = self.algebra
+        return np.array_equal(a.batch_left_matrices(self.rows), a.batch_right_matrices(self.rows))
+
     @staticmethod
     def from_elements(a: Algebra, elements: Iterable[Element]) -> "FiniteSetOfElements":
         return FiniteSetOfElements(a, [e.coeffs for e in elements])
@@ -264,7 +271,9 @@ def brute_denominator_check(a: Algebra, S: FiniteSetOfElements, side: str = "lef
     Right is the left check in the opposite algebra, whose multiplication
     matrices are these swapped and whose two-sided ideals are these, so it
     runs here on the same matrices and ranks.  Two-sided runs both and
-    composes them by :func:`two_sided_result`.
+    composes them by :func:`two_sided_result`; when every member is
+    central the swapped matrices are the same, and the left check stands
+    for the right one.
     """
     check_guard(guard)
     if S.contains_zero:
@@ -283,6 +292,9 @@ def brute_denominator_check(a: Algebra, S: FiniteSetOfElements, side: str = "lef
         left = _left_check(a, rows, mats[:n], mats[n:], ranks[:n], ranks[n:], guard)
         if side == "left":
             return left
+        if np.array_equal(mats[:n], mats[n:]):
+            # every member is central, so the right check is this one
+            return two_sided_result(left, left)
     right = _left_check(a, rows, mats[n:], mats[:n], ranks[n:], ranks[:n], guard)
     return right if side == "right" else two_sided_result(left, right)
 

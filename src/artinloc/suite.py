@@ -1,32 +1,29 @@
-"""Cross-module invariant battery.
+"""Cross-module invariant battery, and one oracle comparison per decision
+procedure.
 
-Runs every structural identity the classification promises against the
-definitional oracles on one algebra: radical cross-checks, the idempotent
-family laws, kernel-ideal identities, duality (the right report against
-the opposite algebra's left report), the five-way equivalence bundle for
-"completely localizable = units", and the element sweeps that compare the
-powers criterion and the idempotent criterion with brute force.  The
-radical cross-check first validates the input, which the named
-constructors, products and opposites build by theorem, then the radical,
-which the structure layer builds by theorem: its closure, its nilpotency
-and the zero radical of R/J; the report checks rebuild, through the public
-constructors, every ideal that the reports hold by theorem (the right
-kernel ideals, two-sided only by theorem, among them) and the quotients of
-the left classes, two-sided factors and descriptors; the left report check
-re-proves, by elimination and by the products of the block-sum
-idempotents, the class lattice that the report reads off the Peirce
-decomposition, against the closed-form lattice tables of the report
-(dim(K_I + K_J), containment and meets, from the row sums of its corner
-table), which only this battery reads; and the two-sided check proves the
-central idempotents, split off the center, central, orthogonal and summing
-to 1, and re-derives them as the block sums over the blocks that the
-Peirce corners link.  Each of these re-proofs runs here only, once per
-run; the builders compute by theorem.
-The CLI ``verify`` command runs exactly this battery; the test suite
-runs it across the fixture corpus.  Its oracle sweeps check each distinct
-set and side once per run and compose the two-sided verdict from the
-one-sided ones, while the theory side runs on every sample; samples are
-drawn in bulk from the same random stream as one draw per coordinate.
+The battery, which the CLI ``verify`` command runs, checks every structural
+identity the classification promises on one algebra: radical cross-checks,
+the idempotent family laws, kernel-ideal identities, duality (the right
+report against the opposite algebra's left report), the five-way
+equivalence bundle for "completely localizable = units", and element
+sweeps that compare the decision procedures with brute force.  It also
+re-proves, here only and once per run, what the builders hold by theorem:
+the input's laws, the radical's closure and nilpotency and the zero
+radical of R/J, every ideal and quotient that the reports hold (rebuilt
+through the public constructors), the class lattice that the left report
+reads off the Peirce decomposition (by elimination, against the report's
+closed-form lattice tables), and the central idempotents (central,
+orthogonal, summing to 1, and the block sums over the linked blocks).
+
+Each decision procedure (powers, idempotent, monoid, two-sided powers) has
+one agreement function, which compares the theory's verdict and kernel
+ideal with the oracle's through a per-run :class:`Oracle`; the CLI's
+``--oracle`` flags and the sweeps of ``verify`` both call it, and what only
+``verify`` checks (quotient rebuilds, membership in the classified classes,
+the local-factors test) stays around the call.  A sampled sweep draws its
+samples in one call, from the same random stream as one draw per
+coordinate, and rewinds the stream to the samples it tested when it stops
+early.
 
 Sweep work is bounded: ``guard`` caps any single enumeration (default
 2**20), while full per-element sweeps run only when the ring has at most
@@ -40,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -49,6 +46,8 @@ from .algebra import Algebra, Element, Ideal, check_nilpotent, ideal_combine, op
 from .linalg import (DEFAULT_GUARD, InputError, InternalCheckError, ResourceGuardError, Subspace,
                      batch_rank, check_guard, kernel, rank, row_chunks)
 from .localization import (
+    DenSetDescriptor,
+    IdempotentCheck,
     LocalizationReport,
     _corner,
     _is_central,
@@ -104,8 +103,23 @@ def _random_rows(a: Algebra, rng: random.Random, n: int) -> np.ndarray:
     return out.reshape(n, a.dim)
 
 
-def _random_element(a: Algebra, rng: random.Random) -> Element:
-    return a.element(_random_rows(a, rng, 1)[0])
+def _rewind(a: Algebra, rng: random.Random, state: tuple, k: int) -> None:
+    """Put ``rng`` where a loop drawing one sample at a time from ``state``
+    stops after its ``k``-th sample."""
+    rng.setstate(state)
+    _random_rows(a, rng, k)
+
+
+def _sampled(a: Algebra, rng: random.Random, n: int, test: Callable) -> tuple[bool, str] | None:
+    """The first failing ``test(x) = (ok, detail, ...)`` over ``n`` random
+    elements x drawn in one call, or None; a failure rewinds the stream."""
+    state = rng.getstate()
+    for k, row in enumerate(_random_rows(a, rng, n)):
+        ok, detail, *_ = test(a.element(row))
+        if not ok:
+            _rewind(a, rng, state, k + 1)
+            return False, detail
+    return None
 
 
 def _rebuild(objects) -> None:
@@ -295,36 +309,85 @@ def _left_lattice(rep: LocalizationReport) -> None:
             raise InternalCheckError(f"kernel ideal of the class {subset_str(en.subset)} is not (1 - e)R")
 
 
-def powers_agreement(a: Algebra, s: Element, guard: int = DEFAULT_GUARD) -> tuple[bool, str]:
-    """Compare the powers criterion with the definitional check on one element.
+@dataclass(eq=False)
+class Oracle:
+    """The definitional checks of one run, each distinct set checked once
+    per side: the right check of central members is their left check, and
+    a two-sided verdict is composed once the left one is known, else
+    checked in one call (which reads centrality off the matrices it builds)."""
 
-    Agreement covers the verdict and, on success, the kernel ideal and the
-    core; the descriptor's quotient is then rebuilt (:func:`_rebuild`).  A
-    nilpotent element fails on both sides because its powers reach 0.
-    """
-    return _powers_agreement(a, s, guard, lambda S, side: brute_denominator_check(a, S, side, guard))
+    algebra: Algebra
+    guard: int
+    verdicts: dict[tuple[str, bytes], BruteDenResult] = field(default_factory=dict)
+
+    def check(self, S: FiniteSetOfElements, side: str) -> BruteDenResult:
+        key = S.rows.tobytes()
+        if (side, key) not in self.verdicts:
+            if side == "right" and S.central:
+                found = self.check(S, "left")
+            elif side == "twosided" and ("left", key) in self.verdicts:
+                found = two_sided_result(self.check(S, "left"), self.check(S, "right"))
+            else:
+                found = brute_denominator_check(self.algebra, S, side, self.guard)
+            self.verdicts[side, key] = found
+        return self.verdicts[side, key]
+
+    def closure(self, gens: Sequence[Element]) -> FiniteSetOfElements:
+        return monoid_closure(self.algebra, gens, self.guard)
 
 
-def _powers_agreement(a: Algebra, s: Element, guard: int,
-                      brute: Callable[[FiniteSetOfElements, str], BruteDenResult]) -> tuple[bool, str]:
-    """:func:`powers_agreement`, with ``brute(S, side)`` as the definitional check."""
-    ok, desc = powers_denominator_criterion(a, s)
-    closure = monoid_closure(a, [s], guard)
+# Each agreement function returns (agrees, detail on disagreement, what the oracle found).
+def powers_agreement(oracle: Oracle, s: Element, verdict: bool, desc: DenSetDescriptor | None
+                     ) -> tuple[bool, str, BruteDenResult | None]:
+    """The powers criterion at s against the closure of s: the verdict and,
+    on success, the kernel ideal and the core."""
+    closure = oracle.closure([s])
     if closure.contains_zero:
-        if ok:
-            return False, f"criterion accepted a set containing 0 at {s!r}"
-        return True, ""
-    res = brute(closure, "left")
-    if ok != res.is_den:
-        return False, f"verdict mismatch at {s!r}: criterion {ok}, oracle {res.is_den}"
-    if not ok:
-        return True, ""
-    if res.ass is None or res.ass.space != desc.ass.space:
-        return False, f"kernel ideal mismatch at {s!r}"
-    if not np.array_equal(desc.core_mask(closure.rows), res.core):
-        return False, f"core mismatch at {s!r}"
-    _rebuild([(f"quotient of the powers of {s!r}", desc.quotient.algebra)])
-    return True, ""
+        return not verdict, f"criterion accepted a set containing 0 at {s!r}" if verdict else "", None
+    res = oracle.check(closure, "left")
+    if verdict != res.is_den:
+        return False, f"verdict mismatch at {s!r}: criterion {verdict}, oracle {res.is_den}", res
+    if verdict and res.ass.space != desc.ass.space:
+        return False, f"kernel ideal mismatch at {s!r}", res
+    if verdict and not np.array_equal(desc.core_mask(closure.rows), res.core):
+        return False, f"core mismatch at {s!r}", res
+    return True, "", res
+
+
+def monoid_agreement(oracle: Oracle, gens: Sequence[Element], closure: FiniteSetOfElements,
+                     verdict: bool, desc: DenSetDescriptor | None) -> tuple[bool, str, BruteDenResult | None]:
+    """The monoid decision on ``gens`` against their ``closure``: the verdict
+    and, on success, the kernel ideal."""
+    res = None if closure.contains_zero else oracle.check(closure, "left")
+    if verdict != (res is not None and res.is_den):
+        return False, f"monoid disagreement at {[g.coeffs for g in gens]}", res
+    if verdict and res.ass.space != desc.ass.space:
+        return False, "monoid kernel ideal disagreement", res
+    return True, "", res
+
+
+def idempotent_agreement(oracle: Oracle, e: Element, chk: IdempotentCheck
+                         ) -> tuple[bool, str, dict[str, bool]]:
+    """The three verdicts on {1, e} and the left kernel ideal."""
+    sset = FiniteSetOfElements.from_elements(oracle.algebra, [oracle.algebra.one, e])
+    left, right, two = (oracle.check(sset, side) for side in ("left", "right", "twosided"))
+    found = {"left": left.is_den, "right": right.is_den, "twosided": two.is_den}
+    if chk.left != left.is_den:
+        return False, f"left disagreement at {e!r}", found
+    if chk.left and left.ass.space != chk.descriptor.ass.space:
+        return False, f"kernel ideal disagreement at {e!r}", found
+    if chk.right != right.is_den:
+        return False, f"right disagreement at {e!r}", found
+    if chk.twosided != two.is_den:
+        return False, f"two-sided/centrality disagreement at {e!r}", found
+    return True, "", found
+
+
+def two_sided_powers_agreement(oracle: Oracle, r: Element, verdict: bool) -> tuple[bool, str, bool]:
+    """The two-sided powers criterion at r against the closure of r."""
+    closure = oracle.closure([r])
+    found = not closure.contains_zero and oracle.check(closure, "twosided").is_den
+    return verdict == found, "" if verdict == found else f"two-sided powers disagreement at {r!r}", found
 
 
 def bundle_conditions(a: Algebra, guard: int = DEFAULT_GUARD,
@@ -346,17 +409,11 @@ def bundle_conditions(a: Algebra, guard: int = DEFAULT_GUARD,
     rng = rng or random.Random(0)
     total = a.p ** a.dim
     rep = localization_report(a)
-    fam = rep.family
-    full = set(range(1, fam.s + 1))
     c5 = rep.l_rad.dim == 0
-    c2 = set().union(*[set(m) for m in rep.minima]) == full
-    e_sum = a.zero
-    corner_dims = 0
-    for sub in rep.minima:
-        e = rep.entry(sub).idempotent
-        e_sum = e_sum + e
-        corner_dims += rank(_corner(a, e, e), a.p)
-    c3 = (e_sum == a.one) and corner_dims == a.dim
+    c2 = set().union(*rep.minima) == set(range(1, rep.family.s + 1))
+    minima = [rep.entry(sub).idempotent for sub in rep.minima]
+    e_sum = sum(minima, a.zero)
+    c3 = e_sum == a.one and sum(rank(_corner(a, e, e), a.p) for e in minima) == a.dim
     ts = two_sided_report(a)
     c4 = all(localization_report(quo.algebra).loc_count == 1 for quo in ts.factor_quotients)
     if total <= guard:
@@ -371,18 +428,13 @@ def bundle_conditions(a: Algebra, guard: int = DEFAULT_GUARD,
                 c1 = False
                 break
     else:
-        c1 = True
-        for _ in range(samples):
-            r = _random_element(a, rng)
+        def completely_iff_unit(r: Element) -> tuple[bool, str]:
             unit = rank(regular_matrix(a, r, "left"), a.p) == a.dim
-            if classify_element(a, r, rep)["completely"] != unit:
-                c1 = False
-                break
-        if not c5 and c1:
-            # the sum of the minima idempotents is always completely
-            # localizable but is a unit only when the radical vanishes
-            if classify_element(a, e_sum, rep)["completely"]:
-                c1 = False
+            return classify_element(a, r, rep)["completely"] == unit, ""
+        # the sum of the minima idempotents is always completely
+        # localizable but is a unit only when the radical vanishes
+        c1 = (_sampled(a, rng, samples, completely_iff_unit) is None
+              and (c5 or not classify_element(a, e_sum, rep)["completely"]))
     return c1, c2, c3, c4, c5
 
 
@@ -405,13 +457,12 @@ def _left_regular_units(a: Algebra, guard: int, rng: random.Random, samples: int
     drawn = max(samples, 10_000)
     for start, stop in row_chunks(drawn):
         state = rng.getstate()
-        bad = left_regular_non_units(_random_rows(a, rng, stop - start))
+        xs = _random_rows(a, rng, stop - start)
+        bad = left_regular_non_units(xs)
         if bad.any():
-            # redraw up to the first failure, so the stream stops where a
-            # one-sample-at-a-time loop would have stopped
-            rng.setstate(state)
-            redrawn = _random_rows(a, rng, int(np.argmax(bad)) + 1)
-            return False, f"left regular non-unit {a.element(redrawn[-1])!r}"
+            k = int(np.argmax(bad))
+            _rewind(a, rng, state, k + 1)
+            return False, f"left regular non-unit {a.element(xs[k])!r}"
     return True, f"sampled {drawn}"
 
 
@@ -424,32 +475,19 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
     total = a.p ** a.dim
     rng = random.Random(seed)
     results: list[CheckResult] = []
-    verdicts: dict[tuple[str, bytes], BruteDenResult] = {}  # the oracle's, for this run alone
-
-    def brute(S: FiniteSetOfElements, side: str) -> BruteDenResult:
-        if side == "twosided":
-            return two_sided_result(brute(S, "left"), brute(S, "right"))
-        key = (side, S.rows.tobytes())
-        if key not in verdicts:
-            verdicts[key] = brute_denominator_check(a, S, side, guard)
-        return verdicts[key]
+    oracle = Oracle(a, guard)
 
     def check(name: str, fn) -> None:
+        # fn returns (ok, detail), or None when it passed
         try:
-            out = fn()
+            ok, detail = fn() or (True, "")
         except ResourceGuardError as exc:
             # an enumeration the guard refuses ends the check there: a skip,
             # not a failure
-            results.append(CheckResult(name, True, f"skipped (guard: {exc.size} > {exc.guard})"))
-            return
+            ok, detail = True, f"skipped (guard: {exc.size} > {exc.guard})"
         except Exception as exc:  # noqa: BLE001 - every failure must be reported, not raised
-            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
-            return
-        if out is None:
-            results.append(CheckResult(name, True))
-        else:
-            ok, detail = out
-            results.append(CheckResult(name, bool(ok), detail))
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
+        results.append(CheckResult(name, bool(ok), detail))
 
     # -- structure ----------------------------------------------------------
     def _radical_crosscheck():
@@ -463,17 +501,14 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
         rad = radical(a)
         _rebuild([("radical", rad)])
         check_nilpotent(rad, "radical candidate is not nilpotent")
-        if total <= guard:
-            brute = brute_radical(a, guard)
-            if brute.space != rad.space:
-                return False, "trace-form radical disagrees with the quasi-regularity sweep"
+        if total <= guard and brute_radical(a, guard).space != rad.space:
+            return False, "trace-form radical disagrees with the quasi-regularity sweep"
         # R/J's own trace form must be nondegenerate: R/0 is R, whose radical is the claim
         quo = block_decomposition(a).quotient.algebra
         gram = np.einsum("ijk,kll->ij", quo.np_table, quo.np_table) % a.p
         if rank(gram, a.p) != quo.dim:
             return False, "semisimple quotient has a nonzero radical"
         _rebuild([("semisimple quotient R/J", quo)])
-        return True, ""
     check("radical_crosscheck", _radical_crosscheck)
 
     def _family_laws():
@@ -484,25 +519,20 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
         again = block_decomposition(Algebra._derived(a.p, a.np_table, a.one_coeffs, a.label))
         if [e.coeffs for e in again.idempotents] != [e.coeffs for e in fam.idempotents]:
             return False, "idempotent family is not deterministic"
-        return True, ""
     check("idempotent_family", _family_laws)
 
     check("left_regular_implies_unit", lambda: _left_regular_units(a, guard, rng, samples))
 
-    def _split_equivalence():
-        for _ in range(samples):
-            s = _random_element(a, rng)
-            rm = regular_matrix(a, s, "right")
-            rs = Subspace.from_vectors(a.p, a.dim, rm)
-            ker = kernel(rm, a.p)
-            if rs.dim + ker.dim != a.dim:
-                return False, f"rank-nullity broken at {s!r}"
-            trivial_meet = rs.intersect(ker).dim == 0
-            covers = rs.sum(ker).dim == a.dim
-            if trivial_meet != covers:
-                return False, f"split equivalence broken at {s!r}"
-        return True, ""
-    check("image_kernel_split", _split_equivalence)
+    def _split(s: Element) -> tuple[bool, str]:
+        rm = regular_matrix(a, s, "right")
+        rs = Subspace.from_vectors(a.p, a.dim, rm)
+        ker = kernel(rm, a.p)
+        if rs.dim + ker.dim != a.dim:
+            return False, f"rank-nullity broken at {s!r}"
+        trivial_meet = rs.intersect(ker).dim == 0
+        covers = rs.sum(ker).dim == a.dim
+        return trivial_meet == covers, f"split equivalence broken at {s!r}"
+    check("image_kernel_split", lambda: _sampled(a, rng, samples, _split))
 
     # -- classification reports ---------------------------------------------
     def _report_builds():
@@ -546,7 +576,6 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
         for key in sorted(expected.keys() | right.keys()):
             if right.get(key) != expected.get(key):
                 return False, f"the right report differs from the opposite's left report at {key!r}"
-        return True, ""
     check("duality", _duality)
 
     def _two_sided():
@@ -583,7 +612,6 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
         c1, c2, c3, c4, c5 = bundle_conditions(a, guard, rng, samples)
         if not (c1 == c2 == c3 == c4 == c5):
             return False, f"bundle split: units={c1} cover={c2} product={c3} factors={c4} radical={c5}"
-        return True, ""
     check("completely_localizable_bundle", _bundle)
 
     def _minima_quotients_are_maximal():
@@ -592,60 +620,51 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
             q = rep.entry(sub).quotient.algebra
             if localization_report(q).loc_count != 1:
                 return False, f"quotient at {sub} still localizes"
-        return True, ""
     check("minima_quotients_maximal", _minima_quotients_are_maximal)
 
     # -- oracle agreement ----------------------------------------------------
+    def classified_after_rebuild(at: str, desc: DenSetDescriptor) -> bool:
+        # the quotient of a checked descriptor is rebuilt, and every
+        # denominator set's kernel ideal must be a classified class
+        _rebuild([(f"quotient {at}", desc.quotient.algebra)])
+        return desc.ass.space in {en.ass.space for en in localization_report(a).entries}
+
     def _idempotent_oracle():
-        if total > guard:
-            return True, f"skipped (guard: {total} > {guard})"
-        rep = localization_report(a)
-        class_spaces = {en.ass.space for en in rep.entries}
         ids = brute_idempotents(a, guard)
         all_den = True
         for row in ids.rows[ids.rows.any(axis=1)]:
             e = a.element(row)
             chk = idempotent_denominator_check(a, e)
-            sset = FiniteSetOfElements.from_elements(a, [a.one, e])
-            left = brute(sset, "left")
-            if chk.left != left.is_den:
-                return False, f"left disagreement at {e!r}"
-            if chk.left and left.ass.space != chk.descriptor.ass.space:
-                return False, f"kernel ideal disagreement at {e!r}"
-            if chk.left and chk.descriptor.ass.space not in class_spaces:
+            ok, detail, _ = idempotent_agreement(oracle, e, chk)
+            if not ok:
+                return False, detail
+            if chk.left and not classified_after_rebuild(f"at {e!r}", chk.descriptor):
                 return False, f"denominator idempotent {e!r} outside the classified classes"
-            if chk.left:
-                _rebuild([(f"quotient at {e!r}", chk.descriptor.quotient.algebra)])
-            right = brute(sset, "right")
-            if chk.right != right.is_den:
-                return False, f"right disagreement at {e!r}"
-            two = brute(sset, "twosided")
-            if chk.central != two.is_den:
-                return False, f"two-sided/centrality disagreement at {e!r}"
-            if not chk.left:
-                all_den = False
-        ts = two_sided_report(a)
-        local = all(block_decomposition(q.algebra).s == 1 and
-                    block_decomposition(q.algebra).block_commutative[0]
-                    for q in ts.factor_quotients)
+            all_den = all_den and chk.left
+        # a factor is local when its R/J is a single commutative block, a field
+        local = all(block_decomposition(q.algebra).block_commutative == (True,)
+                    for q in two_sided_report(a).factor_quotients)
         if all_den != local:
             return False, "all-idempotents-qualify does not match product-of-local-factors"
         return True, f"{len(ids)} idempotents"
     check("idempotent_oracle", _idempotent_oracle)
 
+    def _powers(s: Element) -> tuple[bool, str]:
+        verdict, desc = powers_denominator_criterion(a, s)
+        ok, detail, _ = powers_agreement(oracle, s, verdict, desc)
+        if ok and verdict:
+            _rebuild([(f"quotient of the powers of {s!r}", desc.quotient.algebra)])
+        return ok, detail
+
     def _powers_oracle():
         if total <= sweep_limit:
             for start, stop in row_chunks(total):
                 for row in a.enumerate_coeffs(start, stop):
-                    ok, detail = _powers_agreement(a, a.element(row), guard, brute)
+                    ok, detail = _powers(a.element(row))
                     if not ok:
                         return False, detail
             return True, f"exhaustive over {total}"
-        for _ in range(samples):
-            ok, detail = _powers_agreement(a, _random_element(a, rng), guard, brute)
-            if not ok:
-                return False, detail
-        return True, f"sampled {samples}"
+        return _sampled(a, rng, samples, _powers) or (True, f"sampled {samples}")
     check("powers_oracle", _powers_oracle)
 
     def _maximal_den_oracle():
@@ -654,7 +673,7 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
         rep = localization_report(a)
         for desc in rep.max_den:
             sset = FiniteSetOfElements(a, desc.members_within(guard))
-            res = brute(sset, "left")
+            res = oracle.check(sset, "left")
             if not res.is_den:
                 return False, f"T_e at {desc.witness_idempotent!r} failed the brute check"
             if res.ass.space != desc.ass.space:
@@ -668,17 +687,8 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
         if total > guard:
             return True, f"skipped (guard: {total} > {guard})"
         ts = two_sided_report(a)
-        for _ in range(samples):
-            r = _random_element(a, rng)
-            verdict = ts.powers_criterion(r)
-            closure = monoid_closure(a, [r], guard)
-            if closure.contains_zero:
-                oracle_verdict = False
-            else:
-                oracle_verdict = brute(closure, "twosided").is_den
-            if verdict != oracle_verdict:
-                return False, f"two-sided powers disagreement at {r!r}"
-        return True, f"sampled {samples}"
+        return _sampled(a, rng, samples, lambda r: two_sided_powers_agreement(
+            oracle, r, ts.powers_criterion(r))) or (True, f"sampled {samples}")
     check("two_sided_powers_oracle", _two_sided_powers_oracle)
 
     def _monoid_oracle():
@@ -687,7 +697,7 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
         closure_cap = min(guard, max(sweep_limit // 2, 256))
         tested = skipped = 0
         while tested < samples and skipped < 10 * samples:
-            gens = [_random_element(a, rng) for _ in range(rng.choice([1, 2]))]
+            gens = [a.element(row) for row in _random_rows(a, rng, rng.choice([1, 2]))]
             try:
                 closure = monoid_closure(a, gens, closure_cap)
             except ResourceGuardError:
@@ -695,22 +705,11 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
                 continue
             tested += 1
             verdict, desc = monoid_denominator_decision(a, gens, guard)
-            if closure.contains_zero:
-                oracle_verdict = False
-                res = None
-            else:
-                res = brute(closure, "left")
-                oracle_verdict = res.is_den
-            if verdict != oracle_verdict:
-                return False, f"monoid disagreement at {[g.coeffs for g in gens]}"
-            if verdict and res.ass.space != desc.ass.space:
-                return False, "monoid kernel ideal disagreement"
-            if verdict:
-                _rebuild([(f"quotient at {[g.coeffs for g in gens]}", desc.quotient.algebra)])
-                # every denominator set's kernel ideal is a classified class
-                rep = localization_report(a)
-                if desc.ass.space not in {en.ass.space for en in rep.entries}:
-                    return False, "denominator monoid outside the classified classes"
+            ok, detail, _ = monoid_agreement(oracle, gens, closure, verdict, desc)
+            if not ok:
+                return False, detail
+            if verdict and not classified_after_rebuild(f"at {[g.coeffs for g in gens]}", desc):
+                return False, "denominator monoid outside the classified classes"
         return True, f"tested {tested}, closure-capped {skipped}"
     check("monoid_oracle", _monoid_oracle)
 
@@ -724,7 +723,6 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
             support, in_rad = ideal_block_support(fam, en.ass)
             if in_rad or support != full - frozenset(en.subset):
                 return False, f"support of the {en.subset} class is not the complement"
-        return True, ""
     check("kernel_ideal_block_support", _block_support_complements)
 
     return results

@@ -18,6 +18,7 @@ from artinloc.algebra import (
     truncated_poly,
     upper_triangular,
 )
+from artinloc.linalg import DEFAULT_GUARD
 from artinloc.localization import (
     duality_report,
     idempotent_denominator_check,
@@ -34,7 +35,7 @@ from artinloc.oracle import (
     monoid_closure,
 )
 from artinloc.structure import block_decomposition, radical
-from artinloc.suite import bundle_conditions, powers_agreement
+from artinloc.suite import Oracle, bundle_conditions, powers_agreement
 from conftest import ideal_generated
 
 
@@ -160,8 +161,9 @@ def test_criterion_4_oracle_equivalence_sweep():
     with _timed(4, "exhaustive powers and idempotent oracle sweep", budget=60.0):
         for name in ("L2_5", "U2_5", "T5", "F5F5"):
             a = ALL_FIXTURES[name]
+            oracle = Oracle(a, DEFAULT_GUARD)
             for s in map(a.element, a.enumerate_coeffs()):
-                ok, detail = powers_agreement(a, s)
+                ok, detail, _ = powers_agreement(oracle, s, *powers_denominator_criterion(a, s))
                 assert ok, f"{name}: {detail}"
             for e in map(a.element, brute_idempotents(a).rows[1:]):
                 chk = idempotent_denominator_check(a, e)

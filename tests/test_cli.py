@@ -9,8 +9,8 @@ import tempfile
 
 import pytest
 
-from artinloc import cli
-from artinloc.algebra import Ideal
+from artinloc import cli, localization, suite
+from artinloc.algebra import Ideal, lower_triangular
 from artinloc.cli import main, parse_input
 from artinloc.linalg import InputError, Subspace
 
@@ -184,6 +184,72 @@ class TestCheckIdempotent:
     def test_non_idempotent_is_input_error(self, docfile, capsys):
         code = main(["check-idempotent", "--input", docfile(L2_DOC), "--element", "[2,0,0]"])
         assert code == 2
+
+
+def flip_verdict(real):
+    """A decision procedure whose verdict is the opposite of ``real``'s."""
+    def flipped(*args):
+        verdict, desc = real(*args)
+        return not verdict, desc
+    return flipped
+
+
+class FlippedPowersReport(localization.TwoSidedReport):
+    def powers_criterion(self, r):
+        return not super().powers_criterion(r)
+
+
+def flip_two_sided_powers(real):
+    def flipped(a):
+        ts = real(a)
+        return FlippedPowersReport(ts.algebra, ts.max_den, ts.loc_radical)
+    return flipped
+
+
+def flip_right(real):
+    def flipped(a, e):
+        chk = real(a, e)
+        return dataclasses.replace(chk, right=not chk.right)
+    return flipped
+
+
+# Per --oracle command: the theory function it reads, a fault planted in
+# that function, the command's element, and the verify check that runs the
+# same comparison
+ORACLE_FAULTS = {
+    "check-powers": ("powers_denominator_criterion", flip_verdict, "[[2,0],[1,0]]", "powers_oracle"),
+    "check-monoid": ("monoid_denominator_decision", flip_verdict, "[[2,0],[1,0]]", "monoid_oracle"),
+    "check-idempotent": ("idempotent_denominator_check", flip_right, "[[1,0],[0,0]]", "idempotent_oracle"),
+    "twosided": ("two_sided_report", flip_two_sided_powers, "[[2,0],[1,0]]", "two_sided_powers_oracle"),
+}
+
+
+@pytest.mark.parametrize("command", ORACLE_FAULTS)
+def test_oracle_disagreement_exits_3_and_fails_verify(command, docfile, capsys, monkeypatch):
+    # the same comparison serves the command's --oracle flag and verify: a
+    # fault in the theory's answer shows in both
+    name, fault, element, check = ORACLE_FAULTS[command]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, name, fault(getattr(cli, name)))
+        code = main([command, "--input", docfile(L2_DOC), "--element", element, "--oracle"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 3 and out["oracle"]["agrees"] is False
+    assert main([command, "--input", docfile(L2_DOC), "--element", element, "--oracle"]) != 3
+    capsys.readouterr()
+    monkeypatch.setattr(suite, name, fault(getattr(suite, name)))
+    failed = [r.name for r in suite.run_invariants(lower_triangular(7, 2), samples=4) if not r.ok]
+    assert failed == [check]
+
+
+def test_check_powers_oracle_runs_the_criterion_once(docfile, capsys, monkeypatch):
+    calls = []
+    real = localization.powers_denominator_criterion
+    for module in (cli, suite, localization):
+        monkeypatch.setattr(module, "powers_denominator_criterion",
+                            lambda a, s: calls.append(s) or real(a, s))
+    assert main(["check-powers", "--input", docfile(L2_DOC), "--element", "[[2,0],[1,0]]", "--oracle"]) == 0
+    assert json.loads(capsys.readouterr().out)["oracle"] == {"agrees": True, "detail": ""}
+    assert len(calls) == 1
 
 
 class TestClassifyAndTwosided:

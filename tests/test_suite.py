@@ -93,6 +93,33 @@ def test_bulk_draws_are_the_one_at_a_time_stream(p, n):
 GF5_2 = lambda: direct_product([full_matrix(5, 1)] * 2)[0]  # noqa: E731
 
 
+def test_a_sampled_sweep_stopped_early_leaves_the_one_at_a_time_stream(monkeypatch):
+    # image_kernel_split draws its 64 samples of GF(5)^2 in one call, the
+    # first draw of the run; with the kernel made wrong at the unit drawn
+    # k-th it stops there, and the next sweep, the two-sided powers one,
+    # draws from where k single draws leave the generator
+    a = GF5_2()
+    loop = random.Random(0)
+    drawn = [tuple(row) for row in one_at_a_time_rows(a, loop, 64).tolist()]
+    k = next(k for k in range(5, 64) if all(drawn[k]) and drawn[k] not in drawn[:k])
+    loop = random.Random(0)
+    one_at_a_time_rows(a, loop, k + 1)
+    target = a.element(drawn[k])
+    wrong = regular_matrix(a, target, "right")
+    monkeypatch.setattr(suite, "kernel", lambda m, p: Subspace.full(p, a.dim) if np.array_equal(m, wrong)
+                        else kernel(m, p))
+    states = []
+    draw = suite._random_rows
+    monkeypatch.setattr(suite, "_random_rows",
+                        lambda alg, rng, n: states.append(rng.getstate()) or draw(alg, rng, n))
+    checks = {r.name: r for r in run_invariants(a)}
+    assert checks["image_kernel_split"] == suite.CheckResult("image_kernel_split", False,
+                                                             f"rank-nullity broken at {target!r}")
+    # the sweep's draw, the rewind, then the two-sided powers sweep's draw
+    assert states[2] == loop.getstate()
+    assert [name for name, r in checks.items() if not r.ok] == ["image_kernel_split"]
+
+
 @pytest.mark.parametrize("build", [lambda: lower_triangular(11, 3), GF5_2], ids=["L3_11", "GF5^2"])
 def test_battery_results_do_not_depend_on_how_the_stream_is_drawn(build, monkeypatch):
     # L3(GF(11)) lies above the guard, so every sweep samples; GF(5)^2
@@ -102,10 +129,16 @@ def test_battery_results_do_not_depend_on_how_the_stream_is_drawn(build, monkeyp
     assert run_invariants(build()) == bulk
 
 
-def test_battery_checks_each_set_and_side_once(monkeypatch):
+@pytest.mark.parametrize("build, expected, sides", [
+    (GF5_2, 31, {"left"}),
+    (lambda: lower_triangular(7, 2), 270, {"left", "right"}),
+], ids=["GF5^2", "L2_7"])
+def test_battery_checks_each_set_and_side_once(build, expected, sides, monkeypatch):
     # the 64 samples of each sweep of GF(5)^2 fall into a ring of 25
     # elements, so most sets recur; each (side, set) goes through the
-    # definitional check once, the two-sided verdict composed
+    # definitional check once, the two-sided verdict composed.  GF(5)^2 is
+    # commutative, so every right check is the left one and none is made;
+    # L2(GF(7)) makes one left check per distinct set and side
     checks, left_checks = [], []
     brute, left_check = suite.brute_denominator_check, oracle._left_check
 
@@ -119,11 +152,11 @@ def test_battery_checks_each_set_and_side_once(monkeypatch):
 
     monkeypatch.setattr(suite, "brute_denominator_check", recording_brute)
     monkeypatch.setattr(oracle, "_left_check", recording_left_check)
-    results = run_invariants(GF5_2())
+    results = run_invariants(build())
     assert all(r.ok for r in results), [(r.name, r.detail) for r in results if not r.ok]
-    assert {side for side, _ in checks} == {"left", "right"}
+    assert {side for side, _ in checks} == sides
     assert len(set(checks)) == len(checks)
-    assert len(left_checks) == len(checks) <= 50
+    assert len(left_checks) == len(checks) == expected
 
 
 def test_check_idempotent_oracle_runs_one_check_per_side(monkeypatch, tmp_path, capsys):
