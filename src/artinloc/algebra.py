@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -53,12 +53,15 @@ from .linalg import (
     InputError,
     InternalCheckError,
     ModulusMismatch,
+    ResourceGuardError,
     Subspace,
     all_vectors,
     batch_member_mask,
     batch_rank,
     batch_solve,
+    check_guard,
     check_prime,
+    row_chunks,
     vectors_to_indices,
 )
 
@@ -187,6 +190,17 @@ class Algebra:
         """
         return all_vectors(self.p, self.dim, start, stop)
 
+    def element_chunks(self, guard: int) -> Iterator[np.ndarray]:
+        """Every element's coefficient row, in canonical order, one
+        :func:`row_chunks` piece at a time: the guarded sweep of the ring.
+        A guard below 1, and then a ring of more than ``guard`` elements, is
+        refused at the call, before any chunk is built."""
+        check_guard(guard)
+        total = self.p ** self.dim
+        if total > guard:
+            raise ResourceGuardError(f"{total} elements exceed the guard {guard}", total, guard)
+        return (self.enumerate_coeffs(start, stop) for start, stop in row_chunks(total))
+
     def coeffs_to_indices(self, arr: np.ndarray) -> np.ndarray:
         return vectors_to_indices(arr % self.p, self.p)
 
@@ -221,6 +235,11 @@ class Algebra:
 
     def batch_unit_mask(self, xs: np.ndarray) -> np.ndarray:
         return batch_rank(self.batch_left_matrices(xs), self.p) == self.dim
+
+    def batch_central_mask(self, xs: np.ndarray) -> np.ndarray:
+        """Whether x*y = y*x for every y, for each row x of ``xs``: the left
+        and right multiplications by x agree."""
+        return (self.batch_left_matrices(xs) == self.batch_right_matrices(xs)).all(axis=(1, 2))
 
     def batch_pow(self, xs: np.ndarray, n: int) -> np.ndarray:
         """x**n for every row x of ``xs``, by square-and-multiply on
@@ -670,14 +689,10 @@ class Quotient:
     ideal: Ideal
     keep: tuple[int, ...]
 
-    def project_coeffs(self, coeffs: Sequence[int]) -> tuple[int, ...]:
-        red = self.ideal.space.reduce(coeffs)
-        return tuple(red[j] for j in self.keep)
-
     def project(self, x: Element) -> Element:
         if x.algebra is not self.parent:
             raise InputError("element does not belong to the quotient's parent")
-        return self.algebra.element(self.project_coeffs(x.coeffs))
+        return self.algebra.element(self.batch_project(x._row())[0])
 
     def section(self, q: Element) -> Element:
         if q.algebra is not self.algebra:
@@ -687,8 +702,14 @@ class Quotient:
             v[j] = q.coeffs[idx]
         return self.parent.element(v)
 
+    @cached_property
+    def _projection(self) -> np.ndarray:
+        """The matrix of the projection on coefficient rows: the residues of
+        the basis of R, as residues modulo the ideal are linear."""
+        return self.ideal.space.residues(np.eye(self.parent.dim, dtype=np.int64))
+
     def batch_project(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.ideal.space.residues(coeffs)
+        return coeffs @ self._projection % self.parent.p
 
 
 def quotient_algebra(a: Algebra, ideal: Ideal) -> Quotient:

@@ -44,6 +44,14 @@ belong to the ``verify`` battery, :mod:`artinloc.suite`, and so do the
 re-proofs of what the builders here hold by theorem: that the right kernel
 ideals R(1 - e_I) are two-sided, and that the two-sided report's
 idempotents are central, orthogonal and sum to 1.
+
+Each test on an idempotent e has one form, on a batch of coefficient rows,
+and a lone element is a batch of one: the corner maps y -> e*y*f
+(:func:`_corners`; e is left triangular iff the map at (e, 1 - e) is 0),
+the kernel ideals (1 - e)R (:func:`_kernel_spaces`), centrality
+(:meth:`Algebra.batch_central_mask`) and the units modulo a kernel ideal
+(:meth:`DenSetDescriptor.unit_mask`).  The decision procedures refuse an
+element of another algebra, even one of the same dimension.
 """
 
 from __future__ import annotations
@@ -61,7 +69,6 @@ from .algebra import (
     Element,
     Ideal,
     Quotient,
-    regular_matrix,
 )
 from .linalg import (
     DEFAULT_GUARD,
@@ -72,9 +79,6 @@ from .linalg import (
     batch_rank,
     batch_row_spaces,
     batch_solve,
-    check_guard,
-    rank,
-    row_chunks,
 )
 from .oracle import monoid_closure
 from .structure import IdempotentFamily, block_decomposition, primitive_idempotents
@@ -88,29 +92,19 @@ def subset_str(subset: Subset) -> str:
     return "{" + ",".join(str(i) for i in subset) + "}"
 
 
-def _right_ideal_of(a: Algebra, x: Element) -> Subspace:
-    """Row space of the left-multiplication matrix: the right ideal x*R."""
-    return Subspace.from_vectors(a.p, a.dim, regular_matrix(a, x, "left"))
+def _member_rows(a: Algebra, xs: Sequence[Element]) -> np.ndarray:
+    """The coefficient rows of ``xs``, refusing an element of another
+    algebra, even one of the same dimension."""
+    if any(x.algebra is not a for x in xs):
+        raise InputError("element does not belong to the algebra")
+    return np.array([x.coeffs for x in xs], dtype=np.int64).reshape(len(xs), a.dim)
 
 
-def _corner(a: Algebra, e: Element, f: Element) -> np.ndarray:
-    """Matrix of y -> e*y*f on coefficient rows, L_e @ R_f; its row space is e R f."""
-    return regular_matrix(a, e, "left") @ regular_matrix(a, f, "right") % a.p
-
-
-def _corner_is_zero(a: Algebra, e: Element, f: Element) -> bool:
-    """e R f = 0."""
-    return not _corner(a, e, f).any()
-
-
-def _is_left_triangular(a: Algebra, e: Element) -> bool:
-    """e * R * (1 - e) = 0."""
-    return _corner_is_zero(a, e, a.one - e)
-
-
-def _is_central(a: Algebra, e: Element) -> bool:
-    """e*y = y*e for every y: the left and right multiplications by e agree."""
-    return np.array_equal(regular_matrix(a, e, "left"), regular_matrix(a, e, "right"))
+def _corners(a: Algebra, es: np.ndarray, fs: np.ndarray) -> np.ndarray:
+    """The maps y -> e*y*f on coefficient rows, L_e @ R_f, one per row pair
+    (e, f) of ``es`` and ``fs``; the row space of each is e R f, so e R f = 0
+    iff its map is zero.  e is left triangular when e R (1 - e) = 0."""
+    return a.batch_left_matrices(es) @ a.batch_right_matrices(fs) % a.p
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +209,10 @@ class DenSetDescriptor:
         return {"kind": self.kind, "idempotent": list(self.witness_idempotent.coeffs),
                 "ass_dim": self.ass.dim, "quotient_dim": self.ass.algebra.dim - self.ass.dim}
 
-    def image_is_unit(self, r: Element) -> bool:
-        q = self.quotient
-        return rank(regular_matrix(q.algebra, q.project(r), "left"), q.algebra.p) == q.algebra.dim
+    def unit_mask(self, xs: np.ndarray) -> np.ndarray:
+        """Whether x is a unit modulo the kernel ideal, for each row x of ``xs``."""
+        quo = self.quotient
+        return quo.algebra.batch_unit_mask(quo.batch_project(xs))
 
     def core_mask(self, xs: np.ndarray) -> np.ndarray:
         """Whether (1 - e) x (1 - e) = 0, for each row x of ``xs``."""
@@ -228,17 +223,8 @@ class DenSetDescriptor:
     def members_within(self, guard: int = DEFAULT_GUARD) -> np.ndarray:
         """The unit-preimage set as its coefficient rows, in canonical order
         (guarded enumeration, swept CHUNK_ROWS elements at a time)."""
-        check_guard(guard)
-        a = self.witness_idempotent.algebra
-        total = a.p ** a.dim
-        if total > guard:
-            raise ResourceGuardError(f"{total} elements exceed the guard {guard}", total, guard)
-        quo = self.quotient
-        members = []
-        for start, stop in row_chunks(total):
-            coeffs = a.enumerate_coeffs(start, stop)
-            members.append(coeffs[quo.algebra.batch_unit_mask(quo.batch_project(coeffs))])
-        return np.concatenate(members)
+        chunks = self.witness_idempotent.algebra.element_chunks(guard)
+        return np.concatenate([coeffs[self.unit_mask(coeffs)] for coeffs in chunks])
 
 
 @dataclass(frozen=True)
@@ -484,8 +470,9 @@ def associated_idempotent(a: Algebra, s: Element) -> AssociatedIdempotent:
     :func:`_associated_idempotents` on one row; n is the first power whose
     right multiplication has the rank of the stabilized one.
     """
-    nilpotent, es = _associated_idempotents(a, np.array([s.coeffs], dtype=np.int64))
-    rm = a.batch_right_matrices(np.array([s.coeffs], dtype=np.int64))[0]
+    row = _member_rows(a, [s])
+    nilpotent, es = _associated_idempotents(a, row)
+    rm = a.batch_right_matrices(row)[0]
     powers = [np.eye(a.dim, dtype=np.int64)]
     for _ in range(a.dim):
         powers.append(powers[-1] @ rm % a.p)
@@ -518,8 +505,9 @@ def _powers_rows(a: Algebra, xs: np.ndarray) -> _PowersRows:
 
     Apart from nilpotency of (1 - e) s (1 - e) and the core exponent, the
     criterion depends on s only through its associated idempotent e, so
-    the triangularity test and the kernel ideal are built once per
-    distinct e, and only for an e that some row qualifies with.  When a
+    the triangularity test runs once over the distinct e, in one batch, and
+    the kernel ideals of the e that some row qualifies with come from one
+    elimination.  When a
     warm :func:`localization_report` holds a class with that kernel ideal,
     its :class:`Ideal`, with any quotient already built from it, is taken
     instead.
@@ -530,9 +518,10 @@ def _powers_rows(a: Algebra, xs: np.ndarray) -> _PowersRows:
     index: dict[tuple[int, ...], int] = {}
     group = np.array([index.setdefault(e, len(index)) for e in map(tuple, es.tolist())],
                      dtype=np.int64)
-    triangular = np.array([any(e) and _is_left_triangular(a, a.element(e)) for e in index])
-    cand = ~nilpotent & triangular[group]
     one = np.array(a.one_coeffs, dtype=np.int64)
+    reps = np.array(list(index), dtype=np.int64).reshape(len(index), d)
+    triangular = reps.any(axis=1) & ~_corners(a, reps, (one - reps) % p).any(axis=(1, 2))
+    cand = ~nilpotent & triangular[group]
     om = (one - es[cand]) % p
     ok = np.zeros(n, dtype=bool)
     ok[cand] = a.batch_nilpotent_mask(a.batch_mul(a.batch_mul(om, xs[cand]), om))
@@ -550,15 +539,13 @@ def _powers_rows(a: Algebra, xs: np.ndarray) -> _PowersRows:
         rows, om, power = rows[~hit], om[~hit], a.batch_mul(power[~hit], xs[rows[~hit]])
     if len(rows):
         raise InternalCheckError("no core exponent found below the dimension bound")
-    reps = list(index)
     # a warm left report already holds the ideal of each class
     report = a._cache.get("report_left")
     known = {en.ass.space: en.ass for en in report.entries} if report else {}
-    classes = {}
-    for g in dict.fromkeys(group[ok].tolist()):
-        e = a.element(reps[g])
-        space = _right_ideal_of(a, a.one - e)
-        classes[g] = (e, known.get(space) or _kernel_class(a, space))
+    qualified = list(dict.fromkeys(group[ok].tolist()))
+    spaces = _kernel_spaces(a, reps[qualified], "left") if qualified else []
+    classes = {g: (a.element(reps[g]), known.get(space) or _kernel_class(a, space))
+               for g, space in zip(qualified, spaces)}
     return _PowersRows(ok, group, min_exp, classes)
 
 
@@ -573,7 +560,7 @@ def powers_denominator_criterion(a: Algebra, s: Element) -> tuple[bool, DenSetDe
     (1 - e) s^i (1 - e) = 0 (every i once one qualifies); for a unit the
     kernel ideal is zero and every power, including s^0, is in the core.
     """
-    rows = _powers_rows(a, np.array([s.coeffs], dtype=np.int64))
+    rows = _powers_rows(a, _member_rows(a, [s]))
     if not rows.ok[0]:
         return False, None
     e, ass = rows.classes[int(rows.group[0])]
@@ -595,17 +582,19 @@ def idempotent_denominator_check(a: Algebra, e: Element) -> IdempotentCheck:
     Left holds iff e R (1 - e) = 0; right iff (1 - e) R e = 0; two-sided
     iff both iff e is central (asserted).
     """
+    row = _member_rows(a, [e])
     if e.is_zero():
         raise InputError("the idempotent 0 is excluded (its set would contain 0)")
     if (e * e) != e:
         raise InputError("element is not idempotent")
-    om = a.one - e
-    left = _corner_is_zero(a, e, om)
-    right = _corner_is_zero(a, om, e)
-    central = _is_central(a, e)
+    # the corners e R (1 - e) and (1 - e) R e, in one call
+    pair = np.concatenate([row, (np.array([a.one_coeffs]) - row) % a.p])
+    left, right = (~_corners(a, pair, pair[::-1]).any(axis=(1, 2))).tolist()
+    central = bool(a.batch_central_mask(row)[0])
     if (left and right) != central:
         raise InternalCheckError("two-sided triangularity must coincide with centrality")
-    descriptor = DenSetDescriptor("idempotent", e, _kernel_class(a, _right_ideal_of(a, om))) if left else None
+    descriptor = (DenSetDescriptor("idempotent", e, _kernel_class(a, _kernel_spaces(a, row, "left")[0]))
+                  if left else None)
     return IdempotentCheck(left, right, left and right, central, descriptor)
 
 
@@ -630,14 +619,14 @@ def monoid_denominator_decision(a: Algebra, gens: Sequence[Element],
     gives the same witnesses, the same first core witness and so the same
     descriptor as running the powers criterion member by member.
     """
+    gen_rows = _member_rows(a, gens)
     closure = monoid_closure(a, gens, guard)
     if closure.contains_zero:
         return False, None
     xs = closure.rows
     rows = _powers_rows(a, xs)
     descriptors = {g: DenSetDescriptor("monoid", e, ass) for g, (e, ass) in rows.classes.items()}
-    witness_groups = [g for g, desc in descriptors.items()
-                      if all(desc.image_is_unit(x) for x in gens)]
+    witness_groups = [g for g, desc in descriptors.items() if desc.unit_mask(gen_rows).all()]
     if not witness_groups:
         return False, None
     witnesses = np.flatnonzero(rows.ok & np.isin(rows.group, witness_groups))
@@ -658,11 +647,12 @@ def classify_element(a: Algebra, r: Element, report: LocalizationReport) -> dict
     """Localizability of one element against the maximal classes."""
     if report.algebra is not a:
         raise InputError("report does not match the algebra")
+    row = _member_rows(a, [r])
     # the maximal descriptors are the classes at the minima, in their order
-    witnesses = [sub for sub, desc in zip(report.minima, report.max_den) if desc.image_is_unit(r)]
+    witnesses = [sub for sub, desc in zip(report.minima, report.max_den) if desc.unit_mask(row)[0]]
     left_localizable = bool(witnesses)
     completely = len(witnesses) == len(report.minima)
-    if rank(regular_matrix(a, r, "left"), a.p) == a.dim and not completely:
+    if a.batch_unit_mask(row)[0] and not completely:
         raise InternalCheckError("a unit must be completely localizable")
     return {"left_localizable": left_localizable, "completely": completely,
             "witnesses": tuple(witnesses)}
@@ -773,16 +763,11 @@ class TwoSidedReport:
     def powers_criterion(self, r: Element) -> bool:
         """Powers of r form a two-sided denominator set iff r is not
         nilpotent and each factor component is a unit or nilpotent."""
-        if self.algebra.batch_nilpotent_mask(np.array([r.coeffs], dtype=np.int64))[0]:
+        row = _member_rows(self.algebra, [r])
+        if self.algebra.batch_nilpotent_mask(row)[0]:
             return False
-        for desc in self.max_den:
-            if desc.image_is_unit(r):
-                continue
-            quo = desc.quotient
-            if quo.algebra.batch_nilpotent_mask(np.array([quo.project(r).coeffs], dtype=np.int64))[0]:
-                continue
-            return False
-        return True
+        return all(desc.unit_mask(row)[0] or desc.quotient.algebra.batch_nilpotent_mask(
+            desc.quotient.batch_project(row))[0] for desc in self.max_den)
 
     def to_dict(self) -> dict:
         return {

@@ -51,7 +51,8 @@ Every sweep over p**k vectors runs ``CHUNK_ROWS`` rows at a time in the
 enumeration order, so its memory is set by the chunk size rather than by
 p**k, and a search for a first counterexample stops at the chunk that
 holds it.  Enumerations of the whole ring respect a guard on p**dim
-(default 2**20).
+(default 2**20): they take the ring from :meth:`Algebra.element_chunks`,
+which refuses a guard below 1 and then a ring larger than the guard.
 """
 
 from __future__ import annotations
@@ -109,13 +110,6 @@ class FiniteSetOfElements:
     def contains_zero(self) -> bool:
         # the zero row sorts first
         return len(self.rows) > 0 and not self.rows[0].any()
-
-    @property
-    def central(self) -> bool:
-        """Whether every member is central: its left and right
-        multiplication matrices agree."""
-        a = self.algebra
-        return np.array_equal(a.batch_left_matrices(self.rows), a.batch_right_matrices(self.rows))
 
     @staticmethod
     def from_elements(a: Algebra, elements: Iterable[Element]) -> "FiniteSetOfElements":
@@ -325,7 +319,7 @@ def _left_check(a: Algebra, rows: np.ndarray, left_mats: np.ndarray,
     zero = Subspace.zero(p, d)
     kernels = [solved.get(i, zero) for i in left_first.tolist()]
     distinct = list(dict.fromkeys(kernels))
-    span = Subspace.from_vectors(p, d, [row for ker in distinct for row in ker.basis])
+    span = Subspace.from_vectors(p, d, np.concatenate([ker.array for ker in distinct]))
     if span in distinct:
         ass_space = span
     elif len(distinct) <= p:
@@ -372,13 +366,8 @@ def brute_radical(a: Algebra, guard: int = DEFAULT_GUARD) -> Ideal:
     row spaces of the survivors, one batched elimination per chunk.  The
     result is checked to be a nilpotent two-sided ideal.
     """
-    check_guard(guard)
     p, d = a.p, a.dim
-    total = p ** d
-    if total > guard:
-        raise ResourceGuardError(f"{total} elements exceed the guard {guard}", total, guard)
-    unit_mask = np.concatenate([a.batch_unit_mask(a.enumerate_coeffs(start, stop))
-                                for start, stop in row_chunks(total)])
+    unit_mask = np.concatenate([a.batch_unit_mask(chunk) for chunk in a.element_chunks(guard)])
     one = np.array(a.one_coeffs, dtype=np.int64)
 
     def quasi_regular(xs: np.ndarray) -> np.ndarray:
@@ -387,9 +376,8 @@ def brute_radical(a: Algebra, guard: int = DEFAULT_GUARD) -> Ideal:
 
     probes = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)] + [a.one_coeffs]
     survivors = []
-    for start, stop in row_chunks(total):
-        # candidates that fail a probe are dropped before the next one
-        cand = a.enumerate_coeffs(start, stop)
+    # candidates that fail a probe are dropped before the next one
+    for cand in a.element_chunks(guard):
         for r in probes:
             prods = a.batch_mul_left(r, cand)
             for c in range(1, p):
@@ -419,12 +407,5 @@ def brute_radical(a: Algebra, guard: int = DEFAULT_GUARD) -> Ideal:
 
 def brute_idempotents(a: Algebra, guard: int = DEFAULT_GUARD) -> FiniteSetOfElements:
     """All solutions of e*e = e by full enumeration."""
-    check_guard(guard)
-    total = a.p ** a.dim
-    if total > guard:
-        raise ResourceGuardError(f"{total} elements exceed the guard {guard}", total, guard)
-    found = []
-    for start, stop in row_chunks(total):
-        coeffs = a.enumerate_coeffs(start, stop)
-        found.append(coeffs[(a.batch_mul(coeffs, coeffs) == coeffs).all(axis=1)])
-    return FiniteSetOfElements(a, np.concatenate(found))
+    return FiniteSetOfElements(a, np.concatenate([
+        coeffs[(a.batch_mul(coeffs, coeffs) == coeffs).all(axis=1)] for coeffs in a.element_chunks(guard)]))

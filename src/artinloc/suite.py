@@ -27,7 +27,9 @@ early.
 
 Sweep work is bounded: ``guard`` caps any single enumeration (default
 2**20), while full per-element sweeps run only when the ring has at most
-``sweep_limit`` elements and fall back to seeded sampling above that.  A
+``sweep_limit`` elements and fall back to seeded sampling above that.  The
+scan of the 2**s - 1 block sums runs ``SCAN_RUN`` of them per batched
+corner test, so its memory does not grow with 2**s.  A
 check whose enumeration the guard refuses ends at that point and is
 reported as skipped (``ok`` with the refused size and the guard), never as
 a failure.
@@ -49,14 +51,11 @@ from .localization import (
     DenSetDescriptor,
     IdempotentCheck,
     LocalizationReport,
-    _corner,
-    _is_central,
-    _is_left_triangular,
+    _corners,
     _kernel_spaces,
     _membership,
     _ordered_pairs,
     _pair_runs,
-    _right_ideal_of,
     _subset_masks,
     classify_element,
     duality_report,
@@ -79,6 +78,9 @@ from .oracle import (
 from .structure import block_decomposition, check_orthogonal_idempotents, ideal_block_support, radical
 
 DEFAULT_SWEEP_LIMIT = 2048
+# block sums per run of the triangular subset scan, which bounds its
+# temporaries at a few SCAN_RUN * dim**2 entries whatever 2**s is
+SCAN_RUN = 1 << 8
 
 
 @dataclass
@@ -248,8 +250,7 @@ def _left_lattice(rep: LocalizationReport) -> None:
     the sum e of the minima, and as the meet and the product of their
     kernel ideals; the little radical as the meet and the product of the
     nonzero kernel ideals, and as the meet of the minimal ones; each kernel
-    ideal as (1 - e_I)R, from the batch of all the block sums and from its
-    one matrix alone.
+    ideal as (1 - e_I)R, at the block sum and at the report's e_I.
     """
     a = rep.algebra
     p, d = a.p, a.dim
@@ -290,8 +291,10 @@ def _left_lattice(rep: LocalizationReport) -> None:
                                      if masks[i] & masks[np.argmax(wrong)] else
                                      "disjoint block-sum idempotents are not orthogonal")
     minimal_classes = [rep.entry(sub) for sub in rep.minima]
-    e_sum = sum((en.idempotent for en in minimal_classes), a.zero)
-    forms = [_right_ideal_of(a, a.one - e_sum)] + [
+    e_sum = np.array([en.idempotent.coeffs for en in minimal_classes], dtype=np.int64).sum(axis=0) % p
+    # (1 - e)R at the report's idempotents and at the sum of the minima
+    *own, at_sum = _kernel_spaces(a, np.concatenate([idems, e_sum[None]]), "left")
+    forms = [at_sum] + [
         _combine_all([en.ass for en in minimal_classes], op).space for op in ("intersection", "product")]
     if any(form != rep.l_rad.space for form in forms):
         raise InternalCheckError("the three computations of the localization radical disagree")
@@ -304,8 +307,8 @@ def _left_lattice(rep: LocalizationReport) -> None:
             raise InternalCheckError("little radical: intersection over minimal ideals disagrees")
         if _combine_all(nonzero_ideals, "product").space != rep.little_rad.space:
             raise InternalCheckError("little radical: product form disagrees")
-    for en, space in zip(rep.entries, kernels):
-        if not _right_ideal_of(a, a.one - en.idempotent) == en.ass.space == space:
+    for en, from_own, space in zip(rep.entries, own, kernels):
+        if not from_own == en.ass.space == space:
             raise InternalCheckError(f"kernel ideal of the class {subset_str(en.subset)} is not (1 - e)R")
 
 
@@ -323,7 +326,7 @@ class Oracle:
     def check(self, S: FiniteSetOfElements, side: str) -> BruteDenResult:
         key = S.rows.tobytes()
         if (side, key) not in self.verdicts:
-            if side == "right" and S.central:
+            if side == "right" and self.algebra.batch_central_mask(S.rows).all():
                 found = self.check(S, "left")
             elif side == "twosided" and ("left", key) in self.verdicts:
                 found = two_sided_result(self.check(S, "left"), self.check(S, "right"))
@@ -411,22 +414,15 @@ def bundle_conditions(a: Algebra, guard: int = DEFAULT_GUARD,
     rep = localization_report(a)
     c5 = rep.l_rad.dim == 0
     c2 = set().union(*rep.minima) == set(range(1, rep.family.s + 1))
-    minima = [rep.entry(sub).idempotent for sub in rep.minima]
-    e_sum = sum(minima, a.zero)
-    c3 = e_sum == a.one and sum(rank(_corner(a, e, e), a.p) for e in minima) == a.dim
+    minima = np.array([rep.entry(sub).idempotent.coeffs for sub in rep.minima], dtype=np.int64)
+    e_sum = a.element(minima.sum(axis=0))
+    c3 = e_sum == a.one and batch_rank(_corners(a, minima, minima), a.p).sum() == a.dim
     ts = two_sided_report(a)
     c4 = all(localization_report(quo.algebra).loc_count == 1 for quo in ts.factor_quotients)
     if total <= guard:
-        quotients = [rep.entry(sub).quotient for sub in rep.minima]
-        c1 = True
-        for start, stop in row_chunks(total):
-            coeffs = a.enumerate_coeffs(start, stop)
-            complete = np.ones(len(coeffs), dtype=bool)
-            for quo in quotients:
-                complete &= quo.algebra.batch_unit_mask(quo.batch_project(coeffs))
-            if (complete != a.batch_unit_mask(coeffs)).any():
-                c1 = False
-                break
+        # the maximal descriptors are the classes at the minima
+        c1 = not any((np.logical_and.reduce([desc.unit_mask(coeffs) for desc in rep.max_den])
+                      != a.batch_unit_mask(coeffs)).any() for coeffs in a.element_chunks(guard))
     else:
         def completely_iff_unit(r: Element) -> tuple[bool, str]:
             unit = rank(regular_matrix(a, r, "left"), a.p) == a.dim
@@ -450,9 +446,8 @@ def _left_regular_units(a: Algebra, guard: int, rng: random.Random, samples: int
 
     total = a.p ** a.dim
     if total <= guard:
-        for start, stop in row_chunks(total):
-            if left_regular_non_units(a.enumerate_coeffs(start, stop)).any():
-                return False, "a left regular element is not a unit"
+        if any(left_regular_non_units(coeffs).any() for coeffs in a.element_chunks(guard)):
+            return False, "a left regular element is not a unit"
         return True, f"exhaustive over {total}"
     drawn = max(samples, 10_000)
     for start, stop in row_chunks(drawn):
@@ -547,11 +542,17 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
 
     def _triangular_scan():
         # the report reads its classes off the Peirce corner table; the scan
-        # tests e_I R (1 - e_I) = 0 on every block sum
+        # tests e_I R (1 - e_I) = 0 on every block sum e_I, SCAN_RUN at a time
         rep = localization_report(a)
-        s, idems = rep.family.s, rep.family.idempotents
-        scanned = [sub for size in range(1, s + 1) for sub in itertools.combinations(range(1, s + 1), size)
-                   if _is_left_triangular(a, sum((idems[i - 1] for i in sub), a.zero))]
+        s, p = rep.family.s, a.p
+        blocks = np.array([e.coeffs for e in rep.family.idempotents], dtype=np.int64)
+        one = np.array(a.one_coeffs, dtype=np.int64)
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(range(1, s + 1), size) for size in range(1, s + 1))
+        scanned = []
+        while run := list(itertools.islice(subsets, SCAN_RUN)):
+            es = _membership(_subset_masks(run), s) @ blocks % p
+            scanned += itertools.compress(run, ~_corners(a, es, (one - es) % p).any(axis=(1, 2)))
         reported = [en.subset for en in rep.entries]
         if scanned != reported:
             scan, report = (" ".join(map(subset_str, subs)) for subs in (scanned, reported))
@@ -582,14 +583,15 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
         # the idempotents are central by construction, the factor ideals
         # came from one batched elimination, their meet by theorem
         ts = two_sided_report(a)
-        for i, e in enumerate(ts.central_idempotents):
-            if not _is_central(a, e):
-                raise InternalCheckError(f"central idempotent {i} is not central")
+        cents = np.array([e.coeffs for e in ts.central_idempotents], dtype=np.int64)
+        central = a.batch_central_mask(cents)
+        if not central.all():
+            raise InternalCheckError(f"central idempotent {np.argmin(central)} is not central")
         held = [(f"{what} of central factor {i}", obj) for i, d in enumerate(ts.max_den)
                 for what, obj in (("ideal", d.ass), ("quotient", d.quotient.algebra))]
         _rebuild(held + [("two-sided localization radical", ts.loc_radical)])
-        for i, d in enumerate(ts.max_den):
-            if _right_ideal_of(a, a.one - d.witness_idempotent) != d.ass.space:
+        for i, (d, space) in enumerate(zip(ts.max_den, _kernel_spaces(a, cents, "left"))):
+            if space != d.ass.space:
                 raise InternalCheckError(f"ideal of central factor {i} is not (1 - e)R")
         if _combine_all([d.ass for d in ts.max_den], "intersection").dim or ts.loc_radical.dim:
             raise InternalCheckError("two-sided localization radical must vanish")

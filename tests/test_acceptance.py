@@ -18,7 +18,7 @@ from artinloc.algebra import (
     truncated_poly,
     upper_triangular,
 )
-from artinloc.linalg import DEFAULT_GUARD
+from artinloc.linalg import DEFAULT_GUARD, Subspace
 from artinloc.localization import (
     duality_report,
     idempotent_denominator_check,
@@ -190,8 +190,7 @@ def test_criterion_6_ideal_identities():
             for en in rep.entries:
                 sq = ideal_combine(en.ass, en.ass, "product")
                 assert sq.space == en.ass.space, name
-                from artinloc.localization import _right_ideal_of
-                er = _right_ideal_of(a, en.idempotent)
+                er = Subspace.from_vectors(a.p, a.dim, regular_matrix(a, en.idempotent, "left").tolist())
                 assert en.ass.space.sum(er).dim == a.dim, name
                 assert en.ass.space.intersect(er).dim == 0, name
             for e1 in rep.entries:

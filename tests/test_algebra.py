@@ -853,7 +853,10 @@ def test_primitive_central_idempotents_match_enumeration_on_draws():
 def test_equal_principal_right_ideals_force_equal_left_complements(L2_5):
     # idempotents f, f' with fR = f'R satisfy R(1-f) = R(1-f')
     idems = [L2_5.element(e) for e in brute_idempotents(L2_5).rows]
-    from artinloc.localization import _right_ideal_of
+
+    def right_ideal_of(x):
+        """x*R, the row space of the left multiplication by x."""
+        return Subspace.from_vectors(L2_5.p, L2_5.dim, regular_matrix(L2_5, x, "left").tolist())
 
     def left_ideal_of(x):
         """R*x, the row space of the right multiplication by x."""
@@ -861,7 +864,7 @@ def test_equal_principal_right_ideals_force_equal_left_complements(L2_5):
 
     by_right = {}
     for f in idems:
-        by_right.setdefault(_right_ideal_of(L2_5, f), []).append(f)
+        by_right.setdefault(right_ideal_of(f), []).append(f)
     checked = 0
     for group in by_right.values():
         for f in group:

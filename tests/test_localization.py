@@ -30,9 +30,7 @@ from artinloc.linalg import (
 from artinloc.localization import (
     LocalizationReport,
     _associated_idempotents,
-    _corner_is_zero,
-    _is_central,
-    _is_left_triangular,
+    _corners,
     associated_idempotent,
     classify_element,
     duality_report,
@@ -117,13 +115,12 @@ class TestLocalizationReport:
 
     def test_kernel_ideal_identities(self, L3_7, T7xF7):
         from artinloc.algebra import ideal_combine
-        from artinloc.localization import _right_ideal_of
         for a in (L3_7, T7xF7):
             rep = localization_report(a)
             for en in rep.entries:
                 sq = ideal_combine(en.ass, en.ass, "product")
                 assert sq.space == en.ass.space
-                er = _right_ideal_of(a, en.idempotent)
+                er = Subspace.from_vectors(a.p, a.dim, regular_matrix(a, en.idempotent, "left"))
                 assert en.ass.space.sum(er).dim == a.dim
                 assert en.ass.space.intersect(er).dim == 0
 
@@ -462,8 +459,7 @@ class TestMaximalSetMaterialization:
         rep = localization_report(L2_7)
         members = rep.max_den[0].members_within()
         assert len(members) == 294
-        for m in members[:20]:
-            assert rep.max_den[0].image_is_unit(L2_7.element(m))
+        assert rep.max_den[0].unit_mask(members).all()
 
     def test_materialized_set_passes_the_definitional_check(self, L2_5):
         rep = localization_report(L2_5)
@@ -472,6 +468,25 @@ class TestMaximalSetMaterialization:
         assert res.is_den
         assert res.ass.space == rep.max_den[0].ass.space
         assert res.core.tolist() == rep.max_den[0].core_mask(members).tolist()
+
+    @pytest.mark.parametrize("fixture_name", ["L2_7", "T7xF7"])
+    def test_unit_mask_is_full_rank_in_the_quotient(self, fixture_name, request):
+        # every element, against the definition: its image in R/ass, reduced
+        # one coordinate at a time by the ideal's basis, has a left
+        # multiplication of full rank, for each maximal set and each
+        # two-sided factor
+        a = request.getfixturevalue(fixture_name)
+        rows = a.enumerate_coeffs()
+        for desc in localization_report(a).max_den + two_sided_report(a).max_den:
+            q = desc.quotient
+
+            def image(row):
+                reduced = desc.ass.space.reduce(row.tolist())
+                return q.algebra.element([reduced[j] for j in q.keep])
+
+            expected = [rank(regular_matrix(q.algebra, image(row), "left"), a.p) == q.algebra.dim
+                        for row in rows]
+            assert desc.unit_mask(rows).tolist() == expected
 
 
 class TestClassRepresentatives:
@@ -490,6 +505,20 @@ class TestClassRepresentatives:
             union = tuple(sorted(set().union(*[set(m) for m in rep.minima])))
             assert union in [en.subset for en in rep.entries]
             assert rep.entry(union).ass.space == rep.l_rad.space
+
+
+@pytest.mark.parametrize("procedure", [
+    lambda a, x: powers_denominator_criterion(a, x),
+    lambda a, x: idempotent_denominator_check(a, x),
+    lambda a, x: monoid_denominator_decision(a, [a.one, x]),
+    lambda a, x: classify_element(a, x, localization_report(a)),
+    lambda a, x: two_sided_report(a).powers_criterion(x),
+], ids=["powers", "idempotent", "monoid", "classify", "two-sided powers"])
+def test_an_element_of_another_algebra_is_refused(procedure, L2_7, U2_7):
+    # E11 of U2 has the coefficients of E11 of L2, an idempotent whose
+    # powers qualify there
+    with pytest.raises(InputError, match="^element does not belong to the algebra$"):
+        procedure(L2_7, U2_7.element([1, 0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -1055,8 +1084,8 @@ def test_whole_kernel_ideal_exits_3(monkeypatch, tmp_path, capsys):
     path = tmp_path / "l2.json"
     path.write_text('{"scalar": {"prime": 7}, "kind": "constructor", "name": "lower_triangular", "n": 2}',
                     encoding="utf-8")
-    monkeypatch.setattr(localization, "_right_ideal_of",
-                        lambda a, x: Subspace.from_vectors(a.p, a.dim, np.eye(a.dim, dtype=np.int64).tolist()))
+    monkeypatch.setattr(localization, "_kernel_spaces",
+                        lambda a, idems, side: [Subspace.full(a.p, a.dim)] * len(idems))
     assert main(["check-idempotent", "--input", str(path), "--element", "[[1,0],[0,0]]"]) == 3
     assert capsys.readouterr().err == "internal invariant violation: (1 - e)R cannot be the whole algebra\n"
 
@@ -1094,8 +1123,9 @@ CORNER_ALGEBRAS = [lower_triangular(7, 2), lower_triangular(7, 3), upper_triangu
 
 @st.composite
 def corner_operands(draw):
-    """An algebra and two elements, each a block-sum idempotent e_I, its
-    complement 1 - e_I, or a random element."""
+    """An algebra and a batch of one to six operand pairs (e, f), each
+    operand a block-sum idempotent e_I, its complement 1 - e_I, or a random
+    element."""
     a = draw(st.sampled_from(CORNER_ALGEBRAS))
     fam = block_decomposition(a)
 
@@ -1107,16 +1137,24 @@ def corner_operands(draw):
         e = block_sum(fam, sorted(subset))
         return e if kind == "block sum" else a.one - e
 
-    return a, operand(), operand()
+    return a, [(operand(), operand()) for _ in range(draw(st.integers(1, 6)))]
 
 
 @settings(max_examples=300, deadline=None)
 @given(corner_operands())
 def test_corner_and_centrality_match_the_basis_loops(drawn):
-    a, e, f = drawn
-    assert _corner_is_zero(a, e, f) == reference_corner_is_zero(a, e, f)
-    assert _is_left_triangular(a, e) == reference_corner_is_zero(a, e, a.one - e)
-    assert _is_central(a, e) == all(e * b == b * e for b in basis(a))
+    # row by row, so that a row paired with another row's operand is caught
+    a, pairs = drawn
+    es = np.array([e.coeffs for e, _ in pairs], dtype=np.int64)
+    fs = np.array([f.coeffs for _, f in pairs], dtype=np.int64)
+    corners = _corners(a, es, fs)
+    triangular = ~_corners(a, es, (np.array(a.one_coeffs) - es) % a.p).any(axis=(1, 2))
+    central = a.batch_central_mask(es)
+    for k, (e, f) in enumerate(pairs):
+        assert [tuple(row) for row in corners[k].tolist()] == [(e * b * f).coeffs for b in basis(a)]
+        assert (not corners[k].any()) == reference_corner_is_zero(a, e, f)
+        assert triangular[k] == reference_corner_is_zero(a, e, a.one - e)
+        assert central[k] == all(e * b == b * e for b in basis(a))
 
 
 # ---------------------------------------------------------------------------

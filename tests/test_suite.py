@@ -283,6 +283,27 @@ def test_scan_check_sees_a_corrupted_corner_table(monkeypatch):
     assert not scan.ok and scan.detail == "the scan finds {1} {2} {1,2}, the report {2} {1,2}"
 
 
+@pytest.mark.parametrize("run", [1, 3, suite.SCAN_RUN])
+@pytest.mark.parametrize("factors, dropped, found", [
+    # L2 x GF(7): 5 of the 7 block sums are triangular
+    ([lower_triangular(7, 2), full_matrix(7, 1)], (1, 2), "{1} {3} {1,2} {1,3} {1,2,3}"),
+    # GF(7)^3: all 7 are
+    ([full_matrix(7, 1)] * 3, (1, 2), "{1} {2} {3} {1,2} {1,3} {2,3} {1,2,3}"),
+])
+def test_scan_finds_the_same_classes_in_runs_of_any_size(run, factors, dropped, found, monkeypatch):
+    # the report misses the class ``dropped`` and still holds, so the
+    # detail names every block sum the scan finds triangular, whether the
+    # scan takes its 7 block sums one, three or all at a time
+    closed = localization._closed_subsets
+    monkeypatch.setattr(localization, "_closed_subsets",
+                        lambda corners: [sub for sub in closed(corners) if sub != dropped])
+    monkeypatch.setattr(suite, "SCAN_RUN", run)
+    a = direct_product(factors)[0]
+    scan = next(r for r in run_invariants(a, samples=4) if r.name == "triangular_subset_scan")
+    reported = " ".join(sub for sub in found.split() if sub != "{" + ",".join(map(str, dropped)) + "}")
+    assert not scan.ok and scan.detail == f"the scan finds {found}, the report {reported}"
+
+
 @pytest.mark.parametrize("alter, key", [
     # the kernel ideal of the first class replaced by that of the full set, 0
     (lambda right: dataclasses.replace(right, entries=(
