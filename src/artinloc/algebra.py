@@ -67,8 +67,9 @@ from .linalg import (
 
 MAX_CLOSURE_DIM = 64
 # entries per temporary of the blocked associativity check in Algebra._validate
-# and of the pair runs of the class-lattice checks in localization; larger
-# blocks save little time and raise the peak memory of every build.  Blocking
+# and of the pair runs of the class-lattice checks in localization and the
+# block-sum runs of verify's triangular subset scan; larger blocks save
+# little time and raise the peak memory of every build.  Blocking
 # does not bear on exactness: each float64 entry of an associativity block is
 # one sum of dim < p products of residues, below 2**48 for p <= MAX_PRIME
 ASSOC_BLOCK = 1 << 14

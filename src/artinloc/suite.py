@@ -28,8 +28,8 @@ early.
 Sweep work is bounded: ``guard`` caps any single enumeration (default
 2**20), while full per-element sweeps run only when the ring has at most
 ``sweep_limit`` elements and fall back to seeded sampling above that.  The
-scan of the 2**s - 1 block sums runs ``SCAN_RUN`` of them per batched
-corner test, so its memory does not grow with 2**s.  A
+scan of the 2**s - 1 block sums tests them in runs whose corner maps hold
+at most ASSOC_BLOCK entries, so its memory does not grow with 2**s.  A
 check whose enumeration the guard refuses ends at that point and is
 reported as skipped (``ok`` with the refused size and the guard), never as
 a failure.
@@ -44,7 +44,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, Element, Ideal, check_nilpotent, ideal_combine, opposite_algebra, regular_matrix
+from .algebra import ASSOC_BLOCK, Algebra, Element, Ideal, check_nilpotent, ideal_combine, opposite_algebra, regular_matrix
 from .linalg import (DEFAULT_GUARD, InputError, InternalCheckError, ResourceGuardError, Subspace,
                      batch_rank, check_guard, kernel, rank, row_chunks)
 from .localization import (
@@ -78,9 +78,6 @@ from .oracle import (
 from .structure import block_decomposition, check_orthogonal_idempotents, ideal_block_support, radical
 
 DEFAULT_SWEEP_LIMIT = 2048
-# block sums per run of the triangular subset scan, which bounds its
-# temporaries at a few SCAN_RUN * dim**2 entries whatever 2**s is
-SCAN_RUN = 1 << 8
 
 
 @dataclass
@@ -250,7 +247,8 @@ def _left_lattice(rep: LocalizationReport) -> None:
     the sum e of the minima, and as the meet and the product of their
     kernel ideals; the little radical as the meet and the product of the
     nonzero kernel ideals, and as the meet of the minimal ones; each kernel
-    ideal as (1 - e_I)R, at the block sum and at the report's e_I.
+    ideal as (1 - e_I)R, from the batch of all the block sums and from its
+    one matrix alone, a batch of one.
     """
     a = rep.algebra
     p, d = a.p, a.dim
@@ -292,9 +290,7 @@ def _left_lattice(rep: LocalizationReport) -> None:
                                      "disjoint block-sum idempotents are not orthogonal")
     minimal_classes = [rep.entry(sub) for sub in rep.minima]
     e_sum = np.array([en.idempotent.coeffs for en in minimal_classes], dtype=np.int64).sum(axis=0) % p
-    # (1 - e)R at the report's idempotents and at the sum of the minima
-    *own, at_sum = _kernel_spaces(a, np.concatenate([idems, e_sum[None]]), "left")
-    forms = [at_sum] + [
+    forms = [_kernel_spaces(a, e_sum[None], "left")[0]] + [
         _combine_all([en.ass for en in minimal_classes], op).space for op in ("intersection", "product")]
     if any(form != rep.l_rad.space for form in forms):
         raise InternalCheckError("the three computations of the localization radical disagree")
@@ -307,8 +303,9 @@ def _left_lattice(rep: LocalizationReport) -> None:
             raise InternalCheckError("little radical: intersection over minimal ideals disagrees")
         if _combine_all(nonzero_ideals, "product").space != rep.little_rad.space:
             raise InternalCheckError("little radical: product form disagrees")
-    for en, from_own, space in zip(rep.entries, own, kernels):
-        if not from_own == en.ass.space == space:
+    # each (1 - e)R alone, so the one-matrix elimination meets the batch
+    for en, e, space in zip(rep.entries, idems, kernels):
+        if not _kernel_spaces(a, e[None], "left")[0] == en.ass.space == space:
             raise InternalCheckError(f"kernel ideal of the class {subset_str(en.subset)} is not (1 - e)R")
 
 
@@ -542,15 +539,17 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
 
     def _triangular_scan():
         # the report reads its classes off the Peirce corner table; the scan
-        # tests e_I R (1 - e_I) = 0 on every block sum e_I, SCAN_RUN at a time
+        # tests e_I R (1 - e_I) = 0 on every block sum e_I, in runs whose
+        # L_e, R_(1-e) and corner maps hold at most ASSOC_BLOCK entries
         rep = localization_report(a)
         s, p = rep.family.s, a.p
+        step = max(1, ASSOC_BLOCK // (3 * a.dim * a.dim))
         blocks = np.array([e.coeffs for e in rep.family.idempotents], dtype=np.int64)
         one = np.array(a.one_coeffs, dtype=np.int64)
         subsets = itertools.chain.from_iterable(
             itertools.combinations(range(1, s + 1), size) for size in range(1, s + 1))
         scanned = []
-        while run := list(itertools.islice(subsets, SCAN_RUN)):
+        while run := list(itertools.islice(subsets, step)):
             es = _membership(_subset_masks(run), s) @ blocks % p
             scanned += itertools.compress(run, ~_corners(a, es, (one - es) % p).any(axis=(1, 2)))
         reported = [en.subset for en in rep.entries]
@@ -581,7 +580,8 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
 
     def _two_sided():
         # the idempotents are central by construction, the factor ideals
-        # came from one batched elimination, their meet by theorem
+        # came from one batched elimination and are eliminated again one at
+        # a time, their meet by theorem
         ts = two_sided_report(a)
         cents = np.array([e.coeffs for e in ts.central_idempotents], dtype=np.int64)
         central = a.batch_central_mask(cents)
@@ -590,8 +590,8 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
         held = [(f"{what} of central factor {i}", obj) for i, d in enumerate(ts.max_den)
                 for what, obj in (("ideal", d.ass), ("quotient", d.quotient.algebra))]
         _rebuild(held + [("two-sided localization radical", ts.loc_radical)])
-        for i, (d, space) in enumerate(zip(ts.max_den, _kernel_spaces(a, cents, "left"))):
-            if space != d.ass.space:
+        for i, (d, e) in enumerate(zip(ts.max_den, cents)):
+            if _kernel_spaces(a, e[None], "left")[0] != d.ass.space:
                 raise InternalCheckError(f"ideal of central factor {i} is not (1 - e)R")
         if _combine_all([d.ass for d in ts.max_den], "intersection").dim or ts.loc_radical.dim:
             raise InternalCheckError("two-sided localization radical must vanish")

@@ -459,7 +459,6 @@ class TestMaximalSetMaterialization:
         rep = localization_report(L2_7)
         members = rep.max_den[0].members_within()
         assert len(members) == 294
-        assert rep.max_den[0].unit_mask(members).all()
 
     def test_materialized_set_passes_the_definitional_check(self, L2_5):
         rep = localization_report(L2_5)

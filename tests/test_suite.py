@@ -283,7 +283,20 @@ def test_scan_check_sees_a_corrupted_corner_table(monkeypatch):
     assert not scan.ok and scan.detail == "the scan finds {1} {2} {1,2}, the report {2} {1,2}"
 
 
-@pytest.mark.parametrize("run", [1, 3, suite.SCAN_RUN])
+def test_verify_sees_a_fault_in_the_batched_kernel_elimination(monkeypatch):
+    # the two-sided report eliminates the factor ideals (1 - e)R of all its
+    # central idempotents in one batch; a batch that comes back in reverse
+    # still gives two-sided ideals meeting in 0, so only the re-derivation
+    # of each ideal on its own, a batch of one, sees the fault
+    row_spaces = localization.batch_row_spaces
+    monkeypatch.setattr(localization, "batch_row_spaces",
+                        lambda mats, p: row_spaces(mats, p)[::-1] if len(mats) > 1 else row_spaces(mats, p))
+    a = direct_product([full_matrix(7, 1), lower_triangular(7, 2)])[0]
+    check = next(r for r in run_invariants(a, samples=4) if r.name == "two_sided_report")
+    assert not check.ok and check.detail == "InternalCheckError: ideal of central factor 0 is not (1 - e)R"
+
+
+@pytest.mark.parametrize("run", [1, 3, None], ids=["1", "3", "default"])
 @pytest.mark.parametrize("factors, dropped, found", [
     # L2 x GF(7): 5 of the 7 block sums are triangular
     ([lower_triangular(7, 2), full_matrix(7, 1)], (1, 2), "{1} {3} {1,2} {1,3} {1,2,3}"),
@@ -293,15 +306,28 @@ def test_scan_check_sees_a_corrupted_corner_table(monkeypatch):
 def test_scan_finds_the_same_classes_in_runs_of_any_size(run, factors, dropped, found, monkeypatch):
     # the report misses the class ``dropped`` and still holds, so the
     # detail names every block sum the scan finds triangular, whether the
-    # scan takes its 7 block sums one, three or all at a time
+    # entry budget lets the scan take its 7 block sums one, three or all at
+    # a time
+    a = direct_product(factors)[0]
     closed = localization._closed_subsets
     monkeypatch.setattr(localization, "_closed_subsets",
                         lambda corners: [sub for sub in closed(corners) if sub != dropped])
-    monkeypatch.setattr(suite, "SCAN_RUN", run)
-    a = direct_product(factors)[0]
+    if run is not None:
+        # L_e, R_(1-e) and the corner map, dim**2 entries each, per block sum
+        monkeypatch.setattr(suite, "ASSOC_BLOCK", run * 3 * a.dim ** 2)
+    one = np.array(a.one_coeffs, dtype=np.int64)
+    runs = []
+
+    def recording(algebra, es, fs):
+        if (fs == (one - es) % a.p).all():
+            runs.append(len(es))
+        return localization._corners(algebra, es, fs)
+
+    monkeypatch.setattr(suite, "_corners", recording)
     scan = next(r for r in run_invariants(a, samples=4) if r.name == "triangular_subset_scan")
     reported = " ".join(sub for sub in found.split() if sub != "{" + ",".join(map(str, dropped)) + "}")
     assert not scan.ok and scan.detail == f"the scan finds {found}, the report {reported}"
+    assert runs == {1: [1] * 7, 3: [3, 3, 1], None: [7]}[run]
 
 
 @pytest.mark.parametrize("alter, key", [
