@@ -505,6 +505,9 @@ def matrix_subalgebra(p: int, n: int, generators: Sequence[Sequence[Sequence[int
     span = Subspace.from_vectors(p, amb, vecs)
     bound = min(MAX_CLOSURE_DIM, amb)
     while True:
+        # every span, the first included, before its products are formed
+        if span.dim > bound:
+            raise InputError(f"closure exceeded the {bound}-dimensional bound")
         mats = span.array.reshape(-1, n, n)
         # u @ v for every ordered pair (u, v) of basis matrices, row-major
         products = (mats[:, None] @ mats[None, :] % p).reshape(-1, amb)
@@ -512,8 +515,6 @@ def matrix_subalgebra(p: int, n: int, generators: Sequence[Sequence[Sequence[int
         if bigger.dim == span.dim:
             break
         span = bigger
-        if span.dim > bound:
-            raise InputError(f"closure exceeded the {bound}-dimensional bound")
     if not batch_member_mask(products, span).all():
         raise InternalCheckError("closure is not multiplicatively closed")
     if not batch_member_mask(eye, span).all():
@@ -681,8 +682,9 @@ def check_nilpotent(ideal: Ideal, message: str) -> None:
 class Quotient:
     """Quotient algebra with its projection and linear section.
 
-    project is an algebra map; section is only linear, but
-    project(section(q)) == q for every quotient element q.
+    project is an algebra map, the residues modulo the ideal: one matmul by
+    the ideal's cached :attr:`Subspace.residue_map`.  section is only
+    linear, but project(section(q)) == q for every quotient element q.
     """
 
     algebra: Algebra
@@ -703,14 +705,8 @@ class Quotient:
             v[j] = q.coeffs[idx]
         return self.parent.element(v)
 
-    @cached_property
-    def _projection(self) -> np.ndarray:
-        """The matrix of the projection on coefficient rows: the residues of
-        the basis of R, as residues modulo the ideal are linear."""
-        return self.ideal.space.residues(np.eye(self.parent.dim, dtype=np.int64))
-
     def batch_project(self, coeffs: np.ndarray) -> np.ndarray:
-        return coeffs @ self._projection % self.parent.p
+        return coeffs @ self.ideal.space.residue_map % self.parent.p
 
 
 def quotient_algebra(a: Algebra, ideal: Ideal) -> Quotient:

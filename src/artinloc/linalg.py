@@ -12,9 +12,10 @@ strategy: a scalar loop over Python lists for small batches and lone
 matrices, or a numpy sweep over the columns of the whole batch.  Ranks,
 row spaces, kernels and solves each exist once, on batches (:func:`rank`,
 :func:`kernel` and :meth:`Subspace.from_vectors` are those on one
-matrix), and :meth:`Subspace.residues` reduces many vectors against a
-subspace at once.  A member's coordinates over an RREF basis are its
-entries at the pivots.  Nothing here uses floating point.
+matrix).  Every reduction modulo a subspace is one matmul by the
+subspace's cached :attr:`Subspace.residue_map`: residues, membership,
+containment and the quotient projection.  A member's coordinates over an
+RREF basis are its entries at the pivots.  Nothing here uses floating point.
 """
 
 from __future__ import annotations
@@ -186,41 +187,32 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise InputError("ambient dimension mismatch")
 
-    def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Eliminate the pivot coordinates of ``vec``; zero iff vec is a member."""
-        p = self.p
-        v = [int(x) % p for x in vec]
-        for row, piv in zip(self.basis, self.pivots):
-            c = v[piv]
-            if c:
-                for j, b in enumerate(row):
-                    if b:
-                        v[j] = (v[j] - c * b) % p
-        return tuple(v)
+    @cached_property
+    def residue_map(self) -> np.ndarray:
+        """The residues of the standard basis, a read-only ``(ambient_dim,
+        ambient_dim - dim)`` int64 array: the identity at the free columns,
+        and ``-basis[:, free] mod p`` at the pivot rows, since an RREF basis
+        row is 1 at its own pivot and 0 at every other one."""
+        free = list(self.free_columns)
+        out = np.zeros((self.ambient_dim, len(free)), dtype=np.int64)
+        out[free, np.arange(len(free))] = 1
+        out[list(self.pivots)] = -self.array[:, free] % self.p
+        out.flags.writeable = False
+        return out
 
     def residues(self, vecs: np.ndarray) -> np.ndarray:
-        """:meth:`reduce` on every row of ``vecs``, read at :attr:`free_columns`.
-
-        A reduced vector vanishes at the pivots, so these columns are all of
-        it: a row is a member iff its residue is zero, and the residue is
-        the row's image in the quotient space.  An RREF basis row vanishes
-        at every other pivot, so eliminating the pivots one after another
-        subtracts exactly ``vecs[:, pivots] @ basis``.  Each entry of that
-        product sums ``dim`` terms below ``p**2``, well inside int64 for
-        ``p <= 2**16``.
+        """The image of every row of ``vecs`` in the quotient space, read at
+        :attr:`free_columns`: the row minus the member that agrees with it at
+        the pivots, so a row is a member iff its residue is zero.  Residues
+        are linear, so this is one matmul by :attr:`residue_map`; each entry
+        sums ``ambient_dim`` products below ``p**2 <= 2**32``, well inside
+        int64.
         """
-        red = vecs % self.p
-        free = list(self.free_columns)
-        if not self.basis:
-            return red[:, free]
-        return (red[:, free] - red[:, list(self.pivots)] @ self.array[:, free]) % self.p
-
-    def contains_vector(self, vec: Sequence[int]) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
+        return (vecs % self.p) @ self.residue_map % self.p
 
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return all(self.contains_vector(row) for row in other.basis)
+        return not self.residues(other.array).any()
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -428,5 +420,6 @@ def batch_solve(mats: np.ndarray, targets: np.ndarray, p: int) -> tuple[np.ndarr
 
 
 def batch_member_mask(vecs: np.ndarray, space: Subspace) -> np.ndarray:
-    """Boolean mask of which rows of ``vecs`` lie in ``space``."""
+    """Boolean mask of which rows of ``vecs`` lie in ``space``: those with a
+    zero residue."""
     return (space.residues(vecs) == 0).all(axis=1)

@@ -218,7 +218,7 @@ class DenSetDescriptor:
         """Whether (1 - e) x (1 - e) = 0, for each row x of ``xs``."""
         a = self.witness_idempotent.algebra
         om = np.array([(a.one - self.witness_idempotent).coeffs], dtype=np.int64)
-        return ~(a.batch_mul_left(om[0], xs) @ a.batch_right_matrices(om)[0] % a.p).any(axis=1)
+        return ~(xs @ _corners(a, om, om)[0] % a.p).any(axis=1)
 
     def members_within(self, guard: int = DEFAULT_GUARD) -> np.ndarray:
         """The unit-preimage set as its coefficient rows, in canonical order

@@ -135,20 +135,6 @@ def _rebuild(objects) -> None:
             raise InternalCheckError(f"{name}: {exc}") from None
 
 
-def _projectors(spaces: Sequence[Subspace]) -> np.ndarray:
-    """One ``(d, d)`` matrix E per space, holding basis row r at row pivot r.
-
-    ``x @ E`` is the member that agrees with x at the pivots, so x is a
-    member iff ``x @ E = x`` mod p: :meth:`Subspace.residues` for a batch of
-    rows that each have their own space.
-    """
-    d = spaces[0].ambient_dim
-    out = np.zeros((len(spaces), d, d), dtype=np.int64)
-    for k, sp in enumerate(spaces):
-        out[k, list(sp.pivots)] = sp.array
-    return out
-
-
 def _combine_all(ideals: Sequence[Ideal], op: str) -> Ideal:
     out = ideals[0]
     for nxt in ideals[1:]:
@@ -156,19 +142,20 @@ def _combine_all(ideals: Sequence[Ideal], op: str) -> Ideal:
     return out
 
 
-def _stacked_bases(spaces: Sequence[Subspace]) -> np.ndarray:
-    """The RREF bases of ``spaces`` as one zero-padded ``(C, m, d)`` array."""
-    stack = np.zeros((len(spaces), max(sp.dim for sp in spaces), spaces[0].ambient_dim),
+def _padded(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The 2-D ``arrays`` as one ``(C, r, c)`` stack, each zero-padded to
+    the most rows and columns among them."""
+    stack = np.zeros((len(arrays), max(x.shape[0] for x in arrays), max(x.shape[1] for x in arrays)),
                      dtype=np.int64)
-    for k, sp in enumerate(spaces):
-        stack[k, :sp.dim] = sp.array
+    for k, x in enumerate(arrays):
+        stack[k, :x.shape[0], :x.shape[1]] = x
     return stack
 
 
 def _sum_dims(spaces: Sequence[Subspace], p: int) -> np.ndarray:
     """dim(K_i + K_j) for every pair, as the rank of the stacked bases
     [B_i; B_j]; the table is symmetric, so it is eliminated for i <= j."""
-    stack = _stacked_bases(spaces)
+    stack = _padded([sp.array for sp in spaces])
     c, m, d = stack.shape
     out = np.empty((c, c), dtype=np.int64)
     for i, j in _pair_runs(*np.triu_indices(c), 2 * m * d):
@@ -213,7 +200,7 @@ def _kernel_products(a: Algebra, idems: np.ndarray, kernels: Sequence[Subspace]
     of two basis vectors.
     """
     d, p = a.dim, a.p
-    stack = _stacked_bases(kernels)
+    stack = _padded([k.array for k in kernels])
     one = np.array(a.one_coeffs, dtype=np.int64)
     lefts = a.batch_left_matrices((one - idems) % p)
     m = stack.shape[1]
@@ -266,9 +253,10 @@ def _left_lattice(rep: LocalizationReport) -> None:
     # the reversed product is checked at the swapped pair; the diagonal
     # says K_i K_i = K_i
     meet_dims = _meet_dims(rep)
-    projectors = _projectors(kernels)
+    # extra zero columns of a padded residue map change no membership test
+    maps = _padded([k.residue_map for k in kernels])
     for i, j, rows in _kernel_products(a, block_sums, kernels):
-        if ((rows @ projectors[i] % p != rows).any() or (rows @ projectors[j] % p != rows).any()
+        if ((rows @ maps[i] % p).any() or (rows @ maps[j] % p).any()
                 or (batch_rank(rows, p) != meet_dims[i, j]).any()):
             raise InternalCheckError("kernel ideals do not multiply to their intersection")
     if (sums != _closed_sum_dims(rep)).any():
@@ -277,7 +265,7 @@ def _left_lattice(rep: LocalizationReport) -> None:
     # gives K_I meet e_I R = 0
     idems = np.array([en.idempotent.coeffs for en in rep.entries], dtype=np.int64)
     lefts = a.batch_left_matrices(idems)
-    if ((batch_rank(np.concatenate([_stacked_bases(kernels), lefts], axis=1), p) != d).any()
+    if ((batch_rank(np.concatenate([_padded([k.array for k in kernels]), lefts], axis=1), p) != d).any()
             or (batch_rank(lefts, p) != d - dims).any()):
         raise InternalCheckError("kernel ideal plus eR is not a direct decomposition")
     # one row of ordered pairs at a time, so the first failing pair in
@@ -422,7 +410,7 @@ def bundle_conditions(a: Algebra, guard: int = DEFAULT_GUARD,
                       != a.batch_unit_mask(coeffs)).any() for coeffs in a.element_chunks(guard))
     else:
         def completely_iff_unit(r: Element) -> tuple[bool, str]:
-            unit = rank(regular_matrix(a, r, "left"), a.p) == a.dim
+            unit = a.batch_unit_mask(r._row())[0]
             return classify_element(a, r, rep)["completely"] == unit, ""
         # the sum of the minima idempotents is always completely
         # localizable but is a unit only when the radical vanishes

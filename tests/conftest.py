@@ -27,6 +27,27 @@ def solve_in_rows(rows, target, p):
     return tuple(sol[0].tolist()) if consistent[0] else None
 
 
+def reduce_by_definition(space, vec):
+    """``vec`` with the pivot coordinates of ``space`` eliminated one basis
+    row at a time, in Python ints: zero iff vec is a member, and its entries
+    at the free columns are the residue.  A reference for
+    :meth:`Subspace.residues` that shares no code with it."""
+    p = space.p
+    v = [int(x) % p for x in vec]
+    for row, piv in zip(space.basis, space.pivots):
+        c = v[piv]
+        if c:
+            for j, b in enumerate(row):
+                if b:
+                    v[j] = (v[j] - c * b) % p
+    return tuple(v)
+
+
+def member_by_definition(space, vec):
+    """Whether ``vec`` lies in ``space``, by :func:`reduce_by_definition`."""
+    return not any(reduce_by_definition(space, vec))
+
+
 # ---------------------------------------------------------------------------
 # The definitional product, independent of the library's batch kernels
 # ---------------------------------------------------------------------------

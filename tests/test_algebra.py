@@ -24,8 +24,8 @@ from artinloc.linalg import InputError, InternalCheckError, Subspace, kernel, ra
 from artinloc.localization import two_sided_report
 from artinloc.oracle import brute_idempotents
 from artinloc.structure import _center_subspace, _pivot, _radical_quotient, block_decomposition, radical
-from conftest import (block_sum, gf49_times_dual_numbers, ideal_generated, mul_by_definition, pow_by_definition,
-                      solve_in_rows)
+from conftest import (block_sum, gf49_times_dual_numbers, ideal_generated, member_by_definition, mul_by_definition,
+                      pow_by_definition, reduce_by_definition, solve_in_rows)
 from test_random_algebras import SEEDS, random_algebra
 
 
@@ -68,6 +68,21 @@ class TestConstructors:
         s = a.from_matrix([[2, 0], [1, 0]])
         assert a.dim == 2
         assert (s * s) == s * 2
+
+    def test_closure_bound_on_every_span(self, monkeypatch):
+        # with the bound at 4: the 4 units of M_2 are accepted; the 9 units
+        # of M_3, closed already, are refused before any product is formed;
+        # E12 and E21 of M_3, spanning 3 dimensions with I, are refused while
+        # the span grows to its closure of dimension 5
+        monkeypatch.setattr(algebra, "MAX_CLOSURE_DIM", 4)
+
+        def units(n, pairs):
+            return [[[int((r, c) == ij) for c in range(n)] for r in range(n)] for ij in pairs]
+
+        assert matrix_subalgebra(5, 2, units(2, [(0, 0), (0, 1), (1, 0), (1, 1)])).dim == 4
+        for gens in (units(3, [(r, c) for r in range(3) for c in range(3)]), units(3, [(0, 1), (1, 0)])):
+            with pytest.raises(InputError, match=r"^closure exceeded the 4-dimensional bound$"):
+                matrix_subalgebra(5, 3, gens)
 
     def test_nonassociative_table_rejected(self):
         # b_1 acts like a "left projector" only: associativity fails
@@ -251,9 +266,9 @@ def closed_by_definition(a, space, side):
     for v in space.basis:
         for i in range(a.dim):
             b = tuple(1 if j == i else 0 for j in range(a.dim))
-            if side in ("left", "twosided") and not space.contains_vector(mul_by_definition(a, b, v)):
+            if side in ("left", "twosided") and not member_by_definition(space, mul_by_definition(a, b, v)):
                 return "left"
-            if side in ("right", "twosided") and not space.contains_vector(mul_by_definition(a, v, b)):
+            if side in ("right", "twosided") and not member_by_definition(space, mul_by_definition(a, v, b)):
                 return "right"
     return None
 
@@ -273,7 +288,7 @@ def quotient_table_by_definition(a, ideal, keep):
         for j in keep:
             bi = tuple(1 if t == i else 0 for t in range(a.dim))
             bj = tuple(1 if t == j else 0 for t in range(a.dim))
-            red = ideal.space.reduce(mul_by_definition(a, bi, bj))
+            red = reduce_by_definition(ideal.space, mul_by_definition(a, bi, bj))
             row.append(tuple(red[t] for t in keep))
         table.append(tuple(row))
     return tuple(table)

@@ -26,6 +26,7 @@ from artinloc.linalg import (
     rank,
     vectors_to_indices,
 )
+from conftest import member_by_definition, reduce_by_definition
 
 # the elimination cuts that force each strategy: above every shape, or 0
 STRATEGIES = {"scalar": 1 << 62, "numpy": 0}
@@ -119,7 +120,7 @@ class TestKernel:
         oracle = enumerate_left_kernel(m, 7)
         assert len(oracle) == 7 ** ker.dim
         for vec in oracle:
-            assert ker.contains_vector(vec)
+            assert member_by_definition(ker, vec)
         assert ker.basis == ((1, 5),)
 
 
@@ -144,7 +145,7 @@ class TestSubspace:
         assert b.intersect(a) == a
         # every GF(7)-combination of a's basis lies in b
         for c in range(7):
-            assert b.contains_vector([c % 7, c % 7, 0])
+            assert member_by_definition(b, [c % 7, c % 7, 0])
 
     def test_canonical_equality_from_different_spanning_sets(self):
         a = Subspace.from_vectors(5, 3, [[1, 2, 0], [0, 1, 1]])
@@ -455,16 +456,45 @@ def test_batch_member_mask():
     mask = batch_member_mask(vecs, sp)
     assert mask.sum() == 25
     for row, ok in zip(vecs.tolist(), mask):
-        assert sp.contains_vector(row) == bool(ok)
+        assert member_by_definition(sp, row) == bool(ok)
+
+
+@st.composite
+def reduction_cases(draw, max_dim=4):
+    """(space, other, vecs): two subspaces of GF(p)^n, each random, zero,
+    the whole space, or spanned by the row with every entry p - 1 and random
+    rows, and rows to reduce against them, all unreduced once more.  The
+    rows are all of GF(p)^n for small p; for p = 65521 they are random and
+    the row with every entry p - 1, so each product of a residue is near
+    its largest."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 65521]))
+    n = draw(st.integers(1, max_dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def space():
+        kind = draw(st.sampled_from(["random", "zero", "full", "top"]))
+        if kind == "zero":
+            return Subspace.zero(p, n)
+        if kind == "full":
+            return Subspace.full(p, n)
+        rows = rng.integers(0, p, size=(draw(st.integers(0, n)), n))
+        return Subspace.from_vectors(p, n, np.concatenate([np.full((1, n), p - 1), rows])
+                                     if kind == "top" else rows)
+
+    vecs = (all_vectors(p, n) if p ** n <= 1 << 12
+            else np.concatenate([rng.integers(0, p, size=(64, n)), np.full((1, n), p - 1)]))
+    return space(), space(), np.concatenate([vecs, vecs + p * 3])
 
 
 @settings(max_examples=150, deadline=None)
-@given(subspace_pairs())
-def test_residues_match_sequential_reduce(pair):
-    # the batched reduction against the one-vector elimination loop
-    space, other = pair
-    vecs = all_vectors(space.p, space.ambient_dim)
-    vecs = np.concatenate([vecs, vecs + space.p * 3])  # unreduced representatives too
-    expected = [[v[j] for j in space.free_columns] for v in map(space.reduce, vecs.tolist())]
+@given(reduction_cases())
+def test_residues_match_sequential_reduce(case):
+    # the residue map against the one-vector elimination loop
+    space, other, vecs = case
+    reduced = [reduce_by_definition(space, v) for v in vecs.tolist()]
+    expected = [[v[j] for j in space.free_columns] for v in reduced]
     assert space.residues(vecs).tolist() == expected
-    assert batch_member_mask(vecs, other).tolist() == [other.contains_vector(v) for v in vecs.tolist()]
+    assert space.residue_map.shape == (space.ambient_dim, space.ambient_dim - space.dim)
+    assert batch_member_mask(vecs, other).tolist() == [member_by_definition(other, v) for v in vecs.tolist()]
+    for a, b in ((space, other), (other, space), (space, space)):
+        assert a.contains(b) == all(member_by_definition(a, v) for v in b.basis)

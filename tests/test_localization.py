@@ -48,6 +48,7 @@ from conftest import (
     block_sum,
     closed_sets,
     ideal_generated,
+    reduce_by_definition,
     reference_corner_is_zero,
     reference_edges,
     reference_sum_dims,
@@ -480,7 +481,7 @@ class TestMaximalSetMaterialization:
             q = desc.quotient
 
             def image(row):
-                reduced = desc.ass.space.reduce(row.tolist())
+                reduced = reduce_by_definition(desc.ass.space, row.tolist())
                 return q.algebra.element([reduced[j] for j in q.keep])
 
             expected = [rank(regular_matrix(q.algebra, image(row), "left"), a.p) == q.algebra.dim
