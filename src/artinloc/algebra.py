@@ -66,6 +66,7 @@ from .linalg import (
 )
 
 MAX_CLOSURE_DIM = 64
+MAX_AMBIENT_ENTRIES = 1 << 17  # of matrix_subalgebra's M_n, before any allocation: n <= 362
 # entries per temporary of the blocked associativity check in Algebra._validate
 # and of the pair runs of the class-lattice checks in localization and the
 # block-sum runs of verify's triangular subset scan; larger blocks save
@@ -492,15 +493,18 @@ def matrix_subalgebra(p: int, n: int, generators: Sequence[Sequence[Sequence[int
 
     The basis is the canonical RREF basis of the closed span of row-major
     flattened matrices inside M_n(GF(p)).  Closure beyond MAX_CLOSURE_DIM
-    dimensions is rejected so downstream enumerations stay tractable.
+    dimensions is rejected so downstream enumerations stay tractable, and
+    n**2 > MAX_AMBIENT_ENTRIES before anything is built.
     """
     check_prime(p)
     if n < 1:
         raise InputError("ambient size must be positive")
-    amb = n * n
-    eye = np.eye(n, dtype=np.int64).reshape(1, amb)
     if any(len(g) != n or any(len(row) != n for row in g) for g in generators):
         raise InputError(f"generator must be {n}x{n}")
+    amb = n * n
+    if amb > MAX_AMBIENT_ENTRIES:
+        raise InputError(f"ambient_n = {n} gives {amb} matrix entries, above the bound {MAX_AMBIENT_ENTRIES}")
+    eye = np.eye(n, dtype=np.int64).reshape(1, amb)
     vecs = [eye[0].tolist()] + [[int(v) % p for row in g for v in row] for g in generators]
     span = Subspace.from_vectors(p, amb, vecs)
     bound = min(MAX_CLOSURE_DIM, amb)
@@ -682,8 +686,8 @@ def check_nilpotent(ideal: Ideal, message: str) -> None:
 class Quotient:
     """Quotient algebra with its projection and linear section.
 
-    project is an algebra map, the residues modulo the ideal: one matmul by
-    the ideal's cached :attr:`Subspace.residue_map`.  section is only
+    project is an algebra map, the residues modulo the ideal
+    (:meth:`Subspace.residues`, one matmul).  section is only
     linear, but project(section(q)) == q for every quotient element q.
     """
 
@@ -706,7 +710,7 @@ class Quotient:
         return self.parent.element(v)
 
     def batch_project(self, coeffs: np.ndarray) -> np.ndarray:
-        return coeffs @ self.ideal.space.residue_map % self.parent.p
+        return self.ideal.space.residues(coeffs)
 
 
 def quotient_algebra(a: Algebra, ideal: Ideal) -> Quotient:

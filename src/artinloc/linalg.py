@@ -12,10 +12,10 @@ strategy: a scalar loop over Python lists for small batches and lone
 matrices, or a numpy sweep over the columns of the whole batch.  Ranks,
 row spaces, kernels and solves each exist once, on batches (:func:`rank`,
 :func:`kernel` and :meth:`Subspace.from_vectors` are those on one
-matrix).  Every reduction modulo a subspace is one matmul by the
-subspace's cached :attr:`Subspace.residue_map`: residues, membership,
-containment and the quotient projection.  A member's coordinates over an
-RREF basis are its entries at the pivots.  Nothing here uses floating point.
+matrix).  Every reduction modulo a subspace (residues, membership,
+containment, the quotient projection) is one matmul by a block the subspace
+caches, and intersections are batched.  A member's coordinates over an RREF
+basis are its entries at the pivots.  Nothing here uses floating point.
 """
 
 from __future__ import annotations
@@ -188,27 +188,24 @@ class Subspace:
             raise InputError("ambient dimension mismatch")
 
     @cached_property
-    def residue_map(self) -> np.ndarray:
-        """The residues of the standard basis, a read-only ``(ambient_dim,
-        ambient_dim - dim)`` int64 array: the identity at the free columns,
-        and ``-basis[:, free] mod p`` at the pivot rows, since an RREF basis
-        row is 1 at its own pivot and 0 at every other one."""
-        free = list(self.free_columns)
-        out = np.zeros((self.ambient_dim, len(free)), dtype=np.int64)
-        out[free, np.arange(len(free))] = 1
-        out[list(self.pivots)] = -self.array[:, free] % self.p
-        out.flags.writeable = False
-        return out
+    def _reducer(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pivot and free column index arrays, and the ``(dim,
+        ambient_dim - dim)`` block ``-basis[:, free] mod p`` of :meth:`residues`."""
+        free = np.array(self.free_columns, dtype=np.int64)
+        return np.array(self.pivots, dtype=np.int64), free, -self.array[:, free] % self.p
 
     def residues(self, vecs: np.ndarray) -> np.ndarray:
         """The image of every row of ``vecs`` in the quotient space, read at
         :attr:`free_columns`: the row minus the member that agrees with it at
-        the pivots, so a row is a member iff its residue is zero.  Residues
-        are linear, so this is one matmul by :attr:`residue_map`; each entry
-        sums ``ambient_dim`` products below ``p**2 <= 2**32``, well inside
-        int64.
-        """
-        return (vecs % self.p) @ self.residue_map % self.p
+        the pivots, ``vecs[:, free] - vecs[:, pivots] @ basis[:, free]`` (an
+        RREF basis row is 1 at its pivot, 0 at the others), so a row is a
+        member iff its residue is zero.  One matmul by a block of dim *
+        ambient_dim entries; each sums ``dim`` products below ``p**2``."""
+        pivots, free, block = self._reducer
+        out = vecs.take(pivots, axis=-1) % self.p @ block
+        out += vecs.take(free, axis=-1)
+        out %= self.p
+        return out
 
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)
@@ -219,13 +216,8 @@ class Subspace:
         return Subspace.from_vectors(self.p, self.ambient_dim, np.concatenate([self.array, other.array]))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: reduce [[A A],[B 0]]; rows with zero left half carry the intersection."""
         self._check_compatible(other)
-        n, k = self.ambient_dim, self.dim
-        zassenhaus = np.zeros((1, k + other.dim, 2 * n), dtype=np.int64)
-        zassenhaus[0, :k, :n] = zassenhaus[0, :k, n:] = self.array
-        zassenhaus[0, k:, :n] = other.array
-        return _subspaces(_rref(zassenhaus, self.p), self.p, n)[0]
+        return batch_intersections([self], [other])[0]
 
     def member_chunks(self) -> Iterable[np.ndarray]:
         """All p**dim members, CHUNK_ROWS rows at a time.
@@ -395,6 +387,21 @@ def batch_kernels(mats: np.ndarray, p: int) -> list[Subspace]:
     if left_ranks != batch_rank(np.swapaxes(mats, 1, 2), p).tolist():
         raise InternalCheckError("rank-nullity violated in kernel")
     return _subspaces(ech, p, c)
+
+
+def batch_intersections(xs: Sequence[Subspace], ys: Sequence[Subspace]) -> list[Subspace]:
+    """``xs[n]`` meet ``ys[n]`` for every pair, by Zassenhaus on one batch:
+    reduce [[A A], [B 0]], each block padded with zero rows to the largest
+    in the batch; the rows with zero left half carry the intersection."""
+    if not xs:
+        return []
+    p, n = xs[0].p, xs[0].ambient_dim
+    k, m = max(x.dim for x in xs), max(y.dim for y in ys)
+    zassenhaus = np.zeros((len(xs), k + m, 2 * n), dtype=np.int64)
+    for z, x, y in zip(zassenhaus, xs, ys):
+        z[:x.dim, :n] = z[:x.dim, n:] = x.array
+        z[k:k + y.dim, :n] = y.array
+    return _subspaces(_rref(zassenhaus, p), p, n)
 
 
 def batch_solve(mats: np.ndarray, targets: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

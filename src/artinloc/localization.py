@@ -50,8 +50,8 @@ and a lone element is a batch of one: the corner maps y -> e*y*f
 (:func:`_corners`; e is left triangular iff the map at (e, 1 - e) is 0),
 the kernel ideals (1 - e)R (:func:`_kernel_spaces`), centrality
 (:meth:`Algebra.batch_central_mask`) and the units modulo a kernel ideal
-(:meth:`DenSetDescriptor.unit_mask`).  The decision procedures refuse an
-element of another algebra, even one of the same dimension.
+(:meth:`DenSetDescriptor.unit_mask`), and so has each decision procedure,
+which refuses an element of another algebra, even one of the same dimension.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ from .linalg import (
     batch_row_spaces,
     batch_solve,
 )
-from .oracle import monoid_closure
+from .oracle import FiniteSetOfElements, monoid_closure
 from .structure import IdempotentFamily, block_decomposition, primitive_idempotents
 
 MAX_SUBSET_ENUM = 1 << 20
@@ -484,24 +484,10 @@ def associated_idempotent(a: Algebra, s: Element) -> AssociatedIdempotent:
     return AssociatedIdempotent(n, e, a.one - e, False)
 
 
-@dataclass(frozen=True)
-class _PowersRows:
-    """The powers criterion on each row of a batch (:func:`_powers_rows`).
-
-    ``group`` numbers the distinct associated idempotents in order of first
-    appearance; ``classes`` maps each group that some row qualifies with to
-    its idempotent and kernel ideal (1 - e)R.  ``min_exp`` is the minimal
-    core exponent on qualifying rows.
-    """
-
-    ok: np.ndarray
-    group: np.ndarray
-    min_exp: np.ndarray
-    classes: dict[int, tuple[Element, Ideal]]
-
-
-def _powers_rows(a: Algebra, xs: np.ndarray) -> _PowersRows:
-    """:func:`powers_denominator_criterion` on every row of ``xs``.
+def _powers_rows(a: Algebra, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """:func:`powers_denominator_criterion` on every row of ``xs``: which
+    qualify, the group of each (its associated idempotent, numbered by first
+    appearance), the minimal core exponents, and (e, (1 - e)R) per group.
 
     Apart from nilpotency of (1 - e) s (1 - e) and the core exponent, the
     criterion depends on s only through its associated idempotent e, so
@@ -546,7 +532,16 @@ def _powers_rows(a: Algebra, xs: np.ndarray) -> _PowersRows:
     spaces = _kernel_spaces(a, reps[qualified], "left") if qualified else []
     classes = {g: (a.element(reps[g]), known.get(space) or _kernel_class(a, space))
                for g, space in zip(qualified, spaces)}
-    return _PowersRows(ok, group, min_exp, classes)
+    return ok, group, min_exp, classes
+
+
+def powers_denominator_criteria(a: Algebra, xs: Sequence[Element]
+                                ) -> list[tuple[bool, DenSetDescriptor | None]]:
+    """:func:`powers_denominator_criterion` at each of ``xs``, in order, from
+    one :func:`_powers_rows` over all of them."""
+    ok, group, min_exp, classes = _powers_rows(a, _member_rows(a, xs))
+    return [(True, DenSetDescriptor("powers", *classes[g], min_core_exponent=m)) if good else (False, None)
+            for good, g, m in zip(ok.tolist(), group.tolist(), min_exp.tolist())]
 
 
 def powers_denominator_criterion(a: Algebra, s: Element) -> tuple[bool, DenSetDescriptor | None]:
@@ -559,12 +554,9 @@ def powers_denominator_criterion(a: Algebra, s: Element) -> tuple[bool, DenSetDe
     the quotient by it.  The core is the set of powers s^i, i >= 1, with
     (1 - e) s^i (1 - e) = 0 (every i once one qualifies); for a unit the
     kernel ideal is zero and every power, including s^0, is in the core.
+    This is :func:`powers_denominator_criteria` on a batch of one.
     """
-    rows = _powers_rows(a, _member_rows(a, [s]))
-    if not rows.ok[0]:
-        return False, None
-    e, ass = rows.classes[int(rows.group[0])]
-    return True, DenSetDescriptor("powers", e, ass, min_core_exponent=int(rows.min_exp[0]))
+    return powers_denominator_criteria(a, [s])[0]
 
 
 @dataclass(frozen=True)
@@ -598,6 +590,52 @@ def idempotent_denominator_check(a: Algebra, e: Element) -> IdempotentCheck:
     return IdempotentCheck(left, right, left and right, central, descriptor)
 
 
+def monoid_denominator_decisions(a: Algebra, gen_sets: Sequence[Sequence[Element]],
+                                 closures: Sequence[FiniteSetOfElements]
+                                 ) -> list[tuple[bool, DenSetDescriptor | None]]:
+    """:func:`monoid_denominator_decision` on each generator set, given the
+    closure ``closures[k]`` of ``gen_sets[k]``.  Apart from nilpotency (of s
+    and of (1 - e) s (1 - e)) and core membership (ker(s.) = ass), whether a
+    member s is a witness depends only on its associated idempotent e.  So
+    one :func:`_powers_rows` over the members of every closure free of 0
+    groups them by e, each group takes one unit test of the generators of
+    the sets it meets, and one rank decides the core of every witness: the
+    same witnesses and first core witness as the powers criterion member by
+    member."""
+    gen_rows = [_member_rows(a, gens) for gens in gen_sets]
+    live = [k for k, closure in enumerate(closures) if not closure.contains_zero]
+    xs = np.concatenate([closures[k].rows for k in live] + [np.zeros((0, a.dim), dtype=np.int64)])
+    owner = np.repeat(np.array(live, dtype=np.int64), [len(closures[k]) for k in live])
+    ok, group, _, classes = _powers_rows(a, xs)
+    descriptors = {g: DenSetDescriptor("monoid", e, ass) for g, (e, ass) in classes.items()}
+    # per (set, group) of a qualifying member: are the set's generators units
+    # modulo the group's kernel ideal?  One test per group
+    units = dict.fromkeys(zip(owner[ok].tolist(), group[ok].tolist()), True)
+    for g, desc in descriptors.items():
+        sets = [k for k, h in units if h == g]
+        found = desc.unit_mask(np.concatenate([gen_rows[k] for k in sets])).tolist()
+        for k in sets:
+            units[k, g], found = all(found[:len(gen_rows[k])]), found[len(gen_rows[k]):]
+    w = np.flatnonzero(ok & np.array([units.get(key, False) for key in zip(owner.tolist(), group.tolist())],
+                                     dtype=bool))
+    at_set, at_group = owner[w], group[w]
+    witnessed = {k for (k, _), unit in units.items() if unit}
+    if len({(k, descriptors[g].ass.space) for (k, g), unit in units.items() if unit}) != len(witnessed):
+        raise InternalCheckError("witnesses disagree about the kernel ideal")
+    # ker(s.) = ass iff s kills the basis of ass and s. has rank dim - dim ass
+    left = a.batch_left_matrices(xs[w])
+    ranks = batch_rank(left, a.p)
+    core = np.zeros(len(w), dtype=bool)
+    for g in set(at_group.tolist()):
+        at, ass = at_group == g, descriptors[g].ass
+        core[at] = (ranks[at] == a.dim - ass.dim) & ~(ass.space.array @ left[at] % a.p).any(axis=(1, 2))
+    # written in reverse, each set keeps its first core witness in closure order
+    first = dict(zip(at_set[core][::-1].tolist(), at_group[core][::-1].tolist()))
+    if len(first) != len(witnessed):
+        raise InternalCheckError("no witness with full left-multiplication kernel")
+    return [(True, descriptors[first[k]]) if k in first else (False, None) for k in range(len(closures))]
+
+
 def monoid_denominator_decision(a: Algebra, gens: Sequence[Element],
                                 guard: int = DEFAULT_GUARD) -> tuple[bool, DenSetDescriptor | None]:
     """Decide whether the monoid generated by ``gens`` is a left denominator set.
@@ -607,40 +645,11 @@ def monoid_denominator_decision(a: Algebra, gens: Sequence[Element],
     generator becomes a unit.  The kernel ideal is witness-independent;
     this is asserted across all witnesses, and a witness whose
     left-multiplication kernel equals the whole ideal (a core element) must
-    exist; the first one in closure order gives the descriptor.
-
-    The search is one batched pass over the closure.  Apart from
-    nilpotency (of s and of (1 - e) s (1 - e)) and core membership
-    (ker(s.) = ass), the outcome for a member s depends only on its
-    associated idempotent e: triangularity of e, the kernel ideal
-    (1 - e)R, the quotient and whether the generators become units in it
-    are all functions of e.  So the members are grouped by e, that work is
-    done once per distinct e, and the per-member tests run batched; this
-    gives the same witnesses, the same first core witness and so the same
-    descriptor as running the powers criterion member by member.
+    exist; the first one in closure order gives the descriptor.  This is
+    :func:`monoid_denominator_decisions` on a batch of one.
     """
-    gen_rows = _member_rows(a, gens)
-    closure = monoid_closure(a, gens, guard)
-    if closure.contains_zero:
-        return False, None
-    xs = closure.rows
-    rows = _powers_rows(a, xs)
-    descriptors = {g: DenSetDescriptor("monoid", e, ass) for g, (e, ass) in rows.classes.items()}
-    witness_groups = [g for g, desc in descriptors.items() if desc.unit_mask(gen_rows).all()]
-    if not witness_groups:
-        return False, None
-    witnesses = np.flatnonzero(rows.ok & np.isin(rows.group, witness_groups))
-    spaces = {descriptors[g].ass.space for g in witness_groups}
-    if len(spaces) != 1:
-        raise InternalCheckError("witnesses disagree about the kernel ideal")
-    ass_space = spaces.pop()
-    # ker(s.) = ass iff s kills the basis of ass and s. has rank dim - dim ass
-    left = a.batch_left_matrices(xs[witnesses])
-    core = ((batch_rank(left, a.p) == a.dim - ass_space.dim)
-            & ~(ass_space.array @ left % a.p).any(axis=(1, 2)))
-    if not core.any():
-        raise InternalCheckError("no witness with full left-multiplication kernel")
-    return True, descriptors[int(rows.group[witnesses[np.argmax(core)]])]
+    _member_rows(a, gens)  # refuses an element of another algebra before its closure is built
+    return monoid_denominator_decisions(a, [gens], [monoid_closure(a, gens, guard)])[0]
 
 
 def classify_element(a: Algebra, r: Element, report: LocalizationReport) -> dict:
@@ -761,13 +770,22 @@ class TwoSidedReport:
         return (1 << self.factors) - 1
 
     def powers_criterion(self, r: Element) -> bool:
-        """Powers of r form a two-sided denominator set iff r is not
-        nilpotent and each factor component is a unit or nilpotent."""
-        row = _member_rows(self.algebra, [r])
-        if self.algebra.batch_nilpotent_mask(row)[0]:
-            return False
-        return all(desc.unit_mask(row)[0] or desc.quotient.algebra.batch_nilpotent_mask(
-            desc.quotient.batch_project(row))[0] for desc in self.max_den)
+        """:meth:`powers_criteria` at r alone."""
+        return bool(self.powers_criteria(_member_rows(self.algebra, [r]))[0])
+
+    def powers_criteria(self, rows: np.ndarray) -> np.ndarray:
+        """Whether the powers of each row form a two-sided denominator set: iff
+        it is not nilpotent and each factor component is a unit or nilpotent."""
+        live = ~self.algebra.batch_nilpotent_mask(rows)
+        for quo in self.factor_quotients:
+            at = live.nonzero()[0]
+            if not len(at):
+                break
+            proj = quo.batch_project(rows[at])
+            rest = (~quo.algebra.batch_unit_mask(proj)).nonzero()[0]
+            if len(rest):
+                live[at[rest]] = quo.algebra.batch_nilpotent_mask(proj[rest])
+        return live
 
     def to_dict(self) -> dict:
         return {

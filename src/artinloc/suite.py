@@ -20,10 +20,11 @@ one agreement function, which compares the theory's verdict and kernel
 ideal with the oracle's through a per-run :class:`Oracle`; the CLI's
 ``--oracle`` flags and the sweeps of ``verify`` both call it, and what only
 ``verify`` checks (quotient rebuilds, membership in the classified classes,
-the local-factors test) stays around the call.  A sampled sweep draws its
-samples in one call, from the same random stream as one draw per
-coordinate, and rewinds the stream to the samples it tested when it stops
-early.
+the local-factors test) stays around the call.  A sweep computes the
+theory once per batch (or chunk), then compares it with the oracle sample
+by sample in draw order.  A sampled sweep draws its samples in one call,
+from the same random stream as one draw per coordinate, and when it stops
+early leaves the stream where a loop testing one at a time would stop.
 
 Sweep work is bounded: ``guard`` caps any single enumeration (default
 2**20), while full per-element sweeps run only when the ring has at most
@@ -44,9 +45,10 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .algebra import ASSOC_BLOCK, Algebra, Element, Ideal, check_nilpotent, ideal_combine, opposite_algebra, regular_matrix
+from .algebra import ASSOC_BLOCK, Algebra, Element, Ideal, check_nilpotent, ideal_combine, opposite_algebra
 from .linalg import (DEFAULT_GUARD, InputError, InternalCheckError, ResourceGuardError, Subspace,
-                     batch_rank, check_guard, kernel, rank, row_chunks)
+                     batch_intersections, batch_kernels, batch_rank, batch_row_spaces, check_guard, rank,
+                     row_chunks)
 from .localization import (
     DenSetDescriptor,
     IdempotentCheck,
@@ -61,8 +63,8 @@ from .localization import (
     duality_report,
     idempotent_denominator_check,
     localization_report,
-    monoid_denominator_decision,
-    powers_denominator_criterion,
+    monoid_denominator_decisions,
+    powers_denominator_criteria,
     subset_str,
     two_sided_report,
 )
@@ -110,11 +112,11 @@ def _rewind(a: Algebra, rng: random.Random, state: tuple, k: int) -> None:
 
 
 def _sampled(a: Algebra, rng: random.Random, n: int, test: Callable) -> tuple[bool, str] | None:
-    """The first failing ``test(x) = (ok, detail, ...)`` over ``n`` random
-    elements x drawn in one call, or None; a failure rewinds the stream."""
+    """The first failure among ``n`` random rows drawn in one call, or None.
+    ``test`` takes the batch, computes its theory once and yields ``(ok,
+    detail, ...)`` per row in order; a failure rewinds the stream past that row."""
     state = rng.getstate()
-    for k, row in enumerate(_random_rows(a, rng, n)):
-        ok, detail, *_ = test(a.element(row))
+    for k, (ok, detail, *_) in enumerate(test(_random_rows(a, rng, n))):
         if not ok:
             _rewind(a, rng, state, k + 1)
             return False, detail
@@ -145,8 +147,8 @@ def _combine_all(ideals: Sequence[Ideal], op: str) -> Ideal:
 def _padded(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """The 2-D ``arrays`` as one ``(C, r, c)`` stack, each zero-padded to
     the most rows and columns among them."""
-    stack = np.zeros((len(arrays), max(x.shape[0] for x in arrays), max(x.shape[1] for x in arrays)),
-                     dtype=np.int64)
+    stack = np.zeros((len(arrays), max((x.shape[0] for x in arrays), default=0),
+                      max((x.shape[1] for x in arrays), default=0)), dtype=np.int64)
     for k, x in enumerate(arrays):
         stack[k, :x.shape[0], :x.shape[1]] = x
     return stack
@@ -253,8 +255,8 @@ def _left_lattice(rep: LocalizationReport) -> None:
     # the reversed product is checked at the swapped pair; the diagonal
     # says K_i K_i = K_i
     meet_dims = _meet_dims(rep)
-    # extra zero columns of a padded residue map change no membership test
-    maps = _padded([k.residue_map for k in kernels])
+    # the residues of the standard basis, zero-padded: extra columns change no test
+    maps = _padded([k.residues(np.eye(d, dtype=np.int64)) for k in kernels])
     for i, j, rows in _kernel_products(a, block_sums, kernels):
         if ((rows @ maps[i] % p).any() or (rows @ maps[j] % p).any()
                 or (batch_rank(rows, p) != meet_dims[i, j]).any()):
@@ -390,7 +392,7 @@ def bundle_conditions(a: Algebra, guard: int = DEFAULT_GUARD,
     5. the localization radical vanishes.
 
     Condition 1 is swept exhaustively, one batched unit test per chunk, up
-    to ``guard`` ring elements and sampled above that
+    to ``guard`` ring elements and sampled, one batch, above that
     (plus the deterministic witness: the sum of the minima idempotents is
     completely localizable but is a unit only when the radical vanishes).
     """
@@ -404,18 +406,21 @@ def bundle_conditions(a: Algebra, guard: int = DEFAULT_GUARD,
     c3 = e_sum == a.one and batch_rank(_corners(a, minima, minima), a.p).sum() == a.dim
     ts = two_sided_report(a)
     c4 = all(localization_report(quo.algebra).loc_count == 1 for quo in ts.factor_quotients)
-    if total <= guard:
+
+    def completely_iff_unit(xs: np.ndarray) -> np.ndarray:
         # the maximal descriptors are the classes at the minima
-        c1 = not any((np.logical_and.reduce([desc.unit_mask(coeffs) for desc in rep.max_den])
-                      != a.batch_unit_mask(coeffs)).any() for coeffs in a.element_chunks(guard))
+        completely = np.logical_and.reduce([desc.unit_mask(xs) for desc in rep.max_den])
+        unit = a.batch_unit_mask(xs)
+        if (unit & ~completely).any():
+            raise InternalCheckError("a unit must be completely localizable")
+        return completely == unit
+    if total <= guard:
+        c1 = all(completely_iff_unit(coeffs).all() for coeffs in a.element_chunks(guard))
     else:
-        def completely_iff_unit(r: Element) -> tuple[bool, str]:
-            unit = a.batch_unit_mask(r._row())[0]
-            return classify_element(a, r, rep)["completely"] == unit, ""
         # the sum of the minima idempotents is always completely
         # localizable but is a unit only when the radical vanishes
-        c1 = (_sampled(a, rng, samples, completely_iff_unit) is None
-              and (c5 or not classify_element(a, e_sum, rep)["completely"]))
+        tested = _sampled(a, rng, samples, lambda xs: ((ok, "") for ok in completely_iff_unit(xs).tolist()))
+        c1 = tested is None and (c5 or not classify_element(a, e_sum, rep)["completely"])
     return c1, c2, c3, c4, c5
 
 
@@ -503,15 +508,18 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
 
     check("left_regular_implies_unit", lambda: _left_regular_units(a, guard, rng, samples))
 
-    def _split(s: Element) -> tuple[bool, str]:
-        rm = regular_matrix(a, s, "right")
-        rs = Subspace.from_vectors(a.p, a.dim, rm)
-        ker = kernel(rm, a.p)
-        if rs.dim + ker.dim != a.dim:
-            return False, f"rank-nullity broken at {s!r}"
-        trivial_meet = rs.intersect(ker).dim == 0
-        covers = rs.sum(ker).dim == a.dim
-        return trivial_meet == covers, f"split equivalence broken at {s!r}"
+    def _split(rows: np.ndarray) -> Iterator[tuple[bool, str]]:
+        rms = a.batch_right_matrices(rows)
+        images, kernels = batch_row_spaces(rms, a.p), batch_kernels(rms, a.p)
+        meets = batch_intersections(images, kernels)
+        sums = batch_rank(np.concatenate([_padded([sp.array for sp in images]),
+                                          _padded([sp.array for sp in kernels])], axis=1), a.p)
+        for row, rs, ker, meet, covers in zip(rows, images, kernels, meets, sums.tolist()):
+            s = a.element(row)
+            if rs.dim + ker.dim != a.dim:
+                yield False, f"rank-nullity broken at {s!r}"
+            else:
+                yield (meet.dim == 0) == (covers == a.dim), f"split equivalence broken at {s!r}"
     check("image_kernel_split", lambda: _sampled(a, rng, samples, _split))
 
     # -- classification reports ---------------------------------------------
@@ -639,18 +647,18 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
         return True, f"{len(ids)} idempotents"
     check("idempotent_oracle", _idempotent_oracle)
 
-    def _powers(s: Element) -> tuple[bool, str]:
-        verdict, desc = powers_denominator_criterion(a, s)
-        ok, detail, _ = powers_agreement(oracle, s, verdict, desc)
-        if ok and verdict:
-            _rebuild([(f"quotient of the powers of {s!r}", desc.quotient.algebra)])
-        return ok, detail
+    def _powers(rows: np.ndarray) -> Iterator[tuple[bool, str]]:
+        xs = [a.element(row) for row in rows]
+        for s, (verdict, desc) in zip(xs, powers_denominator_criteria(a, xs)):
+            ok, detail, _ = powers_agreement(oracle, s, verdict, desc)
+            if ok and verdict:
+                _rebuild([(f"quotient of the powers of {s!r}", desc.quotient.algebra)])
+            yield ok, detail
 
     def _powers_oracle():
         if total <= sweep_limit:
             for start, stop in row_chunks(total):
-                for row in a.enumerate_coeffs(start, stop):
-                    ok, detail = _powers(a.element(row))
+                for ok, detail in _powers(a.enumerate_coeffs(start, stop)):
                     if not ok:
                         return False, detail
             return True, f"exhaustive over {total}"
@@ -677,30 +685,33 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
         if total > guard:
             return True, f"skipped (guard: {total} > {guard})"
         ts = two_sided_report(a)
-        return _sampled(a, rng, samples, lambda r: two_sided_powers_agreement(
-            oracle, r, ts.powers_criterion(r))) or (True, f"sampled {samples}")
+        return _sampled(a, rng, samples, lambda rows: (
+            two_sided_powers_agreement(oracle, a.element(row), verdict)
+            for row, verdict in zip(rows, ts.powers_criteria(rows).tolist()))) or (True, f"sampled {samples}")
     check("two_sided_powers_oracle", _two_sided_powers_oracle)
 
     def _monoid_oracle():
         if total > guard:
             return True, f"skipped (guard: {total} > {guard})"
         closure_cap = min(guard, max(sweep_limit // 2, 256))
-        tested = skipped = 0
-        while tested < samples and skipped < 10 * samples:
+        # each generator set tested, its closure, and the stream after its draw
+        tested, skipped = [], 0
+        while len(tested) < samples and skipped < 10 * samples:
             gens = [a.element(row) for row in _random_rows(a, rng, rng.choice([1, 2]))]
             try:
-                closure = monoid_closure(a, gens, closure_cap)
+                tested.append((gens, monoid_closure(a, gens, closure_cap), rng.getstate()))
             except ResourceGuardError:
                 skipped += 1
-                continue
-            tested += 1
-            verdict, desc = monoid_denominator_decision(a, gens, guard)
+        decisions = monoid_denominator_decisions(a, [t[0] for t in tested], [t[1] for t in tested])
+        for (gens, closure, state), (verdict, desc) in zip(tested, decisions):
             ok, detail, _ = monoid_agreement(oracle, gens, closure, verdict, desc)
+            if ok and verdict and not classified_after_rebuild(f"at {[g.coeffs for g in gens]}", desc):
+                ok, detail = False, "denominator monoid outside the classified classes"
             if not ok:
+                # where a loop deciding one set at a time stops
+                rng.setstate(state)
                 return False, detail
-            if verdict and not classified_after_rebuild(f"at {[g.coeffs for g in gens]}", desc):
-                return False, "denominator monoid outside the classified classes"
-        return True, f"tested {tested}, closure-capped {skipped}"
+        return True, f"tested {len(tested)}, closure-capped {skipped}"
     check("monoid_oracle", _monoid_oracle)
 
     def _block_support_complements():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,19 @@ class TestConstructors:
         s = a.from_matrix([[2, 0], [1, 0]])
         assert a.dim == 2
         assert (s * s) == s * 2
+
+    def test_large_ambient_memory_is_linear_in_its_entries(self):
+        # the scalar matrices of M_300: 90,000 ambient entries, where a
+        # residue map of shape (ambient, ambient - dim) would take 60 GiB
+        tracemalloc.start()
+        try:
+            a = matrix_subalgebra(7, 300, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert a.dim == 1
+        assert peak < 32 * 8 * 300 ** 2
+        assert 300 ** 2 <= algebra.MAX_AMBIENT_ENTRIES < 65521 ** 2
 
     def test_closure_bound_on_every_span(self, monkeypatch):
         # with the bound at 4: the 4 units of M_2 are accepted; the 9 units

@@ -186,17 +186,16 @@ class TestCheckIdempotent:
         assert code == 2
 
 
-def flip_verdict(real):
-    """A decision procedure whose verdict is the opposite of ``real``'s."""
+def flip_verdicts(real):
+    """A batched decision procedure whose verdicts are the opposite of ``real``'s."""
     def flipped(*args):
-        verdict, desc = real(*args)
-        return not verdict, desc
+        return [(not verdict, desc) for verdict, desc in real(*args)]
     return flipped
 
 
 class FlippedPowersReport(localization.TwoSidedReport):
-    def powers_criterion(self, r):
-        return not super().powers_criterion(r)
+    def powers_criteria(self, rows):
+        return ~super().powers_criteria(rows)
 
 
 def flip_two_sided_powers(real):
@@ -213,14 +212,18 @@ def flip_right(real):
     return flipped
 
 
-# Per --oracle command: the theory function it reads, a fault planted in
-# that function, the command's element, and the verify check that runs the
-# same comparison
+# Per --oracle command: the module through which the command reaches the
+# theory function (the one-element powers and monoid functions call their
+# batched forms in localization), the function, which verify's sweep calls
+# too, a fault planted in it, the command's element, and the verify check
+# that runs the same comparison
 ORACLE_FAULTS = {
-    "check-powers": ("powers_denominator_criterion", flip_verdict, "[[2,0],[1,0]]", "powers_oracle"),
-    "check-monoid": ("monoid_denominator_decision", flip_verdict, "[[2,0],[1,0]]", "monoid_oracle"),
-    "check-idempotent": ("idempotent_denominator_check", flip_right, "[[1,0],[0,0]]", "idempotent_oracle"),
-    "twosided": ("two_sided_report", flip_two_sided_powers, "[[2,0],[1,0]]", "two_sided_powers_oracle"),
+    "check-powers": (localization, "powers_denominator_criteria", flip_verdicts, "[[2,0],[1,0]]",
+                     "powers_oracle"),
+    "check-monoid": (localization, "monoid_denominator_decisions", flip_verdicts, "[[2,0],[1,0]]",
+                     "monoid_oracle"),
+    "check-idempotent": (cli, "idempotent_denominator_check", flip_right, "[[1,0],[0,0]]", "idempotent_oracle"),
+    "twosided": (cli, "two_sided_report", flip_two_sided_powers, "[[2,0],[1,0]]", "two_sided_powers_oracle"),
 }
 
 
@@ -228,9 +231,9 @@ ORACLE_FAULTS = {
 def test_oracle_disagreement_exits_3_and_fails_verify(command, docfile, capsys, monkeypatch):
     # the same comparison serves the command's --oracle flag and verify: a
     # fault in the theory's answer shows in both
-    name, fault, element, check = ORACLE_FAULTS[command]
+    module, name, fault, element, check = ORACLE_FAULTS[command]
     with monkeypatch.context() as patch:
-        patch.setattr(cli, name, fault(getattr(cli, name)))
+        patch.setattr(module, name, fault(getattr(module, name)))
         code = main([command, "--input", docfile(L2_DOC), "--element", element, "--oracle"])
     out = json.loads(capsys.readouterr().out)
     assert code == 3 and out["oracle"]["agrees"] is False
@@ -243,10 +246,10 @@ def test_oracle_disagreement_exits_3_and_fails_verify(command, docfile, capsys, 
 
 def test_check_powers_oracle_runs_the_criterion_once(docfile, capsys, monkeypatch):
     calls = []
-    real = localization.powers_denominator_criterion
-    for module in (cli, suite, localization):
-        monkeypatch.setattr(module, "powers_denominator_criterion",
-                            lambda a, s: calls.append(s) or real(a, s))
+    real = localization.powers_denominator_criteria
+    for module in (suite, localization):
+        monkeypatch.setattr(module, "powers_denominator_criteria",
+                            lambda a, xs: calls.append(xs) or real(a, xs))
     assert main(["check-powers", "--input", docfile(L2_DOC), "--element", "[[2,0],[1,0]]", "--oracle"]) == 0
     assert json.loads(capsys.readouterr().out)["oracle"] == {"agrees": True, "detail": ""}
     assert len(calls) == 1
@@ -483,6 +486,17 @@ class TestVerifyAndErrors:
                           "ambient_n": 2, "generators": [[[1, 0, 0], [0]]]})
         assert main(["report", "--input", docfile(doc)]) == 2
         assert "generator must be 2x2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("generators", [[], [[[1, 0], [0, 1]]]], ids=["none", "2x2"])
+    def test_ambient_past_the_bound_exit_code(self, generators, docfile, capsys):
+        # M_65521 would hold 4.3e9 entries: refused before any allocation,
+        # a wrong generator shape first
+        doc = json.dumps({"scalar": {"prime": 7}, "kind": "constructor", "name": "matrix_subalgebra",
+                          "ambient_n": 65521, "generators": generators})
+        assert main(["report", "--input", docfile(doc)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("input error:")
+        assert ("generator must be 65521x65521" if generators else "above the bound") in err
 
     def test_ragged_mul_table_exit_code(self, docfile, capsys):
         doc = json.dumps({**json.loads(T7_DOC), "mul_table": [[[1, 0], [0, 1]], [[0, 1]]]})

@@ -489,12 +489,13 @@ def reduction_cases(draw, max_dim=4):
 @settings(max_examples=150, deadline=None)
 @given(reduction_cases())
 def test_residues_match_sequential_reduce(case):
-    # the residue map against the one-vector elimination loop
+    # the residues against the one-vector elimination loop
     space, other, vecs = case
     reduced = [reduce_by_definition(space, v) for v in vecs.tolist()]
     expected = [[v[j] for j in space.free_columns] for v in reduced]
     assert space.residues(vecs).tolist() == expected
-    assert space.residue_map.shape == (space.ambient_dim, space.ambient_dim - space.dim)
+    # the subspace holds a (dim, ambient_dim - dim) block, not an ambient-square map
+    assert space._reducer[2].shape == (space.dim, space.ambient_dim - space.dim)
     assert batch_member_mask(vecs, other).tolist() == [member_by_definition(other, v) for v in vecs.tolist()]
     for a, b in ((space, other), (other, space), (space, space)):
         assert a.contains(b) == all(member_by_definition(a, v) for v in b.basis)

@@ -37,12 +37,15 @@ from artinloc.localization import (
     idempotent_denominator_check,
     localization_report,
     monoid_denominator_decision,
+    monoid_denominator_decisions,
+    powers_denominator_criteria,
     powers_denominator_criterion,
     two_sided_report,
 )
 from artinloc.oracle import FiniteSetOfElements, brute_denominator_check, monoid_closure
-from artinloc.structure import block_decomposition
+from artinloc.structure import block_decomposition, radical
 from artinloc.suite import run_invariants
+from test_random_algebras import random_algebra
 from conftest import (
     basis,
     block_sum,
@@ -688,6 +691,58 @@ class TestBatchedDecision:
                                                                           [0, 0, 0, 0, 1, 0],
                                                                           [0, 0, 0, 0, 0, 1]]),
                                             3, None))
+
+
+# random algebras of dimension at most 8, so that closures stay small
+SMALL_RANDOM_SEEDS = [seed for seed in range(40) if random_algebra(seed).dim <= 8]
+
+
+@st.composite
+def mixed_batches(draw):
+    """A decision algebra or a random one (of dimension at most 8), a batch
+    of elements mixing units (1, 2 and random ones), nilpotents (0 and
+    random radical elements), the block idempotents and repeats of earlier
+    rows, and generator sets of one or two of them whose closures stay below
+    128 members, some holding 0."""
+    a = draw(st.sampled_from(DECISION_ALGEBRAS) | st.sampled_from(SMALL_RANDOM_SEEDS).map(random_algebra))
+    vec = st.lists(st.integers(0, a.p - 1), min_size=a.dim, max_size=a.dim)
+    rad = radical(a).space.array
+    nilpotents = [np.array(c) @ rad % a.p for c in draw(st.lists(st.lists(
+        st.integers(0, a.p - 1), min_size=len(rad), max_size=len(rad)), max_size=3))]
+    rows = [a.one_coeffs, (2 * np.array(a.one_coeffs)) % a.p, [0] * a.dim, *nilpotents,
+            *(e.coeffs for e in block_decomposition(a).idempotents), *draw(st.lists(vec, max_size=6))]
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))]
+    xs = [a.element([int(v) for v in row]) for row in draw(st.permutations(rows))]
+    gen_sets, closures = [], []
+    for picked in draw(st.lists(st.lists(st.integers(0, len(xs) - 1), min_size=1, max_size=2),
+                                min_size=2, max_size=8)):
+        try:
+            closures.append(monoid_closure(a, [xs[i] for i in picked], guard=128))
+        except ResourceGuardError:
+            continue
+        gen_sets.append([xs[i] for i in picked])
+    return a, xs, gen_sets, closures
+
+
+class TestBatchedEqualsOneRow:
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_batches())
+    def test_each_batched_form_returns_the_one_row_answers(self, drawn):
+        a, xs, gen_sets, closures = drawn
+        # the verdict, e, ass and min_core_exponent (with the kind and the quotient)
+        assert ([summary(*out) for out in powers_denominator_criteria(a, xs)]
+                == [summary(*powers_denominator_criterion(a, x)) for x in xs])
+        # the verdict and the descriptor of the first core witness
+        assert ([summary(*out) for out in monoid_denominator_decisions(a, gen_sets, closures)]
+                == [summary(*monoid_denominator_decision(a, gens)) for gens in gen_sets])
+        ts = two_sided_report(a)
+        rows = np.array([x.coeffs for x in xs], dtype=np.int64)
+        assert ts.powers_criteria(rows).tolist() == [ts.powers_criterion(x) for x in xs]
+
+    def test_empty_batches(self, L2_7):
+        assert powers_denominator_criteria(L2_7, []) == []
+        assert monoid_denominator_decisions(L2_7, [], []) == []
+        assert two_sided_report(L2_7).powers_criteria(np.zeros((0, L2_7.dim), dtype=np.int64)).tolist() == []
 
 
 # ---------------------------------------------------------------------------

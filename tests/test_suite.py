@@ -106,8 +106,9 @@ def test_a_sampled_sweep_stopped_early_leaves_the_one_at_a_time_stream(monkeypat
     one_at_a_time_rows(a, loop, k + 1)
     target = a.element(drawn[k])
     wrong = regular_matrix(a, target, "right")
-    monkeypatch.setattr(suite, "kernel", lambda m, p: Subspace.full(p, a.dim) if np.array_equal(m, wrong)
-                        else kernel(m, p))
+    kernels = suite.batch_kernels
+    monkeypatch.setattr(suite, "batch_kernels", lambda mats, p: [
+        Subspace.full(p, a.dim) if np.array_equal(m, wrong) else ker for m, ker in zip(mats, kernels(mats, p))])
     states = []
     draw = suite._random_rows
     monkeypatch.setattr(suite, "_random_rows",
@@ -195,39 +196,88 @@ def test_powers_sweep_catches_a_criterion_flipped_at_a_closure_already_checked(m
     a = GF5_2()
     elements = a.enumerate_coeffs(0, a.p ** a.dim).tolist()
     target = a.element(elements[first_repeated_closure(a, [[x] for x in elements])])
-    criterion = suite.powers_denominator_criterion
+    criteria = suite.powers_denominator_criteria
 
-    def flipped(alg, s):
-        ok, desc = criterion(alg, s)
-        return (not ok if s == target else ok), desc
+    def flipped(alg, xs):
+        return [(not ok if s == target else ok, desc) for s, (ok, desc) in zip(xs, criteria(alg, xs))]
 
-    monkeypatch.setattr(suite, "powers_denominator_criterion", flipped)
+    monkeypatch.setattr(suite, "powers_denominator_criteria", flipped)
     check = {r.name: r for r in run_invariants(a)}["powers_oracle"]
     assert not check.ok and check.detail.startswith(f"verdict mismatch at {target!r}:")
 
 
 def test_monoid_sweep_catches_a_decision_flipped_at_a_closure_already_checked(monkeypatch):
     a = GF5_2()
-    decide = suite.monoid_denominator_decision
+    decide = suite.monoid_denominator_decisions
     calls = []
 
-    def recording(alg, gens, guard):
-        calls.append([g.coeffs for g in gens])
-        return decide(alg, gens, guard)
+    def recording(alg, gen_sets, closures):
+        calls.extend([g.coeffs for g in gens] for gens in gen_sets)
+        return decide(alg, gen_sets, closures)
 
-    monkeypatch.setattr(suite, "monoid_denominator_decision", recording)
+    monkeypatch.setattr(suite, "monoid_denominator_decisions", recording)
     run_invariants(a)
     k = first_repeated_closure(a, calls)
     gens = calls[k]
     calls.clear()
 
-    def flipped(alg, gens, guard):
-        verdict, desc = recording(alg, gens, guard)
-        return (not verdict if len(calls) == k + 1 else verdict), desc
+    def flipped(alg, gen_sets, closures):
+        decisions = recording(alg, gen_sets, closures)
+        return [(not verdict if n == k else verdict, desc) for n, (verdict, desc) in enumerate(decisions)]
 
-    monkeypatch.setattr(suite, "monoid_denominator_decision", flipped)
+    monkeypatch.setattr(suite, "monoid_denominator_decisions", flipped)
     check = {r.name: r for r in run_invariants(a)}["monoid_oracle"]
     assert not check.ok and check.detail == f"monoid disagreement at {gens}"
+
+
+def test_a_monoid_sweep_stopped_early_leaves_the_one_at_a_time_stream(monkeypatch):
+    # GF(5)^2 is under the guard: image_kernel_split and the two-sided powers
+    # sweep draw 64 samples each, then the monoid sweep draws one or two
+    # generators per set; no closure reaches the cap, and nothing draws after
+    # it.  With the decision flipped at the k-th set, the sweep fails there
+    # and leaves the generator where a loop deciding one set at a time stops
+    a = GF5_2()
+    k = 10
+    loop = random.Random(0)
+    one_at_a_time_rows(a, loop, 128)
+    for _ in range(k + 1):
+        gens = [a.element(row) for row in one_at_a_time_rows(a, loop, loop.choice([1, 2]))]
+    decide = suite.monoid_denominator_decisions
+
+    def flipped(alg, gen_sets, closures):
+        return [(not verdict if n == k else verdict, desc)
+                for n, (verdict, desc) in enumerate(decide(alg, gen_sets, closures))]
+
+    rngs = []
+    draw = suite._random_rows
+    monkeypatch.setattr(suite, "_random_rows", lambda alg, rng, n: rngs.append(rng) or draw(alg, rng, n))
+    monkeypatch.setattr(suite, "monoid_denominator_decisions", flipped)
+    checks = {r.name: r for r in run_invariants(a)}
+    assert checks["monoid_oracle"] == suite.CheckResult(
+        "monoid_oracle", False, f"monoid disagreement at {[g.coeffs for g in gens]}")
+    assert [name for name, r in checks.items() if not r.ok] == ["monoid_oracle"]
+    assert rngs[-1].getstate() == loop.getstate()
+
+
+def test_the_powers_sweep_runs_the_batched_criterion_once(monkeypatch):
+    # GF(7)^2 has 49 elements, under the sweep limit: one chunk, one
+    # criterion call over all of them, one _powers_rows
+    a = direct_product([full_matrix(7, 1)] * 2)[0]
+    rows_calls, criteria_calls = [], []
+    powers_rows, criteria = localization._powers_rows, suite.powers_denominator_criteria
+    monkeypatch.setattr(localization, "_powers_rows",
+                        lambda alg, xs: rows_calls.append(len(xs)) or powers_rows(alg, xs))
+
+    def counting(alg, xs):
+        before = len(rows_calls)
+        out = criteria(alg, xs)
+        criteria_calls.append((len(xs), len(rows_calls) - before))
+        return out
+
+    monkeypatch.setattr(suite, "powers_denominator_criteria", counting)
+    check = {r.name: r for r in run_invariants(a)}["powers_oracle"]
+    assert check == suite.CheckResult("powers_oracle", True, "exhaustive over 49")
+    assert criteria_calls == [(49, 1)]
 
 
 def test_bundle_unit_sweep_memory_is_set_by_the_chunk():
