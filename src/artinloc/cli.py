@@ -33,14 +33,14 @@ import os
 import sys
 
 from .algebra import Algebra, Element, _residues, build_algebra
-from .linalg import DEFAULT_GUARD, InputError, InternalCheckError, ResourceGuardError
+from .linalg import DEFAULT_GUARD, InputError, InternalCheckError, ModulusMismatch, ResourceGuardError
 from .localization import (
     DenSetDescriptor,
     classify_element,
     duality_report,
     idempotent_denominator_check,
     localization_report,
-    monoid_denominator_decision,
+    monoid_denominator_decisions,
     powers_denominator_criterion,
     subset_str,
     two_sided_report,
@@ -54,21 +54,22 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
+def _parse_json(text: str, what: str):
+    """``text`` parsed as JSON; malformed JSON (the message gives its line
+    and column), or an integer past Python's digit limit, is an input error."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise InputError(f"invalid {what}: {exc}")
+
+
 def parse_input(document: str) -> Algebra:
     """Parse a JSON algebra description into an algebra (built by :func:`build_algebra`)."""
-    try:
-        desc = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON near line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    return build_algebra(desc)
+    return build_algebra(_parse_json(document, "JSON"))
 
 
 def parse_element(a: Algebra, text: str) -> Element:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid element JSON: {exc.msg}")
-    return element_from_payload(a, payload)
+    return element_from_payload(a, _parse_json(text, "element JSON"))
 
 
 def element_from_payload(a: Algebra, payload) -> Element:
@@ -81,7 +82,7 @@ def element_from_payload(a: Algebra, payload) -> Element:
 
 def _load_generators(a: Algebra, path: str) -> list[Element]:
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        payload = _parse_json(fh.read(), "generators JSON")
     if not isinstance(payload, list) or not payload:
         raise InputError("generators file must hold a non-empty JSON array")
     return [element_from_payload(a, item) for item in payload]
@@ -188,12 +189,14 @@ def cmd_check_monoid(args) -> int:
         gens.append(parse_element(a, args.element))
     if not gens:
         raise InputError("check-monoid requires --generators and/or --element")
-    verdict, desc = monoid_denominator_decision(a, gens, args.guard)
+    # one closure serves the decision and the oracle
+    oracle = Oracle(a, args.guard)
+    closure = oracle.closure(gens)
+    verdict, desc = monoid_denominator_decisions(a, [gens], [closure])[0]
     payload = {"verdict": verdict, "descriptor": _descriptor_dict(desc)}
     agrees = True
     if args.oracle:
-        oracle = Oracle(a, args.guard)
-        agrees, _, res = monoid_agreement(oracle, gens, oracle.closure(gens), verdict, desc)
+        agrees, _, res = monoid_agreement(oracle, gens, closure, verdict, desc)
         payload["oracle"] = {"verdict": res is not None and res.is_den, "agrees": agrees,
                              "ass_dim": None if res is None or res.ass is None else res.ass.dim}
     return _finish(payload, args, verdict, agrees)
@@ -317,14 +320,15 @@ def main(argv: list[str] | None = None) -> int:
         # the environment is read at each call, not when the parser is built
         args.guard = _parse_guard(args.guard, os.environ.get("ARTINLOC_GUARD"))
         code = COMMANDS[args.command](args)
-    except (InputError, OSError, ValueError) as exc:
+    except (InputError, ModulusMismatch, UnicodeDecodeError, OSError) as exc:
         # OSError: a path that cannot be read or written, such as a directory
         print(f"input error: {exc}", file=sys.stderr)
         code = EXIT_INPUT
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         code = EXIT_INPUT
-    except (InternalCheckError, AssertionError) as exc:
+    except (InternalCheckError, AssertionError, ValueError) as exc:
+        # any other ValueError, such as a numpy shape mismatch, is a fault
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         code = EXIT_INTERNAL
     if argv is None:

@@ -9,13 +9,14 @@ algebra both plain matrices acting on coefficient rows.
 Every Gauss-Jordan elimination is ``_rref`` on a batch of matrices, a
 single matrix being a batch of one.  The batch's size alone picks the
 strategy: a scalar loop over Python lists for small batches and lone
-matrices, or a numpy sweep over the columns of the whole batch.  Ranks,
-row spaces, kernels and solves each exist once, on batches (:func:`rank`,
-:func:`kernel` and :meth:`Subspace.from_vectors` are those on one
-matrix).  Every reduction modulo a subspace (residues, membership,
-containment, the quotient projection) is one matmul by a block the subspace
-caches, and intersections are batched.  A member's coordinates over an RREF
-basis are its entries at the pivots.  Nothing here uses floating point.
+matrices, or a numpy sweep over the columns of the whole batch.  Ranks
+(from its rank mode, which clears only below each pivot), row spaces,
+kernels and solves each exist once, on batches (:func:`rank`, :func:`kernel`
+and :meth:`Subspace.from_vectors` are those on one matrix).  Every reduction
+modulo a subspace (residues, membership, containment, the quotient
+projection) is one matmul by a block the subspace caches, and intersections
+are batched.  A member's coordinates over an RREF basis are its entries at
+the pivots.  Nothing here uses floating point.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import isqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,12 +35,12 @@ MAX_PRIME = 1 << 16
 # this, not by p**dim
 CHUNK_ROWS = 1 << 12
 # The elimination strategy, by size alone: the scalar loop pays per nonzero
-# entry, the numpy sweep ~15 array calls per column.  On one core of an
-# x86-64 Xeon, on matrices recorded from the benchmark, the loop was faster
-# on batches of at most SCALAR_BATCH_ENTRIES entries in all (2 x 5 x 6
-# solves: 0.02 against 0.04 ms) and, these being sparse, on lone matrices of
-# at most SCALAR_LONE_ENTRIES (a 25 x 85 [M | I]: 0.19 against 1.32 ms).  On
-# dense ones the sweep wins (64 x 64: 4.1 against 28 ms), so neither is higher.
+# entry, the numpy sweep ~25 array calls per column.  On one core of an x86-64
+# Xeon, the 2,193 eliminations of one pass of each benchmark workload (seed 5)
+# took 102.1 ms under these cuts, no more than under other powers of 2 (batch
+# cut 512: 102.2 ms, lone cut 2048: 107.5 ms).  Above the lone cut the sweep
+# wins on dense matrices (64 x 64: 1.8 against 18.5 ms) and loses on sparse
+# ones (66 x 231, 2% nonzero: 3.6 against 0.9 ms), so it is no higher.
 SCALAR_BATCH_ENTRIES = 1 << 10
 SCALAR_LONE_ENTRIES = 1 << 12
 
@@ -75,25 +77,15 @@ def check_guard(guard: int) -> None:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n > 1 and all(n % f for f in range(2, isqrt(n) + 1))
 
 
 def check_prime(p: int) -> int:
+    # the bound first: trial division of a 30-digit number would not end
+    if isinstance(p, int) and p > MAX_PRIME:
+        raise InputError(f"prime {p} exceeds the supported bound {MAX_PRIME}")
     if not isinstance(p, int) or not is_prime(p):
         raise InputError(f"{p!r} is not prime")
-    if p > MAX_PRIME:
-        raise InputError(f"prime {p} exceeds the supported bound {MAX_PRIME}")
     return p
 
 
@@ -104,9 +96,10 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-def _rref_rows(rows: list[list[int]], p: int) -> list[int]:
+def _rref_rows(rows: list[list[int]], p: int, forward: bool = False) -> list[int]:
     """The scalar strategy of :func:`_rref`: Gauss-Jordan in place on one
-    matrix of residues as lists, nonzero rows first; returns the pivots."""
+    matrix of residues as lists, nonzero rows first; returns the pivots.
+    With ``forward`` each pivot clears only the rows below it: row echelon."""
     pivots: list[int] = []
     n = len(rows)
     for col in range(len(rows[0]) if rows else 0):
@@ -119,7 +112,7 @@ def _rref_rows(rows: list[list[int]], p: int) -> list[int]:
             inv = inv_mod(row[col], p)
             row = [v * inv % p for v in row]
         rows[r] = row
-        for i in range(n):
+        for i in range(r + 1 if forward else 0, n):
             f = rows[i][col]
             if f and i != r:
                 rows[i] = [(a - f * b) % p for a, b in zip(rows[i], row)]
@@ -277,42 +270,58 @@ def vectors_to_indices(vecs: np.ndarray, p: int) -> np.ndarray:
     return vecs @ weights
 
 
-def _sweep(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jordan on a whole batch in numpy, one column at a time: the
-    numpy strategy of :func:`_rref` on a nonempty batch.  Returns the reduced
-    forms, each keeping its r rows with the nonzero ones first, and the ranks."""
-    a = np.ascontiguousarray(mats % p).copy()
-    n, r, c = a.shape
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """``x % p`` as ``x - x // p * p``: numpy divides an int64 array by a
+    scalar about twice as fast as it takes the remainder."""
+    return x - x // p * p
+
+
+def _sweep(mats: np.ndarray, p: int, forward: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The numpy strategy of :func:`_rref` on a nonempty batch, one column at
+    a time over every member, the batch the last axis.  No row is swapped: a
+    pivot is the first nonzero entry among the rows holding none yet, which
+    are zero left of it, so only the columns from it rightward are updated.
+    Only the column read and the pivot row are reduced mod p; other entries
+    gain at most (p - 1)**2 a pivot, staying below c * p**2 + p < 2**63, up
+    to one reduction at the end, which sorts the rows by pivot.  ``forward``
+    clears only the rows holding no pivot yet; only its ranks are read."""
+    a = _mod(np.ascontiguousarray(mats.transpose(2, 1, 0), dtype=np.int64), p)     # (c, r, N)
+    c, r, n = a.shape
+    product = np.empty_like(a)
     inv = inverse_table(p)
-    cur = np.zeros(n, dtype=np.int64)
-    free = np.ones((n, r), dtype=bool)      # rows not yet holding a pivot
+    at = np.arange(n)
+    free = np.ones((r, n), dtype=bool)      # rows not yet holding a pivot
+    order = np.full((r, n), c)              # each row's pivot column, c if none
     # row operations keep a column zero that is zero in every member, so
     # only the columns nonzero somewhere in the batch are walked
-    for col in np.flatnonzero(a.any(axis=(0, 1))).tolist():
-        ok = (a[:, :, col] != 0) & free
-        has = ok.any(axis=1)
-        count = int(np.count_nonzero(has))
-        if not count:
+    for col in np.flatnonzero(a.any(axis=(1, 2))).tolist():
+        colv = _mod(a[col], p)
+        ok = (colv != 0) & free
+        has = ok.any(axis=0)
+        if not has.any():
             continue
-        # the members with a pivot in this column, in place when that is all
-        whole = count == n
-        sub = a if whole else a[has]
-        piv = ok.argmax(axis=1) if whole else ok.argmax(axis=1)[has]
-        cr = cur if whole else cur[has]
-        at = np.arange(count)
-        pivrows = sub[at, piv]
-        sub[at, piv] = sub[at, cr]
-        pivrows = pivrows * inv[pivrows[:, col]][:, None] % p
-        sub[at, cr] = pivrows
-        colv = sub[:, :, col].copy()
-        colv[at, cr] = 0
-        sub -= colv[:, :, None] * pivrows[:, None, :]
-        sub %= p
-        if not whole:
-            a[has] = sub
-        free[np.flatnonzero(has), cr] = False
-        cur += has
-    return a, cur
+        piv = ok.argmax(axis=0)
+        which, rows = at[has], piv[has]
+        free[rows, which] = False
+        pivrows = _mod(a[col:, piv, at], p)
+        pivrows = _mod(pivrows * inv[pivrows[0]], p)
+        # the factors: zero in every row holding a pivot going forward, whose
+        # update then skips the rows with no nonzero factor in any member;
+        # else zero in the pivot row and in the members with no pivot here
+        live = slice(None)
+        if forward:
+            colv *= free
+            found = np.flatnonzero(ok.any(axis=1))
+            live = found if len(found) < r else live
+        else:
+            order[rows, which] = col
+            a[col:, rows, which] = pivrows[:, has]
+            colv *= has
+            colv[rows, which] = 0
+        a[col:, live] -= np.multiply(pivrows[:, None], colv[live], out=product[col:, live])
+    if not forward:
+        a = _mod(np.take_along_axis(a, order.argsort(axis=0, kind="stable")[None], axis=1), p)
+    return a.transpose(2, 1, 0), r - free.sum(axis=0)
 
 
 class _Echelon:
@@ -337,17 +346,18 @@ class _Echelon:
         return [piv[:k] for piv, k in zip(firsts, self.ranks.tolist())]
 
 
-def _rref(mats: np.ndarray, p: int) -> _Echelon:
+def _rref(mats: np.ndarray, p: int, forward: bool = False) -> _Echelon:
     """Gauss-Jordan on a batch of shape (N, r, c), the one elimination of the
     package: the scalar loop, matrix by matrix, up to SCALAR_BATCH_ENTRIES
-    entries (SCALAR_LONE_ENTRIES for a lone matrix), else the numpy sweep."""
+    entries (SCALAR_LONE_ENTRIES for a lone matrix), else the numpy sweep.
+    Its rank mode, ``forward``, clears no row above a pivot: read its ranks."""
     n, r, c = mats.shape
     ech = _Echelon(mats.shape)
     if n * r * c > (SCALAR_LONE_ENTRIES if n == 1 else SCALAR_BATCH_ENTRIES):
-        ech.array, ech.ranks = _sweep(mats, p)
+        ech.array, ech.ranks = _sweep(mats, p, forward)
     else:
         ech.rows = (mats % p).tolist()
-        ech.pivots = [_rref_rows(m, p) for m in ech.rows]
+        ech.pivots = [_rref_rows(m, p, forward) for m in ech.rows]
         ech.ranks = np.array([len(piv) for piv in ech.pivots], dtype=np.int64)
     return ech
 
@@ -363,7 +373,7 @@ def _subspaces(ech: _Echelon, p: int, bar: int = 0) -> list[Subspace]:
 
 def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
     """Ranks of a batch of matrices over GF(p); mats has shape (N, r, c)."""
-    return _rref(mats, p).ranks
+    return _rref(mats, p, forward=True).ranks
 
 
 def batch_row_spaces(mats: np.ndarray, p: int) -> list[Subspace]:
@@ -379,7 +389,8 @@ def batch_kernels(mats: np.ndarray, p: int) -> list[Subspace]:
     other rows are zero left of the bar, and right of it they are
     independent combinations x with x @ mats[n] = 0, so they span the
     kernel.  Rank-nullity is checked, the rows nonzero left of the bar
-    against the rank of the transposes, a different elimination.
+    against the ranks of the transposes from the rank mode: a different
+    elimination, forward only, of other matrices.
     """
     n, r, c = mats.shape
     ech = _rref(np.concatenate([mats, np.repeat(np.eye(r, dtype=np.int64)[None], n, axis=0)], axis=2), p)

@@ -7,9 +7,10 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 
-from artinloc import cli, localization, suite
+from artinloc import cli, linalg, localization, oracle, suite
 from artinloc.algebra import Ideal, lower_triangular
 from artinloc.cli import main, parse_input
 from artinloc.linalg import InputError, Subspace
@@ -20,6 +21,8 @@ T7_DOC = ('{"scalar": {"prime": 7}, "kind": "structure_constants", "dim": 2, '
           '"one": [1, 0], "mul_table": [[[1,0],[0,1]],[[0,1],[0,0]]]}')
 L3_11_DOC = '{"scalar": {"prime": 11}, "kind": "constructor", "name": "lower_triangular", "n": 3}'
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# a JSON array whose first integer has more digits than Python converts
+DIGITS = b"[" + b"1" * 5000 + b", 0, 0]"
 P1_DOC = ('{"scalar": {"prime": 7}, "kind": "constructor", "name": "product", "factors": '
           '[{"kind": "constructor", "name": "full_matrix", "n": 2}, '
           '{"kind": "constructor", "name": "full_matrix", "n": 1}]}')
@@ -149,6 +152,18 @@ class TestCheckMonoid:
         code = main(["check-monoid", "--input", docfile(L2_DOC)])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [[], ["--oracle"]], ids=["plain", "oracle"])
+    def test_one_closure_per_request(self, flags, docfile, capsys, monkeypatch):
+        # the decision and the oracle share the closure: it is built once
+        calls = []
+        real = oracle.monoid_closure
+        for module in (oracle, localization, suite):
+            monkeypatch.setattr(module, "monoid_closure",
+                                lambda a, gens, guard: calls.append(gens) or real(a, gens, guard))
+        assert main(["check-monoid", "--input", docfile(L2_DOC), "--element", "[[2,0],[1,0]]", *flags]) == 0
+        assert json.loads(capsys.readouterr().out).get("oracle", {"agrees": True})["agrees"] is True
+        assert len(calls) == 1
+
 
 class TestCheckIdempotent:
     def test_left_side(self, docfile, capsys):
@@ -213,14 +228,15 @@ def flip_right(real):
 
 
 # Per --oracle command: the module through which the command reaches the
-# theory function (the one-element powers and monoid functions call their
-# batched forms in localization), the function, which verify's sweep calls
-# too, a fault planted in it, the command's element, and the verify check
-# that runs the same comparison
+# theory function (the one-element powers function calls its batched form in
+# localization; check-monoid calls the batched monoid decision itself, on the
+# closure it builds once), the function, which verify's sweep calls too, a
+# fault planted in it, the command's element, and the verify check that
+# runs the same comparison
 ORACLE_FAULTS = {
     "check-powers": (localization, "powers_denominator_criteria", flip_verdicts, "[[2,0],[1,0]]",
                      "powers_oracle"),
-    "check-monoid": (localization, "monoid_denominator_decisions", flip_verdicts, "[[2,0],[1,0]]",
+    "check-monoid": (cli, "monoid_denominator_decisions", flip_verdicts, "[[2,0],[1,0]]",
                      "monoid_oracle"),
     "check-idempotent": (cli, "idempotent_denominator_check", flip_right, "[[1,0],[0,0]]", "idempotent_oracle"),
     "twosided": (cli, "two_sided_report", flip_two_sided_powers, "[[2,0],[1,0]]", "two_sided_powers_oracle"),
@@ -242,6 +258,24 @@ def test_oracle_disagreement_exits_3_and_fails_verify(command, docfile, capsys, 
     monkeypatch.setattr(suite, name, fault(getattr(suite, name)))
     failed = [r.name for r in suite.run_invariants(lower_triangular(7, 2), samples=4) if not r.ok]
     assert failed == [check]
+
+
+def test_numpy_fault_in_the_rank_kernel_exits_3(docfile, capsys, monkeypatch):
+    # a ValueError raised by numpy inside the program, here a broadcast of
+    # mismatched shapes in the rank mode of the elimination, is a fault of
+    # the program, not of its input
+    real = linalg._rref
+
+    def broken(mats, p, forward=False):
+        if forward:
+            np.zeros((2, 3)) + np.zeros(4)
+        return real(mats, p, forward)
+
+    monkeypatch.setattr(linalg, "_rref", broken)
+    code = main(["check-monoid", "--input", docfile(L2_DOC), "--element", "[3,0,1]"])
+    err = capsys.readouterr().err
+    assert code == 3 and len(err.splitlines()) == 1
+    assert err.startswith("internal invariant violation: operands could not be broadcast")
 
 
 def test_check_powers_oracle_runs_the_criterion_once(docfile, capsys, monkeypatch):
@@ -431,6 +465,23 @@ class TestVerifyAndErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("input error: ") and str(tmp_path) in captured.err
+
+    @pytest.mark.parametrize("where, payload", [
+        ("input", DIGITS), ("element", DIGITS), ("generators", DIGITS),
+        ("input", b"\xff[1, 0, 0]"), ("generators", b"\xff[1, 0, 0]")],
+        ids=["input past the digit limit", "element past the digit limit", "generators past the digit limit",
+             "input not UTF-8", "generators not UTF-8"])
+    def test_undecodable_json_exit_code(self, where, payload, docfile, tmp_path, capsys):
+        # an integer past Python's digit limit for int conversion, or a file
+        # that is not UTF-8, is bad input, though neither is a JSONDecodeError
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(payload)
+        argv = {"input": ["report", "--input", str(bad)],
+                "element": ["check-monoid", "--input", docfile(L2_DOC), "--element", DIGITS.decode()],
+                "generators": ["check-monoid", "--input", docfile(L2_DOC), "--generators", str(bad)]}[where]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("input error:")
 
     def test_dimension_mismatch_exit_code(self, docfile, capsys):
         code = main(["check-powers", "--input", docfile(L2_DOC), "--element", "[1,2]"])

@@ -73,6 +73,12 @@ class TestScalar:
         with pytest.raises(InputError):
             check_prime(6)
 
+    def test_bound_before_trial_division(self):
+        # trial division up to the square root of a 31-digit number would
+        # not end: the bound refuses it first
+        with pytest.raises(InputError, match="exceeds the supported bound"):
+            check_prime(10 ** 30 + 57)
+
 
 @pytest.mark.usefixtures("strategy")
 class TestRref:
@@ -378,6 +384,94 @@ def test_solve_row_consistency(pm):
     assert (sol[0] @ m % p).tolist() == m[0].tolist()
 
 
+def rank_by_definition(m: np.ndarray, p: int) -> int:
+    """Oracle: the largest order of a minor nonzero mod p, each determinant
+    the Leibniz sum over permutations, in Python integers."""
+    m = m.tolist()
+    for k in range(min(len(m), len(m[0])), 0, -1):
+        for rows in itertools.combinations(range(len(m)), k):
+            for cols in itertools.combinations(range(len(m[0])), k):
+                det = 0
+                for perm in itertools.permutations(range(k)):
+                    inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(k), 2))
+                    term = -1 if inversions % 2 else 1
+                    for i, j in enumerate(perm):
+                        term *= m[rows[i]][cols[j]]
+                    det += term
+                if det % p:
+                    return k
+    return 0
+
+
+@st.composite
+def rank_cases(draw):
+    """(p, mats): 1 to 4 matrices, each rows x cols with both from 1 to 5,
+    at p = 2, 3, 5 or 65521, random or of a drawn rank bound, with a drawn
+    set of columns zero in every member."""
+    p = draw(st.sampled_from([2, 3, 5, 65521]))
+    n, rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        mats = rng.integers(0, p, size=(n, rows, cols))
+    else:
+        inner = draw(st.integers(0, min(rows, cols)))
+        mats = rng.integers(0, p, size=(n, rows, inner)) @ rng.integers(0, p, size=(n, inner, cols)) % p
+    mats[:, :, draw(st.lists(st.integers(0, cols - 1), max_size=cols))] = 0
+    return p, mats
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_cases())
+def test_rank_mode_by_definition(case):
+    # the rank mode, forward only, gives the ranks of the full elimination
+    # and of the definition, under each strategy
+    p, mats = case
+    expected = [rank_by_definition(m, p) for m in mats]
+    for strategy in STRATEGIES:
+        with forced(strategy):
+            assert _rref(mats, p, forward=True).ranks.tolist() == expected
+            assert _rref(mats, p).ranks.tolist() == expected
+            assert batch_rank(mats, p).tolist() == expected
+
+
+@pytest.mark.parametrize("forward", [False, True], ids=["full", "rank mode"])
+@pytest.mark.parametrize("start", [0, 1], ids=["even", "odd"])
+@pytest.mark.parametrize("shape", [(1, 256, 1024), (1024, 36, 36)], ids=["lone 256x1024", "batch 1024x36x36"])
+def test_delayed_reduction_at_the_largest_prime(shape, start, forward):
+    # the sweep reduces only the entries it reads, and every other entry
+    # gains at most (p - 1)**2 per pivot: each it reads stays below
+    # min(rows, cols) * (p - 1)**2 + p.  Checked at p = 65521 on the widest
+    # lone matrix and the largest batch affordable here.  Every entry is
+    # p - 1 but, in the even (or odd) members, 1 at each (i, i): a square
+    # block -J + 2I of full rank, whose reduced form [I | X] has every entry
+    # of X equal to 1 / (rows - 2); a member with every entry p - 1 has rank 1
+    p = 65521
+    n, rows, cols = shape
+    mats = np.full(shape, p - 1, dtype=np.int64)
+    mats[start::2, range(rows), range(rows)] = 1
+    bound = min(rows, cols) * (p - 1) ** 2 + p
+    seen = []
+    mod = linalg._mod
+
+    def checked(x, p):
+        seen.append(int(np.abs(x).max(initial=0)))
+        return mod(x, p)
+
+    with forced("numpy"), mock.patch.object(linalg, "_mod", checked):
+        ech = _rref(mats, p, forward)
+    # with a full-rank member some entry read is past p**2: the reduction is delayed
+    assert (p ** 2 if n > start else 0) < max(seen) < bound
+    ranks = [rows if i % 2 == start else 1 for i in range(n)]
+    assert ech.ranks.tolist() == ranks
+    if not forward:
+        one = np.zeros((rows, cols), dtype=np.int64)
+        one[0] = 1
+        full = np.eye(rows, cols, dtype=np.int64)
+        full[:, rows:] = pow(rows - 2, p - 2, p)
+        for form, k in zip(ech.array, ranks):
+            assert np.array_equal(form, full if k == rows else one)
+
+
 @pytest.mark.usefixtures("strategy")
 def test_batch_kernels_check_rank_nullity():
     mats = np.array([[[1, 2], [2, 4]], [[1, 0], [0, 1]]], dtype=np.int64)
@@ -388,13 +482,14 @@ def test_batch_kernels_check_rank_nullity():
             batch_kernels(mats, 7)
         with pytest.raises(InternalCheckError, match="rank-nullity violated in kernel"):
             kernel(mats[0], 7)
-    # a fault in the elimination of [M | I] alone: the last row of the
-    # first matrix, a kernel row, is given a nonzero entry left of the bar
+    # a fault in the elimination of [M | I] alone, the full one, while the
+    # cross-check, the rank mode on the transposes, runs clean: the last row
+    # of the first matrix, a kernel row, is given a nonzero entry left of the bar
     rref = linalg._rref
 
-    def faulty(m, p):
-        ech = rref(m, p)
-        if m.shape[2] > m.shape[1]:
+    def faulty(m, p, forward=False):
+        ech = rref(m, p, forward)
+        if not forward:
             rows = [[list(row) for row in form] for form in ech.rows]
             rows[0][-1][0] = 1
             ech.rows = rows
@@ -409,17 +504,19 @@ def test_batch_kernels_check_rank_nullity():
 
 def test_lone_and_batch_cuts():
     # the strategy follows the size alone: a lone matrix up to the lone
-    # cut, and a batch up to the batch cut, runs the scalar loop
+    # cut, and a batch up to the batch cut, runs the scalar loop, in the
+    # full elimination and in the rank mode alike
     lone, batch = linalg.SCALAR_LONE_ENTRIES, linalg.SCALAR_BATCH_ENTRIES
     assert batch < lone
-    with mock.patch.object(linalg, "_sweep", side_effect=AssertionError("swept")) as sweep:
-        _rref(np.zeros((1, 1, lone), dtype=np.int64), 7)
-        _rref(np.zeros((2, 1, batch // 2), dtype=np.int64), 7)
-        assert not sweep.called
-    for shape in [(1, 1, lone + 1), (2, 1, batch // 2 + 1)]:
-        with mock.patch.object(linalg, "_sweep", wraps=linalg._sweep) as sweep:
-            _rref(np.zeros(shape, dtype=np.int64), 7)
-            assert sweep.called
+    for forward in (False, True):
+        with mock.patch.object(linalg, "_sweep", side_effect=AssertionError("swept")) as sweep:
+            _rref(np.zeros((1, 1, lone), dtype=np.int64), 7, forward)
+            _rref(np.zeros((2, 1, batch // 2), dtype=np.int64), 7, forward)
+            assert not sweep.called
+        for shape in [(1, 1, lone + 1), (2, 1, batch // 2 + 1)]:
+            with mock.patch.object(linalg, "_sweep", wraps=linalg._sweep) as sweep:
+                _rref(np.zeros(shape, dtype=np.int64), 7, forward)
+                assert sweep.call_args.args[2] is forward
 
 
 def test_all_vectors_order_and_indexing():
