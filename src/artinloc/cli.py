@@ -21,7 +21,8 @@ procedure calls: ``check-powers``, ``check-monoid``, ``check-idempotent``
 and ``twosided --element``.
 
 Exit codes: 0 success / true verdict, 1 false verdict (check-* commands),
-2 input error, 3 internal invariant violation or oracle disagreement.
+2 input error, guard refusal or memory run out (``resource guard: ...``),
+3 internal invariant violation or oracle disagreement.
 Output is deterministic: sorted keys, subsets ordered by (size, lex).
 """
 
@@ -326,6 +327,9 @@ def main(argv: list[str] | None = None) -> int:
         code = EXIT_INPUT
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
+        code = EXIT_INPUT
+    except MemoryError as exc:
+        print(f"resource guard: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
         code = EXIT_INPUT
     except (InternalCheckError, AssertionError, ValueError) as exc:
         # any other ValueError, such as a numpy shape mismatch, is a fault

@@ -12,11 +12,12 @@ strategy: a scalar loop over Python lists for small batches and lone
 matrices, or a numpy sweep over the columns of the whole batch.  Ranks
 (from its rank mode, which clears only below each pivot), row spaces,
 kernels and solves each exist once, on batches (:func:`rank`, :func:`kernel`
-and :meth:`Subspace.from_vectors` are those on one matrix).  Every reduction
-modulo a subspace (residues, membership, containment, the quotient
-projection) is one matmul by a block the subspace caches, and intersections
-are batched.  A member's coordinates over an RREF basis are its entries at
-the pivots.  Nothing here uses floating point.
+and :meth:`Subspace.from_vectors` are those on one matrix); one
+elimination of ``[M | I]`` gives both row spaces and kernels.  Every
+reduction modulo a subspace (residues, membership, containment, the
+quotient projection) is one matmul by a block the subspace caches, and
+intersections are batched.  A member's coordinates over an RREF basis are
+its entries at the pivots.  Nothing here uses floating point.
 """
 
 from __future__ import annotations
@@ -213,13 +214,16 @@ class Subspace:
         return batch_intersections([self], [other])[0]
 
     def member_chunks(self) -> Iterable[np.ndarray]:
-        """All p**dim members, CHUNK_ROWS rows at a time.
+        """All p**dim members: isqrt(CHUNK_ROWS) rows first, so a search that
+        ends early builds few, then CHUNK_ROWS at a time.
 
         Member i is the combination of the basis rows whose coefficients are
         row i of :func:`all_vectors`, so the order is fixed by the basis.
         """
-        for start, stop in row_chunks(self.p ** self.dim):
-            yield (all_vectors(self.p, self.dim, start, stop) @ self.array) % self.p
+        total, start, stop = self.p ** self.dim, 0, isqrt(CHUNK_ROWS)
+        while start < total:
+            yield (all_vectors(self.p, self.dim, start, min(stop, total)) @ self.array) % self.p
+            start, stop = stop, stop + CHUNK_ROWS
 
 
 def kernel(m: np.ndarray, p: int) -> Subspace:
@@ -362,13 +366,14 @@ def _rref(mats: np.ndarray, p: int, forward: bool = False) -> _Echelon:
     return ech
 
 
-def _subspaces(ech: _Echelon, p: int, bar: int = 0) -> list[Subspace]:
-    """Per reduced form, the span of the rows pivoted at or right of column
-    ``bar``, read right of it.  These vanish left of the bar and their pivots
-    are cleared in every other row, so they are a canonical RREF basis."""
-    cuts = [bisect_left(piv, bar) for piv in ech.pivots]
-    return [Subspace(p, ech.shape[2] - bar, tuple(tuple(row[bar:]) for row in rows[k:len(piv)]),
-                     tuple(j - bar for j in piv[k:])) for rows, piv, k in zip(ech.rows, ech.pivots, cuts)]
+def _subspaces(ech: _Echelon, p: int, bar: int = 0, stop: int | None = None) -> list[Subspace]:
+    """Per reduced form, the span of the rows pivoted in columns ``bar`` to
+    ``stop``, read there.  These vanish left of the bar and their pivots are
+    cleared in every other row, so they are a canonical RREF basis."""
+    stop = ech.shape[2] if stop is None else stop
+    cuts = [slice(bisect_left(piv, bar), bisect_left(piv, stop)) for piv in ech.pivots]
+    return [Subspace(p, stop - bar, tuple(tuple(row[bar:stop]) for row in rows[k]),
+                     tuple(j - bar for j in piv[k])) for rows, piv, k in zip(ech.rows, ech.pivots, cuts)]
 
 
 def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
@@ -381,23 +386,29 @@ def batch_row_spaces(mats: np.ndarray, p: int) -> list[Subspace]:
     return _subspaces(_rref(mats, p), p)
 
 
-def batch_kernels(mats: np.ndarray, p: int) -> list[Subspace]:
-    """Left kernels {x : x @ mats[n] = 0} of a batch, from one elimination.
-
-    ``mats`` has shape (N, r, c).  Gauss-Jordan on ``[mats[n] | I_r]``
-    puts the rank(mats[n]) rows with a pivot left of the bar first; the
-    other rows are zero left of the bar, and right of it they are
-    independent combinations x with x @ mats[n] = 0, so they span the
-    kernel.  Rank-nullity is checked, the rows nonzero left of the bar
-    against the ranks of the transposes from the rank mode: a different
-    elimination, forward only, of other matrices.
-    """
+def _kernel_echelon(mats: np.ndarray, p: int) -> _Echelon:
+    """Gauss-Jordan on ``[mats[n] | I_r]``: the rows pivoted left of the bar
+    are the reduced form of mats[n] there, the others independent x with
+    x @ mats[n] = 0 right of it.  Rank-nullity is checked against the ranks
+    of the transposes from the rank mode, a different elimination."""
     n, r, c = mats.shape
     ech = _rref(np.concatenate([mats, np.repeat(np.eye(r, dtype=np.int64)[None], n, axis=0)], axis=2), p)
     left_ranks = [sum(map(any, (row[:c] for row in rows))) for rows in ech.rows]
     if left_ranks != batch_rank(np.swapaxes(mats, 1, 2), p).tolist():
         raise InternalCheckError("rank-nullity violated in kernel")
-    return _subspaces(ech, p, c)
+    return ech
+
+
+def batch_kernels(mats: np.ndarray, p: int) -> list[Subspace]:
+    """Left kernels {x : x @ mats[n] = 0} of a batch, from one elimination."""
+    return _subspaces(_kernel_echelon(mats, p), p, mats.shape[2])
+
+
+def batch_row_spaces_and_kernels(mats: np.ndarray, p: int) -> tuple[list[Subspace], list[Subspace]]:
+    """The row spaces and the left kernels of a batch, both from the one
+    elimination of :func:`batch_kernels`."""
+    ech, c = _kernel_echelon(mats, p), mats.shape[2]
+    return _subspaces(ech, p, 0, c), _subspaces(ech, p, c)
 
 
 def batch_intersections(xs: Sequence[Subspace], ys: Sequence[Subspace]) -> list[Subspace]:

@@ -36,23 +36,22 @@ concessions to speed are logical rewritings, not theory:
 An element set is held as its coefficient rows, one sorted array
 (:class:`FiniteSetOfElements`), from the closure that builds it to the
 verdict; an :class:`Element` is built only where a result names one.
-The linear algebra of a check is batched over the distinct matrices of
-S, found by one grouping of the rows: one elimination ranks every left
-and right multiplication matrix, and the kernels K_s of the
-rank-deficient left matrices, the V_{s'} of one target and the right
-kernels each come from one :func:`batch_kernels`.  The Ore sweep at s
-depends on R*s alone and the reversibility sweep on the right kernel
-alone, so each runs once per distinct R*s or right kernel; a lone
-matrix, as in the {1, e} checks, is a batch of one.  :func:`monoid_closure` is a
-breadth-first search one level at a time, each chunk of the frontier
-multiplied by every generator in one matmul.
+A check builds and ranks matrices ``CHUNK_ROWS`` members at a time: an
+element is 1 times its multiplication matrix, so the distinct matrices
+are the left ones and the right ones of the members that are not
+central.  One elimination of ``[M | I]`` then gives the row spaces R*s
+and kernels of the rank-deficient ones, left and right together, once
+for both sides of a check.  The Ore sweep at s depends on R*s
+alone and the reversibility sweep on the right kernel alone, so each
+runs once per distinct R*s or right kernel.
 
 Every sweep over p**k vectors runs ``CHUNK_ROWS`` rows at a time in the
 enumeration order, so its memory is set by the chunk size rather than by
-p**k, and a search for a first counterexample stops at the chunk that
-holds it.  Enumerations of the whole ring respect a guard on p**dim
-(default 2**20): they take the ring from :meth:`Algebra.element_chunks`,
-which refuses a guard below 1 and then a ring larger than the guard.
+p**k, and a search for a first member starts with a chunk of
+isqrt(CHUNK_ROWS) rows.  Enumerations of the whole ring respect a guard
+on p**dim (default 2**20): they take the ring from
+:meth:`Algebra.element_chunks`, which refuses a guard below 1 and then a
+ring larger than the guard.
 """
 
 from __future__ import annotations
@@ -73,6 +72,7 @@ from .linalg import (
     batch_member_mask,
     batch_rank,
     batch_row_spaces,
+    batch_row_spaces_and_kernels,
     check_guard,
     row_chunks,
 )
@@ -119,16 +119,31 @@ class FiniteSetOfElements:
 def monoid_closure(a: Algebra, gens: Sequence[Element], guard: int = DEFAULT_GUARD) -> FiniteSetOfElements:
     """Closure of gens plus 1 under multiplication; reports whether 0 crept in.
 
-    A breadth-first search one level at a time: a chunk of the frontier
-    times the generators' right-multiplication matrices, side by side, is
-    one matmul holding every product w*g, and new members are found
-    through a set of coefficient tuples, made one array at the end.
+    One generator s gives 1, s, ... up to the first repeat, by doubling:
+    the k powers so far times the matrix of y -> y*s^k, then squared, are
+    the next k.  More generators take a breadth-first search, a chunk of the
+    frontier times every generator in one matmul, one level at a time.
     """
     check_guard(guard)
     d = a.dim
+    refused = f"monoid closure exceeded the guard {guard}"
     gen_arr = np.array([g.coeffs for g in gens], dtype=np.int64).reshape(-1, d)
     # column block g of ``right`` is the matrix of y -> y*g
     right = a.batch_right_matrices(gen_arr).transpose(1, 0, 2).reshape(d, -1)
+    if len(gens) == 1:
+        powers = np.array([a.one_coeffs], dtype=np.int64)
+        seen = {powers.tobytes()}
+        while True:
+            # the next powers, up to the one past the guard
+            new = powers[:guard + 1 - len(powers)] @ right % a.p
+            for i, key in enumerate(new.view(np.dtype((np.void, 8 * d))).ravel().tolist()):
+                if key in seen:
+                    return FiniteSetOfElements(a, np.concatenate([powers, new[:i]]))
+                seen.add(key)
+            powers = np.concatenate([powers, new])
+            if len(powers) > guard:
+                raise ResourceGuardError(refused, len(powers), guard)
+            right = right @ right % a.p
     seen = {a.one_coeffs}
     frontier = [a.one_coeffs]
     while frontier:
@@ -140,8 +155,7 @@ def monoid_closure(a: Algebra, gens: Sequence[Element], guard: int = DEFAULT_GUA
                     seen.add(prod)
                     new.append(prod)
                     if len(seen) > guard:
-                        raise ResourceGuardError(f"monoid closure exceeded the guard {guard}",
-                                                 len(seen), guard)
+                        raise ResourceGuardError(refused, len(seen), guard)
         frontier = new
     return FiniteSetOfElements(a, list(seen))
 
@@ -165,38 +179,16 @@ class BruteDenResult:
     counterexample: tuple[Element, Element] | None
 
 
-def _in_union(vecs: np.ndarray, spaces: Sequence[Subspace]) -> np.ndarray:
-    """Mask of the rows of ``vecs`` that lie in at least one of ``spaces``."""
-    hit = np.zeros(len(vecs), dtype=bool)
-    for sp in spaces:
-        hit |= batch_member_mask(vecs, sp)
-    return hit
-
-
 def _first_outside(space: Subspace, spaces: Sequence[Subspace]) -> tuple[int, ...] | None:
     """The first member of ``space``, in :meth:`Subspace.member_chunks` order,
     that lies in none of ``spaces``; None when the union covers ``space``."""
     for chunk in space.member_chunks():
-        hit = _in_union(chunk, spaces)
+        hit = np.zeros(len(chunk), dtype=bool)
+        for sp in spaces:
+            hit |= batch_member_mask(chunk, sp)
         if not hit.all():
             return tuple(int(v) for v in chunk[int(np.argmin(hit))])
     return None
-
-
-def _distinct(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The index of the first occurrence of each distinct matrix, in order,
-    and for every matrix the position of its first occurrence in that list.
-
-    One sort of the matrices as byte strings groups them; with
-    ``return_index`` the sort is stable, so each group reports its first
-    occurrence."""
-    flat = np.ascontiguousarray(mats).reshape(len(mats), -1)
-    keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
-    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order))
-    return first[order], position[group]
 
 
 def _first_failure(targets: Sequence[int], keys: Iterable[Hashable],
@@ -213,21 +205,23 @@ def _first_failure(targets: Sequence[int], keys: Iterable[Hashable],
     return None
 
 
-def _ore_counterexample(a: Algebra, rs: Subspace, left_rows: np.ndarray,
-                        guard: int) -> tuple[int, ...] | None:
+def _ore_counterexample(a: Algebra, rs: Subspace, rows: np.ndarray,
+                        multiply: Callable[[np.ndarray], np.ndarray], guard: int) -> tuple[int, ...] | None:
     """Left Ore at s: every r admits s' in S with s'*r in R*s = ``rs``.
 
-    ``left_rows`` stacks the distinct left-multiplication matrices L of
-    the members s'.  Residues modulo R*s are linear, so the residue of
-    r*L is r times the residues of the rows of L, and
+    ``multiply`` builds the left-multiplication matrices L of the members
+    s' in ``rows``, a chunk at a time.  Residues modulo R*s are linear, so
+    the residue of r*L is r times the residues of the rows of L, and
     V_{s'} = {r : s'*r in R*s} is the left kernel of that residue matrix.
     Returns the first r in canonical order lying in no V_{s'}, or None.
     """
     p, d = a.p, a.dim
-    res = rs.residues(left_rows).reshape(-1, d, d - rs.dim)
-    if not res.any(axis=(1, 2)).all():
-        return None  # some V_{s'} is the whole ring
-    spaces = list(dict.fromkeys(batch_kernels(res, p)))
+    spaces: dict[Subspace, None] = {}
+    for start, stop in row_chunks(len(rows)):
+        res = rs.residues(multiply(rows[start:stop]).reshape(-1, d)).reshape(-1, d, d - rs.dim)
+        if not res.any(axis=(1, 2)).all():
+            return None  # some V_{s'} is the whole ring
+        spaces.update(dict.fromkeys(batch_kernels(res, p)))
     # p or fewer proper subspaces can never cover the space
     few = len(spaces) <= p
     total = p ** d
@@ -235,7 +229,7 @@ def _ore_counterexample(a: Algebra, rs: Subspace, left_rows: np.ndarray,
         raise ResourceGuardError("counterexample search exceeds the guard" if few else
                                  f"Ore fallback sweep of {total} elements exceeds the guard",
                                  total, guard)
-    bad = _first_outside(Subspace.full(p, d), spaces)
+    bad = _first_outside(Subspace.full(p, d), list(spaces))
     if bad is None and few:
         raise InternalCheckError("claimed non-covering union covered everything")
     return bad
@@ -277,20 +271,39 @@ def brute_denominator_check(a: Algebra, S: FiniteSetOfElements, side: str = "lef
     rows = S.rows
     if not (rows == np.array(a.one_coeffs)).all(axis=1).any():
         raise InputError("a multiplicative set must contain 1")
-    # One batched pass builds every member's multiplication matrices, and
-    # one elimination ranks them all.
-    n = len(rows)
-    mats = np.concatenate([a.batch_left_matrices(rows), a.batch_right_matrices(rows)])
-    ranks = batch_rank(mats, a.p)
+    spaces, which, central = _deficient_spaces(a, rows)
     if side != "right":
-        left = _left_check(a, rows, mats[:n], mats[n:], ranks[:n], ranks[n:], guard)
+        left = _left_check(a, rows, which[0], which[1], spaces, a.batch_left_matrices, guard)
         if side == "left":
             return left
-        if np.array_equal(mats[:n], mats[n:]):
-            # every member is central, so the right check is this one
-            return two_sided_result(left, left)
-    right = _left_check(a, rows, mats[n:], mats[:n], ranks[n:], ranks[:n], guard)
+    # when every member is central, the right check is the left one
+    right = left if side == "twosided" and central else _left_check(
+        a, rows, which[1], which[0], spaces, a.batch_right_matrices, guard)
     return right if side == "right" else two_sided_result(left, right)
+
+
+def _deficient_spaces(a: Algebra, rows: np.ndarray) -> tuple[list, np.ndarray, bool]:
+    """The distinct (row space, kernel) pairs of the rank-deficient
+    multiplication matrices of ``rows``, a chunk of members at a time; per
+    side (0 left, 1 right) and member, the index of its matrix's pair, -1
+    at full rank; and whether every member is central."""
+    p, d, n = a.p, a.dim, len(rows)
+    pairs: dict[tuple[Subspace, Subspace], int] = {}
+    which = np.full((2, n), -1)
+    central = True
+    for start, stop in row_chunks(n):
+        left, right = a.batch_left_matrices(rows[start:stop]), a.batch_right_matrices(rows[start:stop])
+        same = (left == right).all(axis=(1, 2))
+        central = central and bool(same.all())
+        # the distinct matrices, and where each one goes in ``which``
+        mats = np.concatenate([left, right[~same]])
+        slots = np.concatenate([np.arange(start, stop), n + start + np.flatnonzero(~same)])
+        deficient = np.flatnonzero(batch_rank(mats, p) < d)
+        if len(deficient):
+            found = zip(*batch_row_spaces_and_kernels(mats[deficient], p))
+            which.reshape(-1)[slots[deficient]] = [pairs.setdefault(pair, len(pairs)) for pair in found]
+        which[1, start:stop][same] = which[0, start:stop][same]
+    return list(pairs), which, central
 
 
 def two_sided_result(left: BruteDenResult, right: BruteDenResult) -> BruteDenResult:
@@ -304,22 +317,19 @@ def two_sided_result(left: BruteDenResult, right: BruteDenResult) -> BruteDenRes
                           left.core & right.core, left.counterexample or right.counterexample)
 
 
-def _left_check(a: Algebra, rows: np.ndarray, left_mats: np.ndarray,
-                right_mats: np.ndarray, left_ranks: np.ndarray, right_ranks: np.ndarray,
-                guard: int) -> BruteDenResult:
-    """The left check of :func:`brute_denominator_check` on the members'
-    rows, their multiplication matrices and the ranks of those."""
+def _left_check(a: Algebra, rows: np.ndarray, left: np.ndarray, right: np.ndarray,
+                spaces: Sequence[tuple[Subspace, Subspace]],
+                multiply: Callable[[np.ndarray], np.ndarray], guard: int) -> BruteDenResult:
+    """The left check of :func:`brute_denominator_check`: ``left`` and
+    ``right`` index each member's multiplication matrices into ``spaces``
+    (:func:`_deficient_spaces`), and ``multiply`` builds the left ones."""
     p, d = a.p, a.dim
     # ass(S) = union of the left-multiplication kernels, held as the
-    # kernels.  A matrix of full rank has the zero kernel (rank-nullity), so
-    # only the distinct rank-deficient ones are solved, in one batch.
-    left_first, left_which = _distinct(left_mats)
-    deficient = left_first[left_ranks[left_first] < d]
-    solved = dict(zip(deficient.tolist(), batch_kernels(left_mats[deficient], p)))
+    # kernels; 1 is a member, of full rank, so the zero kernel is one of them
     zero = Subspace.zero(p, d)
-    kernels = [solved.get(i, zero) for i in left_first.tolist()]
-    distinct = list(dict.fromkeys(kernels))
-    span = Subspace.from_vectors(p, d, np.concatenate([ker.array for ker in distinct]))
+    distinct = list(dict.fromkeys([zero] + [spaces[i][1] for i in sorted(set(left[left >= 0].tolist()))]))
+    span = distinct[-1] if len(distinct) <= 2 else Subspace.from_vectors(
+        p, d, np.concatenate([ker.array for ker in distinct]))
     if span in distinct:
         ass_space = span
     elif len(distinct) <= p:
@@ -327,18 +337,19 @@ def _left_check(a: Algebra, rows: np.ndarray, left_mats: np.ndarray,
     else:
         ass_space = span if _first_outside(span, distinct) is None else None
 
-    # Ore condition, at each distinct rank-deficient right matrix in member
-    # order (R*s = R at the others).
-    targets = [i for i in _distinct(right_mats)[0].tolist() if right_ranks[i] < d]
-    left_rows = left_mats[left_first].reshape(-1, d)
-    found = _first_failure(targets, batch_row_spaces(right_mats[targets], p),
-                           lambda rs: _ore_counterexample(a, rs, left_rows, guard))
+    # Ore condition, in member order at the first member of each (R*s,
+    # right kernel) of a rank-deficient right matrix (R*s = R at the
+    # others); read backwards, the dict keeps those first members
+    deficient = np.flatnonzero(right >= 0)[::-1]
+    targets = sorted(dict(zip(right[deficient].tolist(), deficient.tolist())).values())
+    found = _first_failure(targets, [spaces[right[i]][0] for i in targets],
+                           lambda rs: _ore_counterexample(a, rs, rows, multiply, guard))
     is_ore = found is None
 
     # Reversibility: r*s = 0 forces r into ass.  A zero right kernel holds
     # only 0, which is in ass, and one inside a single K_s is covered.
     if is_ore and targets:
-        right_kers = batch_kernels(right_mats[targets], p)
+        right_kers = [spaces[right[i]][1] for i in targets]
         uniq = list(dict.fromkeys(right_kers))
         covered = dict(zip(uniq, _inside_one(uniq, distinct)))
         found = _first_failure(targets, right_kers,
@@ -350,7 +361,8 @@ def _left_check(a: Algebra, rows: np.ndarray, left_mats: np.ndarray,
         if ass_space is None:
             raise InternalCheckError("kernel union of a denominator set is not a subspace")
         ass_ideal = Ideal(a, ass_space, "twosided")
-    core = np.array([ker == span for ker in kernels])[left_which]
+    # index -1, a full-rank matrix, reads the zero kernel appended last
+    core = np.array([ker == span for _, ker in spaces] + [zero == span])[left]
     counterexample = None if found is None else (a.element(rows[found[0]]), a.element(found[1]))
     return BruteDenResult(is_ore, is_den, ass_space, ass_ideal, core, counterexample)
 

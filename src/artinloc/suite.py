@@ -47,7 +47,7 @@ import numpy as np
 
 from .algebra import ASSOC_BLOCK, Algebra, Element, Ideal, check_nilpotent, ideal_combine, opposite_algebra
 from .linalg import (DEFAULT_GUARD, InputError, InternalCheckError, ResourceGuardError, Subspace,
-                     batch_intersections, batch_kernels, batch_rank, batch_row_spaces, check_guard, rank,
+                     batch_intersections, batch_rank, batch_row_spaces_and_kernels, check_guard, rank,
                      row_chunks)
 from .localization import (
     DenSetDescriptor,
@@ -510,7 +510,7 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
 
     def _split(rows: np.ndarray) -> Iterator[tuple[bool, str]]:
         rms = a.batch_right_matrices(rows)
-        images, kernels = batch_row_spaces(rms, a.p), batch_kernels(rms, a.p)
+        images, kernels = batch_row_spaces_and_kernels(rms, a.p)
         meets = batch_intersections(images, kernels)
         sums = batch_rank(np.concatenate([_padded([sp.array for sp in images]),
                                           _padded([sp.array for sp in kernels])], axis=1), a.p)

@@ -260,6 +260,38 @@ def test_oracle_disagreement_exits_3_and_fails_verify(command, docfile, capsys, 
     assert failed == [check]
 
 
+@pytest.mark.parametrize("command, builder", [
+    ("check-powers", "powers_denominator_criterion"),
+    ("check-monoid", "monoid_denominator_decisions"),
+    ("check-idempotent", "idempotent_denominator_check"),
+    ("twosided", "two_sided_report"),
+    ("dual", "duality_report"),
+])
+@pytest.mark.parametrize("message", ["Unable to allocate 8.00 GiB for an array with shape (1073741824,)", ""])
+def test_out_of_memory_exits_2(command, builder, message, docfile, capsys, monkeypatch):
+    # memory run out is a refusal, like the guard's, not a false verdict:
+    # exit 2 with one stderr line and no traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+    monkeypatch.setattr(cli, builder, exhausted)
+    element = "[[1,0],[0,0]]" if command == "check-idempotent" else "[[2,0],[1,0]]"
+    code = main([command, "--input", docfile(L2_DOC), "--element", element, "--oracle"])
+    err = capsys.readouterr().err
+    assert code == 2 and len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.rstrip("\n") == "resource guard: out of memory" + (f": {message}" if message else "")
+
+
+def test_out_of_memory_in_a_verify_check_fails_that_check(docfile, capsys, monkeypatch):
+    # verify reports each check on its own: the check that runs out of
+    # memory fails, and the command exits 3 as for any failed check
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+    monkeypatch.setattr(suite, "brute_radical", exhausted)
+    assert main(["verify", "--input", docfile(L2_DOC)]) == 3
+    failed = [c for c in json.loads(capsys.readouterr().out)["checks"] if not c["ok"]]
+    assert failed == [{"name": "radical_crosscheck", "ok": False, "detail": "MemoryError: Unable to allocate"}]
+
+
 def test_numpy_fault_in_the_rank_kernel_exits_3(docfile, capsys, monkeypatch):
     # a ValueError raised by numpy inside the program, here a broadcast of
     # mismatched shapes in the rank mode of the elimination, is a fault of

@@ -19,6 +19,7 @@ from artinloc.linalg import (
     batch_member_mask,
     batch_rank,
     batch_row_spaces,
+    batch_row_spaces_and_kernels,
     batch_solve,
     check_prime,
     inv_mod,
@@ -263,6 +264,7 @@ OPERATIONS = {
     "batch_rank": lambda p, mats, targets: batch_rank(mats, p),
     "batch_row_spaces": lambda p, mats, targets: batch_row_spaces(mats, p),
     "batch_kernels": lambda p, mats, targets: batch_kernels(mats, p),
+    "batch_row_spaces_and_kernels": lambda p, mats, targets: batch_row_spaces_and_kernels(mats, p),
     "batch_solve": lambda p, mats, targets: batch_solve(mats, targets, p),
     "rank": lambda p, mats, targets: [rank(m, p) for m in mats],
     "kernel": lambda p, mats, targets: [kernel(m, p) for m in mats],
@@ -331,6 +333,8 @@ def test_strategies_agree_on_edge_batches(p, mats):
     for targets in (reachable, np.zeros((n, cols), dtype=np.int64), rng.integers(0, p, size=(n, cols))):
         for op in OPERATIONS:
             assert_strategies_agree(op, p, mats, targets)
+    # one elimination gives what the two separate ones give, empty batches too
+    assert batch_row_spaces_and_kernels(mats, p) == (batch_row_spaces(mats, p), batch_kernels(mats, p))
     if mats.size and (mats == p - 1).all():
         # every entry p - 1: rank 1, and no entry wrapped past int64
         assert batch_rank(mats, p).tolist() == [1] * n

@@ -1,12 +1,13 @@
 import itertools
 import tracemalloc
+from math import isqrt
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from artinloc import linalg, oracle
+from artinloc import linalg, oracle, suite
 from artinloc.algebra import (
     Algebra,
     direct_product,
@@ -93,6 +94,37 @@ class TestMonoidClosure:
         cl = monoid_closure(a, gens, guard=64)
         assert len(cl) == 8 and not cl.contains_zero
         assert tuples(cl.rows) == reference_closure(a, gens, 64)
+
+    @pytest.mark.parametrize("build, row, order", [
+        # 2 has order 12 mod 13: a cyclic group of units
+        (lambda: full_matrix(13, 1), [2], 12),
+        # 3 + 3x: 3 has order 6 mod 7 and 1 + x order 7, so 42
+        (lambda: truncated_poly(7, 3), [3, 3, 0], 42),
+        # x is nilpotent: 1, x, x^2, 0, and then 0 again
+        (lambda: truncated_poly(7, 3), [0, 1, 0], 4),
+        # e + n = (x, 3) in GF(7)[x]/(x^3) x GF(7): the powers reach
+        # (0, 3^3) and cycle there, so the first repeat is s^9 = s^3, not 1
+        (lambda: direct_product([truncated_poly(7, 3), full_matrix(7, 1)])[0], [0, 1, 0, 3], 9),
+    ], ids=["unit", "unipotent_times_scalar", "nilpotent", "idempotent_plus_nilpotent"])
+    def test_cyclic_closure_at_its_guard(self, build, row, order):
+        a = build()
+        s = [a.element(row)]
+        expected = reference_closure(a, s, order)
+        assert len(expected) == order
+        assert tuples(monoid_closure(a, s, guard=order).rows) == expected
+        refused = f"^monoid closure exceeded the guard {order - 1}$"
+        with pytest.raises(ResourceGuardError, match=refused) as exc:
+            monoid_closure(a, s, guard=order - 1)
+        assert (exc.value.size, exc.value.guard) == (order, order - 1)
+        with pytest.raises(ResourceGuardError):
+            reference_closure(a, s, order - 1)
+
+    def test_cyclic_closure_of_the_largest_order(self):
+        # 17 is a primitive root mod 65521: the 65,520 powers of (17, 1)
+        a = direct_product([full_matrix(65521, 1)] * 2)[0]
+        cl = monoid_closure(a, [a.element([17, 1])])
+        assert len(cl) == 65520 and set(cl.rows[:, 1].tolist()) == {1}
+        assert sorted(cl.rows[:, 0].tolist()) == list(range(1, 65521))
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -572,3 +604,99 @@ class TestChunkedSweeps:
         # bytes and the rank elimination holds a few of them; the unit mask
         # takes one byte per element
         assert peak < 8 * (CHUNK_ROWS * a.dim ** 2 * 8) + a.p ** a.dim
+
+    @pytest.mark.parametrize("chunk", [7, 64, CHUNK_ROWS])
+    @pytest.mark.parametrize("where", ["0", "63", "64", "past_the_first_full_chunk", "none"])
+    def test_first_outside_matches_enumeration(self, chunk, where):
+        # members 0 to 2^j - 1 of a 13-dimensional subspace of GF(2)^14 are
+        # the span of its last j basis rows, and over GF(2) a line holds 0
+        # and one member: that span and the lines through the members up to
+        # k - 1 cover exactly the first k, so member k is the first outside;
+        # every subspace holds member 0, the zero vector, so it is first
+        # outside only an empty union
+        space = Subspace.from_vectors(2, 14, [[0] * i + [1] + [0] * (12 - i) + [1] for i in range(13)])
+        members = [tuple(np.array(c) @ space.array % 2) for c in itertools.product(range(2), repeat=13)]
+        k = {"0": 0, "63": 63, "64": 64, "past_the_first_full_chunk": isqrt(chunk) + chunk + 5}.get(where)
+        spaces = [space] if k is None else []
+        if k:
+            j = k.bit_length() - 1
+            spaces = [Subspace.from_vectors(2, 14, space.array[13 - j:])]
+            spaces += [Subspace.from_vectors(2, 14, [members[i]]) for i in range(2 ** j, k)]
+        covered = {v for sp in spaces for c in itertools.product(range(2), repeat=sp.dim)
+                   for v in [tuple(np.array(c, dtype=np.int64) @ sp.array % 2)]}
+        expected = next((v for v in members if v not in covered), None)
+        assert expected == (None if k is None else members[k])
+        with mock.patch.object(linalg, "CHUNK_ROWS", chunk):
+            assert _first_outside(space, spaces) == expected
+
+    def test_denominator_check_memory_is_set_by_the_chunk(self):
+        # diag(3, 1, 1): 3 is a primitive root mod 8009, so the closure is
+        # 8,008 units, whose 16,016 multiplication matrices would take
+        # 2 * |S| * dim**2 * 8 bytes if they were built at once.  The table
+        # of inverses mod p, which the process keeps per prime, is built first
+        a = lower_triangular(8009, 3)
+        S = monoid_closure(a, [a.from_matrix([[3, 0, 0], [0, 1, 0], [0, 0, 1]])])
+        assert len(S) == 8008
+        linalg.inverse_table(a.p)
+        with mock.patch.object(linalg, "CHUNK_ROWS", 64):
+            tracemalloc.start()
+            try:
+                res = brute_denominator_check(a, S, "twosided")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert res.is_den and res.ass.dim == 0 and res.core.all()
+        assert peak < 2 * len(S) * a.dim ** 2 * 8 / 8
+
+
+def _logged_eliminations(monkeypatch):
+    """Record ``(forward, shape, mats)`` of every ``linalg._rref`` call."""
+    log = []
+    rref = linalg._rref
+    monkeypatch.setattr(linalg, "_rref", lambda mats, p, forward=False: log.append(
+        (forward, mats.shape, mats.copy())) or rref(mats, p, forward))
+    return log
+
+
+def test_one_elimination_of_each_kind_before_the_ore_sweep(L2_7, monkeypatch):
+    # {1, E11}: E11 is rank-deficient on both sides and not central, so
+    # the distinct matrices are I, L(E11) and R(E11): one rank-mode
+    # elimination of the three, one of [M | I] for the two deficient ones,
+    # and its cross-check on their transposes serve both sides
+    e = L2_7.from_matrix([[1, 0], [0, 0]])
+    S = FiniteSetOfElements.from_elements(L2_7, [L2_7.one, e])
+    log = _logged_eliminations(monkeypatch)
+    ore = oracle._ore_counterexample
+    monkeypatch.setattr(oracle, "_ore_counterexample", lambda *args: log.append("ore") or ore(*args))
+    brute_denominator_check(L2_7, S, "twosided")
+    before = log[:log.index("ore")]
+    assert [(forward, shape) for forward, shape, _ in before] == [(True, (3, 3, 3)), (False, (2, 3, 6)),
+                                                                  (True, (2, 3, 3))]
+    deficient = np.array([regular_matrix(L2_7, e, "left"), regular_matrix(L2_7, e, "right")])
+    assert np.array_equal(before[1][2][:, :, :3], deficient)
+    assert np.array_equal(before[1][2][:, :, 3:], np.repeat(np.eye(3, dtype=np.int64)[None], 2, axis=0))
+
+
+def test_image_kernel_split_runs_one_elimination_per_batch(L2_7, monkeypatch):
+    # the sampled right multiplications are eliminated once, as [M | I],
+    # for their row spaces and kernels together
+    log = _logged_eliminations(monkeypatch)
+    sampled, split = suite._sampled, []
+
+    def spy(a, rng, n, test):
+        start = len(log)
+        found = sampled(a, rng, n, test)
+        if test.__name__ == "_split":
+            split.append(log[start:])
+        return found
+    monkeypatch.setattr(suite, "_sampled", spy)
+    assert all(r.ok for r in run_invariants(L2_7, samples=16))
+    [calls] = split
+    d = L2_7.dim
+    full = [mats for forward, _, mats in calls if not forward and mats.shape[1:] == (d, 2 * d)
+            and np.array_equal(mats[:, :, d:], np.repeat(np.eye(d, dtype=np.int64)[None], len(mats), axis=0))]
+    assert len(full) == 1 and full[0].shape == (16, d, 2 * d)
+    rms = full[0][:, :, :d]
+    # no other elimination of those matrices
+    assert sum(not forward and mats.shape[1] == d and np.array_equal(mats[:, :, :d], rms)
+               for forward, _, mats in calls) == 1

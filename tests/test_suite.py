@@ -42,6 +42,13 @@ def test_battery_sampled_fixture(P1):
     assert "exhaustive" in by_name["left_regular_implies_unit"].detail
 
 
+def test_battery_with_no_samples(P1):
+    # every sampled check, the image-kernel split among them, takes an
+    # empty batch and passes
+    failures = [(r.name, r.detail) for r in run_invariants(P1, samples=0) if not r.ok]
+    assert not failures, failures
+
+
 def test_sampled_left_regular_check_reports_the_first_failing_sample(monkeypatch):
     # with every element declared a non-unit, the first left regular sample
     # fails; the report and the random stream left for the next check must
@@ -106,9 +113,13 @@ def test_a_sampled_sweep_stopped_early_leaves_the_one_at_a_time_stream(monkeypat
     one_at_a_time_rows(a, loop, k + 1)
     target = a.element(drawn[k])
     wrong = regular_matrix(a, target, "right")
-    kernels = suite.batch_kernels
-    monkeypatch.setattr(suite, "batch_kernels", lambda mats, p: [
-        Subspace.full(p, a.dim) if np.array_equal(m, wrong) else ker for m, ker in zip(mats, kernels(mats, p))])
+    both = suite.batch_row_spaces_and_kernels
+
+    def faulty(mats, p):
+        images, kernels = both(mats, p)
+        return images, [Subspace.full(p, a.dim) if np.array_equal(m, wrong) else ker
+                        for m, ker in zip(mats, kernels)]
+    monkeypatch.setattr(suite, "batch_row_spaces_and_kernels", faulty)
     states = []
     draw = suite._random_rows
     monkeypatch.setattr(suite, "_random_rows",
