@@ -67,13 +67,6 @@ from .linalg import (
 
 MAX_CLOSURE_DIM = 64
 MAX_AMBIENT_ENTRIES = 1 << 17  # of matrix_subalgebra's M_n, before any allocation: n <= 362
-# entries per temporary of the blocked associativity check in Algebra._validate
-# and of the pair runs of the class-lattice checks in localization and the
-# block-sum runs of verify's triangular subset scan; larger blocks save
-# little time and raise the peak memory of every build.  Blocking
-# does not bear on exactness: each float64 entry of an associativity block is
-# one sum of dim < p products of residues, below 2**48 for p <= MAX_PRIME
-ASSOC_BLOCK = 1 << 14
 
 
 class Algebra:
@@ -130,13 +123,13 @@ class Algebra:
             raise InputError("identity fails one*b_i = b_i")
         if (((one @ t).astype(np.int64) - eye) % p).any():
             raise InputError("identity fails b_i*one = b_i")
-        # (b_i b_j) b_k = b_i (b_j b_k) for a block of first indices i at a
-        # time: two matmuls, with temporaries of ASSOC_BLOCK entries or, when
-        # one index needs more, of d**3
-        block = max(1, ASSOC_BLOCK // d ** 3)
+        # (b_i b_j) b_k = b_i (b_j b_k) for a run of first indices i at a
+        # time: two matmuls, with temporaries of d**3 entries per index.
+        # Running them does not bear on exactness: each float64 entry is one
+        # sum of dim < p products of residues, below 2**48 for p <= MAX_PRIME
         flat = t.reshape(d * d, d)
-        for start in range(0, d, block):
-            rows = t[start:start + block]
+        for start, stop in row_chunks(d, d ** 3):
+            rows = t[start:stop]
             lhs = (rows.reshape(-1, d) @ t.reshape(d, d * d)).reshape(len(rows), -1)
             lhs -= (flat @ rows).reshape(len(rows), -1)
             bad = (lhs.astype(np.int64) % p).any(axis=1)
@@ -160,6 +153,13 @@ class Algebra:
         if len(v) != self.dim:
             raise InputError(f"coefficient vector length {len(v)} != dim {self.dim}")
         return Element(self, v)
+
+    def member_rows(self, xs: Sequence["Element"]) -> np.ndarray:
+        """The coefficient rows of ``xs``, refusing an element of another
+        algebra, even one of the same dimension."""
+        if any(x.algebra is not self for x in xs):
+            raise InputError("element does not belong to the algebra")
+        return np.array([x.coeffs for x in xs], dtype=np.int64).reshape(len(xs), self.dim)
 
     @property
     def one(self) -> "Element":
@@ -194,14 +194,14 @@ class Algebra:
 
     def element_chunks(self, guard: int) -> Iterator[np.ndarray]:
         """Every element's coefficient row, in canonical order, one
-        :func:`row_chunks` piece at a time: the guarded sweep of the ring.
-        A guard below 1, and then a ring of more than ``guard`` elements, is
-        refused at the call, before any chunk is built."""
+        :func:`row_chunks` piece (dim**2 entries a row) at a time: the guarded
+        sweep of the ring.  A guard below 1, and then a ring of more than
+        ``guard`` elements, is refused at the call, before any chunk is built."""
         check_guard(guard)
         total = self.p ** self.dim
         if total > guard:
             raise ResourceGuardError(f"{total} elements exceed the guard {guard}", total, guard)
-        return (self.enumerate_coeffs(start, stop) for start, stop in row_chunks(total))
+        return (self.enumerate_coeffs(start, stop) for start, stop in row_chunks(total, self.dim ** 2))
 
     def coeffs_to_indices(self, arr: np.ndarray) -> np.ndarray:
         return vectors_to_indices(arr % self.p, self.p)

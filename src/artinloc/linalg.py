@@ -32,9 +32,13 @@ import numpy as np
 
 DEFAULT_GUARD = 1 << 20
 MAX_PRIME = 1 << 16
-# rows per piece of an enumeration sweep: peak memory of a sweep is set by
-# this, not by p**dim
-CHUNK_ROWS = 1 << 12
+# entries per batch: every sweep takes as many rows at a time as fit their
+# widest temporaries in this many entries (:func:`row_chunks`), so its peak
+# memory follows this budget, not p**dim or dim**2.  On an x86-64 Xeon, 2**17
+# holds verify on lower_triangular(37,8) to a traced peak of 12.6 MiB in the
+# time of 4,096-row chunks (2.23 s); at 2**16 that verify took 2.50 s, and
+# at 2**18 the oracle benchmark's peak RSS rose from 45.1 to 49.4 MB
+BATCH_ENTRIES = 1 << 17
 # The elimination strategy, by size alone: the scalar loop pays per nonzero
 # entry, the numpy sweep ~25 array calls per column.  On one core of an x86-64
 # Xeon, the 2,193 eliminations of one pass of each benchmark workload (seed 5)
@@ -214,16 +218,19 @@ class Subspace:
         return batch_intersections([self], [other])[0]
 
     def member_chunks(self) -> Iterable[np.ndarray]:
-        """All p**dim members: isqrt(CHUNK_ROWS) rows first, so a search that
-        ends early builds few, then CHUNK_ROWS at a time.
+        """All p**dim members, ambient_dim entries a row: first the isqrt of
+        a :func:`row_chunks` step, then twice the last chunk up to a step, so
+        a search that ends early builds at most about twice what it reads.
 
         Member i is the combination of the basis rows whose coefficients are
         row i of :func:`all_vectors`, so the order is fixed by the basis.
         """
-        total, start, stop = self.p ** self.dim, 0, isqrt(CHUNK_ROWS)
+        total, step = self.p ** self.dim, _step(self.ambient_dim)
+        start, size = 0, isqrt(step)
         while start < total:
-            yield (all_vectors(self.p, self.dim, start, min(stop, total)) @ self.array) % self.p
-            start, stop = stop, stop + CHUNK_ROWS
+            stop = min(start + size, total)
+            yield (all_vectors(self.p, self.dim, start, stop) @ self.array) % self.p
+            start, size = stop, min(2 * size, step)
 
 
 def kernel(m: np.ndarray, p: int) -> Subspace:
@@ -261,10 +268,18 @@ def all_vectors(p: int, dim: int, start: int = 0, stop: int | None = None) -> np
     return out
 
 
-def row_chunks(total: int) -> Iterable[tuple[int, int]]:
-    """``(start, stop)`` bounds cutting ``range(total)`` into CHUNK_ROWS pieces."""
-    for start in range(0, total, CHUNK_ROWS):
-        yield start, min(start + CHUNK_ROWS, total)
+def _step(per_row: int) -> int:
+    """Rows per piece of :func:`row_chunks`: at least one."""
+    return max(1, BATCH_ENTRIES // max(1, per_row))
+
+
+def row_chunks(total: int, per_row: int) -> Iterable[tuple[int, int]]:
+    """``(start, stop)`` bounds cutting ``range(total)`` into runs of at least
+    one row whose temporaries, ``per_row`` entries a row, hold at most
+    BATCH_ENTRIES entries."""
+    step = _step(per_row)
+    for start in range(0, total, step):
+        yield start, min(start + step, total)
 
 
 def vectors_to_indices(vecs: np.ndarray, p: int) -> np.ndarray:

@@ -59,12 +59,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .algebra import (
-    ASSOC_BLOCK,
     Algebra,
     Element,
     Ideal,
@@ -79,6 +78,7 @@ from .linalg import (
     batch_rank,
     batch_row_spaces,
     batch_solve,
+    row_chunks,
 )
 from .oracle import FiniteSetOfElements, monoid_closure
 from .structure import IdempotentFamily, block_decomposition, primitive_idempotents
@@ -92,14 +92,6 @@ def subset_str(subset: Subset) -> str:
     return "{" + ",".join(str(i) for i in subset) + "}"
 
 
-def _member_rows(a: Algebra, xs: Sequence[Element]) -> np.ndarray:
-    """The coefficient rows of ``xs``, refusing an element of another
-    algebra, even one of the same dimension."""
-    if any(x.algebra is not a for x in xs):
-        raise InputError("element does not belong to the algebra")
-    return np.array([x.coeffs for x in xs], dtype=np.int64).reshape(len(xs), a.dim)
-
-
 def _corners(a: Algebra, es: np.ndarray, fs: np.ndarray) -> np.ndarray:
     """The maps y -> e*y*f on coefficient rows, L_e @ R_f, one per row pair
     (e, f) of ``es`` and ``fs``; the row space of each is e R f, so e R f = 0
@@ -110,20 +102,6 @@ def _corners(a: Algebra, es: np.ndarray, fs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Block subsets
 # ---------------------------------------------------------------------------
-
-def _pair_runs(ii: np.ndarray, jj: np.ndarray, per_pair: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The index pairs ``(ii[n], jj[n])`` in order, in runs of at least one
-    pair whose stacked temporaries, ``per_pair`` entries a pair, hold at
-    most ASSOC_BLOCK entries."""
-    step = max(1, ASSOC_BLOCK // max(1, per_pair))
-    for start in range(0, len(ii), step):
-        yield ii[start:start + step], jj[start:start + step]
-
-
-def _ordered_pairs(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every ordered pair of ``range(count)``, row-major, as two index arrays."""
-    return np.divmod(np.arange(count * count, dtype=np.int64), count)
-
 
 def _subset_masks(subsets: Sequence[Subset]) -> np.ndarray:
     """The 1-based block subsets as bitmasks, block i at bit i - 1."""
@@ -137,8 +115,11 @@ def _membership(masks: np.ndarray, s: int) -> np.ndarray:
 
 def _minimal_masks(masks: np.ndarray) -> np.ndarray:
     """Which of the distinct bitmasks have no other one of them inside."""
-    has_smaller = np.zeros(len(masks), dtype=bool)
-    for i, j in _pair_runs(*_ordered_pairs(len(masks)), 1):
+    count = len(masks)
+    has_smaller = np.zeros(count, dtype=bool)
+    # the ordered pairs, row-major, a run at a time
+    for start, stop in row_chunks(count * count, 1):
+        i, j = np.divmod(np.arange(start, stop), count)
         inside = ((masks[i] & masks[j]) == masks[i]) & (masks[i] != masks[j])
         has_smaller[j[inside]] = True
     return ~has_smaller
@@ -222,7 +203,8 @@ class DenSetDescriptor:
 
     def members_within(self, guard: int = DEFAULT_GUARD) -> np.ndarray:
         """The unit-preimage set as its coefficient rows, in canonical order
-        (guarded enumeration, swept CHUNK_ROWS elements at a time)."""
+        (the guarded enumeration, one :meth:`Algebra.element_chunks` piece
+        at a time)."""
         chunks = self.witness_idempotent.algebra.element_chunks(guard)
         return np.concatenate([coeffs[self.unit_mask(coeffs)] for coeffs in chunks])
 
@@ -470,7 +452,7 @@ def associated_idempotent(a: Algebra, s: Element) -> AssociatedIdempotent:
     :func:`_associated_idempotents` on one row; n is the first power whose
     right multiplication has the rank of the stabilized one.
     """
-    row = _member_rows(a, [s])
+    row = a.member_rows([s])
     nilpotent, es = _associated_idempotents(a, row)
     rm = a.batch_right_matrices(row)[0]
     powers = [np.eye(a.dim, dtype=np.int64)]
@@ -539,7 +521,7 @@ def powers_denominator_criteria(a: Algebra, xs: Sequence[Element]
                                 ) -> list[tuple[bool, DenSetDescriptor | None]]:
     """:func:`powers_denominator_criterion` at each of ``xs``, in order, from
     one :func:`_powers_rows` over all of them."""
-    ok, group, min_exp, classes = _powers_rows(a, _member_rows(a, xs))
+    ok, group, min_exp, classes = _powers_rows(a, a.member_rows(xs))
     return [(True, DenSetDescriptor("powers", *classes[g], min_core_exponent=m)) if good else (False, None)
             for good, g, m in zip(ok.tolist(), group.tolist(), min_exp.tolist())]
 
@@ -574,7 +556,7 @@ def idempotent_denominator_check(a: Algebra, e: Element) -> IdempotentCheck:
     Left holds iff e R (1 - e) = 0; right iff (1 - e) R e = 0; two-sided
     iff both iff e is central (asserted).
     """
-    row = _member_rows(a, [e])
+    row = a.member_rows([e])
     if e.is_zero():
         raise InputError("the idempotent 0 is excluded (its set would contain 0)")
     if (e * e) != e:
@@ -602,7 +584,7 @@ def monoid_denominator_decisions(a: Algebra, gen_sets: Sequence[Sequence[Element
     the sets it meets, and one rank decides the core of every witness: the
     same witnesses and first core witness as the powers criterion member by
     member."""
-    gen_rows = [_member_rows(a, gens) for gens in gen_sets]
+    gen_rows = [a.member_rows(gens) for gens in gen_sets]
     live = [k for k, closure in enumerate(closures) if not closure.contains_zero]
     xs = np.concatenate([closures[k].rows for k in live] + [np.zeros((0, a.dim), dtype=np.int64)])
     owner = np.repeat(np.array(live, dtype=np.int64), [len(closures[k]) for k in live])
@@ -648,7 +630,6 @@ def monoid_denominator_decision(a: Algebra, gens: Sequence[Element],
     exist; the first one in closure order gives the descriptor.  This is
     :func:`monoid_denominator_decisions` on a batch of one.
     """
-    _member_rows(a, gens)  # refuses an element of another algebra before its closure is built
     return monoid_denominator_decisions(a, [gens], [monoid_closure(a, gens, guard)])[0]
 
 
@@ -656,7 +637,7 @@ def classify_element(a: Algebra, r: Element, report: LocalizationReport) -> dict
     """Localizability of one element against the maximal classes."""
     if report.algebra is not a:
         raise InputError("report does not match the algebra")
-    row = _member_rows(a, [r])
+    row = a.member_rows([r])
     # the maximal descriptors are the classes at the minima, in their order
     witnesses = [sub for sub, desc in zip(report.minima, report.max_den) if desc.unit_mask(row)[0]]
     left_localizable = bool(witnesses)
@@ -771,7 +752,7 @@ class TwoSidedReport:
 
     def powers_criterion(self, r: Element) -> bool:
         """:meth:`powers_criteria` at r alone."""
-        return bool(self.powers_criteria(_member_rows(self.algebra, [r]))[0])
+        return bool(self.powers_criteria(self.algebra.member_rows([r]))[0])
 
     def powers_criteria(self, rows: np.ndarray) -> np.ndarray:
         """Whether the powers of each row form a two-sided denominator set: iff

@@ -36,7 +36,7 @@ concessions to speed are logical rewritings, not theory:
 An element set is held as its coefficient rows, one sorted array
 (:class:`FiniteSetOfElements`), from the closure that builds it to the
 verdict; an :class:`Element` is built only where a result names one.
-A check builds and ranks matrices ``CHUNK_ROWS`` members at a time: an
+A check builds and ranks matrices a chunk of members at a time: an
 element is 1 times its multiplication matrix, so the distinct matrices
 are the left ones and the right ones of the members that are not
 central.  One elimination of ``[M | I]`` then gives the row spaces R*s
@@ -45,11 +45,12 @@ for both sides of a check.  The Ore sweep at s depends on R*s
 alone and the reversibility sweep on the right kernel alone, so each
 runs once per distinct R*s or right kernel.
 
-Every sweep over p**k vectors runs ``CHUNK_ROWS`` rows at a time in the
-enumeration order, so its memory is set by the chunk size rather than by
-p**k, and a search for a first member starts with a chunk of
-isqrt(CHUNK_ROWS) rows.  Enumerations of the whole ring respect a guard
-on p**dim (default 2**20): they take the ring from
+Every sweep runs in the enumeration order a :func:`row_chunks` piece at a
+time, as many rows as fit their widest temporaries in ``BATCH_ENTRIES``
+entries, so its memory is set by that budget rather than by p**k or the
+size of a set; a search for a first member starts with a chunk of the isqrt
+of that step and doubles it.  Enumerations of the whole ring respect a
+guard on p**dim (default 2**20): they take the ring from
 :meth:`Algebra.element_chunks`, which refuses a guard below 1 and then a
 ring larger than the guard.
 """
@@ -86,8 +87,8 @@ class FiniteSetOfElements:
     """A finite set of elements held as their coefficient rows.
 
     ``rows`` is a read-only ``(N, dim)`` int64 array of residues, sorted
-    lexicographically, without repeats; the constructor takes any array of
-    coefficient rows and brings it to that form.
+    lexicographically, without repeats; the constructor takes any (N, dim)
+    array of coefficient rows, refusing other shapes, and brings it to that form.
     """
 
     algebra: Algebra
@@ -95,7 +96,10 @@ class FiniteSetOfElements:
 
     def __post_init__(self) -> None:
         a = self.algebra
-        rows = np.asarray(self.rows, dtype=np.int64).reshape(-1, a.dim) % a.p
+        rows = np.asarray(self.rows, dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != a.dim:
+            raise InputError(f"element rows must have shape (N, {a.dim}), not {rows.shape}")
+        rows = rows % a.p
         rows = rows[np.lexsort(rows.T[::-1])]
         fresh = np.ones(len(rows), dtype=bool)
         fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
@@ -113,7 +117,7 @@ class FiniteSetOfElements:
 
     @staticmethod
     def from_elements(a: Algebra, elements: Iterable[Element]) -> "FiniteSetOfElements":
-        return FiniteSetOfElements(a, [e.coeffs for e in elements])
+        return FiniteSetOfElements(a, a.member_rows(list(elements)))
 
 
 def monoid_closure(a: Algebra, gens: Sequence[Element], guard: int = DEFAULT_GUARD) -> FiniteSetOfElements:
@@ -124,10 +128,10 @@ def monoid_closure(a: Algebra, gens: Sequence[Element], guard: int = DEFAULT_GUA
     the next k.  More generators take a breadth-first search, a chunk of the
     frontier times every generator in one matmul, one level at a time.
     """
+    gen_arr = a.member_rows(gens)
     check_guard(guard)
     d = a.dim
     refused = f"monoid closure exceeded the guard {guard}"
-    gen_arr = np.array([g.coeffs for g in gens], dtype=np.int64).reshape(-1, d)
     # column block g of ``right`` is the matrix of y -> y*g
     right = a.batch_right_matrices(gen_arr).transpose(1, 0, 2).reshape(d, -1)
     if len(gens) == 1:
@@ -148,7 +152,7 @@ def monoid_closure(a: Algebra, gens: Sequence[Element], guard: int = DEFAULT_GUA
     frontier = [a.one_coeffs]
     while frontier:
         new = []
-        for start, stop in row_chunks(len(frontier)):
+        for start, stop in row_chunks(len(frontier), right.shape[1]):
             prods = np.array(frontier[start:stop], dtype=np.int64) @ right % a.p
             for prod in map(tuple, prods.reshape(-1, d).tolist()):
                 if prod not in seen:
@@ -217,7 +221,7 @@ def _ore_counterexample(a: Algebra, rs: Subspace, rows: np.ndarray,
     """
     p, d = a.p, a.dim
     spaces: dict[Subspace, None] = {}
-    for start, stop in row_chunks(len(rows)):
+    for start, stop in row_chunks(len(rows), d * d):
         res = rs.residues(multiply(rows[start:stop]).reshape(-1, d)).reshape(-1, d, d - rs.dim)
         if not res.any(axis=(1, 2)).all():
             return None  # some V_{s'} is the whole ring
@@ -291,7 +295,7 @@ def _deficient_spaces(a: Algebra, rows: np.ndarray) -> tuple[list, np.ndarray, b
     pairs: dict[tuple[Subspace, Subspace], int] = {}
     which = np.full((2, n), -1)
     central = True
-    for start, stop in row_chunks(n):
+    for start, stop in row_chunks(n, 2 * d * d):
         left, right = a.batch_left_matrices(rows[start:stop]), a.batch_right_matrices(rows[start:stop])
         same = (left == right).all(axis=(1, 2))
         central = central and bool(same.all())
@@ -402,7 +406,7 @@ def brute_radical(a: Algebra, guard: int = DEFAULT_GUARD) -> Ideal:
     # so answers are memoized per distinct row space.
     keep = np.zeros(len(survivors), dtype=bool)
     verdicts: dict[Subspace, bool] = {}
-    for start, stop in row_chunks(len(survivors)):
+    for start, stop in row_chunks(len(survivors), d * d):
         spaces = batch_row_spaces(a.batch_right_matrices(survivors[start:stop]), p)
         for k, rx in enumerate(spaces, start):
             if rx not in verdicts:

@@ -22,18 +22,18 @@ ideal with the oracle's through a per-run :class:`Oracle`; the CLI's
 ``verify`` checks (quotient rebuilds, membership in the classified classes,
 the local-factors test) stays around the call.  A sweep computes the
 theory once per batch (or chunk), then compares it with the oracle sample
-by sample in draw order.  A sampled sweep draws its samples in one call,
-from the same random stream as one draw per coordinate, and when it stops
-early leaves the stream where a loop testing one at a time would stop.
+by sample in draw order.  A sampled sweep draws its samples a chunk at a
+time, from the same random stream as one draw per coordinate, and when it
+stops early leaves the stream where a loop testing one at a time would stop.
 
 Sweep work is bounded: ``guard`` caps any single enumeration (default
 2**20), while full per-element sweeps run only when the ring has at most
-``sweep_limit`` elements and fall back to seeded sampling above that.  The
-scan of the 2**s - 1 block sums tests them in runs whose corner maps hold
-at most ASSOC_BLOCK entries, so its memory does not grow with 2**s.  A
-check whose enumeration the guard refuses ends at that point and is
-reported as skipped (``ok`` with the refused size and the guard), never as
-a failure.
+``sweep_limit`` elements and fall back to seeded sampling above that.  Each
+sweep, the scan of the 2**s - 1 block sums and the runs of pairs of classes
+take :func:`row_chunks` pieces, so their memory follows ``BATCH_ENTRIES``,
+not p**dim, dim**2 or 2**s.  A check whose enumeration the guard refuses
+ends at that point and is reported as skipped (``ok`` with the refused size
+and the guard), never as a failure.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .algebra import ASSOC_BLOCK, Algebra, Element, Ideal, check_nilpotent, ideal_combine, opposite_algebra
+from .algebra import Algebra, Element, Ideal, check_nilpotent, ideal_combine, opposite_algebra
 from .linalg import (DEFAULT_GUARD, InputError, InternalCheckError, ResourceGuardError, Subspace,
                      batch_intersections, batch_rank, batch_row_spaces_and_kernels, check_guard, rank,
                      row_chunks)
@@ -56,8 +56,6 @@ from .localization import (
     _corners,
     _kernel_spaces,
     _membership,
-    _ordered_pairs,
-    _pair_runs,
     _subset_masks,
     classify_element,
     duality_report,
@@ -104,22 +102,20 @@ def _random_rows(a: Algebra, rng: random.Random, n: int) -> np.ndarray:
     return out.reshape(n, a.dim)
 
 
-def _rewind(a: Algebra, rng: random.Random, state: tuple, k: int) -> None:
-    """Put ``rng`` where a loop drawing one sample at a time from ``state``
-    stops after its ``k``-th sample."""
-    rng.setstate(state)
-    _random_rows(a, rng, k)
-
-
 def _sampled(a: Algebra, rng: random.Random, n: int, test: Callable) -> tuple[bool, str] | None:
-    """The first failure among ``n`` random rows drawn in one call, or None.
-    ``test`` takes the batch, computes its theory once and yields ``(ok,
-    detail, ...)`` per row in order; a failure rewinds the stream past that row."""
-    state = rng.getstate()
-    for k, (ok, detail, *_) in enumerate(test(_random_rows(a, rng, n))):
-        if not ok:
-            _rewind(a, rng, state, k + 1)
-            return False, detail
+    """The first failure among ``n`` random rows, or None, drawn a
+    :func:`row_chunks` piece (dim**2 entries a row) at a time, as n then m
+    rows are the n + m of one draw.  ``test`` takes a piece, computes its
+    theory once and yields ``(ok, detail, ...)`` per row in order; a failure
+    leaves the stream where a loop drawing one sample at a time stops."""
+    for start, stop in row_chunks(n, a.dim ** 2):
+        state = rng.getstate()
+        # indexed, not unpacked: a starred unpacking per row costs 0.2 us
+        for k, found in enumerate(test(_random_rows(a, rng, stop - start))):
+            if not found[0]:
+                rng.setstate(state)
+                _random_rows(a, rng, k + 1)
+                return False, found[1]
     return None
 
 
@@ -160,7 +156,9 @@ def _sum_dims(spaces: Sequence[Subspace], p: int) -> np.ndarray:
     stack = _padded([sp.array for sp in spaces])
     c, m, d = stack.shape
     out = np.empty((c, c), dtype=np.int64)
-    for i, j in _pair_runs(*np.triu_indices(c), 2 * m * d):
+    ii, jj = np.triu_indices(c)
+    for start, stop in row_chunks(len(ii), 2 * m * d):
+        i, j = ii[start:stop], jj[start:stop]
         out[i, j] = out[j, i] = batch_rank(np.concatenate([stack[i], stack[j]], axis=1), p)
     return out
 
@@ -205,8 +203,10 @@ def _kernel_products(a: Algebra, idems: np.ndarray, kernels: Sequence[Subspace]
     stack = _padded([k.array for k in kernels])
     one = np.array(a.one_coeffs, dtype=np.int64)
     lefts = a.batch_left_matrices((one - idems) % p)
-    m = stack.shape[1]
-    for i, j in _pair_runs(*_ordered_pairs(len(idems)), m * d + d * d):
+    count, m = len(idems), stack.shape[1]
+    # the ordered pairs, row-major, a run at a time
+    for start, stop in row_chunks(count * count, m * d + d * d):
+        i, j = np.divmod(np.arange(start, stop), count)
         yield i, j, stack[j] @ lefts[i] % p
 
 
@@ -440,15 +440,9 @@ def _left_regular_units(a: Algebra, guard: int, rng: random.Random, samples: int
             return False, "a left regular element is not a unit"
         return True, f"exhaustive over {total}"
     drawn = max(samples, 10_000)
-    for start, stop in row_chunks(drawn):
-        state = rng.getstate()
-        xs = _random_rows(a, rng, stop - start)
-        bad = left_regular_non_units(xs)
-        if bad.any():
-            k = int(np.argmax(bad))
-            _rewind(a, rng, state, k + 1)
-            return False, f"left regular non-unit {a.element(xs[k])!r}"
-    return True, f"sampled {drawn}"
+    return _sampled(a, rng, drawn, lambda xs: (
+        (not bad, f"left regular non-unit {a.element(xs[k])!r}" if bad else "")
+        for k, bad in enumerate(left_regular_non_units(xs).tolist()))) or (True, f"sampled {drawn}")
 
 
 def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
@@ -536,16 +530,16 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
     def _triangular_scan():
         # the report reads its classes off the Peirce corner table; the scan
         # tests e_I R (1 - e_I) = 0 on every block sum e_I, in runs whose
-        # L_e, R_(1-e) and corner maps hold at most ASSOC_BLOCK entries
+        # L_e, R_(1-e) and corner maps take 3 dim**2 entries a block sum
         rep = localization_report(a)
         s, p = rep.family.s, a.p
-        step = max(1, ASSOC_BLOCK // (3 * a.dim * a.dim))
         blocks = np.array([e.coeffs for e in rep.family.idempotents], dtype=np.int64)
         one = np.array(a.one_coeffs, dtype=np.int64)
         subsets = itertools.chain.from_iterable(
             itertools.combinations(range(1, s + 1), size) for size in range(1, s + 1))
         scanned = []
-        while run := list(itertools.islice(subsets, step)):
+        for start, stop in row_chunks(2 ** s - 1, 3 * a.dim * a.dim):
+            run = list(itertools.islice(subsets, stop - start))
             es = _membership(_subset_masks(run), s) @ blocks % p
             scanned += itertools.compress(run, ~_corners(a, es, (one - es) % p).any(axis=(1, 2)))
         reported = [en.subset for en in rep.entries]
@@ -657,7 +651,7 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
 
     def _powers_oracle():
         if total <= sweep_limit:
-            for start, stop in row_chunks(total):
+            for start, stop in row_chunks(total, a.dim ** 2):
                 for ok, detail in _powers(a.enumerate_coeffs(start, stop)):
                     if not ok:
                         return False, detail

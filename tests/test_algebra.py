@@ -104,8 +104,8 @@ class TestConstructors:
         with pytest.raises(InputError):
             Algebra(5, table, [1, 0])
 
-    @pytest.mark.parametrize("block", [1, algebra.ASSOC_BLOCK])
-    def test_associativity_failure_names_its_first_index(self, block, monkeypatch):
+    @pytest.mark.parametrize("budget", [1, linalg.BATCH_ENTRIES])
+    def test_associativity_failure_names_its_first_index(self, budget, monkeypatch):
         # basis 1, u, v, w with v*v = w and w*v = w, every other product of
         # u, v, w zero: the unit laws hold and every triple starting with 1
         # or u associates, while (v v) v = w differs from v (v v) = 0
@@ -114,7 +114,8 @@ class TestConstructors:
                   for i in range(1, 4)]
         table[2][2] = [0, 0, 0, 1]
         table[3][2] = [0, 0, 0, 1]
-        monkeypatch.setattr(algebra, "ASSOC_BLOCK", block)
+        # one first index per run, or all four in one
+        monkeypatch.setattr(linalg, "BATCH_ENTRIES", budget)
         with pytest.raises(InputError, match="associativity fails on basis triples with first index 2$"):
             Algebra(5, table, [1, 0, 0, 0])
 
@@ -400,13 +401,13 @@ def validate_inputs(draw):
 
 
 class TestValidate:
-    @pytest.mark.parametrize("block", [1, algebra.ASSOC_BLOCK])
+    @pytest.mark.parametrize("budget", [1, linalg.BATCH_ENTRIES])
     @settings(max_examples=100, deadline=None)
     @given(validate_inputs())
-    def test_verdict_and_message_match_the_definition(self, block, case):
+    def test_verdict_and_message_match_the_definition(self, budget, case):
         p, table, one = case
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(algebra, "ASSOC_BLOCK", block)
+            mp.setattr(linalg, "BATCH_ENTRIES", budget)
             try:
                 Algebra(p, table, one)
                 verdict = None
@@ -996,10 +997,10 @@ class TestKernelLattice:
         lambda: direct_product([full_matrix(7, 1)] * 3)[0],
         lambda: direct_product([lower_triangular(7, 2), truncated_poly(7, 2), full_matrix(7, 1)])[0],
     ], ids=["L3", "GF(7)^3", "L2xTxF"])
-    def test_pair_runs_do_not_change_the_report(self, build, bound, monkeypatch):
+    def test_runs_of_pairs_do_not_change_the_report(self, build, bound, monkeypatch):
         # one pair per run, or every pair in one run
         expected = localization.localization_report(build())
-        monkeypatch.setattr(localization, "ASSOC_BLOCK", bound)
+        monkeypatch.setattr(linalg, "BATCH_ENTRIES", bound)
         got = localization.localization_report(build())
         assert got.to_dict() == expected.to_dict()
         assert np.array_equal(suite._closed_sum_dims(got), suite._closed_sum_dims(expected))

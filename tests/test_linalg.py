@@ -539,15 +539,19 @@ def test_all_vectors_row_range():
     assert all_vectors(5, 3, 125, 125).shape == (0, 3)
 
 
-@pytest.mark.parametrize("chunk", [1, 4, 1 << 12])
-def test_member_chunks_in_basis_order(chunk, monkeypatch):
-    from artinloc import linalg
-    monkeypatch.setattr(linalg, "CHUNK_ROWS", chunk)
+@pytest.mark.parametrize("rows, sizes", [(1, [1] * 25), (4, [2, 4, 4, 4, 4, 4, 3]), (64, [8, 16, 1]),
+                                         (1 << 12, [25])])
+def test_member_chunks_in_basis_order(rows, sizes, monkeypatch):
+    # a member takes 3 entries, its ambient dimension, so a step holds
+    # ``rows`` members: the first chunk is its isqrt, the next ones double
+    # up to it
+    monkeypatch.setattr(linalg, "BATCH_ENTRIES", rows * 3)
     sp = Subspace.from_vectors(5, 3, [[1, 0, 2], [0, 1, 3]])
-    members = np.concatenate(list(sp.member_chunks()))
+    chunks = list(sp.member_chunks())
     expected = [[(c0 * 1) % 5, c1, (c0 * 2 + c1 * 3) % 5]
                 for c0, c1 in itertools.product(range(5), repeat=2)]
-    assert members.tolist() == expected
+    assert np.concatenate(chunks).tolist() == expected
+    assert [len(chunk) for chunk in chunks] == sizes
     assert np.concatenate(list(Subspace.zero(5, 3).member_chunks())).tolist() == [[0, 0, 0]]
 
 

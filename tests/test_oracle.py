@@ -19,7 +19,7 @@ from artinloc.algebra import (
     upper_triangular,
 )
 from artinloc.linalg import (
-    CHUNK_ROWS,
+    BATCH_ENTRIES,
     DEFAULT_GUARD,
     InputError,
     InternalCheckError,
@@ -133,12 +133,13 @@ class TestMonoidClosure:
         vec = st.lists(st.integers(0, a.p - 1), min_size=a.dim, max_size=a.dim)
         gens = [a.element(v) for v in data.draw(st.lists(vec, min_size=0, max_size=3))]
         guard = data.draw(st.sampled_from([1, 7, 200, DEFAULT_GUARD]))
-        chunk = data.draw(st.sampled_from([1, 3, CHUNK_ROWS]))
+        rows = data.draw(st.sampled_from([1, 3, 4096]))
         try:
             expected = reference_closure(a, gens, guard)
         except ResourceGuardError as exc:
             expected = exc
-        with mock.patch.object(linalg, "CHUNK_ROWS", chunk):
+        # a frontier row takes dim entries per generator
+        with mock.patch.object(linalg, "BATCH_ENTRIES", rows * max(1, len(gens)) * a.dim):
             if isinstance(expected, ResourceGuardError):
                 with pytest.raises(ResourceGuardError, match=str(expected)) as exc:
                     monoid_closure(a, gens, guard)
@@ -427,10 +428,11 @@ def multiplicative_sets(draw):
 class TestBatchedDenominatorCheck:
     @settings(max_examples=200, deadline=None)
     @given(multiplicative_sets(), st.sampled_from(["left", "right", "twosided"]),
-           st.sampled_from([5, 64, CHUNK_ROWS]))
-    def test_matches_tuple_set_reference(self, drawn, side, chunk):
+           st.sampled_from([5, 64, 4096]))
+    def test_matches_tuple_set_reference(self, drawn, side, rows):
         a, S = drawn
-        with mock.patch.object(linalg, "CHUNK_ROWS", chunk):
+        # a member's two multiplication matrices take 2 dim**2 entries
+        with mock.patch.object(linalg, "BATCH_ENTRIES", rows * 2 * a.dim ** 2):
             assert_matches_reference(a, S, side)
 
     @pytest.mark.parametrize("directions", [4, 5, 6])
@@ -563,6 +565,23 @@ class TestBatchedDenominatorCheck:
         assert tuples(FiniteSetOfElements(L2_7, closure.rows[::-1]).rows) == tuples(closure.rows)
         assert not closure.contains_zero
 
+    @pytest.mark.parametrize("build", [
+        lambda a, x: monoid_closure(a, [x]),
+        lambda a, x: monoid_closure(a, [a.one, x]),
+        lambda a, x: FiniteSetOfElements.from_elements(a, [a.one, x]),
+    ], ids=["cyclic closure", "breadth-first closure", "from_elements"])
+    def test_an_element_of_another_algebra_is_refused(self, build, L3_7, U3_7):
+        # E11 of U3 has the coefficients of E11 of L3, whose closure is {1, E11}
+        with pytest.raises(InputError, match="^element does not belong to the algebra$"):
+            build(L3_7, U3_7.element([1, 0, 0, 0, 0, 0]))
+
+    @pytest.mark.parametrize("rows", [np.zeros((4, 3)), np.zeros((2, 7)), np.zeros(6), np.zeros((1, 1, 6))],
+                             ids=["4x3", "2x7", "one axis", "three axes"])
+    def test_rows_of_another_shape_are_refused(self, rows, L3_7):
+        # 4 x 3 zeros would read as two rows of length 6
+        with pytest.raises(InputError, match=r"^element rows must have shape \(N, 6\), not \("):
+            FiniteSetOfElements(L3_7, rows)
+
 
 # ---------------------------------------------------------------------------
 # Chunked sweeps
@@ -572,7 +591,7 @@ class TestChunkedSweeps:
     def test_first_uncovered_past_the_first_chunk(self, L3_7):
         # every vector with first coordinate 0 is covered, so the answer is
         # e_1 = (1, 0, ..., 0), at canonical index 7**5
-        assert CHUNK_ROWS < 7 ** 5
+        assert isqrt(BATCH_ENTRIES // 6) < 7 ** 5
         hyperplane = Subspace.from_vectors(7, 6, [[0] * i + [1] + [0] * (5 - i) for i in range(1, 6)])
         diagonal = Subspace.from_vectors(7, 6, [[1, 1, 0, 0, 0, 0]])
         ring = Subspace.full(7, 6)
@@ -580,32 +599,33 @@ class TestChunkedSweeps:
         assert _first_outside(ring, [hyperplane, ring]) is None
 
     def test_brute_radical_over_several_chunks(self, L3_7):
-        assert L3_7.p ** L3_7.dim > 4 * CHUNK_ROWS
+        assert L3_7.p ** L3_7.dim > 4 * BATCH_ENTRIES // L3_7.dim ** 2
         assert brute_radical(L3_7).space == radical(L3_7).space
 
     @pytest.mark.parametrize("fixture_name", ["L2_7", "U2_7", "T7xF7", "M2_7"])
     def test_sweeps_do_not_depend_on_the_chunk_size(self, fixture_name, request):
         a = request.getfixturevalue(fixture_name)
         whole_rad, whole_ids = brute_radical(a), brute_idempotents(a)
-        with mock.patch.object(linalg, "CHUNK_ROWS", 7):
+        # 7 elements, a dim x dim matrix each, per chunk
+        with mock.patch.object(linalg, "BATCH_ENTRIES", 7 * a.dim ** 2):
             assert brute_radical(a).space == whole_rad.space
             assert tuples(brute_idempotents(a).rows) == tuples(whole_ids.rows)
 
     def test_brute_radical_memory_is_set_by_the_chunk(self):
         a = full_matrix(17, 2)
-        assert a.p ** a.dim > 4 * CHUNK_ROWS
+        assert a.p ** a.dim > 4 * BATCH_ENTRIES // a.dim ** 2
         tracemalloc.start()
         try:
             brute_radical(a)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a chunk of dim x dim int64 matrices takes CHUNK_ROWS * dim**2 * 8
-        # bytes and the rank elimination holds a few of them; the unit mask
-        # takes one byte per element
-        assert peak < 8 * (CHUNK_ROWS * a.dim ** 2 * 8) + a.p ** a.dim
+        # a chunk of dim x dim int64 matrices takes BATCH_ENTRIES * 8 bytes
+        # and the rank elimination holds a few of them; the unit mask takes
+        # one byte per element
+        assert peak < 8 * (BATCH_ENTRIES * 8) + a.p ** a.dim
 
-    @pytest.mark.parametrize("chunk", [7, 64, CHUNK_ROWS])
+    @pytest.mark.parametrize("chunk", [7, 64, 4096])
     @pytest.mark.parametrize("where", ["0", "63", "64", "past_the_first_full_chunk", "none"])
     def test_first_outside_matches_enumeration(self, chunk, where):
         # members 0 to 2^j - 1 of a 13-dimensional subspace of GF(2)^14 are
@@ -626,7 +646,9 @@ class TestChunkedSweeps:
                    for v in [tuple(np.array(c, dtype=np.int64) @ sp.array % 2)]}
         expected = next((v for v in members if v not in covered), None)
         assert expected == (None if k is None else members[k])
-        with mock.patch.object(linalg, "CHUNK_ROWS", chunk):
+        # a step of ``chunk`` members of 14 entries: the first chunk is its
+        # isqrt, and the next ones double up to it
+        with mock.patch.object(linalg, "BATCH_ENTRIES", chunk * 14):
             assert _first_outside(space, spaces) == expected
 
     def test_denominator_check_memory_is_set_by_the_chunk(self):
@@ -638,7 +660,8 @@ class TestChunkedSweeps:
         S = monoid_closure(a, [a.from_matrix([[3, 0, 0], [0, 1, 0], [0, 0, 1]])])
         assert len(S) == 8008
         linalg.inverse_table(a.p)
-        with mock.patch.object(linalg, "CHUNK_ROWS", 64):
+        # 64 members, two dim x dim matrices each, per chunk
+        with mock.patch.object(linalg, "BATCH_ENTRIES", 64 * 2 * a.dim ** 2):
             tracemalloc.start()
             try:
                 res = brute_denominator_check(a, S, "twosided")

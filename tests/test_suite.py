@@ -14,11 +14,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from artinloc import algebra, localization, oracle, structure, suite
+from artinloc import algebra, linalg, localization, oracle, structure, suite
 from artinloc.algebra import (Algebra, Ideal, direct_product, full_matrix, lower_triangular,
                               opposite_algebra, regular_matrix, truncated_poly)
 from artinloc.cli import main
-from artinloc.linalg import CHUNK_ROWS, Subspace, kernel
+from artinloc.linalg import BATCH_ENTRIES, Subspace, kernel
 from artinloc.localization import monoid_denominator_decision
 from artinloc.oracle import monoid_closure
 from artinloc.suite import bundle_conditions, run_invariants
@@ -55,6 +55,8 @@ def test_sampled_left_regular_check_reports_the_first_failing_sample(monkeypatch
     # be those of a loop that draws and tests one sample at a time
     a = lower_triangular(7, 2)
     monkeypatch.setattr(a, "batch_unit_mask", lambda xs: np.zeros(len(xs), dtype=bool))
+    # chunks of 4,096 samples, a dim x dim right multiplication each
+    monkeypatch.setattr(linalg, "BATCH_ENTRIES", 4096 * a.dim ** 2)
     draws = []  # (state before the draw, rows drawn) per bulk draw
 
     def recording_rows(alg, rng, n):
@@ -73,8 +75,8 @@ def test_sampled_left_regular_check_reports_the_first_failing_sample(monkeypatch
     assert not check.ok and check.detail == f"left regular non-unit {x!r}"
     # one chunk of draws, then the redraw up to the failing sample; the next
     # draw belongs to the following check
-    assert drawn <= CHUNK_ROWS
-    assert [n for _, n in draws[:2]] == [CHUNK_ROWS, drawn]
+    assert drawn <= 4096
+    assert [n for _, n in draws[:2]] == [4096, drawn]
     assert draws[2][0] == rng.getstate()
 
 
@@ -293,7 +295,7 @@ def test_the_powers_sweep_runs_the_batched_criterion_once(monkeypatch):
 
 def test_bundle_unit_sweep_memory_is_set_by_the_chunk():
     a = full_matrix(17, 2)
-    assert a.p ** a.dim > 4 * CHUNK_ROWS
+    assert a.p ** a.dim > 4 * BATCH_ENTRIES // a.dim ** 2
     tracemalloc.start()
     try:
         conditions = bundle_conditions(a)
@@ -301,10 +303,10 @@ def test_bundle_unit_sweep_memory_is_set_by_the_chunk():
     finally:
         tracemalloc.stop()
     assert conditions == (True,) * 5
-    # a chunk of dim x dim int64 matrices takes CHUNK_ROWS * dim**2 * 8
-    # bytes and the rank elimination holds a few of them; the masks take a
-    # byte per element
-    assert peak < 8 * (CHUNK_ROWS * a.dim ** 2 * 8) + a.p ** a.dim
+    # a chunk of dim x dim int64 matrices takes BATCH_ENTRIES * 8 bytes and
+    # the rank elimination holds a few of them; the masks take a byte per
+    # element
+    assert peak < 8 * (BATCH_ENTRIES * 8) + a.p ** a.dim
 
 
 def test_family_check_sees_a_lift_that_depends_on_the_build_order(monkeypatch):
@@ -375,7 +377,7 @@ def test_scan_finds_the_same_classes_in_runs_of_any_size(run, factors, dropped, 
                         lambda corners: [sub for sub in closed(corners) if sub != dropped])
     if run is not None:
         # L_e, R_(1-e) and the corner map, dim**2 entries each, per block sum
-        monkeypatch.setattr(suite, "ASSOC_BLOCK", run * 3 * a.dim ** 2)
+        monkeypatch.setattr(linalg, "BATCH_ENTRIES", run * 3 * a.dim ** 2)
     one = np.array(a.one_coeffs, dtype=np.int64)
     runs = []
 
