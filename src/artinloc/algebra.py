@@ -61,8 +61,8 @@ from .linalg import (
     batch_solve,
     check_guard,
     check_prime,
+    read_only,
     row_chunks,
-    vectors_to_indices,
 )
 
 MAX_CLOSURE_DIM = 64
@@ -74,7 +74,7 @@ class Algebra:
 
     def __init__(self, p: int, table: Sequence[Sequence[Sequence[int]]],
                  one: Sequence[int], label: str = "A",
-                 matrix_model: tuple[int, tuple[tuple[tuple[int, ...], ...], ...]] | None = None):
+                 matrix_model: tuple[int, np.ndarray] | None = None):
         dim = len(table)
         _check_size(p, dim)
         # C order even for a transposed view, so the reshapes of the batch
@@ -177,7 +177,7 @@ class Algebra:
         if len(literal) != n or any(len(row) != n for row in literal):
             raise InputError(f"matrix literal must be {n}x{n}")
         flat = np.array([[int(v) % self.p for row in literal for v in row]], dtype=np.int64)
-        coeffs, ok, _ = batch_solve(np.asarray(basis_mats, np.int64).reshape(1, -1, n * n), flat, self.p)
+        coeffs, ok, _ = batch_solve(basis_mats.reshape(1, -1, n * n), flat, self.p)
         if not ok[0]:
             raise InputError("matrix literal is not in the algebra")
         return self.element(coeffs[0].tolist())
@@ -202,9 +202,6 @@ class Algebra:
         if total > guard:
             raise ResourceGuardError(f"{total} elements exceed the guard {guard}", total, guard)
         return (self.enumerate_coeffs(start, stop) for start, stop in row_chunks(total, self.dim ** 2))
-
-    def coeffs_to_indices(self, arr: np.ndarray) -> np.ndarray:
-        return vectors_to_indices(arr % self.p, self.p)
 
     # The batch kernels take rows of residues.  Each is a plain matmul
     # against the table flattened to (dim, dim*dim): a sum of dim terms below
@@ -423,8 +420,7 @@ def _matrix_unit_algebra(p: int, n: int, dim: int, part, label: str) -> Algebra:
     table[k1, k2, index[i[k1], j[k2]]] = 1
     mats = np.zeros((dim, n, n), dtype=np.int64)
     mats[np.arange(dim), i, j] = 1
-    model = (n, tuple(tuple(map(tuple, m)) for m in mats.tolist()))
-    return Algebra._derived(p, table, (i == j).astype(np.int64), label, model)
+    return Algebra._derived(p, table, (i == j).astype(np.int64), label, (n, read_only(mats)))
 
 
 def lower_triangular(p: int, n: int) -> Algebra:
@@ -505,8 +501,8 @@ def matrix_subalgebra(p: int, n: int, generators: Sequence[Sequence[Sequence[int
     if amb > MAX_AMBIENT_ENTRIES:
         raise InputError(f"ambient_n = {n} gives {amb} matrix entries, above the bound {MAX_AMBIENT_ENTRIES}")
     eye = np.eye(n, dtype=np.int64).reshape(1, amb)
-    vecs = [eye[0].tolist()] + [[int(v) % p for row in g for v in row] for g in generators]
-    span = Subspace.from_vectors(p, amb, vecs)
+    gens = np.array(generators, dtype=np.int64).reshape(len(generators), amb) % p
+    span = Subspace.from_vectors(p, amb, np.concatenate([eye, gens]))
     bound = min(MAX_CLOSURE_DIM, amb)
     while True:
         # every span, the first included, before its products are formed
@@ -525,11 +521,9 @@ def matrix_subalgebra(p: int, n: int, generators: Sequence[Sequence[Sequence[int
         raise InternalCheckError("identity left the closed span")
     # a member's coordinates over an RREF basis are its entries at the pivots
     dim = span.dim
-    pivots = list(span.pivots)
-    table = products.reshape(dim, dim, amb)[..., pivots]
-    mats = tuple(tuple(tuple(row[i * n:(i + 1) * n]) for i in range(n)) for row in span.basis)
-    return Algebra(p, table, eye[0, pivots], f"subalg({n}x{n}, dim {dim}, GF({p}))",
-                   matrix_model=(n, mats))
+    table = products.reshape(dim, dim, amb)[..., span.pivots]
+    return Algebra(p, table, eye[0, span.pivots], f"subalg({n}x{n}, dim {dim}, GF({p}))",
+                   matrix_model=(n, span.array.reshape(dim, n, n)))
 
 
 def build_algebra(desc: dict) -> Algebra:
@@ -657,9 +651,11 @@ def ideal_combine(x: Ideal, y: Ideal, op: str) -> Ideal:
     if op == "product":
         if x.side != "twosided" or y.side != "twosided":
             raise InputError("ideal product requires two-sided operands")
-        products = a.pair_products(x.space.array, y.space.array)
-        # RREF is canonical, so zero and repeated rows can go first
-        rows = {row for row in map(tuple, products.reshape(-1, a.dim).tolist()) if any(row)}
+        products = a.pair_products(x.space.array, y.space.array).reshape(-1, a.dim)
+        # RREF is canonical, so zero and repeated rows (adjacent once sorted) can go first
+        rows = products[products.any(axis=1)]
+        rows = rows[np.lexsort(rows.T)]
+        rows = rows[np.diff(rows, axis=0, prepend=-1).any(axis=1)]
         return Ideal._derived(a, Subspace.from_vectors(a.p, a.dim, rows), "twosided")
     if x.side != y.side:
         raise InputError("ideal sum/intersection requires matching sides")
@@ -682,32 +678,19 @@ def check_nilpotent(ideal: Ideal, message: str) -> None:
         raise InternalCheckError(message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Quotient:
-    """Quotient algebra with its projection and linear section.
-
-    project is an algebra map, the residues modulo the ideal
-    (:meth:`Subspace.residues`, one matmul).  section is only
-    linear, but project(section(q)) == q for every quotient element q.
+    """Quotient algebra with its projection, an algebra map: the residues
+    modulo the ideal (:meth:`Subspace.residues`, one matmul) of coefficient
+    rows.  ``keep`` holds the parent coordinates of the quotient basis, so
+    the linear section of a quotient row q is the parent row that is q at
+    ``keep`` and 0 elsewhere, and projects back to q.
     """
 
     algebra: Algebra
     parent: Algebra
     ideal: Ideal
-    keep: tuple[int, ...]
-
-    def project(self, x: Element) -> Element:
-        if x.algebra is not self.parent:
-            raise InputError("element does not belong to the quotient's parent")
-        return self.algebra.element(self.batch_project(x._row())[0])
-
-    def section(self, q: Element) -> Element:
-        if q.algebra is not self.algebra:
-            raise InputError("element does not belong to the quotient")
-        v = [0] * self.parent.dim
-        for idx, j in enumerate(self.keep):
-            v[j] = q.coeffs[idx]
-        return self.parent.element(v)
+    keep: np.ndarray   # int64, the free columns of the ideal's basis
 
     def batch_project(self, coeffs: np.ndarray) -> np.ndarray:
         return self.ideal.space.residues(coeffs)

@@ -134,7 +134,7 @@ def _render_text(value, lines: list[str], prefix: str) -> None:
 def _descriptor_dict(desc: DenSetDescriptor | None) -> dict | None:
     if desc is None:
         return None
-    out = {**desc.to_dict(), "ass_basis": [list(r) for r in desc.ass.space.basis]}
+    out = {**desc.to_dict(), "ass_basis": desc.ass.space.array.tolist()}
     if desc.min_core_exponent is not None:
         out["min_core_exponent"] = desc.min_core_exponent
     return out

@@ -8,25 +8,27 @@ algebra both plain matrices acting on coefficient rows.
 
 Every Gauss-Jordan elimination is ``_rref`` on a batch of matrices, a
 single matrix being a batch of one.  The batch's size alone picks the
-strategy: a scalar loop over Python lists for small batches and lone
-matrices, or a numpy sweep over the columns of the whole batch.  Ranks
-(from its rank mode, which clears only below each pivot), row spaces,
-kernels and solves each exist once, on batches (:func:`rank`, :func:`kernel`
-and :meth:`Subspace.from_vectors` are those on one matrix); one
-elimination of ``[M | I]`` gives both row spaces and kernels.  Every
-reduction modulo a subspace (residues, membership, containment, the
-quotient projection) is one matmul by a block the subspace caches, and
-intersections are batched.  A member's coordinates over an RREF basis are
-its entries at the pivots.  Nothing here uses floating point.
+strategy: a scalar loop on Python lists (converted once, inside ``_rref``)
+for small batches and lone matrices, or a numpy sweep over the columns of
+the whole batch.  Either gives one record of arrays, ``_Echelon``, and a
+:class:`Subspace` is a read-only int64 RREF array and its pivots copied out
+of it.  Ranks (from the rank mode, which clears only below each pivot and
+builds no form), row spaces, kernels and solves each exist once, on
+batches (:func:`rank`, :func:`kernel` and :meth:`Subspace.from_vectors`
+are those on one matrix); one elimination of ``[M | I]`` gives both row
+spaces and kernels.  Every reduction modulo a subspace (residues,
+membership, containment, the quotient projection) is one matmul by a
+block the subspace caches, and intersections are batched.  A member's
+coordinates over an RREF basis are its entries at the pivots.  Nothing
+here uses floating point.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -127,23 +129,41 @@ def _rref_rows(rows: list[list[int]], p: int, forward: bool = False) -> list[int
     return pivots
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, set read-only in place: the arrays that objects cache and hand out."""
+    arr.setflags(write=False)
+    return arr
+
+
 def rank(m: np.ndarray, p: int) -> int:
     """Rank of one matrix over GF(p)."""
     return int(batch_rank(m[None], p)[0])
 
 
-@dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of GF(p)^n held as a canonical RREF basis.
+    """A linear subspace of GF(p)^n held as its canonical RREF basis: the
+    read-only ``(dim, ambient_dim)`` int64 ``array`` and the read-only int64
+    ``pivots`` of its rows, each owning its memory.
 
-    Two subspaces are equal iff their basis matrices are identical, so
-    equality of spans is literal equality of the dataclass.
+    Two subspaces are equal iff p, ambient_dim and the basis arrays are, so
+    equality of spans is equality of arrays; the hash is on the same data
+    (the shape too, as an empty basis has no bytes).
     """
 
-    p: int
-    ambient_dim: int
-    basis: tuple[tuple[int, ...], ...]
-    pivots: tuple[int, ...]
+    def __init__(self, p: int, ambient_dim: int, array: np.ndarray, pivots: np.ndarray):
+        self.p, self.ambient_dim, self.array, self.pivots = p, ambient_dim, read_only(array), read_only(pivots)
+
+    def _key(self) -> tuple:
+        return self.p, self.ambient_dim, self.array.shape, self.array.tobytes()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Subspace) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"Subspace(p={self.p}, ambient_dim={self.ambient_dim}, basis={self.basis})"
 
     @staticmethod
     def from_vectors(p: int, ambient_dim: int, vectors: Iterable[Sequence[int]] | np.ndarray) -> "Subspace":
@@ -155,29 +175,26 @@ class Subspace:
 
     @staticmethod
     def zero(p: int, ambient_dim: int) -> "Subspace":
-        return Subspace(p, ambient_dim, (), ())
+        return Subspace(p, ambient_dim, np.zeros((0, ambient_dim), dtype=np.int64), np.zeros(0, dtype=np.int64))
 
     @staticmethod
     def full(p: int, ambient_dim: int) -> "Subspace":
-        eye = tuple(tuple(1 if i == j else 0 for j in range(ambient_dim)) for i in range(ambient_dim))
-        return Subspace(p, ambient_dim, eye, tuple(range(ambient_dim)))
+        return Subspace(p, ambient_dim, np.eye(ambient_dim, dtype=np.int64), np.arange(ambient_dim))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.array)
 
     @cached_property
-    def array(self) -> np.ndarray:
-        """The basis as a read-only ``(dim, ambient_dim)`` int64 array."""
-        arr = np.array(self.basis, dtype=np.int64).reshape(self.dim, self.ambient_dim)
-        arr.flags.writeable = False
-        return arr
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        """The basis rows as tuples of Python ints, for the repr and for
+        callers outside the package; the package itself reads ``array``."""
+        return tuple(map(tuple, self.array.tolist()))
 
-    @cached_property
-    def free_columns(self) -> tuple[int, ...]:
-        """The non-pivot coordinates, in increasing order."""
-        pivots = set(self.pivots)
-        return tuple(j for j in range(self.ambient_dim) if j not in pivots)
+    @property
+    def free_columns(self) -> np.ndarray:
+        """The non-pivot coordinates, in increasing order, as a read-only int64 view."""
+        return read_only(self._reducer[1].view())
 
     def _check_compatible(self, other: "Subspace") -> None:
         if self.p != other.p:
@@ -187,15 +204,16 @@ class Subspace:
 
     @cached_property
     def _reducer(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The pivot and free column index arrays, and the ``(dim,
-        ambient_dim - dim)`` block ``-basis[:, free] mod p`` of :meth:`residues`."""
-        free = np.array(self.free_columns, dtype=np.int64)
-        return np.array(self.pivots, dtype=np.int64), free, -self.array[:, free] % self.p
+        """The pivot and free columns as writable arrays, which ``take`` reads
+        without a copy, and the ``(dim, ambient_dim - dim)`` block
+        ``-array[:, free] mod p`` of :meth:`residues`."""
+        free = np.flatnonzero(np.bincount(self.pivots, minlength=self.ambient_dim) == 0)
+        return self.pivots.copy(), free, -self.array[:, free] % self.p
 
     def residues(self, vecs: np.ndarray) -> np.ndarray:
         """The image of every row of ``vecs`` in the quotient space, read at
         :attr:`free_columns`: the row minus the member that agrees with it at
-        the pivots, ``vecs[:, free] - vecs[:, pivots] @ basis[:, free]`` (an
+        the pivots, ``vecs[:, free] - vecs[:, pivots] @ array[:, free]`` (an
         RREF basis row is 1 at its pivot, 0 at the others), so a row is a
         member iff its residue is zero.  One matmul by a block of dim *
         ambient_dim entries; each sums ``dim`` products below ``p**2``."""
@@ -295,7 +313,17 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
     return x - x // p * p
 
 
-def _sweep(mats: np.ndarray, p: int, forward: bool) -> tuple[np.ndarray, np.ndarray]:
+class _Echelon(NamedTuple):
+    """The reduced row echelon forms of a batch, ``(N, r, c)``, nonzero rows
+    first; their ranks; and the pivot column of each row, ``(N, r)``, c at a
+    zero row, so increasing along each form.  The rank mode holds only ranks."""
+
+    array: np.ndarray | None
+    ranks: np.ndarray
+    pivots: np.ndarray | None
+
+
+def _sweep(mats: np.ndarray, p: int, forward: bool) -> _Echelon:
     """The numpy strategy of :func:`_rref` on a nonempty batch, one column at
     a time over every member, the batch the last axis.  No row is swapped: a
     pivot is the first nonzero entry among the rows holding none yet, which
@@ -303,7 +331,7 @@ def _sweep(mats: np.ndarray, p: int, forward: bool) -> tuple[np.ndarray, np.ndar
     Only the column read and the pivot row are reduced mod p; other entries
     gain at most (p - 1)**2 a pivot, staying below c * p**2 + p < 2**63, up
     to one reduction at the end, which sorts the rows by pivot.  ``forward``
-    clears only the rows holding no pivot yet; only its ranks are read."""
+    clears only the rows holding no pivot yet, and gives only the ranks."""
     a = _mod(np.ascontiguousarray(mats.transpose(2, 1, 0), dtype=np.int64), p)     # (c, r, N)
     c, r, n = a.shape
     product = np.empty_like(a)
@@ -338,31 +366,11 @@ def _sweep(mats: np.ndarray, p: int, forward: bool) -> tuple[np.ndarray, np.ndar
             colv *= has
             colv[rows, which] = 0
         a[col:, live] -= np.multiply(pivrows[:, None], colv[live], out=product[col:, live])
-    if not forward:
-        a = _mod(np.take_along_axis(a, order.argsort(axis=0, kind="stable")[None], axis=1), p)
-    return a.transpose(2, 1, 0), r - free.sum(axis=0)
-
-
-class _Echelon:
-    """The reduced row echelon forms of a batch, nonzero rows first, and their
-    ranks.  The strategy fills ``rows`` (nested lists) or ``array``; the
-    other, like the ``pivots`` (lists of columns), is converted on first use."""
-
-    def __init__(self, shape: tuple[int, int, int]):
-        self.shape = shape
-
-    @cached_property
-    def rows(self) -> list[list[list[int]]]:
-        return self.array.tolist()
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        return np.array(self.rows, dtype=np.int64).reshape(self.shape)
-
-    @cached_property
-    def pivots(self) -> list[list[int]]:
-        firsts = (self.array != 0).argmax(axis=2).tolist()
-        return [piv[:k] for piv, k in zip(firsts, self.ranks.tolist())]
+    ranks = r - free.sum(axis=0)
+    if forward:
+        return _Echelon(None, ranks, None)
+    a = _mod(np.take_along_axis(a, order.argsort(axis=0, kind="stable")[None], axis=1), p)
+    return _Echelon(a.transpose(2, 1, 0), ranks, np.sort(order, axis=0).T)
 
 
 def _rref(mats: np.ndarray, p: int, forward: bool = False) -> _Echelon:
@@ -371,24 +379,31 @@ def _rref(mats: np.ndarray, p: int, forward: bool = False) -> _Echelon:
     entries (SCALAR_LONE_ENTRIES for a lone matrix), else the numpy sweep.
     Its rank mode, ``forward``, clears no row above a pivot: read its ranks."""
     n, r, c = mats.shape
-    ech = _Echelon(mats.shape)
     if n * r * c > (SCALAR_LONE_ENTRIES if n == 1 else SCALAR_BATCH_ENTRIES):
-        ech.array, ech.ranks = _sweep(mats, p, forward)
-    else:
-        ech.rows = (mats % p).tolist()
-        ech.pivots = [_rref_rows(m, p, forward) for m in ech.rows]
-        ech.ranks = np.array([len(piv) for piv in ech.pivots], dtype=np.int64)
-    return ech
+        return _sweep(mats, p, forward)
+    rows = (mats % p).tolist()
+    pivots = [_rref_rows(m, p, forward) for m in rows]
+    ranks = np.array([len(piv) for piv in pivots], dtype=np.int64)
+    if forward:
+        return _Echelon(None, ranks, None)
+    # the loop's lists become arrays here, once: a flat iterator reads faster than nested lists
+    forms = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), dtype=np.int64, count=n * r * c)
+    return _Echelon(forms.reshape(n, r, c), ranks,
+                    np.array([piv + [c] * (r - len(piv)) for piv in pivots], dtype=np.int64).reshape(n, r))
 
 
 def _subspaces(ech: _Echelon, p: int, bar: int = 0, stop: int | None = None) -> list[Subspace]:
     """Per reduced form, the span of the rows pivoted in columns ``bar`` to
     ``stop``, read there.  These vanish left of the bar and their pivots are
-    cleared in every other row, so they are a canonical RREF basis."""
-    stop = ech.shape[2] if stop is None else stop
-    cuts = [slice(bisect_left(piv, bar), bisect_left(piv, stop)) for piv in ech.pivots]
-    return [Subspace(p, stop - bar, tuple(tuple(row[bar:stop]) for row in rows[k]),
-                     tuple(j - bar for j in piv[k])) for rows, piv, k in zip(ech.rows, ech.pivots, cuts)]
+    cleared in every other row, so they are a canonical RREF basis.  Each is
+    copied out, so that a kept subspace does not hold on to its batch."""
+    stop = ech.array.shape[2] if stop is None else stop
+    # the rows pivoted left of each cut, counted only where it is inside
+    lo = (ech.pivots < bar).sum(axis=1).tolist() if bar else [0] * len(ech.ranks)
+    hi = (ech.pivots < stop).sum(axis=1).tolist() if stop < ech.array.shape[2] else ech.ranks.tolist()
+    pivots = ech.pivots - bar if bar else ech.pivots
+    return [Subspace(p, stop - bar, ech.array[k, i:j, bar:stop].copy(), pivots[k, i:j].copy())
+            for k, (i, j) in enumerate(zip(lo, hi))]
 
 
 def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
@@ -408,8 +423,7 @@ def _kernel_echelon(mats: np.ndarray, p: int) -> _Echelon:
     of the transposes from the rank mode, a different elimination."""
     n, r, c = mats.shape
     ech = _rref(np.concatenate([mats, np.repeat(np.eye(r, dtype=np.int64)[None], n, axis=0)], axis=2), p)
-    left_ranks = [sum(map(any, (row[:c] for row in rows))) for rows in ech.rows]
-    if left_ranks != batch_rank(np.swapaxes(mats, 1, 2), p).tolist():
+    if (ech.array[:, :, :c].any(axis=2).sum(axis=1) != batch_rank(np.swapaxes(mats, 1, 2), p)).any():
         raise InternalCheckError("rank-nullity violated in kernel")
     return ech
 
@@ -452,13 +466,12 @@ def batch_solve(mats: np.ndarray, targets: np.ndarray, p: int) -> tuple[np.ndarr
     """
     n, r, c = mats.shape
     aug = np.concatenate([np.swapaxes(mats, 1, 2), targets[:, :, None]], axis=2)
-    red = _rref(aug, p).array
-    nonzero = red != 0
-    pivoted = nonzero[:, :, :r].any(axis=2)     # reduced rows with a pivot left of the target
-    consistent = ~(nonzero[:, :, r] & ~pivoted).any(axis=1)
+    ech = _rref(aug, p)
+    pivoted = ech.pivots < r         # reduced rows with a pivot left of the target
+    consistent = ~(ech.pivots == r).any(axis=1)
     sol = np.zeros((n, r), dtype=np.int64)
     which, row = np.nonzero(pivoted)
-    sol[which, nonzero.argmax(axis=2)[which, row]] = red[which, row, r]
+    sol[which, ech.pivots[which, row]] = ech.array[which, row, r]
     sol[~consistent] = 0
     return sol, consistent, pivoted.sum(axis=1)
 

@@ -266,6 +266,11 @@ class LocalizationReport:
         return {"completely_loc_equals_units": rad_zero, "is_direct_product_of_loc_max": rad_zero,
                 "localization_maximal": self.loc_count == 1, "semisimple": self.family.rad.dim == 0}
 
+    @cached_property
+    def ideals(self) -> dict[Subspace, Ideal]:
+        """The kernel ideal of each class, by its subspace."""
+        return {en.ass.space: en.ass for en in self.entries}
+
     def entry(self, subset: Subset) -> LocEntry:
         for e in self.entries:
             if e.subset == subset:
@@ -281,14 +286,14 @@ class LocalizationReport:
                        "rad_dim": fam.rad.dim},
             "loc_count": self.loc_count,
             "entries": [{"subset": subset_str(en.subset), "idempotent": list(en.idempotent.coeffs),
-                         "ass_dim": en.ass.dim, "ass_basis": [list(r) for r in en.ass.space.basis],
+                         "ass_dim": en.ass.dim, "ass_basis": en.ass.space.array.tolist(),
                          "quotient_dim": a.dim - en.ass.dim} for en in self.entries],
             "minima": [subset_str(s) for s in self.minima],
             "max_den": [d.to_dict() for d in self.max_den],
             "l_rad_dim": self.l_rad.dim,
-            "l_rad_basis": [list(r) for r in self.l_rad.space.basis],
+            "l_rad_basis": self.l_rad.space.array.tolist(),
             "little_rad_dim": self.little_rad.dim,
-            "little_rad_basis": [list(r) for r in self.little_rad.space.basis],
+            "little_rad_basis": self.little_rad.space.array.tolist(),
             "flags": self.flags,
         }
 
@@ -325,8 +330,7 @@ def _side_report(a: Algebra, side: str, fam: IdempotentFamily, corners: np.ndarr
     subsets = _closed_subsets(corners)
     masks = _subset_masks(subsets)
     inside = _membership(masks, s)
-    blocks = np.array([e.coeffs for e in fam.idempotents], dtype=np.int64)
-    idems = inside @ blocks % p
+    idems = inside @ fam.rows % p
     spaces = _kernel_spaces(a, idems, side)
     if len(set(spaces)) != len(spaces):
         raise InternalCheckError("distinct subsets gave the same kernel ideal")
@@ -383,8 +387,7 @@ def localization_report(a: Algebra) -> LocalizationReport:
     """
     if "report_left" not in a._cache:
         fam = block_decomposition(a)
-        blocks = np.array([e.coeffs for e in fam.idempotents], dtype=np.int64)
-        corners = np.einsum("iab,jba->ij", a.batch_left_matrices(blocks), a.batch_right_matrices(blocks)) % a.p
+        corners = np.einsum("iab,jba->ij", a.batch_left_matrices(fam.rows), a.batch_right_matrices(fam.rows)) % a.p
         a._cache["report_left"] = _side_report(a, "left", fam, corners)
     return a._cache["report_left"]
 
@@ -509,7 +512,7 @@ def _powers_rows(a: Algebra, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
         raise InternalCheckError("no core exponent found below the dimension bound")
     # a warm left report already holds the ideal of each class
     report = a._cache.get("report_left")
-    known = {en.ass.space: en.ass for en in report.entries} if report else {}
+    known = report.ideals if report else {}
     qualified = list(dict.fromkeys(group[ok].tolist()))
     spaces = _kernel_spaces(a, reps[qualified], "left") if qualified else []
     classes = {g: (a.element(reps[g]), known.get(space) or _kernel_class(a, space))
@@ -559,7 +562,7 @@ def idempotent_denominator_check(a: Algebra, e: Element) -> IdempotentCheck:
     row = a.member_rows([e])
     if e.is_zero():
         raise InputError("the idempotent 0 is excluded (its set would contain 0)")
-    if (e * e) != e:
+    if (a.batch_mul(row, row) != row).any():
         raise InputError("element is not idempotent")
     # the corners e R (1 - e) and (1 - e) R e, in one call
     pair = np.concatenate([row, (np.array([a.one_coeffs]) - row) % a.p])
@@ -793,9 +796,8 @@ def two_sided_report(a: Algebra) -> TwoSidedReport:
     if "two_sided" in a._cache:
         return a._cache["two_sided"]
     cents = primitive_idempotents(a)
-    spaces = _kernel_spaces(a, np.array([e.coeffs for e in cents], dtype=np.int64), "left")
-    descriptors = tuple(DenSetDescriptor("maximal", e, _kernel_class(a, space))
-                        for e, space in zip(cents, spaces))
+    descriptors = tuple(DenSetDescriptor("maximal", a.element(e), _kernel_class(a, space))
+                        for e, space in zip(cents.tolist(), _kernel_spaces(a, cents, "left")))
     zero = Ideal._derived(a, Subspace.zero(a.p, a.dim), "twosided")
     report = TwoSidedReport(a, descriptors, zero)
     a._cache["two_sided"] = report

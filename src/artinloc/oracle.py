@@ -76,6 +76,7 @@ from .linalg import (
     batch_row_spaces_and_kernels,
     check_guard,
     row_chunks,
+    vectors_to_indices,
 )
 
 __all__ = ["FiniteSetOfElements", "monoid_closure", "brute_denominator_check",
@@ -388,7 +389,7 @@ def brute_radical(a: Algebra, guard: int = DEFAULT_GUARD) -> Ideal:
 
     def quasi_regular(xs: np.ndarray) -> np.ndarray:
         """Mask of the rows x of ``xs`` for which 1 - x is a unit."""
-        return unit_mask[a.coeffs_to_indices(one - xs)]
+        return unit_mask[vectors_to_indices((one - xs) % p, p)]
 
     probes = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)] + [a.one_coeffs]
     survivors = []

@@ -32,12 +32,13 @@ downstream reports is documented, not verified.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 
 import numpy as np
 
-from .algebra import Algebra, Element, Ideal, Quotient, quotient_algebra, regular_matrix
-from .linalg import InternalCheckError, Subspace, kernel
+from .algebra import Algebra, Element, Ideal, Quotient, quotient_algebra
+from .linalg import InternalCheckError, Subspace, batch_row_spaces, kernel, read_only
 
 __all__ = ["IdempotentFamily", "radical", "primitive_idempotents", "block_decomposition",
            "ideal_block_support", "check_orthogonal_idempotents"]
@@ -85,6 +86,7 @@ class IdempotentFamily:
     block_dims[i] is the GF(p)-dimension of block i of the semisimple
     quotient; block_commutative[i] records whether that block is
     commutative (over a finite field this is exactly the 1x1 matrix case).
+    :attr:`rows` and :attr:`central_rows` are the lifts and their images as read-only rows.
     """
 
     algebra: Algebra
@@ -99,19 +101,27 @@ class IdempotentFamily:
     def s(self) -> int:
         return len(self.idempotents)
 
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return read_only(self.algebra.member_rows(self.idempotents))
+
+    @cached_property
+    def central_rows(self) -> np.ndarray:
+        return read_only(self.quotient.algebra.member_rows(self.central_images))
+
     def __post_init__(self) -> None:
-        check_orthogonal_idempotents(self.algebra, self.idempotents, "lifted idempotent")
-        for e, ebar in zip(self.idempotents, self.central_images):
-            if self.quotient.project(e) != ebar:
-                raise InternalCheckError("lift does not reduce to its central idempotent")
+        check_orthogonal_idempotents(self.algebra, self.rows, "lifted idempotent")
+        if (self.quotient.batch_project(self.rows) != self.central_rows).any():
+            raise InternalCheckError("lift does not reduce to its central idempotent")
 
 
-def check_orthogonal_idempotents(a: Algebra, idems: tuple[Element, ...], what: str) -> None:
-    """Check e_i e_j = (e_i if i = j else 0) and sum(e_i) = 1 from one table of
-    products; ``what`` names one member in the messages."""
-    coeffs = np.array([e.coeffs for e in idems], dtype=np.int64).reshape(-1, a.dim)
-    expected = np.zeros((len(idems), len(idems), a.dim), dtype=np.int64)
-    expected[range(len(idems)), range(len(idems))] = coeffs
+def check_orthogonal_idempotents(a: Algebra, coeffs: np.ndarray, what: str) -> None:
+    """Check e_i e_j = (e_i if i = j else 0) and sum(e_i) = 1, for the rows
+    e_i of ``coeffs``, from one table of products; ``what`` names one member
+    in the messages."""
+    k = len(coeffs)
+    expected = np.zeros((k, k, a.dim), dtype=np.int64)
+    expected[range(k), range(k)] = coeffs
     bad = (a.pair_products(coeffs, coeffs) != expected).any(axis=2)
     if bad.diagonal().any():
         raise InternalCheckError(f"{what} {np.argmax(bad.diagonal())} is not idempotent")
@@ -150,9 +160,9 @@ def _split_step(a: Algebra, f: np.ndarray) -> np.ndarray:
     return np.concatenate([a.one_coeffs - g2, (g2 + g) * half, (g2 - g) * half]) % p
 
 
-def primitive_idempotents(a: Algebra) -> tuple[Element, ...]:
-    """The primitive central idempotents of ``a``, ordered by the pivot of
-    their coefficient vectors.
+def primitive_idempotents(a: Algebra) -> np.ndarray:
+    """The primitive central idempotents of ``a`` as ``(k, dim)`` rows,
+    ordered by the pivot of their coefficient vectors, then by the vectors.
 
     On the commutative center Z, z -> z^p is GF(p)-linear, and z^p = z
     holds exactly for the GF(p)-combinations of orthogonal idempotents, so
@@ -174,9 +184,9 @@ def primitive_idempotents(a: Algebra) -> tuple[Element, ...]:
         idems = pieces[pieces.any(axis=1)]
     if len(idems) != len(fixed):
         raise InternalCheckError("block splitting did not reach primitive idempotents")
-    check_orthogonal_idempotents(a, tuple(a.element(e) for e in idems), "primitive idempotent")
-    blocks = sorted(map(tuple, idems.tolist()), key=lambda v: (_pivot(v), v))
-    return tuple(a.element(b) for b in blocks)
+    check_orthogonal_idempotents(a, idems, "primitive idempotent")
+    # np.lexsort reads its last key first: the pivot, then the entries in order
+    return idems[np.lexsort(np.concatenate([idems[:, ::-1].T, [(idems != 0).argmax(axis=1)]]))]
 
 
 def block_decomposition(a: Algebra) -> IdempotentFamily:
@@ -195,34 +205,25 @@ def block_decomposition(a: Algebra) -> IdempotentFamily:
     p = a.p
     central = primitive_idempotents(abar)
 
-    # c = 1 - (sum of previous lifts); the family checks idempotence,
-    # orthogonality and the projections
+    # c = 1 - (sum of previous lifts), x the section of ebar (the parent row that is
+    # ebar at the kept coordinates); the family checks idempotence, orthogonality, projections
+    sections = np.zeros((len(central), a.dim), dtype=np.int64)
+    sections[:, quo.keep] = central
     lifted: list[Element] = []
     corner = np.array([a.one_coeffs], dtype=np.int64)
-    for ebar in central:
-        x0 = np.array([quo.section(ebar).coeffs], dtype=np.int64)
-        y = a.batch_pow(a.batch_mul(a.batch_mul(corner, x0), corner), p)
+    for x0 in sections:
+        y = a.batch_pow(a.batch_mul(a.batch_mul(corner, x0[None]), corner), p)
         lifted.append(a.element(y[0]))
         corner = (corner - y) % p
 
-    dims = []
-    comm = []
-    for ebar in central:
-        block_space = Subspace.from_vectors(p, abar.dim, regular_matrix(abar, ebar, "right"))
-        dims.append(block_space.dim)
-        products = abar.pair_products(block_space.array, block_space.array)
-        comm.append(bool((products == products.transpose(1, 0, 2)).all()))
-
-    fam = IdempotentFamily(a, tuple(lifted), tuple(dims), tuple(comm), rad, quo, central)
+    # each block is the row space of its right multiplication by ebar
+    blocks = batch_row_spaces(abar.batch_right_matrices(central), p)
+    products = [abar.pair_products(block.array, block.array) for block in blocks]
+    comm = tuple(bool((m == m.transpose(1, 0, 2)).all()) for m in products)
+    fam = IdempotentFamily(a, tuple(lifted), tuple(block.dim for block in blocks), comm, rad, quo,
+                           tuple(map(abar.element, central.tolist())))
     a._cache["family"] = fam
     return fam
-
-
-def _pivot(vec: tuple[int, ...]) -> int:
-    for i, v in enumerate(vec):
-        if v:
-            return i
-    return len(vec)
 
 
 def ideal_block_support(fam: IdempotentFamily, ideal: Ideal) -> tuple[frozenset[int], bool]:
@@ -236,6 +237,5 @@ def ideal_block_support(fam: IdempotentFamily, ideal: Ideal) -> tuple[frozenset[
     images = fam.quotient.batch_project(ideal.space.array)
     if not images.any():
         return frozenset(), True
-    centrals = np.array([e.coeffs for e in fam.central_images], dtype=np.int64)
-    met = fam.quotient.algebra.pair_products(centrals, images).any(axis=(1, 2))
+    met = fam.quotient.algebra.pair_products(fam.central_rows, images).any(axis=(1, 2))
     return frozenset(int(i) + 1 for i in np.flatnonzero(met)), False

@@ -243,7 +243,7 @@ def _left_lattice(rep: LocalizationReport) -> None:
     p, d = a.p, a.dim
     masks = _subset_masks([en.subset for en in rep.entries])
     inside = _membership(masks, rep.family.s)
-    blocks = np.array([e.coeffs for e in rep.family.idempotents], dtype=np.int64)
+    blocks = rep.family.rows
     block_sums = inside @ blocks % p
     kernels = _kernel_spaces(a, block_sums, "left")
     dims = np.array([k.dim for k in kernels], dtype=np.int64)
@@ -265,7 +265,7 @@ def _left_lattice(rep: LocalizationReport) -> None:
         raise InternalCheckError("the closed-form table of dim(K_I + K_J) disagrees with the ranks")
     # rank [B_I; L_e] = d gives K_I + e_I R = R, and then rank L_e = d - dim K_I
     # gives K_I meet e_I R = 0
-    idems = np.array([en.idempotent.coeffs for en in rep.entries], dtype=np.int64)
+    idems = a.member_rows([en.idempotent for en in rep.entries])
     lefts = a.batch_left_matrices(idems)
     if ((batch_rank(np.concatenate([_padded([k.array for k in kernels]), lefts], axis=1), p) != d).any()
             or (batch_rank(lefts, p) != d - dims).any()):
@@ -279,7 +279,7 @@ def _left_lattice(rep: LocalizationReport) -> None:
                                      if masks[i] & masks[np.argmax(wrong)] else
                                      "disjoint block-sum idempotents are not orthogonal")
     minimal_classes = [rep.entry(sub) for sub in rep.minima]
-    e_sum = np.array([en.idempotent.coeffs for en in minimal_classes], dtype=np.int64).sum(axis=0) % p
+    e_sum = a.member_rows([en.idempotent for en in minimal_classes]).sum(axis=0) % p
     forms = [_kernel_spaces(a, e_sum[None], "left")[0]] + [
         _combine_all([en.ass for en in minimal_classes], op).space for op in ("intersection", "product")]
     if any(form != rep.l_rad.space for form in forms):
@@ -401,7 +401,7 @@ def bundle_conditions(a: Algebra, guard: int = DEFAULT_GUARD,
     rep = localization_report(a)
     c5 = rep.l_rad.dim == 0
     c2 = set().union(*rep.minima) == set(range(1, rep.family.s + 1))
-    minima = np.array([rep.entry(sub).idempotent.coeffs for sub in rep.minima], dtype=np.int64)
+    minima = a.member_rows([rep.entry(sub).idempotent for sub in rep.minima])
     e_sum = a.element(minima.sum(axis=0))
     c3 = e_sum == a.one and batch_rank(_corners(a, minima, minima), a.p).sum() == a.dim
     ts = two_sided_report(a)
@@ -496,7 +496,7 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
             return False, "block dimensions do not add up to the semisimple quotient"
         # on a fresh copy, as ``a`` would hand back its cached family
         again = block_decomposition(Algebra._derived(a.p, a.np_table, a.one_coeffs, a.label))
-        if [e.coeffs for e in again.idempotents] != [e.coeffs for e in fam.idempotents]:
+        if not np.array_equal(again.rows, fam.rows):
             return False, "idempotent family is not deterministic"
     check("idempotent_family", _family_laws)
 
@@ -533,7 +533,7 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
         # L_e, R_(1-e) and corner maps take 3 dim**2 entries a block sum
         rep = localization_report(a)
         s, p = rep.family.s, a.p
-        blocks = np.array([e.coeffs for e in rep.family.idempotents], dtype=np.int64)
+        blocks = rep.family.rows
         one = np.array(a.one_coeffs, dtype=np.int64)
         subsets = itertools.chain.from_iterable(
             itertools.combinations(range(1, s + 1), size) for size in range(1, s + 1))
@@ -559,8 +559,7 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
                   for en in report.entries] + [("right little radical", report.little_rad)])
         right = report.to_dict()
         opposite = localization_report(opposite_algebra(a))
-        if ([e.coeffs for e in opposite.family.idempotents]
-                != [e.coeffs for e in block_decomposition(a).idempotents]):
+        if not np.array_equal(opposite.family.rows, block_decomposition(a).rows):
             return False, "opposite algebra produced a different idempotent family"
         expected = opposite.to_dict()
         for key in sorted(expected.keys() | right.keys()):
@@ -573,7 +572,7 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
         # came from one batched elimination and are eliminated again one at
         # a time, their meet by theorem
         ts = two_sided_report(a)
-        cents = np.array([e.coeffs for e in ts.central_idempotents], dtype=np.int64)
+        cents = a.member_rows(ts.central_idempotents)
         central = a.batch_central_mask(cents)
         if not central.all():
             raise InternalCheckError(f"central idempotent {np.argmin(central)} is not central")
@@ -585,7 +584,7 @@ def run_invariants(a: Algebra, guard: int = DEFAULT_GUARD,
                 raise InternalCheckError(f"ideal of central factor {i} is not (1 - e)R")
         if _combine_all([d.ass for d in ts.max_den], "intersection").dim or ts.loc_radical.dim:
             raise InternalCheckError("two-sided localization radical must vanish")
-        check_orthogonal_idempotents(a, ts.central_idempotents, "central idempotent")
+        check_orthogonal_idempotents(a, cents, "central idempotent")
         # without the center: a block sum is central iff no nonzero Peirce
         # corner links its blocks to the others, so the primitive ones are
         # the sums over the weakly connected components of the corner table

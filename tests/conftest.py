@@ -81,6 +81,21 @@ def pow_by_definition(a, x, n):
     return out
 
 
+def project(quo, x):
+    """The image of the parent element x in the quotient, by
+    :meth:`Quotient.batch_project` on its row."""
+    return quo.algebra.element(quo.batch_project(np.array([x.coeffs], dtype=np.int64))[0])
+
+
+def section(quo, q):
+    """A linear section of the projection: the parent element that is q at
+    the quotient's coordinates ``quo.keep`` and 0 elsewhere."""
+    v = [0] * quo.parent.dim
+    for idx, j in enumerate(quo.keep.tolist()):
+        v[j] = q.coeffs[idx]
+    return quo.parent.element(v)
+
+
 def ideal_generated(a, gens, side):
     """The least side-closed subspace holding the generators, by products
     with the basis until the span stops growing, as an :class:`Ideal`

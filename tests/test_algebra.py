@@ -24,9 +24,9 @@ from artinloc.algebra import (
 from artinloc.linalg import InputError, InternalCheckError, Subspace, kernel, rank
 from artinloc.localization import two_sided_report
 from artinloc.oracle import brute_idempotents
-from artinloc.structure import _center_subspace, _pivot, _radical_quotient, block_decomposition, radical
+from artinloc.structure import _center_subspace, _radical_quotient, block_decomposition, radical
 from conftest import (block_sum, gf49_times_dual_numbers, ideal_generated, member_by_definition, mul_by_definition,
-                      pow_by_definition, reduce_by_definition, solve_in_rows)
+                      pow_by_definition, project, reduce_by_definition, section, solve_in_rows)
 from test_random_algebras import SEEDS, random_algebra
 
 
@@ -558,9 +558,9 @@ class TestQuotient:
         for _ in range(50):
             x = L2_7.element([rng.randrange(7) for _ in range(3)])
             y = L2_7.element([rng.randrange(7) for _ in range(3)])
-            assert quo.project(x * y) == quo.project(x) * quo.project(y)
+            assert project(quo, x * y) == project(quo, x) * project(quo, y)
         for q in map(quo.algebra.element, quo.algebra.enumerate_coeffs()):
-            assert quo.project(quo.section(q)) == q
+            assert project(quo, section(quo, q)) == q
 
     def test_whole_algebra_rejected(self, L2_7):
         whole = ideal_generated(L2_7, [L2_7.one], "twosided")
@@ -642,8 +642,7 @@ def matrix_units_by_definition(p, n, keep, label):
     rows = [m.ravel().tolist() for m in mats]
     table = [[solve_in_rows(rows, (u @ v).ravel().tolist(), p) for v in mats] for u in mats]
     one = solve_in_rows(rows, np.eye(n, dtype=np.int64).ravel().tolist(), p)
-    model = (n, tuple(tuple(map(tuple, m.tolist())) for m in mats))
-    return Algebra(p, table, one, label, matrix_model=model)
+    return Algebra(p, table, one, label, matrix_model=(n, np.array(mats, dtype=np.int64)))
 
 
 def truncated_poly_by_definition(p, k):
@@ -712,8 +711,17 @@ def test_constructors_build_by_theorem_what_validation_accepts(build, reference)
     assert "validated" not in a._cache and "validated" in expected._cache
     Algebra(a.p, a.np_table, a.one_coeffs, a.label)
     assert a.np_table.dtype == np.int64 and np.array_equal(a.np_table, expected.np_table)
-    assert (a.one_coeffs, a.label, a.matrix_model) == \
-        (expected.one_coeffs, expected.label, expected.matrix_model)
+    # the matrix model, where there is one, is the ambient size and an int64 array
+    assert (a.one_coeffs, a.label, matrix_model(a)) == \
+        (expected.one_coeffs, expected.label, matrix_model(expected))
+
+
+def matrix_model(a):
+    if a.matrix_model is None:
+        return None
+    n, mats = a.matrix_model
+    assert mats.dtype == np.int64 and mats.shape == (a.dim, n, n)
+    return n, mats.tolist()
 
 
 @pytest.mark.parametrize("build", [
@@ -813,7 +821,7 @@ def central_idempotents_via_the_center_algebra(a):
     one = solve_in_rows(center.basis, a.one_coeffs, a.p)
     zalg = Algebra(a.p, table_by_definition(a, center.basis), one, f"Z({a.label})")
     coords = np.array([e.coeffs for e in block_decomposition(zalg).idempotents], dtype=np.int64)
-    return sorted(map(tuple, (coords @ center.array % a.p).tolist()), key=lambda v: (_pivot(v), v))
+    return sorted(map(tuple, (coords @ center.array % a.p).tolist()), key=pivot_order)
 
 
 CENTER_FIXTURES = SMALL_ALGEBRAS + [
@@ -853,7 +861,13 @@ def minimal_central_idempotents(a):
     central = [e for e in map(a.element, brute_idempotents(a, guard=ENUMERATION_BOUND).rows)
                if not e.is_zero() and all(e * b == b * e for b in basis)]
     minimal = [e.coeffs for e in central if not any(f != e and e * f == f for f in central)]
-    return sorted(minimal, key=lambda v: (_pivot(v), v))
+    return sorted(minimal, key=pivot_order)
+
+
+def pivot_order(v):
+    """The order of the primitive idempotents: by the first nonzero
+    coordinate, then by the vector."""
+    return next((i for i, c in enumerate(v) if c), len(v)), v
 
 
 def check_central_idempotents_by_enumeration(a):

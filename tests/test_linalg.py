@@ -87,25 +87,26 @@ class TestRref:
 
     def test_rank_one_example(self):
         ech = _rref(np.array([[[2, 4], [1, 2]]]), 7)
-        assert ech.rows == [[[1, 2], [0, 0]]] and ech.pivots == [[0]]
-        assert ech.array.tolist() == [[[1, 2], [0, 0]]] and ech.ranks.tolist() == [1]
+        # a zero row's pivot reads as the width, 2
+        assert ech.array.tolist() == [[[1, 2], [0, 0]]] and ech.pivots.tolist() == [[0, 2]]
+        assert ech.ranks.tolist() == [1]
         assert rank(np.array([[2, 4], [1, 2]]), 7) == 1
 
     def test_identity_fixed(self):
         eye = np.eye(3, dtype=np.int64)
         ech = _rref(eye[None], 5)
-        assert ech.rows == [eye.tolist()] and ech.pivots == [[0, 1, 2]]
+        assert ech.array.tolist() == [eye.tolist()] and ech.pivots.tolist() == [[0, 1, 2]]
         assert rank(eye, 5) == 3
 
     def test_zero_matrix(self):
         ech = _rref(np.zeros((1, 2, 2), dtype=np.int64), 7)
-        assert ech.rows == [[[0, 0], [0, 0]]] and ech.pivots == [[]]
+        assert ech.array.tolist() == [[[0, 0], [0, 0]]] and ech.pivots.tolist() == [[2, 2]]
         assert rank(np.zeros((2, 2), dtype=np.int64), 7) == 0
 
     def test_idempotent(self):
         once = _rref(np.array([[[1, 2, 3], [2, 4, 1], [0, 1, 1]]]), 5)
         twice = _rref(once.array, 5)
-        assert once.rows == twice.rows and once.pivots == twice.pivots
+        assert np.array_equal(once.array, twice.array) and np.array_equal(once.pivots, twice.pivots)
 
     def test_mixed_moduli_rejected(self):
         with pytest.raises(ModulusMismatch):
@@ -133,6 +134,20 @@ class TestKernel:
 
 @pytest.mark.usefixtures("strategy")
 class TestSubspace:
+    def test_equality_and_hash(self):
+        # one span from lists and from an array; the empty bases differ in
+        # their ambient dimension or their prime alone
+        rows = [[2, 4, 1], [1, 2, 0], [0, 0, 3]]
+        listed = Subspace.from_vectors(7, 3, rows)
+        arrayed = Subspace.from_vectors(7, 3, np.array(rows, dtype=np.int64))
+        assert listed == arrayed and hash(listed) == hash(arrayed) and len({listed, arrayed}) == 1
+        assert plain(listed) == plain(arrayed)
+        zero = Subspace.zero(7, 3)
+        assert zero == Subspace.from_vectors(7, 3, []) and hash(zero) == hash(Subspace.zero(7, 3))
+        assert zero != Subspace.zero(7, 4) and zero != Subspace.zero(11, 3)
+        assert len({zero, Subspace.zero(7, 4), Subspace.zero(11, 3)}) == 3
+        assert plain(zero).basis == () and plain(Subspace.full(7, 3)).basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
     def test_axis_spans(self):
         a = Subspace.from_vectors(7, 3, [[1, 0, 0]])
         b = Subspace.from_vectors(7, 3, [[0, 1, 0]])
@@ -276,14 +291,19 @@ OPERATIONS = {
 
 
 def plain(result):
-    """A result with its arrays as lists, and a check that every entry of a
-    Subspace is a Python int."""
+    """A result with its arrays as lists, and a check of the form of every
+    Subspace: its basis array and pivots are int64, read-only and own their
+    memory, and its ``basis`` is the array's rows as tuples of Python ints."""
     if isinstance(result, np.ndarray):
         return result.tolist()
     if isinstance(result, (list, tuple)):
         return [plain(x) for x in result]
     if isinstance(result, Subspace):
-        assert all(type(v) is int for row in result.basis for v in row + result.pivots)
+        for arr in (result.array, result.pivots):
+            assert arr.dtype == np.int64 and not arr.flags.writeable and arr.base is None
+        assert result.array.shape == (result.dim, result.ambient_dim) and result.pivots.shape == (result.dim,)
+        assert result.basis == tuple(map(tuple, result.array.tolist()))
+        assert all(type(v) is int for row in result.basis for v in row)
     return result
 
 
@@ -494,9 +514,7 @@ def test_batch_kernels_check_rank_nullity():
     def faulty(m, p, forward=False):
         ech = rref(m, p, forward)
         if not forward:
-            rows = [[list(row) for row in form] for form in ech.rows]
-            rows[0][-1][0] = 1
-            ech.rows = rows
+            ech.array[0, -1, 0] = 1
         return ech
 
     with mock.patch.object(linalg, "_rref", faulty):

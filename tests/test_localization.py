@@ -51,6 +51,7 @@ from conftest import (
     block_sum,
     closed_sets,
     ideal_generated,
+    project,
     reduce_by_definition,
     reference_corner_is_zero,
     reference_edges,
@@ -420,7 +421,7 @@ class TestTwoSided:
         for _ in range(100):
             r = T7xF7.element([rng.randrange(7) for _ in range(3)])
             all_units = all(
-                rank(regular_matrix(q.algebra, q.project(r), "left"), 7) == q.algebra.dim
+                rank(regular_matrix(q.algebra, project(q, r), "left"), 7) == q.algebra.dim
                 for q in ts.factor_quotients)
             is_unit = rank(regular_matrix(T7xF7, r, "left"), 7) == T7xF7.dim
             assert all_units == is_unit
@@ -579,7 +580,7 @@ def reference_monoid(a, gens):
         if out is None:
             continue
         e, ass, quo, _ = out
-        if all(rank(regular_matrix(quo.algebra, quo.project(g), "left"), a.p) == quo.algebra.dim
+        if all(rank(regular_matrix(quo.algebra, project(quo, g), "left"), a.p) == quo.algebra.dim
                for g in gens):
             witnesses.append((s, e, ass, quo))
     if not witnesses:
@@ -1091,7 +1092,7 @@ class TestReportRadicalChecksFire:
         a = lower_triangular(7, 2)
         left = localization_report(a)
         whole = Ideal._derived(a, Subspace.from_vectors(7, 3, np.eye(3, dtype=np.int64).tolist()), "twosided")
-        fam = types.SimpleNamespace(s=left.family.s, idempotents=left.family.idempotents, rad=whole)
+        fam = types.SimpleNamespace(s=left.family.s, rows=left.family.rows, rad=whole)
         with pytest.raises(InternalCheckError,
                            match="localization radical sits inside the nilpotent radical only when it vanishes"):
             localization._side_report(a, "left", fam, left.corners)
